@@ -1,22 +1,24 @@
-// Scalar-vs-SIMD speedup measurement for the three physics hot paths
-// (--kernel=scalar|simd): the LJ/Ewald pair kernel, the serial PME
-// reciprocal solve (B-spline spread + interpolate + FFT), and the 3-D FFT
-// on the paper's 80 x 36 x 48 grid.
+// Host timings of the three physics hot paths: the LJ/Ewald pair kernel
+// under --kernel=scalar and --kernel=simd, and the serial PME reciprocal
+// solve (B-spline spread + interpolate + FFT) and the 3-D FFT on the
+// paper's 80 x 36 x 48 grid, which have one kernel each.
 //
 // This is a hand-timed binary rather than a google-benchmark one so it
 // can take --json=FILE and write BENCH_kernels.json directly (the
-// BENCHMARK_MAIN driver rejects unknown flags). Each family is timed
-// best-of-N to shave scheduler noise, and the SIMD variant's result is
+// BENCHMARK_MAIN driver rejects unknown flags). Each kernel is timed
+// best-of-N to shave scheduler noise, and the simd pair kernel's energy is
 // checked against the scalar one before any timing is trusted.
 //
 // usage: kernel_speedups [--smoke] [--json=FILE]
-//   --smoke   CI mode: one rep per family, seconds of wall clock total.
+//   --smoke   CI mode: one rep per kernel, seconds of wall clock total.
 //   --json    write BENCH_kernels.json-style output.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fft/fft.hpp"
@@ -49,13 +51,14 @@ double best_of(int reps, int iters, Fn&& fn) {
   return best;
 }
 
+// The pair kernel: the one variant pair, timed side by side.
 struct FamilyResult {
   std::string name;
   std::string unit;       // what items/sec counts
   double items = 0.0;     // items per call
   double scalar_s = 0.0;  // best-of per-call seconds
   double simd_s = 0.0;
-  double max_rel_err = 0.0;  // simd vs scalar on the checked observable
+  double max_rel_err = 0.0;  // simd vs scalar energy
   double speedup() const { return simd_s > 0 ? scalar_s / simd_s : 0.0; }
 };
 
@@ -102,65 +105,53 @@ FamilyResult run_pair(int reps, int iters) {
   return fr;
 }
 
+// A kernel with a single implementation: best-of per-call time.
+struct PlainResult {
+  std::string name;
+  std::string unit;    // what items/sec counts
+  double items = 0.0;  // items per call
+  double seconds = 0.0;
+};
+
 // --- PME reciprocal: spread + 3-D FFT + convolve + interpolate -----------
 
-FamilyResult run_pme(int reps, int iters) {
+PlainResult run_pme(int reps, int iters) {
   const sysbuild::BuiltSystem sys = sysbuild::build_myoglobin_like();
   const pme::PmeParams params{80, 36, 48, 4, 0.34};
-  pme::SerialPme scalar_pme(params, sys.box, util::KernelKind::kScalar);
-  pme::SerialPme simd_pme(params, sys.box, util::KernelKind::kSimd);
+  pme::SerialPme pme(params, sys.box);
   std::vector<util::Vec3> forces(static_cast<std::size_t>(sys.topo.natoms()));
 
-  auto run = [&](pme::SerialPme& p) {
+  PlainResult pr;
+  pr.name = "pme_reciprocal";
+  pr.unit = "atoms";
+  pr.items = static_cast<double>(sys.topo.natoms());
+  pr.seconds = best_of(reps, iters, [&] {
     std::fill(forces.begin(), forces.end(), util::Vec3{});
-    return p.reciprocal(sys.topo, sys.positions, forces);
-  };
-
-  FamilyResult fr;
-  fr.name = "pme_reciprocal";
-  fr.unit = "atoms";
-  fr.items = static_cast<double>(sys.topo.natoms());
-  fr.max_rel_err = rel_err(run(scalar_pme), run(simd_pme));
-  fr.scalar_s = best_of(reps, iters, [&] { run(scalar_pme); });
-  fr.simd_s = best_of(reps, iters, [&] { run(simd_pme); });
-  return fr;
+    pme.reciprocal(sys.topo, sys.positions, forces);
+  });
+  return pr;
 }
 
 // --- 3-D FFT on the paper's PME grid -------------------------------------
 
-FamilyResult run_fft(int reps, int iters) {
+PlainResult run_fft(int reps, int iters) {
   constexpr int nx = 80, ny = 36, nz = 48;
   constexpr std::size_t n = static_cast<std::size_t>(nx) * ny * nz;
   util::Rng rng(1138);
   std::vector<fft::Complex> ref(n);
   for (auto& c : ref) c = fft::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+  const fft::Fft3D plan(nx, ny, nz);
 
-  fft::Fft3D scalar_plan(nx, ny, nz, util::KernelKind::kScalar);
-  fft::Fft3D simd_plan(nx, ny, nz, util::KernelKind::kSimd);
-
-  std::vector<fft::Complex> a = ref;
-  std::vector<fft::Complex> b = ref;
-  scalar_plan.forward(a.data());
-  simd_plan.forward(b.data());
-  FamilyResult fr;
-  fr.name = "fft3d_80x36x48";
-  fr.unit = "grid points";
-  fr.items = static_cast<double>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    fr.max_rel_err = std::max(fr.max_rel_err, rel_err(a[i].real(), b[i].real()));
-    fr.max_rel_err = std::max(fr.max_rel_err, rel_err(a[i].imag(), b[i].imag()));
-  }
-
+  PlainResult pr;
+  pr.name = "fft3d_80x36x48";
+  pr.unit = "grid points";
+  pr.items = static_cast<double>(n);
   std::vector<fft::Complex> work = ref;
-  fr.scalar_s = best_of(reps, iters, [&] {
+  pr.seconds = best_of(reps, iters, [&] {
     work = ref;
-    scalar_plan.forward(work.data());
+    plan.forward(work.data());
   });
-  fr.simd_s = best_of(reps, iters, [&] {
-    work = ref;
-    simd_plan.forward(work.data());
-  });
-  return fr;
+  return pr;
 }
 
 }  // namespace
@@ -185,27 +176,26 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 2 : 5;
   const int iters = smoke ? 1 : 3;
 
-  std::printf("kernel speedups: --kernel=simd vs --kernel=scalar "
-              "(best of %d x %d calls)\n",
-              reps, iters);
+  std::printf("kernel timings (best of %d x %d calls)\n", reps, iters);
+  const FamilyResult pair = run_pair(reps, iters);
   std::printf("%-16s %12s %12s %9s %14s %12s\n", "kernel", "scalar_ms",
               "simd_ms", "speedup", "simd_items/s", "max_rel_err");
+  std::printf("%-16s %12.3f %12.3f %8.2fx %14.3e %12.2e\n", pair.name.c_str(),
+              pair.scalar_s * 1e3, pair.simd_s * 1e3, pair.speedup(),
+              pair.simd_s > 0 ? pair.items / pair.simd_s : 0.0,
+              pair.max_rel_err);
+  const bool ok = pair.max_rel_err <= 1e-10;
+  if (!ok) {
+    std::fprintf(stderr, "FAIL: %s simd disagrees with scalar (%.3e)\n",
+                 pair.name.c_str(), pair.max_rel_err);
+  }
 
-  std::vector<FamilyResult> results;
-  results.push_back(run_pair(reps, iters));
-  results.push_back(run_pme(reps, iters));
-  results.push_back(run_fft(reps, iters));
-
-  bool ok = true;
-  for (const auto& fr : results) {
-    std::printf("%-16s %12.3f %12.3f %8.2fx %14.3e %12.2e\n", fr.name.c_str(),
-                fr.scalar_s * 1e3, fr.simd_s * 1e3, fr.speedup(),
-                fr.simd_s > 0 ? fr.items / fr.simd_s : 0.0, fr.max_rel_err);
-    if (!(fr.max_rel_err <= 1e-10)) {
-      std::fprintf(stderr, "FAIL: %s simd disagrees with scalar (%.3e)\n",
-                   fr.name.c_str(), fr.max_rel_err);
-      ok = false;
-    }
+  const std::vector<PlainResult> plain = {run_pme(reps, iters),
+                                          run_fft(reps, iters)};
+  std::printf("%-16s %12s %14s\n", "kernel", "ms", "items/s");
+  for (const auto& pr : plain) {
+    std::printf("%-16s %12.3f %14.3e\n", pr.name.c_str(), pr.seconds * 1e3,
+                pr.seconds > 0 ? pr.items / pr.seconds : 0.0);
   }
   std::fflush(stdout);
 
@@ -218,36 +208,41 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "{\n"
-        "  \"benchmark\": \"SIMD kernel variants (this PR): branch-free "
-        "#pragma omp simd pair kernel with tabulated erfc/exp, batched "
-        "B-spline weights + real staging grid in PME, per-level twiddle "
-        "tables in the FFT combine; scalar is the bit-exact golden "
-        "reference\",\n");
+        "  \"benchmark\": \"Physics hot paths: the pair kernel under "
+        "--kernel=scalar|simd (branch-free #pragma omp simd with tabulated "
+        "erfc/exp; scalar is the golden reference), and the serial PME "
+        "reciprocal solve and 3-D FFT, which have one kernel each (batched "
+        "multi-line FFT, per-plan influence table)\",\n");
     std::fprintf(f,
-                 "  \"machine\": { \"hardware_threads\": 1, \"note\": "
-                 "\"single-vCPU container; -O3, no -march flags; best-of-%d "
-                 "timing over %d calls per rep\" },\n",
-                 reps, iters);
+                 "  \"machine\": { \"hardware_threads\": %u, \"note\": "
+                 "\"-O3, no -march flags; best-of-%d timing over %d calls "
+                 "per rep\" },\n",
+                 std::thread::hardware_concurrency(), reps, iters);
     std::fprintf(f,
-                 "  \"tolerance_note\": \"simd vs scalar checked per family "
-                 "before timing; pair energies pinned to 1e-10 relative, PME "
-                 "and FFT are bit-identical (tests/kernel_variant_test.cpp). "
-                 "Both variants report identical work counters, so simulated "
-                 "time is exactly kernel-independent.\",\n");
-    std::fprintf(f, "  \"kernels\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& fr = results[i];
+                 "  \"tolerance_note\": \"simd pair energies are checked "
+                 "against scalar to 1e-10 relative before timing; both pair "
+                 "variants report identical work counters, so simulated time "
+                 "is kernel-independent. The PME and FFT outputs are pinned "
+                 "bit for bit by digests in tests/fft_test.cpp and "
+                 "tests/pme_test.cpp.\",\n");
+    std::fprintf(f,
+                 "  \"kernels\": [\n"
+                 "    { \"kernel\": \"%s\", \"scalar_ms\": %.3f, "
+                 "\"simd_ms\": %.3f, \"speedup\": %.2f, "
+                 "\"items\": \"%s\", \"simd_items_per_sec\": %.3e, "
+                 "\"max_rel_err\": %.2e }",
+                 pair.name.c_str(), pair.scalar_s * 1e3, pair.simd_s * 1e3,
+                 pair.speedup(), pair.unit.c_str(),
+                 pair.simd_s > 0 ? pair.items / pair.simd_s : 0.0,
+                 pair.max_rel_err);
+    for (const auto& pr : plain) {
       std::fprintf(f,
-                   "    { \"kernel\": \"%s\", \"scalar_ms\": %.3f, "
-                   "\"simd_ms\": %.3f, \"speedup\": %.2f, "
-                   "\"items\": \"%s\", \"simd_items_per_sec\": %.3e, "
-                   "\"max_rel_err\": %.2e }%s\n",
-                   fr.name.c_str(), fr.scalar_s * 1e3, fr.simd_s * 1e3,
-                   fr.speedup(), fr.unit.c_str(),
-                   fr.simd_s > 0 ? fr.items / fr.simd_s : 0.0, fr.max_rel_err,
-                   i + 1 < results.size() ? "," : "");
+                   ",\n    { \"kernel\": \"%s\", \"ms\": %.3f, "
+                   "\"items\": \"%s\", \"items_per_sec\": %.3e }",
+                   pr.name.c_str(), pr.seconds * 1e3, pr.unit.c_str(),
+                   pr.seconds > 0 ? pr.items / pr.seconds : 0.0);
     }
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }

@@ -16,9 +16,9 @@ std::vector<Complex> random_signal(std::size_t n) {
   return v;
 }
 
-void BM_Fft1D(benchmark::State& state, repro::util::KernelKind kind) {
+void BM_Fft1D(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  repro::fft::Fft1D plan(n, kind);
+  repro::fft::Fft1D plan(n);
   auto data = random_signal(n);
   for (auto _ : state) {
     plan.forward(data.data());
@@ -26,10 +26,7 @@ void BM_Fft1D(benchmark::State& state, repro::util::KernelKind kind) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
-BENCHMARK_CAPTURE(BM_Fft1D, scalar, repro::util::KernelKind::kScalar)
-    ->Arg(36)->Arg(48)->Arg(80)->Arg(97)->Arg(128);
-BENCHMARK_CAPTURE(BM_Fft1D, simd, repro::util::KernelKind::kSimd)
-    ->Arg(36)->Arg(48)->Arg(80)->Arg(97)->Arg(128);
+BENCHMARK(BM_Fft1D)->Arg(36)->Arg(48)->Arg(80)->Arg(97)->Arg(128);
 
 void BM_Fft1DInverseRoundTrip(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -43,8 +40,8 @@ void BM_Fft1DInverseRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft1DInverseRoundTrip)->Arg(80);
 
-void BM_Fft3DPaperGrid(benchmark::State& state, repro::util::KernelKind kind) {
-  repro::fft::Fft3D plan(80, 36, 48, kind);
+void BM_Fft3DPaperGrid(benchmark::State& state) {
+  repro::fft::Fft3D plan(80, 36, 48);
   auto grid = random_signal(80 * 36 * 48);
   for (auto _ : state) {
     plan.forward(grid.data());
@@ -52,10 +49,7 @@ void BM_Fft3DPaperGrid(benchmark::State& state, repro::util::KernelKind kind) {
   }
   state.SetItemsProcessed(state.iterations() * 80 * 36 * 48);
 }
-BENCHMARK_CAPTURE(BM_Fft3DPaperGrid, scalar, repro::util::KernelKind::kScalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Fft3DPaperGrid, simd, repro::util::KernelKind::kSimd)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fft3DPaperGrid)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -329,7 +329,7 @@ void usage() {
       "                    [:ldb=greedy|refine|off[,units=K]]]\n"
       "                [--engine fiber|thread]  DES backend (default fiber,\n"
       "                    or $REPRO_ENGINE; results identical either way)\n"
-      "                [--kernel scalar|simd]  physics kernel variant\n"
+      "                [--kernel scalar|simd]  pair kernel variant\n"
       "                    (default scalar, or $REPRO_KERNEL; identical\n"
       "                    simulated results, host wall clock differs)\n"
       "                [--power=SPEC]  energy-to-solution model, e.g.\n"
@@ -357,7 +357,7 @@ void usage() {
       "                [--jobs N]  concurrent cells (default: hardware "
       "threads; 1 = sequential)\n"
       "                [--engine fiber|thread]  DES backend per cell\n"
-      "                [--kernel scalar|simd]  physics kernel per cell\n"
+      "                [--kernel scalar|simd]  pair kernel per cell\n"
       "                [--power=SPEC]  energy model for every cell\n"
       "                [--faults=SPEC]  fault injection for every cell\n"
       "                [--topology=SPEC]  fabric for every cell "

@@ -39,8 +39,8 @@ struct CharmmConfig {
   std::uint64_t seed = 2002;
   CostModel cost = CostModel::pentium3_1ghz();
 
-  // Which kernel variant runs the physics hot paths (pair loop, B-spline
-  // spread/interpolation, FFT combine); see util/kernel.hpp. Both variants
+  // Which kernel variant runs the nonbonded pair loop (the PME and FFT
+  // kernels have one form each); see util/kernel.hpp. Both variants
   // report identical work counters, so simulated timings are unaffected —
   // the factor only changes the host's wall-clock.
   util::KernelKind kernel = util::default_kernel_kind();

@@ -49,7 +49,7 @@ struct SimulationConfig {
   double langevin_friction_per_ps = 5.0;
   std::uint64_t thermostat_seed = 11;
 
-  // Kernel variant for the physics hot paths (util/kernel.hpp).
+  // Pair-kernel variant (util/kernel.hpp).
   util::KernelKind kernel = util::default_kernel_kind();
 };
 

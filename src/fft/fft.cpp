@@ -1,5 +1,6 @@
 #include "fft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -10,8 +11,9 @@ namespace repro::fft {
 namespace {
 
 // Factor n into small radixes (largest useful radix first keeps recursion
-// shallow). Returns empty when a prime factor > 31 remains, signalling the
-// Bluestein path.
+// shallow), in the order the recursion consumes them: level i transforms
+// size n / (radix_0 * ... * radix_{i-1}) with radix i. Returns empty when
+// a prime factor > 31 remains, signalling the Bluestein path.
 std::vector<std::size_t> factorize(std::size_t n) {
   std::vector<std::size_t> factors;
   for (std::size_t radix : {8, 4, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}) {
@@ -34,8 +36,8 @@ std::size_t next_pow2(std::size_t n) {
 }  // namespace
 
 struct Fft1D::BluesteinPlan {
-  BluesteinPlan(std::size_t n, util::KernelKind kind)
-      : m(next_pow2(2 * n - 1)), fft_m(m, kind), chirp(n), b_fwd(m), b_inv(m) {
+  explicit BluesteinPlan(std::size_t n)
+      : m(next_pow2(2 * n - 1)), fft_m(m), chirp(n), b_fwd(m), b_inv(m) {
     // chirp[k] = exp(-i pi k^2 / n); the quadratic phase of the chirp-z
     // identity jk = (j^2 + k^2 - (k-j)^2) / 2.
     for (std::size_t k = 0; k < n; ++k) {
@@ -69,57 +71,25 @@ struct Fft1D::BluesteinPlan {
   std::vector<Complex> b_inv;
 };
 
-Fft1D::Fft1D(std::size_t n, util::KernelKind kind) : n_(n), kind_(kind) {
+Fft1D::Fft1D(std::size_t n, util::KernelKind /*kind*/) : n_(n) {
   REPRO_REQUIRE(n >= 1, "FFT size must be positive");
-  factors_ = factorize(n);
   twiddle_.resize(n);
   if (n == 1) return;  // identity transform; no radixes or Bluestein needed
+  radices_ = factorize(n);
   twiddle_conj_.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
     const double angle =
         -2.0 * std::numbers::pi * static_cast<double>(k) /
         static_cast<double>(n);
     twiddle_[k] = Complex(std::cos(angle), std::sin(angle));
-    // Precomputed conjugates let the inverse transform index a table
-    // instead of branching per pair in the combine loop; std::conj only
-    // flips a sign bit, so the values are exactly those the branch made.
+    // std::conj only flips a sign bit, so the inverse loads exactly the
+    // values a per-pair conjugation would produce.
     twiddle_conj_[k] = std::conj(twiddle_[k]);
   }
-  if (factors_.empty()) {
+  if (radices_.empty()) {
     // Large prime factor: Bluestein's chirp-z (the helper plan is a power
     // of two, so this never recurses more than one level).
-    blue_ = std::make_shared<BluesteinPlan>(n, kind);
-  } else if (kind_ == util::KernelKind::kSimd) {
-    // Expand the per-level combine tables. Every entry is copied from the
-    // root twiddle table, so the simd combine loads exactly the doubles
-    // the scalar exponent-counter path loads.
-    std::size_t level_n = n_;
-    while (level_n > 1) {
-      std::size_t r = 0;
-      for (std::size_t f : factors_) {
-        if (level_n % f == 0) {
-          r = f;
-          break;
-        }
-      }
-      REPRO_REQUIRE(r != 0, "internal: lost radix during FFT table build");
-      LevelTable lvl;
-      lvl.n = level_n;
-      lvl.r = r;
-      lvl.m = level_n / r;
-      lvl.fwd.resize(r * level_n);
-      lvl.inv.resize(r * level_n);
-      const std::size_t tw_step = n_ / level_n;
-      for (std::size_t j = 0; j < r; ++j) {
-        for (std::size_t k = 0; k < level_n; ++k) {
-          const std::size_t t = (j * k) % level_n;
-          lvl.fwd[j * level_n + k] = twiddle_[t * tw_step];
-          lvl.inv[j * level_n + k] = twiddle_conj_[t * tw_step];
-        }
-      }
-      levels_.push_back(std::move(lvl));
-      level_n /= r;
-    }
+    blue_ = std::make_shared<BluesteinPlan>(n);
   }
 }
 
@@ -131,136 +101,151 @@ double Fft1D::flops() const {
   return work;
 }
 
-void Fft1D::forward(Complex* data) const { transform(data, +1); }
+void Fft1D::forward_many(Complex* base, std::size_t count,
+                         std::size_t elem_stride,
+                         std::size_t line_stride) const {
+  transform_many(base, count, elem_stride, line_stride, +1);
+}
 
-void Fft1D::inverse(Complex* data) const {
-  transform(data, -1);
+void Fft1D::inverse_many(Complex* base, std::size_t count,
+                         std::size_t elem_stride,
+                         std::size_t line_stride) const {
+  transform_many(base, count, elem_stride, line_stride, -1);
+}
+
+void Fft1D::transform_many(Complex* base, std::size_t count,
+                           std::size_t elem_stride, std::size_t line_stride,
+                           int sign) const {
+  if (n_ == 1 || count == 0) return;  // inverse scale 1/1 is the identity
   const double scale = 1.0 / static_cast<double>(n_);
-  for (std::size_t i = 0; i < n_; ++i) data[i] *= scale;
-}
-
-void Fft1D::transform(Complex* data, int sign) const {
-  if (n_ == 1) return;
   if (blue_) {
-    bluestein(data, sign);
+    // Per-line fallback. bluestein() runs its helper plan through the
+    // batched kernel, so this line buffer is distinct from that scratch.
+    static thread_local std::vector<Complex> line;
+    line.resize(n_);
+    for (std::size_t l = 0; l < count; ++l) {
+      Complex* p = base + l * line_stride;
+      for (std::size_t i = 0; i < n_; ++i) line[i] = p[i * elem_stride];
+      bluestein(line.data(), sign);
+      for (std::size_t i = 0; i < n_; ++i) {
+        p[i * elem_stride] = sign < 0 ? line[i] * scale : line[i];
+      }
+    }
     return;
   }
-  // Persistent per-thread scratch: transform() runs once per grid pencil,
-  // so per-call allocation dominated small-n transforms. rec() writes each
-  // sub-result fully before reading it, and the only nested transform
-  // (Bluestein's helper) uses its own buffer, so reuse is safe.
-  static thread_local std::vector<Complex> out_buf;
-  static thread_local std::vector<Complex> scratch_buf;
-  if (out_buf.size() < n_) {
-    out_buf.resize(n_);
-    scratch_buf.resize(n_);
-  }
-  if (kind_ == util::KernelKind::kSimd) {
-    rec_simd(0, 1, data, out_buf.data(), scratch_buf.data(), sign);
-  } else {
-    rec(n_, 1, data, out_buf.data(), scratch_buf.data(), sign);
-  }
-  for (std::size_t i = 0; i < n_; ++i) data[i] = out_buf[i];
-}
-
-void Fft1D::rec(std::size_t n, std::size_t stride, const Complex* in,
-                Complex* out, Complex* scratch, int sign) const {
-  if (n == 1) {
-    out[0] = in[0];
-    return;
-  }
-  // Pick the radix for this level: factors_ is a flat list, so recompute
-  // the first factor of this n (all n values on the path divide n_, so a
-  // factor always exists among the plan's radixes).
-  std::size_t r = 0;
-  for (std::size_t f : factors_) {
-    if (n % f == 0) {
-      r = f;
-      break;
+  // Persistent per-thread block scratch: input, output and recursion
+  // scratch, each n x kBatch lane-contiguous doubles for real and
+  // imaginary parts. rec_many() writes each sub-result fully before
+  // reading it, and no transform nests inside a block, so reuse is safe.
+  static thread_local std::vector<double> buf;
+  const std::size_t plane = n_ * kBatch;
+  if (buf.size() < 6 * plane) buf.resize(6 * plane);
+  double* in_re = buf.data();
+  double* in_im = in_re + plane;
+  double* out_re = in_im + plane;
+  double* out_im = out_re + plane;
+  double* scr_re = out_im + plane;
+  double* scr_im = scr_re + plane;
+  for (std::size_t b0 = 0; b0 < count; b0 += kBatch) {
+    const std::size_t w = std::min(kBatch, count - b0);
+    Complex* block = base + b0 * line_stride;
+    for (std::size_t i = 0; i < n_; ++i) {
+      const Complex* p = block + i * elem_stride;
+      for (std::size_t l = 0; l < w; ++l) {
+        in_re[i * w + l] = p[l * line_stride].real();
+        in_im[i * w + l] = p[l * line_stride].imag();
+      }
+    }
+    // Full blocks and single lines get fixed-width (unrolled) lane loops.
+    const auto rec = w == kBatch ? &Fft1D::rec_many<kBatch>
+                     : w == 1    ? &Fft1D::rec_many<1>
+                                 : &Fft1D::rec_many<0>;
+    (this->*rec)(0, n_, 1, in_re, in_im, out_re, out_im, scr_re, scr_im, w,
+                 sign);
+    for (std::size_t i = 0; i < n_; ++i) {
+      Complex* p = block + i * elem_stride;
+      for (std::size_t l = 0; l < w; ++l) {
+        const double re = out_re[i * w + l];
+        const double im = out_im[i * w + l];
+        p[l * line_stride] =
+            sign < 0 ? Complex(re * scale, im * scale) : Complex(re, im);
+      }
     }
   }
-  REPRO_REQUIRE(r != 0, "internal: lost radix during FFT recursion");
+}
+
+template <std::size_t kW>
+void Fft1D::rec_many(std::size_t level, std::size_t n, std::size_t stride,
+                     const double* in_re, const double* in_im, double* out_re,
+                     double* out_im, double* scr_re, double* scr_im,
+                     std::size_t w, int sign) const {
+  const std::size_t lanes = kW > 0 ? kW : w;
+  const std::size_t r = radices_[level];
   const std::size_t m = n / r;
 
-  // Sub-transform j handles inputs j, j+r, j+2r, ... (decimation in time).
+  // Sub-transform j handles inputs j, j+r, j+2r, ... (decimation in time);
+  // its result lands in scratch rows [j*m, (j+1)*m).
   if (m == 1) {
-    // Leaf level: each sub-transform is a single element; gather directly
-    // instead of r one-point recursive calls.
-    for (std::size_t j = 0; j < r; ++j) scratch[j] = in[j * stride];
+    for (std::size_t j = 0; j < r; ++j) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        scr_re[j * lanes + l] = in_re[j * stride * lanes + l];
+        scr_im[j * lanes + l] = in_im[j * stride * lanes + l];
+      }
+    }
   } else {
     for (std::size_t j = 0; j < r; ++j) {
-      rec(m, stride * r, in + j * stride, scratch + j * m, out + j * m, sign);
+      const std::size_t in_off = j * stride * lanes;
+      const std::size_t sub_off = j * m * lanes;
+      rec_many<kW>(level + 1, m, stride * r, in_re + in_off, in_im + in_off,
+                   scr_re + sub_off, scr_im + sub_off, out_re + sub_off,
+                   out_im + sub_off, w, sign);
     }
   }
-  // Combine: X[k2 + m*k1] = sum_j W_n^{j*(k2 + m*k1)} * Y_j[k2].
-  // Twiddles come from the root table: W_n^t == twiddle_[t * (n_/n) % n_].
-  // The exponents advance arithmetically in k — t_j(k) = (j*k) mod n steps
-  // by j with one wrap, and k2 = k mod m steps by one — so the inner loop
-  // carries counters instead of computing two modulos per pair. The
-  // conjugate table replaces the per-pair sign branch. Both changes are
-  // integer/table bookkeeping only: every loaded twiddle and every
-  // floating-point operation is bit-identical to the naive form.
+  // Combine: X[k2 + m*k1] = sum_j W_n^{j*(k2 + m*k1)} * Y_j[k2], with
+  // W_n^t == root[t * (n_/n)]. The exponents t_j(k) = (j*k) mod n step by
+  // j with one wrap, and k2 = k mod m steps by one, so the loop carries
+  // counters instead of computing modulos.
   const std::size_t tw_step = n_ / n;
   const Complex* tw = sign < 0 ? twiddle_conj_.data() : twiddle_.data();
   std::size_t tvals[32] = {};  // per-j exponent; factorize() caps r at 31
   std::size_t k2 = 0;
+  double acc_re[kBatch] = {};
+  double acc_im[kBatch] = {};
   for (std::size_t k = 0; k < n; ++k) {
-    Complex acc(0, 0);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      acc_re[l] = 0.0;
+      acc_im[l] = 0.0;
+    }
     for (std::size_t j = 0; j < r; ++j) {
-      acc += tw[tvals[j] * tw_step] * scratch[j * m + k2];
+      const double wr = tw[tvals[j] * tw_step].real();
+      const double wi = tw[tvals[j] * tw_step].imag();
+      const double* xr = scr_re + (j * m + k2) * lanes;
+      const double* xi = scr_im + (j * m + k2) * lanes;
+      // Lanes are independent lines, so vectorizing across them keeps
+      // each lane's operation sequence unchanged.
+#pragma omp simd
+      for (std::size_t l = 0; l < lanes; ++l) {
+        acc_re[l] += wr * xr[l] - wi * xi[l];
+        acc_im[l] += wr * xi[l] + wi * xr[l];
+      }
       tvals[j] += j;  // j < n, so a single conditional wrap suffices
       if (tvals[j] >= n) tvals[j] -= n;
     }
-    out[k] = acc;
+#pragma omp simd
+    for (std::size_t l = 0; l < lanes; ++l) {
+      out_re[k * lanes + l] = acc_re[l];
+      out_im[k * lanes + l] = acc_im[l];
+    }
     if (++k2 == m) k2 = 0;
-  }
-}
-
-void Fft1D::rec_simd(std::size_t level, std::size_t stride, const Complex* in,
-                     Complex* out, Complex* scratch, int sign) const {
-  const LevelTable& lvl = levels_[level];
-  const std::size_t n = lvl.n;
-  const std::size_t r = lvl.r;
-  const std::size_t m = lvl.m;
-  if (m == 1) {
-    for (std::size_t j = 0; j < r; ++j) scratch[j] = in[j * stride];
-  } else {
-    for (std::size_t j = 0; j < r; ++j) {
-      rec_simd(level + 1, stride * r, in + j * stride, scratch + j * m,
-               out + j * m, sign);
-    }
-  }
-  // Table-driven combine: out[k] accumulates its r terms in ascending j —
-  // the same order, twiddle values, and complex multiplies as rec(), so
-  // the result is bit-identical. The j-outer/k-inner shape turns the hot
-  // loop into contiguous multiply-accumulate streams with no index
-  // arithmetic beyond the induction variable. j == 0 multiplies by the
-  // table's W^0 entry instead of special-casing it, preserving the scalar
-  // path's signed-zero behavior exactly.
-  const Complex* table = sign < 0 ? lvl.inv.data() : lvl.fwd.data();
-  for (std::size_t j = 0; j < r; ++j) {
-    const Complex* tj = table + j * n;
-    const Complex* sj = scratch + j * m;
-    for (std::size_t k1 = 0; k1 < r; ++k1) {
-      Complex* o = out + k1 * m;
-      const Complex* t = tj + k1 * m;
-      if (j == 0) {
-#pragma omp simd
-        for (std::size_t k2 = 0; k2 < m; ++k2) o[k2] = t[k2] * sj[k2];
-      } else {
-#pragma omp simd
-        for (std::size_t k2 = 0; k2 < m; ++k2) o[k2] += t[k2] * sj[k2];
-      }
-    }
   }
 }
 
 void Fft1D::bluestein(Complex* data, int sign) const {
   const BluesteinPlan& bp = *blue_;
   const std::size_t m = bp.m;
-  // Separate from transform()'s buffers: bp.fft_m's transforms below run
-  // while `a` is live. The helper plan is a power of two, so it never
-  // reaches this function recursively.
+  // Separate from the batched kernel's block scratch: bp.fft_m's
+  // transforms below run while `a` is live. The helper plan is a power of
+  // two, so it never reaches this function recursively.
   static thread_local std::vector<Complex> a;
   a.assign(m, Complex(0, 0));
   for (std::size_t k = 0; k < n_; ++k) {
@@ -280,9 +265,8 @@ void Fft1D::bluestein(Complex* data, int sign) const {
 // --- 3-D -------------------------------------------------------------------
 
 Fft3D::Fft3D(std::size_t nx, std::size_t ny, std::size_t nz,
-             util::KernelKind kind)
-    : nx_(nx), ny_(ny), nz_(nz), fx_(nx, kind), fy_(ny, kind),
-      fz_(nz, kind) {}
+             util::KernelKind /*kind*/)
+    : nx_(nx), ny_(ny), nz_(nz), fx_(nx), fy_(ny), fz_(nz) {}
 
 double Fft3D::flops() const {
   const auto dx = static_cast<double>(nx_);
@@ -291,50 +275,25 @@ double Fft3D::flops() const {
   return dy * dz * fx_.flops() + dx * dz * fy_.flops() + dx * dy * fz_.flops();
 }
 
-void Fft3D::axis_z(Complex* grid, bool fwd) const {
-  for (std::size_t x = 0; x < nx_; ++x) {
-    for (std::size_t y = 0; y < ny_; ++y) {
-      Complex* row = grid + (x * ny_ + y) * nz_;
-      fwd ? fz_.forward(row) : fz_.inverse(row);
-    }
-  }
-}
-
-void Fft3D::axis_y(Complex* grid, bool fwd) const {
-  std::vector<Complex> pencil(ny_);
-  for (std::size_t x = 0; x < nx_; ++x) {
-    for (std::size_t z = 0; z < nz_; ++z) {
-      Complex* base = grid + x * ny_ * nz_ + z;
-      for (std::size_t y = 0; y < ny_; ++y) pencil[y] = base[y * nz_];
-      fwd ? fy_.forward(pencil.data()) : fy_.inverse(pencil.data());
-      for (std::size_t y = 0; y < ny_; ++y) base[y * nz_] = pencil[y];
-    }
-  }
-}
-
-void Fft3D::axis_x(Complex* grid, bool fwd) const {
-  std::vector<Complex> pencil(nx_);
-  const std::size_t stride = ny_ * nz_;
-  for (std::size_t y = 0; y < ny_; ++y) {
-    for (std::size_t z = 0; z < nz_; ++z) {
-      Complex* base = grid + y * nz_ + z;
-      for (std::size_t x = 0; x < nx_; ++x) pencil[x] = base[x * stride];
-      fwd ? fx_.forward(pencil.data()) : fx_.inverse(pencil.data());
-      for (std::size_t x = 0; x < nx_; ++x) base[x * stride] = pencil[x];
-    }
-  }
-}
-
+// Axis passes: z-lines are contiguous rows; y-lines run across one
+// x-plane at stride nz; x-lines run across the whole grid at stride ny*nz,
+// with the (y, z) positions as adjacent lanes.
 void Fft3D::forward(Complex* grid) const {
-  axis_z(grid, true);
-  axis_y(grid, true);
-  axis_x(grid, true);
+  const std::size_t plane = ny_ * nz_;
+  fz_.forward_many(grid, nx_ * ny_, 1, nz_);
+  for (std::size_t x = 0; x < nx_; ++x) {
+    fy_.forward_many(grid + x * plane, nz_, nz_, 1);
+  }
+  fx_.forward_many(grid, plane, plane, 1);
 }
 
 void Fft3D::inverse(Complex* grid) const {
-  axis_x(grid, false);
-  axis_y(grid, false);
-  axis_z(grid, false);
+  const std::size_t plane = ny_ * nz_;
+  fx_.inverse_many(grid, plane, plane, 1);
+  for (std::size_t x = 0; x < nx_; ++x) {
+    fy_.inverse_many(grid + x * plane, nz_, nz_, 1);
+  }
+  fz_.inverse_many(grid, nx_ * ny_, 1, nz_);
 }
 
 }  // namespace repro::fft

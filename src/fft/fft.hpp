@@ -6,14 +6,20 @@
 // Fft3D applies 1-D plans along the three axes of a row-major
 // [nx][ny][nz] grid.
 //
-// Plans carry a kernel variant (util::KernelKind). kSimd swaps the
-// combine step for per-level contiguous twiddle tables whose inner loops
-// are plain elementwise multiply-accumulates (#pragma omp simd): every
-// loaded twiddle is the same root-table entry the scalar path loads and
-// every out[k] accumulates its radix terms in the same order, so the simd
-// transform is bit-identical to the scalar one — the variant only changes
-// wall-clock (no modular index bookkeeping in the hot loop, contiguous
-// twiddle streams).
+// There is one mixed-radix kernel, and it is batched: forward_many() and
+// inverse_many() gather up to kBatch lines into lane-contiguous real and
+// imaginary scratch, run the radix recursion over all lanes at once and
+// scatter the results back, so every twiddle load and index step serves
+// the whole block. Per lane the arithmetic is exactly the classic scalar
+// decimation-in-time combine: the accumulator starts at +0.0, terms are
+// added in ascending radix index j, twiddles come from the root table,
+// the complex product is (wr*xr - wi*xi, wr*xi + wi*xr), and the inverse
+// scales by 1/n afterwards. Outputs are therefore bit-identical to the
+// one-line-at-a-time kernel this replaced (pinned by digests in
+// tests/fft_test.cpp). Bluestein sizes transform line by line.
+//
+// The plans still accept a util::KernelKind because existing callers pass
+// one; it selects nothing here. --kernel only selects the pair kernel.
 #pragma once
 
 #include <complex>
@@ -29,6 +35,11 @@ using Complex = std::complex<double>;
 
 class Fft1D {
  public:
+  // Lines transformed together by one pass of the batched kernel. A
+  // shorter tail block runs at its real width.
+  static constexpr std::size_t kBatch = 8;
+
+  // `kind` is accepted for source compatibility and ignored (see above).
   explicit Fft1D(std::size_t n,
                  util::KernelKind kind = util::default_kernel_kind());
 
@@ -36,42 +47,40 @@ class Fft1D {
 
   // In-place transforms. inverse() includes the 1/n scaling, so
   // inverse(forward(x)) == x.
-  void forward(Complex* data) const;
-  void inverse(Complex* data) const;
+  void forward(Complex* data) const { forward_many(data, 1, 1, n_); }
+  void inverse(Complex* data) const { inverse_many(data, 1, 1, n_); }
+
+  // In-place transforms of `count` lines: element i of line l lives at
+  // base[l * line_stride + i * elem_stride]. Each line's result is
+  // bit-identical to forward()/inverse() on that line alone.
+  void forward_many(Complex* base, std::size_t count, std::size_t elem_stride,
+                    std::size_t line_stride) const;
+  void inverse_many(Complex* base, std::size_t count, std::size_t elem_stride,
+                    std::size_t line_stride) const;
 
   // Nominal floating-point work of one transform (the classic 5 n log2 n),
   // used by the simulator's compute-cost model.
   double flops() const;
 
-  util::KernelKind kernel() const { return kind_; }
-
  private:
-  void transform(Complex* data, int sign) const;
-  // Recursive Cooley-Tukey into `out`, using `scratch` for sub-results.
-  void rec(std::size_t n, std::size_t stride, const Complex* in, Complex* out,
-           Complex* scratch, int sign) const;
-  // Simd variant of rec(): same recursion shape, table-driven combine.
-  // `level` indexes levels_ (every same-size call sits at the same depth
-  // of the radix chain, so the chain is a flat vector, not a tree).
-  void rec_simd(std::size_t level, std::size_t stride, const Complex* in,
-                Complex* out, Complex* scratch, int sign) const;
+  void transform_many(Complex* base, std::size_t count,
+                      std::size_t elem_stride, std::size_t line_stride,
+                      int sign) const;
+  // Radix recursion for a size-n level over a block of lanes: kW lanes
+  // when kW > 0 (unrolled full block), else the runtime width w.
+  template <std::size_t kW>
+  void rec_many(std::size_t level, std::size_t n, std::size_t stride,
+                const double* in_re, const double* in_im, double* out_re,
+                double* out_im, double* scr_re, double* scr_im,
+                std::size_t w, int sign) const;
   void bluestein(Complex* data, int sign) const;
 
   std::size_t n_;
-  util::KernelKind kind_;
-  std::vector<std::size_t> factors_;   // radix sequence (empty => Bluestein)
+  std::vector<std::size_t> radices_;   // radix of each recursion level
+                                       // (empty => Bluestein)
   std::vector<Complex> twiddle_;       // exp(-2 pi i k / n), k in [0, n)
   std::vector<Complex> twiddle_conj_;  // conj(twiddle_[k]) (exact), for the
-                                       // inverse transform's hot loop
-  // Per-recursion-level combine tables (simd variant only): entry
-  // [j*n + k] holds W_n^{(j*k) mod n} copied from the root table, so the
-  // combine loop streams twiddles contiguously instead of carrying
-  // per-radix exponent counters.
-  struct LevelTable {
-    std::size_t n = 0, r = 0, m = 0;
-    std::vector<Complex> fwd, inv;
-  };
-  std::vector<LevelTable> levels_;
+                                       // inverse transform
   // Bluestein machinery (only allocated when needed).
   struct BluesteinPlan;
   std::shared_ptr<BluesteinPlan> blue_;
@@ -79,6 +88,7 @@ class Fft1D {
 
 class Fft3D {
  public:
+  // `kind` is accepted for source compatibility and ignored.
   Fft3D(std::size_t nx, std::size_t ny, std::size_t nz,
         util::KernelKind kind = util::default_kernel_kind());
 
@@ -94,10 +104,6 @@ class Fft3D {
   double flops() const;  // one full 3-D transform
 
  private:
-  void axis_z(Complex* grid, bool fwd) const;
-  void axis_y(Complex* grid, bool fwd) const;
-  void axis_x(Complex* grid, bool fwd) const;
-
   std::size_t nx_, ny_, nz_;
   Fft1D fx_, fy_, fz_;
 };

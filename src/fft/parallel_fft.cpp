@@ -128,7 +128,7 @@ int SlabPartition::owner(std::size_t plane) const {
 ParallelFft3D::ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
                              middleware::Middleware& mw,
                              std::function<void(double)> charge,
-                             util::KernelKind kind)
+                             util::KernelKind /*kind*/)
     : nx_(nx),
       ny_(ny),
       nz_(nz),
@@ -136,9 +136,9 @@ ParallelFft3D::ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
       charge_(std::move(charge)),
       xpart_(nx, mw.size()),
       zpart_(nz, mw.size()),
-      fx_(nx, kind),
-      fy_(ny, kind),
-      fz_(nz, kind) {
+      fx_(nx),
+      fy_(ny),
+      fz_(nz) {
   const std::size_t cap = std::max(x_slab_size(), z_slab_size());
   sendbuf_.resize(cap);
   recvbuf_.resize(cap);
@@ -264,15 +264,9 @@ void ParallelFft3D::forward(const Complex* xslab, Complex* zslab) {
     work = hit->out;
   } else {
     work.assign(xslab, xslab + xn);
-    std::vector<Complex> pencil(ny_);
+    fz_.forward_many(work.data(), lx * ny_, 1, nz_);
     for (std::size_t x = 0; x < lx; ++x) {
-      Complex* plane = work.data() + x * ny_ * nz_;
-      for (std::size_t y = 0; y < ny_; ++y) fz_.forward(plane + y * nz_);
-      for (std::size_t z = 0; z < nz_; ++z) {
-        for (std::size_t y = 0; y < ny_; ++y) pencil[y] = plane[y * nz_ + z];
-        fy_.forward(pencil.data());
-        for (std::size_t y = 0; y < ny_; ++y) plane[y * nz_ + z] = pencil[y];
-      }
+      fy_.forward_many(work.data() + x * ny_ * nz_, nz_, nz_, 1);
     }
     if (memo) {
       stage_insert(kForwardYZ, nx_, ny_, nz_, xslab, xn, h, work.data());
@@ -297,11 +291,7 @@ void ParallelFft3D::forward(const Complex* xslab, Complex* zslab) {
   } else {
     std::vector<Complex> pre;
     if (memo) pre.assign(zslab, zslab + zn);
-    for (std::size_t zl = 0; zl < lz; ++zl) {
-      for (std::size_t y = 0; y < ny_; ++y) {
-        fx_.forward(zslab + (zl * ny_ + y) * nx_);
-      }
-    }
+    fx_.forward_many(zslab, lz * ny_, 1, nx_);
     if (memo) {
       stage_insert(kForwardX, nx_, ny_, nz_, pre.data(), zn, h, zslab);
     }
@@ -324,11 +314,7 @@ void ParallelFft3D::backward(const Complex* zslab, Complex* xslab) {
     work = hit->out;
   } else {
     work.assign(zslab, zslab + zn);
-    for (std::size_t zl = 0; zl < lz; ++zl) {
-      for (std::size_t y = 0; y < ny_; ++y) {
-        fx_.inverse(work.data() + (zl * ny_ + y) * nx_);
-      }
-    }
+    fx_.inverse_many(work.data(), lz * ny_, 1, nx_);
     if (memo) {
       stage_insert(kBackwardX, nx_, ny_, nz_, zslab, zn, h, work.data());
     }
@@ -349,16 +335,10 @@ void ParallelFft3D::backward(const Complex* zslab, Complex* xslab) {
   } else {
     std::vector<Complex> pre;
     if (memo) pre.assign(xslab, xslab + xn);
-    std::vector<Complex> pencil(ny_);
     for (std::size_t x = 0; x < lx; ++x) {
-      Complex* plane = xslab + x * ny_ * nz_;
-      for (std::size_t z = 0; z < nz_; ++z) {
-        for (std::size_t y = 0; y < ny_; ++y) pencil[y] = plane[y * nz_ + z];
-        fy_.inverse(pencil.data());
-        for (std::size_t y = 0; y < ny_; ++y) plane[y * nz_ + z] = pencil[y];
-      }
-      for (std::size_t y = 0; y < ny_; ++y) fz_.inverse(plane + y * nz_);
+      fy_.inverse_many(xslab + x * ny_ * nz_, nz_, nz_, 1);
     }
+    fz_.inverse_many(xslab, lx * ny_, 1, nz_);
     if (memo) {
       stage_insert(kBackwardYZ, nx_, ny_, nz_, pre.data(), xn, h, xslab);
     }
@@ -405,13 +385,13 @@ std::size_t PencilGrid::stage3_size(int rank) const {
 
 PencilFft3D::PencilFft3D(const PencilGrid& grid, mpi::Comm& comm,
                          std::function<void(double)> charge,
-                         util::KernelKind kind)
+                         util::KernelKind /*kind*/)
     : grid_(grid),
       comm_(comm),
       charge_(std::move(charge)),
-      fx_(grid.nx, kind),
-      fy_(grid.ny, kind),
-      fz_(grid.nz, kind) {
+      fx_(grid.nx),
+      fy_(grid.ny),
+      fz_(grid.nz) {
   const int me = comm_.rank();
   const std::size_t cap =
       std::max({grid_.stage1_size(me), grid_.stage2_size(me),
@@ -683,22 +663,16 @@ void PencilFft3D::forward(const Complex* stage1, Complex* stage3, int tag_xy,
   const std::size_t ly3 = grid_.y2part.count(zc);
 
   std::vector<Complex> work1(stage1, stage1 + grid_.stage1_size(me));
-  for (std::size_t i = 0; i < ly1 * lz; ++i) {
-    fx_.forward(work1.data() + i * grid_.nx);
-  }
+  fx_.forward_many(work1.data(), ly1 * lz, 1, grid_.nx);
   charge(static_cast<double>(ly1 * lz) * fx_.flops());
 
   std::vector<Complex> work2(grid_.stage2_size(me));
   transpose_xy(work1.data(), work2.data(), tag_xy);
-  for (std::size_t i = 0; i < lx2 * lz; ++i) {
-    fy_.forward(work2.data() + i * grid_.ny);
-  }
+  fy_.forward_many(work2.data(), lx2 * lz, 1, grid_.ny);
   charge(static_cast<double>(lx2 * lz) * fy_.flops());
 
   transpose_yz(work2.data(), stage3, tag_yz);
-  for (std::size_t i = 0; i < lx2 * ly3; ++i) {
-    fz_.forward(stage3 + i * grid_.nz);
-  }
+  fz_.forward_many(stage3, lx2 * ly3, 1, grid_.nz);
   charge(static_cast<double>(lx2 * ly3) * fz_.flops());
 }
 
@@ -714,22 +688,16 @@ void PencilFft3D::backward(const Complex* stage3, Complex* stage1, int tag_zy,
   const std::size_t ly3 = grid_.y2part.count(zc);
 
   std::vector<Complex> work3(stage3, stage3 + grid_.stage3_size(me));
-  for (std::size_t i = 0; i < lx2 * ly3; ++i) {
-    fz_.inverse(work3.data() + i * grid_.nz);
-  }
+  fz_.inverse_many(work3.data(), lx2 * ly3, 1, grid_.nz);
   charge(static_cast<double>(lx2 * ly3) * fz_.flops());
 
   std::vector<Complex> work2(grid_.stage2_size(me));
   transpose_zy(work3.data(), work2.data(), tag_zy);
-  for (std::size_t i = 0; i < lx2 * lz; ++i) {
-    fy_.inverse(work2.data() + i * grid_.ny);
-  }
+  fy_.inverse_many(work2.data(), lx2 * lz, 1, grid_.ny);
   charge(static_cast<double>(lx2 * lz) * fy_.flops());
 
   transpose_yx(work2.data(), stage1, tag_yx);
-  for (std::size_t i = 0; i < ly1 * lz; ++i) {
-    fx_.inverse(stage1 + i * grid_.nx);
-  }
+  fx_.inverse_many(stage1, ly1 * lz, 1, grid_.nx);
   charge(static_cast<double>(ly1 * lz) * fx_.flops());
 }
 

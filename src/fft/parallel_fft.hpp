@@ -42,7 +42,8 @@ struct SlabPartition {
 class ParallelFft3D {
  public:
   // `charge` converts kernel flops into simulated compute time; it may be
-  // empty (tests that only check numerics).
+  // empty (tests that only check numerics). `kind` is accepted for source
+  // compatibility and ignored (fft.hpp has one FFT kernel).
   ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
                 middleware::Middleware& mw,
                 std::function<void(double flops)> charge = {},
@@ -135,6 +136,7 @@ struct PencilGrid {
 // cheap per rank and the buffers differ per pencil coordinate.
 class PencilFft3D {
  public:
+  // `kind` is ignored, as for ParallelFft3D.
   PencilFft3D(const PencilGrid& grid, mpi::Comm& comm,
               std::function<void(double flops)> charge = {},
               util::KernelKind kind = util::default_kernel_kind());

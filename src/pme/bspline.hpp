@@ -18,7 +18,7 @@ inline constexpr int kMaxOrder = 8;
 // (k0 - j) mod N with weight vals[j].
 void bspline_weights(int order, double w, double* vals, double* derivs);
 
-// Batched variant for the simd PME path: computes the same weights for nw
+// Batched variant for SerialPme's staged path: computes the same weights for nw
 // fractional offsets at once, vectorizing the order-raising recurrence
 // across atoms. vals/derivs use an SoA [kMaxOrder][nw] layout:
 // vals[j * nw + a] = M_order(w[a] + j). Each lane runs the identical

@@ -76,6 +76,21 @@ struct Influence {
            by_[my] * bz_[mz];
   }
 
+  // Factors of the wavevector block x in [x0, x0 + cx), y in [y0, y0 + cy),
+  // all z, laid out [x][y][z] (the serial grid and stage-3 pencil order).
+  std::vector<double> z_lines(std::size_t x0, std::size_t cx, std::size_t y0,
+                              std::size_t cy) const {
+    std::vector<double> table(cx * cy * p_.nz);
+    for (std::size_t xl = 0; xl < cx; ++xl) {
+      for (std::size_t yl = 0; yl < cy; ++yl) {
+        for (std::size_t mz = 0; mz < p_.nz; ++mz) {
+          table[(xl * cy + yl) * p_.nz + mz] = (*this)(x0 + xl, y0 + yl, mz);
+        }
+      }
+    }
+    return table;
+  }
+
  private:
   const PmeParams& p_;
   const Box& box_;
@@ -172,123 +187,29 @@ double ewald_exclusion_correction_owned(
 // --- SerialPme --------------------------------------------------------------
 
 SerialPme::SerialPme(const PmeParams& params, const Box& box,
-                     util::KernelKind kind)
+                     util::KernelKind /*kind*/)
     : params_(params),
       box_(box),
-      kind_(kind),
-      fft_(params.nx, params.ny, params.nz, kind),
+      fft_(params.nx, params.ny, params.nz),
       modx_(bspline_moduli(params.nx, params.order)),
       mody_(bspline_moduli(params.ny, params.order)),
       modz_(bspline_moduli(params.nz, params.order)),
-      grid_(params.nx * params.ny * params.nz) {}
-
-double SerialPme::convolve_energy() {
-  const auto K = static_cast<double>(grid_.size());
-  const Influence fac(params_, box_, modx_, mody_, modz_);
-  double energy = 0.0;
-  for (std::size_t mx = 0; mx < params_.nx; ++mx) {
-    for (std::size_t my = 0; my < params_.ny; ++my) {
-      for (std::size_t mz = 0; mz < params_.nz; ++mz) {
-        const std::size_t idx = (mx * params_.ny + my) * params_.nz + mz;
-        const double f = fac(mx, my, mz);
-        energy += 0.5 * f * std::norm(grid_[idx]);
-        // K compensates the normalized inverse so the real-space grid is
-        // the unnormalized convolution (the potential phi).
-        grid_[idx] *= f * K;
-      }
-    }
-  }
-  return energy;
+      grid_(params.nx * params.ny * params.nz) {
+  influence_ = Influence(params_, box_, modx_, mody_, modz_)
+                   .z_lines(0, params_.nx, 0, params_.ny);
 }
 
+// Spline construction is batched across atoms (bspline_weights_batch, SoA
+// lanes), and spreading/interpolation go through a real staging grid with
+// contiguous descending z-tap inner loops when the stencil does not wrap.
+// Per atom, the arithmetic is that of a plain stencil loop term for term
+// (q * wx * wy * wz when spreading; interpolation sums in jx, jy, jz
+// order), which is what the digests in tests/pme_test.cpp pin.
 double SerialPme::reciprocal(const Topology& topo,
                              const std::vector<Vec3>& pos,
                              std::vector<Vec3>& forces, PmeWork* work) {
   const auto n = static_cast<std::size_t>(topo.natoms());
   REPRO_REQUIRE(pos.size() == n, "position array size mismatch");
-  if (kind_ == util::KernelKind::kSimd) {
-    return reciprocal_simd(topo, pos, forces, work);
-  }
-  const int order = params_.order;
-
-  std::vector<AtomSpline> splines(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    splines[i] = make_spline(params_, box_, pos[i]);
-  }
-
-  // Charge spreading.
-  std::fill(grid_.begin(), grid_.end(), fft::Complex(0, 0));
-  for (std::size_t i = 0; i < n; ++i) {
-    const double q = topo.atom(static_cast<int>(i)).charge;
-    if (q == 0.0) continue;
-    const AtomSpline& s = splines[i];
-    for (int jx = 0; jx < order; ++jx) {
-      const std::size_t kx = line(s, 0, jx, params_.nx);
-      for (int jy = 0; jy < order; ++jy) {
-        const std::size_t ky = line(s, 1, jy, params_.ny);
-        const double wxy = q * s.w[0][jx] * s.w[1][jy];
-        for (int jz = 0; jz < order; ++jz) {
-          const std::size_t kz = line(s, 2, jz, params_.nz);
-          grid_[(kx * params_.ny + ky) * params_.nz + kz] +=
-              wxy * s.w[2][jz];
-        }
-      }
-    }
-  }
-
-  fft_.forward(grid_.data());
-
-  // Convolution + energy.
-  const double energy = convolve_energy();
-
-  fft_.inverse(grid_.data());
-
-  // Force interpolation: F_i = -q_i sum_k (dQ/dr_i) phi(k).
-  const double sx = static_cast<double>(params_.nx) / box_.lx();
-  const double sy = static_cast<double>(params_.ny) / box_.ly();
-  const double sz = static_cast<double>(params_.nz) / box_.lz();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double q = topo.atom(static_cast<int>(i)).charge;
-    if (q == 0.0) continue;
-    const AtomSpline& s = splines[i];
-    Vec3 f{};
-    for (int jx = 0; jx < order; ++jx) {
-      const std::size_t kx = line(s, 0, jx, params_.nx);
-      for (int jy = 0; jy < order; ++jy) {
-        const std::size_t ky = line(s, 1, jy, params_.ny);
-        for (int jz = 0; jz < order; ++jz) {
-          const std::size_t kz = line(s, 2, jz, params_.nz);
-          const double phi =
-              grid_[(kx * params_.ny + ky) * params_.nz + kz].real();
-          f.x += s.dw[0][jx] * s.w[1][jy] * s.w[2][jz] * phi;
-          f.y += s.w[0][jx] * s.dw[1][jy] * s.w[2][jz] * phi;
-          f.z += s.w[0][jx] * s.w[1][jy] * s.dw[2][jz] * phi;
-        }
-      }
-    }
-    forces[i] -= Vec3{f.x * sx, f.y * sy, f.z * sz} * q;
-  }
-
-  if (work != nullptr) {
-    work->atoms_spread += n;
-    work->stencil_points +=
-        2 * n * static_cast<std::size_t>(order * order * order);
-    work->mesh_points += grid_.size();
-    work->fft_flops += 2.0 * fft_.flops();
-  }
-  return energy;
-}
-
-// Simd variant: batched spline construction (SoA lanes across atoms via
-// bspline_weights_batch), a real staging grid so spread/interpolation
-// touch contiguous doubles instead of Complex real parts, and contiguous
-// descending z-tap inner loops when the stencil does not wrap. Every
-// floating-point operation matches the scalar path in value and order, so
-// the result is bit-identical (pinned by kernel_variant_test).
-double SerialPme::reciprocal_simd(const Topology& topo,
-                                  const std::vector<Vec3>& pos,
-                                  std::vector<Vec3>& forces, PmeWork* work) {
-  const auto n = static_cast<std::size_t>(topo.natoms());
   const int order = params_.order;
   const std::size_t dims[3] = {params_.nx, params_.ny, params_.nz};
   const double lens[3] = {box_.lx(), box_.ly(), box_.lz()};
@@ -359,7 +280,17 @@ double SerialPme::reciprocal_simd(const Topology& topo,
   }
 
   fft_.forward(grid_.data());
-  const double energy = convolve_energy();
+
+  // Convolution + energy. K compensates the normalized inverse so the
+  // real-space grid is the unnormalized convolution (the potential phi).
+  const auto K = static_cast<double>(grid_.size());
+  double energy = 0.0;
+  for (std::size_t i = 0; i < grid_.size(); ++i) {
+    const double f = influence_[i];
+    energy += 0.5 * f * std::norm(grid_[i]);
+    grid_[i] *= f * K;
+  }
+
   fft_.inverse(grid_.data());
 
 #pragma omp simd
@@ -444,7 +375,20 @@ ParallelPme::ParallelPme(const PmeParams& params, const Box& box,
       mody_(bspline_moduli(params.ny, params.order)),
       modz_(bspline_moduli(params.nz, params.order)),
       xslab_(pfft_.x_slab_size()),
-      zslab_(pfft_.z_slab_size()) {}
+      zslab_(pfft_.z_slab_size()) {
+  // Influence factors of my z-planes of k-space, in z-slab order.
+  const Influence fac(params_, box_, modx_, mody_, modz_);
+  const std::size_t zb = pfft_.z_slabs().begin(mw_.rank());
+  influence_.resize(zslab_.size());
+  for (std::size_t zl = 0; zl < pfft_.local_z_count(); ++zl) {
+    for (std::size_t my = 0; my < params_.ny; ++my) {
+      for (std::size_t mx = 0; mx < params_.nx; ++mx) {
+        influence_[(zl * params_.ny + my) * params_.nx + mx] =
+            fac(mx, my, zb + zl);
+      }
+    }
+  }
+}
 
 double ParallelPme::reciprocal(const Topology& topo,
                                const std::vector<Vec3>& pos,
@@ -505,20 +449,12 @@ double ParallelPme::reciprocal(const Topology& topo,
   pfft_.forward(xslab_.data(), zslab_.data());
 
   // Convolution over my z-planes of k-space; z-slab layout is [lz][ny][nx].
-  const Influence fac(params_, box_, modx_, mody_, modz_);
-  const std::size_t zb = pfft_.z_slabs().begin(me);
   const std::size_t lz = pfft_.local_z_count();
   double energy = 0.0;
-  for (std::size_t zl = 0; zl < lz; ++zl) {
-    const std::size_t mz = zb + zl;
-    for (std::size_t my = 0; my < params_.ny; ++my) {
-      for (std::size_t mx = 0; mx < params_.nx; ++mx) {
-        const std::size_t idx = (zl * params_.ny + my) * params_.nx + mx;
-        const double f = fac(mx, my, mz);
-        energy += 0.5 * f * std::norm(zslab_[idx]);
-        zslab_[idx] *= f * K;
-      }
-    }
+  for (std::size_t i = 0; i < zslab_.size(); ++i) {
+    const double f = influence_[i];
+    energy += 0.5 * f * std::norm(zslab_[i]);
+    zslab_[i] *= f * K;
   }
   if (charge_) {
     charge_(12.0 * static_cast<double>(lz * params_.ny * params_.nx));
@@ -604,6 +540,16 @@ PencilPme::PencilPme(const PmeParams& params, const Box& box, mpi::Comm& comm,
   region_.resize(reg.cx * reg.cy * reg.cz);
   stage1_.resize(pfft_.grid().stage1_size(me));
   stage3_.resize(pfft_.grid().stage3_size(me));
+  // Influence factors of my stage-3 pencils (x in Xp(yc), y in Y2p(zc),
+  // all z), in stage-3 order; empty on non-participants.
+  const fft::PencilGrid& g = pfft_.grid();
+  if (g.participates(me)) {
+    const int yc = g.ycoord(me);
+    const int zc = g.zcoord(me);
+    influence_ = Influence(params_, box_, modx_, mody_, modz_)
+                     .z_lines(g.xpart.begin(yc), g.xpart.count(yc),
+                              g.y2part.begin(zc), g.y2part.count(zc));
+  }
 }
 
 // Charge plane exchange: every rank ships, for each stage-1 pencil owner
@@ -876,27 +822,15 @@ double PencilPme::reciprocal(const Topology& topo,
 
   // Convolution + partial energy over my stage-3 pencils: x in Xp(yc),
   // y in Y2p(zc), all z — each wavevector on exactly one rank.
-  const Influence fac(params_, box_, modx_, mody_, modz_);
   double energy = 0.0;
   std::size_t mesh = 0;
   if (g.participates(me)) {
-    const int yc = g.ycoord(me);
-    const int zc = g.zcoord(me);
-    const std::size_t xb = g.xpart.begin(yc);
-    const std::size_t lx2 = g.xpart.count(yc);
-    const std::size_t yb = g.y2part.begin(zc);
-    const std::size_t ly3 = g.y2part.count(zc);
-    for (std::size_t xl = 0; xl < lx2; ++xl) {
-      for (std::size_t yl = 0; yl < ly3; ++yl) {
-        fft::Complex* lin = stage3_.data() + (xl * ly3 + yl) * params_.nz;
-        for (std::size_t mz = 0; mz < params_.nz; ++mz) {
-          const double f = fac(xb + xl, yb + yl, mz);
-          energy += 0.5 * f * std::norm(lin[mz]);
-          lin[mz] *= f * K;
-        }
-      }
+    for (std::size_t i = 0; i < stage3_.size(); ++i) {
+      const double f = influence_[i];
+      energy += 0.5 * f * std::norm(stage3_[i]);
+      stage3_[i] *= f * K;
     }
-    mesh = lx2 * ly3 * params_.nz;
+    mesh = stage3_.size();
     charge(12.0 * static_cast<double>(mesh));
   }
 

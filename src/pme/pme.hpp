@@ -5,13 +5,18 @@
 //     + E_reciprocal (charge mesh + 3-D FFT convolution, here)
 //     + E_self + E_exclusion-correction (analytic, here).
 //
-// Two implementations share the spline/influence machinery:
+// Three implementations share the spline/influence machinery:
 //  - SerialPme: full grid + sequential 3-D FFT (reference, examples).
 //  - ParallelPme: x-slab decomposition on top of ParallelFft3D; the only
 //    communication is the two all-to-all personalized transposes inside
 //    the forward/backward FFTs, matching the structure in the paper's
 //    Figure 2. Per-rank partial energies/forces are combined by the
 //    caller's global reduction (the classic part's collective).
+//  - PencilPme: the charge grid distributed over a 2-D pencil grid (below).
+// The Ewald influence function depends only on (params, box), so each
+// plan tabulates it once for the k-space points it convolves (the full
+// grid, its z-slab, or its stage-3 pencils) with the same expression the
+// per-call evaluation used; the values, and every result, are unchanged.
 #pragma once
 
 #include <cstddef>
@@ -67,12 +72,11 @@ double ewald_exclusion_correction_owned(
 
 class SerialPme {
  public:
-  // The simd kernel variant batches the B-spline weight recurrence across
-  // atoms (bspline_weights_batch), spreads/interpolates through a real
-  // staging grid with contiguous z-tap inner loops, and runs the
-  // table-combine FFT. Every lane executes the scalar arithmetic in the
-  // same order, so both variants produce bit-identical results — the
-  // switch only changes wall-clock.
+  // `kind` is accepted for source compatibility and ignored: there is one
+  // spread/interpolate path (batched B-spline weights, a real staging grid)
+  // and one FFT kernel, so --kernel selects only the pair kernel. The
+  // influence function is a constant of (params, box) and is tabulated
+  // here, once per plan.
   SerialPme(const PmeParams& params, const md::Box& box,
             util::KernelKind kind = util::default_kernel_kind());
 
@@ -83,23 +87,15 @@ class SerialPme {
                     std::vector<util::Vec3>& forces, PmeWork* work = nullptr);
 
   const PmeParams& params() const { return params_; }
-  util::KernelKind kernel() const { return kind_; }
 
  private:
-  // Convolution + energy over the full k-space grid (shared verbatim by
-  // both kernel variants).
-  double convolve_energy();
-  double reciprocal_simd(const md::Topology& topo,
-                         const std::vector<util::Vec3>& pos,
-                         std::vector<util::Vec3>& forces, PmeWork* work);
-
   PmeParams params_;
   md::Box box_;
-  util::KernelKind kind_;
   fft::Fft3D fft_;
   std::vector<double> modx_, mody_, modz_;
+  std::vector<double> influence_;  // per k-space point, grid_ order
   std::vector<fft::Complex> grid_;
-  // Simd-path scratch: real staging grid and SoA spline data per dimension.
+  // Real staging grid and SoA spline data per dimension.
   std::vector<double> rgrid_;
   std::vector<double> sw_[3], sdw_[3], sfrac_[3];
   std::vector<int> sk0_[3];
@@ -147,10 +143,9 @@ class PencilPme {
   // `regions[r]` is rank r's spread/interpolation region (empty for
   // cell-less ranks); every rank passes the same vector. `py * pz` ranks
   // participate in the FFT; the rest only ship their region blocks.
-  // `kind` selects the FFT kernel variant (the grid-local spread and
-  // interpolation loops are already region-local short stencils; the simd
-  // factor's FFT combine tables are where the pencil path spends its
-  // vectorizable time). Bit-identical either way.
+  // `kind` is accepted for source compatibility and ignored (one FFT
+  // kernel). The influence factors of this rank's stage-3 pencils are
+  // tabulated at construction.
   PencilPme(const PmeParams& params, const md::Box& box, mpi::Comm& comm,
             int py, int pz, std::vector<GridRegion> regions,
             std::function<void(double flops)> charge_compute = {},
@@ -190,6 +185,7 @@ class PencilPme {
   fft::PencilFft3D pfft_;
   std::vector<GridRegion> regions_;
   std::vector<double> modx_, mody_, modz_;
+  std::vector<double> influence_;      // per stage-3 point, stage3_ order
   std::vector<double> region_;         // [cx][cy][cz] charges / potentials
   std::vector<fft::Complex> stage1_;   // [ly1][lz1][nx]
   std::vector<fft::Complex> stage3_;   // [lx2][ly3][nz]
@@ -199,7 +195,8 @@ class PencilPme {
 class ParallelPme {
  public:
   // `charge_compute` converts flops to simulated time (may be empty).
-  // `kind` selects the FFT kernel variant, as in PencilPme.
+  // `kind` is ignored, as in PencilPme. The influence factors of this
+  // rank's z-slab are tabulated at construction.
   ParallelPme(const PmeParams& params, const md::Box& box,
               middleware::Middleware& mw,
               std::function<void(double flops)> charge_compute = {},
@@ -222,6 +219,7 @@ class ParallelPme {
   std::function<void(double)> charge_;
   fft::ParallelFft3D pfft_;
   std::vector<double> modx_, mody_, modz_;
+  std::vector<double> influence_;  // per z-slab point, zslab_ order
   std::vector<fft::Complex> xslab_;
   std::vector<fft::Complex> zslab_;
 };

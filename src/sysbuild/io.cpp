@@ -1,10 +1,14 @@
 #include "sysbuild/io.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -24,6 +28,19 @@ std::string expect_section(std::istream& in, const std::string& name) {
                 "system file: expected section '" + name + "', got '" +
                     token + "'");
   return token;
+}
+
+// Throws on the first record that failed to parse or carries a NaN/inf.
+void check_record(const std::istream& in, const char* what, std::size_t t,
+                  std::initializer_list<double> values) {
+  REPRO_REQUIRE(!in.fail(), std::string("system file: ") + what + " " +
+                                std::to_string(t) +
+                                " is truncated or malformed");
+  for (double v : values) {
+    REPRO_REQUIRE(std::isfinite(v), std::string("system file: ") + what +
+                                        " " + std::to_string(t) +
+                                        " has a non-finite value");
+  }
 }
 
 }  // namespace
@@ -70,6 +87,11 @@ void save_system(const std::string& path, const BuiltSystem& sys) {
   REPRO_REQUIRE(out.good(), "system file write failed: " + path);
 }
 
+// Parsing trusts nothing it reads. Every record is checked as soon as it
+// is extracted, so a count larger than the file's real content fails at
+// the first missing record instead of looping on a failed stream; indices
+// must name an atom, and box lengths, parameters and coordinates must be
+// finite (box lengths also positive).
 BuiltSystem read_system(std::istream& in) {
   std::string magic;
   int version = 0;
@@ -80,26 +102,53 @@ BuiltSystem read_system(std::istream& in) {
   std::string name;
   in >> name;
   expect_section(in, "box");
-  double lx, ly, lz;
+  double lx = 0.0, ly = 0.0, lz = 0.0;
   in >> lx >> ly >> lz;
+  REPRO_REQUIRE(!in.fail() && std::isfinite(lx) && std::isfinite(ly) &&
+                    std::isfinite(lz) && lx > 0.0 && ly > 0.0 && lz > 0.0,
+                "system file: box lengths must be finite and positive");
   expect_section(in, "atoms");
   int natoms = 0;
   in >> natoms;
   REPRO_REQUIRE(in.good() && natoms > 0, "system file: bad atom count");
 
-  BuiltSystem sys(natoms, md::Box(lx, ly, lz), name);
-  sys.positions.resize(static_cast<std::size_t>(natoms));
+  // Atoms are collected before the topology is sized, so memory follows
+  // the records actually present, not the declared count.
+  std::vector<md::AtomParams> atoms;
+  std::vector<util::Vec3> positions;
   for (int i = 0; i < natoms; ++i) {
-    md::AtomParams& a = sys.topo.atom(i);
-    util::Vec3& r = sys.positions[static_cast<std::size_t>(i)];
+    md::AtomParams a;
+    util::Vec3 r;
     in >> a.mass >> a.charge >> a.eps >> a.rmin_half >> r.x >> r.y >> r.z;
+    check_record(in, "atom", static_cast<std::size_t>(i),
+                 {a.mass, a.charge, a.eps, a.rmin_half, r.x, r.y, r.z});
+    atoms.push_back(a);
+    positions.push_back(r);
   }
+  BuiltSystem sys(natoms, md::Box(lx, ly, lz), name);
+  for (int i = 0; i < natoms; ++i) {
+    sys.topo.atom(i) = atoms[static_cast<std::size_t>(i)];
+  }
+  sys.positions = std::move(positions);
+
+  const auto check_atoms = [&](const char* what, std::size_t t,
+                               std::initializer_list<int> idx) {
+    for (int a : idx) {
+      REPRO_REQUIRE(a >= 0 && a < natoms,
+                    std::string("system file: ") + what + " " +
+                        std::to_string(t) + " names atom " +
+                        std::to_string(a) + ", outside [0, " +
+                        std::to_string(natoms) + ")");
+    }
+  };
   expect_section(in, "bonds");
   std::size_t count = 0;
   in >> count;
   for (std::size_t t = 0; t < count; ++t) {
     md::Bond b;
     in >> b.i >> b.j >> b.kb >> b.b0;
+    check_record(in, "bond", t, {b.kb, b.b0});
+    check_atoms("bond", t, {b.i, b.j});
     sys.topo.bonds().push_back(b);
   }
   expect_section(in, "angles");
@@ -107,6 +156,8 @@ BuiltSystem read_system(std::istream& in) {
   for (std::size_t t = 0; t < count; ++t) {
     md::Angle a;
     in >> a.i >> a.j >> a.k >> a.ktheta >> a.theta0 >> a.kub >> a.s0;
+    check_record(in, "angle", t, {a.ktheta, a.theta0, a.kub, a.s0});
+    check_atoms("angle", t, {a.i, a.j, a.k});
     sys.topo.angles().push_back(a);
   }
   expect_section(in, "dihedrals");
@@ -114,6 +165,8 @@ BuiltSystem read_system(std::istream& in) {
   for (std::size_t t = 0; t < count; ++t) {
     md::Dihedral d;
     in >> d.i >> d.j >> d.k >> d.l >> d.kchi >> d.n >> d.delta;
+    check_record(in, "dihedral", t, {d.kchi, d.delta});
+    check_atoms("dihedral", t, {d.i, d.j, d.k, d.l});
     sys.topo.dihedrals().push_back(d);
   }
   expect_section(in, "impropers");
@@ -121,6 +174,8 @@ BuiltSystem read_system(std::istream& in) {
   for (std::size_t t = 0; t < count; ++t) {
     md::Improper im;
     in >> im.i >> im.j >> im.k >> im.l >> im.kpsi >> im.psi0;
+    check_record(in, "improper", t, {im.kpsi, im.psi0});
+    check_atoms("improper", t, {im.i, im.j, im.k, im.l});
     sys.topo.impropers().push_back(im);
   }
   expect_section(in, "end");

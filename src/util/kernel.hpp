@@ -1,14 +1,16 @@
-// Kernel-variant selection: every physics hot path (nonbonded pair loop,
-// B-spline spread/interpolate, FFT butterflies) ships a scalar reference
-// implementation and an explicitly vectorized variant. The scalar path is
-// the bit-identical golden reference; the simd path is pinned by
-// tolerance-based invariance tests (tests/kernel_variant_test.cpp).
+// Kernel-variant selection for the nonbonded pair loop, the one physics
+// hot path whose vectorized form is not bit-identical: it ships a scalar
+// reference implementation and an explicitly vectorized variant. The
+// scalar path is the bit-identical golden reference; the simd path is
+// pinned by tolerance-based invariance tests
+// (tests/kernel_variant_test.cpp). The PME spread/interpolate and the FFT
+// have one bit-identical kernel each and ignore the selection.
 //
 // Selection is a runtime swept factor (--kernel=scalar|simd on the CLI,
 // REPRO_KERNEL in the environment), mirroring the engine-backend factor in
 // sim/engine.hpp. Both variants feed identical work counters into the cost
 // model, so simulated timings are kernel-independent by construction —
-// the variants differ only in host-side wall clock (bench/kernels_*).
+// the variants differ only in host-side wall clock (bench/kernels_md).
 #pragma once
 
 #include <string_view>

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "fft/fft.hpp"
@@ -431,6 +435,262 @@ TEST(ParallelFftTest2, ChargesComputeTime) {
     pfft.forward(x.data(), z.data());
     EXPECT_GT(charged, 0.0);
   });
+}
+
+// --- bit-identity pins -------------------------------------------------------
+//
+// Every transform's output bytes are pinned by a 64-bit digest recorded
+// from the original one-line-at-a-time scalar kernel, so a kernel rewrite
+// must reproduce it bit for bit, not merely to within rounding. The PME
+// energies and forces, and with them every golden file, depend on this.
+// The pins hold for the default build (no -march flags, hence no FMA
+// contraction); the -march=native CI leg does not run fft_test.
+
+// Canonical byte-wise 64-bit FNV-1a, kept local so the pins do not move
+// with the memo caches' hash.
+std::uint64_t digest(const std::vector<Complex>& v) {
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < v.size() * sizeof(Complex); ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t h) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, h);
+  return buf;
+}
+
+#define EXPECT_DIGEST(got, want) EXPECT_EQ(hex(got), hex(want))
+
+struct Fft1DPin {
+  std::size_t n;
+  std::uint64_t forward, inverse;
+};
+
+class Fft1DBitIdentityTest : public ::testing::TestWithParam<Fft1DPin> {};
+
+TEST_P(Fft1DBitIdentityTest, MatchesPinnedDigests) {
+  const Fft1DPin pin = GetParam();
+  const Fft1D plan(pin.n);
+  const auto input = random_signal(pin.n, 4242 + pin.n);
+  auto fwd = input;
+  plan.forward(fwd.data());
+  auto inv = input;
+  plan.inverse(inv.data());
+  EXPECT_DIGEST(digest(fwd), pin.forward) << "forward n=" << pin.n;
+  EXPECT_DIGEST(digest(inv), pin.inverse) << "inverse n=" << pin.n;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, Fft1DBitIdentityTest,
+    ::testing::Values(
+        Fft1DPin{1, 0x25218542a263b8e8ULL, 0x25218542a263b8e8ULL},
+        Fft1DPin{2, 0xe00f493534f1a5cbULL, 0x47faf2941b0dec4bULL},
+        Fft1DPin{3, 0x9bec0f7a40d38b52ULL, 0xebd4c1ff37f314c9ULL},
+        Fft1DPin{4, 0xf129c9d65ea6d282ULL, 0xdcaae79757690360ULL},
+        Fft1DPin{5, 0xc1415db034db2306ULL, 0xc36cc36817ab1d14ULL},
+        Fft1DPin{7, 0x60d10120f123862eULL, 0x074a520ad8edaf29ULL},
+        Fft1DPin{8, 0x687ec008d809aff8ULL, 0x598d310d0c348b84ULL},
+        Fft1DPin{9, 0x679bd7aed149fe91ULL, 0x069032a1cb6b854fULL},
+        Fft1DPin{12, 0xa93c1aefc0e9c610ULL, 0x9864af1464b39ea9ULL},
+        Fft1DPin{15, 0x536544e1d10f3f8aULL, 0xec92f4e5d4028ff9ULL},
+        Fft1DPin{16, 0x848e692695cadfcfULL, 0x053e7c4de59962edULL},
+        Fft1DPin{36, 0x8acb5949717cd567ULL, 0xf20844b70df60663ULL},
+        Fft1DPin{48, 0x43629b844476a8ddULL, 0x680e62a6ee138c8fULL},
+        Fft1DPin{80, 0x21158edfe0f2b93eULL, 0xe14a65b0e80e7d0fULL},
+        // 97 takes the Bluestein path.
+        Fft1DPin{97, 0xd5690f32653452f0ULL, 0xddefb5453272add7ULL}),
+    [](const auto& info) { return "n" + std::to_string(info.param.n); });
+
+struct Fft3DPin {
+  std::size_t nx, ny, nz;
+  std::uint64_t forward, inverse;
+};
+
+class Fft3DBitIdentityTest : public ::testing::TestWithParam<Fft3DPin> {};
+
+TEST_P(Fft3DBitIdentityTest, MatchesPinnedDigests) {
+  const Fft3DPin pin = GetParam();
+  const Fft3D plan(pin.nx, pin.ny, pin.nz);
+  const auto input = random_signal(plan.volume(), 77 + plan.volume());
+  auto fwd = input;
+  plan.forward(fwd.data());
+  auto inv = input;
+  plan.inverse(inv.data());
+  EXPECT_DIGEST(digest(fwd), pin.forward);
+  EXPECT_DIGEST(digest(inv), pin.inverse);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, Fft3DBitIdentityTest,
+    ::testing::Values(Fft3DPin{80, 36, 48, 0x42126488740107eaULL,
+                               0x635a2fc7befabae9ULL},  // the PME grid
+                      Fft3DPin{15, 9, 7, 0x70d94ccb3415ed23ULL,
+                               0x2ebe9c7f74c42423ULL}),
+    [](const auto& info) {
+      return std::to_string(info.param.nx) + "x" +
+             std::to_string(info.param.ny) + "x" +
+             std::to_string(info.param.nz);
+    });
+
+// Batch shapes: every line of a forward_many()/inverse_many() call equals
+// its own single-line transform bit for bit, for counts around the block
+// width (tail blocks run at their real width) in both the strided layout
+// (lines interleaved, as Fft3D's y and x axes) and the contiguous one (as
+// its z axis). 97 takes the per-line Bluestein path.
+struct BatchCase {
+  std::size_t n;
+  bool strided;
+};
+
+class BatchShapeTest : public ::testing::TestWithParam<BatchCase> {};
+
+TEST_P(BatchShapeTest, EachLineMatchesItsSingleLineTransform) {
+  const auto [n, strided] = GetParam();
+  const Fft1D plan(n);
+  constexpr std::size_t kB = Fft1D::kBatch;
+  for (std::size_t count : {std::size_t{1}, kB - 1, kB, kB + 1, 2 * kB + 3}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " count=" << count);
+    const std::size_t elem_stride = strided ? count : 1;
+    const std::size_t line_stride = strided ? 1 : n;
+    const auto input = random_signal(n * count, 100 * n + count);
+    for (const bool fwd : {true, false}) {
+      auto batch = input;
+      if (fwd) {
+        plan.forward_many(batch.data(), count, elem_stride, line_stride);
+      } else {
+        plan.inverse_many(batch.data(), count, elem_stride, line_stride);
+      }
+      for (std::size_t l = 0; l < count; ++l) {
+        std::vector<Complex> line(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          line[i] = input[l * line_stride + i * elem_stride];
+        }
+        fwd ? plan.forward(line.data()) : plan.inverse(line.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          const Complex got = batch[l * line_stride + i * elem_stride];
+          ASSERT_EQ(std::memcmp(&got, &line[i], sizeof(Complex)), 0)
+              << (fwd ? "forward" : "inverse") << " line " << l << " bin "
+              << i;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, BatchShapeTest,
+    ::testing::Values(BatchCase{36, true}, BatchCase{36, false},
+                      BatchCase{80, true}, BatchCase{80, false},
+                      BatchCase{7, true}, BatchCase{97, true},
+                      BatchCase{97, false}),
+    [](const auto& info) {
+      return "n" + std::to_string(info.param.n) +
+             (info.param.strided ? "_strided" : "_contiguous");
+    });
+
+TEST(BatchShapeTest2, ZeroCountTouchesNothing) {
+  const Fft1D plan(48);
+  plan.forward_many(nullptr, 0, 1, 48);
+  plan.inverse_many(nullptr, 0, 1, 48);
+}
+
+// Slab transform on a 20 x 9 x 12 grid: the concatenated z-slabs after
+// forward() and the concatenated x-slabs after backward() of that result.
+void run_parallel_pin(int p, std::uint64_t want_forward,
+                      std::uint64_t want_backward) {
+  const std::size_t nx = 20, ny = 9, nz = 12;
+  const auto full = random_signal(nx * ny * nz, 2024);
+  net::ClusterConfig config;
+  config.nranks = p;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(static_cast<std::size_t>(p));
+  std::vector<std::vector<Complex>> zslabs(static_cast<std::size_t>(p));
+  std::vector<std::vector<Complex>> xslabs(static_cast<std::size_t>(p));
+  sim::Engine engine(p);
+  engine.run([&](sim::RankCtx& ctx) {
+    mpi::Comm comm(ctx, cluster, recs[static_cast<std::size_t>(ctx.rank())]);
+    middleware::MpiMiddleware mw(comm);
+    ParallelFft3D pfft(nx, ny, nz, mw);
+    const auto me = static_cast<std::size_t>(comm.rank());
+    const std::size_t x0 = pfft.x_slabs().begin(comm.rank());
+    const std::vector<Complex> xslab(
+        full.begin() + static_cast<long>(x0 * ny * nz),
+        full.begin() + static_cast<long>(x0 * ny * nz + pfft.x_slab_size()));
+    zslabs[me].resize(pfft.z_slab_size());
+    pfft.forward(xslab.data(), zslabs[me].data());
+    xslabs[me].resize(pfft.x_slab_size());
+    pfft.backward(zslabs[me].data(), xslabs[me].data());
+  });
+  std::vector<Complex> kspace, back;
+  for (int r = 0; r < p; ++r) {
+    const auto& z = zslabs[static_cast<std::size_t>(r)];
+    const auto& x = xslabs[static_cast<std::size_t>(r)];
+    kspace.insert(kspace.end(), z.begin(), z.end());
+    back.insert(back.end(), x.begin(), x.end());
+  }
+  EXPECT_DIGEST(digest(kspace), want_forward) << "p=" << p;
+  EXPECT_DIGEST(digest(back), want_backward) << "p=" << p;
+}
+
+TEST(ParallelFftBitIdentityTest, OneRankMatchesPinnedDigests) {
+  run_parallel_pin(1, 0x0c03e5f04f5e6eceULL, 0xa4505c1ddefd7575ULL);
+}
+
+TEST(ParallelFftBitIdentityTest, ThreeRanksMatchPinnedDigests) {
+  run_parallel_pin(3, 0x0c03e5f04f5e6eceULL, 0xa4505c1ddefd7575ULL);
+}
+
+// Pencil transform on a 20 x 9 x 12 grid over a 2 x 3 process grid: the
+// concatenated stage-3 pencils after forward() and the stage-1 pencils
+// after backward() of that result.
+TEST(PencilFftBitIdentityTest, MatchesPinnedDigests) {
+  const PencilGrid grid(20, 9, 12, 2, 3);
+  const int p = 6;
+  const auto full = random_signal(20 * 9 * 12, 31337);
+  net::ClusterConfig config;
+  config.nranks = p;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(static_cast<std::size_t>(p));
+  std::vector<std::vector<Complex>> stage3(static_cast<std::size_t>(p));
+  std::vector<std::vector<Complex>> stage1(static_cast<std::size_t>(p));
+  sim::Engine engine(p);
+  engine.run([&](sim::RankCtx& ctx) {
+    const int me = ctx.rank();
+    const auto slot = static_cast<std::size_t>(me);
+    mpi::Comm comm(ctx, cluster, recs[slot]);
+    PencilFft3D pfft(grid, comm);
+    const std::size_t ly1 = grid.ypart.count(grid.ycoord(me));
+    const std::size_t lz1 = grid.zpart.count(grid.zcoord(me));
+    const std::size_t y0 = grid.ypart.begin(grid.ycoord(me));
+    const std::size_t z0 = grid.zpart.begin(grid.zcoord(me));
+    std::vector<Complex> in(grid.stage1_size(me));
+    for (std::size_t yl = 0; yl < ly1; ++yl) {
+      for (std::size_t zl = 0; zl < lz1; ++zl) {
+        for (std::size_t x = 0; x < grid.nx; ++x) {
+          in[(yl * lz1 + zl) * grid.nx + x] =
+              full[(x * grid.ny + y0 + yl) * grid.nz + z0 + zl];
+        }
+      }
+    }
+    stage3[slot].resize(grid.stage3_size(me));
+    pfft.forward(in.data(), stage3[slot].data(), 1, 2);
+    stage1[slot].resize(grid.stage1_size(me));
+    pfft.backward(stage3[slot].data(), stage1[slot].data(), 3, 4);
+  });
+  std::vector<Complex> kspace, back;
+  for (int r = 0; r < p; ++r) {
+    const auto& s3 = stage3[static_cast<std::size_t>(r)];
+    const auto& s1 = stage1[static_cast<std::size_t>(r)];
+    kspace.insert(kspace.end(), s3.begin(), s3.end());
+    back.insert(back.end(), s1.begin(), s1.end());
+  }
+  EXPECT_DIGEST(digest(kspace), 0x5e6d9545d315876aULL);
+  EXPECT_DIGEST(digest(back), 0xf51eb32592880d08ULL);
 }
 
 }  // namespace

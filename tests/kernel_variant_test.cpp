@@ -6,8 +6,6 @@
 //    reports identical work counters, and is deterministic across reruns;
 //  - batched B-spline weights are bit-identical per lane and keep the
 //    partition of unity;
-//  - the table-combine FFT and the simd SerialPme are bit-identical to
-//    their scalar forms (the design claim in fft.hpp / pme.hpp);
 //  - every decomposition x processor count produces (near-)identical
 //    physics and *exactly* identical simulated time under either variant.
 #include <gtest/gtest.h>
@@ -24,7 +22,6 @@
 #include "md/nonbonded.hpp"
 #include "perf/power.hpp"
 #include "pme/bspline.hpp"
-#include "pme/pme.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
 #include "util/kernel.hpp"
@@ -398,27 +395,9 @@ std::vector<fft::Complex> naive_dft(const std::vector<fft::Complex>& x) {
 
 class FftKernelTest : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(FftKernelTest, SimdIsBitIdenticalToScalar) {
-  const std::size_t n = GetParam();
-  const fft::Fft1D scalar(n, KernelKind::kScalar);
-  const fft::Fft1D simd(n, KernelKind::kSimd);
-  EXPECT_EQ(simd.kernel(), KernelKind::kSimd);
-  auto a = random_signal(n, 7 + n);
-  auto b = a;
-  scalar.forward(a.data());
-  simd.forward(b.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(a[i].real(), b[i].real()) << "n " << n << " bin " << i;
-    EXPECT_EQ(a[i].imag(), b[i].imag()) << "n " << n << " bin " << i;
-  }
-  scalar.inverse(a.data());
-  simd.inverse(b.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(a[i].real(), b[i].real()) << "n " << n << " bin " << i;
-    EXPECT_EQ(a[i].imag(), b[i].imag()) << "n " << n << " bin " << i;
-  }
-}
-
+// The simd plan runs the same batched kernel as the scalar one (the FFT's
+// bit-identity to the original scalar kernel is pinned by digests in
+// fft_test); this keeps an independent accuracy check on the variant.
 TEST_P(FftKernelTest, SimdMatchesNaiveDft) {
   const std::size_t n = GetParam();
   const fft::Fft1D simd(n, KernelKind::kSimd);
@@ -436,69 +415,6 @@ TEST_P(FftKernelTest, SimdMatchesNaiveDft) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FftKernelTest,
                          ::testing::Values(8, 36, 48, 60, 80, 97, 128));
-
-TEST(FftKernelTest, Fft3DSimdIsBitIdenticalToScalar) {
-  const fft::Fft3D scalar(20, 12, 16, KernelKind::kScalar);
-  const fft::Fft3D simd(20, 12, 16, KernelKind::kSimd);
-  auto a = random_signal(scalar.volume(), 17);
-  auto b = a;
-  scalar.forward(a.data());
-  simd.forward(b.data());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].real(), b[i].real());
-    EXPECT_EQ(a[i].imag(), b[i].imag());
-  }
-  scalar.inverse(a.data());
-  simd.inverse(b.data());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].real(), b[i].real());
-    EXPECT_EQ(a[i].imag(), b[i].imag());
-  }
-}
-
-// --- serial PME ------------------------------------------------------------
-
-TEST(PmeKernelTest, SimdSerialPmeIsBitIdenticalToScalar) {
-  const auto& sys = water();
-  const pme::PmeParams params{32, 32, 32, 4, 0.34};
-  pme::SerialPme scalar(params, sys.box, KernelKind::kScalar);
-  pme::SerialPme simd(params, sys.box, KernelKind::kSimd);
-  EXPECT_EQ(simd.kernel(), KernelKind::kSimd);
-  const auto natoms = static_cast<std::size_t>(sys.topo.natoms());
-  std::vector<Vec3> fs(natoms, Vec3{}), fv(natoms, Vec3{});
-  pme::PmeWork ws, wv;
-  const double es = scalar.reciprocal(sys.topo, sys.positions, fs, &ws);
-  const double ev = simd.reciprocal(sys.topo, sys.positions, fv, &wv);
-  EXPECT_EQ(es, ev);
-  for (std::size_t i = 0; i < natoms; ++i) {
-    EXPECT_EQ(fs[i].x, fv[i].x) << "atom " << i;
-    EXPECT_EQ(fs[i].y, fv[i].y) << "atom " << i;
-    EXPECT_EQ(fs[i].z, fv[i].z) << "atom " << i;
-  }
-  EXPECT_EQ(ws.atoms_spread, wv.atoms_spread);
-  EXPECT_EQ(ws.stencil_points, wv.stencil_points);
-  EXPECT_EQ(ws.mesh_points, wv.mesh_points);
-  EXPECT_EQ(ws.fft_flops, wv.fft_flops);
-}
-
-TEST(PmeKernelTest, SimdSerialPmeOrderSix) {
-  // Order 6 exercises the wider stencil and the wrapped spread slow path
-  // on a grid the paper never used.
-  const auto& sys = water();
-  const pme::PmeParams params{20, 24, 20, 6, 0.30};
-  pme::SerialPme scalar(params, sys.box, KernelKind::kScalar);
-  pme::SerialPme simd(params, sys.box, KernelKind::kSimd);
-  const auto natoms = static_cast<std::size_t>(sys.topo.natoms());
-  std::vector<Vec3> fs(natoms, Vec3{}), fv(natoms, Vec3{});
-  const double es = scalar.reciprocal(sys.topo, sys.positions, fs);
-  const double ev = simd.reciprocal(sys.topo, sys.positions, fv);
-  EXPECT_EQ(es, ev);
-  for (std::size_t i = 0; i < natoms; ++i) {
-    EXPECT_EQ(fs[i].x, fv[i].x) << "atom " << i;
-    EXPECT_EQ(fs[i].y, fv[i].y) << "atom " << i;
-    EXPECT_EQ(fs[i].z, fv[i].z) << "atom " << i;
-  }
-}
 
 // --- full-workload invariance ----------------------------------------------
 

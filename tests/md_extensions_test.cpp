@@ -2,8 +2,12 @@
 // trajectory I/O, and their integration into the Simulation front-end.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "charmm/simulation.hpp"
 #include "md/constraints.hpp"
@@ -347,6 +351,83 @@ TEST(SystemIoTest, RejectsGarbage) {
   EXPECT_THROW(read_system(buffer), util::Error);
   std::stringstream buffer2("not even close");
   EXPECT_THROW(read_system(buffer2), util::Error);
+}
+
+// Hostile input: a valid file with one line replaced (or cut short) must
+// fail loudly with util::Error, never allocate by a declared count, loop,
+// or hand an out-of-range index to the exclusion builder.
+class HostileSystemFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto sys = build_test_chain(8, 1);
+    std::stringstream out;
+    write_system(out, sys);
+    std::string line;
+    while (std::getline(out, line)) lines_.push_back(line);
+    natoms_ = sys.topo.natoms();
+  }
+
+  // Index of the first line starting with `prefix`.
+  std::size_t find(const std::string& prefix) const {
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+      if (lines_[i].rfind(prefix, 0) == 0) return i;
+    }
+    ADD_FAILURE() << "no line starts with " << prefix;
+    return 0;
+  }
+
+  void expect_rejected(std::size_t keep_lines = SIZE_MAX) const {
+    std::stringstream in;
+    for (std::size_t i = 0; i < lines_.size() && i < keep_lines; ++i) {
+      in << lines_[i] << "\n";
+    }
+    EXPECT_THROW(read_system(in), util::Error);
+  }
+
+  std::vector<std::string> lines_;
+  int natoms_ = 0;
+};
+
+TEST_F(HostileSystemFileTest, ValidFileStillLoads) {
+  std::stringstream in;
+  for (const auto& l : lines_) in << l << "\n";
+  EXPECT_EQ(read_system(in).topo.natoms(), natoms_);
+}
+
+TEST_F(HostileSystemFileTest, HugeCountsFailAtTheFirstMissingRecord) {
+  lines_[find("bonds ")] = "bonds 1000000000000";
+  expect_rejected();
+  lines_.clear();
+  SetUp();
+  lines_[find("atoms ")] = "atoms 2000000000";
+  expect_rejected();
+}
+
+TEST_F(HostileSystemFileTest, IndexAtOrPastNatomsIsRejected) {
+  lines_[find("bonds ") + 1] = "0 " + std::to_string(natoms_) + " 300 1.5";
+  expect_rejected();
+}
+
+TEST_F(HostileSystemFileTest, NegativeIndexIsRejected) {
+  lines_[find("angles ") + 1] = "0 -1 2 50 1.9 0 0";
+  expect_rejected();
+}
+
+TEST_F(HostileSystemFileTest, NonFiniteCoordinateIsRejected) {
+  lines_[find("atoms ") + 1] = "12 0 0.1 1.9 nan 0 0";
+  expect_rejected();
+  lines_[find("atoms ") + 1] = "12 0 0.1 1.9 1e999 0 0";
+  expect_rejected();
+}
+
+TEST_F(HostileSystemFileTest, ZeroBoxIsRejected) {
+  lines_[find("box ")] = "box 0 10 10";
+  expect_rejected();
+}
+
+TEST_F(HostileSystemFileTest, TruncatedFileIsRejected) {
+  expect_rejected(find("dihedrals ") + 1);
+  expect_rejected(find("atoms ") + 3);
 }
 
 }  // namespace

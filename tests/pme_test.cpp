@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "md/nonbonded.hpp"
@@ -11,6 +12,7 @@
 #include "pme/pme.hpp"
 #include "sim/engine.hpp"
 #include "sysbuild/builder.hpp"
+#include "util/kernel.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -506,6 +508,52 @@ TEST(ParallelPmeTest2, WorkCountersPopulated) {
     EXPECT_GT(work.mesh_points, 0u);
     EXPECT_GT(charged, 0.0);
   });
+}
+
+// --- bit-identity pins -------------------------------------------------------
+
+// SerialPme has one spread/interpolate path and ignores the KernelKind it
+// is handed. Its energy and force bytes are pinned by 64-bit FNV-1a
+// digests recorded from the original scalar path, which the staged path
+// replaced after matching it bit for bit. The pins hold for the default
+// build (no -march flags, hence no FMA contraction); the -march=native CI
+// leg does not run pme_test.
+std::uint64_t fnv1a(const void* data, std::size_t nbytes,
+                    std::uint64_t h = 1469598103934665603ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::uint64_t serial_pme_digest(const PmeParams& params,
+                                util::KernelKind kind) {
+  static const sysbuild::BuiltSystem water = sysbuild::build_water_box(6);
+  SerialPme pme(params, water.box, kind);
+  std::vector<Vec3> forces(static_cast<std::size_t>(water.topo.natoms()));
+  const double energy = pme.reciprocal(water.topo, water.positions, forces);
+  return fnv1a(forces.data(), forces.size() * sizeof(Vec3),
+               fnv1a(&energy, sizeof energy));
+}
+
+TEST(SerialPmeBitIdentityTest, MatchesPinnedDigest) {
+  const PmeParams params{32, 32, 32, 4, 0.34};
+  EXPECT_EQ(serial_pme_digest(params, util::KernelKind::kScalar),
+            0x8c02f530d447dfdfULL);
+  EXPECT_EQ(serial_pme_digest(params, util::KernelKind::kSimd),
+            0x8c02f530d447dfdfULL);
+}
+
+TEST(SerialPmeBitIdentityTest, OrderSixMatchesPinnedDigest) {
+  // Order 6 exercises the wider stencil and the wrapped spread path on a
+  // grid the paper never used.
+  const PmeParams params{20, 24, 20, 6, 0.30};
+  EXPECT_EQ(serial_pme_digest(params, util::KernelKind::kScalar),
+            0x0c49f38789885fa0ULL);
+  EXPECT_EQ(serial_pme_digest(params, util::KernelKind::kSimd),
+            0x0c49f38789885fa0ULL);
 }
 
 }  // namespace
