@@ -93,8 +93,7 @@ class AtomReplicatedDecomposition final : public Decomposition {
     // active.
     pme::ParallelPme ppme(
         config.pme, box, mw,
-        [&](double flops) { comm.compute(flops * cost.seconds_per_flop); },
-        config.kernel);
+        [&](double flops) { comm.compute(flops * cost.seconds_per_flop); });
 
     RankRunResult result;
     for (int step = 0; step < config.nsteps; ++step) {
@@ -254,8 +253,7 @@ class ForceDecomposition final : public Decomposition {
 
     pme::ParallelPme ppme(
         config.pme, box, mw,
-        [&](double flops) { comm.compute(flops * cost.seconds_per_flop); },
-        config.kernel);
+        [&](double flops) { comm.compute(flops * cost.seconds_per_flop); });
 
     RankRunResult result;
     for (int step = 0; step < config.nsteps; ++step) {
@@ -462,8 +460,7 @@ class TaskPmeDecomposition final : public Decomposition {
       gmw.emplace(comm, q, m);
       ppme.emplace(
           config.pme, box, *gmw,
-          [&](double flops) { comm.compute(flops * cost.seconds_per_flop); },
-          config.kernel);
+          [&](double flops) { comm.compute(flops * cost.seconds_per_flop); });
     }
 
     const std::size_t nterms = md::EnergyTerms::kCount;
@@ -846,9 +843,9 @@ class SpatialDecomposition final : public Decomposition {
       pencil_pz = pz;
       pencil_pme.emplace(config.pme, box, comm, py, pz,
                          make_pme_regions(layout, config.pme, config.skin),
-                         charge_flops, config.kernel);
+                         charge_flops);
     } else {
-      ppme.emplace(config.pme, box, mw, charge_flops, config.kernel);
+      ppme.emplace(config.pme, box, mw, charge_flops);
     }
 
     // Epoch state, frozen between rebuilds.

@@ -18,8 +18,9 @@
 // one-line-at-a-time kernel this replaced (pinned by digests in
 // tests/fft_test.cpp). Bluestein sizes transform line by line.
 //
-// The plans still accept a util::KernelKind because existing callers pass
-// one; it selects nothing here. --kernel only selects the pair kernel.
+// Fft3D still accepts a util::KernelKind because the perfbench driver
+// passes one; it selects nothing here. --kernel only selects the pair
+// kernel.
 #pragma once
 
 #include <complex>
@@ -39,9 +40,7 @@ class Fft1D {
   // shorter tail block runs at its real width.
   static constexpr std::size_t kBatch = 8;
 
-  // `kind` is accepted for source compatibility and ignored (see above).
-  explicit Fft1D(std::size_t n,
-                 util::KernelKind kind = util::default_kernel_kind());
+  explicit Fft1D(std::size_t n);
 
   std::size_t size() const { return n_; }
 
@@ -67,7 +66,7 @@ class Fft1D {
                       std::size_t elem_stride, std::size_t line_stride,
                       int sign) const;
   // Radix recursion for a size-n level over a block of lanes: kW lanes
-  // when kW > 0 (unrolled full block), else the runtime width w.
+  // when kW > 0 (a full block), else the runtime width w.
   template <std::size_t kW>
   void rec_many(std::size_t level, std::size_t n, std::size_t stride,
                 const double* in_re, const double* in_im, double* out_re,
@@ -88,7 +87,7 @@ class Fft1D {
 
 class Fft3D {
  public:
-  // `kind` is accepted for source compatibility and ignored.
+  // `kind` is accepted for source compatibility and ignored (see above).
   Fft3D(std::size_t nx, std::size_t ny, std::size_t nz,
         util::KernelKind kind = util::default_kernel_kind());
 

@@ -127,8 +127,7 @@ int SlabPartition::owner(std::size_t plane) const {
 
 ParallelFft3D::ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
                              middleware::Middleware& mw,
-                             std::function<void(double)> charge,
-                             util::KernelKind /*kind*/)
+                             std::function<void(double)> charge)
     : nx_(nx),
       ny_(ny),
       nz_(nz),
@@ -384,8 +383,7 @@ std::size_t PencilGrid::stage3_size(int rank) const {
 }
 
 PencilFft3D::PencilFft3D(const PencilGrid& grid, mpi::Comm& comm,
-                         std::function<void(double)> charge,
-                         util::KernelKind /*kind*/)
+                         std::function<void(double)> charge)
     : grid_(grid),
       comm_(comm),
       charge_(std::move(charge)),

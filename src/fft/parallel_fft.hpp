@@ -42,12 +42,10 @@ struct SlabPartition {
 class ParallelFft3D {
  public:
   // `charge` converts kernel flops into simulated compute time; it may be
-  // empty (tests that only check numerics). `kind` is accepted for source
-  // compatibility and ignored (fft.hpp has one FFT kernel).
+  // empty (tests that only check numerics).
   ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
                 middleware::Middleware& mw,
-                std::function<void(double flops)> charge = {},
-                util::KernelKind kind = util::default_kernel_kind());
+                std::function<void(double flops)> charge = {});
 
   const SlabPartition& x_slabs() const { return xpart_; }
   const SlabPartition& z_slabs() const { return zpart_; }
@@ -136,10 +134,8 @@ struct PencilGrid {
 // cheap per rank and the buffers differ per pencil coordinate.
 class PencilFft3D {
  public:
-  // `kind` is ignored, as for ParallelFft3D.
   PencilFft3D(const PencilGrid& grid, mpi::Comm& comm,
-              std::function<void(double flops)> charge = {},
-              util::KernelKind kind = util::default_kernel_kind());
+              std::function<void(double flops)> charge = {});
 
   const PencilGrid& grid() const { return grid_; }
 

@@ -364,13 +364,12 @@ double SerialPme::reciprocal(const Topology& topo,
 
 ParallelPme::ParallelPme(const PmeParams& params, const Box& box,
                          middleware::Middleware& mw,
-                         std::function<void(double)> charge_compute,
-                         util::KernelKind kind)
+                         std::function<void(double)> charge_compute)
     : params_(params),
       box_(box),
       mw_(mw),
       charge_(std::move(charge_compute)),
-      pfft_(params.nx, params.ny, params.nz, mw, charge_, kind),
+      pfft_(params.nx, params.ny, params.nz, mw, charge_),
       modx_(bspline_moduli(params.nx, params.order)),
       mody_(bspline_moduli(params.ny, params.order)),
       modz_(bspline_moduli(params.nz, params.order)),
@@ -519,14 +518,13 @@ double ParallelPme::reciprocal(const Topology& topo,
 
 PencilPme::PencilPme(const PmeParams& params, const Box& box, mpi::Comm& comm,
                      int py, int pz, std::vector<GridRegion> regions,
-                     std::function<void(double)> charge_compute,
-                     util::KernelKind kind)
+                     std::function<void(double)> charge_compute)
     : params_(params),
       box_(box),
       comm_(comm),
       charge_(std::move(charge_compute)),
       pfft_(fft::PencilGrid(params.nx, params.ny, params.nz, py, pz), comm,
-            charge_, kind),
+            charge_),
       regions_(std::move(regions)),
       modx_(bspline_moduli(params.nx, params.order)),
       mody_(bspline_moduli(params.ny, params.order)),

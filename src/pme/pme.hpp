@@ -143,13 +143,11 @@ class PencilPme {
   // `regions[r]` is rank r's spread/interpolation region (empty for
   // cell-less ranks); every rank passes the same vector. `py * pz` ranks
   // participate in the FFT; the rest only ship their region blocks.
-  // `kind` is accepted for source compatibility and ignored (one FFT
-  // kernel). The influence factors of this rank's stage-3 pencils are
-  // tabulated at construction.
+  // The influence factors of this rank's stage-3 pencils are tabulated at
+  // construction.
   PencilPme(const PmeParams& params, const md::Box& box, mpi::Comm& comm,
             int py, int pz, std::vector<GridRegion> regions,
-            std::function<void(double flops)> charge_compute = {},
-            util::KernelKind kind = util::default_kernel_kind());
+            std::function<void(double flops)> charge_compute = {});
 
   // Reciprocal sum for the owned atoms. Returns this rank's partial
   // energy (each wavevector is counted on exactly one stage-3 owner);
@@ -195,12 +193,11 @@ class PencilPme {
 class ParallelPme {
  public:
   // `charge_compute` converts flops to simulated time (may be empty).
-  // `kind` is ignored, as in PencilPme. The influence factors of this
-  // rank's z-slab are tabulated at construction.
+  // The influence factors of this rank's z-slab are tabulated at
+  // construction.
   ParallelPme(const PmeParams& params, const md::Box& box,
               middleware::Middleware& mw,
-              std::function<void(double flops)> charge_compute = {},
-              util::KernelKind kind = util::default_kernel_kind());
+              std::function<void(double flops)> charge_compute = {});
 
   // Slab-parallel reciprocal sum. Returns this rank's *partial* energy;
   // forces accumulated are partial too — both become total after the
