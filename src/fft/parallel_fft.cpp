@@ -1,41 +1,23 @@
 #include "fft/parallel_fft.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <memory>
-#include <mutex>
+#include <span>
 
 #include "util/error.hpp"
-#include "util/hash.hpp"
+#include "util/exact_memo.hpp"
 
 namespace repro::fft {
 
 namespace {
 
-// --- Local-stage memoization ------------------------------------------------
-//
 // A factorial sweep re-runs the same deterministic trajectory for every
 // network/middleware cell, so each rank's slab holds bit-identical data
 // across those cells and the local FFT stages recompute identical
-// results. The two pure stages of forward()/backward() (before and after
+// results. The four pure stages of forward()/backward() (either side of
 // the transpose) are memoized on their exact input bytes; the transpose
 // itself and every charge() call still run, so simulated time, bytes and
 // traffic are untouched — only redundant host-side arithmetic is skipped.
-// A hit requires the full input slab to match byte-for-byte (the hash is
-// a pre-filter), so outputs are the exact arrays the computation would
-// have produced. Disable with REPRO_FFT_MEMO=0.
-struct StageEntry {
-  int stage;  // which of the four pure stages (see StageId)
-  std::size_t nx, ny, nz;
-  std::size_t count;  // input element count (slab-size, rank-dependent)
-  std::uint64_t hash;
-  std::vector<Complex> in;
-  std::vector<Complex> out;
-};
-
 enum StageId : int {
   kForwardYZ = 0,  // forward: per-plane (y,z) 2-D FFTs on the x-slab
   kForwardX = 1,   // forward: x-direction FFTs on the z-slab
@@ -43,62 +25,35 @@ enum StageId : int {
   kBackwardYZ = 3, // backward: per-plane inverse (y,z) FFTs on the x-slab
 };
 
-constexpr std::size_t kStageMemoCap = 1024;  // FIFO; bounds worst-case RAM
+struct StageKey {
+  StageId stage;
+  std::size_t nx, ny, nz;
+  bool operator==(const StageKey&) const = default;
+};
 
-std::mutex stage_memo_mu;  // SweepRunner workers transform concurrently
+using StageMemo = util::ExactMemo<StageKey, std::vector<Complex>, Complex>;
 
-std::deque<std::shared_ptr<const StageEntry>>& stage_memo() {
-  static std::deque<std::shared_ptr<const StageEntry>> memo;
+// One FIFO for all four stages; its capacity bounds worst-case RAM.
+StageMemo& stage_memo() {
+  static StageMemo memo(ParallelFft3D::kStageMemoCapacity);
   return memo;
 }
 
-bool stage_memo_enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("REPRO_FFT_MEMO");
-    return env == nullptr || env[0] != '0';
-  }();
-  return on;
-}
-
-std::uint64_t hash_complex(const Complex* data, std::size_t count) {
-  return util::fnv1a_bytes(data, count * sizeof(Complex));
-}
-
-std::shared_ptr<const StageEntry> stage_lookup(int stage, std::size_t nx,
-                                               std::size_t ny, std::size_t nz,
-                                               const Complex* in,
-                                               std::size_t count,
-                                               std::uint64_t hash) {
-  if (count == 0) return nullptr;  // empty slabs are never cached
-  std::lock_guard<std::mutex> lock(stage_memo_mu);
-  for (const auto& e : stage_memo()) {
-    if (e->stage == stage && e->nx == nx && e->ny == ny && e->nz == nz &&
-        e->count == count && e->hash == hash &&
-        std::memcmp(e->in.data(), in, count * sizeof(Complex)) == 0) {
-      return e;
-    }
-  }
-  return nullptr;
-}
-
-void stage_insert(int stage, std::size_t nx, std::size_t ny, std::size_t nz,
-                  const Complex* in, std::size_t count, std::uint64_t hash,
-                  const Complex* out) {
-  // An empty slab (rank owns no planes) has a null data pointer and nothing
-  // worth caching; skipping keeps memcmp/memcpy away from null entirely.
-  if (count == 0) return;
-  auto entry = std::make_shared<StageEntry>();
-  entry->stage = stage;
-  entry->nx = nx;
-  entry->ny = ny;
-  entry->nz = nz;
-  entry->count = count;
-  entry->hash = hash;
-  entry->in.assign(in, in + count);
-  entry->out.assign(out, out + count);
-  std::lock_guard<std::mutex> lock(stage_memo_mu);
-  if (stage_memo().size() >= kStageMemoCap) stage_memo().pop_front();
-  stage_memo().push_back(std::move(entry));
+// Returns the memo entry whose value is `transform` applied in place to a
+// copy of in[0, n), computing it only if these exact bytes are new.
+template <typename Transform>
+std::shared_ptr<const StageMemo::Entry> run_stage(const StageKey& key,
+                                                  const Complex* in,
+                                                  std::size_t n,
+                                                  Transform transform) {
+  return stage_memo().find_or_compute(
+      key,
+      [&] {
+        std::vector<Complex> out(in, in + n);
+        transform(out.data());
+        return out;
+      },
+      std::span<const Complex>(in, n));
 }
 
 }  // namespace
@@ -246,102 +201,56 @@ void ParallelFft3D::transpose_zx(const Complex* zslab, Complex* xslab) {
   }
 }
 
+std::size_t ParallelFft3D::stage_memo_size() { return stage_memo().size(); }
+
 void ParallelFft3D::forward(const Complex* xslab, Complex* zslab) {
+  // Local 2-D transforms over (y, z) for each owned x-plane, on a copy so
+  // the caller's real-space slab stays intact.
   const std::size_t lx = local_x_count();
-  const std::size_t xn = x_slab_size();
-  const bool memo = stage_memo_enabled();
-  // Local 2-D transforms over (y, z) for each owned x-plane; work on a copy
-  // so the caller's real-space slab stays intact.
-  std::vector<Complex> work;
-  std::uint64_t h = 0;
-  std::shared_ptr<const StageEntry> hit;
-  if (memo) {
-    h = hash_complex(xslab, xn);
-    hit = stage_lookup(kForwardYZ, nx_, ny_, nz_, xslab, xn, h);
-  }
-  if (hit) {
-    work = hit->out;
-  } else {
-    work.assign(xslab, xslab + xn);
-    fz_.forward_many(work.data(), lx * ny_, 1, nz_);
-    for (std::size_t x = 0; x < lx; ++x) {
-      fy_.forward_many(work.data() + x * ny_ * nz_, nz_, nz_, 1);
-    }
-    if (memo) {
-      stage_insert(kForwardYZ, nx_, ny_, nz_, xslab, xn, h, work.data());
-    }
-  }
+  const auto stage_yz = run_stage(
+      {kForwardYZ, nx_, ny_, nz_}, xslab, x_slab_size(), [&](Complex* w) {
+        fz_.forward_many(w, lx * ny_, 1, nz_);
+        for (std::size_t x = 0; x < lx; ++x) {
+          fy_.forward_many(w + x * ny_ * nz_, nz_, nz_, 1);
+        }
+      });
   charge(static_cast<double>(lx) *
          (static_cast<double>(ny_) * fz_.flops() +
           static_cast<double>(nz_) * fy_.flops()));
 
-  transpose_xz(work.data(), zslab);
+  transpose_xz(stage_yz->value.data(), zslab);
 
   // Finish with x-direction transforms (x is contiguous in the z-slab).
   const std::size_t lz = local_z_count();
   const std::size_t zn = z_slab_size();
-  hit.reset();
-  if (memo) {
-    h = hash_complex(zslab, zn);
-    hit = stage_lookup(kForwardX, nx_, ny_, nz_, zslab, zn, h);
-  }
-  if (hit) {
-    std::memcpy(zslab, hit->out.data(), zn * sizeof(Complex));
-  } else {
-    std::vector<Complex> pre;
-    if (memo) pre.assign(zslab, zslab + zn);
-    fx_.forward_many(zslab, lz * ny_, 1, nx_);
-    if (memo) {
-      stage_insert(kForwardX, nx_, ny_, nz_, pre.data(), zn, h, zslab);
-    }
-  }
+  const auto stage_x = run_stage({kForwardX, nx_, ny_, nz_}, zslab, zn,
+                                 [&](Complex* w) {
+                                   fx_.forward_many(w, lz * ny_, 1, nx_);
+                                 });
+  std::copy_n(stage_x->value.data(), zn, zslab);
   charge(static_cast<double>(lz * ny_) * fx_.flops());
 }
 
 void ParallelFft3D::backward(const Complex* zslab, Complex* xslab) {
   const std::size_t lz = local_z_count();
-  const std::size_t zn = z_slab_size();
-  const bool memo = stage_memo_enabled();
-  std::vector<Complex> work;
-  std::uint64_t h = 0;
-  std::shared_ptr<const StageEntry> hit;
-  if (memo) {
-    h = hash_complex(zslab, zn);
-    hit = stage_lookup(kBackwardX, nx_, ny_, nz_, zslab, zn, h);
-  }
-  if (hit) {
-    work = hit->out;
-  } else {
-    work.assign(zslab, zslab + zn);
-    fx_.inverse_many(work.data(), lz * ny_, 1, nx_);
-    if (memo) {
-      stage_insert(kBackwardX, nx_, ny_, nz_, zslab, zn, h, work.data());
-    }
-  }
+  const auto stage_x = run_stage({kBackwardX, nx_, ny_, nz_}, zslab,
+                                 z_slab_size(), [&](Complex* w) {
+                                   fx_.inverse_many(w, lz * ny_, 1, nx_);
+                                 });
   charge(static_cast<double>(lz * ny_) * fx_.flops());
 
-  transpose_zx(work.data(), xslab);
+  transpose_zx(stage_x->value.data(), xslab);
 
   const std::size_t lx = local_x_count();
   const std::size_t xn = x_slab_size();
-  hit.reset();
-  if (memo) {
-    h = hash_complex(xslab, xn);
-    hit = stage_lookup(kBackwardYZ, nx_, ny_, nz_, xslab, xn, h);
-  }
-  if (hit) {
-    std::memcpy(xslab, hit->out.data(), xn * sizeof(Complex));
-  } else {
-    std::vector<Complex> pre;
-    if (memo) pre.assign(xslab, xslab + xn);
-    for (std::size_t x = 0; x < lx; ++x) {
-      fy_.inverse_many(xslab + x * ny_ * nz_, nz_, nz_, 1);
-    }
-    fz_.inverse_many(xslab, lx * ny_, 1, nz_);
-    if (memo) {
-      stage_insert(kBackwardYZ, nx_, ny_, nz_, pre.data(), xn, h, xslab);
-    }
-  }
+  const auto stage_yz = run_stage(
+      {kBackwardYZ, nx_, ny_, nz_}, xslab, xn, [&](Complex* w) {
+        for (std::size_t x = 0; x < lx; ++x) {
+          fy_.inverse_many(w + x * ny_ * nz_, nz_, nz_, 1);
+        }
+        fz_.inverse_many(w, lx * ny_, 1, nz_);
+      });
+  std::copy_n(stage_yz->value.data(), xn, xslab);
   charge(static_cast<double>(lx) *
          (static_cast<double>(ny_) * fz_.flops() +
           static_cast<double>(nz_) * fy_.flops()));

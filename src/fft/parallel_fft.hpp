@@ -63,6 +63,11 @@ class ParallelFft3D {
   // normalization so backward(forward(x)) == x.
   void backward(const Complex* zslab, Complex* xslab);
 
+  // The four local stages of forward()/backward() share one process-wide
+  // exact-input memo (util::ExactMemo) of this many entries.
+  static constexpr std::size_t kStageMemoCapacity = 1024;
+  static std::size_t stage_memo_size();
+
  private:
   void charge(double flops) const {
     if (charge_) charge_(flops);

@@ -2,75 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <numbers>
-
-#include "util/hash.hpp"
 
 namespace repro::md {
 
 namespace {
 
 using util::Vec3;
-
-// --- Memoization of identical shard evaluations -----------------------------
-//
-// Replicated-data ranks and factorial-sweep cells evaluate the very same
-// bonded shard on the very same coordinates and accumulator state, so a
-// small process-wide cache keyed by the full inputs — term tables, box,
-// positions, incoming forces and energy fields — can return the stored
-// post-call accumulator state. Because the outgoing forces/energies are a
-// nonassociative accumulation INTO the incoming values, the incoming
-// arrays are part of the key (compared byte-for-byte; the hash only
-// pre-filters), which makes a hit's outputs exactly the bytes the plain
-// evaluation would have produced. Disable with REPRO_BONDED_MEMO=0.
-struct BondedMemoEntry {
-  int shard = 0;
-  int stride = 1;
-  util::Vec3 box_len;
-  std::uint64_t hash = 0;  // over pos + incoming forces
-  std::vector<Bond> bonds;
-  std::vector<Angle> angles;
-  std::vector<Dihedral> dihedrals;
-  std::vector<Improper> impropers;
-  std::vector<Vec3> pos;
-  std::vector<Vec3> forces_in;
-  std::vector<Vec3> forces_out;
-  double energy_in[4] = {};   // bond, angle, dihedral, improper
-  double energy_out[4] = {};
-  BondedWork work;
-};
-
-constexpr std::size_t kBondedMemoCap = 256;
-
-std::mutex bonded_memo_mu;
-
-std::deque<std::shared_ptr<const BondedMemoEntry>>& bonded_memo() {
-  static std::deque<std::shared_ptr<const BondedMemoEntry>> memo;
-  return memo;
-}
-
-bool bonded_memo_enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("REPRO_BONDED_MEMO");
-    return env == nullptr || env[0] != '0';
-  }();
-  return on;
-}
-
-// Bitwise vector equality; copies made from the same source vector have
-// identical bytes (including struct padding), so repeats always match.
-template <typename T>
-bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
-  if (a.size() != b.size()) return false;
-  if (a.empty()) return true;  // memcmp on null is UB even at n == 0
-  return std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
-}
 
 // Wraps an angle difference into (-pi, pi].
 double wrap_angle(double a) {
@@ -147,65 +85,6 @@ BondedWork bonded_energy(const Topology& topo, const Box& box,
   REPRO_REQUIRE(stride >= 1 && shard >= 0 && shard < stride,
                 "bad shard/stride");
 
-  const bool memo = bonded_memo_enabled();
-  std::uint64_t hash = 0;
-  if (memo) {
-    hash = util::hash_combine(
-        pos.empty() ? 0
-                    : util::fnv1a_bytes(pos.data(), pos.size() * sizeof(Vec3)),
-        forces.empty() ? 0
-                       : util::fnv1a_bytes(forces.data(),
-                                           forces.size() * sizeof(Vec3)));
-    std::shared_ptr<const BondedMemoEntry> found;
-    {
-      std::lock_guard<std::mutex> lock(bonded_memo_mu);
-      for (const auto& e : bonded_memo()) {
-        if (e->shard == shard && e->stride == stride && e->hash == hash &&
-            e->box_len == box.lengths() &&
-            e->energy_in[0] == energy.bond &&
-            e->energy_in[1] == energy.angle &&
-            e->energy_in[2] == energy.dihedral &&
-            e->energy_in[3] == energy.improper && same_bytes(e->pos, pos) &&
-            same_bytes(e->forces_in, forces) &&
-            same_bytes(e->bonds, topo.bonds()) &&
-            same_bytes(e->angles, topo.angles()) &&
-            same_bytes(e->dihedrals, topo.dihedrals()) &&
-            same_bytes(e->impropers, topo.impropers())) {
-          found = e;
-          break;
-        }
-      }
-    }
-    if (found) {
-      forces = found->forces_out;
-      energy.bond = found->energy_out[0];
-      energy.angle = found->energy_out[1];
-      energy.dihedral = found->energy_out[2];
-      energy.improper = found->energy_out[3];
-      return found->work;
-    }
-  }
-  // Snapshot the accumulators so a future repeat of this exact call can be
-  // answered from the cache.
-  std::shared_ptr<BondedMemoEntry> entry;
-  if (memo) {
-    entry = std::make_shared<BondedMemoEntry>();
-    entry->shard = shard;
-    entry->stride = stride;
-    entry->box_len = box.lengths();
-    entry->hash = hash;
-    entry->bonds = topo.bonds();
-    entry->angles = topo.angles();
-    entry->dihedrals = topo.dihedrals();
-    entry->impropers = topo.impropers();
-    entry->pos = pos;
-    entry->forces_in = forces;
-    entry->energy_in[0] = energy.bond;
-    entry->energy_in[1] = energy.angle;
-    entry->energy_in[2] = energy.dihedral;
-    entry->energy_in[3] = energy.improper;
-  }
-
   BondedWork work;
 
   const auto& bonds = topo.bonds();
@@ -269,18 +148,6 @@ BondedWork bonded_energy(const Topology& topo, const Box& box,
     const double dEdphi = 2.0 * im.kpsi * dpsi;
     apply_torsion_force(forces, g, im.i, im.j, im.k, im.l, dEdphi);
     ++work.impropers;
-  }
-
-  if (memo) {
-    entry->forces_out = forces;
-    entry->energy_out[0] = energy.bond;
-    entry->energy_out[1] = energy.angle;
-    entry->energy_out[2] = energy.dihedral;
-    entry->energy_out[3] = energy.improper;
-    entry->work = work;
-    std::lock_guard<std::mutex> lock(bonded_memo_mu);
-    if (bonded_memo().size() >= kBondedMemoCap) bonded_memo().pop_front();
-    bonded_memo().push_back(std::move(entry));
   }
 
   return work;

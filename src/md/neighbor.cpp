@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <deque>
-#include <memory>
-#include <mutex>
+#include <tuple>
+#include <utility>
 
-#include "util/hash.hpp"
+#include "util/exact_memo.hpp"
 
 namespace repro::md {
 
@@ -34,91 +30,83 @@ struct CellGrid {
   }
 };
 
-// --- Build memoization -----------------------------------------------------
-//
-// The replicated-data decomposition has every simulated rank build the
-// same list from the same coordinates, and a factorial sweep replays the
-// same deterministic trajectory for every network/middleware cell — so
-// almost every build() call in a sweep repeats an earlier one exactly. A
-// small process-wide cache keyed by the full build inputs returns the
-// stored CSR arrays instead of recomputing them. A hit requires the
-// positions, box lengths, radii, and exclusion list to match
-// byte-for-byte (the hash is only a cheap pre-filter), so the returned
-// arrays are the exact arrays the plain build would have produced.
-// Disable with REPRO_NBL_CACHE=0.
-struct BuildCacheEntry {
+// Counting-sorts (i, j) pairs into CSR rows over n atoms: count per row,
+// exclusive prefix sum, scatter, then sort each row by ascending j.
+void pairs_to_csr(const std::vector<std::pair<int, int>>& pairs,
+                  std::size_t n, std::vector<std::size_t>& row_cursor,
+                  std::vector<std::size_t>& offsets,
+                  std::vector<int>& neighbors) {
+  offsets.assign(n + 1, 0);
+  for (const auto& [i, j] : pairs) {
+    ++offsets[static_cast<std::size_t>(i) + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
+  neighbors.resize(pairs.size());
+  row_cursor.assign(offsets.begin(), offsets.end() - 1);
+  for (const auto& [i, j] : pairs) {
+    neighbors[row_cursor[static_cast<std::size_t>(i)]++] = j;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    std::sort(neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
+              neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
+  }
+}
+
+// Every replicated-data rank builds the same list from the same
+// coordinates, and a factorial sweep replays the same trajectory for every
+// platform cell, so most builds repeat an earlier one exactly. The memo is
+// keyed by the radii, the box lengths, and the positions and exclusion
+// list byte for byte; a hit lends out the stored CSR arrays.
+struct BuildKey {
   double cutoff;
   double skin;
   util::Vec3 box_len;
-  std::uint64_t pos_hash;
-  std::vector<util::Vec3> pos;
-  std::vector<std::pair<int, int>> exclusions;
+  bool operator==(const BuildKey&) const = default;
+};
+
+struct BuildResult {
   std::vector<std::size_t> offsets;
   std::vector<int> neighbors;
 };
 
-constexpr std::size_t kBuildCacheCap = 12;  // FIFO; a 10-step run rebuilds
-                                            // far fewer than 12 times
-
-std::mutex build_cache_mu;  // SweepRunner workers build concurrently
-
-std::deque<std::shared_ptr<const BuildCacheEntry>>& build_cache() {
-  static std::deque<std::shared_ptr<const BuildCacheEntry>> cache;
-  return cache;
-}
-
-bool build_cache_enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("REPRO_NBL_CACHE");
-    return env == nullptr || env[0] != '0';
-  }();
-  return on;
-}
-
-// Bitwise equality (stricter than operator== for doubles: distinguishes
-// -0.0 from 0.0 and never equates NaNs away — misses stay conservative).
-template <typename T>
-bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
-  if (a.size() != b.size()) return false;
-  if (a.empty()) return true;  // data() may be null; memcmp on null is UB
-  return std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
-}
+using BuildMemo = util::ExactMemo<BuildKey, BuildResult, util::Vec3,
+                                  std::pair<int, int>>;
 
 }  // namespace
 
 void NeighborList::build(const Topology& topo, const Box& box,
                          const std::vector<util::Vec3>& pos) {
-  const int n = topo.natoms();
-  REPRO_REQUIRE(static_cast<int>(pos.size()) == n,
+  REPRO_REQUIRE(static_cast<int>(pos.size()) == topo.natoms(),
                 "position array size mismatch");
-  const double range = cutoff_ + skin_;
-  REPRO_REQUIRE(2.0 * range <= box.min_length() * 1.5,
+  REPRO_REQUIRE(2.0 * (cutoff_ + skin_) <= box.min_length() * 1.5,
                 "cutoff too large for the box (minimum image unsafe)");
+  // FIFO; a 10-step run rebuilds far fewer than 12 times.
+  static BuildMemo memo(12);
+  auto entry = memo.find_or_compute(
+      BuildKey{cutoff_, skin_, box.lengths()},
+      [&] {
+        collect_pairs(topo, box, pos);
+        BuildResult fresh;
+        pairs_to_csr(pair_buf_, pos.size(), row_cursor_, fresh.offsets,
+                     fresh.neighbors);
+        return fresh;
+      },
+      pos, topo.excluded_pairs());
+  // Hits and fresh builds alike read the memo entry's immutable arrays;
+  // the keepalive pins the entry while the views point at it.
+  offsets_view_ = &entry->value.offsets;
+  neighbors_view_ = &entry->value.neighbors;
+  built_pos_view_ = &std::get<0>(entry->inputs);
+  built_box_ = box;
+  cache_keepalive_ = std::move(entry);
+}
+
+void NeighborList::collect_pairs(const Topology& topo, const Box& box,
+                                 const std::vector<util::Vec3>& pos) {
+  const int n = topo.natoms();
+  const double range = cutoff_ + skin_;
   const double range2 = range * range;
   const std::size_t un = static_cast<std::size_t>(n);
-
-  const std::vector<std::pair<int, int>>& excl = topo.excluded_pairs();
-  std::uint64_t pos_hash = 0;
-  if (build_cache_enabled()) {
-    pos_hash = pos.empty() ? 0
-                           : util::fnv1a_bytes(
-                                 pos.data(), pos.size() * sizeof(util::Vec3));
-    std::lock_guard<std::mutex> lock(build_cache_mu);
-    for (const auto& e : build_cache()) {
-      if (e->cutoff == cutoff_ && e->skin == skin_ &&
-          e->pos_hash == pos_hash && e->box_len == box.lengths() &&
-          same_bytes(e->pos, pos) && same_bytes(e->exclusions, excl)) {
-        // Borrow the entry's arrays (they are immutable and pinned by the
-        // keepalive) rather than copying megabytes of CSR data per hit.
-        offsets_view_ = &e->offsets;
-        neighbors_view_ = &e->neighbors;
-        built_pos_view_ = &e->pos;
-        built_box_ = box;
-        cache_keepalive_ = e;
-        return;
-      }
-    }
-  }
 
   const int ncx = std::max(1, static_cast<int>(box.lx() / range));
   const int ncy = std::max(1, static_cast<int>(box.ly() / range));
@@ -197,45 +185,6 @@ void NeighborList::build(const Topology& topo, const Box& box,
         }
       }
     }
-  }
-
-  // Two-pass CSR: count per row, exclusive prefix sum, scatter, then sort
-  // each row (ascending j, as before).
-  offsets_.assign(un + 1, 0);
-  for (const auto& [i, j] : pair_buf_) {
-    ++offsets_[static_cast<std::size_t>(i) + 1];
-  }
-  for (std::size_t i = 0; i < un; ++i) offsets_[i + 1] += offsets_[i];
-  neighbors_.resize(pair_buf_.size());
-  row_cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-  for (const auto& [i, j] : pair_buf_) {
-    neighbors_[row_cursor_[static_cast<std::size_t>(i)]++] = j;
-  }
-  for (std::size_t i = 0; i < un; ++i) {
-    std::sort(neighbors_.begin() + static_cast<std::ptrdiff_t>(offsets_[i]),
-              neighbors_.begin() +
-                  static_cast<std::ptrdiff_t>(offsets_[i + 1]));
-  }
-  built_pos_ = pos;
-  built_box_ = box;
-  offsets_view_ = &offsets_;
-  neighbors_view_ = &neighbors_;
-  built_pos_view_ = &built_pos_;
-  cache_keepalive_.reset();
-
-  if (build_cache_enabled()) {
-    auto entry = std::make_shared<BuildCacheEntry>();
-    entry->cutoff = cutoff_;
-    entry->skin = skin_;
-    entry->box_len = box.lengths();
-    entry->pos_hash = pos_hash;
-    entry->pos = pos;
-    entry->exclusions = excl;
-    entry->offsets = offsets_;
-    entry->neighbors = neighbors_;
-    std::lock_guard<std::mutex> lock(build_cache_mu);
-    if (build_cache().size() >= kBuildCacheCap) build_cache().pop_front();
-    build_cache().push_back(std::move(entry));
   }
 }
 
@@ -330,21 +279,7 @@ void NeighborList::build_subset(const Topology& topo, const Box& box,
     }
   }
 
-  offsets_.assign(un + 1, 0);
-  for (const auto& [i, j] : pair_buf_) {
-    ++offsets_[static_cast<std::size_t>(i) + 1];
-  }
-  for (std::size_t i = 0; i < un; ++i) offsets_[i + 1] += offsets_[i];
-  neighbors_.resize(pair_buf_.size());
-  row_cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-  for (const auto& [i, j] : pair_buf_) {
-    neighbors_[row_cursor_[static_cast<std::size_t>(i)]++] = j;
-  }
-  for (std::size_t i = 0; i < un; ++i) {
-    std::sort(neighbors_.begin() + static_cast<std::ptrdiff_t>(offsets_[i]),
-              neighbors_.begin() +
-                  static_cast<std::ptrdiff_t>(offsets_[i + 1]));
-  }
+  pairs_to_csr(pair_buf_, un, row_cursor_, offsets_, neighbors_);
   built_pos_ = pos;
   built_box_ = box;
   offsets_view_ = &offsets_;

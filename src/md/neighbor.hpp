@@ -32,7 +32,7 @@ class NeighborList {
   // pair set when every candidate list covers the mask's range
   // neighborhood. Entries of `pos` outside `candidates` are never read.
   // Offsets still span all natoms rows (non-candidate rows are empty), so
-  // the nonbonded kernels run unchanged. Bypasses the build cache: the
+  // the nonbonded kernels run unchanged. Bypasses the build memo: the
   // inputs are rank-local, never shared.
   void build_subset(const Topology& topo, const Box& box,
                     const std::vector<util::Vec3>& pos,
@@ -51,12 +51,17 @@ class NeighborList {
   double cutoff() const { return cutoff_; }
   double skin() const { return skin_; }
 
-  // The views may point into a shared build-cache entry (see build()'s
-  // memoization in neighbor.cpp), so copying a list would alias or dangle.
+  // The views may point into a shared build-memo entry (see build() in
+  // neighbor.cpp), so copying a list would alias or dangle.
   NeighborList(const NeighborList&) = delete;
   NeighborList& operator=(const NeighborList&) = delete;
 
  private:
+  // build()'s cell sweep: fills pair_buf_ with every (i < j) pair within
+  // cutoff + skin that is not excluded.
+  void collect_pairs(const Topology& topo, const Box& box,
+                     const std::vector<util::Vec3>& pos);
+
   double cutoff_;
   double skin_;
   std::vector<std::size_t> offsets_;
@@ -64,9 +69,9 @@ class NeighborList {
   std::vector<util::Vec3> built_pos_;
   Box built_box_;
 
-  // After a cache hit the list borrows the entry's arrays instead of
-  // copying ~MBs of CSR data; the keepalive pins the entry while views
-  // point at it. After a fresh build the views point at the members above.
+  // build() borrows the memo entry's arrays instead of copying ~MBs of
+  // CSR data; the keepalive pins the entry while views point at it. After
+  // build_subset() the views point at the members above.
   std::shared_ptr<const void> cache_keepalive_;
   const std::vector<std::size_t>* offsets_view_ = &offsets_;
   const std::vector<int>* neighbors_view_ = &neighbors_;

@@ -1,7 +1,8 @@
-// Byte hashing for the kernel memoization caches (neighbor-list build,
-// parallel-FFT local stages, bonded terms). The hash is only ever a cheap
-// pre-filter: cache hits are decided by exact byte comparison of the full
-// inputs, so a collision can cost a memcmp, never a wrong result.
+// Byte hashing for util::ExactMemo (util/exact_memo.hpp), the exact-input
+// memo behind the neighbor-list build and the parallel-FFT local stages.
+// The hash is only ever a cheap pre-filter: a hit is decided by exact byte
+// comparison of the full inputs, so a collision can cost a memcmp, never a
+// wrong result.
 #pragma once
 
 #include <cstddef>

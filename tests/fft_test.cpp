@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -643,6 +644,37 @@ TEST(ParallelFftBitIdentityTest, OneRankMatchesPinnedDigests) {
 
 TEST(ParallelFftBitIdentityTest, ThreeRanksMatchPinnedDigests) {
   run_parallel_pin(3, 0x0c03e5f04f5e6eceULL, 0xa4505c1ddefd7575ULL);
+}
+
+// All four local stages feed one process-wide memo, so its entry count
+// stops at kStageMemoCapacity however many distinct slabs each stage sees.
+TEST(ParallelFftStageMemoTest, AllStagesShareOneBoundedMemo) {
+  const std::size_t n = 2;
+  const int rounds = 300;  // 4 * 300 distinct stage inputs > 1024
+  net::ClusterConfig config;
+  config.nranks = 1;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(1);
+  sim::Engine engine(1);
+  engine.run([&](sim::RankCtx& ctx) {
+    mpi::Comm comm(ctx, cluster, recs[0]);
+    middleware::MpiMiddleware mw(comm);
+    ParallelFft3D pfft(n, n, n, mw);
+    std::vector<Complex> zslab(pfft.z_slab_size());
+    std::vector<Complex> back(pfft.x_slab_size());
+    for (int i = 0; i < rounds; ++i) {
+      const std::size_t before = ParallelFft3D::stage_memo_size();
+      const auto xslab =
+          random_signal(n * n * n, 50000 + static_cast<std::uint64_t>(i));
+      pfft.forward(xslab.data(), zslab.data());
+      pfft.backward(zslab.data(), back.data());
+      EXPECT_EQ(ParallelFft3D::stage_memo_size(),
+                std::min(before + 4, ParallelFft3D::kStageMemoCapacity))
+          << "round " << i;
+    }
+  });
+  EXPECT_EQ(ParallelFft3D::stage_memo_size(),
+            ParallelFft3D::kStageMemoCapacity);
 }
 
 // Pencil transform on a 20 x 9 x 12 grid over a 2 x 3 process grid: the

@@ -1,9 +1,8 @@
 // Tests for the MD extensions: SHAKE/RATTLE constraints, thermostats,
-// trajectory I/O, and their integration into the Simulation front-end.
+// and their integration into the Simulation front-end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -12,7 +11,6 @@
 #include "charmm/simulation.hpp"
 #include "md/constraints.hpp"
 #include "md/thermostat.hpp"
-#include "md/trajectory.hpp"
 #include "sysbuild/builder.hpp"
 #include "sysbuild/io.hpp"
 #include "util/rng.hpp"
@@ -22,10 +20,6 @@ namespace repro::md {
 namespace {
 
 using util::Vec3;
-
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 // --- SHAKE -------------------------------------------------------------------
 
@@ -234,55 +228,6 @@ TEST(ThermostatTest, SimulationIntegrationHeatsSystem) {
   sim.set_velocities_from_temperature(50.0, 3);
   sim.step(200);
   EXPECT_NEAR(sim.current_temperature(), 250.0, 60.0);
-}
-
-// --- trajectory I/O -------------------------------------------------------------
-
-TEST(TrajectoryTest, RoundTrip) {
-  const auto sys = sysbuild::build_water_box(2);
-  const std::string path = temp_path("repro_traj_test.rtrj");
-  {
-    TrajectoryWriter writer(path, sys.topo.natoms(), sys.box, 0.01);
-    auto frame = sys.positions;
-    writer.write_frame(frame);
-    for (auto& r : frame) r += Vec3{1.0, 0.5, -0.25};
-    writer.write_frame(frame);
-    EXPECT_EQ(writer.frames_written(), 2);
-  }
-  TrajectoryReader reader(path);
-  EXPECT_EQ(reader.natoms(), sys.topo.natoms());
-  EXPECT_EQ(reader.nframes(), 2);
-  EXPECT_DOUBLE_EQ(reader.dt_ps(), 0.01);
-  EXPECT_DOUBLE_EQ(reader.box().lx(), sys.box.lx());
-  std::vector<Vec3> frame;
-  reader.read_frame(0, frame);
-  ASSERT_EQ(frame.size(), sys.positions.size());
-  // float32 storage: ~1e-5 relative precision.
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    EXPECT_NEAR(frame[i].x, sys.positions[i].x, 1e-4);
-  }
-  reader.read_frame(1, frame);
-  EXPECT_NEAR(frame[0].x, sys.positions[0].x + 1.0, 1e-4);
-  EXPECT_THROW(reader.read_frame(2, frame), util::Error);
-  std::filesystem::remove(path);
-}
-
-TEST(TrajectoryTest, RejectsWrongFrameSize) {
-  const std::string path = temp_path("repro_traj_bad.rtrj");
-  TrajectoryWriter writer(path, 10, Box(5, 5, 5), 0.001);
-  std::vector<Vec3> wrong(7);
-  EXPECT_THROW(writer.write_frame(wrong), util::Error);
-  std::filesystem::remove(path);
-}
-
-TEST(TrajectoryTest, RejectsForeignFile) {
-  const std::string path = temp_path("repro_traj_foreign.rtrj");
-  {
-    std::ofstream out(path);
-    out << "definitely not a trajectory";
-  }
-  EXPECT_THROW(TrajectoryReader reader(path), util::Error);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

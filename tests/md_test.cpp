@@ -4,6 +4,7 @@
 #include <numbers>
 #include <set>
 
+#include "charmm/simulation.hpp"
 #include "md/bonded.hpp"
 #include "md/box.hpp"
 #include "md/integrator.hpp"
@@ -515,6 +516,33 @@ TEST(MinimizeTest, NeverIncreasesEnergy) {
   auto pos = sys.positions;
   const MinimizeResult res = minimize(opts, eval, pos);
   EXPECT_LE(res.final_energy, res.initial_energy);
+}
+
+TEST(ReversibilityTest, VelocityVerletRunsBackward) {
+  // Velocity Verlet is time-reversible: integrate forward, negate the
+  // velocities, integrate the same number of steps, and the system returns
+  // to its starting point (up to floating-point roundoff). This exercises
+  // integrator + kernels + neighbor-list determinism at once.
+  static const sysbuild::BuiltSystem water = sysbuild::build_water_box(3);
+  charmm::SimulationConfig config;
+  config.pme = pme::PmeParams{12, 12, 12, 4, 0.7};
+  config.cutoff = 4.2;
+  config.switch_on = 3.5;
+  config.dt_ps = 0.0005;
+  charmm::Simulation sim(water, config);
+  sim.set_velocities_from_temperature(150.0, 13);
+
+  const auto pos0 = sim.positions();
+  sim.step(20);
+  auto& vel = const_cast<std::vector<Vec3>&>(sim.velocities());
+  for (auto& v : vel) v = -v;
+  sim.step(20);
+
+  double worst = 0.0;
+  for (std::size_t i = 0; i < pos0.size(); ++i) {
+    worst = std::max(worst, util::norm(sim.positions()[i] - pos0[i]));
+  }
+  EXPECT_LT(worst, 1e-7);
 }
 
 }  // namespace

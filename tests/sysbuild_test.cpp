@@ -2,9 +2,13 @@
 
 #include <cmath>
 #include <numbers>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "md/neighbor.hpp"
 #include "sysbuild/builder.hpp"
+#include "sysbuild/io.hpp"
 
 namespace repro::sysbuild {
 namespace {
@@ -26,6 +30,24 @@ TEST(MyoglobinTest, PaperCompositionExact) {
   EXPECT_DOUBLE_EQ(sys.box.lx(), 80.0);
   EXPECT_DOUBLE_EQ(sys.box.ly(), 36.0);
   EXPECT_DOUBLE_EQ(sys.box.lz(), 48.0);
+  // The paper's 337 waters: oxygens bonded to exactly two hydrogens.
+  std::vector<int> degree(3552, 0), hydrogens(3552, 0);
+  for (const md::Bond& b : sys.topo.bonds()) {
+    const auto i = static_cast<std::size_t>(b.i);
+    const auto j = static_cast<std::size_t>(b.j);
+    ++degree[i];
+    ++degree[j];
+    if (sys.topo.atom(b.j).mass < 2.0) ++hydrogens[i];
+    if (sys.topo.atom(b.i).mass < 2.0) ++hydrogens[j];
+  }
+  int waters = 0;
+  for (int i = 0; i < sys.topo.natoms(); ++i) {
+    const auto s = static_cast<std::size_t>(i);
+    const double m = sys.topo.atom(i).mass;
+    if (m > 10.0 && m < 20.0 && degree[s] == 2 && hydrogens[s] == 2) ++waters;
+  }
+  EXPECT_EQ(waters, kWaterCount);
+  EXPECT_EQ(waters, 337);
 }
 
 TEST(MyoglobinTest, ChargeNeutral) {
@@ -154,6 +176,28 @@ TEST(TestChainTest, HasAllBondedTermTypes) {
   EXPECT_EQ(sys.topo.angles().size(), 8u);
   EXPECT_EQ(sys.topo.dihedrals().size(), 7u);
   EXPECT_EQ(sys.topo.impropers().size(), 1u);
+}
+
+TEST(PdbExportTest, WellFormedRecords) {
+  const auto sys = build_water_box(2);
+  std::stringstream out;
+  write_pdb(out, sys);
+  const std::string pdb = out.str();
+  EXPECT_EQ(pdb.rfind("CRYST1", 0), 0u);  // starts with the cell
+  std::size_t atom_lines = 0;
+  std::size_t conect_lines = 0;
+  std::istringstream lines(pdb);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("ATOM", 0) == 0) {
+      ++atom_lines;
+      EXPECT_GE(line.size(), 54u);  // through the z coordinate
+    }
+    if (line.rfind("CONECT", 0) == 0) ++conect_lines;
+  }
+  EXPECT_EQ(atom_lines, 24u);
+  EXPECT_EQ(conect_lines, sys.topo.bonds().size());
+  EXPECT_NE(pdb.find("END"), std::string::npos);
 }
 
 }  // namespace

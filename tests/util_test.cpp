@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/exact_memo.hpp"
 #include "util/flatpack.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -217,6 +221,159 @@ TEST(ErrorTest, RequireThrowsWithContext) {
     EXPECT_NE(std::string(e.what()).find("math is broken"),
               std::string::npos);
   }
+}
+
+// --- ExactMemo ---------------------------------------------------------------
+
+// Key scalar, one double buffer and one int buffer; the value counts how
+// many computations have run so a test can tell a hit from a miss.
+using TestMemo = ExactMemo<int, int, double, int>;
+
+struct MemoProbe {
+  TestMemo memo;
+  int computed = 0;
+
+  explicit MemoProbe(std::size_t capacity) : memo(capacity) {}
+
+  std::shared_ptr<const TestMemo::Entry> get(
+      int key, const std::vector<double>& a,
+      const std::vector<int>& b = {7}) {
+    return memo.find_or_compute(key, [&] { return ++computed; }, a, b);
+  }
+};
+
+TEST(ExactMemoTest, IdenticalInputsReturnTheSameEntry) {
+  MemoProbe p(4);
+  const std::vector<double> a = {1.0, 2.0, 3.0};
+  const auto first = p.get(1, a);
+  const std::vector<double> copy = a;  // equal bytes, different storage
+  const auto again = p.get(1, copy);
+  EXPECT_EQ(first, again);
+  EXPECT_EQ(p.computed, 1);
+  EXPECT_EQ(again->value, 1);
+  EXPECT_EQ(std::get<0>(again->inputs), a);
+}
+
+TEST(ExactMemoTest, AnyDifferenceMisses) {
+  MemoProbe p(8);
+  const std::vector<double> a = {1.0, 2.0, 3.0};
+  p.get(1, a);
+
+  std::vector<double> flipped = a;
+  unsigned char* bytes = reinterpret_cast<unsigned char*>(flipped.data());
+  bytes[sizeof(double) + 3] ^= 1;  // one byte of the middle element
+  EXPECT_NE(p.get(1, flipped)->value, 1);
+  EXPECT_EQ(p.computed, 2);
+
+  p.get(2, a);  // key scalar differs
+  EXPECT_EQ(p.computed, 3);
+  p.get(1, a, {8});  // second buffer differs
+  EXPECT_EQ(p.computed, 4);
+  EXPECT_EQ(p.get(1, a)->value, 1);  // the original still hits
+  EXPECT_EQ(p.computed, 4);
+}
+
+TEST(ExactMemoTest, NegativeZeroIsNotZero) {
+  MemoProbe p(4);
+  const auto pos = p.get(1, {0.0});
+  const auto neg = p.get(1, {-0.0});
+  EXPECT_NE(pos, neg);
+  EXPECT_EQ(p.computed, 2);
+}
+
+TEST(ExactMemoTest, HashCollisionsDoNotShadowEachOther) {
+  // Flipping the sign bit of two 8-byte words leaves the word-wise FNV
+  // hash unchanged, so these two inputs collide.
+  const std::vector<double> a = {1.0, 2.0, 3.0};
+  const std::vector<double> b = {-1.0, -2.0, 3.0};
+  ASSERT_EQ(fnv1a_bytes(a.data(), sizeof(double) * a.size()),
+            fnv1a_bytes(b.data(), sizeof(double) * b.size()));
+  MemoProbe p(4);
+  p.get(1, a);
+  p.get(1, b);
+  EXPECT_EQ(p.computed, 2);
+  EXPECT_EQ(p.memo.size(), 2u);
+  EXPECT_EQ(p.get(1, a)->value, 1);
+  EXPECT_EQ(p.get(1, b)->value, 2);  // found past the colliding entry
+  EXPECT_EQ(p.computed, 2);
+  EXPECT_EQ(p.memo.size(), 2u);
+}
+
+TEST(ExactMemoTest, DifferentLengthsMiss) {
+  MemoProbe p(8);
+  p.get(1, {1.0, 2.0});
+  p.get(1, {1.0, 2.0, 0.0});
+  p.get(1, {1.0});
+  EXPECT_EQ(p.computed, 3);
+  // The same total byte count split differently across the two buffers
+  // is a different input.
+  p.get(1, {1.0}, {0, 0, 7});
+  p.get(1, {1.0, 0.0}, {7});
+  EXPECT_EQ(p.computed, 5);
+}
+
+TEST(ExactMemoTest, ZeroLengthInputsAreNeverStored) {
+  MemoProbe p(4);
+  const std::vector<double> none;  // data() may be null
+  const auto first = p.get(1, none, {});
+  const auto second = p.get(1, none, {});
+  EXPECT_EQ(p.computed, 2);
+  EXPECT_NE(first, second);
+  EXPECT_EQ(first->value, 1);
+  EXPECT_EQ(p.memo.size(), 0u);
+  // One empty buffer next to a non-empty one is an ordinary key.
+  p.get(1, none, {3});
+  p.get(1, none, {3});
+  EXPECT_EQ(p.computed, 3);
+  EXPECT_EQ(p.memo.size(), 1u);
+}
+
+TEST(ExactMemoTest, EvictsOldestAtCapacity) {
+  MemoProbe p(2);
+  p.get(1, {1.0});
+  p.get(1, {2.0});
+  EXPECT_EQ(p.memo.size(), 2u);
+  p.get(1, {3.0});  // evicts {1.0}
+  EXPECT_EQ(p.memo.size(), 2u);
+  EXPECT_EQ(p.computed, 3);
+  p.get(1, {3.0});
+  p.get(1, {2.0});
+  EXPECT_EQ(p.computed, 3);
+  EXPECT_EQ(p.get(1, {1.0})->value, 4);
+}
+
+TEST(ExactMemoTest, HeldEntryOutlivesEviction) {
+  MemoProbe p(1);
+  const auto held = p.get(1, {1.0, 2.0});
+  p.get(1, {3.0});  // evicts the held entry from the memo
+  EXPECT_EQ(p.memo.size(), 1u);
+  EXPECT_EQ(held->value, 1);
+  EXPECT_EQ(std::get<0>(held->inputs), (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(held.use_count(), 1);
+}
+
+TEST(ExactMemoTest, ConcurrentLookupsAndInserts) {
+  // Four threads share one small memo: some keys are common to every
+  // thread (hits on other threads' entries), some private (inserts that
+  // keep evicting). Every returned entry must hold its own inputs' value.
+  ExactMemo<int, double, double> memo(8);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 2000; ++i) {
+        const double x = (i % 3 == 0) ? static_cast<double>(i % 12)
+                                      : static_cast<double>(1000 * t + i);
+        const std::vector<double> in(16, x);
+        const auto e = memo.find_or_compute(
+            0, [&] { return 2.0 * x; }, in);
+        if (e->value != 2.0 * x || std::get<0>(e->inputs) != in) ++wrong;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_LE(memo.size(), 8u);
 }
 
 }  // namespace
