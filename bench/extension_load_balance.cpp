@@ -38,7 +38,6 @@ core::ExperimentSpec lb_spec(const char* decomp, int nprocs) {
   // neighbor-list rebuilds, and the short golden runs must cross some.
   spec.charmm.list_rebuild_interval = 2;
   spec.charmm.decomp = charmm::parse_decomp_spec(decomp);
-  spec.engine = bench::options().engine;
   net::NetworkParams params = net::params_for(spec.platform.network);
   params.jitter_prob_per_rank = 0.0;  // isolate the injected perturbation
   spec.network_params = params;

@@ -28,9 +28,6 @@ namespace repro::bench {
 struct BenchOptions {
   int steps = 10;  // MD steps per cell (the paper's measurement runs)
   int jobs = -1;   // sweep concurrency; -1 = REPRO_JOBS / hardware default
-  // DES execution backend for every cell ($REPRO_ENGINE / fiber by
-  // default). Simulated output is byte-identical across backends.
-  sim::EngineBackend engine = sim::default_engine_backend();
   // CI mode: benches with large sweeps (e.g. the conclusion's 128-rank
   // scaling study) cut their factor grids down to a fast subset that
   // still exercises every code path.
@@ -42,7 +39,7 @@ inline BenchOptions& options() {
   return opts;
 }
 
-// Accepts --steps=N, --jobs=N, --engine=fiber|thread and --smoke;
+// Accepts --steps=N, --jobs=N and --smoke;
 // anything else exits with an error so a typo cannot silently produce a
 // full-length run in CI.
 inline void parse_figure_args(int argc, char** argv) {
@@ -56,19 +53,12 @@ inline void parse_figure_args(int argc, char** argv) {
       }
     } else if (arg.rfind("--jobs=", 0) == 0) {
       options().jobs = std::atoi(arg.c_str() + 7);
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      try {
-        options().engine = sim::parse_engine_backend(arg.c_str() + 9);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-      }
     } else if (arg == "--smoke") {
       options().smoke = true;
     } else {
       std::fprintf(stderr,
                    "unknown option: %s (supported: --steps=N --jobs=N "
-                   "--engine=fiber|thread --smoke)\n",
+                   "--smoke)\n",
                    arg.c_str());
       std::exit(2);
     }
@@ -123,7 +113,6 @@ inline void prewarm(const std::vector<std::pair<core::Platform, int>>& cells) {
     spec.platform = platform;
     spec.nprocs = nprocs;
     spec.charmm.nsteps = options().steps;
-    spec.engine = options().engine;
     specs.push_back(spec);
   }
   if (specs.empty()) return;
@@ -144,7 +133,6 @@ inline const core::ExperimentResult& run_cached(const core::Platform& p,
     spec.platform = p;
     spec.nprocs = nprocs;
     spec.charmm.nsteps = options().steps;
-    spec.engine = options().engine;
     it = cache.emplace(detail::cell_key(p, nprocs),
                        core::run_experiment(prepared_system(), spec))
              .first;

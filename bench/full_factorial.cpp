@@ -10,12 +10,8 @@
 //              for any N — only wall-clock changes.
 //   --steps=N  MD steps per cell (default 10, the paper's run length)
 //   --procs=A,B,...  processor counts to sweep (default 2,4,8)
-//   --engine=fiber|thread  DES backend for every cell (default fiber or
-//              $REPRO_ENGINE). Output is byte-identical across backends.
 #include "figure_common.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/factorial.hpp"
@@ -50,16 +46,9 @@ int main(int argc, char** argv) {
       config.nsteps = std::stoi(arg.substr(8));
     } else if (arg.rfind("--procs=", 0) == 0) {
       procs = parse_int_list(arg.substr(8));
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      // run_full_factorial builds its specs internally with the
-      // process-wide default, so the flag flows through the environment.
-      const sim::EngineBackend backend =
-          sim::parse_engine_backend(arg.substr(9));
-      setenv("REPRO_ENGINE", sim::to_string(backend), 1);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--jobs=N] [--steps=N] [--procs=A,B,...] "
-                   "[--engine=fiber|thread]\n",
+                   "usage: %s [--jobs=N] [--steps=N] [--procs=A,B,...]\n",
                    argv[0]);
       return 2;
     }

@@ -174,9 +174,6 @@ int cmd_run(const Args& args) {
   if (args.has("power")) {
     spec.power = perf::parse_power_spec(args.get("power", ""));
   }
-  if (args.has("engine")) {
-    spec.engine = sim::parse_engine_backend(args.get("engine", ""));
-  }
   if (args.has("faults")) {
     spec.faults = net::parse_fault_spec(args.get("faults", ""));
   }
@@ -266,9 +263,6 @@ int cmd_sweep(const Args& args) {
   if (args.has("power")) {
     base.power = perf::parse_power_spec(args.get("power", ""));
   }
-  if (args.has("engine")) {
-    base.engine = sim::parse_engine_backend(args.get("engine", ""));
-  }
   if (args.has("faults")) {
     base.faults = net::parse_fault_spec(args.get("faults", ""));
   }
@@ -327,8 +321,6 @@ void usage() {
       "                [--decomp atom|force|task[:pme=N]|\n"
       "                    spatial[:grid=AxBxC][:pme=pencil[:grid=PyxPz]]\n"
       "                    [:ldb=greedy|refine|off[,units=K]]]\n"
-      "                [--engine fiber|thread]  DES backend (default fiber,\n"
-      "                    or $REPRO_ENGINE; results identical either way)\n"
       "                [--kernel scalar|simd]  pair kernel variant\n"
       "                    (default scalar, or $REPRO_KERNEL; identical\n"
       "                    simulated results, host wall clock differs)\n"
@@ -356,7 +348,6 @@ void usage() {
       "                    [:ldb=greedy|refine|off[,units=K]]]\n"
       "                [--jobs N]  concurrent cells (default: hardware "
       "threads; 1 = sequential)\n"
-      "                [--engine fiber|thread]  DES backend per cell\n"
       "                [--kernel scalar|simd]  pair kernel per cell\n"
       "                [--power=SPEC]  energy model for every cell\n"
       "                [--faults=SPEC]  fault injection for every cell\n"

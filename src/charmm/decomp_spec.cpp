@@ -8,8 +8,7 @@ namespace repro::charmm {
 
 namespace {
 
-// Strict positive-integer parse (same discipline as the engine's
-// REPRO_FIBER_STACK_KB parser): std::atoi accepts trailing garbage,
+// Strict positive-integer parse: std::atoi accepts trailing garbage,
 // silently returns 0 for pure garbage, and overflows on long digit
 // strings — every one of those must fail loudly here instead.
 int parse_positive_int(const std::string& value, const std::string& what,

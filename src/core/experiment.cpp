@@ -228,7 +228,7 @@ ExperimentResult run_experiment(const sysbuild::BuiltSystem& sys,
     }
   }
 
-  sim::Engine engine(spec.nprocs, spec.engine);
+  sim::Engine engine(spec.nprocs);
   engine.run([&](sim::RankCtx& ctx) {
     mpi::Comm comm(ctx, network,
                    recorders[static_cast<std::size_t>(ctx.rank())],
@@ -237,6 +237,12 @@ ExperimentResult run_experiment(const sysbuild::BuiltSystem& sys,
     rank_results[static_cast<std::size_t>(ctx.rank())] =
         charmm::run_charmm_rank(sys, spec.charmm, *mw);
   });
+  // Every message a rank sends must be consumed by the end of the run; a
+  // leftover means the schedule sent more than it received.
+  const std::size_t undelivered = engine.undelivered();
+  REPRO_REQUIRE(undelivered == 0,
+                std::to_string(undelivered) +
+                    " message(s) undelivered or unconsumed at end of run");
 
   ExperimentResult result;
   result.breakdown =

@@ -1,12 +1,9 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <ucontext.h>
 
 #if defined(__linux__)
@@ -61,11 +58,10 @@ repro_fiber_swap:
 )");
 #endif
 
-// Sanitizer detection. The fiber backend switches stacks in user space;
-// AddressSanitizer must be told about every switch (or its fake-stack and
-// stack-bounds bookkeeping corrupts), and ThreadSanitizer cannot follow
-// fibers at all — so ASan gets the annotations below and TSan flips the
-// default backend to threads (see default_engine_backend).
+// Sanitizer detection. Ranks switch stacks in user space, and both
+// sanitizers must be told about every switch: AddressSanitizer or its
+// fake-stack and stack-bounds bookkeeping corrupts, ThreadSanitizer or it
+// attributes every rank's accesses to one thread with one shadow stack.
 #if defined(__SANITIZE_ADDRESS__)
 #define REPRO_ASAN_FIBERS 1
 #endif
@@ -92,6 +88,17 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
 void __sanitizer_finish_switch_fiber(void* fake_stack_save,
                                      const void** bottom_old,
                                      std::size_t* size_old);
+void __asan_unpoison_memory_region(const volatile void* addr,
+                                   std::size_t size);
+}
+#endif
+
+#if defined(REPRO_TSAN_BUILD)
+extern "C" {
+void* __tsan_get_current_fiber();
+void* __tsan_create_fiber(unsigned flags);
+void __tsan_destroy_fiber(void* fiber);
+void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
@@ -128,20 +135,40 @@ inline void asan_finish_switch(void* fake_stack, const void** bottom_old,
 #endif
 }
 
-// Fiber stack size: $REPRO_FIBER_STACK_KB or 4 MiB. Address space only —
-// pages are committed on first touch, so idle ranks cost a few KB each.
-// Malformed env values fail loudly (see parse_fiber_stack_kb): a silently
-// accepted garbage value used to produce a zero-size stack and a crash at
-// the first fiber switch.
-std::size_t fiber_stack_bytes() {
-  static const std::size_t bytes = [] {
-    if (const char* env = std::getenv("REPRO_FIBER_STACK_KB")) {
-      return parse_fiber_stack_kb(env);
-    }
-    return std::size_t{4} * 1024 * 1024;
-  }();
-  return bytes;
+// A fiber never returns from its outermost frames, so their stack
+// redzones stay poisoned after it finishes — on a pooled stack, and on a
+// fresh mapping that lands at an unmapped stack's address. A new fiber
+// clears them before writing its initial frame.
+inline void asan_unpoison_stack(void* lo, std::size_t size) {
+#if defined(REPRO_ASAN_FIBERS)
+  __asan_unpoison_memory_region(lo, size);
+#else
+  (void)lo;
+  (void)size;
+#endif
 }
+
+// TSan fiber annotations (no-ops in non-TSan builds). Each rank's fiber
+// gets a TSan context, and tsan_switch_to runs immediately before every
+// stack switch. Flag 0 keeps the happens-before edge from the fiber left
+// to the fiber entered, which the one-at-a-time schedule really provides,
+// so a race report means two threads touched the same state, not two
+// ranks of one engine.
+#if defined(REPRO_TSAN_BUILD)
+inline void* tsan_current_fiber() { return __tsan_get_current_fiber(); }
+inline void* tsan_create_fiber() { return __tsan_create_fiber(0); }
+inline void tsan_destroy_fiber(void* fiber) { __tsan_destroy_fiber(fiber); }
+inline void tsan_switch_to(void* fiber) { __tsan_switch_to_fiber(fiber, 0); }
+#else
+inline void* tsan_current_fiber() { return nullptr; }
+inline void* tsan_create_fiber() { return nullptr; }
+inline void tsan_destroy_fiber(void*) {}
+inline void tsan_switch_to(void*) {}
+#endif
+
+// Fiber stack size. Address space only — pages are committed on first
+// touch, so idle ranks cost a few KB each.
+constexpr std::size_t kFiberStackBytes = std::size_t{4} * 1024 * 1024;
 
 #if defined(REPRO_FIBER_FAST_SWITCH)
 // Builds the initial stack image repro_fiber_swap's restore path consumes:
@@ -166,97 +193,15 @@ void* make_fiber_sp(void* lo, std::size_t size, void (*entry)()) {
 #endif
 
 // The engine whose fibers run on this thread; set for the duration of
-// run_fibers. Fibers cannot outlive run(), and each engine's fibers all
+// run(). Fibers cannot outlive run(), and each engine's fibers all
 // live on the thread that called run(), so a plain thread_local suffices
 // even with several engines running on different sweep workers.
 thread_local Engine* t_fiber_engine = nullptr;
 
-// One-slot handshake: the owner may run only while `turn` is set. Used for
-// both the scheduler and each rank thread; exactly one party holds its turn
-// at any time, which serializes the whole simulation deterministically.
-struct TurnSlot {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool turn = false;
-
-  void wait_for_turn() {
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return turn; });
-    turn = false;
-  }
-  void give_turn() {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      turn = true;
-    }
-    cv.notify_one();
-  }
-};
-
 }  // namespace
 
-const char* to_string(EngineBackend backend) {
-  switch (backend) {
-    case EngineBackend::kFiber:
-      return "fiber";
-    case EngineBackend::kThread:
-      return "thread";
-  }
-  return "?";
-}
-
-EngineBackend parse_engine_backend(std::string_view name) {
-  if (name == "fiber") return EngineBackend::kFiber;
-  if (name == "thread") return EngineBackend::kThread;
-  throw util::Error("unknown engine backend '" + std::string(name) +
-                    "' (expected fiber or thread)");
-}
-
-std::size_t parse_fiber_stack_kb(std::string_view text) {
-  // Strict hand parse: std::atol would accept "12abc" (and return 0 for
-  // pure garbage, which a naive `> 0` check then maps to the default —
-  // or worse, "0" produced a zero-size stack).
-  std::size_t i = 0;
-  bool negative = false;
-  if (i < text.size() && (text[i] == '+' || text[i] == '-')) {
-    negative = text[i] == '-';
-    ++i;
-  }
-  long kb = 0;
-  const std::size_t digits_begin = i;
-  for (; i < text.size(); ++i) {
-    if (text[i] < '0' || text[i] > '9') break;
-    if (kb > (1L << 40)) break;  // overflow guard; far beyond any real stack
-    kb = kb * 10 + (text[i] - '0');
-  }
-  if (i != text.size() || i == digits_begin) {
-    throw util::Error("REPRO_FIBER_STACK_KB: '" + std::string(text) +
-                      "' is not a number (expected stack size in KiB)");
-  }
-  if (negative || kb == 0) {
-    throw util::Error("REPRO_FIBER_STACK_KB: '" + std::string(text) +
-                      "' must be a positive stack size in KiB");
-  }
-  // Tiny-but-positive values are clamped instead of rejected: the guard
-  // page already costs 4 KiB, and anything below the floor would overflow
-  // on the first real call frame.
-  return std::max(static_cast<std::size_t>(kb) * 1024, kMinFiberStackBytes);
-}
-
-EngineBackend default_engine_backend() {
-  if (const char* env = std::getenv("REPRO_ENGINE")) {
-    return parse_engine_backend(env);
-  }
-#if defined(REPRO_TSAN_BUILD)
-  return EngineBackend::kThread;
-#else
-  return EngineBackend::kFiber;
-#endif
-}
-
-// One simulated rank: clock, state, inbox, plus the execution-context
-// state of whichever backend is active (thread + handshake slot, or fiber
-// context + stack).
+// One simulated rank: clock, state, inbox, plus its fiber's context and
+// stack.
 struct Engine::Rank {
   explicit Rank(int id_) : id(id_) {}
 
@@ -265,13 +210,9 @@ struct Engine::Rank {
   State state = State::Ready;
   std::deque<Delivery> inbox;
 
-  // Thread backend.
-  std::thread thread;
-  TurnSlot slot;
-
-  // Fiber backend. The stack is borrowed from the engine's pool on the
-  // fiber's first resume and returned the moment the rank finishes, so a
-  // run never holds more stacks than it has simultaneously live fibers.
+  // The stack is borrowed from the engine's pool on the fiber's first
+  // resume and returned the moment the rank finishes, so a run never holds
+  // more stacks than it has simultaneously live fibers.
 #if defined(REPRO_FIBER_FAST_SWITCH)
   void* fiber_sp = nullptr;  // saved stack pointer while switched away
 #else
@@ -280,6 +221,7 @@ struct Engine::Rank {
   bool fiber_started = false;
   StackBlock stack;  // empty (base == nullptr) unless started and live
   void* asan_fake_stack = nullptr;
+  void* tsan_fiber = nullptr;  // live exactly as long as the stack
 };
 
 void Engine::free_stack(StackBlock& block) {
@@ -299,7 +241,7 @@ Engine::StackBlock Engine::acquire_stack() {
     return block;
   }
   StackBlock block;
-  const std::size_t want = fiber_stack_bytes();
+  const std::size_t want = kFiberStackBytes;
 #if defined(REPRO_FIBER_MMAP_STACKS)
   const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   const std::size_t usable = ((want + page - 1) / page) * page;
@@ -327,7 +269,7 @@ Engine::StackBlock Engine::acquire_stack() {
   return block;
 }
 
-Engine::Engine(int nranks, EngineBackend backend) : backend_(backend) {
+Engine::Engine(int nranks) {
   REPRO_REQUIRE(nranks >= 1, "engine needs at least one rank");
   ranks_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
@@ -357,24 +299,6 @@ void Engine::advance(int rank, double dt) {
   ranks_[rank]->clock += dt;
 }
 
-void Engine::resume(int rank) {
-  if (backend_ == EngineBackend::kThread) {
-    resume_thread(rank);
-  } else {
-    resume_fiber(rank);
-  }
-}
-
-void Engine::yield_to_scheduler(int rank) {
-  ++context_switches_;
-  if (backend_ == EngineBackend::kThread) {
-    yield_thread(rank);
-  } else {
-    yield_fiber(rank);
-  }
-  if (aborting_) throw AbortRun{};
-}
-
 void Engine::checkpoint(int rank) {
   // State stays Ready; the scheduler resumes us once we are the
   // minimum-clock runnable rank and all due events are delivered.
@@ -393,6 +317,12 @@ void Engine::post(double time, int dst, Payload payload) {
 }
 
 std::deque<Delivery>& Engine::inbox(int rank) { return ranks_[rank]->inbox; }
+
+std::size_t Engine::undelivered() const {
+  std::size_t n = event_heap_.size();
+  for (const auto& r : ranks_) n += r->inbox.size();
+  return n;
+}
 
 void Engine::deliver_front_event() {
   std::pop_heap(event_heap_.begin(), event_heap_.end(), std::greater<>{});
@@ -526,9 +456,43 @@ void Engine::run(const std::function<void(RankCtx&)>& rank_main) {
     ready_heap_.push_back(ReadyEntry{0.0, r->id});
   }
 
-  const std::exception_ptr scheduler_error =
-      backend_ == EngineBackend::kThread ? run_threads(rank_main)
-                                         : run_fibers(rank_main);
+#if defined(REPRO_FIBER_FAST_SWITCH)
+  // The scheduler context is just its saved stack pointer: resume writes
+  // this slot on the way out and yield_to_scheduler reads it on the way
+  // back, all within this frame's lifetime.
+  void* sched_sp = nullptr;
+  sched_ctx_ = &sched_sp;
+#else
+  ucontext_t sched_ctx;
+  sched_ctx_ = &sched_ctx;
+#endif
+  Engine* const prev_engine = t_fiber_engine;
+  t_fiber_engine = this;
+  fiber_rank_main_ = &rank_main;
+  sched_fake_stack_ = nullptr;
+  sched_stack_bottom_ = nullptr;
+  sched_stack_size_ = 0;
+  // Taken per run: sweep workers run engines on different threads, and an
+  // engine may run inside another engine's rank.
+  sched_tsan_fiber_ = tsan_current_fiber();
+
+  std::exception_ptr scheduler_error;
+  try {
+    scheduler_loop();
+  } catch (...) {
+    // Deadlock: resume every live fiber so AbortRun unwinds its stack
+    // (running destructors) before the run returns. A fully unwound fiber
+    // is simply never switched to again.
+    scheduler_error = std::current_exception();
+    aborting_ = true;
+    for (auto& r : ranks_) {
+      if (r->state != State::Done) resume(r->id);
+    }
+  }
+
+  fiber_rank_main_ = nullptr;
+  t_fiber_engine = prev_engine;
+  sched_ctx_ = nullptr;
 
   if (first_error_) {
     auto err = first_error_;
@@ -538,72 +502,16 @@ void Engine::run(const std::function<void(RankCtx&)>& rank_main) {
   if (scheduler_error) std::rethrow_exception(scheduler_error);
 }
 
-// --- thread backend ----------------------------------------------------
-
-void Engine::resume_thread(int rank) {
-  ranks_[rank]->slot.give_turn();
-  static_cast<TurnSlot*>(sched_slot_)->wait_for_turn();
-}
-
-void Engine::yield_thread(int rank) {
-  static_cast<TurnSlot*>(sched_slot_)->give_turn();
-  ranks_[rank]->slot.wait_for_turn();
-}
-
-std::exception_ptr Engine::run_threads(
-    const std::function<void(RankCtx&)>& rank_main) {
-  TurnSlot sched_slot;
-  sched_slot_ = &sched_slot;
-
-  for (auto& r : ranks_) {
-    Rank* rp = r.get();
-    r->thread = std::thread([this, rp, &rank_main] {
-      rp->slot.wait_for_turn();
-      try {
-        if (!aborting_) {
-          RankCtx ctx(this, rp->id);
-          rank_main(ctx);
-        }
-      } catch (const AbortRun&) {
-        // torn down after another rank failed
-      } catch (...) {
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      // Serialized by the turn protocol: only this thread runs right now.
-      mark_done(rp->id);
-      static_cast<TurnSlot*>(sched_slot_)->give_turn();
-    });
-  }
-
-  std::exception_ptr scheduler_error;
-  try {
-    scheduler_loop();
-  } catch (...) {
-    // Deadlock: abort remaining ranks, then rethrow in run().
-    scheduler_error = std::current_exception();
-    aborting_ = true;
-    for (auto& r : ranks_) {
-      if (r->state != State::Done && r->thread.joinable()) {
-        resume(r->id);
-      }
-    }
-  }
-
-  for (auto& r : ranks_) {
-    if (r->thread.joinable()) r->thread.join();
-  }
-  sched_slot_ = nullptr;
-  return scheduler_error;
-}
-
-// --- fiber backend -----------------------------------------------------
+// --- fibers --------------------------------------------------------------
 
 void Engine::start_fiber(Rank& r) {
   // Lazy start: the stack is borrowed from the pool (or mapped fresh) on
   // the fiber's first resume, not when the run begins — so stacks freed by
   // early-finishing ranks are reused by ranks that start later.
   r.stack = acquire_stack();
+  asan_unpoison_stack(r.stack.lo, r.stack.size);
   r.asan_fake_stack = nullptr;
+  r.tsan_fiber = tsan_create_fiber();
 #if defined(REPRO_FIBER_FAST_SWITCH)
   r.fiber_sp =
       make_fiber_sp(r.stack.lo, r.stack.size, &Engine::fiber_trampoline);
@@ -617,11 +525,12 @@ void Engine::start_fiber(Rank& r) {
   r.fiber_started = true;
 }
 
-void Engine::resume_fiber(int rank) {
+void Engine::resume(int rank) {
   Rank& r = *ranks_[rank];
   if (!r.fiber_started) start_fiber(r);
   fiber_active_ = rank;
   asan_start_switch(&sched_fake_stack_, r.stack.lo, r.stack.size);
+  tsan_switch_to(r.tsan_fiber);
 #if defined(REPRO_FIBER_FAST_SWITCH)
   repro_fiber_swap(static_cast<void**>(sched_ctx_), r.fiber_sp);
 #else
@@ -634,19 +543,24 @@ void Engine::resume_fiber(int rank) {
     // home), so its stack is idle and can serve the next starting fiber.
     stack_pool_.push_back(r.stack);
     r.stack = StackBlock{};
+    tsan_destroy_fiber(r.tsan_fiber);
+    r.tsan_fiber = nullptr;
   }
 }
 
-void Engine::yield_fiber(int rank) {
+void Engine::yield_to_scheduler(int rank) {
+  ++context_switches_;
   Rank& r = *ranks_[rank];
   asan_start_switch(&r.asan_fake_stack, sched_stack_bottom_,
                     sched_stack_size_);
+  tsan_switch_to(sched_tsan_fiber_);
 #if defined(REPRO_FIBER_FAST_SWITCH)
   repro_fiber_swap(&r.fiber_sp, *static_cast<void**>(sched_ctx_));
 #else
   swapcontext(&r.ctx, static_cast<ucontext_t*>(sched_ctx_));
 #endif
   asan_finish_switch(r.asan_fake_stack, nullptr, nullptr);
+  if (aborting_) throw AbortRun{};
 }
 
 void Engine::fiber_main() {
@@ -665,6 +579,7 @@ void Engine::fiber_main() {
   // Final switch home. The null fake-stack save tells ASan this fiber is
   // finished so its fake frames can be released.
   asan_start_switch(nullptr, sched_stack_bottom_, sched_stack_size_);
+  tsan_switch_to(sched_tsan_fiber_);
 #if defined(REPRO_FIBER_FAST_SWITCH)
   void* dead_sp = nullptr;  // nothing will ever switch back here
   repro_fiber_swap(&dead_sp, *static_cast<void**>(sched_ctx_));
@@ -681,45 +596,6 @@ void Engine::fiber_trampoline() {
   asan_finish_switch(nullptr, &e->sched_stack_bottom_,
                      &e->sched_stack_size_);
   e->fiber_main();
-}
-
-std::exception_ptr Engine::run_fibers(
-    const std::function<void(RankCtx&)>& rank_main) {
-#if defined(REPRO_FIBER_FAST_SWITCH)
-  // The scheduler context is just its saved stack pointer: resume_fiber
-  // writes this slot on the way out and yield_fiber reads it on the way
-  // back, all within this frame's lifetime.
-  void* sched_sp = nullptr;
-  sched_ctx_ = &sched_sp;
-#else
-  ucontext_t sched_ctx;
-  sched_ctx_ = &sched_ctx;
-#endif
-  Engine* const prev_engine = t_fiber_engine;
-  t_fiber_engine = this;
-  fiber_rank_main_ = &rank_main;
-  sched_fake_stack_ = nullptr;
-  sched_stack_bottom_ = nullptr;
-  sched_stack_size_ = 0;
-
-  std::exception_ptr scheduler_error;
-  try {
-    scheduler_loop();
-  } catch (...) {
-    // Deadlock: resume every live fiber so AbortRun unwinds its stack
-    // (running destructors) before the run returns. There are no threads
-    // to join — a fully unwound fiber is simply never switched to again.
-    scheduler_error = std::current_exception();
-    aborting_ = true;
-    for (auto& r : ranks_) {
-      if (r->state != State::Done) resume(r->id);
-    }
-  }
-
-  fiber_rank_main_ = nullptr;
-  t_fiber_engine = prev_engine;
-  sched_ctx_ = nullptr;
-  return scheduler_error;
 }
 
 }  // namespace repro::sim

@@ -8,21 +8,11 @@
 // Cross-rank effects (message arrivals) are global events processed in
 // virtual-time order.
 //
-// Two execution backends implement the rank suspend/resume mechanism
-// behind the same API and produce byte-identical simulations:
-//
-//   kFiber  (default) — every rank is a cooperative fiber (its own stack,
-//           switched in user space) on the calling thread. A simulated
-//           context switch is two stack switches, no kernel involvement,
-//           so this is the fast backend for sweeps.
-//   kThread — every rank is an OS thread serialized by a one-slot turn
-//           handshake. An order of magnitude slower per switch, but the
-//           only backend ThreadSanitizer understands — CI races the
-//           engine's serialization protocol on it.
-//
-// Scheduling decisions live in the shared scheduler loop, so the backends
-// cannot diverge: same min-clock pick, same event delivery order, same
-// events_processed/context_switches counts.
+// Every rank is a cooperative fiber (its own stack, switched in user
+// space) on the thread that called run(). A simulated context switch is
+// two stack switches with no kernel involvement. The switch carries
+// AddressSanitizer and ThreadSanitizer fiber annotations, so sanitizer
+// builds run the same engine as everything else.
 //
 // Correctness argument (conservative order): a rank is resumed only when its
 // clock is the minimum over all runnable ranks and no pending event is
@@ -39,7 +29,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/payload.hpp"
@@ -48,28 +37,12 @@ namespace repro::sim {
 
 class Engine;
 
-enum class EngineBackend {
-  kFiber,   // cooperative fibers, single OS thread (fast path)
-  kThread,  // thread-per-rank with turn passing (TSan-checkable)
-};
-
-const char* to_string(EngineBackend backend);
-
-// Parses "fiber" / "thread"; throws util::Error on anything else.
-EngineBackend parse_engine_backend(std::string_view name);
-
-// Parses a $REPRO_FIBER_STACK_KB value into a stack size in bytes. Throws
-// util::Error on non-numeric, zero or negative input; values below the
-// 64 KiB floor are clamped up to it (a smaller stack cannot hold a rank
-// main's frames and would fault on the guard page at the first deep call).
-std::size_t parse_fiber_stack_kb(std::string_view text);
-inline constexpr std::size_t kMinFiberStackBytes = 64 * 1024;
-
-// The process-wide default: $REPRO_ENGINE when set (values as above),
-// otherwise kFiber — except under ThreadSanitizer, where the thread
-// backend is the default because TSan cannot follow user-space stack
-// switches.
-EngineBackend default_engine_backend();
+// The engine has one backend. EngineBackend, to_string and
+// default_engine_backend exist only for perfbench's machine-fingerprint
+// line and go with the next change to the benchmark.
+enum class EngineBackend { kFiber };
+inline const char* to_string(EngineBackend) { return "fiber"; }
+inline EngineBackend default_engine_backend() { return EngineBackend::kFiber; }
 
 // A message (or any payload) delivered to a rank at a virtual time.
 struct Delivery {
@@ -123,15 +96,13 @@ struct AbortRun {};
 
 class Engine {
  public:
-  explicit Engine(int nranks,
-                  EngineBackend backend = default_engine_backend());
+  explicit Engine(int nranks);
   ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   int size() const { return static_cast<int>(ranks_.size()); }
-  EngineBackend backend() const { return backend_; }
 
   // Runs `rank_main` once per rank to completion. Throws util::Error on
   // deadlock (every live rank blocked with no pending events) and rethrows
@@ -141,12 +112,14 @@ class Engine {
   void run(const std::function<void(RankCtx&)>& rank_main);
 
   // --- introspection / statistics (reset at each run() entry) ---------
-  // Identical across backends for the same workload: both counters are
-  // driven by the shared scheduler, not the switching mechanism.
   // context_switches() counts *simulated* rank->scheduler handoffs, not OS
   // context switches (see docs/OBSERVABILITY.md).
   std::uint64_t events_processed() const { return events_processed_; }
   std::uint64_t context_switches() const { return context_switches_; }
+  // Messages the last run() left behind: events still in the heap plus
+  // deliveries no rank consumed from its inbox. A complete protocol leaves
+  // none; run() itself does not check, core::run_experiment does.
+  std::size_t undelivered() const;
 
  private:
   friend class RankCtx;
@@ -169,19 +142,9 @@ class Engine {
   void mark_done(int rank);
   [[noreturn]] void deadlock(const std::string& where) const;
 
-  // Backend dispatch: hand control to a rank / back to the scheduler.
+  // Hand control to a rank's fiber / back to the scheduler.
   void resume(int rank);
   void yield_to_scheduler(int rank);
-
-  // Thread backend.
-  std::exception_ptr run_threads(const std::function<void(RankCtx&)>& main);
-  void resume_thread(int rank);
-  void yield_thread(int rank);
-
-  // Fiber backend.
-  std::exception_ptr run_fibers(const std::function<void(RankCtx&)>& main);
-  void resume_fiber(int rank);
-  void yield_fiber(int rank);
   void fiber_main();  // rank body, runs on the fiber's stack
   static void fiber_trampoline();
 
@@ -225,16 +188,17 @@ class Engine {
   static void free_stack(StackBlock& block);
   void start_fiber(Rank& r);
 
-  EngineBackend backend_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  void* sched_slot_ = nullptr;  // TurnSlot of the scheduler, valid in run()
-  void* sched_ctx_ = nullptr;   // fiber scheduler context, valid in run()
+  void* sched_ctx_ = nullptr;  // scheduler context, valid in run()
   const std::function<void(RankCtx&)>* fiber_rank_main_ = nullptr;
   int fiber_active_ = -1;  // rank whose fiber is (about to be) running
   // Scheduler-side ASan fiber bookkeeping (null unless ASan is active).
   void* sched_fake_stack_ = nullptr;
   const void* sched_stack_bottom_ = nullptr;
   std::size_t sched_stack_size_ = 0;
+  // The scheduler's TSan fiber (the thread that called run(); null unless
+  // TSan is active).
+  void* sched_tsan_fiber_ = nullptr;
   std::vector<Event> event_heap_;  // min-heap via std::push_heap/greater
   // Indexed ready structure: min-(clock, rank) heap of parked runnable
   // ranks. Replaces the per-switch O(p) state scan — scheduling is

@@ -7,8 +7,7 @@
 // have one bit-identical kernel each and ignore the selection.
 //
 // Selection is a runtime swept factor (--kernel=scalar|simd on the CLI,
-// REPRO_KERNEL in the environment), mirroring the engine-backend factor in
-// sim/engine.hpp. Both variants feed identical work counters into the cost
+// REPRO_KERNEL in the environment). Both variants feed identical work counters into the cost
 // model, so simulated timings are kernel-independent by construction —
 // the variants differ only in host-side wall clock (bench/kernels_md).
 #pragma once

@@ -1,8 +1,6 @@
 // Integration coverage for the large-p DES path: hundreds of fiber ranks
-// through a short ping-ring, pinning completion, counter determinism
-// across repeated runs, and fiber-vs-thread counter equality (the two
-// backends share the scheduler, so the simulation must be byte-identical;
-// see docs/ARCHITECTURE.md).
+// through a short ping-ring, pinning completion and counter determinism
+// across repeated runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,13 +22,13 @@ struct RingOutcome {
 };
 
 // Every rank exchanges with both ring neighbors each step, then computes.
-RingOutcome run_ring(int p, int steps, sim::EngineBackend backend) {
+RingOutcome run_ring(int p, int steps) {
   net::ClusterConfig cfg;
   cfg.nranks = p;
   cfg.cpus_per_node = 1;
   cfg.network = net::Network::kScoreGigE;
   net::ClusterNetwork net(cfg);
-  sim::Engine engine(p, backend);
+  sim::Engine engine(p);
   std::vector<perf::RankRecorder> recorders(static_cast<std::size_t>(p));
   RingOutcome out;
   out.finish.assign(static_cast<std::size_t>(p), 0.0);
@@ -58,7 +56,7 @@ RingOutcome run_ring(int p, int steps, sim::EngineBackend backend) {
 }
 
 TEST(DesScaleTest, FiveHundredTwelveFiberRanksComplete) {
-  const RingOutcome out = run_ring(512, 4, sim::EngineBackend::kFiber);
+  const RingOutcome out = run_ring(512, 4);
   EXPECT_EQ(out.completed, 512);
   // 512 ranks x 4 steps, one inbound message each: the event count must
   // reflect every message having been delivered.
@@ -67,25 +65,13 @@ TEST(DesScaleTest, FiveHundredTwelveFiberRanksComplete) {
 }
 
 TEST(DesScaleTest, RepeatedRunsAreCounterAndClockIdentical) {
-  const RingOutcome a = run_ring(512, 4, sim::EngineBackend::kFiber);
-  const RingOutcome b = run_ring(512, 4, sim::EngineBackend::kFiber);
+  const RingOutcome a = run_ring(512, 4);
+  const RingOutcome b = run_ring(512, 4);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.switches, b.switches);
   ASSERT_EQ(a.finish.size(), b.finish.size());
   for (std::size_t i = 0; i < a.finish.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.finish[i], b.finish[i]) << "rank " << i;
-  }
-}
-
-TEST(DesScaleTest, FiberAndThreadBackendsAgree) {
-  // Smaller p: the thread backend spawns one OS thread per rank.
-  const RingOutcome fiber = run_ring(64, 4, sim::EngineBackend::kFiber);
-  const RingOutcome thread = run_ring(64, 4, sim::EngineBackend::kThread);
-  EXPECT_EQ(fiber.events, thread.events);
-  EXPECT_EQ(fiber.switches, thread.switches);
-  ASSERT_EQ(fiber.finish.size(), thread.finish.size());
-  for (std::size_t i = 0; i < fiber.finish.size(); ++i) {
-    EXPECT_DOUBLE_EQ(fiber.finish[i], thread.finish[i]) << "rank " << i;
   }
 }
 

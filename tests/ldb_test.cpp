@@ -325,7 +325,7 @@ TEST(LdbPhysicsTest, BalancerNeverChangesPhysics) {
   EXPECT_NE(greedy.unit_map_hash, 0u);
 }
 
-TEST(LdbPhysicsTest, TrajectoryIsDeterministicAcrossRerunsAndBackends) {
+TEST(LdbPhysicsTest, TrajectoryIsDeterministicAcrossReruns) {
   const CharmmConfig config = lb_config("spatial:ldb=greedy");
   core::ExperimentSpec spec =
       lb_spec(core::reference_platform(), 8, config);
@@ -338,16 +338,8 @@ TEST(LdbPhysicsTest, TrajectoryIsDeterministicAcrossRerunsAndBackends) {
   EXPECT_EQ(a.position_checksum, b.position_checksum);
   EXPECT_EQ(a.total_seconds(), b.total_seconds());
 
-  spec.engine = sim::EngineBackend::kThread;
-  const auto threaded = core::run_experiment(system_fixture(), spec);
-  EXPECT_EQ(threaded.unit_map_hash, a.unit_map_hash);
-  EXPECT_EQ(threaded.units_moved, a.units_moved);
-  EXPECT_EQ(threaded.position_checksum, a.position_checksum);
-  EXPECT_EQ(threaded.total_seconds(), a.total_seconds());
-
   // The trajectory is measurement-driven: the straggler's measured speed
   // steers the packer somewhere the fault-free run never goes.
-  spec.engine = sim::default_engine_backend();
   spec.faults.reset();
   const auto healthy = core::run_experiment(system_fixture(), spec);
   EXPECT_NE(healthy.unit_map_hash, a.unit_map_hash);

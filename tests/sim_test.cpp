@@ -188,10 +188,22 @@ TEST(EngineTest, DeterministicAcrossRuns) {
 TEST(EngineTest, DeadlockIsDetected) {
   Engine engine(2);
   EXPECT_THROW(engine.run([&](RankCtx& ctx) {
+    ctx.advance(1.0);
     ctx.checkpoint();
     ctx.block();  // nobody will ever wake anyone
   }),
                util::Error);
+
+  // Teardown leaves the engine reusable: the rerun sees fresh clocks and
+  // an empty inbox.
+  std::vector<double> start(2, -1.0);
+  std::vector<std::size_t> leftovers(2, 1);
+  engine.run([&](RankCtx& ctx) {
+    start[static_cast<std::size_t>(ctx.rank())] = ctx.now();
+    leftovers[static_cast<std::size_t>(ctx.rank())] = ctx.inbox().size();
+  });
+  EXPECT_EQ(start, (std::vector<double>{0.0, 0.0}));
+  EXPECT_EQ(leftovers, (std::vector<std::size_t>{0, 0}));
 }
 
 TEST(EngineTest, RankExceptionPropagates) {
@@ -292,22 +304,34 @@ TEST(EngineTest, ContextSwitchesAreCounted) {
 }
 
 TEST(EngineTest, RerunAfterAbortStartsClean) {
-  Engine engine(2);
-  // First run dies in rank 0 while rank 1 has a message in flight.
+  Engine engine(3);
+  // First run dies in rank 1 with a message in flight to rank 2, which
+  // sits in block() at the time; the abort must unwind it.
+  bool blocked_rank_unwound = false;
   EXPECT_THROW(engine.run([&](RankCtx& ctx) {
-                 if (ctx.rank() == 0) {
-                   ctx.post(ctx.now() + 100.0, 1, 42);
-                   throw util::Error("boom");
+                 if (ctx.rank() == 2) {
+                   try {
+                     ctx.block();
+                   } catch (const AbortRun&) {
+                     blocked_rank_unwound = true;
+                     throw;
+                   }
+                   return;
                  }
                  ctx.advance(1.0);
                  ctx.checkpoint();
+                 if (ctx.rank() == 1) {
+                   ctx.post(ctx.now() + 100.0, 2, 42);
+                   throw util::Error("boom");
+                 }
                }),
                util::Error);
+  EXPECT_TRUE(blocked_rank_unwound);
 
   // The rerun must not see the aborted run's event, abort flag, or error,
   // and the statistics must be this run's alone.
-  std::vector<int> ran(2, 0);
-  std::vector<std::size_t> leftovers(2, 0);
+  std::vector<int> ran(3, 0);
+  std::vector<std::size_t> leftovers(3, 0);
   engine.run([&](RankCtx& ctx) {
     ctx.advance(200.0);  // past the stale event's delivery time
     ctx.checkpoint();
@@ -315,8 +339,9 @@ TEST(EngineTest, RerunAfterAbortStartsClean) {
     leftovers[static_cast<std::size_t>(ctx.rank())] = ctx.inbox().size();
     EXPECT_DOUBLE_EQ(ctx.now(), 200.0);  // clocks restarted at zero
   });
-  EXPECT_EQ(ran, (std::vector<int>{1, 1}));
-  EXPECT_EQ(leftovers, (std::vector<std::size_t>{0, 0}));
+  EXPECT_EQ(ran, (std::vector<int>{1, 1, 1}));
+  EXPECT_EQ(leftovers, (std::vector<std::size_t>{0, 0, 0}));
+  EXPECT_EQ(engine.events_processed(), 0u);
 }
 
 TEST(EngineTest, RerunResetsStatistics) {
@@ -335,34 +360,22 @@ TEST(EngineTest, RerunResetsStatistics) {
   EXPECT_LT(engine.context_switches(), 100u);
 }
 
-TEST(FiberStackKbTest, ParsesPlainValues) {
-  EXPECT_EQ(parse_fiber_stack_kb("4096"), std::size_t{4096} * 1024);
-  EXPECT_EQ(parse_fiber_stack_kb("+128"), std::size_t{128} * 1024);
-}
+TEST(EngineTest, UndeliveredCountsLeftoverMessages) {
+  Engine engine(2);
+  // Delivered to rank 1's inbox, which rank 1 never reads.
+  engine.run([&](RankCtx& ctx) {
+    if (ctx.rank() == 0) ctx.post(ctx.now(), 1, 7);
+  });
+  EXPECT_EQ(engine.undelivered(), 1u);
 
-TEST(FiberStackKbTest, ClampsTinyValuesToTheFloor) {
-  // 1 KiB cannot hold a rank main's frames; clamp, don't crash later.
-  EXPECT_EQ(parse_fiber_stack_kb("1"), kMinFiberStackBytes);
-  EXPECT_EQ(parse_fiber_stack_kb("63"), kMinFiberStackBytes);
-  EXPECT_EQ(parse_fiber_stack_kb("64"), kMinFiberStackBytes);
-  EXPECT_GT(parse_fiber_stack_kb("65"), kMinFiberStackBytes);
-}
+  // Due after every rank has finished, so it never leaves the event heap.
+  engine.run([&](RankCtx& ctx) {
+    if (ctx.rank() == 0) ctx.post(ctx.now() + 10.0, 1, 7);
+  });
+  EXPECT_EQ(engine.undelivered(), 1u);
 
-TEST(FiberStackKbTest, RejectsNonNumericInput) {
-  EXPECT_THROW(parse_fiber_stack_kb(""), util::Error);
-  EXPECT_THROW(parse_fiber_stack_kb("abc"), util::Error);
-  EXPECT_THROW(parse_fiber_stack_kb("12abc"), util::Error);  // atol trap
-  EXPECT_THROW(parse_fiber_stack_kb("4096 "), util::Error);
-  EXPECT_THROW(parse_fiber_stack_kb("0x100"), util::Error);
-  EXPECT_THROW(parse_fiber_stack_kb("+"), util::Error);
-}
-
-TEST(FiberStackKbTest, RejectsZeroAndNegative) {
-  // "0" used to silently produce a zero-size stack and a crash at the
-  // first fiber switch.
-  EXPECT_THROW(parse_fiber_stack_kb("0"), util::Error);
-  EXPECT_THROW(parse_fiber_stack_kb("-1"), util::Error);
-  EXPECT_THROW(parse_fiber_stack_kb("-4096"), util::Error);
+  engine.run([&](RankCtx& ctx) { ctx.advance(1.0); });
+  EXPECT_EQ(engine.undelivered(), 0u);
 }
 
 TEST(EngineTest, DeadlockReportSummarizesLargeRankCounts) {
