@@ -5,13 +5,16 @@
 
 namespace repro::charmm {
 
-md::MinimizeResult relax_system(sysbuild::BuiltSystem& sys, int max_steps) {
-  SimulationConfig config;
-  Simulation sim(sys, config);
+md::MinimizeOptions relax_options(int max_steps) {
   md::MinimizeOptions opts;
   opts.max_steps = max_steps;
   opts.force_tolerance = 25.0;
-  const md::MinimizeResult res = sim.minimize(opts);
+  return opts;
+}
+
+md::MinimizeResult relax_system(sysbuild::BuiltSystem& sys, int max_steps) {
+  Simulation sim(sys, SimulationConfig{});
+  const md::MinimizeResult res = sim.minimize(relax_options(max_steps));
   sys.positions = sim.positions();
   return res;
 }
@@ -60,6 +63,7 @@ void Simulation::ensure_list() {
       nbl_.needs_rebuild(sys_.box, pos_)) {
     nbl_.build(sys_.topo, sys_.box, pos_);
     steps_since_rebuild_ = 0;
+    ++list_builds_;
   }
 }
 
@@ -105,11 +109,16 @@ void Simulation::step(int nsteps) {
   }
 }
 
+// Minimizer steps are not MD steps, so the rebuild interval never fires
+// here: the list is rebuilt only once some atom has moved more than skin/2
+// since the last build. That list still holds every pair within the
+// cutoff, and both pair kernels drop listed pairs beyond the cutoff before
+// touching an accumulator, so energies and forces are bit-identical to a
+// fresh build's.
 md::MinimizeResult Simulation::minimize(const md::MinimizeOptions& opts) {
   auto evaluate = [this](const std::vector<util::Vec3>& p,
                          std::vector<util::Vec3>& f) {
     pos_ = p;
-    steps_since_rebuild_ = -1;  // positions jumped; force a rebuild
     compute_forces();
     f = forces_;
     return energy_.potential();
@@ -117,7 +126,6 @@ md::MinimizeResult Simulation::minimize(const md::MinimizeOptions& opts) {
   std::vector<util::Vec3> work = pos_;
   const md::MinimizeResult res = md::minimize(opts, evaluate, work);
   pos_ = work;
-  steps_since_rebuild_ = -1;
   compute_forces();
   return res;
 }

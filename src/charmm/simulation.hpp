@@ -21,9 +21,11 @@
 namespace repro::charmm {
 
 // Relaxes a freshly built system in place (steepest descent on the full
-// force field, PME included), removing the residual close contacts of the
-// synthetic builder. Returns the minimization summary.
+// force field, PME included, with relax_options), removing the residual
+// close contacts of the synthetic builder. Returns the minimization
+// summary.
 md::MinimizeResult relax_system(sysbuild::BuiltSystem& sys, int max_steps);
+md::MinimizeOptions relax_options(int max_steps);
 
 struct SimulationConfig {
   bool use_pme = true;
@@ -87,6 +89,8 @@ class Simulation {
   double current_temperature() const;
   int degrees_of_freedom() const;
   std::size_t pairs_in_list() const { return nbl_.npairs(); }
+  // Neighbor-list builds so far (memo hits included).
+  int list_builds() const { return list_builds_; }
   const md::Shake* shake() const { return shake_ ? &*shake_ : nullptr; }
 
  private:
@@ -107,6 +111,7 @@ class Simulation {
   std::vector<util::Vec3> forces_;
   md::EnergyTerms energy_;
   int steps_since_rebuild_ = -1;
+  int list_builds_ = 0;
 };
 
 }  // namespace repro::charmm

@@ -34,7 +34,6 @@ MinimizeResult minimize(const MinimizeOptions& opts,
 
   for (res.steps = 0; res.steps < opts.max_steps; ++res.steps) {
     const double fmax = max_component(forces);
-    res.max_force = fmax;
     if (fmax < opts.force_tolerance) {
       res.converged = true;
       break;
@@ -57,6 +56,7 @@ MinimizeResult minimize(const MinimizeOptions& opts,
     }
   }
   res.final_energy = energy;
+  res.max_force = max_component(forces);
   return res;
 }
 

@@ -20,7 +20,7 @@ struct MinimizeResult {
   int steps = 0;
   double initial_energy = 0.0;
   double final_energy = 0.0;
-  double max_force = 0.0;
+  double max_force = 0.0;  // largest force component at the returned pos
   bool converged = false;
 };
 

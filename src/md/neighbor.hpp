@@ -26,10 +26,10 @@ class NeighborList {
              const std::vector<util::Vec3>& pos);
 
   // Spatial-decomposition build: the same CSR list restricted to a rank's
-  // atoms. Only atoms in `candidates` (a rank's owned + ghost set) are
-  // binned, and a pair (i < j) is kept iff row_mask[i] is set — so the
-  // union over ranks of disjoint row masks reproduces build()'s exact
-  // pair set when every candidate list covers the mask's range
+  // atoms. Only atoms in `candidates` (a rank's owned + ghost set;
+  // distinct atoms, in any order) are binned, and a pair (i < j) is kept iff row_mask[i] is set — so the
+  // union over ranks of disjoint row masks reproduces build()'s arrays
+  // row for row when every candidate list covers the mask's range
   // neighborhood. Entries of `pos` outside `candidates` are never read.
   // Offsets still span all natoms rows (non-candidate rows are empty), so
   // the nonbonded kernels run unchanged. Bypasses the build memo: the
@@ -57,10 +57,15 @@ class NeighborList {
   NeighborList& operator=(const NeighborList&) = delete;
 
  private:
-  // build()'s cell sweep: fills pair_buf_ with every (i < j) pair within
-  // cutoff + skin that is not excluded.
-  void collect_pairs(const Topology& topo, const Box& box,
-                     const std::vector<util::Vec3>& pos);
+  // The one cell sweep behind build() and build_subset(): bins `atoms`
+  // (every atom when null) and writes the CSR list of pairs (i < j) within
+  // cutoff + skin, excluded pairs removed, whose row i passes `row_mask`
+  // (every row when null).
+  void sweep(const Topology& topo, const Box& box,
+             const std::vector<util::Vec3>& pos,
+             const std::vector<int>* atoms,
+             const std::vector<std::uint8_t>* row_mask,
+             std::vector<std::size_t>& offsets, std::vector<int>& neighbors);
 
   double cutoff_;
   double skin_;
@@ -77,17 +82,17 @@ class NeighborList {
   const std::vector<int>* neighbors_view_ = &neighbors_;
   const std::vector<util::Vec3>* built_pos_view_ = &built_pos_;
 
-  // Persistent build scratch. build() is called every few steps on the
-  // hot path; keeping these as members means a rebuild allocates nothing
-  // once capacities have warmed up (contents are meaningless between
-  // calls). Pairs are collected flat and counting-sorted into the CSR
-  // arrays in a second pass — no per-atom vectors.
-  std::vector<int> atom_cell_;
-  std::vector<std::size_t> cell_start_;
-  std::vector<std::size_t> cell_cursor_;
-  std::vector<int> cell_atoms_;
-  std::vector<std::pair<int, int>> pair_buf_;
-  std::vector<std::size_t> row_cursor_;
+  // Persistent sweep scratch. A rebuild runs every few steps on the hot
+  // path; keeping these as members means it allocates nothing once
+  // capacities have warmed up (contents are meaningless between calls).
+  std::vector<int> atom_cell_;            // per atom; -1 when not binned
+  std::vector<std::size_t> cell_start_;   // CSR cell lists over the slots
+  std::vector<std::size_t> cell_next_;    // per cell: first slot with j > i
+  std::vector<int> cell_nbrs_;            // per cell: its stencil cells
+  std::vector<int> slot_atom_;            // cell-ordered atom indices
+  std::vector<double> slot_x_, slot_y_, slot_z_;  // and their coordinates
+  std::vector<double> r2_;                // one cell's candidate distances
+  std::vector<std::uint64_t> row_bits_;   // one bit per atom; zero between rows
 };
 
 }  // namespace repro::md

@@ -6,6 +6,7 @@
 #include "core/experiment.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace repro::charmm {
 namespace {
@@ -102,6 +103,81 @@ TEST(SequentialTest, MinimizerReducesEnergy) {
   opts.max_steps = 30;
   const md::MinimizeResult res = sim.minimize(opts);
   EXPECT_LE(res.final_energy, res.initial_energy);
+}
+
+// --- prepared system ----------------------------------------------------------
+
+std::uint64_t positions_digest(const std::vector<util::Vec3>& pos) {
+  return util::fnv1a_bytes(pos.data(), pos.size() * sizeof(util::Vec3));
+}
+
+std::uint64_t csr_digest(const md::NeighborList& nbl) {
+  return util::hash_combine(
+      util::fnv1a_bytes(nbl.offsets().data(),
+                        nbl.offsets().size() * sizeof(std::size_t)),
+      util::fnv1a_bytes(nbl.neighbors().data(),
+                        nbl.neighbors().size() * sizeof(int)));
+}
+
+// The bench binaries' system: builder seed 2002 and a 100-step relax
+// (relax_system's options), run on a Simulation so the list builds can be
+// counted.
+struct Relaxed100 {
+  sysbuild::BuiltSystem sys = sysbuild::build_myoglobin_like();
+  md::MinimizeResult res;
+  int list_builds = 0;
+};
+
+const Relaxed100& relaxed100() {
+  static const Relaxed100 r = [] {
+    Relaxed100 out;
+    Simulation sim(out.sys, SimulationConfig{});
+    out.res = sim.minimize(relax_options(100));
+    out.list_builds = sim.list_builds();
+    out.sys.positions = sim.positions();
+    return out;
+  }();
+  return r;
+}
+
+// The digests below were recorded when every minimizer evaluation rebuilt
+// the neighbor list from scratch, with the old two-sweep builder. A list
+// reused under the skin/2 rule must give the same positions bit for bit.
+TEST(PreparedSystemTest, RelaxedPositionsPinned) {
+  EXPECT_EQ(positions_digest(system_fixture().positions),
+            0x455b6cdfa6b87792ULL);  // relax_system(.., 60)
+  EXPECT_EQ(positions_digest(relaxed100().sys.positions),
+            0xbd8ed4fbb4a74da2ULL);
+}
+
+TEST(PreparedSystemTest, RelaxReusesTheNeighborList) {
+  const Relaxed100& r = relaxed100();
+  EXPECT_EQ(r.res.steps, 100);
+  // At least res.steps + 1 evaluations; at most one build per four.
+  EXPECT_GE(r.list_builds, 1);
+  EXPECT_LE(4 * r.list_builds, r.res.steps + 1);
+}
+
+TEST(PreparedSystemTest, NeighborListArraysPinned) {
+  const sysbuild::BuiltSystem& sys = relaxed100().sys;
+  const SimulationConfig config;
+  md::NeighborList nbl(config.cutoff, config.skin);
+  nbl.build(sys.topo, sys.box, sys.positions);
+  EXPECT_EQ(nbl.npairs(), 583341u);
+  EXPECT_EQ(csr_digest(nbl), 0x56799019b8a23320ULL);
+
+  // Shifting atoms by whole box lengths (unwrapped coordinates) leaves
+  // every minimum-image distance in range, so the arrays do not change.
+  std::vector<util::Vec3> pos = sys.positions;
+  const md::Box& b = sys.box;
+  pos[0] += util::Vec3{b.lx(), 0, 0};
+  pos[17] += util::Vec3{0, -2 * b.ly(), 0};
+  pos[1000] += util::Vec3{-b.lx(), b.ly(), 3 * b.lz()};
+  pos[2500] += util::Vec3{0, 0, -b.lz()};
+  pos[3551] += util::Vec3{2 * b.lx(), -b.ly(), b.lz()};
+  md::NeighborList unwrapped(config.cutoff, config.skin);
+  unwrapped.build(sys.topo, sys.box, pos);
+  EXPECT_EQ(csr_digest(unwrapped), 0x56799019b8a23320ULL);
 }
 
 // --- configuration validation ------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <set>
@@ -13,6 +14,7 @@
 #include "md/nonbonded.hpp"
 #include "md/topology.hpp"
 #include "sysbuild/builder.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -233,47 +235,141 @@ TEST(BondedTest, ShardsPartitionTheWork) {
 
 // --- neighbor list -----------------------------------------------------------
 
-TEST(NeighborListTest, MatchesBruteForce) {
+// 200 random atoms in a 24 x 30 x 36 box, 20 bonded pairs. A 6 + 1 list
+// range gives a 3 x 4 x 5 cell grid, so the cell sweep runs.
+sysbuild::BuiltSystem random_atoms() {
   util::Rng rng(31);
   const int n = 200;
-  Topology topo(n);
-  Box box(24, 30, 36);
-  std::vector<Vec3> pos;
+  sysbuild::BuiltSystem sys(n, Box(24, 30, 36), "random");
   for (int i = 0; i < n; ++i) {
-    topo.atom(i) = AtomParams{12.0, 0.0, 0.1, 2.0};
-    pos.push_back(Vec3{rng.uniform(0, box.lx()), rng.uniform(0, box.ly()),
-                       rng.uniform(0, box.lz())});
+    sys.topo.atom(i) = AtomParams{12.0, 0.0, 0.1, 2.0};
+    sys.positions.push_back(Vec3{rng.uniform(0, sys.box.lx()),
+                                 rng.uniform(0, sys.box.ly()),
+                                 rng.uniform(0, sys.box.lz())});
   }
-  // A few bonds create exclusions.
   for (int i = 0; i < 20; ++i) {
     Bond b;
     b.i = 2 * i;
     b.j = 2 * i + 1;
-    topo.bonds().push_back(b);
+    sys.topo.bonds().push_back(b);
   }
-  topo.build_exclusions();
+  sys.topo.build_exclusions();
+  return sys;
+}
 
+// Row i of a list, in stored order.
+std::vector<int> row_of(const NeighborList& nbl, std::size_t i) {
+  const auto b = static_cast<std::ptrdiff_t>(nbl.offsets()[i]);
+  const auto e = static_cast<std::ptrdiff_t>(nbl.offsets()[i + 1]);
+  return {nbl.neighbors().begin() + b, nbl.neighbors().begin() + e};
+}
+
+// Order-sensitive digest of a list's CSR arrays.
+std::uint64_t csr_digest(const NeighborList& nbl) {
+  return util::hash_combine(
+      util::fnv1a_bytes(nbl.offsets().data(),
+                        nbl.offsets().size() * sizeof(std::size_t)),
+      util::fnv1a_bytes(nbl.neighbors().data(),
+                        nbl.neighbors().size() * sizeof(int)));
+}
+
+TEST(NeighborListTest, MatchesBruteForce) {
+  const sysbuild::BuiltSystem sys = random_atoms();
+  const int n = sys.topo.natoms();
+  const auto& pos = sys.positions;
   NeighborList nbl(6.0, 1.0);
-  nbl.build(topo, box, pos);
+  nbl.build(sys.topo, sys.box, pos);
 
-  std::set<std::pair<int, int>> listed;
-  for (int i = 0; i < n; ++i) {
-    for (std::size_t t = nbl.offsets()[static_cast<std::size_t>(i)];
-         t < nbl.offsets()[static_cast<std::size_t>(i) + 1]; ++t) {
-      listed.insert({i, nbl.neighbors()[t]});
-    }
-  }
-  std::set<std::pair<int, int>> brute;
+  // Rows ascend in j, and each row holds exactly the brute-force partners.
+  std::vector<std::vector<int>> brute(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
-      if (topo.excluded(i, j)) continue;
+      if (sys.topo.excluded(i, j)) continue;
       const double r2 = util::norm2(
-          box.min_image(pos[static_cast<std::size_t>(i)] -
-                        pos[static_cast<std::size_t>(j)]));
-      if (r2 < 49.0) brute.insert({i, j});
+          sys.box.min_image(pos[static_cast<std::size_t>(i)] -
+                            pos[static_cast<std::size_t>(j)]));
+      if (r2 < 49.0) brute[static_cast<std::size_t>(i)].push_back(j);
     }
   }
-  EXPECT_EQ(listed, brute);
+  for (std::size_t i = 0; i < brute.size(); ++i) {
+    EXPECT_EQ(row_of(nbl, i), brute[i]) << "row " << i;
+  }
+}
+
+// The exact CSR arrays of a box too small for three cells per axis, which
+// takes the all-pairs path (digest recorded before the single-sweep
+// rewrite).
+TEST(NeighborListTest, SmallBoxArraysPinned) {
+  const auto sys = sysbuild::build_water_box(4);
+  NeighborList nbl(5.5, 1.0);
+  nbl.build(sys.topo, sys.box, sys.positions);
+  EXPECT_EQ(nbl.npairs(), 9996u);
+  EXPECT_EQ(csr_digest(nbl), 0xa2cb24ec3f81defaULL);
+}
+
+// Spatial decomposition relies on this: build_subset over disjoint row
+// masks, each with candidates covering its rows' neighborhoods (listed in
+// any order), reproduces build()'s arrays row for row.
+TEST(NeighborListTest, SubsetUnionEqualsBuild) {
+  struct Case {
+    sysbuild::BuiltSystem sys;
+    double cutoff, skin;
+  };
+  std::vector<Case> cases;
+  cases.push_back({random_atoms(), 6.0, 1.0});
+  cases.push_back({sysbuild::build_water_box(4), 5.5, 1.0});  // all-pairs
+  for (const Case& c : cases) {
+    const auto& sys = c.sys;
+    const int n = sys.topo.natoms();
+    const auto un = static_cast<std::size_t>(n);
+    NeighborList full(c.cutoff, c.skin);
+    full.build(sys.topo, sys.box, sys.positions);
+
+    constexpr int kParts = 3;
+    std::vector<std::vector<int>> rows(un);
+    util::Rng rng(5);
+    for (int part = 0; part < kParts; ++part) {
+      // Rows split by slabs along x; candidates are the slab's atoms plus
+      // every atom within the list range of one, in shuffled order.
+      std::vector<std::uint8_t> mask(un, 0);
+      for (std::size_t i = 0; i < un; ++i) {
+        mask[i] = static_cast<int>(sys.box.wrap(sys.positions[i]).x /
+                                   sys.box.lx() * kParts) == part;
+      }
+      const double range2 = (c.cutoff + c.skin) * (c.cutoff + c.skin);
+      std::vector<int> candidates;
+      for (std::size_t j = 0; j < un; ++j) {
+        bool near = mask[j] != 0;
+        for (std::size_t i = 0; i < un && !near; ++i) {
+          near = mask[i] && util::norm2(sys.box.min_image(
+                                sys.positions[i] - sys.positions[j])) <
+                                range2;
+        }
+        if (near) candidates.push_back(static_cast<int>(j));
+      }
+      for (std::size_t k = candidates.size(); k > 1; --k) {
+        std::swap(candidates[k - 1], candidates[rng.uniform_index(k)]);
+      }
+      NeighborList sub(c.cutoff, c.skin);
+      sub.build_subset(sys.topo, sys.box, sys.positions, candidates, mask);
+      ASSERT_EQ(sub.offsets().size(), un + 1);
+      for (std::size_t i = 0; i < un; ++i) {
+        if (mask[i]) {
+          rows[i] = row_of(sub, i);
+        } else {
+          EXPECT_TRUE(row_of(sub, i).empty()) << "row " << i;
+        }
+      }
+    }
+    std::vector<std::size_t> offsets{0};
+    std::vector<int> neighbors;
+    for (const std::vector<int>& row : rows) {
+      neighbors.insert(neighbors.end(), row.begin(), row.end());
+      offsets.push_back(neighbors.size());
+    }
+    EXPECT_EQ(offsets, full.offsets()) << sys.name;
+    EXPECT_EQ(neighbors, full.neighbors()) << sys.name;
+  }
 }
 
 TEST(NeighborListTest, RebuildTrigger) {
@@ -495,6 +591,36 @@ TEST(MinimizeTest, QuadraticBowlConverges) {
   EXPECT_TRUE(res.converged);
   EXPECT_LT(res.final_energy, 1e-4);
   EXPECT_LT(res.final_energy, res.initial_energy);
+}
+
+// max_force describes the structure minimize() returns, whichever way it
+// stops.
+TEST(MinimizeTest, MaxForceDescribesReturnedStructure) {
+  auto eval = [](const std::vector<Vec3>& p, std::vector<Vec3>& f) {
+    f[0] = -2.0 * p[0];
+    return util::norm2(p[0]);
+  };
+  auto max_component = [](const Vec3& f) {
+    return std::max({std::abs(f.x), std::abs(f.y), std::abs(f.z)});
+  };
+  MinimizeOptions opts;
+  opts.force_tolerance = 1e-3;
+  // Zero steps: the returned structure is the input.
+  opts.max_steps = 0;
+  std::vector<Vec3> pos{{5, -3, 2}};
+  MinimizeResult res = minimize(opts, eval, pos);
+  EXPECT_EQ(res.steps, 0);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.max_force, 10.0);
+  // Stopped at max_steps after accepted steps: the force at the final
+  // position, not at the one before the last step.
+  opts.max_steps = 3;
+  res = minimize(opts, eval, pos);
+  EXPECT_EQ(res.steps, 3);
+  EXPECT_FALSE(res.converged);
+  EXPECT_LT(res.final_energy, res.initial_energy);
+  EXPECT_EQ(res.max_force, max_component(-2.0 * pos[0]));
+  EXPECT_LT(res.max_force, 10.0);
 }
 
 TEST(MinimizeTest, NeverIncreasesEnergy) {
