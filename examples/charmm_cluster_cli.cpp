@@ -16,6 +16,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -50,33 +51,71 @@ struct Args {
   }
 };
 
-Args parse(int argc, char** argv) {
-  Args args;
-  if (argc > 1) args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    // Both --key value and --key=value are accepted.
-    const std::size_t eq = key.find('=');
-    if (eq != std::string::npos) {
-      args.options[key.substr(0, eq)] = key.substr(eq + 1);
-      continue;
-    }
-    std::string value = "true";
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      value = argv[++i];
-    }
-    args.options[key] = value;
-  }
-  return args;
+// The flags each command accepts. All take a value ("--key value" or
+// "--key=value") except the switches in kSwitches.
+const std::map<std::string, std::set<std::string>>& command_flags() {
+  static const std::map<std::string, std::set<std::string>> flags{
+      {"build-system", {"seed", "relax", "out", "pdb"}},
+      {"run",
+       {"system", "seed", "relax", "procs", "network", "middleware", "cpus",
+        "steps", "pme", "decomp", "kernel", "power", "faults", "topology",
+        "timeline", "trace-out", "metrics-out"}},
+      {"predict", {"system", "seed", "relax", "procs", "network", "decomp"}},
+      {"sweep",
+       {"system", "seed", "relax", "network", "middleware", "cpus", "decomp",
+        "kernel", "power", "faults", "topology", "jobs"}},
+  };
+  return flags;
 }
 
-net::Network parse_network(const std::string& name) {
+const std::set<std::string> kSwitches{"timeline"};
+
+std::optional<net::Network> parse_network(const std::string& name) {
+  if (name == "tcp") return net::Network::kTcpGigE;
   if (name == "score") return net::Network::kScoreGigE;
   if (name == "myrinet") return net::Network::kMyrinetGM;
   if (name == "faste") return net::Network::kTcpFastEthernet;
-  return net::Network::kTcpGigE;
+  return std::nullopt;
+}
+
+// Parses argv into `args`. Returns what is wrong with the command line
+// (an unknown flag, a stray argument, an unknown network or middleware),
+// or "" when a known command's arguments are well formed.
+std::string parse(int argc, char** argv, Args& args) {
+  if (argc > 1) args.command = argv[1];
+  const auto known = command_flags().find(args.command);
+  for (int i = 2; i < argc; ++i) {
+    std::string key = argv[i];
+    if (key.rfind("--", 0) != 0) return "unexpected argument '" + key + "'";
+    key = key.substr(2);
+    // Both --key value and --key=value are accepted.
+    const std::size_t eq = key.find('=');
+    std::string value = "true";
+    if (eq != std::string::npos) {
+      value = key.substr(eq + 1);
+      key = key.substr(0, eq);
+    } else if (kSwitches.count(key) == 0 && i + 1 < argc &&
+               std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      value = argv[++i];
+    }
+    if (known != command_flags().end() && known->second.count(key) == 0) {
+      return "unknown option '--" + key + "' for " + args.command;
+    }
+    args.options[key] = value;
+  }
+  if (args.has("network") && !parse_network(args.get("network", ""))) {
+    return "unknown network '" + args.get("network", "") +
+           "' (tcp, score, myrinet, faste)";
+  }
+  const std::string mw = args.get("middleware", "mpi");
+  if (mw != "mpi" && mw != "cmpi") {
+    return "unknown middleware '" + mw + "' (mpi, cmpi)";
+  }
+  return "";
+}
+
+net::Network network_of(const Args& args) {
+  return *parse_network(args.get("network", "tcp"));
 }
 
 sysbuild::BuiltSystem obtain_system(const Args& args) {
@@ -159,7 +198,7 @@ int cmd_build_system(const Args& args) {
 int cmd_run(const Args& args) {
   const sysbuild::BuiltSystem sys = obtain_system(args);
   core::ExperimentSpec spec;
-  spec.platform.network = parse_network(args.get("network", "tcp"));
+  spec.platform.network = network_of(args);
   spec.platform.middleware = args.get("middleware", "mpi") == "cmpi"
                                  ? middleware::Kind::kCmpi
                                  : middleware::Kind::kMpi;
@@ -205,7 +244,7 @@ int cmd_run(const Args& args) {
 
 int cmd_predict(const Args& args) {
   const net::NetworkParams params =
-      net::params_for(parse_network(args.get("network", "tcp")));
+      net::params_for(network_of(args));
   const int procs = args.get_int("procs", 8);
   const charmm::DecompSpec decomp =
       charmm::parse_decomp_spec(args.get("decomp", "atom"));
@@ -251,7 +290,7 @@ int cmd_predict(const Args& args) {
 int cmd_sweep(const Args& args) {
   const sysbuild::BuiltSystem sys = obtain_system(args);
   core::ExperimentSpec base;
-  base.platform.network = parse_network(args.get("network", "tcp"));
+  base.platform.network = network_of(args);
   base.platform.middleware = args.get("middleware", "mpi") == "cmpi"
                                  ? middleware::Kind::kCmpi
                                  : middleware::Kind::kMpi;
@@ -352,13 +391,22 @@ void usage() {
       "                [--power=SPEC]  energy model for every cell\n"
       "                [--faults=SPEC]  fault injection for every cell\n"
       "                [--topology=SPEC]  fabric for every cell "
-      "(single|fattree|torus)\n");
+      "(single|fattree|torus)\n"
+      "run, predict and sweep build and relax the system unless --system "
+      "is given:\n"
+      "                [--seed N] [--relax STEPS]\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
+  Args args;
+  const std::string bad = parse(argc, argv, args);
+  if (!bad.empty()) {
+    std::fprintf(stderr, "error: %s\n", bad.c_str());
+    usage();
+    return 2;
+  }
   try {
     if (args.command == "build-system") return cmd_build_system(args);
     if (args.command == "run") return cmd_run(args);

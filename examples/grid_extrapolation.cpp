@@ -35,13 +35,14 @@ perf::RunBreakdown run_on(const sysbuild::BuiltSystem& sys,
   net::ClusterNetwork network(config, params);
   std::vector<perf::RankRecorder> recorders(
       static_cast<std::size_t>(nprocs));
+  const charmm::CharmmConfig charmm_config;
+  md::SharedNeighborList lists(charmm_config.cutoff, charmm_config.skin);
   sim::Engine engine(nprocs);
   engine.run([&](sim::RankCtx& ctx) {
     mpi::Comm comm(ctx, network,
                    recorders[static_cast<std::size_t>(ctx.rank())]);
     middleware::MpiMiddleware mw(comm);
-    charmm::CharmmConfig charmm_config;
-    charmm::run_charmm_rank(sys, charmm_config, mw);
+    charmm::run_charmm_rank(sys, charmm_config, mw, lists);
   });
   return perf::aggregate(recorders, 1);
 }

@@ -19,6 +19,7 @@
 #include "charmm/cost_model.hpp"
 #include "charmm/decomp_spec.hpp"
 #include "md/energy.hpp"
+#include "md/neighbor.hpp"
 #include "md/nonbonded.hpp"
 #include "middleware/middleware.hpp"
 #include "pme/pme.hpp"
@@ -55,6 +56,8 @@ struct CharmmConfig {
   // per-step communication schedule); see charmm/decomposition.hpp. The
   // default reproduces the paper's replicated-data atom decomposition.
   DecompSpec decomp;
+
+  bool operator==(const CharmmConfig&) const = default;
 };
 
 struct RankRunResult {
@@ -76,10 +79,13 @@ struct RankRunResult {
 // Runs the energy-calculation workload on one simulated rank under the
 // decomposition selected by config.decomp. `sys` is the shared, read-only
 // system; the middleware carries all communication. The recorder (inside
-// comm) must be fresh.
+// comm) must be fresh. Every rank of one run passes the same `lists`
+// (built with config.cutoff and config.skin): replicated-data ranks build
+// each neighbor list once through it and share the result.
 RankRunResult run_charmm_rank(const sysbuild::BuiltSystem& sys,
                               const CharmmConfig& config,
-                              middleware::Middleware& mw);
+                              middleware::Middleware& mw,
+                              md::SharedNeighborList& lists);
 
 // Rejects configurations the workload cannot meaningfully run (throws
 // util::Error): non-positive nsteps/dt/skin, switch_on >= cutoff,

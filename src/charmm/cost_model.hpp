@@ -28,6 +28,8 @@ struct CostModel {
   // A 1 GHz Pentium III running compiled Fortran kernels: ~120 Mflop/s
   // sustained on this kind of code.
   static CostModel pentium3_1ghz();
+
+  bool operator==(const CostModel&) const = default;
 };
 
 }  // namespace repro::charmm

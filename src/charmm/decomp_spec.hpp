@@ -96,6 +96,14 @@ struct DecompSpec {
   bool operator==(const DecompSpec&) const = default;
 };
 
+// True when the rank program reads its own simulated timing, so the
+// platform can change the trajectory: the load balancer (ldb != off)
+// remaps work from measured phase times. Such runs cannot share one
+// recorded trajectory across platforms (see core::SweepRunner).
+inline bool timing_feeds_physics(const DecompSpec& spec) {
+  return spec.ldb != LdbPolicy::kOff;
+}
+
 const char* to_string(DecompKind kind);
 const char* to_string(LdbPolicy policy);
 // "atom" | "force" | "task" | "task:pme=N" | "spatial" |

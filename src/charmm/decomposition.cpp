@@ -59,7 +59,8 @@ class AtomReplicatedDecomposition final : public Decomposition {
 
   RankRunResult run(const sysbuild::BuiltSystem& sys,
                     const CharmmConfig& config,
-                    middleware::Middleware& mw) const override {
+                    middleware::Middleware& mw,
+                    md::SharedNeighborList& lists) const override {
     mpi::Comm& comm = mw.comm();
     perf::RankRecorder& rec = comm.recorder();
     const int p = comm.size();
@@ -105,7 +106,7 @@ class AtomReplicatedDecomposition final : public Decomposition {
 
       if (step % config.list_rebuild_interval == 0) {
         perf::PhaseScope phase(rec, "list_build");
-        nbl.build(topo, box, pos);
+        lists.build(nbl, topo, box, pos, comm.rank(), step);
         comm.compute(cost.seconds_per_list_pair *
                      static_cast<double>(nbl.npairs()) * 2.0);
       }
@@ -213,7 +214,8 @@ class ForceDecomposition final : public Decomposition {
 
   RankRunResult run(const sysbuild::BuiltSystem& sys,
                     const CharmmConfig& config,
-                    middleware::Middleware& mw) const override {
+                    middleware::Middleware& mw,
+                    md::SharedNeighborList& lists) const override {
     check_tag_budget(config);
     mpi::Comm& comm = mw.comm();
     perf::RankRecorder& rec = comm.recorder();
@@ -262,7 +264,7 @@ class ForceDecomposition final : public Decomposition {
 
       if (step % config.list_rebuild_interval == 0) {
         perf::PhaseScope phase(rec, "list_build");
-        nbl.build(topo, box, pos);
+        lists.build(nbl, topo, box, pos, comm.rank(), step);
         comm.compute(cost.seconds_per_list_pair *
                      static_cast<double>(nbl.npairs()) * 2.0);
       }
@@ -413,12 +415,13 @@ class TaskPmeDecomposition final : public Decomposition {
 
   RankRunResult run(const sysbuild::BuiltSystem& sys,
                     const CharmmConfig& config,
-                    middleware::Middleware& mw) const override {
+                    middleware::Middleware& mw,
+                    md::SharedNeighborList& lists) const override {
     mpi::Comm& comm = mw.comm();
     const int p = comm.size();
     if (p == 1) {
       // Degenerate split: nothing to decouple, run the reference program.
-      return AtomReplicatedDecomposition{}.run(sys, config, mw);
+      return AtomReplicatedDecomposition{}.run(sys, config, mw, lists);
     }
     REPRO_REQUIRE(config.use_pme,
                   "task decoupling dedicates ranks to PME; enable use_pme "
@@ -481,7 +484,7 @@ class TaskPmeDecomposition final : public Decomposition {
       } else {
         if (step % config.list_rebuild_interval == 0) {
           perf::PhaseScope phase(rec, "list_build");
-          nbl.build(topo, box, pos);
+          lists.build(nbl, topo, box, pos, comm.rank(), step);
           comm.compute(cost.seconds_per_list_pair *
                        static_cast<double>(nbl.npairs()) * 2.0);
         }
@@ -760,13 +763,14 @@ class SpatialDecomposition final : public Decomposition {
 
   RankRunResult run(const sysbuild::BuiltSystem& sys,
                     const CharmmConfig& config,
-                    middleware::Middleware& mw) const override {
+                    middleware::Middleware& mw,
+                    md::SharedNeighborList& lists) const override {
     mpi::Comm& comm = mw.comm();
     const int p = comm.size();
     if (p == 1) {
       // One domain is the whole box: run the reference program so the
       // sequential trajectory (and its goldens) is preserved to the byte.
-      return AtomReplicatedDecomposition{}.run(sys, config, mw);
+      return AtomReplicatedDecomposition{}.run(sys, config, mw, lists);
     }
     check_tag_budget(config);
     perf::RankRecorder& rec = comm.recorder();

@@ -54,7 +54,8 @@ class Decomposition {
   // Runs the whole nsteps workload on this rank; see run_charmm_rank.
   virtual RankRunResult run(const sysbuild::BuiltSystem& sys,
                             const CharmmConfig& config,
-                            middleware::Middleware& mw) const = 0;
+                            middleware::Middleware& mw,
+                            md::SharedNeighborList& lists) const = 0;
 };
 
 // Builds the strategy for `spec` (throws util::Error on specs the factory

@@ -89,7 +89,7 @@ class Simulation {
   double current_temperature() const;
   int degrees_of_freedom() const;
   std::size_t pairs_in_list() const { return nbl_.npairs(); }
-  // Neighbor-list builds so far (memo hits included).
+  // Neighbor-list builds so far.
   int list_builds() const { return list_builds_; }
   const md::Shake* shake() const { return shake_ ? &*shake_ : nullptr; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "charmm/spatial.hpp"
+#include "core/replay.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
 
@@ -170,8 +171,12 @@ std::vector<Platform> full_factorial() {
   return cells;
 }
 
-ExperimentResult run_experiment(const sysbuild::BuiltSystem& sys,
-                                const ExperimentSpec& spec) {
+namespace {
+
+// Fails fast on configurations the workload cannot run, before any rank
+// is spun up.
+void validate_spec(const sysbuild::BuiltSystem& sys,
+                   const ExperimentSpec& spec) {
   REPRO_REQUIRE(spec.nprocs >= 1, "experiment needs at least one process");
   charmm::validate_config(spec.charmm);
   if (spec.charmm.decomp.kind == charmm::DecompKind::kTaskPme &&
@@ -201,7 +206,14 @@ ExperimentResult run_experiment(const sysbuild::BuiltSystem& sys,
                                    spec.charmm.pme.ny, spec.charmm.pme.nz);
     }
   }
+}
 
+// Runs `rank_main(comm, mw)` on every rank of a fresh simulated cluster
+// built from the spec's platform factors, and fills in the result's
+// timing fields: breakdown, metrics, timelines and engine counters.
+template <typename RankMain>
+ExperimentResult run_platform(const ExperimentSpec& spec,
+                              RankMain&& rank_main) {
   net::ClusterConfig cluster_config;
   cluster_config.nranks = spec.nprocs;
   cluster_config.cpus_per_node = spec.platform.cpus_per_node;
@@ -215,8 +227,6 @@ ExperimentResult run_experiment(const sysbuild::BuiltSystem& sys,
       spec.faults ? *spec.faults : net::FaultSpec{});
 
   std::vector<perf::RankRecorder> recorders(
-      static_cast<std::size_t>(spec.nprocs));
-  std::vector<charmm::RankRunResult> rank_results(
       static_cast<std::size_t>(spec.nprocs));
   std::vector<perf::Timeline> timelines;
   if (spec.record_timelines) {
@@ -234,8 +244,7 @@ ExperimentResult run_experiment(const sysbuild::BuiltSystem& sys,
                    recorders[static_cast<std::size_t>(ctx.rank())],
                    spec.collectives);
     auto mw = middleware::make_middleware(spec.platform.middleware, comm);
-    rank_results[static_cast<std::size_t>(ctx.rank())] =
-        charmm::run_charmm_rank(sys, spec.charmm, *mw);
+    rank_main(comm, *mw);
   });
   // Every message a rank sends must be consumed by the end of the run; a
   // leftover means the schedule sent more than it received.
@@ -253,14 +262,45 @@ ExperimentResult run_experiment(const sysbuild::BuiltSystem& sys,
                       spec.platform.cpus_per_node);
   }
   result.timelines = std::move(timelines);
-  result.energy = rank_results.front().last_energy;
-  result.position_checksum = rank_results.front().position_checksum;
-  result.pairs_in_list = rank_results.front().pairs_in_list;
-  result.atoms_migrated = rank_results.front().atoms_migrated;
-  result.units_moved = rank_results.front().units_moved;
-  result.unit_map_hash = rank_results.front().unit_map_hash;
   result.engine_events = engine.events_processed();
   result.engine_context_switches = engine.context_switches();
+  return result;
+}
+
+// The full path: the CHARMM rank program on every rank, recording each
+// rank's operations into `trace` when it is non-null.
+ExperimentResult run_physics(const sysbuild::BuiltSystem& sys,
+                             const ExperimentSpec& spec, CellTrace* trace) {
+  validate_spec(sys, spec);
+  if (trace != nullptr) {
+    trace->assign(static_cast<std::size_t>(spec.nprocs), {});
+  }
+  std::vector<charmm::RankRunResult> rank_results(
+      static_cast<std::size_t>(spec.nprocs));
+  // The replicated-data ranks of this run build each neighbor list once.
+  md::SharedNeighborList lists(spec.charmm.cutoff, spec.charmm.skin);
+  ExperimentResult result =
+      run_platform(spec, [&](mpi::Comm& comm, middleware::Middleware& mw) {
+        const auto r = static_cast<std::size_t>(comm.rank());
+        if (trace == nullptr) {
+          rank_results[r] =
+              charmm::run_charmm_rank(sys, spec.charmm, mw, lists);
+          return;
+        }
+        comm.recorder().attach_trace(&(*trace)[r]);
+        TracingMiddleware tracing(mw);
+        rank_results[r] =
+            charmm::run_charmm_rank(sys, spec.charmm, tracing, lists);
+        comm.recorder().attach_trace(nullptr);
+      });
+
+  const charmm::RankRunResult& first = rank_results.front();
+  result.energy = first.last_energy;
+  result.position_checksum = first.position_checksum;
+  result.pairs_in_list = first.pairs_in_list;
+  result.atoms_migrated = first.atoms_migrated;
+  result.units_moved = first.units_moved;
+  result.unit_map_hash = first.unit_map_hash;
 
   // Replication invariant: every rank must end with identical state,
   // and with ldb on, the identical balancer trajectory.
@@ -271,6 +311,38 @@ ExperimentResult run_experiment(const sysbuild::BuiltSystem& sys,
                       rr.unit_map_hash == result.unit_map_hash,
                   "load-balancer unit maps diverged across ranks");
   }
+  return result;
+}
+
+}  // namespace
+
+ExperimentResult run_experiment(const sysbuild::BuiltSystem& sys,
+                                const ExperimentSpec& spec) {
+  return run_physics(sys, spec, nullptr);
+}
+
+ExperimentResult record_experiment(const sysbuild::BuiltSystem& sys,
+                                   const ExperimentSpec& spec,
+                                   CellTrace& trace) {
+  return run_physics(sys, spec, &trace);
+}
+
+ExperimentResult replay_experiment(const ExperimentSpec& spec,
+                                   const CellTrace& trace,
+                                   const ExperimentResult& recorded) {
+  REPRO_REQUIRE(trace.size() == static_cast<std::size_t>(spec.nprocs),
+                "replay: the trace has " + std::to_string(trace.size()) +
+                    " ranks, the cell " + std::to_string(spec.nprocs));
+  ExperimentResult result =
+      run_platform(spec, [&](mpi::Comm& comm, middleware::Middleware& mw) {
+        replay_rank(trace[static_cast<std::size_t>(comm.rank())], mw);
+      });
+  result.energy = recorded.energy;
+  result.position_checksum = recorded.position_checksum;
+  result.pairs_in_list = recorded.pairs_in_list;
+  result.atoms_migrated = recorded.atoms_migrated;
+  result.units_moved = recorded.units_moved;
+  result.unit_map_hash = recorded.unit_map_hash;
   return result;
 }
 

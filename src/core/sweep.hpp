@@ -1,13 +1,17 @@
 // Parallel sweep execution.
 //
-// The paper's evaluation is a full-factorial sweep: dozens of independent
-// DES runs (one per platform cell and processor count). Each
-// run_experiment() is self-contained — its own ClusterNetwork, recorders,
-// engine and seeded RNG — so the sweep layer itself is embarrassingly
-// parallel. SweepRunner exploits that with a bounded thread pool while
-// keeping the sequential contract intact: results come back in submission
-// order and are bit-identical to a jobs=1 run, and one failed cell reports
-// its error without killing the rest of the sweep.
+// The paper's evaluation is a full-factorial sweep: dozens of DES runs
+// (one per platform cell and processor count) that vary only timing
+// factors around one workload. SweepRunner groups the cells into physics
+// classes (core/replay.hpp): the first cell of a class, in submission
+// order, runs in full and records its ranks' operations, and every other
+// cell of the class replays that trace through its own platform instead
+// of recomputing the trajectory. Cells run on a bounded thread pool, each
+// with its own ClusterNetwork, recorders, engine and seeded RNG, while the
+// sequential contract stays intact: every outcome equals run_experiment
+// on its spec, results come back in submission order and are identical at
+// any jobs count, and one failed cell reports its error without killing
+// the rest of the sweep.
 #pragma once
 
 #include <functional>
@@ -19,7 +23,8 @@
 namespace repro::core {
 
 // Short human-readable cell description ("TCP/GigE / MPI / uni-processor
-// p=8"), used in progress lines and error reports.
+// p=8"), used in progress lines and error reports. Names every factor
+// that differs from the defaults, so distinct cells get distinct labels.
 std::string spec_label(const ExperimentSpec& spec);
 
 // One finished cell of a sweep. `result` is valid iff ok().
@@ -27,6 +32,9 @@ struct SweepOutcome {
   ExperimentSpec spec;
   ExperimentResult result;
   std::string error;  // what() of the exception that killed the cell
+  // True when the timing was replayed from a class-mate's recording
+  // instead of running the physics (the result is the same either way).
+  bool replayed = false;
 
   bool ok() const { return error.empty(); }
 };
@@ -48,7 +56,8 @@ class SweepRunner {
 
   // Runs every spec against `sys` (shared read-only across cells) and
   // returns one outcome per spec, in submission order regardless of the
-  // order cells finished in.
+  // order cells finished in. Recording and full cells run first, then the
+  // replays; a class whose recording failed runs its other cells in full.
   std::vector<SweepOutcome> run(const sysbuild::BuiltSystem& sys,
                                 const std::vector<ExperimentSpec>& specs,
                                 const SweepProgress& progress = {}) const;

@@ -1,62 +1,10 @@
 #include "fft/parallel_fft.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <span>
 
 #include "util/error.hpp"
-#include "util/exact_memo.hpp"
 
 namespace repro::fft {
-
-namespace {
-
-// A factorial sweep re-runs the same deterministic trajectory for every
-// network/middleware cell, so each rank's slab holds bit-identical data
-// across those cells and the local FFT stages recompute identical
-// results. The four pure stages of forward()/backward() (either side of
-// the transpose) are memoized on their exact input bytes; the transpose
-// itself and every charge() call still run, so simulated time, bytes and
-// traffic are untouched — only redundant host-side arithmetic is skipped.
-enum StageId : int {
-  kForwardYZ = 0,  // forward: per-plane (y,z) 2-D FFTs on the x-slab
-  kForwardX = 1,   // forward: x-direction FFTs on the z-slab
-  kBackwardX = 2,  // backward: inverse x FFTs on the z-slab
-  kBackwardYZ = 3, // backward: per-plane inverse (y,z) FFTs on the x-slab
-};
-
-struct StageKey {
-  StageId stage;
-  std::size_t nx, ny, nz;
-  bool operator==(const StageKey&) const = default;
-};
-
-using StageMemo = util::ExactMemo<StageKey, std::vector<Complex>, Complex>;
-
-// One FIFO for all four stages; its capacity bounds worst-case RAM.
-StageMemo& stage_memo() {
-  static StageMemo memo(ParallelFft3D::kStageMemoCapacity);
-  return memo;
-}
-
-// Returns the memo entry whose value is `transform` applied in place to a
-// copy of in[0, n), computing it only if these exact bytes are new.
-template <typename Transform>
-std::shared_ptr<const StageMemo::Entry> run_stage(const StageKey& key,
-                                                  const Complex* in,
-                                                  std::size_t n,
-                                                  Transform transform) {
-  return stage_memo().find_or_compute(
-      key,
-      [&] {
-        std::vector<Complex> out(in, in + n);
-        transform(out.data());
-        return out;
-      },
-      std::span<const Complex>(in, n));
-}
-
-}  // namespace
 
 SlabPartition::SlabPartition(std::size_t n, int p) {
   REPRO_REQUIRE(p >= 1, "partition needs at least one rank");
@@ -96,6 +44,7 @@ ParallelFft3D::ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
   const std::size_t cap = std::max(x_slab_size(), z_slab_size());
   sendbuf_.resize(cap);
   recvbuf_.resize(cap);
+  work_.resize(cap);
 }
 
 void ParallelFft3D::transpose_xz(const Complex* xslab, Complex* zslab) {
@@ -201,56 +150,42 @@ void ParallelFft3D::transpose_zx(const Complex* zslab, Complex* xslab) {
   }
 }
 
-std::size_t ParallelFft3D::stage_memo_size() { return stage_memo().size(); }
-
 void ParallelFft3D::forward(const Complex* xslab, Complex* zslab) {
   // Local 2-D transforms over (y, z) for each owned x-plane, on a copy so
   // the caller's real-space slab stays intact.
   const std::size_t lx = local_x_count();
-  const auto stage_yz = run_stage(
-      {kForwardYZ, nx_, ny_, nz_}, xslab, x_slab_size(), [&](Complex* w) {
-        fz_.forward_many(w, lx * ny_, 1, nz_);
-        for (std::size_t x = 0; x < lx; ++x) {
-          fy_.forward_many(w + x * ny_ * nz_, nz_, nz_, 1);
-        }
-      });
+  Complex* w = work_.data();
+  std::copy_n(xslab, x_slab_size(), w);
+  fz_.forward_many(w, lx * ny_, 1, nz_);
+  for (std::size_t x = 0; x < lx; ++x) {
+    fy_.forward_many(w + x * ny_ * nz_, nz_, nz_, 1);
+  }
   charge(static_cast<double>(lx) *
          (static_cast<double>(ny_) * fz_.flops() +
           static_cast<double>(nz_) * fy_.flops()));
 
-  transpose_xz(stage_yz->value.data(), zslab);
+  transpose_xz(w, zslab);
 
   // Finish with x-direction transforms (x is contiguous in the z-slab).
   const std::size_t lz = local_z_count();
-  const std::size_t zn = z_slab_size();
-  const auto stage_x = run_stage({kForwardX, nx_, ny_, nz_}, zslab, zn,
-                                 [&](Complex* w) {
-                                   fx_.forward_many(w, lz * ny_, 1, nx_);
-                                 });
-  std::copy_n(stage_x->value.data(), zn, zslab);
+  fx_.forward_many(zslab, lz * ny_, 1, nx_);
   charge(static_cast<double>(lz * ny_) * fx_.flops());
 }
 
 void ParallelFft3D::backward(const Complex* zslab, Complex* xslab) {
   const std::size_t lz = local_z_count();
-  const auto stage_x = run_stage({kBackwardX, nx_, ny_, nz_}, zslab,
-                                 z_slab_size(), [&](Complex* w) {
-                                   fx_.inverse_many(w, lz * ny_, 1, nx_);
-                                 });
+  Complex* w = work_.data();
+  std::copy_n(zslab, z_slab_size(), w);
+  fx_.inverse_many(w, lz * ny_, 1, nx_);
   charge(static_cast<double>(lz * ny_) * fx_.flops());
 
-  transpose_zx(stage_x->value.data(), xslab);
+  transpose_zx(w, xslab);
 
   const std::size_t lx = local_x_count();
-  const std::size_t xn = x_slab_size();
-  const auto stage_yz = run_stage(
-      {kBackwardYZ, nx_, ny_, nz_}, xslab, xn, [&](Complex* w) {
-        for (std::size_t x = 0; x < lx; ++x) {
-          fy_.inverse_many(w + x * ny_ * nz_, nz_, nz_, 1);
-        }
-        fz_.inverse_many(w, lx * ny_, 1, nz_);
-      });
-  std::copy_n(stage_yz->value.data(), xn, xslab);
+  for (std::size_t x = 0; x < lx; ++x) {
+    fy_.inverse_many(xslab + x * ny_ * nz_, nz_, nz_, 1);
+  }
+  fz_.inverse_many(xslab, lx * ny_, 1, nz_);
   charge(static_cast<double>(lx) *
          (static_cast<double>(ny_) * fz_.flops() +
           static_cast<double>(nz_) * fy_.flops()));

@@ -63,11 +63,6 @@ class ParallelFft3D {
   // normalization so backward(forward(x)) == x.
   void backward(const Complex* zslab, Complex* xslab);
 
-  // The four local stages of forward()/backward() share one process-wide
-  // exact-input memo (util::ExactMemo) of this many entries.
-  static constexpr std::size_t kStageMemoCapacity = 1024;
-  static std::size_t stage_memo_size();
-
  private:
   void charge(double flops) const {
     if (charge_) charge_(flops);
@@ -85,6 +80,7 @@ class ParallelFft3D {
   Fft1D fx_, fy_, fz_;
   std::vector<Complex> sendbuf_;
   std::vector<Complex> recvbuf_;
+  std::vector<Complex> work_;  // the local stages' copy of a const input
 };
 
 // --- 2-D pencil decomposition -----------------------------------------------
@@ -135,8 +131,7 @@ struct PencilGrid {
 
 // Pencil-decomposed 3-D FFT over the raw Comm (the decomposition's
 // explicit-tag schedule idiom: the caller owns the tag space, so the
-// predictor can pin every message). No memoization — pencil stages are
-// cheap per rank and the buffers differ per pencil coordinate.
+// predictor can pin every message).
 class PencilFft3D {
  public:
   PencilFft3D(const PencilGrid& grid, mpi::Comm& comm,

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <tuple>
-#include <utility>
-
-#include "util/exact_memo.hpp"
+#include <cstring>
+#include <string>
 
 namespace repro::md {
 
@@ -42,49 +40,21 @@ inline double round_half_even(double q) {
   return (q + kShift) - kShift;
 }
 
-// Every replicated-data rank builds the same list from the same
-// coordinates, and a factorial sweep replays the same trajectory for every
-// platform cell, so most builds repeat an earlier one exactly. The memo is
-// keyed by the radii, the box lengths, and the positions and exclusion
-// list byte for byte; a hit lends out the stored CSR arrays.
-struct BuildKey {
-  double cutoff;
-  double skin;
-  util::Vec3 box_len;
-  bool operator==(const BuildKey&) const = default;
-};
-
-struct BuildResult {
-  std::vector<std::size_t> offsets;
-  std::vector<int> neighbors;
-};
-
-using BuildMemo = util::ExactMemo<BuildKey, BuildResult, util::Vec3,
-                                  std::pair<int, int>>;
-
 }  // namespace
+
+NeighborList::Arrays& NeighborList::writable_arrays() {
+  if (arrays_.use_count() > 1) arrays_ = std::make_shared<Arrays>();
+  return *arrays_;
+}
 
 void NeighborList::build(const Topology& topo, const Box& box,
                          const std::vector<util::Vec3>& pos) {
-  // FIFO; a 10-step run rebuilds far fewer than 12 times.
-  static BuildMemo memo(12);
-  auto entry = memo.find_or_compute(
-      BuildKey{cutoff_, skin_, box.lengths()},
-      [&] {
-        BuildResult fresh;
-        fresh.neighbors.reserve(npairs());  // the last list's size as a hint
-        sweep(topo, box, pos, nullptr, nullptr, fresh.offsets,
-              fresh.neighbors);
-        return fresh;
-      },
-      pos, topo.excluded_pairs());
-  // Hits and fresh builds alike read the memo entry's immutable arrays;
-  // the keepalive pins the entry while the views point at it.
-  offsets_view_ = &entry->value.offsets;
-  neighbors_view_ = &entry->value.neighbors;
-  built_pos_view_ = &std::get<0>(entry->inputs);
-  built_box_ = box;
-  cache_keepalive_ = std::move(entry);
+  const std::size_t hint = npairs();  // the last list's size
+  Arrays& a = writable_arrays();
+  a.neighbors.reserve(hint);
+  sweep(topo, box, pos, nullptr, nullptr, a.offsets, a.neighbors);
+  a.built_pos = pos;
+  a.built_box = box.lengths();
 }
 
 void NeighborList::build_subset(const Topology& topo, const Box& box,
@@ -92,13 +62,10 @@ void NeighborList::build_subset(const Topology& topo, const Box& box,
                                 const std::vector<int>& candidates,
                                 const std::vector<std::uint8_t>& row_mask) {
   REPRO_REQUIRE(row_mask.size() == pos.size(), "row mask size mismatch");
-  sweep(topo, box, pos, &candidates, &row_mask, offsets_, neighbors_);
-  built_pos_ = pos;
-  built_box_ = box;
-  offsets_view_ = &offsets_;
-  neighbors_view_ = &neighbors_;
-  built_pos_view_ = &built_pos_;
-  cache_keepalive_.reset();
+  Arrays& a = writable_arrays();
+  sweep(topo, box, pos, &candidates, &row_mask, a.offsets, a.neighbors);
+  a.built_pos = pos;
+  a.built_box = box.lengths();
 }
 
 // Row-major sweep. Atoms are binned into cells of edge >= cutoff + skin and
@@ -259,15 +226,37 @@ void NeighborList::sweep(const Topology& topo, const Box& box,
 
 bool NeighborList::needs_rebuild(const Box& box,
                                  const std::vector<util::Vec3>& pos) const {
-  const std::vector<util::Vec3>& built = *built_pos_view_;
+  const std::vector<util::Vec3>& built = arrays_->built_pos;
   if (built.size() != pos.size()) return true;
-  if (box.lengths() != built_box_.lengths()) return true;
+  if (box.lengths() != arrays_->built_box) return true;
   const double limit2 = 0.25 * skin_ * skin_;
   for (std::size_t i = 0; i < pos.size(); ++i) {
     const util::Vec3 d = box.min_image(pos[i] - built[i]);
     if (util::norm2(d) > limit2) return true;
   }
   return false;
+}
+
+void SharedNeighborList::build(NeighborList& nbl, const Topology& topo,
+                               const Box& box,
+                               const std::vector<util::Vec3>& pos, int rank,
+                               int step) {
+  REPRO_REQUIRE(nbl.cutoff() == list_.cutoff() && nbl.skin() == list_.skin(),
+                "shared neighbor list: radii differ from the slot's");
+  if (step != step_) {
+    list_.build(topo, box, pos);
+    step_ = step;
+  } else {
+    const std::vector<util::Vec3>& built = list_.built_positions();
+    REPRO_REQUIRE(
+        built.size() == pos.size() &&
+            std::memcmp(built.data(), pos.data(),
+                        pos.size() * sizeof(util::Vec3)) == 0,
+        "replicated positions diverged: rank " + std::to_string(rank) +
+            " at step " + std::to_string(step) +
+            " differs from the rank that built the neighbor list");
+  }
+  nbl.borrow(list_);
 }
 
 }  // namespace repro::md

@@ -32,8 +32,7 @@ class NeighborList {
   // row for row when every candidate list covers the mask's range
   // neighborhood. Entries of `pos` outside `candidates` are never read.
   // Offsets still span all natoms rows (non-candidate rows are empty), so
-  // the nonbonded kernels run unchanged. Bypasses the build memo: the
-  // inputs are rank-local, never shared.
+  // the nonbonded kernels run unchanged.
   void build_subset(const Topology& topo, const Box& box,
                     const std::vector<util::Vec3>& pos,
                     const std::vector<int>& candidates,
@@ -42,21 +41,36 @@ class NeighborList {
   bool needs_rebuild(const Box& box,
                      const std::vector<util::Vec3>& pos) const;
 
+  // Makes this list share `lender`'s current arrays instead of building
+  // (no copy). A later build() of either list leaves the other intact.
+  void borrow(const NeighborList& lender) { arrays_ = lender.arrays_; }
+
   // CSR access: neighbors of atom i are neighbors()[offsets()[i] ..
   // offsets()[i+1]).
-  const std::vector<std::size_t>& offsets() const { return *offsets_view_; }
-  const std::vector<int>& neighbors() const { return *neighbors_view_; }
-  std::size_t npairs() const { return neighbors_view_->size(); }
+  const std::vector<std::size_t>& offsets() const { return arrays_->offsets; }
+  const std::vector<int>& neighbors() const { return arrays_->neighbors; }
+  std::size_t npairs() const { return arrays_->neighbors.size(); }
+  // The coordinates the list was last built from.
+  const std::vector<util::Vec3>& built_positions() const {
+    return arrays_->built_pos;
+  }
 
   double cutoff() const { return cutoff_; }
   double skin() const { return skin_; }
 
-  // The views may point into a shared build-memo entry (see build() in
-  // neighbor.cpp), so copying a list would alias or dangle.
-  NeighborList(const NeighborList&) = delete;
-  NeighborList& operator=(const NeighborList&) = delete;
-
  private:
+  // The built list, possibly shared with lists that borrowed it.
+  struct Arrays {
+    std::vector<std::size_t> offsets;
+    std::vector<int> neighbors;
+    std::vector<util::Vec3> built_pos;
+    util::Vec3 built_box;
+  };
+
+  // The arrays a build may overwrite: the current ones when no other list
+  // shares them, fresh ones otherwise.
+  Arrays& writable_arrays();
+
   // The one cell sweep behind build() and build_subset(): bins `atoms`
   // (every atom when null) and writes the CSR list of pairs (i < j) within
   // cutoff + skin, excluded pairs removed, whose row i passes `row_mask`
@@ -69,18 +83,7 @@ class NeighborList {
 
   double cutoff_;
   double skin_;
-  std::vector<std::size_t> offsets_;
-  std::vector<int> neighbors_;
-  std::vector<util::Vec3> built_pos_;
-  Box built_box_;
-
-  // build() borrows the memo entry's arrays instead of copying ~MBs of
-  // CSR data; the keepalive pins the entry while views point at it. After
-  // build_subset() the views point at the members above.
-  std::shared_ptr<const void> cache_keepalive_;
-  const std::vector<std::size_t>* offsets_view_ = &offsets_;
-  const std::vector<int>* neighbors_view_ = &neighbors_;
-  const std::vector<util::Vec3>* built_pos_view_ = &built_pos_;
+  std::shared_ptr<Arrays> arrays_ = std::make_shared<Arrays>();
 
   // Persistent sweep scratch. A rebuild runs every few steps on the hot
   // path; keeping these as members means it allocates nothing once
@@ -93,6 +96,27 @@ class NeighborList {
   std::vector<double> slot_x_, slot_y_, slot_z_;  // and their coordinates
   std::vector<double> r2_;                // one cell's candidate distances
   std::vector<std::uint64_t> row_bits_;   // one bit per atom; zero between rows
+};
+
+// One neighbor list per rebuild step for the replicated-data ranks of one
+// experiment. Those ranks hold identical positions and run as fibers on
+// one thread, so the first rank to reach a rebuild step builds the list
+// and the others borrow its arrays — after checking, byte for byte, that
+// their positions are the ones it was built from. A mismatch means the
+// replicated-data invariant broke and fails loudly.
+class SharedNeighborList {
+ public:
+  SharedNeighborList(double cutoff, double skin) : list_(cutoff, skin) {}
+
+  // Points `nbl` at the list for (box, pos) at `step`, building it if
+  // this is the first request for `step`. `rank` names the caller in the
+  // mismatch error.
+  void build(NeighborList& nbl, const Topology& topo, const Box& box,
+             const std::vector<util::Vec3>& pos, int rank, int step);
+
+ private:
+  NeighborList list_;
+  int step_ = -1;
 };
 
 }  // namespace repro::md

@@ -6,6 +6,28 @@
 
 namespace repro::mpi {
 
+const char* to_string(AllreduceAlgorithm algo) {
+  switch (algo) {
+    case AllreduceAlgorithm::kReduceBcast:
+      return "reduce_bcast";
+    case AllreduceAlgorithm::kRecursiveDoubling:
+      return "recursive_doubling";
+    case AllreduceAlgorithm::kRing:
+      return "ring";
+  }
+  return "?";
+}
+
+const char* to_string(BcastAlgorithm algo) {
+  switch (algo) {
+    case BcastAlgorithm::kBinomialTree:
+      return "binomial";
+    case BcastAlgorithm::kRingPipeline:
+      return "ring_pipeline";
+  }
+  return "?";
+}
+
 bool Comm::try_match(int src, int tag, Packet& out, double& arrival) {
   auto& inbox = ctx_.inbox();
   // Deliveries sit in (time, seq) order, so the first match is the
@@ -87,6 +109,12 @@ void Comm::await_clear_to_send(int dst, unsigned token) {
 void Comm::send(int dst, int tag, const void* data, std::size_t bytes,
                 bool exchange) {
   REPRO_REQUIRE(dst >= 0 && dst < size(), "send: bad destination");
+  rec_.trace_op({.kind = perf::TraceOp::Kind::kSend,
+                 .exchange = exchange,
+                 .sync = sync_mode_,
+                 .peer = dst,
+                 .tag = tag,
+                 .size = bytes});
   ctx_.checkpoint();
   const std::size_t rndv = net_.params().rendezvous_threshold;
   if (rndv > 0 && bytes >= rndv && dst != rank()) {
@@ -174,6 +202,12 @@ std::size_t Comm::recv(int src, int tag, void* data, std::size_t max_bytes) {
   const std::size_t n = pkt.data.size();
   REPRO_REQUIRE(n <= max_bytes, "recv: message larger than buffer");
   if (n > 0) std::memcpy(data, pkt.data.data(), n);
+  rec_.trace_op({.kind = perf::TraceOp::Kind::kRecv,
+                 .sync = sync_mode_,
+                 .peer = src,
+                 .tag = tag,
+                 .size = max_bytes,
+                 .received = n});
   return n;
 }
 

@@ -48,9 +48,14 @@ enum class BcastAlgorithm {
   kRingPipeline,  // pipelined around the ring
 };
 
+const char* to_string(AllreduceAlgorithm algo);
+const char* to_string(BcastAlgorithm algo);
+
 struct CollectiveConfig {
   AllreduceAlgorithm allreduce = AllreduceAlgorithm::kReduceBcast;
   BcastAlgorithm bcast = BcastAlgorithm::kBinomialTree;
+
+  bool operator==(const CollectiveConfig&) const = default;
 };
 
 // Message bytes with small-buffer storage. The high-frequency messages of
@@ -128,6 +133,7 @@ class Comm {
   // the node's SMP contention factor on dual-CPU nodes; stretched further
   // by injected stragglers / OS noise / stalls when faults are armed).
   void compute(double seconds) {
+    rec_.trace_op({.kind = perf::TraceOp::Kind::kCompute, .seconds = seconds});
     const double t = seconds * net_.compute_factor(rank());
     const double t0 = ctx_.now();
     const double perturb = net_.compute_perturbation(rank(), t0, t);

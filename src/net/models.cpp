@@ -17,6 +17,8 @@
 // all qualitative results depend only on the ordering of the stacks.
 #include "net/params.hpp"
 
+#include <cstdio>
+
 #include "util/error.hpp"
 
 namespace repro::net {
@@ -183,6 +185,51 @@ NetworkParams params_for(Network net) {
   }
   validate_params(p);
   return p;
+}
+
+std::string describe_changes(const NetworkParams& params,
+                             const NetworkParams& base) {
+  std::string out;
+  auto add = [&out](const char* field, const std::string& value) {
+    if (!out.empty()) out += ',';
+    out += field;
+    out += '=';
+    out += value;
+  };
+  auto num = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", v);
+    return std::string(buf);
+  };
+  if (params.name != base.name) add("name", params.name);
+#define REPRO_PARAM(field)                                               \
+  if (params.field != base.field) {                                      \
+    add(#field, num(static_cast<double>(params.field)));                 \
+  }
+  REPRO_PARAM(send_overhead)
+  REPRO_PARAM(recv_overhead)
+  REPRO_PARAM(packet_cost_send)
+  REPRO_PARAM(packet_cost_recv)
+  REPRO_PARAM(mtu)
+  REPRO_PARAM(latency)
+  REPRO_PARAM(bandwidth)
+  REPRO_PARAM(send_buffer_time)
+  REPRO_PARAM(shm_overhead)
+  REPRO_PARAM(shm_bandwidth)
+  REPRO_PARAM(loopback_through_stack)
+  REPRO_PARAM(duplex_exchange_factor)
+  REPRO_PARAM(rx_uses_interrupt_cpu)
+  REPRO_PARAM(smp_host_penalty)
+  REPRO_PARAM(smp_bandwidth_factor)
+  REPRO_PARAM(smp_compute_penalty)
+  REPRO_PARAM(jitter_prob_per_rank)
+  REPRO_PARAM(jitter_min_ranks)
+  REPRO_PARAM(jitter_latency_mean)
+  REPRO_PARAM(jitter_slowdown_mean)
+  REPRO_PARAM(rendezvous_threshold)
+  REPRO_PARAM(copy_bandwidth)
+#undef REPRO_PARAM
+  return out;
 }
 
 }  // namespace repro::net

@@ -109,4 +109,10 @@ void validate_params(const NetworkParams& params);
 // Calibrated parameter sets for the three stacks of the paper (validated).
 NetworkParams params_for(Network net);
 
+// The fields of `params` that differ from `base`, as "field=value" joined
+// by commas ("" when none differ) — names a custom parameter set in
+// progress lines and error reports.
+std::string describe_changes(const NetworkParams& params,
+                             const NetworkParams& base);
+
 }  // namespace repro::net

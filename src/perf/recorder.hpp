@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -70,6 +71,49 @@ struct StepComm {
 
 class Timeline;
 
+// One operation of a rank program at the Middleware/Comm boundary,
+// stamped with the component and phase active when it was issued. A
+// rank's RankTrace is everything the platform needs to time the program
+// again without its physics (core/replay.hpp): computation by its raw
+// seconds, messages by their sizes, and the four platform-middleware
+// calls by their shapes.
+struct TraceOp {
+  enum class Kind : std::uint8_t {
+    kCompute,      // seconds (before the node's compute factor)
+    kSend,         // peer, tag, size in bytes, exchange, sync
+    kRecv,         // peer, tag, size = buffer bytes, received, sync
+    kGlobalSum,    // size = element count
+    kSynchronize,
+    kTranspose,    // shape = index into RankTrace::transposes
+    kBroadcast,    // size in bytes, peer = root
+    kEndStep,
+  };
+  Kind kind = Kind::kCompute;
+  bool exchange = false;
+  bool sync = false;  // issued inside an mpi::Comm::SyncScope
+  Component component = Component::kOther;
+  const char* phase = nullptr;
+  int peer = 0;
+  int tag = 0;
+  std::size_t size = 0;
+  std::size_t received = 0;
+  std::size_t shape = 0;
+  double seconds = 0.0;
+};
+
+// The block layout of one recorded transpose (Middleware::transpose).
+struct TransposeShape {
+  std::vector<std::size_t> send_counts;
+  std::vector<std::size_t> send_displs;
+  std::vector<std::size_t> recv_counts;
+  std::vector<std::size_t> recv_displs;
+};
+
+struct RankTrace {
+  std::vector<TraceOp> ops;
+  std::vector<TransposeShape> transposes;
+};
+
 class RankRecorder {
  public:
   void set_component(Component c) { current_ = c; }
@@ -92,6 +136,20 @@ class RankRecorder {
   // virtual start/end time.
   void attach_timeline(Timeline* timeline) { timeline_ = timeline; }
   Timeline* timeline() const { return timeline_; }
+
+  // Optional operation trace (see TraceOp): while one is attached, the
+  // communication layer and end_step() append the rank program's
+  // operations to it.
+  void attach_trace(RankTrace* trace) { trace_ = trace; }
+  RankTrace* trace() const { return trace_; }
+  // Appends `op`, stamped with the active component and phase, to the
+  // attached trace; a no-op when none is attached.
+  void trace_op(TraceOp op) {
+    if (trace_ == nullptr) return;
+    op.component = current_;
+    op.phase = phase_;
+    trace_->ops.push_back(op);
+  }
 
   void record(Kind kind, double dt) {
     REPRO_REQUIRE(dt >= 0.0, "cannot record negative time");
@@ -118,6 +176,7 @@ class RankRecorder {
 
   // Closes the current MD step's communication sample.
   void end_step() {
+    trace_op({.kind = TraceOp::Kind::kEndStep});
     steps_.push_back(step_);
     step_ = StepComm{};
   }
@@ -148,6 +207,7 @@ class RankRecorder {
   Component current_ = Component::kOther;
   const char* phase_ = nullptr;
   Timeline* timeline_ = nullptr;
+  RankTrace* trace_ = nullptr;
   std::array<std::array<double, kNumKinds>, kNumComponents> times_{};
   std::map<std::string, double> phase_times_;
   StepComm step_;

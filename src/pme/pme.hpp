@@ -36,6 +36,8 @@ struct PmeParams {
   std::size_t nx = 32, ny = 32, nz = 32;
   int order = 4;       // B-spline interpolation order
   double beta = 0.34;  // Ewald splitting parameter (1/Å)
+
+  bool operator==(const PmeParams&) const = default;
 };
 
 // Work counters for the simulator's compute-cost model.

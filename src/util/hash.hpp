@@ -1,8 +1,5 @@
-// Byte hashing for util::ExactMemo (util/exact_memo.hpp), the exact-input
-// memo behind the neighbor-list build and the parallel-FFT local stages.
-// The hash is only ever a cheap pre-filter: a hit is decided by exact byte
-// comparison of the full inputs, so a collision can cost a memcmp, never a
-// wrong result.
+// Byte hashing: fingerprints of buffers (the load balancer's unit-map
+// history, kernel output digests in tests). Not cryptographic.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <tuple>
 
 #include "charmm/simulation.hpp"
 #include "core/experiment.hpp"
+#include "core/sweep.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -34,6 +37,45 @@ core::ExperimentResult run(const core::Platform& platform, int nprocs,
   spec.nprocs = nprocs;
   spec.charmm = config;
   return core::run_experiment(system_fixture(), spec);
+}
+
+// short_config() runs on the platforms the parallel-correctness checks
+// compare, run once as one sweep (so the cells of a physics class share
+// one trajectory; see core::SweepRunner) and cached.
+const core::ExperimentResult& short_run(const core::Platform& platform,
+                                        int nprocs) {
+  using Key = std::tuple<net::Network, middleware::Kind, int, int>;
+  static const std::map<Key, core::ExperimentResult> cache = [] {
+    std::vector<core::ExperimentSpec> specs;
+    auto add = [&specs](const core::Platform& pl, int p) {
+      core::ExperimentSpec spec;
+      spec.platform = pl;
+      spec.nprocs = p;
+      spec.charmm = short_config();
+      specs.push_back(spec);
+    };
+    for (int p : {1, 2, 4, 8}) add(core::reference_platform(), p);
+    for (net::Network n :
+         {net::Network::kScoreGigE, net::Network::kMyrinetGM}) {
+      add(core::Platform{n, middleware::Kind::kMpi, 1}, 4);
+    }
+    add(core::Platform{net::Network::kTcpGigE, middleware::Kind::kCmpi, 1},
+        4);
+    add(core::Platform{net::Network::kTcpGigE, middleware::Kind::kMpi, 2},
+        4);
+    std::vector<core::ExperimentResult> results =
+        core::run_experiments(system_fixture(), specs);
+    std::map<Key, core::ExperimentResult> out;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const core::Platform& pl = specs[i].platform;
+      out.emplace(Key{pl.network, pl.middleware, pl.cpus_per_node,
+                      specs[i].nprocs},
+                  std::move(results[i]));
+    }
+    return out;
+  }();
+  return cache.at(Key{platform.network, platform.middleware,
+                      platform.cpus_per_node, nprocs});
 }
 
 TEST(RelaxTest, ProducesReasonableStructure) {
@@ -291,11 +333,10 @@ TEST(ValidateConfigTest, RunExperimentRejectsBadSpecs) {
 // --- parallel correctness across the factor space ---------------------------
 
 TEST(ParallelCorrectnessTest, MatchesSequentialAcrossRankCounts) {
-  const CharmmConfig config = short_config();
-  const auto ref = run(core::reference_platform(), 1, config);
+  const auto& ref = short_run(core::reference_platform(), 1);
   ASSERT_TRUE(std::isfinite(ref.energy.potential()));
   for (int p : {2, 4, 8}) {
-    const auto par = run(core::reference_platform(), p, config);
+    const auto& par = short_run(core::reference_platform(), p);
     EXPECT_NEAR(par.energy.potential(), ref.energy.potential(),
                 std::abs(ref.energy.potential()) * 1e-6 + 1e-4)
         << "p=" << p;
@@ -305,14 +346,16 @@ TEST(ParallelCorrectnessTest, MatchesSequentialAcrossRankCounts) {
   }
 }
 
+// The network and CPUs-per-node factors only time a run, which is what
+// lets a sweep replay one trajectory for all of them; sweep_test checks
+// every replayed cell against a full run_experiment.
 TEST(ParallelCorrectnessTest, NetworkNeverChangesPhysics) {
-  const CharmmConfig config = short_config();
   core::Platform platform;
-  const auto tcp = run(platform, 4, config);
+  const auto& tcp = short_run(platform, 4);
   platform.network = net::Network::kScoreGigE;
-  const auto score = run(platform, 4, config);
+  const auto& score = short_run(platform, 4);
   platform.network = net::Network::kMyrinetGM;
-  const auto myri = run(platform, 4, config);
+  const auto& myri = short_run(platform, 4);
   // Identical arithmetic, different clocks: results are bit-identical.
   EXPECT_EQ(tcp.energy.potential(), score.energy.potential());
   EXPECT_EQ(tcp.energy.potential(), myri.energy.potential());
@@ -322,22 +365,20 @@ TEST(ParallelCorrectnessTest, NetworkNeverChangesPhysics) {
 }
 
 TEST(ParallelCorrectnessTest, MiddlewareNeverChangesPhysics) {
-  const CharmmConfig config = short_config();
   core::Platform platform;
-  const auto mpi_run = run(platform, 4, config);
+  const auto& mpi_run = short_run(platform, 4);
   platform.middleware = middleware::Kind::kCmpi;
-  const auto cmpi_run = run(platform, 4, config);
+  const auto& cmpi_run = short_run(platform, 4);
   // Different reduction orders: equal within floating-point reassociation.
   EXPECT_NEAR(cmpi_run.energy.potential(), mpi_run.energy.potential(),
               std::abs(mpi_run.energy.potential()) * 1e-6 + 1e-4);
 }
 
 TEST(ParallelCorrectnessTest, DualProcessorNeverChangesPhysics) {
-  const CharmmConfig config = short_config();
   core::Platform platform;
-  const auto uni = run(platform, 4, config);
+  const auto& uni = short_run(platform, 4);
   platform.cpus_per_node = 2;
-  const auto dual = run(platform, 4, config);
+  const auto& dual = short_run(platform, 4);
   EXPECT_EQ(uni.energy.potential(), dual.energy.potential());
 }
 
@@ -382,9 +423,8 @@ TEST(ParallelCorrectnessTest, CoherencyBarriersNeverChangePhysics) {
 }
 
 TEST(ParallelScalingTest, ComputationDividesAcrossRanks) {
-  const CharmmConfig config = short_config();
-  const auto p1 = run(core::reference_platform(), 1, config);
-  const auto p8 = run(core::reference_platform(), 8, config);
+  const auto& p1 = short_run(core::reference_platform(), 1);
+  const auto& p8 = short_run(core::reference_platform(), 8);
   const double ratio = p1.breakdown.classic_wall.comp /
                        p8.breakdown.classic_wall.comp;
   EXPECT_GT(ratio, 4.0);  // near-perfect division of classic computation
@@ -395,8 +435,7 @@ TEST(ParallelScalingTest, ComputationDividesAcrossRanks) {
 }
 
 TEST(ParallelScalingTest, StepSamplesRecorded) {
-  const CharmmConfig config = short_config();
-  const auto r = run(core::reference_platform(), 4, config);
+  const auto& r = short_run(core::reference_platform(), 4);
   EXPECT_GT(r.breakdown.comm_speed.samples, 0u);
   EXPECT_GT(r.pairs_in_list, 400000u);
   EXPECT_GT(r.engine_events, 0u);

@@ -13,6 +13,7 @@
 #include "charmm/spatial.hpp"
 #include "core/experiment.hpp"
 #include "core/model.hpp"
+#include "core/sweep.hpp"
 #include "net/topology.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
@@ -253,13 +254,21 @@ TEST(DecompositionPhysicsTest, ExplicitPmeRanksMatchSequential) {
               std::abs(ref.position_checksum) * 1e-9);
 }
 
+// The network factor only times a run, which is what lets a sweep replay
+// one trajectory for every network; sweep_test checks every replayed cell
+// against a full run_experiment.
 TEST(DecompositionPhysicsTest, NetworkNeverChangesPhysics) {
   // Same arithmetic under different clocks: bit-identical results.
   for (DecompKind kind : {DecompKind::kForce, DecompKind::kTaskPme}) {
-    core::Platform platform;
-    const auto tcp = run(platform, 4, short_config(kind));
-    platform.network = net::Network::kMyrinetGM;
-    const auto myri = run(platform, 4, short_config(kind));
+    core::ExperimentSpec spec;
+    spec.nprocs = 4;
+    spec.charmm = short_config(kind);
+    core::ExperimentSpec myri_spec = spec;
+    myri_spec.platform.network = net::Network::kMyrinetGM;
+    const auto results =
+        core::run_experiments(system_fixture(), {spec, myri_spec});
+    const auto& tcp = results[0];
+    const auto& myri = results[1];
     EXPECT_EQ(tcp.energy.potential(), myri.energy.potential())
         << to_string(kind);
     EXPECT_EQ(tcp.position_checksum, myri.position_checksum)
@@ -323,11 +332,13 @@ TEST(SpatialDecompositionTest, TopologyNeverChangesPhysics) {
   core::ExperimentSpec spec;
   spec.nprocs = 8;
   spec.charmm = short_config(DecompKind::kSpatial);
-  const auto single = core::run_experiment(system_fixture(), spec);
-  spec.topology = net::parse_topology_spec("fattree:radix=4");
-  const auto fattree = core::run_experiment(system_fixture(), spec);
-  spec.topology = net::parse_topology_spec("torus");
-  const auto torus = core::run_experiment(system_fixture(), spec);
+  std::vector<core::ExperimentSpec> specs{spec, spec, spec};
+  specs[1].topology = net::parse_topology_spec("fattree:radix=4");
+  specs[2].topology = net::parse_topology_spec("torus");
+  const auto results = core::run_experiments(system_fixture(), specs);
+  const auto& single = results[0];
+  const auto& fattree = results[1];
+  const auto& torus = results[2];
   EXPECT_EQ(fattree.energy.potential(), single.energy.potential());
   EXPECT_EQ(fattree.position_checksum, single.position_checksum);
   EXPECT_EQ(torus.energy.potential(), single.energy.potential());

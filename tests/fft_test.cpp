@@ -448,7 +448,7 @@ TEST(ParallelFftTest2, ChargesComputeTime) {
 // contraction); the -march=native CI leg does not run fft_test.
 
 // Canonical byte-wise 64-bit FNV-1a, kept local so the pins do not move
-// with the memo caches' hash.
+// with util::fnv1a_bytes.
 std::uint64_t digest(const std::vector<Complex>& v) {
   const auto* p = reinterpret_cast<const unsigned char*>(v.data());
   std::uint64_t h = 1469598103934665603ULL;
@@ -644,37 +644,6 @@ TEST(ParallelFftBitIdentityTest, OneRankMatchesPinnedDigests) {
 
 TEST(ParallelFftBitIdentityTest, ThreeRanksMatchPinnedDigests) {
   run_parallel_pin(3, 0x0c03e5f04f5e6eceULL, 0xa4505c1ddefd7575ULL);
-}
-
-// All four local stages feed one process-wide memo, so its entry count
-// stops at kStageMemoCapacity however many distinct slabs each stage sees.
-TEST(ParallelFftStageMemoTest, AllStagesShareOneBoundedMemo) {
-  const std::size_t n = 2;
-  const int rounds = 300;  // 4 * 300 distinct stage inputs > 1024
-  net::ClusterConfig config;
-  config.nranks = 1;
-  net::ClusterNetwork cluster(config);
-  std::vector<perf::RankRecorder> recs(1);
-  sim::Engine engine(1);
-  engine.run([&](sim::RankCtx& ctx) {
-    mpi::Comm comm(ctx, cluster, recs[0]);
-    middleware::MpiMiddleware mw(comm);
-    ParallelFft3D pfft(n, n, n, mw);
-    std::vector<Complex> zslab(pfft.z_slab_size());
-    std::vector<Complex> back(pfft.x_slab_size());
-    for (int i = 0; i < rounds; ++i) {
-      const std::size_t before = ParallelFft3D::stage_memo_size();
-      const auto xslab =
-          random_signal(n * n * n, 50000 + static_cast<std::uint64_t>(i));
-      pfft.forward(xslab.data(), zslab.data());
-      pfft.backward(zslab.data(), back.data());
-      EXPECT_EQ(ParallelFft3D::stage_memo_size(),
-                std::min(before + 4, ParallelFft3D::kStageMemoCapacity))
-          << "round " << i;
-    }
-  });
-  EXPECT_EQ(ParallelFft3D::stage_memo_size(),
-            ParallelFft3D::kStageMemoCapacity);
 }
 
 // Pencil transform on a 20 x 9 x 12 grid over a 2 x 3 process grid: the

@@ -14,6 +14,7 @@
 #include "md/nonbonded.hpp"
 #include "md/topology.hpp"
 #include "sysbuild/builder.hpp"
+#include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -382,6 +383,48 @@ TEST(NeighborListTest, RebuildTrigger) {
   EXPECT_FALSE(nbl.needs_rebuild(sys.box, moved));
   moved[0].x += 0.2;  // beyond skin/2
   EXPECT_TRUE(nbl.needs_rebuild(sys.box, moved));
+}
+
+TEST(SharedNeighborListTest, FirstRankBuildsTheRestBorrow) {
+  auto sys = sysbuild::build_water_box(4);
+  SharedNeighborList shared(4.0, 2.0);
+  NeighborList a(4.0, 2.0);
+  NeighborList b(4.0, 2.0);
+  shared.build(a, sys.topo, sys.box, sys.positions, 0, 0);
+  shared.build(b, sys.topo, sys.box, sys.positions, 1, 0);
+  // b borrowed a's arrays rather than building its own copy.
+  EXPECT_EQ(&a.neighbors(), &b.neighbors());
+  EXPECT_EQ(csr_digest(a), csr_digest(b));
+
+  // The next rebuild step builds a fresh list and leaves the borrowed
+  // step-0 arrays intact for ranks that have not rebuilt yet.
+  const std::uint64_t step0 = csr_digest(b);
+  auto moved = sys.positions;
+  moved[0].x += 1.5;
+  shared.build(a, sys.topo, sys.box, moved, 0, 5);
+  EXPECT_NE(&a.neighbors(), &b.neighbors());
+  EXPECT_EQ(csr_digest(b), step0);
+  NeighborList fresh(4.0, 2.0);
+  fresh.build(sys.topo, sys.box, moved);
+  EXPECT_EQ(csr_digest(a), csr_digest(fresh));
+}
+
+TEST(SharedNeighborListTest, DivergedPositionsFailNamingRankAndStep) {
+  auto sys = sysbuild::build_water_box(4);
+  SharedNeighborList shared(4.0, 2.0);
+  NeighborList a(4.0, 2.0);
+  NeighborList b(4.0, 2.0);
+  shared.build(a, sys.topo, sys.box, sys.positions, 0, 5);
+  auto diverged = sys.positions;
+  diverged[7].y = std::nextafter(diverged[7].y, 1e9);
+  try {
+    shared.build(b, sys.topo, sys.box, diverged, 3, 5);
+    FAIL() << "diverged replicated positions were accepted";
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("step 5"), std::string::npos) << what;
+  }
 }
 
 // --- non-bonded kernels -------------------------------------------------------
