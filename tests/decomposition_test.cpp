@@ -13,10 +13,12 @@
 #include "charmm/spatial.hpp"
 #include "core/experiment.hpp"
 #include "core/model.hpp"
+#include "core/replay.hpp"
 #include "core/sweep.hpp"
 #include "net/topology.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace repro::charmm {
 namespace {
@@ -677,6 +679,96 @@ TEST(DecompositionModelTest, SequentialHasNoScheduleTraffic) {
   EXPECT_EQ(pred.total_per_step(), 0.0);
   EXPECT_EQ(pred.messages_per_step(), 0.0);
   EXPECT_EQ(pred.bytes_per_step(), 0.0);
+}
+
+
+// --- op-stream pins ----------------------------------------------------------
+
+// FNV digest over every rank's recorded operations: kind, component,
+// phase, peer, tag, size, received, the sync/exchange flags and the bits
+// of the charged seconds, plus each transpose's block layout. Two runs
+// agree on it only if every rank issued the same operations with the same
+// compute charges under the same phase names.
+std::uint64_t op_stream_digest(const core::CellTrace& trace) {
+  std::uint64_t h = 0;
+  auto mix = [&h](const void* data, std::size_t n) {
+    h = util::hash_combine(h, util::fnv1a_bytes(data, n));
+  };
+  auto mix_sizes = [&mix](const std::vector<std::size_t>& v) {
+    const std::size_t n = v.size();
+    mix(&n, sizeof n);
+    mix(v.data(), n * sizeof(std::size_t));
+  };
+  for (const perf::RankTrace& rank : trace) {
+    for (const perf::TraceOp& op : rank.ops) {
+      const std::uint64_t fields[] = {
+          static_cast<std::uint64_t>(op.kind),
+          static_cast<std::uint64_t>(op.component),
+          static_cast<std::uint64_t>(op.exchange),
+          static_cast<std::uint64_t>(op.sync),
+          static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.peer)),
+          static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.tag)),
+          op.size,
+          op.received,
+          op.shape};
+      mix(fields, sizeof fields);
+      mix(&op.seconds, sizeof op.seconds);
+      const std::string phase = op.phase == nullptr ? "" : op.phase;
+      mix(phase.data(), phase.size() + 1);
+    }
+    for (const perf::TransposeShape& t : rank.transposes) {
+      mix_sizes(t.send_counts);
+      mix_sizes(t.send_displs);
+      mix_sizes(t.recv_counts);
+      mix_sizes(t.recv_displs);
+    }
+    h = util::hash_combine(h, rank.ops.size());
+  }
+  return h;
+}
+
+// Every strategy's op stream on a small water box at p=4, over 6 steps so
+// the rebuild at step 5 puts migration, ghost renegotiation and the
+// balancer's unit handoff in the stream. The digests were recorded before
+// the strategies shared one force-evaluation path and pin that refactor:
+// any change to a rank's operations, phase names or compute charges moves
+// them.
+TEST(DecompositionOpStreamTest, DigestsArePinned) {
+  static const sysbuild::BuiltSystem water = sysbuild::build_water_box(8);
+  const struct {
+    const char* spec;
+    std::uint64_t digest;
+  } cases[] = {
+      {"atom", 0xb2aaa09bb132b6b4ULL},
+      {"force", 0x44cea0bdf60b4ec0ULL},
+      {"task", 0xec9bdcc0498c3087ULL},
+      {"spatial", 0xbd2c18eeb20c37f4ULL},
+      {"spatial:pme=pencil", 0x3b3753e5a1bbbc29ULL},
+      {"spatial:ldb=greedy", 0x45b86ddd3598c993ULL},
+  };
+  for (const auto& c : cases) {
+    core::ExperimentSpec spec;
+    spec.nprocs = 4;
+    spec.charmm.nsteps = 6;
+    spec.charmm.pme = pme::PmeParams{24, 24, 24, 4, 0.4};
+    spec.charmm.cutoff = 9.0;
+    spec.charmm.switch_on = 7.5;
+    spec.charmm.decomp = parse_decomp_spec(c.spec);
+    core::CellTrace trace;
+    const core::ExperimentResult r =
+        core::record_experiment(water, spec, trace);
+    ASSERT_EQ(trace.size(), 4u) << c.spec;
+    if (spec.charmm.decomp.kind == DecompKind::kSpatial) {
+      EXPECT_GT(r.metrics.phase_seconds.count("migrate"), 0u) << c.spec;
+      EXPECT_GT(r.metrics.phase_seconds.count("ghost_exchange"), 0u)
+          << c.spec;
+    }
+    if (spec.charmm.decomp.ldb != LdbPolicy::kOff) {
+      EXPECT_GT(r.units_moved, 0u) << c.spec;
+    }
+    EXPECT_EQ(op_stream_digest(trace), c.digest)
+        << c.spec << ": 0x" << std::hex << op_stream_digest(trace);
+  }
 }
 
 }  // namespace
