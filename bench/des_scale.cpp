@@ -24,10 +24,13 @@
 #include <sys/resource.h>
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mpi/comm.hpp"
@@ -35,10 +38,14 @@
 #include "net/topology.hpp"
 #include "perf/recorder.hpp"
 #include "sim/engine.hpp"
+#include "util/parse.hpp"
 
 using namespace repro;
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: des_scale [--smoke] [--steps=N] [--json=FILE]\n";
 
 double max_rss_mb() {
   struct rusage ru;
@@ -189,18 +196,19 @@ int main(int argc, char** argv) {
     if (arg == "--smoke") {
       smoke = true;
     } else if (arg.rfind("--steps=", 0) == 0) {
-      steps = std::atoi(arg.c_str() + 8);
-      if (steps < 1) {
+      const std::optional<int> v =
+          util::parse_int(std::string_view(arg).substr(8), 1, INT_MAX);
+      if (!v) {
         std::fprintf(stderr, "bad --steps value: %s\n", arg.c_str());
+        std::fputs(kUsage, stdout);
         return 2;
       }
+      steps = *v;
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
     } else {
-      std::fprintf(stderr,
-                   "unknown option: %s (supported: --smoke --steps=N "
-                   "--json=FILE)\n",
-                   arg.c_str());
+      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+      std::fputs(kUsage, stdout);
       return 2;
     }
   }

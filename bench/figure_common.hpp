@@ -7,9 +7,11 @@
 // records the paper-vs-measured comparison.
 #pragma once
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
 #include "sysbuild/builder.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace repro::bench {
@@ -27,7 +30,9 @@ namespace repro::bench {
 // regression harness shortens runs with --steps to keep CI fast.
 struct BenchOptions {
   int steps = 10;  // MD steps per cell (the paper's measurement runs)
-  int jobs = -1;   // sweep concurrency; -1 = REPRO_JOBS / hardware default
+  // Sweep concurrency: --jobs, else REPRO_JOBS, else 0 (SweepRunner's
+  // hardware-concurrency default).
+  int jobs = 0;
   // CI mode: benches with large sweeps (e.g. the conclusion's 128-rank
   // scaling study) cut their factor grids down to a fast subset that
   // still exercises every code path.
@@ -39,27 +44,45 @@ inline BenchOptions& options() {
   return opts;
 }
 
-// Accepts --steps=N, --jobs=N and --smoke;
-// anything else exits with an error so a typo cannot silently produce a
-// full-length run in CI.
+// The integer in `text` (the value of `what`, a flag or an environment
+// variable) within [lo, hi]. Anything else prints the error and `usage`
+// and exits 2, before the binary prepares a system.
+inline int int_value(const char* what, const std::string& text, int lo,
+                     int hi, const std::string& usage) {
+  const std::optional<int> v = util::parse_int(text, lo, hi);
+  if (!v) {
+    std::fprintf(stderr,
+                 "bad %s value '%s' (expected an integer in [%d, %d])\n",
+                 what, text.c_str(), lo, hi);
+    std::fputs(usage.c_str(), stdout);
+    std::exit(2);
+  }
+  return *v;
+}
+
+// The sweep concurrency REPRO_JOBS asks for (0 when unset).
+inline int env_jobs(const std::string& usage) {
+  const char* env = std::getenv("REPRO_JOBS");
+  return env == nullptr ? 0 : int_value("REPRO_JOBS", env, 0, INT_MAX, usage);
+}
+
+// Accepts --steps=N, --jobs=N and --smoke; anything else exits 2 with the
+// usage text, so a typo cannot silently produce a full-length run in CI.
 inline void parse_figure_args(int argc, char** argv) {
+  const std::string usage = std::string("usage: ") + argv[0] +
+                            " [--steps=N] [--jobs=N] [--smoke]\n";
+  options().jobs = env_jobs(usage);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--steps=", 0) == 0) {
-      options().steps = std::atoi(arg.c_str() + 8);
-      if (options().steps < 1) {
-        std::fprintf(stderr, "bad --steps value: %s\n", arg.c_str());
-        std::exit(2);
-      }
+      options().steps = int_value("--steps", arg.substr(8), 1, INT_MAX, usage);
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      options().jobs = std::atoi(arg.c_str() + 7);
+      options().jobs = int_value("--jobs", arg.substr(7), 0, INT_MAX, usage);
     } else if (arg == "--smoke") {
       options().smoke = true;
     } else {
-      std::fprintf(stderr,
-                   "unknown option: %s (supported: --steps=N --jobs=N "
-                   "--smoke)\n",
-                   arg.c_str());
+      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+      std::fputs(usage.c_str(), stdout);
       std::exit(2);
     }
   }
@@ -76,16 +99,8 @@ inline const sysbuild::BuiltSystem& prepared_system() {
   return sys;
 }
 
-// Worker count for the bench sweeps: --jobs if given, else REPRO_JOBS if
-// set, otherwise the hardware concurrency (SweepRunner's default for
-// jobs <= 0).
-inline int default_jobs() {
-  if (options().jobs >= 0) return options().jobs;
-  if (const char* env = std::getenv("REPRO_JOBS")) {
-    return std::atoi(env);
-  }
-  return 0;
-}
+// Worker count for the bench sweeps (BenchOptions::jobs).
+inline int default_jobs() { return options().jobs; }
 
 namespace detail {
 using CellKey = std::tuple<net::Network, middleware::Kind, int, int>;

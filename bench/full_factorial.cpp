@@ -12,44 +12,39 @@
 //   --procs=A,B,...  processor counts to sweep (default 2,4,8)
 #include "figure_common.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "core/factorial.hpp"
 
 using namespace repro;
 
-namespace {
-
-std::vector<int> parse_int_list(const std::string& s) {
-  std::vector<int> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::stoi(s.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  int jobs = bench::default_jobs();
+  const std::string usage = std::string("usage: ") + argv[0] +
+                            " [--jobs=N] [--steps=N] [--procs=A,B,...]\n";
+  int jobs = bench::env_jobs(usage);
   std::vector<int> procs{2, 4, 8};
   charmm::CharmmConfig config;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = std::stoi(arg.substr(7));
+      jobs = bench::int_value("--jobs", arg.substr(7), 0, INT_MAX, usage);
     } else if (arg.rfind("--steps=", 0) == 0) {
-      config.nsteps = std::stoi(arg.substr(8));
+      config.nsteps =
+          bench::int_value("--steps", arg.substr(8), 1, INT_MAX, usage);
     } else if (arg.rfind("--procs=", 0) == 0) {
-      procs = parse_int_list(arg.substr(8));
+      procs.clear();
+      std::size_t pos = 8;
+      while (true) {
+        const std::size_t comma = std::min(arg.find(',', pos), arg.size());
+        procs.push_back(bench::int_value(
+            "--procs", arg.substr(pos, comma - pos), 1, INT_MAX, usage));
+        if (comma == arg.size()) break;
+        pos = comma + 1;
+      }
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--jobs=N] [--steps=N] [--procs=A,B,...]\n",
-                   argv[0]);
+      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+      std::fputs(usage.c_str(), stdout);
       return 2;
     }
   }

@@ -1,6 +1,6 @@
-# Bad-input test driver: runs the CLI with arguments it must refuse and
-# checks that it exits with status 2 and the usage text before doing any
-# work (no system is built or loaded).
+# Bad-input test driver: runs a binary (the CLI or a bench) with arguments
+# it must refuse and checks that it exits with status 2 and the usage text
+# before doing any work (no system is built or loaded).
 #
 # Usage (what tests/CMakeLists.txt generates):
 #   cmake -DBINARY=<path> "-DARGS=run --procz 4" -P cmake/cli_rejects.cmake

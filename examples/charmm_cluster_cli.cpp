@@ -12,6 +12,8 @@
 //
 // `run` and `sweep` build+relax the paper's system when --system is not
 // given. `predict` uses the closed-form LogGP model (no simulation).
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -30,6 +32,7 @@
 #include "sysbuild/builder.hpp"
 #include "sysbuild/io.hpp"
 #include "util/kernel.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 using namespace repro;
@@ -45,9 +48,17 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  int get_int(const std::string& key, int fallback) const {
+  // An integer flag's value; parse() has already checked its range.
+  std::uint64_t get_uint(const std::string& key,
+                         std::uint64_t fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atoi(it->second.c_str());
+    return it == options.end()
+               ? fallback
+               : *util::parse_int<std::uint64_t>(it->second, 0, UINT64_MAX);
+  }
+  int get_int(const std::string& key, int fallback) const {
+    return static_cast<int>(
+        get_uint(key, static_cast<std::uint64_t>(fallback)));
   }
 };
 
@@ -69,6 +80,16 @@ const std::map<std::string, std::set<std::string>>& command_flags() {
 }
 
 const std::set<std::string> kSwitches{"timeline"};
+
+// The integer flags and the values each accepts.
+const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>&
+integer_flags() {
+  static const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+      ranges{{"seed", {0, UINT64_MAX}}, {"relax", {0, INT_MAX}},
+             {"procs", {1, INT_MAX}},   {"cpus", {1, INT_MAX}},
+             {"steps", {1, INT_MAX}},   {"jobs", {0, INT_MAX}}};
+  return ranges;
+}
 
 std::optional<net::Network> parse_network(const std::string& name) {
   if (name == "tcp") return net::Network::kTcpGigE;
@@ -101,6 +122,14 @@ std::string parse(int argc, char** argv, Args& args) {
     if (known != command_flags().end() && known->second.count(key) == 0) {
       return "unknown option '--" + key + "' for " + args.command;
     }
+    const auto range = integer_flags().find(key);
+    if (range != integer_flags().end() &&
+        !util::parse_int(value, range->second.first, range->second.second)) {
+      return "bad value '" + value + "' for --" + key +
+             " (expected an integer in [" +
+             std::to_string(range->second.first) + ", " +
+             std::to_string(range->second.second) + "])";
+    }
     args.options[key] = value;
   }
   if (args.has("network") && !parse_network(args.get("network", ""))) {
@@ -125,7 +154,7 @@ sysbuild::BuiltSystem obtain_system(const Args& args) {
   }
   std::printf("building + relaxing the paper's 3552-atom system...\n");
   sysbuild::BuiltSystem sys = sysbuild::build_myoglobin_like(
-      static_cast<std::uint64_t>(args.get_int("seed", 2002)));
+      args.get_uint("seed", 2002));
   charmm::relax_system(sys, args.get_int("relax", 80));
   return sys;
 }
@@ -178,7 +207,7 @@ void print_result(const core::ExperimentResult& r,
 
 int cmd_build_system(const Args& args) {
   sysbuild::BuiltSystem sys = sysbuild::build_myoglobin_like(
-      static_cast<std::uint64_t>(args.get_int("seed", 2002)));
+      args.get_uint("seed", 2002));
   if (args.get_int("relax", 80) > 0) {
     const md::MinimizeResult res =
         charmm::relax_system(sys, args.get_int("relax", 80));

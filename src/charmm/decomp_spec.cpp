@@ -1,31 +1,22 @@
 #include "charmm/decomp_spec.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace repro::charmm {
 
 namespace {
 
-// Strict positive-integer parse: std::atoi accepts trailing garbage,
-// silently returns 0 for pure garbage, and overflows on long digit
-// strings — every one of those must fail loudly here instead.
 int parse_positive_int(const std::string& value, const std::string& what,
                        const std::string& text) {
-  long v = 0;
-  std::size_t i = 0;
-  for (; i < value.size(); ++i) {
-    if (value[i] < '0' || value[i] > '9') break;
-    v = v * 10 + (value[i] - '0');
-    REPRO_REQUIRE(v <= 1000000000L,
-                  what + " is out of range in decomposition spec: " + text);
-  }
-  REPRO_REQUIRE(i == value.size() && !value.empty(),
-                "bad " + what + " in decomposition spec (expected a "
-                "positive integer): " + text);
-  REPRO_REQUIRE(v >= 1, what + " must be at least 1: " + text);
-  return static_cast<int>(v);
+  const std::optional<int> v = util::parse_int(value, 1, 1000000000);
+  REPRO_REQUIRE(v.has_value(),
+                "bad " + what + " in decomposition spec (expected an "
+                "integer in [1, 1000000000]): " + text);
+  return *v;
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <functional>
 #include <optional>
+#include <ranges>
 
 #include "charmm/ldb.hpp"
+#include "charmm/simulation.hpp"
 #include "charmm/spatial.hpp"
 #include "fft/parallel_fft.hpp"
 #include "md/bonded.hpp"
@@ -49,6 +52,207 @@ void check_tag_budget(const CharmmConfig& config) {
 }
 
 // --------------------------------------------------------------------------
+// The one force-evaluation path.
+//
+// Strategies differ only in which terms a rank evaluates and how partial
+// forces become the totals it integrates. Everything else in a step
+// program is written once here: the pair-kernel options, the replicated
+// initial state, the list-build, classic-term and integrate phases with
+// their cost-model charges, and the position checksum. A strategy supplies
+// its partition (a ClassicShare) and its communication schedule.
+// --------------------------------------------------------------------------
+
+// The classic-term phases, in evaluation order. Spatial's load balancer
+// measures exactly these.
+constexpr std::array<const char*, 3> kMeasuredPhases = {"bonded", "nonbonded",
+                                                        "ewald_corr"};
+
+// A rank's share of the classic terms: one WorkSlice per term kind, and
+// the ewald_corr phase's model charge (the replicated strategies charge an
+// even 1/p of the excluded pairs, spatial its owned count).
+struct ClassicShare {
+  md::WorkSlice bonded;
+  md::WorkSlice pairs;
+  md::WorkSlice exclusions;
+  double ewald_corr_seconds = 0.0;
+};
+
+// One rank's state and the step blocks every strategy shares. Positions,
+// velocities and forces are full-size arrays; the replicated strategies
+// keep every row current, spatial only its owned and ghost rows.
+struct RankProgram {
+  RankProgram(const sysbuild::BuiltSystem& sys, const CharmmConfig& config,
+              middleware::Middleware& mw)
+      : mw(mw),
+        comm(mw.comm()),
+        rec(comm.recorder()),
+        config(config),
+        cost(config.cost),
+        topo(sys.topo),
+        box(sys.box),
+        nb(nonbonded_options(config, sys.topo)),
+        pos(sys.positions),
+        forces(sys.positions.size()),
+        nbl(config.cutoff, config.skin) {
+    // Velocities are assigned replicated, so every rank (and every owned
+    // slice) starts bitwise equal to the sequential run.
+    md::assign_velocities(topo, config.temperature_k, config.seed, vel);
+  }
+
+  // Every atom, as the replicated strategies' integrate and checksum rows.
+  auto all_atoms() const { return std::views::iota(0, topo.natoms()); }
+
+  // The replicated strategies' share: every term kind interleaved over
+  // `stride` ranks.
+  ClassicShare interleaved_share(int shard, int stride) const {
+    const md::WorkSlice slice = md::WorkSlice::interleaved(shard, stride);
+    return {slice, slice, slice,
+            cost.seconds_per_bonded_term *
+                static_cast<double>(topo.excluded_pairs().size()) /
+                static_cast<double>(stride)};
+  }
+
+  // Charges PME/FFT flops to whatever component is active.
+  std::function<void(double)> charge_flops() {
+    return [this](double flops) {
+      comm.compute(flops * cost.seconds_per_flop);
+    };
+  }
+
+  // CHARMM synchronizes before its global operations ("coherency
+  // maintenance").
+  void coherency_barrier() {
+    if (config.coherency_barriers) mw.synchronize();
+  }
+
+  // Opens a step in `component` at the energy-entry coherency barrier and
+  // clears the force and energy accumulators.
+  void begin_step(perf::Component component) {
+    rec.set_component(component);
+    coherency_barrier();
+    std::fill(forces.begin(), forces.end(), Vec3{});
+    energy = md::EnergyTerms{};
+  }
+
+  // The "list_build" phase: `build` refreshes nbl, charged by its pairs.
+  template <class Build>
+  void build_list(Build&& build) {
+    perf::PhaseScope phase(rec, "list_build");
+    build();
+    comm.compute(cost.seconds_per_list_pair *
+                 static_cast<double>(nbl.npairs()) * 2.0);
+  }
+
+  // The replicated ranks' list, rebuilt at every rebuild step (built once
+  // per step across ranks by `lists`).
+  void replicated_list(int step, md::SharedNeighborList& lists) {
+    if (step % config.list_rebuild_interval != 0) return;
+    build_list([&] { lists.build(nbl, topo, box, pos, comm.rank(), step); });
+  }
+
+  // bonded -> nonbonded -> ewald_corr (PME only) over `share`, each phase
+  // charged its model cost, plus the Ewald self term on rank 0. Returns
+  // the seconds charged per kMeasuredPhases entry.
+  std::array<double, 3> classic_terms(const ClassicShare& share) {
+    std::array<double, 3> sec{};
+    {
+      perf::PhaseScope phase(rec, kMeasuredPhases[0]);
+      const md::BondedWork bw =
+          md::bonded_energy(topo, box, pos, forces, energy, share.bonded);
+      sec[0] = cost.seconds_per_bonded_term * static_cast<double>(bw.total());
+      comm.compute(sec[0]);
+    }
+    {
+      perf::PhaseScope phase(rec, kMeasuredPhases[1]);
+      const md::NonbondedWork nw = md::nonbonded_energy(
+          topo, box, pos, nbl, nb, forces, energy, share.pairs);
+      sec[1] = cost.seconds_per_pair * static_cast<double>(nw.pairs_listed);
+      comm.compute(sec[1]);
+    }
+    if (!config.use_pme) return sec;
+    {
+      // Real-space corrections stay in the classic (time-domain) part.
+      perf::PhaseScope phase(rec, kMeasuredPhases[2]);
+      energy.ewald_excl += pme::ewald_exclusion_correction(
+          topo, box, pos, config.pme.beta, forces, share.exclusions);
+      sec[2] = share.ewald_corr_seconds;
+      comm.compute(sec[2]);
+    }
+    if (comm.rank() == 0) {
+      energy.ewald_self += pme::ewald_self_energy(topo, config.pme.beta);
+    }
+    return sec;
+  }
+
+  // The frequency-domain routine: `body` runs in the PME component after
+  // the coherency point before it.
+  template <class Body>
+  void pme_routine(Body&& body) {
+    rec.set_component(perf::Component::kPme);
+    coherency_barrier();
+    body();
+    rec.set_component(perf::Component::kClassic);
+  }
+
+  // The slab reciprocal sum into this rank's force partials.
+  void slab_reciprocal(pme::ParallelPme& ppme) {
+    perf::PhaseScope phase(rec, "pme_recip");
+    energy.ewald_recip += ppme.reciprocal(topo, pos, forces);
+  }
+
+  // Comm-wide sum of the energy terms.
+  void sum_energy() {
+    std::array<double, md::EnergyTerms::kCount> earr = energy.to_array();
+    mw.global_sum(earr.data(), earr.size());
+    energy = md::EnergyTerms::from_array(earr);
+  }
+
+  // Integrates `rows` — not part of the measured energy calculation (the
+  // paper times the energy routines) — and closes the step.
+  template <class Rows>
+  void finish_step(const Rows& rows) {
+    rec.set_component(perf::Component::kOther);
+    {
+      perf::PhaseScope phase(rec, "integrate");
+      comm.compute(cost.seconds_per_integration_atom *
+                   static_cast<double>(rows.size()));
+    }
+    const double kick = config.dt_ps * units::kForceToAccel;
+    for (int i : rows) {
+      const auto ui = static_cast<std::size_t>(i);
+      vel[ui] += forces[ui] * (kick / topo.atom(i).mass);
+      pos[ui] += vel[ui] * config.dt_ps;
+    }
+    rec.end_step();
+  }
+
+  // Sum of the coordinates of `rows`, in row order.
+  template <class Rows>
+  double position_sum(const Rows& rows) const {
+    double sum = 0.0;
+    for (int i : rows) {
+      const Vec3& r = pos[static_cast<std::size_t>(i)];
+      sum += r.x + r.y + r.z;
+    }
+    return sum;
+  }
+
+  middleware::Middleware& mw;
+  mpi::Comm& comm;
+  perf::RankRecorder& rec;
+  const CharmmConfig& config;
+  const CostModel& cost;
+  const md::Topology& topo;
+  const md::Box& box;
+  const md::NonbondedOptions nb;
+  std::vector<Vec3> pos;
+  std::vector<Vec3> vel;
+  std::vector<Vec3> forces;
+  md::EnergyTerms energy;
+  md::NeighborList nbl;
+};
+
+// --------------------------------------------------------------------------
 // Replicated-data atom decomposition — the paper's CHARMM parallelization,
 // extracted verbatim from the original run_charmm_rank so the default
 // behaviour (and every golden file) is preserved to the byte.
@@ -61,137 +265,43 @@ class AtomReplicatedDecomposition final : public Decomposition {
                     const CharmmConfig& config,
                     middleware::Middleware& mw,
                     md::SharedNeighborList& lists) const override {
-    mpi::Comm& comm = mw.comm();
-    perf::RankRecorder& rec = comm.recorder();
-    const int p = comm.size();
-    const int shard = comm.rank();
-    const CostModel& cost = config.cost;
-    const md::Topology& topo = sys.topo;
-    const md::Box& box = sys.box;
-    const auto natoms = static_cast<std::size_t>(topo.natoms());
-
-    md::NonbondedOptions nb;
-    nb.cutoff = config.cutoff;
-    nb.switch_on = config.switch_on;
-    nb.elec = config.use_pme ? md::NonbondedOptions::Elec::kEwaldDirect
-                             : md::NonbondedOptions::Elec::kShift;
-    nb.beta = config.pme.beta;
-    nb.kernel = config.kernel;
-    nb.table = md::build_pair_table(topo);
-
     // Replicated state: identical on every rank (the global sum broadcasts
     // bitwise-identical forces, so trajectories never diverge across
     // ranks).
-    std::vector<Vec3> pos = sys.positions;
-    std::vector<Vec3> vel;
-    md::assign_velocities(topo, config.temperature_k, config.seed, vel);
-    std::vector<Vec3> forces(natoms);
+    RankProgram rp(sys, config, mw);
+    const ClassicShare share =
+        rp.interleaved_share(rp.comm.rank(), rp.comm.size());
     std::vector<double> flat;
-    md::NeighborList nbl(config.cutoff, config.skin);
 
     // PME machinery: compute cost flows through the middleware's component
     // recorder, so FFT/spreading time lands in whatever component is
     // active.
-    pme::ParallelPme ppme(
-        config.pme, box, mw,
-        [&](double flops) { comm.compute(flops * cost.seconds_per_flop); });
+    pme::ParallelPme ppme(config.pme, sys.box, mw, rp.charge_flops());
 
     RankRunResult result;
     for (int step = 0; step < config.nsteps; ++step) {
-      // ---------------------------------------------- classic routine --
-      rec.set_component(perf::Component::kClassic);
-      // Coherency barrier at energy entry (CHARMM synchronizes its
-      // parallel energy call).
-      if (config.coherency_barriers) mw.synchronize();
-
-      if (step % config.list_rebuild_interval == 0) {
-        perf::PhaseScope phase(rec, "list_build");
-        lists.build(nbl, topo, box, pos, comm.rank(), step);
-        comm.compute(cost.seconds_per_list_pair *
-                     static_cast<double>(nbl.npairs()) * 2.0);
-      }
-      result.pairs_in_list = nbl.npairs();
-
-      std::fill(forces.begin(), forces.end(), Vec3{});
-      md::EnergyTerms energy;
-
-      {
-        perf::PhaseScope phase(rec, "bonded");
-        const md::BondedWork bw =
-            md::bonded_energy(topo, box, pos, forces, energy, shard, p);
-        comm.compute(cost.seconds_per_bonded_term *
-                     static_cast<double>(bw.total()));
-      }
-
-      {
-        perf::PhaseScope phase(rec, "nonbonded");
-        const md::NonbondedWork nw = md::nonbonded_energy(
-            topo, box, pos, nbl, nb, forces, energy, shard, p);
-        comm.compute(cost.seconds_per_pair *
-                     static_cast<double>(nw.pairs_listed));
-      }
-
-      if (config.use_pme) {
-        // Real-space corrections stay in the classic (time-domain) part.
-        {
-          perf::PhaseScope phase(rec, "ewald_corr");
-          energy.ewald_excl += pme::ewald_exclusion_correction(
-              topo, box, pos, config.pme.beta, forces, shard, p);
-          comm.compute(cost.seconds_per_bonded_term *
-                       static_cast<double>(topo.excluded_pairs().size()) /
-                       static_cast<double>(p));
-        }
-        if (shard == 0) {
-          energy.ewald_self += pme::ewald_self_energy(topo, config.pme.beta);
-        }
-
-        // ------------------------------------------------ PME routine --
-        rec.set_component(perf::Component::kPme);
-        // Coherency point before entering the frequency-domain phase.
-        if (config.coherency_barriers) mw.synchronize();
-        {
-          perf::PhaseScope phase(rec, "pme_recip");
-          energy.ewald_recip += ppme.reciprocal(topo, pos, forces);
-        }
-        rec.set_component(perf::Component::kClassic);
-      }
+      rp.begin_step(perf::Component::kClassic);
+      rp.replicated_list(step, lists);
+      result.pairs_in_list = rp.nbl.npairs();
+      rp.classic_terms(share);
+      if (config.use_pme) rp.pme_routine([&] { rp.slab_reciprocal(ppme); });
 
       // The all-to-all collective that ends the classic energy
       // calculation: global force reduction plus the (small) energy
       // reduction. CHARMM synchronizes before combining, which is where
       // load imbalance lands.
-      if (config.coherency_barriers) mw.synchronize();
+      rp.coherency_barrier();
       {
-        perf::PhaseScope phase(rec, "force_reduce");
-        util::flatten(forces, flat);
+        perf::PhaseScope phase(rp.rec, "force_reduce");
+        util::flatten(rp.forces, flat);
         mw.global_sum(flat.data(), flat.size());
-        util::unflatten(flat, forces);
-        std::array<double, md::EnergyTerms::kCount> earr = energy.to_array();
-        mw.global_sum(earr.data(), earr.size());
-        energy = md::EnergyTerms::from_array(earr);
+        util::unflatten(flat, rp.forces);
+        rp.sum_energy();
       }
-      result.last_energy = energy;
-
-      // -------------------------------------------------- integration --
-      // Not part of the measured energy calculation (the paper times the
-      // energy routines); replicated on every rank.
-      rec.set_component(perf::Component::kOther);
-      {
-        perf::PhaseScope phase(rec, "integrate");
-        comm.compute(cost.seconds_per_integration_atom *
-                     static_cast<double>(natoms));
-      }
-      const double kick = config.dt_ps * units::kForceToAccel;
-      for (std::size_t i = 0; i < natoms; ++i) {
-        vel[i] += forces[i] * (kick / topo.atom(static_cast<int>(i)).mass);
-        pos[i] += vel[i] * config.dt_ps;
-      }
-      rec.end_step();
+      result.last_energy = rp.energy;
+      rp.finish_step(rp.all_atoms());
     }
-
-    for (const auto& r : pos) {
-      result.position_checksum += r.x + r.y + r.z;
-    }
+    result.position_checksum = rp.position_sum(rp.all_atoms());
     return result;
   }
 };
@@ -217,134 +327,48 @@ class ForceDecomposition final : public Decomposition {
                     middleware::Middleware& mw,
                     md::SharedNeighborList& lists) const override {
     check_tag_budget(config);
-    mpi::Comm& comm = mw.comm();
-    perf::RankRecorder& rec = comm.recorder();
-    const int p = comm.size();
-    const int me = comm.rank();
-    const CostModel& cost = config.cost;
-    const md::Topology& topo = sys.topo;
-    const md::Box& box = sys.box;
-    const auto natoms = static_cast<std::size_t>(topo.natoms());
-
-    md::NonbondedOptions nb;
-    nb.cutoff = config.cutoff;
-    nb.switch_on = config.switch_on;
-    nb.elec = config.use_pme ? md::NonbondedOptions::Elec::kEwaldDirect
-                             : md::NonbondedOptions::Elec::kShift;
-    nb.beta = config.pme.beta;
-    nb.kernel = config.kernel;
-    nb.table = md::build_pair_table(topo);
+    RankProgram rp(sys, config, mw);
+    const int p = rp.comm.size();
+    const int me = rp.comm.rank();
 
     // Contiguous atom blocks, one per rank (front-loaded remainder, the
-    // same partition shape the slab FFT uses).
+    // same partition shape the slab FFT uses). Bonded terms and excluded
+    // pairs stay interleaved; the pair matrix goes by blocks.
+    const auto natoms = static_cast<std::size_t>(sys.topo.natoms());
     const fft::SlabPartition blocks(natoms, p);
     std::vector<int> block_of(natoms);
-    for (int b = 0; b < p; ++b) {
-      for (std::size_t i = blocks.begin(b); i < blocks.end(b); ++i) {
-        block_of[i] = b;
-      }
-    }
+    for (std::size_t i = 0; i < natoms; ++i) block_of[i] = blocks.owner(i);
+    ClassicShare share = rp.interleaved_share(me, p);
+    share.pairs = md::WorkSlice::pair_blocks(block_of, me, p);
 
-    std::vector<Vec3> pos = sys.positions;
-    std::vector<Vec3> vel;
-    md::assign_velocities(topo, config.temperature_k, config.seed, vel);
-    std::vector<Vec3> forces(natoms);
     std::vector<double> flat;
     std::vector<double> scratch;
-    md::NeighborList nbl(config.cutoff, config.skin);
-
-    pme::ParallelPme ppme(
-        config.pme, box, mw,
-        [&](double flops) { comm.compute(flops * cost.seconds_per_flop); });
+    pme::ParallelPme ppme(config.pme, sys.box, mw, rp.charge_flops());
 
     RankRunResult result;
     for (int step = 0; step < config.nsteps; ++step) {
-      rec.set_component(perf::Component::kClassic);
-      if (config.coherency_barriers) mw.synchronize();
+      rp.begin_step(perf::Component::kClassic);
+      rp.replicated_list(step, lists);
+      result.pairs_in_list = rp.nbl.npairs();
+      rp.classic_terms(share);
+      if (config.use_pme) rp.pme_routine([&] { rp.slab_reciprocal(ppme); });
 
-      if (step % config.list_rebuild_interval == 0) {
-        perf::PhaseScope phase(rec, "list_build");
-        lists.build(nbl, topo, box, pos, comm.rank(), step);
-        comm.compute(cost.seconds_per_list_pair *
-                     static_cast<double>(nbl.npairs()) * 2.0);
-      }
-      result.pairs_in_list = nbl.npairs();
-
-      std::fill(forces.begin(), forces.end(), Vec3{});
-      md::EnergyTerms energy;
-
-      {
-        perf::PhaseScope phase(rec, "bonded");
-        const md::BondedWork bw =
-            md::bonded_energy(topo, box, pos, forces, energy, me, p);
-        comm.compute(cost.seconds_per_bonded_term *
-                     static_cast<double>(bw.total()));
-      }
-
-      {
-        perf::PhaseScope phase(rec, "nonbonded");
-        const md::NonbondedWork nw = md::nonbonded_energy_blocked(
-            topo, box, pos, nbl, nb, block_of, me, p, forces, energy);
-        comm.compute(cost.seconds_per_pair *
-                     static_cast<double>(nw.pairs_listed));
-      }
-
-      if (config.use_pme) {
-        {
-          perf::PhaseScope phase(rec, "ewald_corr");
-          energy.ewald_excl += pme::ewald_exclusion_correction(
-              topo, box, pos, config.pme.beta, forces, me, p);
-          comm.compute(cost.seconds_per_bonded_term *
-                       static_cast<double>(topo.excluded_pairs().size()) /
-                       static_cast<double>(p));
-        }
-        if (me == 0) {
-          energy.ewald_self += pme::ewald_self_energy(topo, config.pme.beta);
-        }
-
-        rec.set_component(perf::Component::kPme);
-        if (config.coherency_barriers) mw.synchronize();
-        {
-          perf::PhaseScope phase(rec, "pme_recip");
-          energy.ewald_recip += ppme.reciprocal(topo, pos, forces);
-        }
-        rec.set_component(perf::Component::kClassic);
-      }
-
-      if (config.coherency_barriers) mw.synchronize();
-      util::flatten(forces, flat);
-      fold_expand(comm, blocks, flat, scratch, step);
-      util::unflatten(flat, forces);
+      rp.coherency_barrier();
+      util::flatten(rp.forces, flat);
+      fold_expand(rp.comm, blocks, flat, scratch, step);
+      util::unflatten(flat, rp.forces);
       {
         // The energy scalars still need a comm-wide reduction; every rank
         // issues it, so the collective tag counters stay aligned.
-        perf::PhaseScope phase(rec, "energy_reduce");
-        std::array<double, md::EnergyTerms::kCount> earr = energy.to_array();
-        mw.global_sum(earr.data(), earr.size());
-        energy = md::EnergyTerms::from_array(earr);
+        perf::PhaseScope phase(rp.rec, "energy_reduce");
+        rp.sum_energy();
       }
-      result.last_energy = energy;
-
-      rec.set_component(perf::Component::kOther);
-      {
-        perf::PhaseScope phase(rec, "integrate");
-        comm.compute(cost.seconds_per_integration_atom *
-                     static_cast<double>(natoms));
-      }
-      const double kick = config.dt_ps * units::kForceToAccel;
-      for (std::size_t i = 0; i < natoms; ++i) {
-        vel[i] += forces[i] * (kick / topo.atom(static_cast<int>(i)).mass);
-        pos[i] += vel[i] * config.dt_ps;
-      }
-      rec.end_step();
+      result.last_energy = rp.energy;
+      rp.finish_step(rp.all_atoms());
     }
-
-    for (const auto& r : pos) {
-      result.position_checksum += r.x + r.y + r.z;
-    }
+    result.position_checksum = rp.position_sum(rp.all_atoms());
     return result;
   }
-
  private:
   // Fold (reduce-scatter of per-block partials to their owners) followed
   // by expand (allgather of the owned totals). Receives accumulate in a
@@ -431,108 +455,51 @@ class TaskPmeDecomposition final : public Decomposition {
     const int q = p - m;
     const int me = comm.rank();
     const bool is_pme = me >= q;
-    perf::RankRecorder& rec = comm.recorder();
-    const CostModel& cost = config.cost;
-    const md::Topology& topo = sys.topo;
-    const md::Box& box = sys.box;
-    const auto natoms = static_cast<std::size_t>(topo.natoms());
-
-    md::NonbondedOptions nb;
-    nb.cutoff = config.cutoff;
-    nb.switch_on = config.switch_on;
-    nb.elec = md::NonbondedOptions::Elec::kEwaldDirect;
-    nb.beta = config.pme.beta;
-    nb.kernel = config.kernel;
-    nb.table = md::build_pair_table(topo);
-
-    std::vector<Vec3> pos = sys.positions;
-    std::vector<Vec3> vel;
-    md::assign_velocities(topo, config.temperature_k, config.seed, vel);
-    std::vector<Vec3> forces(natoms);
-    std::vector<double> flat;
+    RankProgram rp(sys, config, mw);
+    perf::RankRecorder& rec = rp.rec;
     std::vector<double> combined;
     std::vector<double> scratch;
-    md::NeighborList nbl(config.cutoff, config.skin);
 
     // The PME group's middleware presents ranks [q, p) as a communicator
     // of size m; the slab FFT and spreading inside ParallelPme see only
-    // group coordinates. Classic ranks never construct PME machinery.
+    // group coordinates. Classic ranks never construct PME machinery, and
+    // share the classic terms q ways.
     std::optional<GroupMiddleware> gmw;
     std::optional<pme::ParallelPme> ppme;
+    ClassicShare share;
     if (is_pme) {
       gmw.emplace(comm, q, m);
-      ppme.emplace(
-          config.pme, box, *gmw,
-          [&](double flops) { comm.compute(flops * cost.seconds_per_flop); });
+      ppme.emplace(config.pme, sys.box, *gmw, rp.charge_flops());
+    } else {
+      share = rp.interleaved_share(me, q);
     }
 
-    const std::size_t nterms = md::EnergyTerms::kCount;
+    constexpr std::size_t nterms = md::EnergyTerms::kCount;
     RankRunResult result;
     for (int step = 0; step < config.nsteps; ++step) {
-      rec.set_component(is_pme ? perf::Component::kPme
-                               : perf::Component::kClassic);
       // Coherency barrier at energy entry, as in the default schedule —
       // the only synchronization until the two task groups join below.
-      if (config.coherency_barriers) mw.synchronize();
-
-      std::fill(forces.begin(), forces.end(), Vec3{});
-      md::EnergyTerms energy;
-
+      rp.begin_step(is_pme ? perf::Component::kPme
+                           : perf::Component::kClassic);
       if (is_pme) {
-        perf::PhaseScope phase(rec, "pme_recip");
-        energy.ewald_recip += ppme->reciprocal(topo, pos, forces);
+        rp.slab_reciprocal(*ppme);
       } else {
-        if (step % config.list_rebuild_interval == 0) {
-          perf::PhaseScope phase(rec, "list_build");
-          lists.build(nbl, topo, box, pos, comm.rank(), step);
-          comm.compute(cost.seconds_per_list_pair *
-                       static_cast<double>(nbl.npairs()) * 2.0);
-        }
-        result.pairs_in_list = nbl.npairs();
-
-        {
-          perf::PhaseScope phase(rec, "bonded");
-          const md::BondedWork bw =
-              md::bonded_energy(topo, box, pos, forces, energy, me, q);
-          comm.compute(cost.seconds_per_bonded_term *
-                       static_cast<double>(bw.total()));
-        }
-        {
-          perf::PhaseScope phase(rec, "nonbonded");
-          const md::NonbondedWork nw = md::nonbonded_energy(
-              topo, box, pos, nbl, nb, forces, energy, me, q);
-          comm.compute(cost.seconds_per_pair *
-                       static_cast<double>(nw.pairs_listed));
-        }
-        {
-          perf::PhaseScope phase(rec, "ewald_corr");
-          energy.ewald_excl += pme::ewald_exclusion_correction(
-              topo, box, pos, config.pme.beta, forces, me, q);
-          comm.compute(cost.seconds_per_bonded_term *
-                       static_cast<double>(topo.excluded_pairs().size()) /
-                       static_cast<double>(q));
-        }
-        if (me == 0) {
-          energy.ewald_self += pme::ewald_self_energy(topo, config.pme.beta);
-        }
+        rp.replicated_list(step, lists);
+        result.pairs_in_list = rp.nbl.npairs();
+        rp.classic_terms(share);
       }
 
       // Join point: the groups must combine their halves anyway, so the
       // coherency barrier here is where the classic/PME load imbalance
       // lands (as synchronization), mirroring the default schedule's
       // pre-reduction barrier.
-      if (config.coherency_barriers) mw.synchronize();
+      rp.coherency_barrier();
 
       // Pack forces + energy terms into one buffer so the combine is a
       // single message chain instead of two.
-      util::flatten(forces, flat);
-      combined.resize(flat.size() + nterms);
-      std::memcpy(combined.data(), flat.data(),
-                  flat.size() * sizeof(double));
-      const std::array<double, md::EnergyTerms::kCount> earr =
-          energy.to_array();
-      std::memcpy(combined.data() + flat.size(), earr.data(),
-                  nterms * sizeof(double));
+      util::flatten(rp.forces, combined);
+      const std::array<double, nterms> earr = rp.energy.to_array();
+      combined.insert(combined.end(), earr.begin(), earr.end());
 
       // Group-internal binomial reduce to the group root (rank 0 for the
       // classic group, rank q for the PME group) — point-to-point only,
@@ -569,32 +536,13 @@ class TaskPmeDecomposition final : public Decomposition {
         perf::PhaseScope phase(rec, "result_bcast");
         mw.broadcast(combined.data(), bytes, 0);
       }
-      std::memcpy(flat.data(), combined.data(),
-                  flat.size() * sizeof(double));
-      util::unflatten(flat, forces);
-      std::array<double, md::EnergyTerms::kCount> total_earr{};
-      std::memcpy(total_earr.data(), combined.data() + flat.size(),
-                  nterms * sizeof(double));
-      energy = md::EnergyTerms::from_array(total_earr);
-      result.last_energy = energy;
-
-      rec.set_component(perf::Component::kOther);
-      {
-        perf::PhaseScope phase(rec, "integrate");
-        comm.compute(cost.seconds_per_integration_atom *
-                     static_cast<double>(natoms));
-      }
-      const double kick = config.dt_ps * units::kForceToAccel;
-      for (std::size_t i = 0; i < natoms; ++i) {
-        vel[i] += forces[i] * (kick / topo.atom(static_cast<int>(i)).mass);
-        pos[i] += vel[i] * config.dt_ps;
-      }
-      rec.end_step();
+      util::unflatten(combined, rp.forces);
+      std::array<double, nterms> total{};
+      std::copy(combined.end() - nterms, combined.end(), total.begin());
+      result.last_energy = md::EnergyTerms::from_array(total);
+      rp.finish_step(rp.all_atoms());
     }
-
-    for (const auto& r : pos) {
-      result.position_checksum += r.x + r.y + r.z;
-    }
+    result.position_checksum = rp.position_sum(rp.all_atoms());
     return result;
   }
 
@@ -773,7 +721,8 @@ class SpatialDecomposition final : public Decomposition {
       return AtomReplicatedDecomposition{}.run(sys, config, mw, lists);
     }
     check_tag_budget(config);
-    perf::RankRecorder& rec = comm.recorder();
+    RankProgram rp(sys, config, mw);
+    perf::RankRecorder& rec = rp.rec;
     const int me = comm.rank();
     const CostModel& cost = config.cost;
     const md::Topology& topo = sys.topo;
@@ -808,32 +757,17 @@ class SpatialDecomposition final : public Decomposition {
         layout.rank_neighbors[static_cast<std::size_t>(me)];
     std::size_t nn = nbrs.size();
 
-    md::NonbondedOptions nb;
-    nb.cutoff = config.cutoff;
-    nb.switch_on = config.switch_on;
-    nb.elec = config.use_pme ? md::NonbondedOptions::Elec::kEwaldDirect
-                             : md::NonbondedOptions::Elec::kShift;
-    nb.beta = config.pme.beta;
-    nb.kernel = config.kernel;
-    nb.table = md::build_pair_table(topo);
-
-    // Full-size arrays; only owned (pos+vel) and ghost (pos) entries are
-    // current. Velocities are assigned replicated so the initial owned
-    // slices agree bitwise with the sequential run.
-    std::vector<Vec3> pos = sys.positions;
-    std::vector<Vec3> vel;
-    md::assign_velocities(topo, config.temperature_k, config.seed, vel);
-    std::vector<Vec3> forces(natoms);
+    // Only owned (pos+vel) and ghost (pos) rows are current.
+    std::vector<Vec3>& pos = rp.pos;
+    std::vector<Vec3>& vel = rp.vel;
+    std::vector<Vec3>& forces = rp.forces;
     std::vector<Vec3> recip_forces;
     std::vector<double> flat;
-    md::NeighborList nbl(config.cutoff, config.skin);
 
     // Slab or pencil PME. Neither constructor communicates or charges
     // compute, so wrapping the slab machinery in an optional leaves the
     // slab path's schedule byte-identical to the unconditional build.
-    auto charge_flops = [&](double flops) {
-      comm.compute(flops * cost.seconds_per_flop);
-    };
+    const std::function<void(double)> charge_flops = rp.charge_flops();
     const bool pencil =
         config.use_pme && spec_.pme_mode == PmeMode::kPencil;
     std::optional<pme::ParallelPme> ppme;
@@ -858,7 +792,9 @@ class SpatialDecomposition final : public Decomposition {
     std::vector<std::vector<int>> send_ids(nn);  // to nbrs[k], sorted
     std::vector<std::vector<int>> recv_ids(nn);  // ghosts from nbrs[k]
     std::vector<int> candidates;
-    std::size_t owned_excl = 0;
+    ClassicShare share;
+    share.bonded = share.pairs = share.exclusions =
+        md::WorkSlice::owned_atoms(owned_mask);
     std::size_t migrated = 0;
 
     // Reused wire buffers (payloads are doubles; atom ids are exact in a
@@ -878,9 +814,7 @@ class SpatialDecomposition final : public Decomposition {
     std::array<double, 3> model_cum{};
     std::array<double, 3> model_snap{};
     std::array<double, 3> measured_snap{};
-    static constexpr const char* kMeasuredPhases[3] = {"bonded", "nonbonded",
-                                                      "ewald_corr"};
-    auto measured_cum = [&](int i) {
+    auto measured_cum = [&](std::size_t i) {
       const auto& phase_times = rec.phase_times();
       const auto it = phase_times.find(kMeasuredPhases[i]);
       return it == phase_times.end() ? 0.0 : it->second;
@@ -892,12 +826,10 @@ class SpatialDecomposition final : public Decomposition {
             units->cell_unit[static_cast<std::size_t>(
                 layout.cell_of(pos[static_cast<std::size_t>(i)]))];
       }
-      epoch_work = count_unit_work(units->nunits, topo, nbl, unit_of_row);
-      for (int i = 0; i < 3; ++i) {
-        measured_snap[static_cast<std::size_t>(i)] = measured_cum(i);
-        model_snap[static_cast<std::size_t>(i)] =
-            model_cum[static_cast<std::size_t>(i)];
-      }
+      epoch_work =
+          count_unit_work(units->nunits, topo, rp.nbl, unit_of_row);
+      for (std::size_t i = 0; i < 3; ++i) measured_snap[i] = measured_cum(i);
+      model_snap = model_cum;
     };
 
     // Step 0: every rank derives the identical global epoch from the
@@ -922,10 +854,60 @@ class SpatialDecomposition final : public Decomposition {
       for (const auto& r : recv_ids) {
         candidates.insert(candidates.end(), r.begin(), r.end());
       }
-      owned_excl = 0;
-      for (const auto& [i, j] : topo.excluded_pairs()) {
-        (void)j;
-        if (owned_mask[static_cast<std::size_t>(i)]) ++owned_excl;
+      std::size_t owned_excl = 0;
+      md::for_each_term(topo.excluded_pairs(), share.exclusions,
+                        [&](const auto&) { ++owned_excl; });
+      share.ewald_corr_seconds =
+          cost.seconds_per_bonded_term * static_cast<double>(owned_excl);
+    };
+
+    // Wire records. An atom moving to a new owner travels as (id, pos,
+    // vel) behind a record count; a row set known to both sides travels
+    // as bare xyz triples.
+    auto append_state = [&](std::vector<double>& b, int i) {
+      const auto ui = static_cast<std::size_t>(i);
+      b.insert(b.end(), {static_cast<double>(i), pos[ui].x, pos[ui].y,
+                         pos[ui].z, vel[ui].x, vel[ui].y, vel[ui].z});
+    };
+    auto adopt_states = [&](std::vector<int>& keep) {
+      const auto n = static_cast<std::size_t>(in[0]);
+      for (std::size_t a = 0; a < n; ++a) {
+        const double* r = in.data() + 1 + 7 * a;
+        const int id = static_cast<int>(r[0]);
+        const auto uid = static_cast<std::size_t>(id);
+        pos[uid] = {r[1], r[2], r[3]};
+        vel[uid] = {r[4], r[5], r[6]};
+        keep.push_back(id);
+      }
+    };
+    // Splits my owned atoms into those that stay (dest(i) < 0; returned)
+    // and count-prefixed records in bufs[dest(i)] for the ones that leave.
+    auto pack_departures = [&](std::vector<std::vector<double>>& bufs,
+                               auto dest) {
+      for (auto& b : bufs) b.assign(1, 0.0);
+      std::vector<int> keep;
+      keep.reserve(owned.size());
+      for (int i : owned) {
+        const int k = dest(i);
+        if (k < 0) {
+          keep.push_back(i);
+        } else {
+          append_state(bufs[static_cast<std::size_t>(k)], i);
+        }
+      }
+      for (auto& b : bufs) b[0] = static_cast<double>((b.size() - 1) / 7);
+      return keep;
+    };
+    auto append_rows = [](std::vector<double>& b, const std::vector<Vec3>& v,
+                          const std::vector<int>& ids) {
+      for (int i : ids) {
+        const Vec3& r = v[static_cast<std::size_t>(i)];
+        b.insert(b.end(), {r.x, r.y, r.z});
+      }
+    };
+    auto read_positions = [&](const double* r, const std::vector<int>& ids) {
+      for (std::size_t a = 0; a < ids.size(); ++a, r += 3) {
+        pos[static_cast<std::size_t>(ids[a])] = {r[0], r[1], r[2]};
       }
     };
 
@@ -936,51 +918,25 @@ class SpatialDecomposition final : public Decomposition {
     auto migrate = [&](int step) {
       perf::PhaseScope phase(rec, "migrate");
       const int tag = schedule_tag(step, 0);
-      for (auto& b : out) {
-        b.clear();
-        b.push_back(0.0);
-      }
-      std::vector<int> keep;
-      keep.reserve(owned.size());
-      for (int i : owned) {
-        const auto ui = static_cast<std::size_t>(i);
+      std::vector<int> keep = pack_departures(out, [&](int i) {
         const int r = layout.cell_rank[static_cast<std::size_t>(
-            layout.cell_of(pos[ui]))];
-        if (r == me) {
-          keep.push_back(i);
-          continue;
-        }
+            layout.cell_of(pos[static_cast<std::size_t>(i)]))];
+        if (r == me) return -1;
         const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), r);
         REPRO_REQUIRE(it != nbrs.end() && *it == r,
                       "atom migrated beyond the neighbor shell in one "
                       "epoch; the list rebuild interval is too long for "
                       "this timestep");
-        auto& b = out[static_cast<std::size_t>(it - nbrs.begin())];
-        b.push_back(static_cast<double>(i));
-        b.push_back(pos[ui].x);
-        b.push_back(pos[ui].y);
-        b.push_back(pos[ui].z);
-        b.push_back(vel[ui].x);
-        b.push_back(vel[ui].y);
-        b.push_back(vel[ui].z);
-        ++migrated;
-      }
+        return static_cast<int>(it - nbrs.begin());
+      });
+      migrated += owned.size() - keep.size();
       for (std::size_t k = 0; k < nn; ++k) {
-        out[k][0] = static_cast<double>((out[k].size() - 1) / 7);
         comm.send(nbrs[k], tag, out[k].data(),
                   out[k].size() * sizeof(double), /*exchange=*/true);
       }
       for (std::size_t k = 0; k < nn; ++k) {
         comm.recv(nbrs[k], tag, in.data(), in.size() * sizeof(double));
-        const auto n = static_cast<std::size_t>(in[0]);
-        for (std::size_t a = 0; a < n; ++a) {
-          const double* rec_ptr = in.data() + 1 + 7 * a;
-          const int id = static_cast<int>(rec_ptr[0]);
-          const auto uid = static_cast<std::size_t>(id);
-          pos[uid] = {rec_ptr[1], rec_ptr[2], rec_ptr[3]};
-          vel[uid] = {rec_ptr[4], rec_ptr[5], rec_ptr[6]};
-          keep.push_back(id);
-        }
+        adopt_states(keep);
       }
       std::sort(keep.begin(), keep.end());
       owned = std::move(keep);
@@ -1004,15 +960,9 @@ class SpatialDecomposition final : public Decomposition {
       }
       for (std::size_t k = 0; k < nn; ++k) {
         auto& b = out[k];
-        b.clear();
-        b.push_back(static_cast<double>(send_ids[k].size()));
+        b.assign(1, static_cast<double>(send_ids[k].size()));
         for (int i : send_ids[k]) b.push_back(static_cast<double>(i));
-        for (int i : send_ids[k]) {
-          const auto ui = static_cast<std::size_t>(i);
-          b.push_back(pos[ui].x);
-          b.push_back(pos[ui].y);
-          b.push_back(pos[ui].z);
-        }
+        append_rows(b, pos, send_ids[k]);
         comm.send(nbrs[k], tag, b.data(), b.size() * sizeof(double),
                   /*exchange=*/true);
       }
@@ -1023,69 +973,47 @@ class SpatialDecomposition final : public Decomposition {
         for (std::size_t a = 0; a < n; ++a) {
           recv_ids[k][a] = static_cast<int>(in[1 + a]);
         }
-        for (std::size_t a = 0; a < n; ++a) {
-          const double* r = in.data() + 1 + n + 3 * a;
-          pos[static_cast<std::size_t>(recv_ids[k][a])] = {r[0], r[1], r[2]};
-        }
+        read_positions(in.data() + 1 + n, recv_ids[k]);
       }
     };
 
-    // Per-step position halo: both sides know the epoch's counts, so
-    // payloads are raw coordinates and empty lists send nothing.
-    auto halo_positions = [&](int step) {
-      perf::PhaseScope phase(rec, "halo_exchange");
-      const int tag = schedule_tag(step, 2);
+    // One halo direction per step: rows out_ids[k] of `v` go to neighbor
+    // k, and neighbor k's rows in_ids[k] fold into place via
+    // fold(row, value). Both sides know the epoch's counts, so payloads
+    // are raw coordinates and empty lists send nothing.
+    auto halo = [&](const char* phase_name, int tag,
+                    const std::vector<std::vector<int>>& out_ids,
+                    const std::vector<std::vector<int>>& in_ids,
+                    const std::vector<Vec3>& v, auto fold) {
+      perf::PhaseScope phase(rec, phase_name);
       for (std::size_t k = 0; k < nn; ++k) {
-        if (send_ids[k].empty()) continue;
+        if (out_ids[k].empty()) continue;
         auto& b = out[k];
         b.clear();
-        for (int i : send_ids[k]) {
-          const auto ui = static_cast<std::size_t>(i);
-          b.push_back(pos[ui].x);
-          b.push_back(pos[ui].y);
-          b.push_back(pos[ui].z);
-        }
+        append_rows(b, v, out_ids[k]);
         comm.send(nbrs[k], tag, b.data(), b.size() * sizeof(double),
                   /*exchange=*/true);
       }
       for (std::size_t k = 0; k < nn; ++k) {
-        if (recv_ids[k].empty()) continue;
+        if (in_ids[k].empty()) continue;
         comm.recv(nbrs[k], tag, in.data(), in.size() * sizeof(double));
-        for (std::size_t a = 0; a < recv_ids[k].size(); ++a) {
+        for (std::size_t a = 0; a < in_ids[k].size(); ++a) {
           const double* r = in.data() + 3 * a;
-          pos[static_cast<std::size_t>(recv_ids[k][a])] = {r[0], r[1], r[2]};
+          fold(static_cast<std::size_t>(in_ids[k][a]), Vec3{r[0], r[1], r[2]});
         }
       }
     };
-
+    // Position halo: my border atoms out, my ghosts in.
+    auto halo_positions = [&](int step) {
+      halo("halo_exchange", schedule_tag(step, 2), send_ids, recv_ids, pos,
+           [&](std::size_t i, const Vec3& r) { pos[i] = r; });
+    };
     // Reverse halo: partial forces accumulated on my ghost rows go home
     // (byte-symmetric with the position halo), and the partials my
     // neighbors held for my atoms fold into my owned rows.
     auto halo_forces = [&](int step) {
-      perf::PhaseScope phase(rec, "halo_fold");
-      const int tag = schedule_tag(step, 3);
-      for (std::size_t k = 0; k < nn; ++k) {
-        if (recv_ids[k].empty()) continue;
-        auto& b = out[k];
-        b.clear();
-        for (int i : recv_ids[k]) {
-          const auto ui = static_cast<std::size_t>(i);
-          b.push_back(forces[ui].x);
-          b.push_back(forces[ui].y);
-          b.push_back(forces[ui].z);
-        }
-        comm.send(nbrs[k], tag, b.data(), b.size() * sizeof(double),
-                  /*exchange=*/true);
-      }
-      for (std::size_t k = 0; k < nn; ++k) {
-        if (send_ids[k].empty()) continue;
-        comm.recv(nbrs[k], tag, in.data(), in.size() * sizeof(double));
-        for (std::size_t a = 0; a < send_ids[k].size(); ++a) {
-          const double* r = in.data() + 3 * a;
-          forces[static_cast<std::size_t>(send_ids[k][a])] +=
-              Vec3{r[0], r[1], r[2]};
-        }
-      }
+      halo("halo_fold", schedule_tag(step, 3), recv_ids, send_ids, forces,
+           [&](std::size_t i, const Vec3& f) { forces[i] += f; });
     };
 
     // PME wants every position on every rank (slab spreading): a pairwise
@@ -1096,15 +1024,9 @@ class SpatialDecomposition final : public Decomposition {
       perf::PhaseScope phase(rec, "pme_gather");
       const int tag = schedule_tag(step, 4);
       auto& b = gather_buf;
-      b.clear();
-      b.push_back(static_cast<double>(owned.size()));
+      b.assign(1, static_cast<double>(owned.size()));
       for (int i : owned) b.push_back(static_cast<double>(i));
-      for (int i : owned) {
-        const auto ui = static_cast<std::size_t>(i);
-        b.push_back(pos[ui].x);
-        b.push_back(pos[ui].y);
-        b.push_back(pos[ui].z);
-      }
+      append_rows(b, pos, owned);
       for (int k = 1; k < p; ++k) {
         comm.send((me + k) % p, tag, b.data(), b.size() * sizeof(double),
                   /*exchange=*/true);
@@ -1138,10 +1060,9 @@ class SpatialDecomposition final : public Decomposition {
       std::vector<double> collect(static_cast<std::size_t>(nunits + p), 0.0);
       double measured = 0.0;
       double model = 0.0;
-      for (int i = 0; i < 3; ++i) {
-        measured += measured_cum(i) - measured_snap[static_cast<std::size_t>(i)];
-        model += model_cum[static_cast<std::size_t>(i)] -
-                 model_snap[static_cast<std::size_t>(i)];
+      for (std::size_t i = 0; i < 3; ++i) {
+        measured += measured_cum(i) - measured_snap[i];
+        model += model_cum[i] - model_snap[i];
       }
       collect[static_cast<std::size_t>(nunits + me)] =
           model > 0.0 ? measured / model : 1.0;
@@ -1172,7 +1093,6 @@ class SpatialDecomposition final : public Decomposition {
       }
       units_moved += moved.size();
       std::vector<int> keep;
-      keep.reserve(owned.size());
       {
         perf::PhaseScope phase(rec, "unit_handoff");
         const int tag = schedule_tag(step, 11);
@@ -1181,31 +1101,18 @@ class SpatialDecomposition final : public Decomposition {
           if (unit_rank[static_cast<std::size_t>(u)] == me) my_moved.push_back(u);
         }
         std::vector<std::vector<double>> unit_out(my_moved.size());
-        for (auto& b : unit_out) b.push_back(0.0);
-        for (int i : owned) {
-          const auto ui = static_cast<std::size_t>(i);
+        keep = pack_departures(unit_out, [&](int i) {
           const int u = units->cell_unit[static_cast<std::size_t>(
-              layout.cell_of(pos[ui]))];
-          if (new_map[static_cast<std::size_t>(u)] == me) {
-            keep.push_back(i);
-            continue;
-          }
+              layout.cell_of(pos[static_cast<std::size_t>(i)]))];
+          if (new_map[static_cast<std::size_t>(u)] == me) return -1;
           const auto it =
               std::lower_bound(my_moved.begin(), my_moved.end(), u);
           REPRO_REQUIRE(it != my_moved.end() && *it == u,
                         "owned atom in a unit this rank does not own");
-          auto& b = unit_out[static_cast<std::size_t>(it - my_moved.begin())];
-          b.push_back(static_cast<double>(i));
-          b.push_back(pos[ui].x);
-          b.push_back(pos[ui].y);
-          b.push_back(pos[ui].z);
-          b.push_back(vel[ui].x);
-          b.push_back(vel[ui].y);
-          b.push_back(vel[ui].z);
-        }
+          return static_cast<int>(it - my_moved.begin());
+        });
         for (std::size_t k = 0; k < my_moved.size(); ++k) {
-          auto& b = unit_out[k];
-          b[0] = static_cast<double>((b.size() - 1) / 7);
+          const auto& b = unit_out[k];
           comm.send(new_map[static_cast<std::size_t>(my_moved[k])], tag,
                     b.data(), b.size() * sizeof(double), /*exchange=*/true);
         }
@@ -1213,15 +1120,7 @@ class SpatialDecomposition final : public Decomposition {
           if (new_map[static_cast<std::size_t>(u)] != me) continue;
           comm.recv(unit_rank[static_cast<std::size_t>(u)], tag, in.data(),
                     in.size() * sizeof(double));
-          const auto n = static_cast<std::size_t>(in[0]);
-          for (std::size_t a = 0; a < n; ++a) {
-            const double* rec_ptr = in.data() + 1 + 7 * a;
-            const int id = static_cast<int>(rec_ptr[0]);
-            const auto uid = static_cast<std::size_t>(id);
-            pos[uid] = {rec_ptr[1], rec_ptr[2], rec_ptr[3]};
-            vel[uid] = {rec_ptr[4], rec_ptr[5], rec_ptr[6]};
-            keep.push_back(id);
-          }
+          adopt_states(keep);
         }
       }
       std::sort(keep.begin(), keep.end());
@@ -1247,9 +1146,7 @@ class SpatialDecomposition final : public Decomposition {
     RankRunResult result;
     std::size_t local_pairs = 0;
     for (int step = 0; step < config.nsteps; ++step) {
-      rec.set_component(perf::Component::kClassic);
-      if (config.coherency_barriers) mw.synchronize();
-
+      rp.begin_step(perf::Component::kClassic);
       if (step % config.list_rebuild_interval == 0) {
         if (step == 0) {
           adopt_global_epoch();
@@ -1259,71 +1156,35 @@ class SpatialDecomposition final : public Decomposition {
           exchange_ghosts(step);
         }
         refresh_derived();
-        {
-          perf::PhaseScope phase(rec, "list_build");
-          nbl.build_subset(topo, box, pos, candidates, owned_mask);
-          comm.compute(cost.seconds_per_list_pair *
-                       static_cast<double>(nbl.npairs()) * 2.0);
-          local_pairs = nbl.npairs();
-        }
+        rp.build_list([&] {
+          rp.nbl.build_subset(topo, box, pos, candidates, owned_mask);
+        });
+        local_pairs = rp.nbl.npairs();
         if (ldb_on) begin_measurement();
       }
 
       halo_positions(step);
-
-      std::fill(forces.begin(), forces.end(), Vec3{});
-      md::EnergyTerms energy;
-
-      {
-        perf::PhaseScope phase(rec, "bonded");
-        const md::BondedWork bw = md::bonded_energy_owned(
-            topo, box, pos, owned_mask, forces, energy);
-        const double sec = cost.seconds_per_bonded_term *
-                           static_cast<double>(bw.total());
-        comm.compute(sec);
-        model_cum[0] += sec;
-      }
-
-      {
-        perf::PhaseScope phase(rec, "nonbonded");
-        const md::NonbondedWork nw = md::nonbonded_energy(
-            topo, box, pos, nbl, nb, forces, energy, 0, 1);
-        const double sec = cost.seconds_per_pair *
-                           static_cast<double>(nw.pairs_listed);
-        comm.compute(sec);
-        model_cum[1] += sec;
-      }
+      const std::array<double, 3> sec = rp.classic_terms(share);
+      for (std::size_t i = 0; i < sec.size(); ++i) model_cum[i] += sec[i];
 
       if (config.use_pme) {
-        {
-          perf::PhaseScope phase(rec, "ewald_corr");
-          energy.ewald_excl += pme::ewald_exclusion_correction_owned(
-              topo, box, pos, owned_mask, config.pme.beta, forces);
-          const double sec = cost.seconds_per_bonded_term *
-                             static_cast<double>(owned_excl);
-          comm.compute(sec);
-          model_cum[2] += sec;
-        }
-        if (me == 0) {
-          energy.ewald_self += pme::ewald_self_energy(topo, config.pme.beta);
-        }
-
-        rec.set_component(perf::Component::kPme);
-        if (config.coherency_barriers) mw.synchronize();
-        if (pencil) {
-          // Pencil PME: charges are spread locally and exchanged as
-          // region plane blocks, the FFT transposes within pencil rows/
-          // columns, and owned-atom forces come back complete — no
-          // position gather and no reciprocal-force allreduce.
-          perf::PhaseScope phase(rec, "pme_recip");
-          energy.ewald_recip += pencil_pme->reciprocal(
-              topo, pos, owned, forces, schedule_tag(step, 5));
-        } else {
+        rp.pme_routine([&] {
+          if (pencil) {
+            // Pencil PME: charges are spread locally and exchanged as
+            // region plane blocks, the FFT transposes within pencil rows/
+            // columns, and owned-atom forces come back complete — no
+            // position gather and no reciprocal-force allreduce.
+            perf::PhaseScope phase(rec, "pme_recip");
+            rp.energy.ewald_recip += pencil_pme->reciprocal(
+                topo, pos, owned, forces, schedule_tag(step, 5));
+            return;
+          }
           gather_positions(step);
           recip_forces.assign(natoms, Vec3{});
           {
             perf::PhaseScope phase(rec, "pme_recip");
-            energy.ewald_recip += ppme->reciprocal(topo, pos, recip_forces);
+            rp.energy.ewald_recip +=
+                ppme->reciprocal(topo, pos, recip_forces);
           }
           {
             // The reciprocal force on an atom has contributions from
@@ -1339,33 +1200,16 @@ class SpatialDecomposition final : public Decomposition {
             const auto ui = static_cast<std::size_t>(i);
             forces[ui] += recip_forces[ui];
           }
-        }
-        rec.set_component(perf::Component::kClassic);
+        });
       }
 
       halo_forces(step);
-
       {
         perf::PhaseScope phase(rec, "energy_reduce");
-        std::array<double, md::EnergyTerms::kCount> earr = energy.to_array();
-        mw.global_sum(earr.data(), earr.size());
-        energy = md::EnergyTerms::from_array(earr);
+        rp.sum_energy();
       }
-      result.last_energy = energy;
-
-      rec.set_component(perf::Component::kOther);
-      {
-        perf::PhaseScope phase(rec, "integrate");
-        comm.compute(cost.seconds_per_integration_atom *
-                     static_cast<double>(owned.size()));
-      }
-      const double kick = config.dt_ps * units::kForceToAccel;
-      for (int i : owned) {
-        const auto ui = static_cast<std::size_t>(i);
-        vel[ui] += forces[ui] * (kick / topo.atom(i).mass);
-        pos[ui] += vel[ui] * config.dt_ps;
-      }
-      rec.end_step();
+      result.last_energy = rp.energy;
+      rp.finish_step(owned);
     }
 
     // Distributed state needs one last reduction so every rank reports
@@ -1374,12 +1218,8 @@ class SpatialDecomposition final : public Decomposition {
     {
       rec.set_component(perf::Component::kOther);
       perf::PhaseScope phase(rec, "result_reduce");
-      double partial = 0.0;
-      for (int i : owned) {
-        const auto ui = static_cast<std::size_t>(i);
-        partial += pos[ui].x + pos[ui].y + pos[ui].z;
-      }
-      double tail[3] = {partial, static_cast<double>(local_pairs),
+      double tail[3] = {rp.position_sum(owned),
+                        static_cast<double>(local_pairs),
                         static_cast<double>(migrated)};
       mw.global_sum(tail, 3);
       result.position_checksum = tail[0];

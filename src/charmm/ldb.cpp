@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "md/work_slice.hpp"
 #include "util/error.hpp"
 
 namespace repro::charmm {
@@ -24,19 +25,17 @@ UnitWork count_unit_work(int nunits, const md::Topology& topo,
     work.pairs[static_cast<std::size_t>(u)] +=
         static_cast<long>(offsets[i + 1] - offsets[i]);
   }
-  auto add_first_atom = [&](int i) {
-    const int u = unit_of_row[static_cast<std::size_t>(i)];
-    if (u >= 0) ++work.bonded[static_cast<std::size_t>(u)];
+  auto count_by_first_atom = [&](const auto& terms, std::vector<long>& n) {
+    for (const auto& t : terms) {
+      const int u = unit_of_row[static_cast<std::size_t>(md::first_atom(t))];
+      if (u >= 0) ++n[static_cast<std::size_t>(u)];
+    }
   };
-  for (const md::Bond& b : topo.bonds()) add_first_atom(b.i);
-  for (const md::Angle& a : topo.angles()) add_first_atom(a.i);
-  for (const md::Dihedral& d : topo.dihedrals()) add_first_atom(d.i);
-  for (const md::Improper& im : topo.impropers()) add_first_atom(im.i);
-  for (const auto& [i, j] : topo.excluded_pairs()) {
-    (void)j;
-    const int u = unit_of_row[static_cast<std::size_t>(i)];
-    if (u >= 0) ++work.excl[static_cast<std::size_t>(u)];
-  }
+  count_by_first_atom(topo.bonds(), work.bonded);
+  count_by_first_atom(topo.angles(), work.bonded);
+  count_by_first_atom(topo.dihedrals(), work.bonded);
+  count_by_first_atom(topo.impropers(), work.bonded);
+  count_by_first_atom(topo.excluded_pairs(), work.excl);
   return work;
 }
 

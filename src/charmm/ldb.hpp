@@ -25,9 +25,10 @@ namespace repro::charmm {
 
 // Per-unit integer work counts for one epoch. Every term is attributed
 // to the unit of its first (owning) atom's build-time cell — the same
-// first-atom ownership rule bonded_energy_owned, the exclusion
-// correction, and the subset pair list use — so a unit's cost is counted
-// by exactly one rank and survives migration unchanged.
+// first-atom rule as the owned-atom WorkSlice (md/work_slice.hpp) the
+// spatial ranks evaluate under, and the subset pair list's row rule — so
+// a unit's cost is counted by exactly one rank and survives migration
+// unchanged.
 struct UnitWork {
   std::vector<long> pairs;   // neighbor-list CSR rows
   std::vector<long> bonded;  // bond + angle + dihedral + improper terms

@@ -30,13 +30,7 @@ Simulation::Simulation(const sysbuild::BuiltSystem& sys,
       vel_(sys.positions.size()),
       forces_(sys.positions.size()) {
   validate_config(config);
-  nb_.cutoff = config.cutoff;
-  nb_.switch_on = config.switch_on;
-  nb_.elec = config.use_pme ? md::NonbondedOptions::Elec::kEwaldDirect
-                            : md::NonbondedOptions::Elec::kShift;
-  nb_.beta = config.pme.beta;
-  nb_.kernel = config.kernel;
-  nb_.table = md::build_pair_table(sys.topo);
+  nb_ = nonbonded_options(config, sys.topo);
   if (config.rigid_waters) {
     shake_.emplace(md::Shake::rigid_waters(sys.topo));
   } else if (config.shake_hydrogens) {

@@ -61,6 +61,24 @@ struct SimulationConfig {
 // CharmmConfig overload lives in charmm/app.hpp.
 void validate_config(const SimulationConfig& config);
 
+// The pair-kernel options every CHARMM program runs with, Simulation and
+// each decomposition's ranks alike: Ewald-direct electrostatics under PME,
+// SHIFT otherwise, and a mixing table built once for `topo`. Config is a
+// SimulationConfig or a CharmmConfig.
+template <class Config>
+md::NonbondedOptions nonbonded_options(const Config& config,
+                                       const md::Topology& topo) {
+  md::NonbondedOptions nb;
+  nb.cutoff = config.cutoff;
+  nb.switch_on = config.switch_on;
+  nb.elec = config.use_pme ? md::NonbondedOptions::Elec::kEwaldDirect
+                           : md::NonbondedOptions::Elec::kShift;
+  nb.beta = config.pme.beta;
+  nb.kernel = config.kernel;
+  nb.table = md::build_pair_table(topo);
+  return nb;
+}
+
 class Simulation {
  public:
   Simulation(const sysbuild::BuiltSystem& sys, const SimulationConfig& config);

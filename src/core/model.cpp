@@ -90,6 +90,9 @@ void predict_atom(const net::NetworkParams& params, int p, int natoms,
 
 void predict_force(const net::NetworkParams& params, int p, int natoms,
                    const pme::PmeParams& grid, OverheadPrediction& out) {
+  // PME and the three coherency barriers are the atom schedule's; only the
+  // classic reduction changes.
+  predict_atom(params, p, natoms, grid, out);
   const double log2p = ceil_log2(p);
   const std::size_t force_bytes = static_cast<std::size_t>(natoms) * 3 * 8;
   const std::size_t energy_bytes = 9 * 8;
@@ -113,16 +116,6 @@ void predict_force(const net::NetworkParams& params, int p, int natoms,
   out.classic_bytes_per_step =
       2.0 * static_cast<double>(force_bytes) * (p - 1) +
       2.0 * (p - 1) * static_cast<double>(energy_bytes);
-
-  // PME and the three coherency barriers are unchanged from the atom
-  // schedule.
-  out.pme_comm_per_step =
-      2.0 * (p - 1) *
-      predict_message_seconds(params, transpose_round_block_bytes(grid, p),
-                              /*exchange=*/true);
-  out.pme_messages_per_step = 2.0 * p * (p - 1);
-  out.pme_bytes_per_step = 2.0 * transpose_bytes(grid, p);
-  out.sync_per_step = 3.0 * log2p * predict_message_seconds(params, 0);
 }
 
 void predict_task(const net::NetworkParams& params, int p, int natoms,

@@ -1,20 +1,22 @@
 // Bonded energy/force kernels (bonds, angles + Urey-Bradley, dihedrals,
 // impropers).
 //
-// Every kernel computes the terms with index % stride == shard (atom- or
-// term-decomposition for the replicated-data parallelization: forces are
-// accumulated into a full-size array and globally summed afterwards).
-// Each kernel returns the number of terms it evaluated so the simulator's
-// cost model can charge virtual compute time.
+// Every kernel evaluates the terms of one WorkSlice (md/work_slice.hpp):
+// an interleaved share of each term list for the replicated-data
+// strategies, or the terms whose first atom a spatial rank owns. Forces
+// accumulate into a full-size array (partner rows of owned terms may be
+// ghosts, which the caller's force halo ships home). Each kernel returns
+// the number of terms it evaluated so the simulator's cost model can
+// charge virtual compute time.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "md/box.hpp"
 #include "md/energy.hpp"
 #include "md/topology.hpp"
+#include "md/work_slice.hpp"
 #include "util/vec3.hpp"
 
 namespace repro::md {
@@ -27,23 +29,12 @@ struct BondedWork {
   std::size_t total() const { return bonds + angles + dihedrals + impropers; }
 };
 
-// Evaluates all bonded terms of `topo` belonging to this shard, adding to
-// `energy` and `forces` (forces must be sized natoms and zeroed or
-// pre-accumulated by the caller).
+// Evaluates the bonded terms of `topo` in `slice`, adding to `energy` and
+// `forces` (forces must be sized natoms and zeroed or pre-accumulated by
+// the caller). Positions of every atom of a selected term must be valid.
 BondedWork bonded_energy(const Topology& topo, const Box& box,
                          const std::vector<util::Vec3>& pos,
                          std::vector<util::Vec3>& forces, EnergyTerms& energy,
-                         int shard = 0, int stride = 1);
-
-// Spatial-decomposition variant: evaluates exactly the terms whose FIRST
-// atom (b.i / a.i / d.i / im.i) has owned_mask set, so disjoint ownership
-// masks partition the term set across ranks. Positions of every partner
-// atom of an owned term must be valid (owned or ghost); forces may land on
-// ghost rows and are shipped home by the caller's force halo.
-BondedWork bonded_energy_owned(const Topology& topo, const Box& box,
-                               const std::vector<util::Vec3>& pos,
-                               const std::vector<std::uint8_t>& owned_mask,
-                               std::vector<util::Vec3>& forces,
-                               EnergyTerms& energy);
+                         const WorkSlice& slice = {});
 
 }  // namespace repro::md

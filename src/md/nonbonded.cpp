@@ -359,9 +359,77 @@ class SimdRowKernel {
   int m_ = 0;
 };
 
+// The scalar reference variant behind the same row interface.
+class ScalarRowKernel {
+ public:
+  ScalarRowKernel(const Box& box, const NonbondedOptions& opts,
+                  const PairTable& pt, const std::vector<Vec3>& pos,
+                  std::vector<Vec3>& forces)
+      : box_(box), opts_(opts), pt_(pt), pos_(pos), forces_(forces) {}
+
+  template <class Keep>
+  void row(int i, const int* neigh, std::size_t count, Keep keep,
+           NonbondedWork& work) {
+    for (std::size_t t = 0; t < count; ++t) {
+      const int j = neigh[t];
+      if (!keep(j)) continue;
+      accumulate_pair(pt_, box_, pos_, opts_, i, j, forces_, work);
+      ++work.pairs_listed;
+    }
+  }
+
+ private:
+  const Box& box_;
+  const NonbondedOptions& opts_;
+  const PairTable& pt_;
+  const std::vector<Vec3>& pos_;
+  std::vector<Vec3>& forces_;
+};
+
 struct KeepAll {
   bool operator()(int) const { return true; }
 };
+
+// The one pair-row driver: runs kernel.row over the rows and pairs of
+// `nbl` in `slice`. The rule is resolved here, outside the pair loop:
+// interleaved and owned-atom slices select whole rows and keep every
+// listed pair, so their inner loop carries no per-pair test; pair-block
+// slices walk every row and keep a pair by its two blocks' owner.
+template <class Kernel>
+void run_rows(const NeighborList& nbl, int natoms, const WorkSlice& slice,
+              Kernel& kernel, NonbondedWork& work) {
+  const auto& offsets = nbl.offsets();
+  const int* neigh = nbl.neighbors().data();
+  auto row = [&](int i, auto keep) {
+    const std::size_t b = offsets[static_cast<std::size_t>(i)];
+    const std::size_t e = offsets[static_cast<std::size_t>(i) + 1];
+    kernel.row(i, neigh + b, e - b, keep, work);
+  };
+  switch (slice.rule()) {
+    case WorkSlice::Rule::kInterleaved:
+      for (int i = slice.shard(); i < natoms; i += slice.stride()) {
+        row(i, KeepAll{});
+      }
+      return;
+    case WorkSlice::Rule::kOwnedAtoms:
+      for (int i = 0; i < natoms; ++i) {
+        if (slice.mask()[static_cast<std::size_t>(i)]) row(i, KeepAll{});
+      }
+      return;
+    case WorkSlice::Rule::kPairBlocks: {
+      const std::vector<int>& block = slice.block();
+      const int owner = slice.shard();
+      const int nowners = slice.stride();
+      for (int i = 0; i < natoms; ++i) {
+        const int bi = block[static_cast<std::size_t>(i)];
+        row(i, [&](int j) {
+          return (bi + block[static_cast<std::size_t>(j)]) % nowners == owner;
+        });
+      }
+      return;
+    }
+  }
+}
 
 }  // namespace
 
@@ -398,82 +466,19 @@ NonbondedWork nonbonded_energy(const Topology& topo, const Box& box,
                                const NeighborList& nbl,
                                const NonbondedOptions& opts,
                                std::vector<Vec3>& forces,
-                               EnergyTerms& energy, int shard, int stride) {
-  REPRO_REQUIRE(stride >= 1 && shard >= 0 && shard < stride,
-                "bad shard/stride");
+                               EnergyTerms& energy, const WorkSlice& slice) {
   REPRO_REQUIRE(nbl.cutoff() >= opts.cutoff,
                 "neighbor list built with a smaller cutoff");
+  slice.require_atoms(static_cast<std::size_t>(topo.natoms()));
   std::shared_ptr<const PairTable> hold;
   const PairTable& pt = *resolve_table(opts, topo, hold);
   NonbondedWork work;
-  const auto& offsets = nbl.offsets();
-  const auto& neigh = nbl.neighbors();
   if (opts.kernel == util::KernelKind::kSimd) {
     SimdRowKernel kernel(box, opts, pt, pos, forces);
-    for (int i = shard; i < topo.natoms(); i += stride) {
-      const std::size_t b = offsets[static_cast<std::size_t>(i)];
-      const std::size_t e = offsets[static_cast<std::size_t>(i) + 1];
-      kernel.row(i, neigh.data() + b, e - b, KeepAll{}, work);
-    }
+    run_rows(nbl, topo.natoms(), slice, kernel, work);
   } else {
-    for (int i = shard; i < topo.natoms(); i += stride) {
-      const std::size_t b = offsets[static_cast<std::size_t>(i)];
-      const std::size_t e = offsets[static_cast<std::size_t>(i) + 1];
-      for (std::size_t t = b; t < e; ++t) {
-        accumulate_pair(pt, box, pos, opts, i, neigh[t], forces, work);
-        ++work.pairs_listed;
-      }
-    }
-  }
-  energy.lj += work.lj;
-  energy.elec += work.elec;
-  return work;
-}
-
-NonbondedWork nonbonded_energy_blocked(const Topology& topo, const Box& box,
-                                       const std::vector<Vec3>& pos,
-                                       const NeighborList& nbl,
-                                       const NonbondedOptions& opts,
-                                       const std::vector<int>& block,
-                                       int owner, int nowners,
-                                       std::vector<Vec3>& forces,
-                                       EnergyTerms& energy) {
-  REPRO_REQUIRE(nowners >= 1 && owner >= 0 && owner < nowners,
-                "bad owner/nowners");
-  REPRO_REQUIRE(block.size() == static_cast<std::size_t>(topo.natoms()),
-                "block map must cover every atom");
-  REPRO_REQUIRE(nbl.cutoff() >= opts.cutoff,
-                "neighbor list built with a smaller cutoff");
-  std::shared_ptr<const PairTable> hold;
-  const PairTable& pt = *resolve_table(opts, topo, hold);
-  NonbondedWork work;
-  const auto& offsets = nbl.offsets();
-  const auto& neigh = nbl.neighbors();
-  if (opts.kernel == util::KernelKind::kSimd) {
-    SimdRowKernel kernel(box, opts, pt, pos, forces);
-    for (int i = 0; i < topo.natoms(); ++i) {
-      const int bi = block[static_cast<std::size_t>(i)];
-      const std::size_t b = offsets[static_cast<std::size_t>(i)];
-      const std::size_t e = offsets[static_cast<std::size_t>(i) + 1];
-      const auto owned = [&](int j) {
-        return (bi + block[static_cast<std::size_t>(j)]) % nowners == owner;
-      };
-      kernel.row(i, neigh.data() + b, e - b, owned, work);
-    }
-  } else {
-    for (int i = 0; i < topo.natoms(); ++i) {
-      const int bi = block[static_cast<std::size_t>(i)];
-      const std::size_t b = offsets[static_cast<std::size_t>(i)];
-      const std::size_t e = offsets[static_cast<std::size_t>(i) + 1];
-      for (std::size_t t = b; t < e; ++t) {
-        const int j = neigh[t];
-        if ((bi + block[static_cast<std::size_t>(j)]) % nowners != owner) {
-          continue;
-        }
-        accumulate_pair(pt, box, pos, opts, i, j, forces, work);
-        ++work.pairs_listed;
-      }
-    }
+    ScalarRowKernel kernel(box, opts, pt, pos, forces);
+    run_rows(nbl, topo.natoms(), slice, kernel, work);
   }
   energy.lj += work.lj;
   energy.elec += work.elec;

@@ -9,7 +9,10 @@
 //   kEwaldDirect — the real-space Ewald term qq erfc(beta r)/r used for the
 //                  direct sum when PME handles the long-range part.
 //
-// Every kernel ships two variants behind NonbondedOptions::kernel:
+// The listed kernel has one pair-row driver for every decomposition: a
+// WorkSlice (md/work_slice.hpp) says which rows or pairs a call takes, and
+// the rule is resolved outside the pair loop. The row itself ships two
+// variants behind NonbondedOptions::kernel:
 //   kScalar — the straight-line reference; bit-identical to the historical
 //             implementation and to the goldens.
 //   kSimd   — SoA-staged, width-agnostic vector lanes (#pragma omp simd)
@@ -28,6 +31,7 @@
 #include "md/energy.hpp"
 #include "md/neighbor.hpp"
 #include "md/topology.hpp"
+#include "md/work_slice.hpp"
 #include "util/kernel.hpp"
 #include "util/vec3.hpp"
 
@@ -69,29 +73,17 @@ struct NonbondedWork {
   double elec = 0.0;
 };
 
-// Evaluates the shard's share of the pair list (i-atoms with
-// i % stride == shard), accumulating into forces/energy.
+// Evaluates the pairs of the list in `slice` (md/work_slice.hpp): the
+// rows i of an interleaved or owned-atom slice, or the pairs (i, j) a
+// pair-block slice assigns to its owner, accumulating into forces/energy.
+// pairs_listed counts the selected pairs.
 NonbondedWork nonbonded_energy(const Topology& topo, const Box& box,
                                const std::vector<util::Vec3>& pos,
                                const NeighborList& nbl,
                                const NonbondedOptions& opts,
                                std::vector<util::Vec3>& forces,
-                               EnergyTerms& energy, int shard = 0,
-                               int stride = 1);
-
-// Force-decomposition variant: evaluates pair (i, j) of the list iff
-// (block[i] + block[j]) % nowners == owner, where block[] maps each atom
-// to its contiguous block (one block per rank). Every pair of the list
-// belongs to exactly one owner, so summing over owners reproduces
-// nonbonded_energy's totals. pairs_listed counts the owned pairs.
-NonbondedWork nonbonded_energy_blocked(const Topology& topo, const Box& box,
-                                       const std::vector<util::Vec3>& pos,
-                                       const NeighborList& nbl,
-                                       const NonbondedOptions& opts,
-                                       const std::vector<int>& block,
-                                       int owner, int nowners,
-                                       std::vector<util::Vec3>& forces,
-                                       EnergyTerms& energy);
+                               EnergyTerms& energy,
+                               const WorkSlice& slice = {});
 
 // Reference O(N^2) evaluation (tests): identical physics without a list.
 // Always runs the scalar variant — it is the oracle the simd path is

@@ -125,18 +125,16 @@ double ewald_self_energy(const Topology& topo, double beta) {
 
 double ewald_exclusion_correction(const Topology& topo, const Box& box,
                                   const std::vector<Vec3>& pos, double beta,
-                                  std::vector<Vec3>& forces, int shard,
-                                  int stride) {
-  REPRO_REQUIRE(stride >= 1 && shard >= 0 && shard < stride,
-                "bad shard/stride");
+                                  std::vector<Vec3>& forces,
+                                  const md::WorkSlice& slice) {
+  slice.require_atoms(pos.size());
   double energy = 0.0;
-  const auto& pairs = topo.excluded_pairs();
-  for (std::size_t t = static_cast<std::size_t>(shard); t < pairs.size();
-       t += static_cast<std::size_t>(stride)) {
-    const auto [i, j] = pairs[t];
+  md::for_each_term(topo.excluded_pairs(), slice,
+                    [&](const std::pair<int, int>& pair) {
+    const auto [i, j] = pair;
     const double qq =
         units::kCoulomb * topo.atom(i).charge * topo.atom(j).charge;
-    if (qq == 0.0) continue;
+    if (qq == 0.0) return;
     const Vec3 d = box.min_image(pos[static_cast<std::size_t>(i)] -
                                  pos[static_cast<std::size_t>(j)]);
     const double r = util::norm(d);
@@ -151,36 +149,7 @@ double ewald_exclusion_correction(const Topology& topo, const Box& box,
     const Vec3 f = d * (-dEdr / r);
     forces[static_cast<std::size_t>(i)] += f;
     forces[static_cast<std::size_t>(j)] -= f;
-  }
-  return energy;
-}
-
-double ewald_exclusion_correction_owned(
-    const Topology& topo, const Box& box, const std::vector<Vec3>& pos,
-    const std::vector<std::uint8_t>& owned_mask, double beta,
-    std::vector<Vec3>& forces) {
-  REPRO_REQUIRE(owned_mask.size() == pos.size(),
-                "ownership mask size mismatch");
-  double energy = 0.0;
-  for (const auto& [i, j] : topo.excluded_pairs()) {
-    if (!owned_mask[static_cast<std::size_t>(i)]) continue;
-    const double qq =
-        units::kCoulomb * topo.atom(i).charge * topo.atom(j).charge;
-    if (qq == 0.0) continue;
-    const Vec3 d = box.min_image(pos[static_cast<std::size_t>(i)] -
-                                 pos[static_cast<std::size_t>(j)]);
-    const double r = util::norm(d);
-    const double br = beta * r;
-    const double erf_br = std::erf(br);
-    energy -= qq * erf_br / r;
-    const double dEdr =
-        -qq * (2.0 * beta / std::sqrt(std::numbers::pi) *
-                   std::exp(-br * br) / r -
-               erf_br / (r * r));
-    const Vec3 f = d * (-dEdr / r);
-    forces[static_cast<std::size_t>(i)] += f;
-    forces[static_cast<std::size_t>(j)] -= f;
-  }
+  });
   return energy;
 }
 
@@ -401,6 +370,38 @@ double ParallelPme::reciprocal(const Topology& topo,
   const auto K =
       static_cast<double>(params_.nx * params_.ny * params_.nz);
 
+  // Whether atom i's x-stencil intersects my slab: a cheap rejection on
+  // the x coordinate before computing full splines.
+  auto touches_slab = [&](std::size_t i) {
+    const double ux = frac_coord(pos[i].x, box_.lx(), params_.nx);
+    const int k0x = static_cast<int>(std::floor(ux));
+    for (int jx = 0; jx < order; ++jx) {
+      int kx = k0x - jx;
+      if (kx < 0) kx += static_cast<int>(params_.nx);
+      if (static_cast<std::size_t>(kx) >= xb &&
+          static_cast<std::size_t>(kx) < xe) {
+        return true;
+      }
+    }
+    return false;
+  };
+  // Calls visit(slab index, jx, jy, jz) for the stencil points of s on my
+  // x-planes, in (jx, jy, jz) order.
+  auto for_each_slab_tap = [&](const AtomSpline& s, auto visit) {
+    for (int jx = 0; jx < order; ++jx) {
+      const std::size_t kx = line(s, 0, jx, params_.nx);
+      if (kx < xb || kx >= xe) continue;
+      const std::size_t lx = kx - xb;
+      for (int jy = 0; jy < order; ++jy) {
+        const std::size_t ky = line(s, 1, jy, params_.ny);
+        for (int jz = 0; jz < order; ++jz) {
+          const std::size_t kz = line(s, 2, jz, params_.nz);
+          visit((lx * params_.ny + ky) * params_.nz + kz, jx, jy, jz);
+        }
+      }
+    }
+  };
+
   // Spread the charges of every atom whose x-stencil intersects my slab,
   // onto the owned x-planes only. Positions are replicated, so no
   // communication is needed here; boundary atoms are handled by the slabs
@@ -411,34 +412,13 @@ double ParallelPme::reciprocal(const Topology& topo,
   for (std::size_t i = 0; i < n; ++i) {
     const double q = topo.atom(static_cast<int>(i)).charge;
     if (q == 0.0) continue;
-    // Cheap rejection on the x-coordinate before computing full splines.
-    const double ux = frac_coord(pos[i].x, box_.lx(), params_.nx);
-    const int k0x = static_cast<int>(std::floor(ux));
-    bool touches = false;
-    for (int jx = 0; jx < order && !touches; ++jx) {
-      int kx = k0x - jx;
-      if (kx < 0) kx += static_cast<int>(params_.nx);
-      touches = static_cast<std::size_t>(kx) >= xb &&
-                static_cast<std::size_t>(kx) < xe;
-    }
-    if (!touches) continue;
+    if (!touches_slab(i)) continue;
     ++atoms_touched;
     const AtomSpline s = make_spline(params_, box_, pos[i]);
-    for (int jx = 0; jx < order; ++jx) {
-      const std::size_t kx = line(s, 0, jx, params_.nx);
-      if (kx < xb || kx >= xe) continue;
-      const std::size_t lx = kx - xb;
-      for (int jy = 0; jy < order; ++jy) {
-        const std::size_t ky = line(s, 1, jy, params_.ny);
-        const double wxy = q * s.w[0][jx] * s.w[1][jy];
-        for (int jz = 0; jz < order; ++jz) {
-          const std::size_t kz = line(s, 2, jz, params_.nz);
-          xslab_[(lx * params_.ny + ky) * params_.nz + kz] +=
-              wxy * s.w[2][jz];
-          ++stencil;
-        }
-      }
-    }
+    for_each_slab_tap(s, [&](std::size_t at, int jx, int jy, int jz) {
+      xslab_[at] += q * s.w[0][jx] * s.w[1][jy] * s.w[2][jz];
+      ++stencil;
+    });
   }
   if (charge_) {
     // ~6 flops per atom for the rejection test, ~20 per stencil update.
@@ -470,35 +450,16 @@ double ParallelPme::reciprocal(const Topology& topo,
   for (std::size_t i = 0; i < n; ++i) {
     const double q = topo.atom(static_cast<int>(i)).charge;
     if (q == 0.0) continue;
-    const double ux = frac_coord(pos[i].x, box_.lx(), params_.nx);
-    const int k0x = static_cast<int>(std::floor(ux));
-    bool touches = false;
-    for (int jx = 0; jx < order && !touches; ++jx) {
-      int kx = k0x - jx;
-      if (kx < 0) kx += static_cast<int>(params_.nx);
-      touches = static_cast<std::size_t>(kx) >= xb &&
-                static_cast<std::size_t>(kx) < xe;
-    }
-    if (!touches) continue;
+    if (!touches_slab(i)) continue;
     const AtomSpline s = make_spline(params_, box_, pos[i]);
     Vec3 f{};
-    for (int jx = 0; jx < order; ++jx) {
-      const std::size_t kx = line(s, 0, jx, params_.nx);
-      if (kx < xb || kx >= xe) continue;
-      const std::size_t lx = kx - xb;
-      for (int jy = 0; jy < order; ++jy) {
-        const std::size_t ky = line(s, 1, jy, params_.ny);
-        for (int jz = 0; jz < order; ++jz) {
-          const std::size_t kz = line(s, 2, jz, params_.nz);
-          const double phi =
-              xslab_[(lx * params_.ny + ky) * params_.nz + kz].real();
-          f.x += s.dw[0][jx] * s.w[1][jy] * s.w[2][jz] * phi;
-          f.y += s.w[0][jx] * s.dw[1][jy] * s.w[2][jz] * phi;
-          f.z += s.w[0][jx] * s.w[1][jy] * s.dw[2][jz] * phi;
-          ++interp_stencil;
-        }
-      }
-    }
+    for_each_slab_tap(s, [&](std::size_t at, int jx, int jy, int jz) {
+      const double phi = xslab_[at].real();
+      f.x += s.dw[0][jx] * s.w[1][jy] * s.w[2][jz] * phi;
+      f.y += s.w[0][jx] * s.dw[1][jy] * s.w[2][jz] * phi;
+      f.z += s.w[0][jx] * s.w[1][jy] * s.dw[2][jz] * phi;
+      ++interp_stencil;
+    });
     forces[i] -= Vec3{f.x * sx, f.y * sy, f.z * sz} * q;
   }
   if (charge_) {
@@ -550,13 +511,82 @@ PencilPme::PencilPme(const PmeParams& params, const Box& box, mpi::Comm& comm,
   }
 }
 
+namespace {
+
+// Calls visit(ri, si) for every point of region `rr` on pencil owner q's
+// stage-1 (y, z) planes — all of the region's x extent, the y/z overlap
+// with q's pencil — in region-local (x, y, z) order: ri indexes the
+// region buffer, si q's stage-1 pencils. Both plane exchanges pack and
+// unpack through this one walk, so sender and receiver agree on the
+// element order by construction.
+template <class Visit>
+void for_each_overlap(const fft::PencilGrid& g, const GridRegion& rr, int q,
+                      Visit&& visit) {
+  const std::size_t yb = g.ypart.begin(g.ycoord(q));
+  const std::size_t ye = g.ypart.end(g.ycoord(q));
+  const std::size_t zb = g.zpart.begin(g.zcoord(q));
+  const std::size_t ze = g.zpart.end(g.zcoord(q));
+  const std::size_t lz1 = g.zpart.count(g.zcoord(q));
+  for (std::size_t xl = 0; xl < rr.cx; ++xl) {
+    const std::size_t x = (rr.x0 + xl) % g.nx;
+    for (std::size_t yl = 0; yl < rr.cy; ++yl) {
+      const std::size_t y = (rr.y0 + yl) % g.ny;
+      if (y < yb || y >= ye) continue;
+      for (std::size_t zl = 0; zl < rr.cz; ++zl) {
+        const std::size_t z = (rr.z0 + zl) % g.nz;
+        if (z < zb || z >= ze) continue;
+        visit((xl * rr.cy + yl) * rr.cz + zl,
+              ((y - yb) * lz1 + (z - zb)) * g.nx + x);
+      }
+    }
+  }
+}
+
+// The number of points for_each_overlap visits (the predictor's count).
+std::size_t overlap_elems(const fft::PencilGrid& g, const GridRegion& rr,
+                          int q) {
+  if (rr.empty() || !g.participates(q)) return 0;
+  const int yc = g.ycoord(q);
+  const int zc = g.zcoord(q);
+  return rr.cx *
+         wrapped_overlap(rr.y0, rr.cy, g.ny, g.ypart.begin(yc),
+                         g.ypart.end(yc)) *
+         wrapped_overlap(rr.z0, rr.cz, g.nz, g.zpart.begin(zc),
+                         g.zpart.end(zc));
+}
+
+// Packs value(ri, si) over the overlap of rr with q's planes into buf;
+// returns the element count.
+template <class Value>
+std::size_t pack_overlap(const fft::PencilGrid& g, const GridRegion& rr,
+                         int q, std::vector<double>& buf, Value value) {
+  std::size_t n = 0;
+  for_each_overlap(g, rr, q, [&](std::size_t ri, std::size_t si) {
+    if (buf.size() <= n) buf.resize(n + 1);
+    buf[n++] = value(ri, si);
+  });
+  return n;
+}
+
+// Hands buf's elements, in walk order, to store(ri, si, value); returns
+// the element count.
+template <class Store>
+std::size_t unpack_overlap(const fft::PencilGrid& g, const GridRegion& rr,
+                           int q, const std::vector<double>& buf,
+                           Store store) {
+  std::size_t n = 0;
+  for_each_overlap(g, rr, q, [&](std::size_t ri, std::size_t si) {
+    store(ri, si, buf[n++]);
+  });
+  return n;
+}
+
+}  // namespace
+
 // Charge plane exchange: every rank ships, for each stage-1 pencil owner
-// q, the part of its spread region that lands on q's (y, z) planes — all
-// of the region's x extent, the y/z overlap with q's pencil. Elements are
-// enumerated in region-local (x, y, z) order filtered by membership, the
-// same loop on the packing, unpacking, and predicting sides. Receivers
-// ACCUMULATE: neighbor regions overlap by the stencil pad, and each atom
-// is spread exactly once (by its owner), so summing the blocks
+// q, the part of its spread region that lands on q's (y, z) planes.
+// Receivers ACCUMULATE: neighbor regions overlap by the stencil pad, and
+// each atom is spread exactly once (by its owner), so summing the blocks
 // reconstructs the full charge grid. Self blocks are local copies; the
 // all-sends-then-all-recvs order is deadlock-free under eager sends.
 void PencilPme::exchange_charges(int tag) {
@@ -567,77 +597,18 @@ void PencilPme::exchange_charges(int tag) {
   std::fill(stage1_.begin(), stage1_.end(), fft::Complex(0, 0));
   std::size_t moved = 0;
 
-  // Pack my region's block for pencil owner q (or accumulate directly
-  // when q == me).
-  auto pack_or_self = [&](int q, bool self) {
-    const std::size_t yb = g.ypart.begin(g.ycoord(q));
-    const std::size_t ye = g.ypart.end(g.ycoord(q));
-    const std::size_t zb = g.zpart.begin(g.zcoord(q));
-    const std::size_t ze = g.zpart.end(g.zcoord(q));
-    const std::size_t lz1 = g.zpart.count(g.zcoord(me));
-    std::size_t at = 0;
-    for (std::size_t xl = 0; xl < reg.cx; ++xl) {
-      const std::size_t x = (reg.x0 + xl) % g.nx;
-      for (std::size_t yl = 0; yl < reg.cy; ++yl) {
-        const std::size_t y = (reg.y0 + yl) % g.ny;
-        if (y < yb || y >= ye) continue;
-        for (std::size_t zl = 0; zl < reg.cz; ++zl) {
-          const std::size_t z = (reg.z0 + zl) % g.nz;
-          if (z < zb || z >= ze) continue;
-          const double v = region_[(xl * reg.cy + yl) * reg.cz + zl];
-          if (self) {
-            stage1_[((y - yb) * lz1 + (z - zb)) * g.nx + x] += v;
-          } else {
-            if (msgbuf_.size() <= at) msgbuf_.resize(at + 1);
-            msgbuf_[at] = v;
-          }
-          ++at;
-        }
-      }
-    }
-    return at;
-  };
-  // Unpack rank r's block into my stage-1 pencils.
-  auto unpack_from = [&](int r) {
-    const GridRegion& rr = regions_[static_cast<std::size_t>(r)];
-    const std::size_t yb = g.ypart.begin(g.ycoord(me));
-    const std::size_t ye = g.ypart.end(g.ycoord(me));
-    const std::size_t zb = g.zpart.begin(g.zcoord(me));
-    const std::size_t ze = g.zpart.end(g.zcoord(me));
-    const std::size_t lz1 = g.zpart.count(g.zcoord(me));
-    std::size_t i = 0;
-    for (std::size_t xl = 0; xl < rr.cx; ++xl) {
-      const std::size_t x = (rr.x0 + xl) % g.nx;
-      for (std::size_t yl = 0; yl < rr.cy; ++yl) {
-        const std::size_t y = (rr.y0 + yl) % g.ny;
-        if (y < yb || y >= ye) continue;
-        for (std::size_t zl = 0; zl < rr.cz; ++zl) {
-          const std::size_t z = (rr.z0 + zl) % g.nz;
-          if (z < zb || z >= ze) continue;
-          stage1_[((y - yb) * lz1 + (z - zb)) * g.nx + x] += msgbuf_[i++];
-        }
-      }
-    }
-    return i;
-  };
-  auto block_elems = [&](const GridRegion& rr, int q) {
-    if (rr.empty() || !g.participates(q)) return std::size_t{0};
-    const int yc = g.ycoord(q);
-    const int zc = g.zcoord(q);
-    return rr.cx *
-           wrapped_overlap(rr.y0, rr.cy, g.ny, g.ypart.begin(yc),
-                           g.ypart.end(yc)) *
-           wrapped_overlap(rr.z0, rr.cz, g.nz, g.zpart.begin(zc),
-                           g.zpart.end(zc));
-  };
-
   if (g.participates(me) && !reg.empty()) {
-    moved += 2 * pack_or_self(me, /*self=*/true);
+    for_each_overlap(g, reg, me, [&](std::size_t ri, std::size_t si) {
+      stage1_[si] += region_[ri];
+      moved += 2;
+    });
   }
   if (!reg.empty()) {
     for (int q = 0; q < nprocs; ++q) {
-      if (q == me || block_elems(reg, q) == 0) continue;
-      const std::size_t n = pack_or_self(q, /*self=*/false);
+      if (q == me || overlap_elems(g, reg, q) == 0) continue;
+      const std::size_t n = pack_overlap(
+          g, reg, q, msgbuf_,
+          [&](std::size_t ri, std::size_t) { return region_[ri]; });
       comm_.send(q, tag, msgbuf_.data(), n * sizeof(double));
       moved += n;
     }
@@ -645,12 +616,14 @@ void PencilPme::exchange_charges(int tag) {
   if (g.participates(me)) {
     for (int r = 0; r < nprocs; ++r) {
       if (r == me) continue;
-      const std::size_t n =
-          block_elems(regions_[static_cast<std::size_t>(r)], me);
+      const GridRegion& rr = regions_[static_cast<std::size_t>(r)];
+      const std::size_t n = overlap_elems(g, rr, me);
       if (n == 0) continue;
       if (msgbuf_.size() < n) msgbuf_.resize(n);
       comm_.recv(r, tag, msgbuf_.data(), n * sizeof(double));
-      moved += unpack_from(r);
+      moved += unpack_overlap(
+          g, rr, me, msgbuf_,
+          [&](std::size_t, std::size_t si, double v) { stage1_[si] += v; });
     }
   }
   charge(static_cast<double>(moved));  // ~1 flop per packed/unpacked element
@@ -668,79 +641,19 @@ void PencilPme::return_potential(int tag) {
   const GridRegion& reg = my_region();
   std::size_t moved = 0;
 
-  // Pack the block of rank r's region that my stage-1 pencils own (or
-  // write it straight into my own region when r == me).
-  auto pack_or_self = [&](int r, bool self) {
-    const GridRegion& rr = regions_[static_cast<std::size_t>(r)];
-    const std::size_t yb = g.ypart.begin(g.ycoord(me));
-    const std::size_t ye = g.ypart.end(g.ycoord(me));
-    const std::size_t zb = g.zpart.begin(g.zcoord(me));
-    const std::size_t ze = g.zpart.end(g.zcoord(me));
-    const std::size_t lz1 = g.zpart.count(g.zcoord(me));
-    std::size_t at = 0;
-    for (std::size_t xl = 0; xl < rr.cx; ++xl) {
-      const std::size_t x = (rr.x0 + xl) % g.nx;
-      for (std::size_t yl = 0; yl < rr.cy; ++yl) {
-        const std::size_t y = (rr.y0 + yl) % g.ny;
-        if (y < yb || y >= ye) continue;
-        for (std::size_t zl = 0; zl < rr.cz; ++zl) {
-          const std::size_t z = (rr.z0 + zl) % g.nz;
-          if (z < zb || z >= ze) continue;
-          const double v =
-              stage1_[((y - yb) * lz1 + (z - zb)) * g.nx + x].real();
-          if (self) {
-            region_[(xl * rr.cy + yl) * rr.cz + zl] = v;
-          } else {
-            if (msgbuf_.size() <= at) msgbuf_.resize(at + 1);
-            msgbuf_[at] = v;
-          }
-          ++at;
-        }
-      }
-    }
-    return at;
-  };
-  // Unpack pencil owner q's block into my region.
-  auto unpack_from = [&](int q) {
-    const std::size_t yb = g.ypart.begin(g.ycoord(q));
-    const std::size_t ye = g.ypart.end(g.ycoord(q));
-    const std::size_t zb = g.zpart.begin(g.zcoord(q));
-    const std::size_t ze = g.zpart.end(g.zcoord(q));
-    std::size_t i = 0;
-    for (std::size_t xl = 0; xl < reg.cx; ++xl) {
-      for (std::size_t yl = 0; yl < reg.cy; ++yl) {
-        const std::size_t y = (reg.y0 + yl) % g.ny;
-        if (y < yb || y >= ye) continue;
-        for (std::size_t zl = 0; zl < reg.cz; ++zl) {
-          const std::size_t z = (reg.z0 + zl) % g.nz;
-          if (z < zb || z >= ze) continue;
-          region_[(xl * reg.cy + yl) * reg.cz + zl] = msgbuf_[i++];
-        }
-      }
-    }
-    return i;
-  };
-  auto block_elems = [&](const GridRegion& rr, int q) {
-    if (rr.empty() || !g.participates(q)) return std::size_t{0};
-    const int yc = g.ycoord(q);
-    const int zc = g.zcoord(q);
-    return rr.cx *
-           wrapped_overlap(rr.y0, rr.cy, g.ny, g.ypart.begin(yc),
-                           g.ypart.end(yc)) *
-           wrapped_overlap(rr.z0, rr.cz, g.nz, g.zpart.begin(zc),
-                           g.zpart.end(zc));
-  };
-
   if (g.participates(me) && !reg.empty()) {
-    moved += 2 * pack_or_self(me, /*self=*/true);
+    for_each_overlap(g, reg, me, [&](std::size_t ri, std::size_t si) {
+      region_[ri] = stage1_[si].real();
+      moved += 2;
+    });
   }
   if (g.participates(me)) {
     for (int r = 0; r < nprocs; ++r) {
-      if (r == me ||
-          block_elems(regions_[static_cast<std::size_t>(r)], me) == 0) {
-        continue;
-      }
-      const std::size_t n = pack_or_self(r, /*self=*/false);
+      const GridRegion& rr = regions_[static_cast<std::size_t>(r)];
+      if (r == me || overlap_elems(g, rr, me) == 0) continue;
+      const std::size_t n = pack_overlap(
+          g, rr, me, msgbuf_,
+          [&](std::size_t, std::size_t si) { return stage1_[si].real(); });
       comm_.send(r, tag, msgbuf_.data(), n * sizeof(double));
       moved += n;
     }
@@ -748,11 +661,13 @@ void PencilPme::return_potential(int tag) {
   if (!reg.empty()) {
     for (int q = 0; q < nprocs; ++q) {
       if (q == me) continue;
-      const std::size_t n = block_elems(reg, q);
+      const std::size_t n = overlap_elems(g, reg, q);
       if (n == 0) continue;
       if (msgbuf_.size() < n) msgbuf_.resize(n);
       comm_.recv(q, tag, msgbuf_.data(), n * sizeof(double));
-      moved += unpack_from(q);
+      moved += unpack_overlap(
+          g, reg, q, msgbuf_,
+          [&](std::size_t ri, std::size_t, double v) { region_[ri] = v; });
     }
   }
   charge(static_cast<double>(moved));

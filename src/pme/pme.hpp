@@ -4,6 +4,8 @@
 //   E = E_direct (erfc, in the short-range non-bonded loop)
 //     + E_reciprocal (charge mesh + 3-D FFT convolution, here)
 //     + E_self + E_exclusion-correction (analytic, here).
+// The exclusion correction is a classic-routine term like the md kernels
+// and takes the same WorkSlice, so every decomposition runs one copy.
 //
 // Three implementations share the spline/influence machinery:
 //  - SerialPme: full grid + sequential 3-D FFT (reference, examples).
@@ -28,6 +30,7 @@
 #include "fft/parallel_fft.hpp"
 #include "md/box.hpp"
 #include "md/topology.hpp"
+#include "md/work_slice.hpp"
 #include "util/vec3.hpp"
 
 namespace repro::pme {
@@ -52,25 +55,17 @@ struct PmeWork {
 double ewald_self_energy(const md::Topology& topo, double beta);
 
 // Correction for excluded pairs (whose full interaction is contained in the
-// mesh term): subtracts kCoulomb q_i q_j erf(beta r)/r with forces. Shard
-// semantics as in the md kernels. Returns the energy contribution.
+// mesh term): subtracts kCoulomb q_i q_j erf(beta r)/r with forces, for the
+// excluded pairs in `slice` (md/work_slice.hpp): an interleaved share of
+// the pair list, or the pairs whose first atom a spatial rank owns
+// (excluded pairs are bonded-graph local, so the partner is always
+// resident as owned or ghost). Returns the energy contribution.
 double ewald_exclusion_correction(const md::Topology& topo,
                                   const md::Box& box,
                                   const std::vector<util::Vec3>& pos,
                                   double beta,
                                   std::vector<util::Vec3>& forces,
-                                  int shard = 0, int stride = 1);
-
-// Spatial-decomposition variant: only pairs whose FIRST atom has
-// owned_mask set are corrected (excluded pairs are bonded-graph local, so
-// the partner is always resident as owned or ghost). Disjoint masks
-// partition the pair set exactly as shard/stride does for the replicated
-// kernels.
-double ewald_exclusion_correction_owned(
-    const md::Topology& topo, const md::Box& box,
-    const std::vector<util::Vec3>& pos,
-    const std::vector<std::uint8_t>& owned_mask, double beta,
-    std::vector<util::Vec3>& forces);
+                                  const md::WorkSlice& slice = {});
 
 class SerialPme {
  public:

@@ -116,7 +116,9 @@ TEST_P(CollectivePropertyTest, ReduceAndAllreduceSumExactly) {
     std::vector<double> reduced(kN);
     for (std::size_t i = 0; i < kN; ++i) reduced[i] = mine(i);
     comm.reduce_sum(reduced.data(), kN, 0);
-    if (comm.rank() == 0) EXPECT_EQ(reduced, expected);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(reduced, expected);
+    }
   });
 }
 

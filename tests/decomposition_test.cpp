@@ -682,7 +682,7 @@ TEST(DecompositionModelTest, SequentialHasNoScheduleTraffic) {
 }
 
 
-// --- op-stream pins ----------------------------------------------------------
+// --- op-stream pins --------------------------------------------------------
 
 // FNV digest over every rank's recorded operations: kind, component,
 // phase, peer, tag, size, received, the sync/exchange flags and the bits

@@ -505,7 +505,9 @@ INSTANTIATE_TEST_SUITE_P(
         Fft1DPin{80, 0x21158edfe0f2b93eULL, 0xe14a65b0e80e7d0fULL},
         // 97 takes the Bluestein path.
         Fft1DPin{97, 0xd5690f32653452f0ULL, 0xddefb5453272add7ULL}),
-    [](const auto& info) { return "n" + std::to_string(info.param.n); });
+    [](const auto& info) {
+      return std::string("n").append(std::to_string(info.param.n));
+    });
 
 struct Fft3DPin {
   std::size_t nx, ny, nz;
@@ -590,8 +592,9 @@ INSTANTIATE_TEST_SUITE_P(
                       BatchCase{7, true}, BatchCase{97, true},
                       BatchCase{97, false}),
     [](const auto& info) {
-      return "n" + std::to_string(info.param.n) +
-             (info.param.strided ? "_strided" : "_contiguous");
+      return std::string("n")
+          .append(std::to_string(info.param.n))
+          .append(info.param.strided ? "_strided" : "_contiguous");
     });
 
 TEST(BatchShapeTest2, ZeroCountTouchesNothing) {

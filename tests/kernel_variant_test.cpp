@@ -164,8 +164,8 @@ struct PairRun {
   md::NonbondedWork work;
 };
 
-PairRun run_pair_kernel(const md::NonbondedOptions& opts, int shard = 0,
-                        int stride = 1) {
+PairRun run_pair_kernel(const md::NonbondedOptions& opts,
+                        const md::WorkSlice& slice = {}) {
   const auto& sys = water();
   static md::NeighborList& nbl = []() -> md::NeighborList& {
     static md::NeighborList list(9.0, 2.0);
@@ -175,8 +175,7 @@ PairRun run_pair_kernel(const md::NonbondedOptions& opts, int shard = 0,
   PairRun run;
   run.forces.assign(static_cast<std::size_t>(sys.topo.natoms()), Vec3{});
   run.work = md::nonbonded_energy(sys.topo, sys.box, sys.positions, nbl,
-                                  opts, run.forces, run.energy, shard,
-                                  stride);
+                                  opts, run.forces, run.energy, slice);
   return run;
 }
 
@@ -255,7 +254,8 @@ TEST_P(PairKernelTest, SimdShardsSumToWhole) {
   std::size_t pairs = 0;
   for (int shard = 0; shard < 4; ++shard) {
     const PairRun part = run_pair_kernel(
-        water_options(KernelKind::kSimd, GetParam()), shard, 4);
+        water_options(KernelKind::kSimd, GetParam()),
+        md::WorkSlice::interleaved(shard, 4));
     for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += part.forces[i];
     lj += part.energy.lj;
     elec += part.energy.elec;
@@ -303,16 +303,17 @@ TEST(PairKernelTest, SimdBlockedMatchesScalarBlocked) {
   for (int owner = 0; owner < 4; ++owner) {
     std::vector<Vec3> fs(natoms, Vec3{}), fv(natoms, Vec3{});
     md::EnergyTerms es, ev;
-    const auto ws = md::nonbonded_energy_blocked(
+    const md::WorkSlice slice = md::WorkSlice::pair_blocks(block, owner, 4);
+    const auto ws = md::nonbonded_energy(
         sys.topo, sys.box, sys.positions, nbl,
         water_options(KernelKind::kScalar,
                       md::NonbondedOptions::Elec::kEwaldDirect),
-        block, owner, 4, fs, es);
-    const auto wv = md::nonbonded_energy_blocked(
+        fs, es, slice);
+    const auto wv = md::nonbonded_energy(
         sys.topo, sys.box, sys.positions, nbl,
         water_options(KernelKind::kSimd,
                       md::NonbondedOptions::Elec::kEwaldDirect),
-        block, owner, 4, fv, ev);
+        fv, ev, slice);
     EXPECT_EQ(ws.pairs_listed, wv.pairs_listed);
     const double scale = std::max(std::abs(es.lj) + std::abs(es.elec), 1.0);
     EXPECT_NEAR(es.lj, ev.lj, 1e-10 * scale);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <set>
 
@@ -211,27 +212,71 @@ TEST(BondedTest, ForcesMatchNumericalGradient) {
   }
 }
 
+// Three disjoint owned-atom masks covering natoms atoms: atom i goes to
+// mask (i / 4) % 3, in runs of four, so no mask lines up with an
+// interleaved share.
+std::vector<std::vector<std::uint8_t>> three_owned_masks(std::size_t natoms) {
+  std::vector<std::vector<std::uint8_t>> masks(
+      3, std::vector<std::uint8_t>(natoms, 0));
+  for (std::size_t i = 0; i < natoms; ++i) masks[(i / 4) % 3][i] = 1;
+  return masks;
+}
+
+// The partitions every kernel is checked against: interleaved shards over
+// `p`, and the three owned-atom masks.
+std::vector<std::vector<WorkSlice>> term_partitions(
+    int p, const std::vector<std::vector<std::uint8_t>>& masks) {
+  std::vector<std::vector<WorkSlice>> parts(2);
+  for (int shard = 0; shard < p; ++shard) {
+    parts[0].push_back(WorkSlice::interleaved(shard, p));
+  }
+  for (const auto& mask : masks) {
+    parts[1].push_back(WorkSlice::owned_atoms(mask));
+  }
+  return parts;
+}
+
 TEST(BondedTest, ShardsPartitionTheWork) {
   auto sys = sysbuild::build_test_chain(20, 5);
-  std::vector<Vec3> full(static_cast<std::size_t>(sys.topo.natoms()));
+  const auto n = static_cast<std::size_t>(sys.topo.natoms());
+  std::vector<Vec3> full(n);
   EnergyTerms efull;
   const BondedWork wfull =
       bonded_energy(sys.topo, sys.box, sys.positions, full, efull);
 
-  const int p = 3;
-  std::vector<Vec3> acc(static_cast<std::size_t>(sys.topo.natoms()));
-  EnergyTerms eacc;
-  std::size_t terms = 0;
-  for (int shard = 0; shard < p; ++shard) {
-    terms +=
-        bonded_energy(sys.topo, sys.box, sys.positions, acc, eacc, shard, p)
-            .total();
+  const auto masks = three_owned_masks(n);
+  for (const auto& slices : term_partitions(3, masks)) {
+    std::vector<Vec3> acc(n);
+    EnergyTerms eacc;
+    BondedWork sum;
+    for (const WorkSlice& slice : slices) {
+      const BondedWork w =
+          bonded_energy(sys.topo, sys.box, sys.positions, acc, eacc, slice);
+      sum.bonds += w.bonds;
+      sum.angles += w.angles;
+      sum.dihedrals += w.dihedrals;
+      sum.impropers += w.impropers;
+    }
+    EXPECT_EQ(sum.bonds, wfull.bonds);
+    EXPECT_EQ(sum.angles, wfull.angles);
+    EXPECT_EQ(sum.dihedrals, wfull.dihedrals);
+    EXPECT_EQ(sum.impropers, wfull.impropers);
+    EXPECT_NEAR(eacc.bonded(), efull.bonded(), 1e-9);
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      EXPECT_NEAR(util::norm(acc[i] - full[i]), 0.0, 1e-9);
+    }
   }
-  EXPECT_EQ(terms, wfull.total());
-  EXPECT_NEAR(eacc.bonded(), efull.bonded(), 1e-9);
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    EXPECT_NEAR(util::norm(acc[i] - full[i]), 0.0, 1e-9);
-  }
+}
+
+TEST(BondedTest, RejectsPairBlockSlices) {
+  auto sys = sysbuild::build_test_chain(4, 1);
+  const std::vector<int> block(static_cast<std::size_t>(sys.topo.natoms()),
+                               0);
+  std::vector<Vec3> f(block.size());
+  EnergyTerms e;
+  EXPECT_THROW(bonded_energy(sys.topo, sys.box, sys.positions, f, e,
+                             WorkSlice::pair_blocks(block, 0, 1)),
+               util::Error);
 }
 
 // --- neighbor list -----------------------------------------------------------
@@ -545,18 +590,35 @@ TEST(NonbondedTest, ShardsPartitionPairs) {
   const NonbondedWork wfull =
       nonbonded_energy(sys.topo, sys.box, sys.positions, nbl, opts, full,
                        efull);
-  const int p = 5;
-  std::vector<Vec3> acc(n);
-  EnergyTerms eacc;
-  std::size_t pairs = 0;
-  for (int shard = 0; shard < p; ++shard) {
-    pairs += nonbonded_energy(sys.topo, sys.box, sys.positions, nbl, opts,
-                              acc, eacc, shard, p)
-                 .pairs_listed;
+  const auto masks = three_owned_masks(n);
+  auto parts = term_partitions(5, masks);
+  // The force decomposition's pair matrix: three contiguous atom blocks,
+  // pair (i, j) owned by (block[i] + block[j]) % 3.
+  std::vector<int> block(n);
+  for (std::size_t i = 0; i < n; ++i) block[i] = static_cast<int>(i * 3 / n);
+  parts.emplace_back();
+  for (int owner = 0; owner < 3; ++owner) {
+    parts.back().push_back(WorkSlice::pair_blocks(block, owner, 3));
   }
-  EXPECT_EQ(pairs, wfull.pairs_listed);
-  EXPECT_NEAR(eacc.lj, efull.lj, 1e-9);
-  EXPECT_NEAR(eacc.elec, efull.elec, 1e-9);
+  for (const auto& slices : parts) {
+    std::vector<Vec3> acc(n);
+    EnergyTerms eacc;
+    std::size_t pairs = 0;
+    std::size_t in_cutoff = 0;
+    for (const WorkSlice& slice : slices) {
+      const NonbondedWork w = nonbonded_energy(
+          sys.topo, sys.box, sys.positions, nbl, opts, acc, eacc, slice);
+      pairs += w.pairs_listed;
+      in_cutoff += w.pairs_in_cutoff;
+    }
+    EXPECT_EQ(pairs, wfull.pairs_listed);
+    EXPECT_EQ(in_cutoff, wfull.pairs_in_cutoff);
+    EXPECT_NEAR(eacc.lj, efull.lj, 1e-9);
+    EXPECT_NEAR(eacc.elec, efull.elec, 1e-9);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(util::norm(acc[i] - full[i]), 0.0, 1e-9);
+    }
+  }
 }
 
 // --- integrator ----------------------------------------------------------------

@@ -330,15 +330,29 @@ TEST(ExclusionCorrectionTest, ShardsPartition) {
   std::vector<Vec3> full(n);
   const double efull = ewald_exclusion_correction(sys.topo, sys.box,
                                                   sys.positions, 0.34, full);
-  std::vector<Vec3> acc(n);
-  double eacc = 0.0;
+  // Interleaved shards, and three disjoint owned-atom masks (atom i in
+  // mask (i / 4) % 3) selecting pairs by their first atom.
+  std::vector<std::vector<std::uint8_t>> masks(
+      3, std::vector<std::uint8_t>(n, 0));
+  for (std::size_t i = 0; i < n; ++i) masks[(i / 4) % 3][i] = 1;
+  std::vector<std::vector<md::WorkSlice>> parts(2);
   for (int shard = 0; shard < 4; ++shard) {
-    eacc += ewald_exclusion_correction(sys.topo, sys.box, sys.positions,
-                                       0.34, acc, shard, 4);
+    parts[0].push_back(md::WorkSlice::interleaved(shard, 4));
   }
-  EXPECT_NEAR(eacc, efull, 1e-10);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(util::norm(acc[i] - full[i]), 0.0, 1e-10);
+  for (const auto& mask : masks) {
+    parts[1].push_back(md::WorkSlice::owned_atoms(mask));
+  }
+  for (const auto& slices : parts) {
+    std::vector<Vec3> acc(n);
+    double eacc = 0.0;
+    for (const md::WorkSlice& slice : slices) {
+      eacc += ewald_exclusion_correction(sys.topo, sys.box, sys.positions,
+                                         0.34, acc, slice);
+    }
+    EXPECT_NEAR(eacc, efull, 1e-10);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(util::norm(acc[i] - full[i]), 0.0, 1e-10);
+    }
   }
 }
 
