@@ -14,7 +14,8 @@
 //       decomposition's pair-matrix rule, for the pair kernel only.
 // Disjoint slices of one rule partition the terms, so summing the calls
 // reproduces the whole-set evaluation's counts, energies and forces (to
-// summation order). Kernels resolve the rule outside their inner loops.
+// summation order). The pair kernel resolves the rule per row, outside its
+// pair loop.
 #pragma once
 
 #include <cstddef>
