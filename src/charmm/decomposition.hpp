@@ -28,10 +28,8 @@
 //       reciprocal-force sum — the locality CHARMM's replicated-data
 //       design never had.
 //
-// Every strategy runs the same kernels through one shared step skeleton:
-// it supplies only its partition (one md::WorkSlice per classic term
-// kind, md/work_slice.hpp) and its communication schedule
-// (docs/ARCHITECTURE.md §4).
+// All four share one force-evaluation path; a strategy adds only its
+// partition (md/work_slice.hpp) and its schedule (ARCHITECTURE §4).
 //
 // The replicated strategies end each step with bit-identical forces on
 // all ranks; Spatial keeps state distributed but allreduces its
