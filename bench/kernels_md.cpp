@@ -28,13 +28,12 @@ void BM_NeighborListBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborListBuild)->Unit(benchmark::kMillisecond);
 
-void BM_NonbondedKernel(benchmark::State& state, util::KernelKind kind) {
+void BM_NonbondedKernel(benchmark::State& state) {
   const auto& sys = water();
   md::NonbondedOptions opts;
   opts.cutoff = 9.0;
   opts.switch_on = 7.0;
   opts.elec = md::NonbondedOptions::Elec::kEwaldDirect;
-  opts.kernel = kind;
   opts.table = md::build_pair_table(sys.topo);
   md::NeighborList nbl(opts.cutoff, 2.0);
   nbl.build(sys.topo, sys.box, sys.positions);
@@ -51,10 +50,7 @@ void BM_NonbondedKernel(benchmark::State& state, util::KernelKind kind) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(pairs));
 }
-BENCHMARK_CAPTURE(BM_NonbondedKernel, scalar, util::KernelKind::kScalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NonbondedKernel, simd, util::KernelKind::kSimd)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NonbondedKernel)->Unit(benchmark::kMillisecond);
 
 void BM_BondedKernel(benchmark::State& state) {
   const auto sys = sysbuild::build_test_chain(500, 9);

@@ -31,7 +31,6 @@
 #include "perf/power.hpp"
 #include "sysbuild/builder.hpp"
 #include "sysbuild/io.hpp"
-#include "util/kernel.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
 
@@ -69,12 +68,12 @@ const std::map<std::string, std::set<std::string>>& command_flags() {
       {"build-system", {"seed", "relax", "out", "pdb"}},
       {"run",
        {"system", "seed", "relax", "procs", "network", "middleware", "cpus",
-        "steps", "pme", "decomp", "kernel", "power", "faults", "topology",
-        "timeline", "trace-out", "metrics-out"}},
+        "steps", "pme", "decomp", "power", "faults", "topology", "timeline",
+        "trace-out", "metrics-out"}},
       {"predict", {"system", "seed", "relax", "procs", "network", "decomp"}},
       {"sweep",
        {"system", "seed", "relax", "network", "middleware", "cpus", "decomp",
-        "kernel", "power", "faults", "topology", "jobs"}},
+        "power", "faults", "topology", "jobs"}},
   };
   return flags;
 }
@@ -236,9 +235,6 @@ int cmd_run(const Args& args) {
   spec.charmm.nsteps = args.get_int("steps", 10);
   spec.charmm.use_pme = args.get("pme", "on") != "off";
   spec.charmm.decomp = charmm::parse_decomp_spec(args.get("decomp", "atom"));
-  if (args.has("kernel")) {
-    spec.charmm.kernel = util::parse_kernel_kind(args.get("kernel", ""));
-  }
   if (args.has("power")) {
     spec.power = perf::parse_power_spec(args.get("power", ""));
   }
@@ -325,9 +321,6 @@ int cmd_sweep(const Args& args) {
                                  : middleware::Kind::kMpi;
   base.platform.cpus_per_node = args.get_int("cpus", 1);
   base.charmm.decomp = charmm::parse_decomp_spec(args.get("decomp", "atom"));
-  if (args.has("kernel")) {
-    base.charmm.kernel = util::parse_kernel_kind(args.get("kernel", ""));
-  }
   if (args.has("power")) {
     base.power = perf::parse_power_spec(args.get("power", ""));
   }
@@ -389,9 +382,6 @@ void usage() {
       "                [--decomp atom|force|task[:pme=N]|\n"
       "                    spatial[:grid=AxBxC][:pme=pencil[:grid=PyxPz]]\n"
       "                    [:ldb=greedy|refine|off[,units=K]]]\n"
-      "                [--kernel scalar|simd]  pair kernel variant\n"
-      "                    (default scalar, or $REPRO_KERNEL; identical\n"
-      "                    simulated results, host wall clock differs)\n"
       "                [--power=SPEC]  energy-to-solution model, e.g.\n"
       "                    'static=55,dynamic=25,phase:pme_recip=18' (watts)\n"
       "                [--timeline]\n"
@@ -416,7 +406,6 @@ void usage() {
       "                    [:ldb=greedy|refine|off[,units=K]]]\n"
       "                [--jobs N]  concurrent cells (default: hardware "
       "threads; 1 = sequential)\n"
-      "                [--kernel scalar|simd]  pair kernel per cell\n"
       "                [--power=SPEC]  energy model for every cell\n"
       "                [--faults=SPEC]  fault injection for every cell\n"
       "                [--topology=SPEC]  fabric for every cell "

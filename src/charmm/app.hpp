@@ -40,12 +40,6 @@ struct CharmmConfig {
   std::uint64_t seed = 2002;
   CostModel cost = CostModel::pentium3_1ghz();
 
-  // Which kernel variant runs the nonbonded pair loop (the PME and FFT
-  // kernels have one form each); see util/kernel.hpp. Both variants
-  // report identical work counters, so simulated timings are unaffected —
-  // the factor only changes the host's wall-clock.
-  util::KernelKind kernel = util::default_kernel_kind();
-
   // CHARMM synchronizes before its global operations ("coherency
   // maintenance"). Turning this off lets skew flow into the data
   // operations instead — the decoupling question of the paper's §2.3

@@ -106,7 +106,7 @@ void Simulation::step(int nsteps) {
 // Minimizer steps are not MD steps, so the rebuild interval never fires
 // here: the list is rebuilt only once some atom has moved more than skin/2
 // since the last build. That list still holds every pair within the
-// cutoff, and both pair kernels drop listed pairs beyond the cutoff before
+// cutoff, and the pair kernel drops listed pairs beyond the cutoff before
 // touching an accumulator, so energies and forces are bit-identical to a
 // fresh build's.
 md::MinimizeResult Simulation::minimize(const md::MinimizeOptions& opts) {

@@ -50,9 +50,6 @@ struct SimulationConfig {
   double berendsen_tau_ps = 0.1;
   double langevin_friction_per_ps = 5.0;
   std::uint64_t thermostat_seed = 11;
-
-  // Pair-kernel variant (util/kernel.hpp).
-  util::KernelKind kernel = util::default_kernel_kind();
 };
 
 // Rejects configurations the engine cannot meaningfully run (throws
@@ -74,7 +71,6 @@ md::NonbondedOptions nonbonded_options(const Config& config,
   nb.elec = config.use_pme ? md::NonbondedOptions::Elec::kEwaldDirect
                            : md::NonbondedOptions::Elec::kShift;
   nb.beta = config.pme.beta;
-  nb.kernel = config.kernel;
   nb.table = md::build_pair_table(topo);
   return nb;
 }

@@ -28,11 +28,6 @@ void validate_common(const Config& config) {
   REPRO_REQUIRE(config.skin > 0.0, "neighbor-list skin must be positive");
   REPRO_REQUIRE(config.list_rebuild_interval >= 1,
                 "list rebuild interval must be at least 1");
-  // parse_kernel_kind already rejects unknown names; this backstop guards
-  // configs built in code (or memset) against an out-of-range enum.
-  REPRO_REQUIRE(config.kernel == util::KernelKind::kScalar ||
-                    config.kernel == util::KernelKind::kSimd,
-                "kernel variant must be scalar or simd");
   if (config.use_pme) {
     const pme::PmeParams& grid = config.pme;
     REPRO_REQUIRE(grid.beta > 0.0, "Ewald beta must be positive");

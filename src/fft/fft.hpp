@@ -19,8 +19,7 @@
 // tests/fft_test.cpp). Bluestein sizes transform line by line.
 //
 // Fft3D still accepts a util::KernelKind because the perfbench driver
-// passes one; it selects nothing here. --kernel only selects the pair
-// kernel.
+// passes one; it selects nothing (util/kernel.hpp).
 #pragma once
 
 #include <complex>

@@ -29,17 +29,6 @@ struct CellGrid {
   }
 };
 
-// std::nearbyint(q) in the default rounding mode, as plain arithmetic so
-// the candidate loop vectorizes on the baseline x86-64 target (which has no
-// packed round instruction). Adding 1.5 * 2^52 leaves no fraction bits, so
-// the sum rounds q half-to-even; subtracting it back is exact. Exact for
-// |q| < 2^51; cell_of's int cast already bounds coordinates far tighter.
-// Only the sign of a zero result can differ, which no square sees.
-inline double round_half_even(double q) {
-  constexpr double kShift = 0x1.8p52;
-  return (q + kShift) - kShift;
-}
-
 }  // namespace
 
 NeighborList::Arrays& NeighborList::writable_arrays() {

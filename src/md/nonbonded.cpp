@@ -13,93 +13,6 @@ namespace {
 
 using util::Vec3;
 
-// One pair interaction: returns (lj_energy, elec_energy) and the scalar
-// dE/dr so the caller can form the force. Split out so the listed and the
-// reference kernels share the physics exactly. eps/rmin are the mixed LJ
-// parameters (sqrt(eps_i eps_j), rmin_half_i + rmin_half_j) and qq the
-// Coulomb prefactor kCoulomb qi qj, all precomputed by the caller.
-struct PairResult {
-  double lj = 0.0;
-  double elec = 0.0;
-  double dEdr = 0.0;  // total
-};
-
-PairResult pair_interaction(double eps, double rmin, double qq, double r,
-                            const NonbondedOptions& opts) {
-  PairResult out;
-  const double rc = opts.cutoff;
-  const double ron = opts.switch_on;
-
-  // Lennard-Jones (CHARMM combining rules) with energy switching.
-  if (eps > 0.0) {
-    // (rmin/r)^6 as a multiply chain on the squared ratio; far cheaper
-    // than libm pow on the innermost pair loop.
-    const double q = rmin / r;
-    const double q2 = q * q;
-    const double q6 = q2 * q2 * q2;
-    const double q12 = q6 * q6;
-    const double elj = eps * (q12 - 2.0 * q6);
-    const double dlj = -12.0 * eps * (q12 - q6) / r;
-    if (r <= ron) {
-      out.lj = elj;
-      out.dEdr = dlj;
-    } else {
-      const double A = rc * rc;
-      const double B = ron * ron;
-      const double D = (A - B) * (A - B) * (A - B);
-      const double u = r * r;
-      const double sw = (A - u) * (A - u) * (A + 2.0 * u - 3.0 * B) / D;
-      const double dsw = 12.0 * r * (A - u) * (B - u) / D;
-      out.lj = elj * sw;
-      out.dEdr = dlj * sw + elj * dsw;
-    }
-  }
-
-  // Electrostatics.
-  if (qq != 0.0) {
-    if (opts.elec == NonbondedOptions::Elec::kShift) {
-      const double x = 1.0 - (r * r) / (rc * rc);
-      out.elec = qq / r * x * x;
-      out.dEdr += -qq / (r * r) * x * (1.0 + 3.0 * (r * r) / (rc * rc));
-    } else {
-      const double br = opts.beta * r;
-      const double erfc_br = std::erfc(br);
-      out.elec = qq * erfc_br / r;
-      out.dEdr += -qq * (erfc_br / (r * r) +
-                         2.0 * opts.beta / std::sqrt(std::numbers::pi) *
-                             std::exp(-br * br) / r);
-    }
-  }
-  return out;
-}
-
-void accumulate_pair(const PairTable& pt, const Box& box,
-                     const std::vector<Vec3>& pos,
-                     const NonbondedOptions& opts, int i, int j,
-                     std::vector<Vec3>& forces, NonbondedWork& work) {
-  const Vec3 d = box.min_image(pos[static_cast<std::size_t>(i)] -
-                               pos[static_cast<std::size_t>(j)]);
-  const double r2 = util::norm2(d);
-  if (r2 >= opts.cutoff * opts.cutoff) return;
-  const double r = std::sqrt(r2);
-  const std::size_t si = static_cast<std::size_t>(i);
-  const std::size_t sj = static_cast<std::size_t>(j);
-  const int ti = pt.type_of[si];
-  const int tj = pt.type_of[sj];
-  const std::size_t tij =
-      static_cast<std::size_t>(ti) * static_cast<std::size_t>(pt.ntypes) +
-      static_cast<std::size_t>(tj);
-  const double qq = units::kCoulomb * pt.charge[si] * pt.charge[sj];
-  const PairResult pr =
-      pair_interaction(pt.eps[tij], pt.rmin[tij], qq, r, opts);
-  work.lj += pr.lj;
-  work.elec += pr.elec;
-  ++work.pairs_in_cutoff;
-  const Vec3 f = d * (-pr.dEdr / r);
-  forces[si] += f;
-  forces[sj] -= f;
-}
-
 // Resolves the mixing table: use the caller-provided one, or build a
 // throwaway (cheap next to the pair loop, but per-step callers should set
 // NonbondedOptions::table once at setup).
@@ -117,7 +30,7 @@ const PairTable* resolve_table(const NonbondedOptions& opts,
 }
 
 // ---------------------------------------------------------------------------
-// SIMD variant.
+// The pair kernel.
 //
 // Structure per i-row: a scalar gather/compact pass walks the neighbor
 // list, applies the minimum-image convention and the cutoff test, and
@@ -125,12 +38,13 @@ const PairTable* resolve_table(const NonbondedOptions& opts,
 // parameters, partner charge). Once a chunk fills, a branch-free
 // #pragma omp simd pass evaluates the physics for every lane, and a short
 // scalar pass scatters forces and sums energies in fixed lane order (so
-// the simd path is deterministic across reruns by construction).
+// the result is deterministic across reruns and vector widths by
+// construction).
 //
-// erfc(beta r) and exp(-(beta r)^2) — the libm calls that dominate the
-// scalar Ewald-direct kernel — are replaced by cubic Hermite interpolation
-// on 1/512-spaced tables over [0, 8] (absolute error ~1e-13, well inside
-// the 1e-10 invariance tolerance).
+// erfc(beta r) and exp(-(beta r)^2) — the libm calls that would dominate
+// the Ewald-direct term — are replaced by cubic Hermite interpolation on
+// 1/512-spaced tables over [0, 8] (absolute error ~1e-13, well inside the
+// 1e-10 bound the libm oracle in tests/pair_oracle.hpp holds it to).
 
 constexpr int kChunk = 128;
 
@@ -246,7 +160,7 @@ class SimdRowKernel {
     } else {
       physics_shift();
     }
-    // Fixed-order scatter + energy sums keep the variant deterministic.
+    // Fixed-order scatter + energy sums keep the kernel deterministic.
     for (int k = 0; k < m_; ++k) {
       const Vec3 f{s_.dx[k] * s_.fs[k], s_.dy[k] * s_.fs[k],
                    s_.dz[k] * s_.fs[k]};
@@ -359,33 +273,6 @@ class SimdRowKernel {
   int m_ = 0;
 };
 
-// The scalar reference variant behind the same row interface.
-class ScalarRowKernel {
- public:
-  ScalarRowKernel(const Box& box, const NonbondedOptions& opts,
-                  const PairTable& pt, const std::vector<Vec3>& pos,
-                  std::vector<Vec3>& forces)
-      : box_(box), opts_(opts), pt_(pt), pos_(pos), forces_(forces) {}
-
-  template <class Keep>
-  void row(int i, const int* neigh, std::size_t count, Keep keep,
-           NonbondedWork& work) {
-    for (std::size_t t = 0; t < count; ++t) {
-      const int j = neigh[t];
-      if (!keep(j)) continue;
-      accumulate_pair(pt_, box_, pos_, opts_, i, j, forces_, work);
-      ++work.pairs_listed;
-    }
-  }
-
- private:
-  const Box& box_;
-  const NonbondedOptions& opts_;
-  const PairTable& pt_;
-  const std::vector<Vec3>& pos_;
-  std::vector<Vec3>& forces_;
-};
-
 struct KeepAll {
   bool operator()(int) const { return true; }
 };
@@ -395,9 +282,8 @@ struct KeepAll {
 // interleaved and owned-atom slices select whole rows and keep every
 // listed pair, so their inner loop carries no per-pair test; pair-block
 // slices walk every row and keep a pair by its two blocks' owner.
-template <class Kernel>
 void run_rows(const NeighborList& nbl, int natoms, const WorkSlice& slice,
-              Kernel& kernel, NonbondedWork& work) {
+              SimdRowKernel& kernel, NonbondedWork& work) {
   const auto& offsets = nbl.offsets();
   const int* neigh = nbl.neighbors().data();
   auto row = [&](int i, auto keep) {
@@ -473,33 +359,8 @@ NonbondedWork nonbonded_energy(const Topology& topo, const Box& box,
   std::shared_ptr<const PairTable> hold;
   const PairTable& pt = *resolve_table(opts, topo, hold);
   NonbondedWork work;
-  if (opts.kernel == util::KernelKind::kSimd) {
-    SimdRowKernel kernel(box, opts, pt, pos, forces);
-    run_rows(nbl, topo.natoms(), slice, kernel, work);
-  } else {
-    ScalarRowKernel kernel(box, opts, pt, pos, forces);
-    run_rows(nbl, topo.natoms(), slice, kernel, work);
-  }
-  energy.lj += work.lj;
-  energy.elec += work.elec;
-  return work;
-}
-
-NonbondedWork nonbonded_energy_reference(const Topology& topo, const Box& box,
-                                         const std::vector<Vec3>& pos,
-                                         const NonbondedOptions& opts,
-                                         std::vector<Vec3>& forces,
-                                         EnergyTerms& energy) {
-  std::shared_ptr<const PairTable> hold;
-  const PairTable& pt = *resolve_table(opts, topo, hold);
-  NonbondedWork work;
-  for (int i = 0; i < topo.natoms(); ++i) {
-    for (int j = i + 1; j < topo.natoms(); ++j) {
-      if (topo.excluded(i, j)) continue;
-      accumulate_pair(pt, box, pos, opts, i, j, forces, work);
-      ++work.pairs_listed;
-    }
-  }
+  SimdRowKernel kernel(box, opts, pt, pos, forces);
+  run_rows(nbl, topo.natoms(), slice, kernel, work);
   energy.lj += work.lj;
   energy.elec += work.elec;
   return work;

@@ -9,18 +9,15 @@
 //   kEwaldDirect — the real-space Ewald term qq erfc(beta r)/r used for the
 //                  direct sum when PME handles the long-range part.
 //
-// The listed kernel has one pair-row driver for every decomposition: a
-// WorkSlice (md/work_slice.hpp) says which rows or pairs a call takes, and
-// the rule is resolved outside the pair loop. The row itself ships two
-// variants behind NonbondedOptions::kernel:
-//   kScalar — the straight-line reference; bit-identical to the historical
-//             implementation and to the goldens.
-//   kSimd   — SoA-staged, width-agnostic vector lanes (#pragma omp simd)
-//             with a chunked gather/compact/compute structure and
-//             Hermite-table erfc/exp. Deterministic across reruns; agrees
-//             with kScalar to ~1e-12 (pinned by kernel_variant_test).
-// Both variants report identical NonbondedWork counters, so the DES cost
-// model charges the same simulated time either way.
+// There is one pair kernel, and one pair-row driver for every
+// decomposition: a WorkSlice (md/work_slice.hpp) says which rows or pairs a
+// call takes, and the rule is resolved outside the pair loop. The row is
+// SoA-staged into width-agnostic vector lanes (#pragma omp simd) with a
+// chunked gather/compact/compute structure and Hermite-table erfc/exp, and
+// its forces and energies are summed in a fixed lane order, so the output
+// does not depend on the vector width. The straight libm form of the same
+// physics lives in tests/pair_oracle.hpp, which holds this kernel to 1e-10
+// relative and its work counters to exact equality.
 #pragma once
 
 #include <cstddef>
@@ -40,9 +37,9 @@ namespace repro::md {
 // Precomputed LJ mixing table: atoms are deduplicated into LJ types by
 // their exact (eps, rmin_half) values and the CHARMM combining rules are
 // applied once per type pair instead of once per interaction
-// (sqrt(eps_i eps_j) on identical inputs is correctly rounded, so the
-// scalar path through the table is bit-identical to the per-pair math it
-// replaces). charge is the SoA copy the simd gather loops read.
+// (sqrt(eps_i eps_j) on identical inputs is correctly rounded, so each
+// table entry is bit-identical to the per-pair math it replaces). charge
+// is the SoA copy the kernel's gather loop reads.
 struct PairTable {
   int ntypes = 0;
   std::vector<int> type_of;    // natoms -> LJ type id
@@ -60,8 +57,10 @@ struct NonbondedOptions {
   double switch_on = 8.0;   // Å (ctonnb, vdW switching)
   enum class Elec { kShift, kEwaldDirect } elec = Elec::kShift;
   double beta = 0.34;       // Ewald splitting parameter, 1/Å
-  util::KernelKind kernel = util::KernelKind::kScalar;
-  // Optional precomputed mixing table; when null the kernels build a
+  // Read by nothing: kept so the perfbench driver, which sets it, still
+  // compiles; goes with the next change to the benchmark (util/kernel.hpp).
+  util::KernelKind kernel = util::default_kernel_kind();
+  // Optional precomputed mixing table; when null the kernel builds a
   // local one per call (identical results, just repeated setup work).
   std::shared_ptr<const PairTable> table;
 };
@@ -84,14 +83,5 @@ NonbondedWork nonbonded_energy(const Topology& topo, const Box& box,
                                std::vector<util::Vec3>& forces,
                                EnergyTerms& energy,
                                const WorkSlice& slice = {});
-
-// Reference O(N^2) evaluation (tests): identical physics without a list.
-// Always runs the scalar variant — it is the oracle the simd path is
-// checked against.
-NonbondedWork nonbonded_energy_reference(const Topology& topo, const Box& box,
-                                         const std::vector<util::Vec3>& pos,
-                                         const NonbondedOptions& opts,
-                                         std::vector<util::Vec3>& forces,
-                                         EnergyTerms& energy);
 
 }  // namespace repro::md

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <optional>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace repro::net {
 
@@ -233,11 +236,16 @@ double parse_double(const std::string& text, const std::string& what) {
   }
 }
 
+// Ranges are FaultSpec::validate's job; this only insists on an int.
 int parse_int(const std::string& text, const std::string& what) {
-  const double v = parse_double(text, what);
-  REPRO_REQUIRE(v == std::floor(v), "fault spec: " + what +
-                                        " must be an integer: '" + text + "'");
-  return static_cast<int>(v);
+  const std::optional<int> v =
+      util::parse_int(text, std::numeric_limits<int>::min(),
+                      std::numeric_limits<int>::max());
+  if (!v) {
+    throw util::Error("fault spec: " + what + " must be an integer: '" +
+                      text + "'");
+  }
+  return *v;
 }
 
 // "key=value" -> {key, value}; a bare word parses as {word, ""}.

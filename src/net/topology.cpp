@@ -3,8 +3,11 @@
 #include <cstdio>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace repro::net {
 
@@ -23,14 +26,17 @@ const char* kind_name(TopologyKind kind) {
 }
 
 // Strict numeric field parsers, mirroring the fault-spec mini-language:
-// a typo must fail loudly, not silently pick a default.
-long parse_long(const std::string& what, const std::string& text) {
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    throw util::Error("topology spec: bad " + what + " value '" + text + "'");
+// a typo must fail loudly, not silently pick a default. Ranges are
+// TopologySpec::validate's job; parse_int_field only insists on an int.
+int parse_int_field(const std::string& what, const std::string& text) {
+  const std::optional<int> v =
+      util::parse_int(text, std::numeric_limits<int>::min(),
+                      std::numeric_limits<int>::max());
+  if (!v) {
+    throw util::Error("topology spec: bad " + what + " value '" + text +
+                      "' (expected an integer)");
   }
-  return v;
+  return *v;
 }
 
 double parse_double(const std::string& what, const std::string& text) {
@@ -104,15 +110,15 @@ TopologySpec parse_topology_spec(const std::string& text) {
     const std::string key = clause.substr(0, eq);
     const std::string value = clause.substr(eq + 1);
     if (spec.kind == TopologyKind::kFatTree && key == "radix") {
-      spec.radix = static_cast<int>(parse_long(key, value));
+      spec.radix = parse_int_field(key, value);
     } else if (spec.kind == TopologyKind::kFatTree && key == "over") {
       spec.oversubscription = parse_double(key, value);
     } else if (spec.kind == TopologyKind::kTorus && key == "x") {
-      spec.torus_x = static_cast<int>(parse_long(key, value));
+      spec.torus_x = parse_int_field(key, value);
     } else if (spec.kind == TopologyKind::kTorus && key == "y") {
-      spec.torus_y = static_cast<int>(parse_long(key, value));
+      spec.torus_y = parse_int_field(key, value);
     } else if (spec.kind == TopologyKind::kTorus && key == "z") {
-      spec.torus_z = static_cast<int>(parse_long(key, value));
+      spec.torus_z = parse_int_field(key, value);
     } else {
       throw util::Error("topology spec: unknown option '" + key + "' for " +
                         kind_name(spec.kind));

@@ -69,10 +69,10 @@ double ewald_exclusion_correction(const md::Topology& topo,
 
 class SerialPme {
  public:
-  // `kind` is accepted for source compatibility and ignored: there is one
-  // spread/interpolate path (batched B-spline weights, a real staging grid)
-  // and one FFT kernel, so --kernel selects only the pair kernel. The
-  // influence function is a constant of (params, box) and is tabulated
+  // `kind` is ignored: there is one spread/interpolate path (batched
+  // B-spline weights, a real staging grid) and one FFT kernel. It stays
+  // only for the perfbench driver (util/kernel.hpp). The influence
+  // function is a constant of (params, box) and is tabulated
   // here, once per plan.
   SerialPme(const PmeParams& params, const md::Box& box,
             util::KernelKind kind = util::default_kernel_kind());

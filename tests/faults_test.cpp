@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sweep.hpp"
@@ -67,6 +69,37 @@ TEST(FaultSpecParseTest, RejectsMalformedInput) {
   EXPECT_THROW(parse_fault_spec("loss=0.1,unknown=2"), util::Error);
   EXPECT_THROW(parse_fault_spec("degrade=5"), util::Error);  // no pair
   EXPECT_THROW(parse_fault_spec("straggler=1.5"), util::Error);
+}
+
+// Integer fields go through util::parse_int: no exponent form (retries=1e1
+// used to read as 10), no value beyond int (retries=1e30 overflowed the
+// cast), and the error names the field.
+TEST(FaultSpecParseTest, IntegerFieldsAreStrict) {
+  EXPECT_EQ(
+      parse_fault_spec("loss=0.01,retries=10").packet_loss[0].max_retries, 10);
+  const FaultSpec nodes =
+      parse_fault_spec("degrade=0-2;straggler=3,x=2;stall=1,dur=0.1");
+  EXPECT_EQ(nodes.degraded_links[0].node_b, 2);
+  EXPECT_EQ(nodes.stragglers[0].node, 3);
+  EXPECT_EQ(nodes.stalls[0].node, 1);
+  const std::pair<const char*, const char*> cases[] = {
+      {"loss=0.01,retries=1e1", "retries"},
+      {"loss=0.01,retries=1e30", "retries"},
+      {"loss=0.01,retries=4294967304", "retries"},
+      {"degrade=0-4294967297", "degrade node"},
+      {"straggler=1e0,x=2", "straggler node"},
+      {"stall=2.0,dur=0.1", "stall node"},
+  };
+  for (const auto& [spec, field] : cases) {
+    SCOPED_TRACE(spec);
+    try {
+      parse_fault_spec(spec);
+      FAIL() << "accepted";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- validation -------------------------------------------------------

@@ -50,10 +50,8 @@ if [ -x "$build/bench/des_scale" ]; then
   "$build/bench/des_scale" --json="$here/../../BENCH_des_scale.json"
 fi
 
-# Pair-kernel scalar-vs-SIMD speedup plus PME and FFT timings (wall-clock,
-# so not a byte-compared golden): rewrites BENCH_kernels.json at the repo
-# root. The binary exits non-zero if the SIMD pair kernel drifts from the
-# scalar reference.
+# Pair-kernel, PME and FFT timings (wall-clock, so not a byte-compared
+# golden): rewrites BENCH_kernels.json at the repo root.
 if [ -x "$build/bench/kernel_speedups" ]; then
   echo "regenerating BENCH_kernels.json..."
   "$build/bench/kernel_speedups" --json="$here/../../BENCH_kernels.json"

@@ -1,21 +1,22 @@
-// Tests for the swept kernel-variant factor (--kernel=scalar|simd) and the
-// per-phase energy model (--power=SPEC):
-//  - spec parsing round-trips and error paths for both factors;
+// Tests for the pair kernel against its libm oracle (tests/pair_oracle.hpp),
+// the per-phase energy model (--power=SPEC) and the batched B-spline and
+// FFT kernels:
+//  - power-spec parsing round-trips and error paths;
 //  - the precomputed LJ mixing table is bit-identical to per-pair mixing;
-//  - the simd pair kernel matches the scalar oracle to 1e-10 relative,
-//    reports identical work counters, and is deterministic across reruns;
+//  - the pair kernel matches the oracle to 1e-10 relative under every
+//    work-selection rule, reports exactly the oracle's work counters, and
+//    is deterministic across reruns;
 //  - batched B-spline weights are bit-identical per lane and keep the
 //    partition of unity;
-//  - every decomposition x processor count produces (near-)identical
-//    physics and *exactly* identical simulated time under either variant.
+//  - the batched FFT matches a naive DFT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
-#include <cstdlib>
+#include <cstdint>
 #include <numbers>
 
-#include "charmm/simulation.hpp"
 #include "core/experiment.hpp"
 #include "fft/fft.hpp"
 #include "md/neighbor.hpp"
@@ -24,43 +25,16 @@
 #include "pme/bspline.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
-#include "util/kernel.hpp"
 #include "util/rng.hpp"
+
+#include "pair_oracle.hpp"
 
 namespace repro {
 namespace {
 
-using util::KernelKind;
 using util::Vec3;
 
 // --- spec parsing ----------------------------------------------------------
-
-TEST(KernelSpecTest, ParsesBothVariants) {
-  EXPECT_EQ(util::parse_kernel_kind("scalar"), KernelKind::kScalar);
-  EXPECT_EQ(util::parse_kernel_kind("simd"), KernelKind::kSimd);
-  EXPECT_STREQ(util::to_string(KernelKind::kScalar), "scalar");
-  EXPECT_STREQ(util::to_string(KernelKind::kSimd), "simd");
-}
-
-TEST(KernelSpecTest, RejectsGarbage) {
-  EXPECT_THROW(util::parse_kernel_kind(""), util::Error);
-  EXPECT_THROW(util::parse_kernel_kind("SIMD"), util::Error);
-  EXPECT_THROW(util::parse_kernel_kind("simd "), util::Error);
-  EXPECT_THROW(util::parse_kernel_kind("scalar,simd"), util::Error);
-  EXPECT_THROW(util::parse_kernel_kind("avx2"), util::Error);
-}
-
-TEST(KernelSpecTest, DefaultHonorsEnvironment) {
-  ASSERT_EQ(std::getenv("REPRO_KERNEL"), nullptr)
-      << "test must run without REPRO_KERNEL set";
-  EXPECT_EQ(util::default_kernel_kind(), KernelKind::kScalar);
-  ::setenv("REPRO_KERNEL", "simd", 1);
-  EXPECT_EQ(util::default_kernel_kind(), KernelKind::kSimd);
-  ::setenv("REPRO_KERNEL", "turbo", 1);
-  EXPECT_THROW(util::default_kernel_kind(), util::Error);
-  ::unsetenv("REPRO_KERNEL");
-  EXPECT_EQ(util::default_kernel_kind(), KernelKind::kScalar);
-}
 
 TEST(PowerSpecTest, ParsesAndRoundTrips) {
   const perf::PowerModel m =
@@ -93,15 +67,8 @@ TEST(PowerSpecTest, RejectsGarbage) {
   EXPECT_THROW(perf::parse_power_spec("static=1e3,dynamic=2"), util::Error);
 }
 
-// The parse layer rejects bad flag strings; these backstops guard specs
+// The parse layer rejects bad flag strings; this backstop guards specs
 // built in code (sweep drivers, tests) against skipping the parsers.
-TEST(BackstopTest, ValidateConfigRejectsOutOfRangeKernelEnum) {
-  charmm::CharmmConfig config;
-  charmm::validate_config(config);  // defaults are valid
-  config.kernel = static_cast<util::KernelKind>(7);
-  EXPECT_THROW(charmm::validate_config(config), util::Error);
-}
-
 TEST(BackstopTest, RunExperimentRejectsNegativeWattsBuiltInCode) {
   core::ExperimentSpec spec;
   spec.nprocs = 1;
@@ -148,14 +115,21 @@ TEST(PairTableTest, MixesExactlyLikePerPairMath) {
   }
 }
 
-md::NonbondedOptions water_options(KernelKind kind,
-                                   md::NonbondedOptions::Elec elec) {
+md::NonbondedOptions water_options(md::NonbondedOptions::Elec elec) {
   md::NonbondedOptions opts;
   opts.cutoff = 9.0;
   opts.switch_on = 7.0;
   opts.elec = elec;
-  opts.kernel = kind;
   return opts;
+}
+
+const md::NeighborList& water_list() {
+  static const md::NeighborList nbl = [] {
+    md::NeighborList list(9.0, 2.0);
+    list.build(water().topo, water().box, water().positions);
+    return list;
+  }();
+  return nbl;
 }
 
 struct PairRun {
@@ -164,18 +138,27 @@ struct PairRun {
   md::NonbondedWork work;
 };
 
+// The production kernel on the water box's list.
 PairRun run_pair_kernel(const md::NonbondedOptions& opts,
                         const md::WorkSlice& slice = {}) {
   const auto& sys = water();
-  static md::NeighborList& nbl = []() -> md::NeighborList& {
-    static md::NeighborList list(9.0, 2.0);
-    list.build(water().topo, water().box, water().positions);
-    return list;
-  }();
   PairRun run;
   run.forces.assign(static_cast<std::size_t>(sys.topo.natoms()), Vec3{});
-  run.work = md::nonbonded_energy(sys.topo, sys.box, sys.positions, nbl,
-                                  opts, run.forces, run.energy, slice);
+  run.work = md::nonbonded_energy(sys.topo, sys.box, sys.positions,
+                                  water_list(), opts, run.forces, run.energy,
+                                  slice);
+  return run;
+}
+
+// The libm oracle on the same list and slice.
+PairRun run_oracle(const md::NonbondedOptions& opts,
+                   const md::WorkSlice& slice = {}) {
+  const auto& sys = water();
+  PairRun run;
+  run.forces.assign(static_cast<std::size_t>(sys.topo.natoms()), Vec3{});
+  run.work = oracle::nonbonded_energy_listed(sys.topo, sys.box, sys.positions,
+                                             water_list(), opts, run.forces,
+                                             run.energy, slice);
   return run;
 }
 
@@ -196,16 +179,31 @@ void expect_forces_close(const std::vector<Vec3>& a,
   }
 }
 
-TEST(PairTableTest, TabledScalarKernelIsBitIdentical) {
-  // Satellite regression: hoisting sqrt(eps_i eps_j) into the per-type
-  // table must not move a single bit of the scalar kernel's output.
+// The kernel against the oracle on one slice: work counters exactly (the
+// cost model charges simulated time from them), energies and forces to
+// 1e-10 relative.
+void expect_matches_oracle(const md::NonbondedOptions& opts,
+                           const md::WorkSlice& slice) {
+  const PairRun kernel = run_pair_kernel(opts, slice);
+  const PairRun ref = run_oracle(opts, slice);
+  EXPECT_EQ(kernel.work.pairs_listed, ref.work.pairs_listed);
+  EXPECT_EQ(kernel.work.pairs_in_cutoff, ref.work.pairs_in_cutoff);
+  const double e_scale =
+      std::max({std::abs(ref.energy.lj), std::abs(ref.energy.elec), 1.0});
+  EXPECT_NEAR(kernel.energy.lj, ref.energy.lj, 1e-10 * e_scale);
+  EXPECT_NEAR(kernel.energy.elec, ref.energy.elec, 1e-10 * e_scale);
+  expect_forces_close(ref.forces, kernel.forces, 1e-10);
+}
+
+TEST(PairTableTest, TabledKernelIsBitIdentical) {
+  // Hoisting sqrt(eps_i eps_j) into the per-type table once at setup must
+  // not move a single bit against the table the kernel builds per call.
   for (const auto elec : {md::NonbondedOptions::Elec::kShift,
                           md::NonbondedOptions::Elec::kEwaldDirect}) {
-    md::NonbondedOptions with = water_options(KernelKind::kScalar, elec);
+    md::NonbondedOptions with = water_options(elec);
     with.table = md::build_pair_table(water().topo);
-    md::NonbondedOptions without = water_options(KernelKind::kScalar, elec);
     const PairRun a = run_pair_kernel(with);
-    const PairRun b = run_pair_kernel(without);
+    const PairRun b = run_pair_kernel(water_options(elec));
     EXPECT_EQ(a.energy.lj, b.energy.lj);
     EXPECT_EQ(a.energy.elec, b.energy.elec);
     for (std::size_t i = 0; i < a.forces.size(); ++i) {
@@ -216,46 +214,63 @@ TEST(PairTableTest, TabledScalarKernelIsBitIdentical) {
   }
 }
 
-// --- pair kernel variants --------------------------------------------------
+// --- pair kernel against the libm oracle ------------------------------------
 
 class PairKernelTest
     : public ::testing::TestWithParam<md::NonbondedOptions::Elec> {};
 
-TEST_P(PairKernelTest, SimdMatchesScalarOracle) {
-  const PairRun scalar =
-      run_pair_kernel(water_options(KernelKind::kScalar, GetParam()));
-  const PairRun simd =
-      run_pair_kernel(water_options(KernelKind::kSimd, GetParam()));
-  const double e_scale =
-      std::max({std::abs(scalar.energy.lj), std::abs(scalar.energy.elec),
-                1.0});
-  EXPECT_NEAR(simd.energy.lj, scalar.energy.lj, 1e-10 * e_scale);
-  EXPECT_NEAR(simd.energy.elec, scalar.energy.elec, 1e-10 * e_scale);
-  expect_forces_close(scalar.forces, simd.forces, 1e-10);
+TEST_P(PairKernelTest, MatchesLibmOracle) {
+  const md::NonbondedOptions opts = water_options(GetParam());
+  expect_matches_oracle(opts, {});
+  // The cutoff must actually drop pairs, or pairs_in_cutoff pins nothing.
+  const PairRun ref = run_oracle(opts);
+  EXPECT_GT(ref.work.pairs_in_cutoff, 0u);
+  EXPECT_LT(ref.work.pairs_in_cutoff, ref.work.pairs_listed);
 }
 
-TEST_P(PairKernelTest, WorkCountersAreKernelIndependent) {
-  const PairRun scalar =
-      run_pair_kernel(water_options(KernelKind::kScalar, GetParam()));
-  const PairRun simd =
-      run_pair_kernel(water_options(KernelKind::kSimd, GetParam()));
-  // The cost model charges simulated time from these counts, so they must
-  // match exactly (the lj/elec fields are energy partials, not counters —
-  // they track the kernels' 1e-10 agreement, checked above).
-  EXPECT_EQ(scalar.work.pairs_listed, simd.work.pairs_listed);
-  EXPECT_EQ(scalar.work.pairs_in_cutoff, simd.work.pairs_in_cutoff);
+TEST_P(PairKernelTest, InterleavedSlicesMatchOracle) {
+  for (int shard = 0; shard < 4; ++shard) {
+    SCOPED_TRACE(shard);
+    expect_matches_oracle(water_options(GetParam()),
+                          md::WorkSlice::interleaved(shard, 4));
+  }
 }
 
-TEST_P(PairKernelTest, SimdShardsSumToWhole) {
-  const PairRun whole =
-      run_pair_kernel(water_options(KernelKind::kSimd, GetParam()));
+TEST_P(PairKernelTest, OwnedAtomSlicesMatchOracle) {
+  const auto natoms = static_cast<std::size_t>(water().topo.natoms());
+  for (int owner = 0; owner < 3; ++owner) {
+    SCOPED_TRACE(owner);
+    std::vector<std::uint8_t> mask(natoms);
+    for (std::size_t i = 0; i < natoms; ++i) {
+      mask[i] = static_cast<std::uint8_t>((i / 10) % 3 ==
+                                          static_cast<std::size_t>(owner));
+    }
+    expect_matches_oracle(water_options(GetParam()),
+                          md::WorkSlice::owned_atoms(mask));
+  }
+}
+
+TEST_P(PairKernelTest, PairBlockSlicesMatchOracle) {
+  const auto natoms = static_cast<std::size_t>(water().topo.natoms());
+  std::vector<int> block(natoms);
+  for (std::size_t i = 0; i < natoms; ++i) {
+    block[i] = static_cast<int>(i * 4 / natoms);
+  }
+  for (int owner = 0; owner < 4; ++owner) {
+    SCOPED_TRACE(owner);
+    expect_matches_oracle(water_options(GetParam()),
+                          md::WorkSlice::pair_blocks(block, owner, 4));
+  }
+}
+
+TEST_P(PairKernelTest, ShardsSumToWhole) {
+  const PairRun whole = run_pair_kernel(water_options(GetParam()));
   std::vector<Vec3> sum(whole.forces.size(), Vec3{});
   double lj = 0.0, elec = 0.0;
   std::size_t pairs = 0;
   for (int shard = 0; shard < 4; ++shard) {
-    const PairRun part = run_pair_kernel(
-        water_options(KernelKind::kSimd, GetParam()),
-        md::WorkSlice::interleaved(shard, 4));
+    const PairRun part = run_pair_kernel(water_options(GetParam()),
+                                         md::WorkSlice::interleaved(shard, 4));
     for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += part.forces[i];
     lj += part.energy.lj;
     elec += part.energy.elec;
@@ -268,11 +283,9 @@ TEST_P(PairKernelTest, SimdShardsSumToWhole) {
   expect_forces_close(whole.forces, sum, 1e-9);
 }
 
-TEST_P(PairKernelTest, SimdIsDeterministicAcrossReruns) {
-  const PairRun first =
-      run_pair_kernel(water_options(KernelKind::kSimd, GetParam()));
-  const PairRun second =
-      run_pair_kernel(water_options(KernelKind::kSimd, GetParam()));
+TEST_P(PairKernelTest, IsDeterministicAcrossReruns) {
+  const PairRun first = run_pair_kernel(water_options(GetParam()));
+  const PairRun second = run_pair_kernel(water_options(GetParam()));
   EXPECT_EQ(first.energy.lj, second.energy.lj);
   EXPECT_EQ(first.energy.elec, second.energy.elec);
   for (std::size_t i = 0; i < first.forces.size(); ++i) {
@@ -290,37 +303,6 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param == md::NonbondedOptions::Elec::kShift ? "shift"
                                                               : "ewald";
     });
-
-TEST(PairKernelTest, SimdBlockedMatchesScalarBlocked) {
-  const auto& sys = water();
-  md::NeighborList nbl(9.0, 2.0);
-  nbl.build(sys.topo, sys.box, sys.positions);
-  const auto natoms = static_cast<std::size_t>(sys.topo.natoms());
-  std::vector<int> block(natoms);
-  for (std::size_t i = 0; i < natoms; ++i) {
-    block[i] = static_cast<int>(i * 4 / natoms);
-  }
-  for (int owner = 0; owner < 4; ++owner) {
-    std::vector<Vec3> fs(natoms, Vec3{}), fv(natoms, Vec3{});
-    md::EnergyTerms es, ev;
-    const md::WorkSlice slice = md::WorkSlice::pair_blocks(block, owner, 4);
-    const auto ws = md::nonbonded_energy(
-        sys.topo, sys.box, sys.positions, nbl,
-        water_options(KernelKind::kScalar,
-                      md::NonbondedOptions::Elec::kEwaldDirect),
-        fs, es, slice);
-    const auto wv = md::nonbonded_energy(
-        sys.topo, sys.box, sys.positions, nbl,
-        water_options(KernelKind::kSimd,
-                      md::NonbondedOptions::Elec::kEwaldDirect),
-        fv, ev, slice);
-    EXPECT_EQ(ws.pairs_listed, wv.pairs_listed);
-    const double scale = std::max(std::abs(es.lj) + std::abs(es.elec), 1.0);
-    EXPECT_NEAR(es.lj, ev.lj, 1e-10 * scale);
-    EXPECT_NEAR(es.elec, ev.elec, 1e-10 * scale);
-    expect_forces_close(fs, fv, 1e-10);
-  }
-}
 
 // --- B-spline batch --------------------------------------------------------
 
@@ -416,73 +398,6 @@ TEST_P(FftKernelTest, SimdMatchesNaiveDft) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FftKernelTest,
                          ::testing::Values(8, 36, 48, 60, 80, 97, 128));
-
-// --- full-workload invariance ----------------------------------------------
-
-// Shared, relaxed full-size system (expensive: built once per binary).
-const sysbuild::BuiltSystem& system_fixture() {
-  static const sysbuild::BuiltSystem sys = [] {
-    sysbuild::BuiltSystem s = sysbuild::build_myoglobin_like();
-    charmm::relax_system(s, 60);
-    return s;
-  }();
-  return sys;
-}
-
-core::ExperimentResult run_workload(const std::string& decomp, int nprocs,
-                                    KernelKind kind) {
-  core::ExperimentSpec spec;
-  spec.nprocs = nprocs;
-  spec.charmm.nsteps = 2;
-  spec.charmm.decomp = charmm::parse_decomp_spec(decomp);
-  spec.charmm.kernel = kind;
-  return core::run_experiment(system_fixture(), spec);
-}
-
-struct WorkloadCase {
-  const char* decomp;
-  int nprocs;
-};
-
-class KernelInvarianceTest : public ::testing::TestWithParam<WorkloadCase> {};
-
-TEST_P(KernelInvarianceTest, SimdPreservesPhysicsAndSimulatedTime) {
-  const WorkloadCase& wc = GetParam();
-  const core::ExperimentResult scalar =
-      run_workload(wc.decomp, wc.nprocs, KernelKind::kScalar);
-  const core::ExperimentResult simd =
-      run_workload(wc.decomp, wc.nprocs, KernelKind::kSimd);
-  // Physics: the simd pair kernel agrees with scalar to ~1e-12 per pair;
-  // two MD steps keep the divergence far below these tolerances.
-  const double e_scale = std::abs(scalar.energy.potential());
-  EXPECT_NEAR(simd.energy.potential(), scalar.energy.potential(),
-              1e-8 * std::max(e_scale, 1.0));
-  EXPECT_NEAR(simd.position_checksum, scalar.position_checksum,
-              1e-6 * std::max(std::abs(scalar.position_checksum), 1.0));
-  EXPECT_EQ(simd.pairs_in_list, scalar.pairs_in_list);
-  // Simulated time: both variants report identical work counters, so the
-  // DES must charge exactly the same virtual time.
-  EXPECT_EQ(simd.total_seconds(), scalar.total_seconds());
-  EXPECT_EQ(simd.metrics.makespan, scalar.metrics.makespan);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    DecompositionsByProcs, KernelInvarianceTest,
-    ::testing::Values(WorkloadCase{"atom", 1}, WorkloadCase{"atom", 2},
-                      WorkloadCase{"atom", 4}, WorkloadCase{"atom", 8},
-                      WorkloadCase{"force", 2}, WorkloadCase{"force", 4},
-                      WorkloadCase{"force", 8}, WorkloadCase{"task", 2},
-                      WorkloadCase{"task", 4}, WorkloadCase{"task", 8},
-                      WorkloadCase{"spatial", 2}, WorkloadCase{"spatial", 4},
-                      WorkloadCase{"spatial", 8},
-                      WorkloadCase{"spatial:pme=pencil", 8}),
-    [](const auto& info) {
-      std::string name = info.param.decomp;
-      for (char& c : name) {
-        if (c == ':' || c == '=') c = '_';
-      }
-      return name + "_p" + std::to_string(info.param.nprocs);
-    });
 
 }  // namespace
 }  // namespace repro

@@ -20,6 +20,8 @@
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
+#include "pair_oracle.hpp"
+
 namespace repro::md {
 namespace {
 
@@ -486,7 +488,8 @@ TEST(NonbondedTest, ListedMatchesReference) {
   std::vector<Vec3> f1(n), f2(n);
   EnergyTerms e1, e2;
   nonbonded_energy(sys.topo, sys.box, sys.positions, nbl, opts, f1, e1);
-  nonbonded_energy_reference(sys.topo, sys.box, sys.positions, opts, f2, e2);
+  oracle::nonbonded_energy_reference(sys.topo, sys.box, sys.positions, opts,
+                                     f2, e2);
   EXPECT_NEAR(e1.lj, e2.lj, 1e-9);
   EXPECT_NEAR(e1.elec, e2.elec, 1e-9);
   for (std::size_t i = 0; i < n; ++i) {
@@ -507,7 +510,8 @@ TEST_P(ElecMethodTest, ForcesMatchNumericalGradient) {
   const auto n = static_cast<std::size_t>(sys.topo.natoms());
   std::vector<Vec3> f(n);
   EnergyTerms e;
-  nonbonded_energy_reference(sys.topo, sys.box, sys.positions, opts, f, e);
+  oracle::nonbonded_energy_reference(sys.topo, sys.box, sys.positions, opts,
+                                     f, e);
   const double h = 1e-6;
   for (int i = 0; i < sys.topo.natoms(); i += 3) {
     for (int d = 0; d < 3; ++d) {
@@ -517,8 +521,10 @@ TEST_P(ElecMethodTest, ForcesMatchNumericalGradient) {
       minus[static_cast<std::size_t>(i)][d] -= h;
       std::vector<Vec3> tmp(n);
       EnergyTerms ep, em;
-      nonbonded_energy_reference(sys.topo, sys.box, plus, opts, tmp, ep);
-      nonbonded_energy_reference(sys.topo, sys.box, minus, opts, tmp, em);
+      oracle::nonbonded_energy_reference(sys.topo, sys.box, plus, opts, tmp,
+                                         ep);
+      oracle::nonbonded_energy_reference(sys.topo, sys.box, minus, opts, tmp,
+                                         em);
       const double numeric =
           -((ep.lj + ep.elec) - (em.lj + em.elec)) / (2.0 * h);
       EXPECT_NEAR(f[static_cast<std::size_t>(i)][d], numeric, 5e-4);
@@ -543,12 +549,12 @@ TEST(NonbondedTest, ShiftElectrostaticsVanishAtCutoff) {
   // Just inside the cutoff: energy is ~0 (continuous to zero).
   std::vector<Vec3> pos{{0, 0, 0}, {9.999, 0, 0}};
   EnergyTerms e;
-  nonbonded_energy_reference(topo, box, pos, opts, f, e);
+  oracle::nonbonded_energy_reference(topo, box, pos, opts, f, e);
   EXPECT_NEAR(e.elec, 0.0, 1e-5);
   // Well inside: attractive and close to plain Coulomb modified by shift.
   pos[1].x = 2.0;
   EnergyTerms e2;
-  nonbonded_energy_reference(topo, box, pos, opts, f, e2);
+  oracle::nonbonded_energy_reference(topo, box, pos, opts, f, e2);
   const double shift = std::pow(1.0 - 4.0 / 100.0, 2);
   EXPECT_NEAR(e2.elec, -units::kCoulomb / 2.0 * shift, 1e-9);
 }
@@ -566,7 +572,7 @@ TEST(NonbondedTest, SwitchingFunctionContinuity) {
     std::vector<Vec3> f(2);
     std::vector<Vec3> pos{{0, 0, 0}, {r, 0, 0}};
     EnergyTerms e;
-    nonbonded_energy_reference(topo, box, pos, opts, f, e);
+    oracle::nonbonded_energy_reference(topo, box, pos, opts, f, e);
     return e.lj;
   };
   // Continuous at the switch-on radius and zero at the cutoff.

@@ -472,6 +472,30 @@ TEST(TopologyTest, SpecParseErrors) {
   EXPECT_THROW(parse_topology_spec("torus:over=2"), util::Error);
 }
 
+// Integer fields go through util::parse_int: a value beyond int fails
+// naming its field instead of wrapping (4294967300 used to read as 4).
+TEST(TopologyTest, SpecIntegerFieldsRejectOverflow) {
+  EXPECT_EQ(parse_topology_spec("fattree:radix=4").radix, 4);
+  EXPECT_EQ(parse_topology_spec("torus:x=4,y=2,z=3").torus_z, 3);
+  const std::pair<const char*, const char*> cases[] = {
+      {"fattree:radix=4294967300", "bad radix value"},
+      {"fattree:radix=+4", "bad radix value"},
+      {"torus:x=4294967297", "bad x value"},
+      {"torus:y=2.0", "bad y value"},
+      {"torus:z=1e1", "bad z value"},
+  };
+  for (const auto& [spec, field] : cases) {
+    SCOPED_TRACE(spec);
+    try {
+      parse_topology_spec(spec);
+      FAIL() << "accepted";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(TopologyTest, SpecValidationErrors) {
   EXPECT_THROW(parse_topology_spec("fattree:radix=0"), util::Error);
   EXPECT_THROW(parse_topology_spec("fattree:over=0.5"), util::Error);

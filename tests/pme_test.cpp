@@ -12,9 +12,10 @@
 #include "pme/pme.hpp"
 #include "sim/engine.hpp"
 #include "sysbuild/builder.hpp"
-#include "util/kernel.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
+
+#include "pair_oracle.hpp"
 
 namespace repro::pme {
 namespace {
@@ -241,14 +242,14 @@ TEST(SerialPmeTest, TotalElectrostaticBetaIndependent) {
     std::vector<Vec3> f(n);
     double total = pme.reciprocal(sys.topo, sys.positions, f);
     total += ewald_self_energy(sys.topo, beta);
-    // Direct part via the md kernel (reference path, full pair loop).
+    // Direct part via the libm pair oracle (full pair loop).
     md::NonbondedOptions opts;
     opts.cutoff = 5.9;
     opts.elec = md::NonbondedOptions::Elec::kEwaldDirect;
     opts.beta = beta;
     md::EnergyTerms e;
-    md::nonbonded_energy_reference(sys.topo, sys.box, sys.positions, opts, f,
-                                   e);
+    oracle::nonbonded_energy_reference(sys.topo, sys.box, sys.positions, opts,
+                                       f, e);
     return total + e.elec;
   };
   const double e1 = total_for(0.65);
@@ -526,8 +527,7 @@ TEST(ParallelPmeTest2, WorkCountersPopulated) {
 
 // --- bit-identity pins -------------------------------------------------------
 
-// SerialPme has one spread/interpolate path and ignores the KernelKind it
-// is handed. Its energy and force bytes are pinned by 64-bit FNV-1a
+// SerialPme has one spread/interpolate path. Its energy and force bytes are pinned by 64-bit FNV-1a
 // digests recorded from the original scalar path, which the staged path
 // replaced after matching it bit for bit. The pins hold for the default
 // build (no -march flags, hence no FMA contraction); the -march=native CI
@@ -542,10 +542,9 @@ std::uint64_t fnv1a(const void* data, std::size_t nbytes,
   return h;
 }
 
-std::uint64_t serial_pme_digest(const PmeParams& params,
-                                util::KernelKind kind) {
+std::uint64_t serial_pme_digest(const PmeParams& params) {
   static const sysbuild::BuiltSystem water = sysbuild::build_water_box(6);
-  SerialPme pme(params, water.box, kind);
+  SerialPme pme(params, water.box);
   std::vector<Vec3> forces(static_cast<std::size_t>(water.topo.natoms()));
   const double energy = pme.reciprocal(water.topo, water.positions, forces);
   return fnv1a(forces.data(), forces.size() * sizeof(Vec3),
@@ -554,20 +553,14 @@ std::uint64_t serial_pme_digest(const PmeParams& params,
 
 TEST(SerialPmeBitIdentityTest, MatchesPinnedDigest) {
   const PmeParams params{32, 32, 32, 4, 0.34};
-  EXPECT_EQ(serial_pme_digest(params, util::KernelKind::kScalar),
-            0x8c02f530d447dfdfULL);
-  EXPECT_EQ(serial_pme_digest(params, util::KernelKind::kSimd),
-            0x8c02f530d447dfdfULL);
+  EXPECT_EQ(serial_pme_digest(params), 0x8c02f530d447dfdfULL);
 }
 
 TEST(SerialPmeBitIdentityTest, OrderSixMatchesPinnedDigest) {
   // Order 6 exercises the wider stencil and the wrapped spread path on a
   // grid the paper never used.
   const PmeParams params{20, 24, 20, 6, 0.30};
-  EXPECT_EQ(serial_pme_digest(params, util::KernelKind::kScalar),
-            0x0c49f38789885fa0ULL);
-  EXPECT_EQ(serial_pme_digest(params, util::KernelKind::kSimd),
-            0x0c49f38789885fa0ULL);
+  EXPECT_EQ(serial_pme_digest(params), 0x0c49f38789885fa0ULL);
 }
 
 }  // namespace

@@ -367,11 +367,6 @@ TEST(SweepReplayTest, EveryKeyFieldSplitsAClass) {
   key("pme grid", [](ExperimentSpec& s) { s.charmm.pme.nx = 20; });
   key("charmm seed", [](ExperimentSpec& s) { s.charmm.seed = 7; });
   key("cost", [](ExperimentSpec& s) { s.charmm.cost.seconds_per_pair *= 2; });
-  key("kernel", [](ExperimentSpec& s) {
-    s.charmm.kernel = s.charmm.kernel == util::KernelKind::kScalar
-                          ? util::KernelKind::kSimd
-                          : util::KernelKind::kScalar;
-  });
   key("coherency barriers",
       [](ExperimentSpec& s) { s.charmm.coherency_barriers = false; });
   key("decomposition", [](ExperimentSpec& s) {
