@@ -7,7 +7,7 @@
 // BENCHMARK_MAIN driver rejects unknown flags). Each kernel is timed
 // best-of-N to shave scheduler noise. The pair kernel's accuracy is the
 // tests' job: kernel_variant_test holds it to the libm oracle in
-// tests/pair_oracle.hpp.
+// tests/pair_oracle.hpp, and fft_test holds the FFT to a long-double DFT.
 //
 // usage: kernel_speedups [--smoke] [--json=FILE]
 //   --smoke   CI mode: one rep per kernel, seconds of wall clock total.
@@ -173,7 +173,8 @@ int main(int argc, char** argv) {
         "  \"benchmark\": \"Physics hot paths, one kernel each: the pair "
         "kernel (branch-free #pragma omp simd with tabulated erfc/exp), the "
         "serial PME reciprocal solve and the 3-D FFT (batched multi-line "
-        "FFT, per-plan influence table)\",\n");
+        "FFT with radix-2/3/4/5 butterflies, per-plan influence "
+        "table)\",\n");
     std::fprintf(f,
                  "  \"machine\": { \"hardware_threads\": %u, \"note\": "
                  "\"-O3, no -march flags; best-of-%d timing over %d calls "
@@ -185,8 +186,12 @@ int main(int argc, char** argv) {
                  "tests/pair_oracle.hpp (1e-10 relative, identical work "
                  "counters). The 1.8x pair speedup this file used to show "
                  "was this kernel against that scalar libm code, when both "
-                 "were production kernels. The PME and FFT outputs are "
-                 "pinned bit for bit by digests in tests/fft_test.cpp and "
+                 "were production kernels. tests/fft_test.cpp holds the FFT "
+                 "to a long-double naive DFT (max error <= 1e-15 of the "
+                 "largest output for n = 36, 48, 80, 97); the butterflies "
+                 "measure 1.5e-16 to 5.8e-16 there, the generic combine "
+                 "they replaced 4.0e-16 to 8.1e-16. The PME and FFT output "
+                 "bytes are pinned by digests in tests/fft_test.cpp and "
                  "tests/pme_test.cpp.\",\n");
     std::fprintf(f, "  \"kernels\": [");
     for (std::size_t k = 0; k < kernels.size(); ++k) {

@@ -4,13 +4,17 @@
 // synchronization split, per-node communication speed statistics, and the
 // factor-space position — everything needed to "derive good estimates
 // about the benefits of moving applications to novel computing platforms".
+#include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
+#include <string_view>
 
 #include "charmm/simulation.hpp"
 #include "core/experiment.hpp"
 #include "sysbuild/builder.hpp"
+#include "util/error.hpp"
+#include "util/parse.hpp"
 
 using namespace repro;
 
@@ -46,26 +50,51 @@ void report(const core::ExperimentResult& r, const core::ExperimentSpec& spec) {
               r.energy.potential());
 }
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: workload_characterization [procs [tcp|score|myrinet [mpi|cmpi "
+    "[uni|dual]]]]\n";
 
-int main(int argc, char** argv) {
-  // Optional: <procs> <tcp|score|myrinet> <mpi|cmpi> <uni|dual>
+// The platform cell named on the command line (defaults: 8 procs, TCP,
+// MPI, uniprocessor nodes), or nullopt for anything else.
+std::optional<core::ExperimentSpec> parse_args(int argc, char** argv) {
   core::ExperimentSpec spec;
-  spec.nprocs = argc > 1 ? std::atoi(argv[1]) : 8;
+  spec.nprocs = 8;
+  if (argc > 5) return std::nullopt;
+  if (argc > 1) {
+    const std::optional<int> procs = util::parse_int(argv[1], 1, INT_MAX);
+    if (!procs) return std::nullopt;
+    spec.nprocs = *procs;
+  }
   if (argc > 2) {
-    if (std::strcmp(argv[2], "score") == 0) {
+    const std::string_view network = argv[2];
+    if (network == "score") {
       spec.platform.network = net::Network::kScoreGigE;
-    } else if (std::strcmp(argv[2], "myrinet") == 0) {
+    } else if (network == "myrinet") {
       spec.platform.network = net::Network::kMyrinetGM;
+    } else if (network != "tcp") {
+      return std::nullopt;
     }
   }
-  if (argc > 3 && std::strcmp(argv[3], "cmpi") == 0) {
-    spec.platform.middleware = middleware::Kind::kCmpi;
+  if (argc > 3) {
+    const std::string_view mw = argv[3];
+    if (mw == "cmpi") {
+      spec.platform.middleware = middleware::Kind::kCmpi;
+    } else if (mw != "mpi") {
+      return std::nullopt;
+    }
   }
-  if (argc > 4 && std::strcmp(argv[4], "dual") == 0) {
-    spec.platform.cpus_per_node = 2;
+  if (argc > 4) {
+    const std::string_view cpus = argv[4];
+    if (cpus == "dual") {
+      spec.platform.cpus_per_node = 2;
+    } else if (cpus != "uni") {
+      return std::nullopt;
+    }
   }
+  return spec;
+}
 
+int characterize(core::ExperimentSpec spec) {
   std::printf("preparing the molecular system...\n");
   sysbuild::BuiltSystem sys = sysbuild::build_myoglobin_like();
   charmm::relax_system(sys, 60);
@@ -97,4 +126,20 @@ int main(int argc, char** argv) {
               seq / r.total_seconds(),
               100.0 * seq / r.total_seconds() / spec.nprocs);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::optional<core::ExperimentSpec> spec = parse_args(argc, argv);
+  if (!spec) {
+    std::fputs(kUsage, stdout);
+    return 2;
+  }
+  try {
+    return characterize(*spec);
+  } catch (const util::Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

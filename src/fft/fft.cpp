@@ -10,13 +10,14 @@ namespace repro::fft {
 
 namespace {
 
-// Factor n into small radixes (largest useful radix first keeps recursion
-// shallow), in the order the recursion consumes them: level i transforms
-// size n / (radix_0 * ... * radix_{i-1}) with radix i. Returns empty when
-// a prime factor > 31 remains, signalling the Bluestein path.
+// Factor n into small radixes, in the order the recursion consumes them:
+// level i transforms size n / (radix_0 * ... * radix_{i-1}) with radix i.
+// Radix 4 first keeps the recursion shallow; 2, 3, 4 and 5 have
+// butterflies. Returns empty when a prime factor > 31 remains, signalling
+// the Bluestein path.
 std::vector<std::size_t> factorize(std::size_t n) {
   std::vector<std::size_t> factors;
-  for (std::size_t radix : {8, 4, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}) {
+  for (std::size_t radix : {4, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}) {
     while (n % radix == 0) {
       factors.push_back(radix);
       n /= radix;
@@ -31,6 +32,125 @@ std::size_t next_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
+}
+
+// One column k2 of a radix-R level: y_j = W_n^{j*k2} * x_j for j >= 1
+// (y_0 = x_0; column 0 skips the unit twiddles), then the R-point DFT
+// X[k1] = sum_j W_R^{j*k1} * y_j with exact constants. x_j is at
+// x + j * in_step and X[k1] goes to y + k1 * out_step, both lane-
+// contiguous. The inverse passes conjugated twiddles and s = -1, which
+// flips only the sine terms (a sign flip, so exact). Lanes are
+// independent lines and each runs the same operation sequence, so a
+// line's bits do not depend on the block width.
+template <std::size_t R, std::size_t kW, bool kTwiddle>
+void butterfly(const double* xr, const double* xi, std::size_t in_step,
+               double* yr, double* yi, std::size_t out_step,
+               const double* wr, const double* wi, std::size_t w, double s) {
+  const std::size_t lanes = kW > 0 ? kW : w;
+#pragma omp simd
+  for (std::size_t l = 0; l < lanes; ++l) {
+    double ar[R], ai[R];
+    ar[0] = xr[l];
+    ai[0] = xi[l];
+    for (std::size_t j = 1; j < R; ++j) {
+      const double re = xr[j * in_step + l];
+      const double im = xi[j * in_step + l];
+      if constexpr (kTwiddle) {
+        ar[j] = wr[j] * re - wi[j] * im;
+        ai[j] = wr[j] * im + wi[j] * re;
+      } else {
+        ar[j] = re;
+        ai[j] = im;
+      }
+    }
+    if constexpr (R == 2) {
+      yr[l] = ar[0] + ar[1];
+      yi[l] = ai[0] + ai[1];
+      yr[out_step + l] = ar[0] - ar[1];
+      yi[out_step + l] = ai[0] - ai[1];
+    } else if constexpr (R == 3) {
+      constexpr double kSin60 = 0.86602540378443864676;  // sqrt(3)/2
+      const double sr = ar[1] + ar[2], si = ai[1] + ai[2];
+      const double dr = s * kSin60 * (ar[1] - ar[2]);
+      const double di = s * kSin60 * (ai[1] - ai[2]);
+      const double mr = ar[0] - 0.5 * sr, mi = ai[0] - 0.5 * si;
+      yr[l] = ar[0] + sr;
+      yi[l] = ai[0] + si;
+      // X1 = m - i*d, X2 = m + i*d.
+      yr[out_step + l] = mr + di;
+      yi[out_step + l] = mi - dr;
+      yr[2 * out_step + l] = mr - di;
+      yi[2 * out_step + l] = mi + dr;
+    } else if constexpr (R == 4) {
+      const double s0r = ar[0] + ar[2], s0i = ai[0] + ai[2];
+      const double s1r = ar[0] - ar[2], s1i = ai[0] - ai[2];
+      const double s2r = ar[1] + ar[3], s2i = ai[1] + ai[3];
+      const double s3r = s * (ar[1] - ar[3]), s3i = s * (ai[1] - ai[3]);
+      yr[l] = s0r + s2r;
+      yi[l] = s0i + s2i;
+      // X1 = s1 - i*s3, X3 = s1 + i*s3.
+      yr[out_step + l] = s1r + s3i;
+      yi[out_step + l] = s1i - s3r;
+      yr[2 * out_step + l] = s0r - s2r;
+      yi[2 * out_step + l] = s0i - s2i;
+      yr[3 * out_step + l] = s1r - s3i;
+      yi[3 * out_step + l] = s1i + s3r;
+    } else {
+      static_assert(R == 5, "butterflies exist for radix 2, 3, 4 and 5");
+      constexpr double kC1 = 0.30901699437494742410;   // cos(2 pi / 5)
+      constexpr double kC2 = -0.80901699437494742410;  // cos(4 pi / 5)
+      constexpr double kS1 = 0.95105651629515357212;   // sin(2 pi / 5)
+      constexpr double kS2 = 0.58778525229247312917;   // sin(4 pi / 5)
+      const double t1r = ar[1] + ar[4], t1i = ai[1] + ai[4];
+      const double t2r = s * (ar[1] - ar[4]), t2i = s * (ai[1] - ai[4]);
+      const double t3r = ar[2] + ar[3], t3i = ai[2] + ai[3];
+      const double t4r = s * (ar[2] - ar[3]), t4i = s * (ai[2] - ai[3]);
+      const double m1r = ar[0] + kC1 * t1r + kC2 * t3r;
+      const double m1i = ai[0] + kC1 * t1i + kC2 * t3i;
+      const double m2r = ar[0] + kC2 * t1r + kC1 * t3r;
+      const double m2i = ai[0] + kC2 * t1i + kC1 * t3i;
+      const double n1r = kS1 * t2r + kS2 * t4r, n1i = kS1 * t2i + kS2 * t4i;
+      const double n2r = kS2 * t2r - kS1 * t4r, n2i = kS2 * t2i - kS1 * t4i;
+      yr[l] = ar[0] + t1r + t3r;
+      yi[l] = ai[0] + t1i + t3i;
+      // X1 = m1 - i*n1, X4 = m1 + i*n1, X2 = m2 - i*n2, X3 = m2 + i*n2.
+      yr[out_step + l] = m1r + n1i;
+      yi[out_step + l] = m1i - n1r;
+      yr[4 * out_step + l] = m1r - n1i;
+      yi[4 * out_step + l] = m1i + n1r;
+      yr[2 * out_step + l] = m2r + n2i;
+      yi[2 * out_step + l] = m2i - n2r;
+      yr[3 * out_step + l] = m2r - n2i;
+      yi[3 * out_step + l] = m2i + n2r;
+    }
+  }
+}
+
+// All m columns of a radix-R level. Column k2's inputs x_j[k2] sit at
+// x + (k2 + j * x_rows) * lanes and its outputs X[k2 + m * k1] go to
+// out + (k2 + m * k1) * lanes.
+template <std::size_t R, std::size_t kW>
+void butterflies(const double* x_re, const double* x_im, std::size_t x_rows,
+                 double* out_re, double* out_im, std::size_t m,
+                 const Complex* tw, std::size_t tw_step, std::size_t w,
+                 double s) {
+  const std::size_t lanes = kW > 0 ? kW : w;
+  const std::size_t in_step = x_rows * lanes;
+  const std::size_t out_step = m * lanes;
+  double wr[R] = {};
+  double wi[R] = {};
+  butterfly<R, kW, false>(x_re, x_im, in_step, out_re, out_im, out_step, wr,
+                          wi, w, s);
+  for (std::size_t k2 = 1; k2 < m; ++k2) {
+    // j * k2 < n, so W_n^{j*k2} needs no wrap.
+    for (std::size_t j = 1; j < R; ++j) {
+      wr[j] = tw[j * k2 * tw_step].real();
+      wi[j] = tw[j * k2 * tw_step].imag();
+    }
+    butterfly<R, kW, true>(x_re + k2 * lanes, x_im + k2 * lanes, in_step,
+                           out_re + k2 * lanes, out_im + k2 * lanes, out_step,
+                           wr, wi, w, s);
+  }
 }
 
 }  // namespace
@@ -184,17 +304,16 @@ void Fft1D::rec_many(std::size_t level, std::size_t n, std::size_t stride,
   const std::size_t lanes = kW > 0 ? kW : w;
   const std::size_t r = radices_[level];
   const std::size_t m = n / r;
+  const std::size_t tw_step = n_ / n;
+  const Complex* tw = sign < 0 ? twiddle_conj_.data() : twiddle_.data();
 
   // Sub-transform j handles inputs j, j+r, j+2r, ... (decimation in time);
-  // its result lands in scratch rows [j*m, (j+1)*m).
-  if (m == 1) {
-    for (std::size_t j = 0; j < r; ++j) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        scr_re[j * lanes + l] = in_re[j * stride * lanes + l];
-        scr_im[j * lanes + l] = in_im[j * stride * lanes + l];
-      }
-    }
-  } else {
+  // its result lands in scratch rows [j*m, (j+1)*m). A leaf level (m == 1)
+  // reads its inputs in place: input j is row j * stride.
+  const double* x_re = in_re;
+  const double* x_im = in_im;
+  std::size_t x_rows = stride;
+  if (m > 1) {
     for (std::size_t j = 0; j < r; ++j) {
       const std::size_t in_off = j * stride * lanes;
       const std::size_t sub_off = j * m * lanes;
@@ -202,13 +321,31 @@ void Fft1D::rec_many(std::size_t level, std::size_t n, std::size_t stride,
                    scr_re + sub_off, scr_im + sub_off, out_re + sub_off,
                    out_im + sub_off, w, sign);
     }
+    x_re = scr_re;
+    x_im = scr_im;
+    x_rows = m;
   }
-  // Combine: X[k2 + m*k1] = sum_j W_n^{j*(k2 + m*k1)} * Y_j[k2], with
-  // W_n^t == root[t * (n_/n)]. The exponents t_j(k) = (j*k) mod n step by
-  // j with one wrap, and k2 = k mod m steps by one, so the loop carries
-  // counters instead of computing modulos.
-  const std::size_t tw_step = n_ / n;
-  const Complex* tw = sign < 0 ? twiddle_conj_.data() : twiddle_.data();
+  const double s = sign < 0 ? -1.0 : 1.0;
+  switch (r) {
+    case 2:
+      return butterflies<2, kW>(x_re, x_im, x_rows, out_re, out_im, m, tw,
+                                tw_step, w, s);
+    case 3:
+      return butterflies<3, kW>(x_re, x_im, x_rows, out_re, out_im, m, tw,
+                                tw_step, w, s);
+    case 4:
+      return butterflies<4, kW>(x_re, x_im, x_rows, out_re, out_im, m, tw,
+                                tw_step, w, s);
+    case 5:
+      return butterflies<5, kW>(x_re, x_im, x_rows, out_re, out_im, m, tw,
+                                tw_step, w, s);
+    default:
+      break;
+  }
+  // Generic combine for radix 7..31: X[k2 + m*k1] = sum_j W_n^{j*(k2 +
+  // m*k1)} * Y_j[k2], with W_n^t == root[t * (n_/n)]. The exponents
+  // t_j(k) = (j*k) mod n step by j with one wrap, and k2 = k mod m steps
+  // by one, so the loop carries counters instead of computing modulos.
   std::size_t tvals[32] = {};  // per-j exponent; factorize() caps r at 31
   std::size_t k2 = 0;
   double acc_re[kBatch] = {};
@@ -221,10 +358,8 @@ void Fft1D::rec_many(std::size_t level, std::size_t n, std::size_t stride,
     for (std::size_t j = 0; j < r; ++j) {
       const double wr = tw[tvals[j] * tw_step].real();
       const double wi = tw[tvals[j] * tw_step].imag();
-      const double* xr = scr_re + (j * m + k2) * lanes;
-      const double* xi = scr_im + (j * m + k2) * lanes;
-      // Lanes are independent lines, so vectorizing across them keeps
-      // each lane's operation sequence unchanged.
+      const double* xr = x_re + (j * x_rows + k2) * lanes;
+      const double* xi = x_im + (j * x_rows + k2) * lanes;
 #pragma omp simd
       for (std::size_t l = 0; l < lanes; ++l) {
         acc_re[l] += wr * xr[l] - wi * xi[l];

@@ -8,15 +8,18 @@
 //
 // There is one mixed-radix kernel, and it is batched: forward_many() and
 // inverse_many() gather up to kBatch lines into lane-contiguous real and
-// imaginary scratch, run the radix recursion over all lanes at once and
-// scatter the results back, so every twiddle load and index step serves
-// the whole block. Per lane the arithmetic is exactly the classic scalar
-// decimation-in-time combine: the accumulator starts at +0.0, terms are
-// added in ascending radix index j, twiddles come from the root table,
-// the complex product is (wr*xr - wi*xi, wr*xi + wi*xr), and the inverse
-// scales by 1/n afterwards. Outputs are therefore bit-identical to the
-// one-line-at-a-time kernel this replaced (pinned by digests in
-// tests/fft_test.cpp). Bluestein sizes transform line by line.
+// imaginary scratch, run the decimation-in-time recursion over all lanes
+// at once and scatter the results back, so every twiddle load and index
+// step serves the whole block. Sizes factor as 4, 2, 3, 5, then 7..31
+// (80 = 4*4*5, 48 = 4*4*3, 36 = 4*3*3). Radix 2, 3, 4 and 5 levels run
+// butterflies: twiddle inputs j >= 1 by W_n^{j*k2}, then a fixed small DFT
+// with exact constants. Larger radixes run a generic O(r) combine per
+// output. The inverse uses conjugated twiddles, flips the sine terms and
+// scales by 1/n afterwards. Every lane runs the same operation sequence,
+// so a line's result does not depend on its batch position or width.
+// Bluestein sizes transform line by line through a power-of-two helper
+// plan. tests/fft_test.cpp pins output digests of this kernel and checks
+// its accuracy against a long-double DFT.
 //
 // Fft3D still accepts a util::KernelKind because the perfbench driver
 // passes one; it selects nothing (util/kernel.hpp).

@@ -224,16 +224,15 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
+// Ranges are FaultSpec::validate's job; this only insists on a finite
+// decimal number.
 double parse_double(const std::string& text, const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(text, &used);
-    REPRO_REQUIRE(used == text.size(), "trailing garbage");
-    return v;
-  } catch (const std::exception&) {
-    throw util::Error("fault spec: bad number for " + what + ": '" + text +
-                      "'");
+  const std::optional<double> v = util::parse_double(text);
+  if (!v) {
+    throw util::Error("fault spec: " + what +
+                      " must be a finite decimal number: '" + text + "'");
   }
+  return *v;
 }
 
 // Ranges are FaultSpec::validate's job; this only insists on an int.

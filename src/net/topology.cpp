@@ -1,8 +1,7 @@
 #include "net/topology.hpp"
 
-#include <cstdio>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
 #include <limits>
 #include <optional>
 
@@ -39,13 +38,13 @@ int parse_int_field(const std::string& what, const std::string& text) {
   return *v;
 }
 
-double parse_double(const std::string& what, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    throw util::Error("topology spec: bad " + what + " value '" + text + "'");
+double parse_double_field(const std::string& what, const std::string& text) {
+  const std::optional<double> v = util::parse_double(text);
+  if (!v) {
+    throw util::Error("topology spec: bad " + what + " value '" + text +
+                      "' (expected a finite decimal number)");
   }
-  return v;
+  return *v;
 }
 
 }  // namespace
@@ -112,7 +111,7 @@ TopologySpec parse_topology_spec(const std::string& text) {
     if (spec.kind == TopologyKind::kFatTree && key == "radix") {
       spec.radix = parse_int_field(key, value);
     } else if (spec.kind == TopologyKind::kFatTree && key == "over") {
-      spec.oversubscription = parse_double(key, value);
+      spec.oversubscription = parse_double_field(key, value);
     } else if (spec.kind == TopologyKind::kTorus && key == "x") {
       spec.torus_x = parse_int_field(key, value);
     } else if (spec.kind == TopologyKind::kTorus && key == "y") {

@@ -1,32 +1,27 @@
 #include "perf/power.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace repro::perf {
 
 namespace {
 
-// Strict non-negative watts parse (same discipline as the decomposition
-// spec's integer parser): std::strtod accepts trailing garbage and
-// locale-dependent forms — require a fully consumed, finite, non-negative
-// plain decimal instead.
+// Strict watts parse: util::parse_double, further limited to digits and
+// a point (no sign, no exponent).
 double parse_watts(const std::string& value, const std::string& what,
                    const std::string& text) {
-  REPRO_REQUIRE(!value.empty() && value.find_first_not_of("0123456789.") ==
-                                      std::string::npos,
+  const std::optional<double> v =
+      value.find_first_not_of("0123456789.") == std::string::npos
+          ? util::parse_double(value)
+          : std::nullopt;
+  REPRO_REQUIRE(v.has_value(),
                 "bad " + what + " in power spec (expected a non-negative "
                 "decimal watt value): " + text);
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  REPRO_REQUIRE(end == value.c_str() + value.size() && std::isfinite(v) &&
-                    v >= 0.0,
-                "bad " + what + " in power spec (expected a non-negative "
-                "decimal watt value): " + text);
-  return v;
+  return *v;
 }
 
 std::string format_watts(double w) {

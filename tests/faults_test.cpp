@@ -102,6 +102,39 @@ TEST(FaultSpecParseTest, IntegerFieldsAreStrict) {
   }
 }
 
+// Real fields go through util::parse_double: std::stod used to accept
+// infinities, NaN, hex floats and leading blanks. dur=inf ran, and x=inf
+// passed validation and then failed deep in the run's time recorder.
+TEST(FaultSpecParseTest, RealFieldsAreFiniteDecimals) {
+  const FaultSpec ok = parse_fault_spec(
+      "loss=0.01,rto=2e-3;degrade=0-1,bw=5e-1;straggler=0,x=2.5;"
+      "stall=1,at=0.5,dur=2");
+  EXPECT_EQ(ok.packet_loss[0].rto, 2e-3);
+  EXPECT_EQ(ok.degraded_links[0].bandwidth_factor, 0.5);
+  EXPECT_EQ(ok.stragglers[0].compute_factor, 2.5);
+  EXPECT_EQ(ok.stalls[0].duration, 2.0);
+  const std::pair<const char*, const char*> cases[] = {
+      {"stall=1,at=0.5,dur=inf", "stall duration"},
+      {"stall=1,at=nan,dur=1", "stall start"},
+      {"straggler=0,x=inf", "straggler factor"},
+      {"straggler=0,x=0x10", "straggler factor"},
+      {"loss= 0.1", "loss probability"},
+      {"loss=0.1,rto=1e999", "rto"},
+      {"degrade=0-1,bw=0x1p-1", "bw"},
+      {"degrade=0-1,lat=+1", "lat"},
+  };
+  for (const auto& [spec, field] : cases) {
+    SCOPED_TRACE(spec);
+    try {
+      parse_fault_spec(spec);
+      FAIL() << "accepted";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- validation -------------------------------------------------------
 
 TEST(FaultSpecValidateTest, RejectsOutOfRangeParameters) {

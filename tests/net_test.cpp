@@ -496,6 +496,33 @@ TEST(TopologyTest, SpecIntegerFieldsRejectOverflow) {
   }
 }
 
+// The oversubscription goes through util::parse_double: strtod used to
+// accept infinities, NaN, hex floats and leading blanks, and the first
+// three then passed validation.
+TEST(TopologyTest, SpecRealFieldIsFiniteDecimal) {
+  EXPECT_EQ(parse_topology_spec("fattree:radix=4,over=2").oversubscription,
+            2.0);
+  EXPECT_EQ(parse_topology_spec("fattree:radix=4,over=2.5").oversubscription,
+            2.5);
+  EXPECT_EQ(parse_topology_spec("fattree:radix=4,over=1e1").oversubscription,
+            10.0);
+  for (const char* spec :
+       {"fattree:radix=4,over=inf", "fattree:radix=4,over=nan",
+        "fattree:radix=4,over=0x10", "fattree:radix=4,over= 2",
+        "fattree:radix=4,over=+2", "fattree:radix=4,over=1e999",
+        "fattree:radix=4,over="}) {
+    SCOPED_TRACE(spec);
+    try {
+      parse_topology_spec(spec);
+      FAIL() << "accepted";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad over value"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(TopologyTest, SpecValidationErrors) {
   EXPECT_THROW(parse_topology_spec("fattree:radix=0"), util::Error);
   EXPECT_THROW(parse_topology_spec("fattree:over=0.5"), util::Error);
