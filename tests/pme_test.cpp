@@ -530,7 +530,7 @@ TEST(ParallelPmeTest2, WorkCountersPopulated) {
 // SerialPme has one spread/interpolate path. Its energy and force bytes
 // are pinned by 64-bit FNV-1a digests, so a change to the spread, the
 // influence table or the FFT's rounding shows up here and must be
-// re-pinned on purpose; the analytic-Ewald and force tests above hold the
+// re-pinned on purpose; the k-space-sum and gradient tests above hold the
 // accuracy. The pins hold for the default build (no -march flags, hence
 // no FMA contraction); the -march=native CI leg filters them out.
 std::uint64_t fnv1a(const void* data, std::size_t nbytes,
