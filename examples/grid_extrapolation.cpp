@@ -36,13 +36,13 @@ perf::RunBreakdown run_on(const sysbuild::BuiltSystem& sys,
   std::vector<perf::RankRecorder> recorders(
       static_cast<std::size_t>(nprocs));
   const charmm::CharmmConfig charmm_config;
-  md::SharedNeighborList lists(charmm_config.cutoff, charmm_config.skin);
+  charmm::SharedRunState shared(sys, charmm_config);
   sim::Engine engine(nprocs);
   engine.run([&](sim::RankCtx& ctx) {
     mpi::Comm comm(ctx, network,
                    recorders[static_cast<std::size_t>(ctx.rank())]);
     middleware::MpiMiddleware mw(comm);
-    charmm::run_charmm_rank(sys, charmm_config, mw, lists);
+    charmm::run_charmm_rank(sys, charmm_config, mw, shared);
   });
   return perf::aggregate(recorders, 1);
 }

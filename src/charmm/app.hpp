@@ -13,17 +13,21 @@
 // classic CHARMM parallelization this class of clusters ran.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "charmm/cost_model.hpp"
 #include "charmm/decomp_spec.hpp"
+#include "charmm/spatial.hpp"
 #include "md/energy.hpp"
 #include "md/neighbor.hpp"
 #include "md/nonbonded.hpp"
 #include "middleware/middleware.hpp"
 #include "pme/pme.hpp"
 #include "sysbuild/builder.hpp"
+#include "util/vec3.hpp"
 
 namespace repro::charmm {
 
@@ -70,16 +74,57 @@ struct RankRunResult {
   std::uint64_t unit_map_hash = 0;
 };
 
+// The run-start state every rank of one run shares, built once per run
+// and passed to each rank's step program. Ranks run as fibers on one
+// thread, so a piece built on first use is built by the first rank that
+// needs it; every later rank borrows it only after checking, byte for
+// byte, that it would have built the same thing, and a mismatch fails
+// loudly naming the rank. Ranks copy what they mutate. The state lives as
+// long as its run and is never kept across runs.
+class SharedRunState {
+ public:
+  // Draws the initial velocities and builds the pair-kernel options (and
+  // their mixing table) of `sys` under `config`.
+  SharedRunState(const sysbuild::BuiltSystem& sys,
+                 const CharmmConfig& config);
+
+  // The replicated-data ranks' neighbor lists: one build per rebuild
+  // step (md::SharedNeighborList).
+  md::SharedNeighborList& lists() { return lists_; }
+  // The pair-kernel options every rank runs with.
+  const md::NonbondedOptions& nonbonded() const { return nb_; }
+  // The replicated initial velocities (md::assign_velocities at
+  // config.temperature_k and config.seed).
+  const std::vector<util::Vec3>& velocities() const { return vel_; }
+
+  // The spatial decomposition's step-0 epoch, make_global_epoch(layout,
+  // pos). The first caller computes it; a later caller whose layout's
+  // cell grid and cell_rank or whose positions differ byte for byte from
+  // the first caller's fails with a util::Error naming `rank`.
+  const SpatialEpoch& spatial_epoch(const SpatialLayout& layout,
+                                    const std::vector<util::Vec3>& pos,
+                                    int rank);
+
+ private:
+  md::SharedNeighborList lists_;
+  md::NonbondedOptions nb_;
+  std::vector<util::Vec3> vel_;
+  // The step-0 epoch and the inputs it was built from.
+  std::optional<SpatialEpoch> epoch_;
+  std::array<int, 3> epoch_grid_{};
+  std::vector<int> epoch_cell_rank_;
+  std::vector<util::Vec3> epoch_pos_;
+};
+
 // Runs the energy-calculation workload on one simulated rank under the
 // decomposition selected by config.decomp. `sys` is the shared, read-only
 // system; the middleware carries all communication. The recorder (inside
-// comm) must be fresh. Every rank of one run passes the same `lists`
-// (built with config.cutoff and config.skin): replicated-data ranks build
-// each neighbor list once through it and share the result.
+// comm) must be fresh. Every rank of one run passes the same `shared`,
+// built from this `sys` and `config`.
 RankRunResult run_charmm_rank(const sysbuild::BuiltSystem& sys,
                               const CharmmConfig& config,
                               middleware::Middleware& mw,
-                              md::SharedNeighborList& lists);
+                              SharedRunState& shared);
 
 // Rejects configurations the workload cannot meaningfully run (throws
 // util::Error): non-positive nsteps/dt/skin, switch_on >= cutoff,

@@ -8,11 +8,9 @@
 #include <ranges>
 
 #include "charmm/ldb.hpp"
-#include "charmm/simulation.hpp"
 #include "charmm/spatial.hpp"
 #include "fft/parallel_fft.hpp"
 #include "md/bonded.hpp"
-#include "md/integrator.hpp"
 #include "md/neighbor.hpp"
 #include "util/flatpack.hpp"
 #include "util/hash.hpp"
@@ -56,10 +54,11 @@ void check_tag_budget(const CharmmConfig& config) {
 //
 // Strategies differ only in which terms a rank evaluates and how partial
 // forces become the totals it integrates. Everything else in a step
-// program is written once here: the pair-kernel options, the replicated
-// initial state, the list-build, classic-term and integrate phases with
-// their cost-model charges, and the position checksum. A strategy supplies
-// its partition (a ClassicShare) and its communication schedule.
+// program is written once here: the pair-kernel options and replicated
+// initial state (taken from the run's SharedRunState), the list-build,
+// classic-term and integrate phases with their cost-model charges, and the
+// position checksum. A strategy supplies its partition (a ClassicShare)
+// and its communication schedule.
 // --------------------------------------------------------------------------
 
 // The classic-term phases, in evaluation order. Spatial's load balancer
@@ -81,8 +80,10 @@ struct ClassicShare {
 // velocities and forces are full-size arrays; the replicated strategies
 // keep every row current, spatial only its owned and ghost rows.
 struct RankProgram {
+  // Positions and velocities start as copies of the system's and the
+  // run's shared initial state.
   RankProgram(const sysbuild::BuiltSystem& sys, const CharmmConfig& config,
-              middleware::Middleware& mw)
+              middleware::Middleware& mw, SharedRunState& shared)
       : mw(mw),
         comm(mw.comm()),
         rec(comm.recorder()),
@@ -90,13 +91,14 @@ struct RankProgram {
         cost(config.cost),
         topo(sys.topo),
         box(sys.box),
-        nb(nonbonded_options(config, sys.topo)),
+        shared(shared),
+        nb(shared.nonbonded()),
         pos(sys.positions),
+        vel(shared.velocities()),
         forces(sys.positions.size()),
         nbl(config.cutoff, config.skin) {
-    // Velocities are assigned replicated, so every rank (and every owned
-    // slice) starts bitwise equal to the sequential run.
-    md::assign_velocities(topo, config.temperature_k, config.seed, vel);
+    REPRO_REQUIRE(vel.size() == pos.size(),
+                  "shared run state was built for another system");
   }
 
   // Every atom, as the replicated strategies' integrate and checksum rows.
@@ -144,10 +146,12 @@ struct RankProgram {
   }
 
   // The replicated ranks' list, rebuilt at every rebuild step (built once
-  // per step across ranks by `lists`).
-  void replicated_list(int step, md::SharedNeighborList& lists) {
+  // per step across ranks by the shared lists).
+  void replicated_list(int step) {
     if (step % config.list_rebuild_interval != 0) return;
-    build_list([&] { lists.build(nbl, topo, box, pos, comm.rank(), step); });
+    build_list([&] {
+      shared.lists().build(nbl, topo, box, pos, comm.rank(), step);
+    });
   }
 
   // bonded -> nonbonded -> ewald_corr (PME only) over `share`, each phase
@@ -244,7 +248,8 @@ struct RankProgram {
   const CostModel& cost;
   const md::Topology& topo;
   const md::Box& box;
-  const md::NonbondedOptions nb;
+  SharedRunState& shared;
+  const md::NonbondedOptions& nb;
   std::vector<Vec3> pos;
   std::vector<Vec3> vel;
   std::vector<Vec3> forces;
@@ -264,11 +269,11 @@ class AtomReplicatedDecomposition final : public Decomposition {
   RankRunResult run(const sysbuild::BuiltSystem& sys,
                     const CharmmConfig& config,
                     middleware::Middleware& mw,
-                    md::SharedNeighborList& lists) const override {
+                    SharedRunState& shared) const override {
     // Replicated state: identical on every rank (the global sum broadcasts
     // bitwise-identical forces, so trajectories never diverge across
     // ranks).
-    RankProgram rp(sys, config, mw);
+    RankProgram rp(sys, config, mw, shared);
     const ClassicShare share =
         rp.interleaved_share(rp.comm.rank(), rp.comm.size());
     std::vector<double> flat;
@@ -281,7 +286,7 @@ class AtomReplicatedDecomposition final : public Decomposition {
     RankRunResult result;
     for (int step = 0; step < config.nsteps; ++step) {
       rp.begin_step(perf::Component::kClassic);
-      rp.replicated_list(step, lists);
+      rp.replicated_list(step);
       result.pairs_in_list = rp.nbl.npairs();
       rp.classic_terms(share);
       if (config.use_pme) rp.pme_routine([&] { rp.slab_reciprocal(ppme); });
@@ -325,9 +330,9 @@ class ForceDecomposition final : public Decomposition {
   RankRunResult run(const sysbuild::BuiltSystem& sys,
                     const CharmmConfig& config,
                     middleware::Middleware& mw,
-                    md::SharedNeighborList& lists) const override {
+                    SharedRunState& shared) const override {
     check_tag_budget(config);
-    RankProgram rp(sys, config, mw);
+    RankProgram rp(sys, config, mw, shared);
     const int p = rp.comm.size();
     const int me = rp.comm.rank();
 
@@ -348,7 +353,7 @@ class ForceDecomposition final : public Decomposition {
     RankRunResult result;
     for (int step = 0; step < config.nsteps; ++step) {
       rp.begin_step(perf::Component::kClassic);
-      rp.replicated_list(step, lists);
+      rp.replicated_list(step);
       result.pairs_in_list = rp.nbl.npairs();
       rp.classic_terms(share);
       if (config.use_pme) rp.pme_routine([&] { rp.slab_reciprocal(ppme); });
@@ -440,12 +445,12 @@ class TaskPmeDecomposition final : public Decomposition {
   RankRunResult run(const sysbuild::BuiltSystem& sys,
                     const CharmmConfig& config,
                     middleware::Middleware& mw,
-                    md::SharedNeighborList& lists) const override {
+                    SharedRunState& shared) const override {
     mpi::Comm& comm = mw.comm();
     const int p = comm.size();
     if (p == 1) {
       // Degenerate split: nothing to decouple, run the reference program.
-      return AtomReplicatedDecomposition{}.run(sys, config, mw, lists);
+      return AtomReplicatedDecomposition{}.run(sys, config, mw, shared);
     }
     REPRO_REQUIRE(config.use_pme,
                   "task decoupling dedicates ranks to PME; enable use_pme "
@@ -455,7 +460,7 @@ class TaskPmeDecomposition final : public Decomposition {
     const int q = p - m;
     const int me = comm.rank();
     const bool is_pme = me >= q;
-    RankProgram rp(sys, config, mw);
+    RankProgram rp(sys, config, mw, shared);
     perf::RankRecorder& rec = rp.rec;
     std::vector<double> combined;
     std::vector<double> scratch;
@@ -484,7 +489,7 @@ class TaskPmeDecomposition final : public Decomposition {
       if (is_pme) {
         rp.slab_reciprocal(*ppme);
       } else {
-        rp.replicated_list(step, lists);
+        rp.replicated_list(step);
         result.pairs_in_list = rp.nbl.npairs();
         rp.classic_terms(share);
       }
@@ -712,16 +717,16 @@ class SpatialDecomposition final : public Decomposition {
   RankRunResult run(const sysbuild::BuiltSystem& sys,
                     const CharmmConfig& config,
                     middleware::Middleware& mw,
-                    md::SharedNeighborList& lists) const override {
+                    SharedRunState& shared) const override {
     mpi::Comm& comm = mw.comm();
     const int p = comm.size();
     if (p == 1) {
       // One domain is the whole box: run the reference program so the
       // sequential trajectory (and its goldens) is preserved to the byte.
-      return AtomReplicatedDecomposition{}.run(sys, config, mw, lists);
+      return AtomReplicatedDecomposition{}.run(sys, config, mw, shared);
     }
     check_tag_budget(config);
-    RankProgram rp(sys, config, mw);
+    RankProgram rp(sys, config, mw, shared);
     perf::RankRecorder& rec = rp.rec;
     const int me = comm.rank();
     const CostModel& cost = config.cost;
@@ -832,10 +837,12 @@ class SpatialDecomposition final : public Decomposition {
       model_snap = model_cum;
     };
 
-    // Step 0: every rank derives the identical global epoch from the
-    // replicated initial positions — no communication.
+    // Step 0: the identical global epoch of the replicated initial
+    // positions, computed once per run by the first spatial rank and
+    // checked against every later rank's layout and positions — no
+    // communication.
     auto adopt_global_epoch = [&]() {
-      const SpatialEpoch epoch = make_global_epoch(layout, pos);
+      const SpatialEpoch& epoch = shared.spatial_epoch(layout, pos, me);
       owned = epoch.owned[static_cast<std::size_t>(me)];
       send_ids = epoch.send[static_cast<std::size_t>(me)];
       for (std::size_t k = 0; k < nn; ++k) {

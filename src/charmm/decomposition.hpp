@@ -58,7 +58,7 @@ class Decomposition {
   virtual RankRunResult run(const sysbuild::BuiltSystem& sys,
                             const CharmmConfig& config,
                             middleware::Middleware& mw,
-                            md::SharedNeighborList& lists) const = 0;
+                            SharedRunState& shared) const = 0;
 };
 
 // Builds the strategy for `spec` (throws util::Error on specs the factory

@@ -277,20 +277,21 @@ ExperimentResult run_physics(const sysbuild::BuiltSystem& sys,
   }
   std::vector<charmm::RankRunResult> rank_results(
       static_cast<std::size_t>(spec.nprocs));
-  // The replicated-data ranks of this run build each neighbor list once.
-  md::SharedNeighborList lists(spec.charmm.cutoff, spec.charmm.skin);
+  // Run-start state (lists, velocities, pair options, the spatial step-0
+  // epoch) is built once for the run's ranks and dropped with the run.
+  charmm::SharedRunState shared(sys, spec.charmm);
   ExperimentResult result =
       run_platform(spec, [&](mpi::Comm& comm, middleware::Middleware& mw) {
         const auto r = static_cast<std::size_t>(comm.rank());
         if (trace == nullptr) {
           rank_results[r] =
-              charmm::run_charmm_rank(sys, spec.charmm, mw, lists);
+              charmm::run_charmm_rank(sys, spec.charmm, mw, shared);
           return;
         }
         comm.recorder().attach_trace(&(*trace)[r]);
         TracingMiddleware tracing(mw);
         rank_results[r] =
-            charmm::run_charmm_rank(sys, spec.charmm, tracing, lists);
+            charmm::run_charmm_rank(sys, spec.charmm, tracing, shared);
         comm.recorder().attach_trace(nullptr);
       });
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "pme/bspline.hpp"
 #include "util/error.hpp"
@@ -101,17 +102,27 @@ struct Influence {
 
 }  // namespace
 
+WrappedRuns wrapped_runs(std::size_t start, std::size_t count, std::size_t n,
+                         std::size_t b, std::size_t e) {
+  REPRO_REQUIRE(start < n && count <= n,
+                "wrapped plane interval must start on the grid and span at "
+                "most the whole dimension");
+  WrappedRuns out;
+  auto add = [&](std::size_t local, std::size_t plane, std::size_t hi) {
+    if (hi > plane) out.runs[out.size++] = {local, plane, hi - plane};
+  };
+  // Before the wrap: k in [0, n - start) on planes start + k.
+  const std::size_t head = std::min(count, n - start);
+  const std::size_t lo = std::max(start, b);
+  add(lo - start, lo, std::min(start + head, e));
+  // After it: k in [n - start, count) on planes k - (n - start).
+  if (count > head) add(n - start + b, b, std::min(count - head, e));
+  return out;
+}
+
 std::size_t wrapped_overlap(std::size_t start, std::size_t count,
                             std::size_t n, std::size_t b, std::size_t e) {
-  if (count >= n) return e - b;  // whole dimension: plain interval size
-  auto seg = [&](std::size_t s0, std::size_t s1) {
-    const std::size_t lo = std::max(s0, b);
-    const std::size_t hi = std::min(s1, e);
-    return hi > lo ? hi - lo : std::size_t{0};
-  };
-  const std::size_t end = start + count;
-  if (end <= n) return seg(start, end);
-  return seg(start, n) + seg(0, end - n);
+  return wrapped_runs(start, count, n, b, e).total();
 }
 
 double ewald_self_energy(const Topology& topo, double beta) {
@@ -494,6 +505,21 @@ PencilPme::PencilPme(const PmeParams& params, const Box& box, mpi::Comm& comm,
                 "pencil PME needs one grid region per rank");
   REPRO_REQUIRE(py * pz <= comm_.size(),
                 "pencil process grid needs more ranks than the run has");
+  const std::size_t dims[3] = {params.nx, params.ny, params.nz};
+  for (std::size_t r = 0; r < regions_.size(); ++r) {
+    const GridRegion& rr = regions_[r];
+    if (rr.empty()) continue;
+    const std::size_t starts[3] = {rr.x0, rr.y0, rr.z0};
+    const std::size_t counts[3] = {rr.cx, rr.cy, rr.cz};
+    for (int d = 0; d < 3; ++d) {
+      REPRO_REQUIRE(starts[d] < dims[d] && counts[d] <= dims[d],
+                    "pencil PME: rank " + std::to_string(r) +
+                        "'s grid region leaves the grid in " +
+                        "xyz"[d] + " (start " + std::to_string(starts[d]) +
+                        ", count " + std::to_string(counts[d]) +
+                        ", planes " + std::to_string(dims[d]) + ")");
+    }
+  }
   const int me = comm_.rank();
   const GridRegion& reg = my_region();
   region_.resize(reg.cx * reg.cy * reg.cz);
@@ -513,72 +539,79 @@ PencilPme::PencilPme(const PmeParams& params, const Box& box, mpi::Comm& comm,
 
 namespace {
 
-// Calls visit(ri, si) for every point of region `rr` on pencil owner q's
-// stage-1 (y, z) planes — all of the region's x extent, the y/z overlap
-// with q's pencil — in region-local (x, y, z) order: ri indexes the
-// region buffer, si q's stage-1 pencils. Both plane exchanges pack and
-// unpack through this one walk, so sender and receiver agree on the
-// element order by construction.
-template <class Visit>
-void for_each_overlap(const fft::PencilGrid& g, const GridRegion& rr, int q,
-                      Visit&& visit) {
-  const std::size_t yb = g.ypart.begin(g.ycoord(q));
-  const std::size_t ye = g.ypart.end(g.ycoord(q));
-  const std::size_t zb = g.zpart.begin(g.zcoord(q));
-  const std::size_t ze = g.zpart.end(g.zcoord(q));
-  const std::size_t lz1 = g.zpart.count(g.zcoord(q));
-  for (std::size_t xl = 0; xl < rr.cx; ++xl) {
-    const std::size_t x = (rr.x0 + xl) % g.nx;
-    for (std::size_t yl = 0; yl < rr.cy; ++yl) {
-      const std::size_t y = (rr.y0 + yl) % g.ny;
-      if (y < yb || y >= ye) continue;
-      for (std::size_t zl = 0; zl < rr.cz; ++zl) {
-        const std::size_t z = (rr.z0 + zl) % g.nz;
-        if (z < zb || z >= ze) continue;
-        visit((xl * rr.cy + yl) * rr.cz + zl,
-              ((y - yb) * lz1 + (z - zb)) * g.nx + x);
+// The overlap of region `rr` with pencil owner q's stage-1 (y, z) planes:
+// all of the region's x extent times the wrapped y and z runs that land
+// on q's pencil (none when rr is empty or q owns no pencil). for_each
+// calls visit(ri, si) for every point in region-local (x, y, z) order:
+// ri indexes the region buffer, si q's stage-1 pencils. It walks only the
+// runs, so a call costs O(points shipped). Both plane exchanges size,
+// pack and unpack through this one walk, so sender and receiver agree on
+// the element count and order by construction.
+class PlaneOverlap {
+ public:
+  PlaneOverlap(const fft::PencilGrid& g, const GridRegion& rr, int q)
+      : g_(g), rr_(rr) {
+    if (rr.empty() || !g.participates(q)) return;
+    const int yc = g.ycoord(q);
+    const int zc = g.zcoord(q);
+    yb_ = g.ypart.begin(yc);
+    zb_ = g.zpart.begin(zc);
+    lz1_ = g.zpart.count(zc);
+    y_ = wrapped_runs(rr.y0, rr.cy, g.ny, yb_, g.ypart.end(yc));
+    z_ = wrapped_runs(rr.z0, rr.cz, g.nz, zb_, g.zpart.end(zc));
+  }
+
+  // The number of points for_each visits (the predictor's count).
+  std::size_t elems() const { return rr_.cx * y_.total() * z_.total(); }
+
+  template <class Visit>
+  void for_each(Visit&& visit) const {
+    const std::size_t nx = g_.nx;
+    for (std::size_t xl = 0; xl < rr_.cx; ++xl) {
+      const std::size_t x = (rr_.x0 + xl) % nx;
+      for (const WrappedRun& yr : y_) {
+        for (std::size_t j = 0; j < yr.len; ++j) {
+          const std::size_t row = (xl * rr_.cy + yr.local + j) * rr_.cz;
+          const std::size_t plane = (yr.plane + j - yb_) * lz1_;
+          for (const WrappedRun& zr : z_) {
+            const std::size_t ri = row + zr.local;
+            const std::size_t si = (plane + zr.plane - zb_) * nx + x;
+            for (std::size_t k = 0; k < zr.len; ++k) {
+              visit(ri + k, si + k * nx);
+            }
+          }
+        }
       }
     }
   }
-}
 
-// The number of points for_each_overlap visits (the predictor's count).
-std::size_t overlap_elems(const fft::PencilGrid& g, const GridRegion& rr,
-                          int q) {
-  if (rr.empty() || !g.participates(q)) return 0;
-  const int yc = g.ycoord(q);
-  const int zc = g.zcoord(q);
-  return rr.cx *
-         wrapped_overlap(rr.y0, rr.cy, g.ny, g.ypart.begin(yc),
-                         g.ypart.end(yc)) *
-         wrapped_overlap(rr.z0, rr.cz, g.nz, g.zpart.begin(zc),
-                         g.zpart.end(zc));
-}
+ private:
+  const fft::PencilGrid& g_;
+  const GridRegion& rr_;
+  std::size_t yb_ = 0, zb_ = 0, lz1_ = 0;
+  WrappedRuns y_, z_;
+};
 
-// Packs value(ri, si) over the overlap of rr with q's planes into buf;
-// returns the element count.
+// Packs value(ri, si) over `ov` into buf, sized once; returns the element
+// count.
 template <class Value>
-std::size_t pack_overlap(const fft::PencilGrid& g, const GridRegion& rr,
-                         int q, std::vector<double>& buf, Value value) {
-  std::size_t n = 0;
-  for_each_overlap(g, rr, q, [&](std::size_t ri, std::size_t si) {
-    if (buf.size() <= n) buf.resize(n + 1);
-    buf[n++] = value(ri, si);
-  });
+std::size_t pack_overlap(const PlaneOverlap& ov, std::vector<double>& buf,
+                         Value value) {
+  const std::size_t n = ov.elems();
+  if (buf.size() < n) buf.resize(n);
+  std::size_t i = 0;
+  ov.for_each([&](std::size_t ri, std::size_t si) { buf[i++] = value(ri, si); });
   return n;
 }
 
 // Hands buf's elements, in walk order, to store(ri, si, value); returns
 // the element count.
 template <class Store>
-std::size_t unpack_overlap(const fft::PencilGrid& g, const GridRegion& rr,
-                           int q, const std::vector<double>& buf,
-                           Store store) {
-  std::size_t n = 0;
-  for_each_overlap(g, rr, q, [&](std::size_t ri, std::size_t si) {
-    store(ri, si, buf[n++]);
-  });
-  return n;
+std::size_t unpack_overlap(const PlaneOverlap& ov,
+                           const std::vector<double>& buf, Store store) {
+  std::size_t i = 0;
+  ov.for_each([&](std::size_t ri, std::size_t si) { store(ri, si, buf[i++]); });
+  return i;
 }
 
 }  // namespace
@@ -597,17 +630,18 @@ void PencilPme::exchange_charges(int tag) {
   std::fill(stage1_.begin(), stage1_.end(), fft::Complex(0, 0));
   std::size_t moved = 0;
 
-  if (g.participates(me) && !reg.empty()) {
-    for_each_overlap(g, reg, me, [&](std::size_t ri, std::size_t si) {
-      stage1_[si] += region_[ri];
-      moved += 2;
-    });
-  }
+  const PlaneOverlap self(g, reg, me);
+  self.for_each([&](std::size_t ri, std::size_t si) {
+    stage1_[si] += region_[ri];
+  });
+  moved += 2 * self.elems();
   if (!reg.empty()) {
     for (int q = 0; q < nprocs; ++q) {
-      if (q == me || overlap_elems(g, reg, q) == 0) continue;
+      if (q == me) continue;
+      const PlaneOverlap ov(g, reg, q);
+      if (ov.elems() == 0) continue;
       const std::size_t n = pack_overlap(
-          g, reg, q, msgbuf_,
+          ov, msgbuf_,
           [&](std::size_t ri, std::size_t) { return region_[ri]; });
       comm_.send(q, tag, msgbuf_.data(), n * sizeof(double));
       moved += n;
@@ -616,13 +650,13 @@ void PencilPme::exchange_charges(int tag) {
   if (g.participates(me)) {
     for (int r = 0; r < nprocs; ++r) {
       if (r == me) continue;
-      const GridRegion& rr = regions_[static_cast<std::size_t>(r)];
-      const std::size_t n = overlap_elems(g, rr, me);
+      const PlaneOverlap ov(g, regions_[static_cast<std::size_t>(r)], me);
+      const std::size_t n = ov.elems();
       if (n == 0) continue;
       if (msgbuf_.size() < n) msgbuf_.resize(n);
       comm_.recv(r, tag, msgbuf_.data(), n * sizeof(double));
       moved += unpack_overlap(
-          g, rr, me, msgbuf_,
+          ov, msgbuf_,
           [&](std::size_t, std::size_t si, double v) { stage1_[si] += v; });
     }
   }
@@ -641,18 +675,18 @@ void PencilPme::return_potential(int tag) {
   const GridRegion& reg = my_region();
   std::size_t moved = 0;
 
-  if (g.participates(me) && !reg.empty()) {
-    for_each_overlap(g, reg, me, [&](std::size_t ri, std::size_t si) {
-      region_[ri] = stage1_[si].real();
-      moved += 2;
-    });
-  }
+  const PlaneOverlap self(g, reg, me);
+  self.for_each([&](std::size_t ri, std::size_t si) {
+    region_[ri] = stage1_[si].real();
+  });
+  moved += 2 * self.elems();
   if (g.participates(me)) {
     for (int r = 0; r < nprocs; ++r) {
-      const GridRegion& rr = regions_[static_cast<std::size_t>(r)];
-      if (r == me || overlap_elems(g, rr, me) == 0) continue;
+      if (r == me) continue;
+      const PlaneOverlap ov(g, regions_[static_cast<std::size_t>(r)], me);
+      if (ov.elems() == 0) continue;
       const std::size_t n = pack_overlap(
-          g, rr, me, msgbuf_,
+          ov, msgbuf_,
           [&](std::size_t, std::size_t si) { return stage1_[si].real(); });
       comm_.send(r, tag, msgbuf_.data(), n * sizeof(double));
       moved += n;
@@ -661,12 +695,13 @@ void PencilPme::return_potential(int tag) {
   if (!reg.empty()) {
     for (int q = 0; q < nprocs; ++q) {
       if (q == me) continue;
-      const std::size_t n = overlap_elems(g, reg, q);
+      const PlaneOverlap ov(g, reg, q);
+      const std::size_t n = ov.elems();
       if (n == 0) continue;
       if (msgbuf_.size() < n) msgbuf_.resize(n);
       comm_.recv(q, tag, msgbuf_.data(), n * sizeof(double));
       moved += unpack_overlap(
-          g, reg, q, msgbuf_,
+          ov, msgbuf_,
           [&](std::size_t ri, std::size_t, double v) { region_[ri] = v; });
     }
   }

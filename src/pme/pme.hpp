@@ -21,6 +21,7 @@
 // per-call evaluation used; the values, and every result, are unchanged.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -113,9 +114,39 @@ struct GridRegion {
   bool operator==(const GridRegion&) const = default;
 };
 
-// Number of k in [0, count) whose wrapped plane index (start + k) mod n
-// falls in [b, e). The block-size primitive shared by the pencil plane
-// exchange and the predictor that pins it.
+// Consecutive region-local indices [local, local + len) whose wrapped
+// planes are plane, plane + 1, ..., plane + len - 1.
+struct WrappedRun {
+  std::size_t local = 0;
+  std::size_t plane = 0;
+  std::size_t len = 0;
+};
+
+// At most two runs, ascending and disjoint in the local index.
+struct WrappedRuns {
+  std::array<WrappedRun, 2> runs{};
+  std::size_t size = 0;
+
+  const WrappedRun* begin() const { return runs.data(); }
+  const WrappedRun* end() const { return runs.data() + size; }
+  std::size_t total() const {
+    std::size_t t = 0;
+    for (const WrappedRun& r : *this) t += r.len;
+    return t;
+  }
+};
+
+// The k in [0, count) whose wrapped plane (start + k) mod n falls in
+// [b, e) (b <= e <= n), as the run before the wrap at k = n - start and
+// the run after it, empty runs dropped. Requires start < n and
+// count <= n (util::Error otherwise). The pencil plane exchange walks
+// these runs and nothing else.
+WrappedRuns wrapped_runs(std::size_t start, std::size_t count, std::size_t n,
+                         std::size_t b, std::size_t e);
+
+// The summed length of wrapped_runs(start, count, n, b, e): the
+// block-size primitive shared by the pencil plane exchange's walk, its
+// message sizes and the predictor that pins them.
 std::size_t wrapped_overlap(std::size_t start, std::size_t count,
                             std::size_t n, std::size_t b, std::size_t e);
 
@@ -138,7 +169,9 @@ std::size_t wrapped_overlap(std::size_t start, std::size_t count,
 class PencilPme {
  public:
   // `regions[r]` is rank r's spread/interpolation region (empty for
-  // cell-less ranks); every rank passes the same vector. `py * pz` ranks
+  // cell-less ranks); every rank passes the same vector. A non-empty
+  // region must lie on the grid: start < n and count <= n in every
+  // dimension (util::Error naming the rank otherwise). `py * pz` ranks
   // participate in the FFT; the rest only ship their region blocks.
   // The influence factors of this rank's stage-3 pencils are tabulated at
   // construction.

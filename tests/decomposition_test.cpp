@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "charmm/app.hpp"
 #include "charmm/decomp_spec.hpp"
 #include "charmm/simulation.hpp"
 #include "charmm/spatial.hpp"
@@ -15,6 +19,7 @@
 #include "core/model.hpp"
 #include "core/replay.hpp"
 #include "core/sweep.hpp"
+#include "md/integrator.hpp"
 #include "net/topology.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
@@ -397,6 +402,74 @@ TEST(SpatialDecompositionTest, MigratesAtomsAcrossARebuild) {
               std::abs(ref.energy.potential()) * 1e-6 + 1e-4);
   EXPECT_NEAR(par.position_checksum, ref.position_checksum,
               std::abs(ref.position_checksum) * 1e-9);
+}
+
+// --- shared run-start state ------------------------------------------------
+
+// A small water box (12.4 Å) cut into 3x3x3 cells of 4 Å over 4 ranks.
+SpatialLayout small_layout(const sysbuild::BuiltSystem& sys) {
+  DecompSpec spec;
+  spec.kind = DecompKind::kSpatial;
+  return make_spatial_layout(spec, sys.box, 4.0, 4, &sys.positions);
+}
+
+TEST(SharedRunStateTest, RanksShareOneEpochAndVelocities) {
+  const auto sys = sysbuild::build_water_box(4);
+  const CharmmConfig config;
+  SharedRunState shared(sys, config);
+
+  // The velocities are the replicated draw every rank used to make.
+  std::vector<util::Vec3> vel;
+  md::assign_velocities(sys.topo, config.temperature_k, config.seed, vel);
+  ASSERT_EQ(shared.velocities().size(), vel.size());
+  EXPECT_EQ(std::memcmp(shared.velocities().data(), vel.data(),
+                        vel.size() * sizeof(util::Vec3)),
+            0);
+  EXPECT_NE(shared.nonbonded().table, nullptr);
+
+  // The first rank computes the step-0 epoch; the next borrows it.
+  const SpatialLayout layout = small_layout(sys);
+  const SpatialEpoch& first = shared.spatial_epoch(layout, sys.positions, 0);
+  const SpatialEpoch& second = shared.spatial_epoch(layout, sys.positions, 1);
+  EXPECT_EQ(&first, &second);
+  const SpatialEpoch fresh = make_global_epoch(layout, sys.positions);
+  EXPECT_EQ(first.owner, fresh.owner);
+  EXPECT_EQ(first.owned, fresh.owned);
+  EXPECT_EQ(first.send, fresh.send);
+}
+
+TEST(SharedRunStateTest, DifferentLayoutFailsNamingTheRank) {
+  const auto sys = sysbuild::build_water_box(4);
+  SharedRunState shared(sys, CharmmConfig{});
+  const SpatialLayout layout = small_layout(sys);
+  shared.spatial_epoch(layout, sys.positions, 0);
+  SpatialLayout other = layout;
+  other.cell_rank[5] = (other.cell_rank[5] + 1) % other.nprocs;
+  try {
+    shared.spatial_epoch(other, sys.positions, 3);
+    FAIL() << "a rank with another cell layout borrowed the epoch";
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("cell layout"), std::string::npos) << what;
+  }
+}
+
+TEST(SharedRunStateTest, DifferentStepZeroPositionsFailNamingTheRank) {
+  const auto sys = sysbuild::build_water_box(4);
+  SharedRunState shared(sys, CharmmConfig{});
+  const SpatialLayout layout = small_layout(sys);
+  shared.spatial_epoch(layout, sys.positions, 0);
+  auto diverged = sys.positions;
+  diverged[7].y = std::nextafter(diverged[7].y, 1e9);
+  try {
+    shared.spatial_epoch(layout, diverged, 2);
+    FAIL() << "a rank with other step-0 positions borrowed the epoch";
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("step-0 positions"), std::string::npos) << what;
+  }
 }
 
 // --- pencil-decomposed PME -------------------------------------------------

@@ -1,21 +1,46 @@
-#include "pme/ewald_ref.hpp"
-
-#include "pme/pme.hpp"
+// Brute-force Ewald summation: the slow, assumption-free oracle that holds
+// PME (energies and forces) to the exact k-space sum on small systems,
+// kept in the tests beside the pair kernel's oracle (pair_oracle.hpp).
+//
+// The direct sum runs over minimum-image pairs with libm erfc; the
+// reciprocal sum walks every wavevector with |m| <= kmax per dimension and
+// forms the structure factor atom by atom. No mesh, no splines.
+#pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <numbers>
+#include <vector>
 
+#include "md/box.hpp"
+#include "md/topology.hpp"
+#include "pme/pme.hpp"
 #include "util/units.hpp"
+#include "util/vec3.hpp"
 
-namespace repro::pme {
+namespace repro::oracle {
 
-using util::Vec3;
+struct EwaldRefOptions {
+  double beta = 0.5;  // splitting parameter (1/Å)
+  int kmax = 12;      // reciprocal images per dimension
+};
 
-EwaldRefResult ewald_reference(const md::Topology& topo, const md::Box& box,
-                               const std::vector<Vec3>& pos,
-                               const EwaldRefOptions& opts,
-                               std::vector<Vec3>* direct_forces,
-                               std::vector<Vec3>* recip_forces) {
+struct EwaldRefResult {
+  double direct = 0.0;      // erfc sum over minimum-image pairs
+  double reciprocal = 0.0;  // structure-factor k-sum
+  double self = 0.0;
+  double total() const { return direct + reciprocal + self; }
+};
+
+// Full electrostatic Ewald energy of the point charges in `topo` (no
+// exclusions applied). Optionally accumulates the reciprocal+self forces
+// into recip_forces and the direct-space forces into direct_forces.
+inline EwaldRefResult ewald_reference(
+    const md::Topology& topo, const md::Box& box,
+    const std::vector<util::Vec3>& pos, const EwaldRefOptions& opts,
+    std::vector<util::Vec3>* direct_forces = nullptr,
+    std::vector<util::Vec3>* recip_forces = nullptr) {
+  using util::Vec3;
   const int n = topo.natoms();
   const double beta = opts.beta;
   const double sqrt_pi = std::sqrt(std::numbers::pi);
@@ -83,8 +108,8 @@ EwaldRefResult ewald_reference(const md::Topology& topo, const md::Box& box,
     }
   }
 
-  res.self = ewald_self_energy(topo, beta);
+  res.self = pme::ewald_self_energy(topo, beta);
   return res;
 }
 
-}  // namespace repro::pme
+}  // namespace repro::oracle

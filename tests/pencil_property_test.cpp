@@ -261,17 +261,14 @@ TEST(PencilFftPropertyTest, RandomizedConfigurations) {
 
 // --- pencil PME against the serial reference --------------------------------
 
-// Whole-grid regions on every rank: the plane exchange ships everything,
-// and owned-atom forces must come back identical to the serial PME.
-void run_pencil_pme_case(const pme::PmeParams& params, int py, int pz,
-                         int nranks, std::uint64_t seed) {
-  SCOPED_TRACE(::testing::Message()
-               << "pme grid " << params.nx << "x" << params.ny << "x"
-               << params.nz << " pencils " << py << "x" << pz << " ranks "
-               << nranks);
-  auto sys = sysbuild::build_random_charges(36, md::Box(13, 11, 9), seed);
+// Runs PencilPme on `nranks` ranks, atom i owned by rank owner[i] and rank
+// r spreading into regions[r]; the summed partial energies and the
+// owned-atom forces must come back identical to the serial PME.
+void check_pencil_pme(const pme::PmeParams& params,
+                      const sysbuild::BuiltSystem& sys, int py, int pz,
+                      int nranks, const std::vector<int>& owner,
+                      const std::vector<pme::GridRegion>& regions) {
   const auto n = static_cast<std::size_t>(sys.topo.natoms());
-
   pme::SerialPme serial(params, sys.box);
   std::vector<Vec3> serial_forces(n);
   const double serial_energy =
@@ -284,10 +281,6 @@ void run_pencil_pme_case(const pme::PmeParams& params, int py, int pz,
   std::vector<double> energies(static_cast<std::size_t>(nranks));
   std::vector<std::vector<Vec3>> forces(static_cast<std::size_t>(nranks),
                                         std::vector<Vec3>(n));
-  // Round-robin atom ownership; every rank's region is the whole grid.
-  std::vector<pme::GridRegion> regions(
-      static_cast<std::size_t>(nranks),
-      pme::GridRegion{0, params.nx, 0, params.ny, 0, params.nz});
 
   sim::Engine engine(nranks);
   engine.run([&](sim::RankCtx& ctx) {
@@ -295,9 +288,8 @@ void run_pencil_pme_case(const pme::PmeParams& params, int py, int pz,
     mpi::Comm comm(ctx, cluster, recs[static_cast<std::size_t>(me)]);
     pme::PencilPme pencil(params, sys.box, comm, py, pz, regions);
     std::vector<int> owned;
-    for (std::size_t i = static_cast<std::size_t>(me); i < n;
-         i += static_cast<std::size_t>(nranks)) {
-      owned.push_back(static_cast<int>(i));
+    for (std::size_t i = 0; i < n; ++i) {
+      if (owner[i] == me) owned.push_back(static_cast<int>(i));
     }
     pme::PmeWork work;
     energies[static_cast<std::size_t>(me)] = pencil.reciprocal(
@@ -318,6 +310,87 @@ void run_pencil_pme_case(const pme::PmeParams& params, int py, int pz,
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(util::norm(total[i] - serial_forces[i]), 0.0, 1e-8);
   }
+}
+
+// Whole-grid regions on every rank: the plane exchange ships everything.
+void run_pencil_pme_case(const pme::PmeParams& params, int py, int pz,
+                         int nranks, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "pme grid " << params.nx << "x" << params.ny << "x"
+               << params.nz << " pencils " << py << "x" << pz << " ranks "
+               << nranks);
+  auto sys = sysbuild::build_random_charges(36, md::Box(13, 11, 9), seed);
+  // Round-robin atom ownership; every rank's region is the whole grid.
+  std::vector<int> owner(static_cast<std::size_t>(sys.topo.natoms()));
+  for (std::size_t i = 0; i < owner.size(); ++i) {
+    owner[i] = static_cast<int>(i % static_cast<std::size_t>(nranks));
+  }
+  check_pencil_pme(
+      params, sys, py, pz, nranks, owner,
+      std::vector<pme::GridRegion>(
+          static_cast<std::size_t>(nranks),
+          pme::GridRegion{0, params.nx, 0, params.ny, 0, params.nz}));
+}
+
+// Partial regions that wrap across the periodic boundary: the atoms sit
+// in a cube of half-width `half` around the box corner, so the owned
+// stencils reach across plane 0 in each dimension. Each rank's region is the
+// wrapped interval of the planes its own atoms touch, padded by one plane
+// a side; rank 0's x extent is widened to the whole dimension from a
+// nonzero start. The last rank owns no atoms and has an empty region when
+// `idle_last` is set.
+void run_corner_case(const pme::PmeParams& params, int py, int pz,
+                     int nranks, double half, bool idle_last,
+                     std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "corner pme grid " << params.nx << "x" << params.ny
+               << "x" << params.nz << " pencils " << py << "x" << pz
+               << " ranks " << nranks << " half-width " << half);
+  auto sys = sysbuild::build_random_charges(36, md::Box(13, 11, 9), seed);
+  util::Rng rng(seed);
+  for (auto& r : sys.positions) {
+    r = Vec3{rng.uniform(-half, half), rng.uniform(-half, half),
+             rng.uniform(-half, half)};
+  }
+  const int owners = idle_last ? nranks - 1 : nranks;
+  std::vector<int> owner(sys.positions.size());
+  for (std::size_t i = 0; i < owner.size(); ++i) {
+    owner[i] = static_cast<int>(i % static_cast<std::size_t>(owners));
+  }
+
+  const std::size_t dims[3] = {params.nx, params.ny, params.nz};
+  const double lens[3] = {sys.box.lx(), sys.box.ly(), sys.box.lz()};
+  std::vector<pme::GridRegion> regions(static_cast<std::size_t>(nranks));
+  int wrapping[3] = {0, 0, 0};  // ranks whose region wraps, per dimension
+  for (int r = 0; r < owners; ++r) {
+    std::size_t start[3];
+    std::size_t count[3];
+    for (int d = 0; d < 3; ++d) {
+      // Stencil planes of an atom at fractional coordinate u are
+      // floor(u) - order + 1 .. floor(u), taken modulo n.
+      long lo = 1L << 30;
+      long hi = -(1L << 30);
+      for (std::size_t i = 0; i < owner.size(); ++i) {
+        if (owner[i] != r) continue;
+        const double u =
+            sys.positions[i][d] / lens[d] * static_cast<double>(dims[d]);
+        const auto k0 = static_cast<long>(std::floor(u));
+        lo = std::min(lo, k0 - params.order + 1 - 1);
+        hi = std::max(hi, k0 + 1);
+      }
+      const auto n = static_cast<long>(dims[d]);
+      ASSERT_LT(hi - lo + 1, n) << "region would not be partial";
+      start[d] = static_cast<std::size_t>(((lo % n) + n) % n);
+      count[d] = static_cast<std::size_t>(hi - lo + 1);
+      if (start[d] + count[d] > dims[d]) ++wrapping[d];
+    }
+    if (r == 0) count[0] = dims[0];
+    regions[static_cast<std::size_t>(r)] = pme::GridRegion{
+        start[0], count[0], start[1], count[1], start[2], count[2]};
+  }
+  ASSERT_GT(wrapping[1], 0) << "no region wraps in y";
+  ASSERT_GT(wrapping[2], 0) << "no region wraps in z";
+  check_pencil_pme(params, sys, py, pz, nranks, owner, regions);
 }
 
 TEST(PencilPmePropertyTest, MatchesSerialAcrossShapes) {
@@ -342,6 +415,24 @@ TEST(PencilPmePropertyTest, OddGridMatchesSerial) {
   params.beta = 0.45;
   run_pencil_pme_case(params, 3, 2, 6, 75);
   run_pencil_pme_case(params, 2, 3, 6, 76);
+}
+
+TEST(PencilPmePropertyTest, WrappedPartialRegionsMatchSerial) {
+  pme::PmeParams params;
+  params.nx = 20;
+  params.ny = 12;
+  params.nz = 16;
+  params.order = 4;
+  params.beta = 0.4;
+  run_corner_case(params, 1, 1, 2, 1.5, false, 81);
+  run_corner_case(params, 2, 2, 4, 1.5, false, 82);
+  run_corner_case(params, 3, 4, 12, 1.5, false, 83);
+  run_corner_case(params, 2, 4, 9, 1.2, true, 84);   // idle ninth rank
+  params.nx = 15;
+  params.ny = 9;
+  params.nz = 14;
+  params.beta = 0.45;
+  run_corner_case(params, 3, 2, 7, 1.0, true, 85);
 }
 
 }  // namespace

@@ -3,23 +3,29 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include "md/nonbonded.hpp"
 #include "middleware/middleware.hpp"
 #include "net/cluster.hpp"
 #include "pme/bspline.hpp"
-#include "pme/ewald_ref.hpp"
 #include "pme/pme.hpp"
 #include "sim/engine.hpp"
 #include "sysbuild/builder.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
+#include "ewald_oracle.hpp"
 #include "pair_oracle.hpp"
 
 namespace repro::pme {
 namespace {
 
+using oracle::ewald_reference;
+using oracle::EwaldRefOptions;
+using oracle::EwaldRefResult;
 using util::Vec3;
 
 // --- B-splines ---------------------------------------------------------------
@@ -523,6 +529,101 @@ TEST(ParallelPmeTest2, WorkCountersPopulated) {
     EXPECT_GT(work.mesh_points, 0u);
     EXPECT_GT(charged, 0.0);
   });
+}
+
+// --- wrapped plane runs -------------------------------------------------------
+
+// Every interval on every small dimension: the runs are disjoint and
+// ascending in the local index, map local index l to plane
+// (start + l) mod n, cover exactly the brute-force set of local indices
+// whose plane falls in [b, e), and sum to wrapped_overlap.
+TEST(WrappedRunsTest, MatchBruteForceExhaustively) {
+  for (std::size_t n = 1; n <= 10; ++n) {
+    for (std::size_t start = 0; start < n; ++start) {
+      for (std::size_t count = 0; count <= n; ++count) {
+        for (std::size_t b = 0; b <= n; ++b) {
+          for (std::size_t e = b; e <= n; ++e) {
+            std::vector<std::size_t> want;
+            for (std::size_t l = 0; l < count; ++l) {
+              const std::size_t plane = (start + l) % n;
+              if (plane >= b && plane < e) want.push_back(l);
+            }
+            const WrappedRuns runs = wrapped_runs(start, count, n, b, e);
+            std::vector<std::size_t> got;
+            bool ok = runs.size <= 2;
+            std::size_t next = 0;  // first local index a run may start at
+            for (const WrappedRun& r : runs) {
+              ok = ok && r.len > 0 && r.local >= next;
+              next = r.local + r.len;
+              for (std::size_t j = 0; j < r.len; ++j) {
+                ok = ok && r.plane + j == (start + r.local + j) % n;
+                got.push_back(r.local + j);
+              }
+            }
+            ASSERT_TRUE(ok && got == want &&
+                        runs.total() == want.size() &&
+                        wrapped_overlap(start, count, n, b, e) == want.size())
+                << "n " << n << " start " << start << " count " << count
+                << " [" << b << ", " << e << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(WrappedRunsTest, RejectIntervalsOffTheGrid) {
+  EXPECT_THROW(wrapped_runs(8, 1, 8, 0, 8), util::Error);
+  EXPECT_THROW(wrapped_runs(0, 9, 8, 0, 8), util::Error);
+  EXPECT_THROW(wrapped_overlap(9, 2, 8, 0, 8), util::Error);
+  EXPECT_EQ(wrapped_overlap(7, 8, 8, 0, 8), 8u);
+}
+
+// A caller-built region that starts past its dimension or spans more than
+// it would make the plane walk and the message sizes disagree; the
+// constructor rejects it, naming the rank, before anything is shipped.
+TEST(PencilPmeTest, RejectsRegionsOffTheGrid) {
+  PmeParams params;
+  params.nx = 8;
+  params.ny = 6;
+  params.nz = 5;
+  const md::Box box(10, 10, 10);
+  const GridRegion whole{0, 8, 0, 6, 0, 5};
+  const GridRegion bad[] = {
+      {8, 2, 0, 6, 0, 5},   // x starts past the grid
+      {0, 9, 0, 6, 0, 5},   // x spans more than the grid
+      {0, 8, 6, 1, 0, 5},   // y starts past the grid
+      {0, 8, 0, 6, 2, 6},   // z spans more than the grid
+  };
+  for (const GridRegion& region : bad) {
+    net::ClusterConfig config;
+    config.nranks = 2;
+    net::ClusterNetwork cluster(config);
+    std::vector<perf::RankRecorder> recs(2);
+    sim::Engine engine(2);
+    try {
+      engine.run([&](sim::RankCtx& ctx) {
+        mpi::Comm comm(ctx, cluster,
+                       recs[static_cast<std::size_t>(ctx.rank())]);
+        PencilPme pencil(params, box, comm, 1, 1, {whole, region});
+      });
+      FAIL() << "a region off the grid was accepted";
+    } catch (const util::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+    }
+  }
+  // An empty region's start is never read.
+  net::ClusterConfig config;
+  config.nranks = 2;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(2);
+  sim::Engine engine(2);
+  EXPECT_NO_THROW(engine.run([&](sim::RankCtx& ctx) {
+    mpi::Comm comm(ctx, cluster, recs[static_cast<std::size_t>(ctx.rank())]);
+    PencilPme pencil(params, box, comm, 1, 1,
+                     {whole, GridRegion{99, 0, 0, 6, 0, 5}});
+  }));
 }
 
 // --- bit-identity pins -------------------------------------------------------
