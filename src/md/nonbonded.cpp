@@ -1,7 +1,9 @@
 #include "md/nonbonded.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <numbers>
 #include <utility>
 
@@ -32,14 +34,26 @@ const PairTable* resolve_table(const NonbondedOptions& opts,
 // ---------------------------------------------------------------------------
 // The pair kernel.
 //
-// Structure per i-row: a scalar gather/compact pass walks the neighbor
-// list, applies the minimum-image convention and the cutoff test, and
-// packs surviving pairs into SoA lanes (displacement, r^2, mixed LJ
-// parameters, partner charge). Once a chunk fills, a branch-free
-// #pragma omp simd pass evaluates the physics for every lane, and a short
-// scalar pass scatters forces and sums energies in fixed lane order (so
-// the result is deterministic across reruns and vector widths by
-// construction).
+// Structure per i-row, for each block of up to kChunk listed j:
+//  1. a #pragma omp simd prepass applies the minimum-image convention and
+//     computes r^2 for every listed pair of the block;
+//  2. a branch-free scalar compaction appends the pairs the slice keeps and
+//     the cutoff admits to SoA lanes (partner, displacement, r^2) by
+//     writing every pair at the fill index and advancing it by the keep
+//     test;
+// and once kChunk lanes have filled, a branch-free #pragma omp simd pass
+// gathers each lane's mixed LJ parameters and partner charge and
+// evaluates the physics, and a short scalar pass scatters forces and sums
+// energies in fixed lane order (so the result is deterministic across
+// reruns and vector widths by construction).
+//
+// The three simd loops vectorize only because src/md/CMakeLists.txt
+// compiles this file with -fno-math-errno (sqrt needs no errno branch)
+// and -fno-trapping-math (GCC may if-convert the VSWITCH and table-bound
+// selects). Neither flag changes an IEEE result, and there is no FP
+// contraction on the default target, so the vector lanes compute the
+// scalar code's bits; cmake/vectorize_guard.cmake fails the build's tests
+// if a loop marked "repro: must vectorize" stops vectorizing.
 //
 // erfc(beta r) and exp(-(beta r)^2) — the libm calls that would dominate
 // the Ewald-direct term — are replaced by cubic Hermite interpolation on
@@ -79,20 +93,31 @@ const ErfcTable& erfc_table() {
   return table;
 }
 
+// The compaction appends up to kChunk pairs after fewer than kChunk
+// waiting ones, so the physics lanes hold up to 2 * kChunk - 1.
+constexpr int kLanes = 2 * kChunk;
+
 struct SimdScratch {
-  int j[kChunk];
-  double dx[kChunk], dy[kChunk], dz[kChunk], r2[kChunk];
-  double eps[kChunk], rmn[kChunk], qj[kChunk];
-  double fs[kChunk];  // force scale -dEdr / r
-  double lj[kChunk], el[kChunk];
+  // Prepass lanes, one per listed j of a block.
+  double px[kChunk], py[kChunk], pz[kChunk], pr2[kChunk];
+  // Physics lanes, one per kept in-cutoff pair.
+  int j[kLanes];
+  double dx[kLanes], dy[kLanes], dz[kLanes], r2[kLanes];
+  double fs[kLanes];  // force scale -dEdr / r
+  double lj[kLanes], el[kLanes];
 };
 
+// One heap block per thread. A thread_local array of this size lives in
+// the static TLS block glibc carves from the top of each thread's stack,
+// where ASan can keep stale stack poison after a sweep thread exits and
+// a new one reuses the mapping; heap memory carries no such shadow.
 SimdScratch& simd_scratch() {
-  static thread_local SimdScratch s;
-  return s;
+  thread_local const std::unique_ptr<SimdScratch> s =
+      std::make_unique<SimdScratch>();
+  return *s;
 }
 
-// Per-call constants and chunk state for the simd row kernel.
+// Per-call constants for the simd row kernel.
 class SimdRowKernel {
  public:
   SimdRowKernel(const Box& box, const NonbondedOptions& opts,
@@ -120,71 +145,112 @@ class SimdRowKernel {
   template <class Keep>
   void row(int i, const int* neigh, std::size_t count, Keep keep,
            NonbondedWork& work) {
+    SimdScratch& s = s_;
     const std::size_t si = static_cast<std::size_t>(i);
-    xi_ = pos_[si];
-    qqi_ = units::kCoulomb * pt_.charge[si];
+    const Vec3 xi = pos_[si];
     const std::size_t row_base = static_cast<std::size_t>(pt_.type_of[si]) *
                                  static_cast<std::size_t>(pt_.ntypes);
-    const double* eps_row = pt_.eps.data() + row_base;
-    const double* rmin_row = pt_.rmin.data() + row_base;
-    fi_ = Vec3{};
-    m_ = 0;
-    for (std::size_t t = 0; t < count; ++t) {
-      const int j = neigh[t];
-      if (!keep(j)) continue;
-      ++work.pairs_listed;
-      const std::size_t sj = static_cast<std::size_t>(j);
-      const Vec3 d = box_.min_image(xi_ - pos_[sj]);
-      const double r2 = util::norm2(d);
-      if (r2 >= rc2_) continue;
-      const int tj = pt_.type_of[sj];
-      s_.j[m_] = j;
-      s_.dx[m_] = d.x;
-      s_.dy[m_] = d.y;
-      s_.dz[m_] = d.z;
-      s_.r2[m_] = r2;
-      s_.eps[m_] = eps_row[tj];
-      s_.rmn[m_] = rmin_row[tj];
-      s_.qj[m_] = pt_.charge[sj];
-      if (++m_ == kChunk) flush(work);
+    const RowI ri{units::kCoulomb * pt_.charge[si], pt_.eps.data() + row_base,
+                  pt_.rmin.data() + row_base};
+    const Vec3* pos = pos_.data();
+    const double lx = box_.lx(), ly = box_.ly(), lz = box_.lz();
+    const double rc2 = rc2_;
+    Vec3 fi{};
+    std::size_t listed = 0;
+    int m = 0;
+    for (std::size_t b = 0; b < count; b += kChunk) {
+      const int* js = neigh + b;
+      const int n = static_cast<int>(std::min<std::size_t>(count - b, kChunk));
+      // Box::min_image and util::norm2 on pos[i] - pos[j], operation for
+      // operation, so the cutoff test and the lanes match them bit for bit.
+#pragma omp simd
+      for (int k = 0; k < n; ++k) {  // repro: must vectorize
+        const Vec3& xj = pos[static_cast<std::size_t>(js[k])];
+        double dx = xi.x - xj.x;
+        double dy = xi.y - xj.y;
+        double dz = xi.z - xj.z;
+        dx -= lx * round_half_even(dx / lx);
+        dy -= ly * round_half_even(dy / ly);
+        dz -= lz * round_half_even(dz / lz);
+        s.px[k] = dx;
+        s.py[k] = dy;
+        s.pz[k] = dz;
+        s.pr2[k] = dx * dx + dy * dy + dz * dz;
+      }
+      for (int k = 0; k < n; ++k) {
+        const int j = js[k];
+        const bool kept = keep(j);
+        s.j[m] = j;
+        s.dx[m] = s.px[k];
+        s.dy[m] = s.py[k];
+        s.dz[m] = s.pz[k];
+        s.r2[m] = s.pr2[k];
+        listed += kept;
+        m += kept & !(s.pr2[k] >= rc2);
+      }
+      if (m >= kChunk) {
+        flush(m, ri, fi, work);
+        m = 0;
+      }
     }
-    flush(work);
-    forces_[si] += fi_;
+    flush(m, ri, fi, work);
+    work.pairs_listed += listed;
+    forces_[si] += fi;
   }
 
  private:
-  void flush(NonbondedWork& work) {
-    if (m_ == 0) return;
+  // Row i's side of every pair: its charge times the Coulomb constant and
+  // its rows of the LJ mixing table.
+  struct RowI {
+    double qqi;
+    const double* eps;
+    const double* rmin;
+  };
+
+  void flush(int m, const RowI& ri, Vec3& fi_out, NonbondedWork& work) {
+    if (m == 0) return;
     if (ewald_) {
-      physics_ewald();
+      physics_ewald(m, ri);
     } else {
-      physics_shift();
+      physics_shift(m, ri);
     }
     // Fixed-order scatter + energy sums keep the kernel deterministic.
-    for (int k = 0; k < m_; ++k) {
-      const Vec3 f{s_.dx[k] * s_.fs[k], s_.dy[k] * s_.fs[k],
-                   s_.dz[k] * s_.fs[k]};
-      fi_ += f;
-      forces_[static_cast<std::size_t>(s_.j[k])] -= f;
-      work.lj += s_.lj[k];
-      work.elec += s_.el[k];
+    // The sums live in locals: as members they could alias forces, and
+    // each store into forces would make the compiler reload them.
+    const SimdScratch& s = s_;
+    Vec3* forces = forces_.data();
+    Vec3 fi = fi_out;
+    double lj = work.lj, elec = work.elec;
+    for (int k = 0; k < m; ++k) {
+      const Vec3 f{s.dx[k] * s.fs[k], s.dy[k] * s.fs[k], s.dz[k] * s.fs[k]};
+      fi += f;
+      forces[static_cast<std::size_t>(s.j[k])] -= f;
+      lj += s.lj[k];
+      elec += s.el[k];
     }
-    work.pairs_in_cutoff += static_cast<std::size_t>(m_);
-    m_ = 0;
+    fi_out = fi;
+    work.lj = lj;
+    work.elec = elec;
+    work.pairs_in_cutoff += static_cast<std::size_t>(m);
   }
 
-  void physics_shift() {
+  void physics_shift(int m, const RowI& ri) {
     SimdScratch& s = s_;
+    const int* type_of = pt_.type_of.data();
+    const double* charge = pt_.charge.data();
+    const double *eps = ri.eps, *rmin = ri.rmin, qqi = ri.qqi;
     const double A = A_, B = B_, inv_d = inv_d_, ron = ron_;
-    const double inv_rc2 = inv_rc2_, qqi = qqi_;
+    const double inv_rc2 = inv_rc2_;
 #pragma omp simd
-    for (int k = 0; k < m_; ++k) {
+    for (int k = 0; k < m; ++k) {  // repro: must vectorize
       const double r2 = s.r2[k];
       const double r = std::sqrt(r2);
       const double inv_r = 1.0 / r;
       double lj, dE;
-      lj_term(s.eps[k], s.rmn[k], r, r2, inv_r, A, B, inv_d, ron, lj, dE);
-      const double qq = qqi * s.qj[k];
+      const std::size_t j = static_cast<std::size_t>(s.j[k]);
+      const int tj = type_of[j];
+      lj_term(eps[tj], rmin[tj], r, r2, inv_r, A, B, inv_d, ron, lj, dE);
+      const double qq = qqi * charge[j];
       const double x = 1.0 - r2 * inv_rc2;
       s.el[k] = qq * inv_r * x * x;
       dE += -qq * inv_r * inv_r * x * (1.0 + 3.0 * r2 * inv_rc2);
@@ -193,24 +259,29 @@ class SimdRowKernel {
     }
   }
 
-  void physics_ewald() {
+  void physics_ewald(int m, const RowI& ri) {
     SimdScratch& s = s_;
+    const int* type_of = pt_.type_of.data();
+    const double* charge = pt_.charge.data();
+    const double *eps = ri.eps, *rmin = ri.rmin, qqi = ri.qqi;
     const ErfcTable& tab = erfc_table();
     const double* ev = tab.erfc_v.data();
     const double* ed = tab.erfc_d.data();
     const double* gv = tab.gauss_v.data();
     const double* gd = tab.gauss_d.data();
     const double A = A_, B = B_, inv_d = inv_d_, ron = ron_;
-    const double beta = beta_, bspi = bspi_, qqi = qqi_;
+    const double beta = beta_, bspi = bspi_;
     const double inv_h = 1.0 / kTabH;
 #pragma omp simd
-    for (int k = 0; k < m_; ++k) {
+    for (int k = 0; k < m; ++k) {  // repro: must vectorize
       const double r2 = s.r2[k];
       const double r = std::sqrt(r2);
       const double inv_r = 1.0 / r;
       double lj, dE;
-      lj_term(s.eps[k], s.rmn[k], r, r2, inv_r, A, B, inv_d, ron, lj, dE);
-      const double qq = qqi * s.qj[k];
+      const std::size_t j = static_cast<std::size_t>(s.j[k]);
+      const int tj = type_of[j];
+      lj_term(eps[tj], rmin[tj], r, r2, inv_r, A, B, inv_d, ron, lj, dE);
+      const double qq = qqi * charge[j];
       // Hermite-table erfc(beta r) and exp(-(beta r)^2).
       const double br = beta * r;
       const double xs = br * inv_h;
@@ -267,10 +338,6 @@ class SimdRowKernel {
   const bool ewald_;
   const double rc2_, inv_rc2_, ron_, A_, B_, beta_, bspi_;
   double inv_d_ = 0.0;
-  Vec3 xi_{};
-  double qqi_ = 0.0;
-  Vec3 fi_{};
-  int m_ = 0;
 };
 
 struct KeepAll {

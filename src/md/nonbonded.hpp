@@ -11,13 +11,16 @@
 //
 // There is one pair kernel, and one pair-row driver for every
 // decomposition: a WorkSlice (md/work_slice.hpp) says which rows or pairs a
-// call takes, and the rule is resolved outside the pair loop. The row is
-// SoA-staged into width-agnostic vector lanes (#pragma omp simd) with a
-// chunked gather/compact/compute structure and Hermite-table erfc/exp, and
-// its forces and energies are summed in a fixed lane order, so the output
-// does not depend on the vector width. The straight libm form of the same
-// physics lives in tests/pair_oracle.hpp, which holds this kernel to 1e-10
-// relative and its work counters to exact equality.
+// call takes, and the rule is resolved outside the pair loop. Each row runs
+// a vectorized minimum-image/r^2 prepass, a branch-free compaction into SoA
+// lanes and a vectorized physics pass (#pragma omp simd) with Hermite-table
+// erfc/exp, and its forces and energies are summed in a fixed lane order,
+// so the output does not depend on the vector width. The simd loops
+// vectorize because nonbonded.cpp is compiled with -fno-math-errno and
+// -fno-trapping-math (src/md/CMakeLists.txt); neither changes an IEEE
+// result, so the lanes compute the scalar code's bits. The straight libm
+// form of the same physics lives in tests/pair_oracle.hpp, which holds this
+// kernel to 1e-10 relative and its work counters to exact equality.
 #pragma once
 
 #include <cstddef>

@@ -6,12 +6,14 @@
 //  - the pair kernel matches the oracle to 1e-10 relative under every
 //    work-selection rule, reports exactly the oracle's work counters, and
 //    is deterministic across reruns;
+//  - the pair kernel's output bits are pinned by digest under every rule;
 //  - batched B-spline weights are bit-identical per lane and keep the
 //    partition of unity;
 //  - the batched FFT matches a naive DFT.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -25,6 +27,7 @@
 #include "pme/bspline.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 #include "pair_oracle.hpp"
@@ -292,6 +295,58 @@ TEST_P(PairKernelTest, IsDeterministicAcrossReruns) {
     EXPECT_EQ(first.forces[i].x, second.forces[i].x);
     EXPECT_EQ(first.forces[i].y, second.forces[i].y);
     EXPECT_EQ(first.forces[i].z, second.forces[i].z);
+  }
+}
+
+// FNV-1a digest of a run's output bits: every force component, then the
+// lj and elec sums.
+std::uint64_t output_digest(const PairRun& run) {
+  std::uint64_t h = util::fnv1a_bytes(run.forces.data(),
+                                      run.forces.size() * sizeof(Vec3));
+  h = util::hash_combine(h, std::bit_cast<std::uint64_t>(run.energy.lj));
+  return util::hash_combine(h,
+                            std::bit_cast<std::uint64_t>(run.energy.elec));
+}
+
+// The kernel's output bits, pinned directly: the oracle tests above hold
+// it to 1e-10, so a change in the lane arithmetic or the fixed summation
+// order would pass them and only move a relax digest. One case per slice
+// rule, each in both electrostatics modes.
+TEST_P(PairKernelTest, OutputBitsPinned) {
+  struct Pin {
+    const char* slice;
+    std::uint64_t digest;
+    std::size_t listed, in_cutoff;
+  };
+  const bool ewald = GetParam() == md::NonbondedOptions::Elec::kEwaldDirect;
+  const Pin pins[2][4] = {
+      {{"whole", 0x0cccb647d0fa786aULL, 158300, 95282},
+       {"interleaved 1/3", 0x4a60da4d1e234444ULL, 53224, 31940},
+       {"owned atoms", 0xf1dc317ccf453647ULL, 52828, 31839},
+       {"pair blocks 2/4", 0xab3cb34a0897cc01ULL, 38152, 22467}},
+      {{"whole", 0xaf5b150b61e7946eULL, 158300, 95282},
+       {"interleaved 1/3", 0xc15adad05579f180ULL, 53224, 31940},
+       {"owned atoms", 0x7aeafdaab5d72f88ULL, 52828, 31839},
+       {"pair blocks 2/4", 0x94589018e50fe626ULL, 38152, 22467}}};
+  const auto natoms = static_cast<std::size_t>(water().topo.natoms());
+  std::vector<std::uint8_t> mask(natoms);
+  std::vector<int> block(natoms);
+  for (std::size_t i = 0; i < natoms; ++i) {
+    mask[i] = static_cast<std::uint8_t>((i / 10) % 3 == 1);
+    block[i] = static_cast<int>(i * 4 / natoms);
+  }
+  const md::WorkSlice slices[4] = {
+      md::WorkSlice{}, md::WorkSlice::interleaved(1, 3),
+      md::WorkSlice::owned_atoms(mask),
+      md::WorkSlice::pair_blocks(block, 2, 4)};
+  for (int c = 0; c < 4; ++c) {
+    const Pin& pin = pins[ewald ? 1 : 0][c];
+    SCOPED_TRACE(pin.slice);
+    const PairRun run = run_pair_kernel(water_options(GetParam()), slices[c]);
+    EXPECT_EQ(run.work.pairs_listed, pin.listed);
+    EXPECT_EQ(run.work.pairs_in_cutoff, pin.in_cutoff);
+    EXPECT_EQ(output_digest(run), pin.digest)
+        << std::hex << "0x" << output_digest(run);
   }
 }
 
