@@ -9,19 +9,12 @@
 // tests' job: kernel_variant_test holds it to the libm oracle in
 // tests/pair_oracle.hpp, and fft_test holds the FFT to a long-double DFT.
 //
-// usage: kernel_speedups [--smoke] [--json=FILE] [--baseline=FILE]
-//   --smoke     CI mode: one rep per kernel, seconds of wall clock total.
-//   --json      write BENCH_kernels.json-style output.
-//   --baseline  a --json file from another build (say, the parent commit,
-//               run alternately with this one); each kernel it names gets
-//               that build's time as "baseline_ms" in the output.
+// usage: kernel_speedups [--smoke] [--json=FILE]
+//   --smoke   CI mode: one rep per kernel, seconds of wall clock total.
+//   --json    write BENCH_kernels.json-style output.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,55 +129,20 @@ KernelResult run_fft(int reps, int iters) {
   return pr;
 }
 
-// Reads each kernel's "ms" from a file this binary wrote with --json.
-std::map<std::string, double> read_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  std::map<std::string, double> ms;
-  const std::string key = "\"kernel\": \"";
-  for (std::size_t at = text.find(key); at != std::string::npos;
-       at = text.find(key, at + 1)) {
-    const std::size_t name_begin = at + key.size();
-    const std::size_t name_end = text.find('"', name_begin);
-    const std::size_t ms_at = text.find("\"ms\": ", name_end);
-    if (name_end == std::string::npos || ms_at == std::string::npos) break;
-    const char* value = text.c_str() + ms_at + 6;
-    char* end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (end == value) break;
-    ms[text.substr(name_begin, name_end - name_begin)] = v;
-  }
-  if (ms.empty()) {
-    std::fprintf(stderr, "%s holds no kernel timings\n", path.c_str());
-    std::exit(1);
-  }
-  return ms;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path;
-  std::map<std::string, double> baseline;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline = read_baseline(arg.substr(11));
     } else {
       std::fprintf(stderr,
-                   "unknown option: %s (supported: --smoke --json=FILE "
-                   "--baseline=FILE)\n",
+                   "unknown option: %s (supported: --smoke --json=FILE)\n",
                    arg.c_str());
       return 2;
     }
@@ -229,33 +187,21 @@ int main(int argc, char** argv) {
                  "tests/pair_oracle.hpp (1e-10 relative, identical work "
                  "counters) and pins its output bits by digest "
                  "(PairKernelTest.OutputBitsPinned). tests/fft_test.cpp "
-                 "holds the FFT "
-                 "to a long-double naive DFT (max error <= 1e-15 of the "
-                 "largest output for n = 36, 48, 80, 97); the butterflies "
-                 "measure 1.5e-16 to 5.8e-16 there, the generic combine "
-                 "they replaced 4.0e-16 to 8.1e-16. The PME and FFT output "
-                 "bytes are pinned by digests in tests/fft_test.cpp and "
-                 "tests/pme_test.cpp.\",\n");
-    if (!baseline.empty()) {
-      std::fprintf(f,
-                   "  \"baseline_note\": \"baseline_ms is the same kernel "
-                   "timed by another build's kernel_speedups (--baseline), "
-                   "run alternately with this one on the same machine\",\n");
-    }
+                 "holds the FFT to a long-double naive DFT (max error <= "
+                 "1e-15 of the largest output for n = 36, 48, 80, 97); the "
+                 "butterflies measure 1.5e-16 to 5.8e-16 there, the generic "
+                 "combine they replaced 4.0e-16 to 8.1e-16. The PME and FFT "
+                 "output bytes are pinned by digests in tests/fft_test.cpp "
+                 "and tests/pme_test.cpp.\",\n");
     std::fprintf(f, "  \"kernels\": [");
     for (std::size_t k = 0; k < kernels.size(); ++k) {
       const KernelResult& kr = kernels[k];
       std::fprintf(f,
                    "%s\n    { \"kernel\": \"%s\", \"ms\": %.3f, "
-                   "\"items\": \"%s\", \"items_per_sec\": %.3e",
+                   "\"items\": \"%s\", \"items_per_sec\": %.3e }",
                    k == 0 ? "" : ",", kr.name.c_str(), kr.seconds * 1e3,
                    kr.unit.c_str(),
                    kr.seconds > 0 ? kr.items / kr.seconds : 0.0);
-      const auto base = baseline.find(kr.name);
-      if (base != baseline.end()) {
-        std::fprintf(f, ", \"baseline_ms\": %.3f", base->second);
-      }
-      std::fprintf(f, " }");
     }
     std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <numbers>
+#include <type_traits>
 #include <utility>
 
 #include "util/units.hpp"
@@ -35,12 +36,13 @@ const PairTable* resolve_table(const NonbondedOptions& opts,
 // The pair kernel.
 //
 // Structure per i-row, for each block of up to kChunk listed j:
-//  1. a #pragma omp simd prepass applies the minimum-image convention and
-//     computes r^2 for every listed pair of the block;
-//  2. a branch-free scalar compaction appends the pairs the slice keeps and
-//     the cutoff admits to SoA lanes (partner, displacement, r^2) by
-//     writing every pair at the fill index and advancing it by the keep
-//     test;
+//  1. under a pair-block slice, a branch-free scalar pass compacts the
+//     partners the slice keeps (other slices keep every listed pair);
+//  2. a #pragma omp simd prepass applies the minimum-image convention and
+//     computes r^2 for every kept pair of the block;
+//  3. a branch-free scalar compaction appends the pairs the cutoff admits
+//     to SoA lanes (partner, displacement, r^2) by writing every pair at
+//     the fill index and advancing it by the cutoff test;
 // and once kChunk lanes have filled, a branch-free #pragma omp simd pass
 // gathers each lane's mixed LJ parameters and partner charge and
 // evaluates the physics, and a short scalar pass scatters forces and sums
@@ -98,7 +100,8 @@ const ErfcTable& erfc_table() {
 constexpr int kLanes = 2 * kChunk;
 
 struct SimdScratch {
-  // Prepass lanes, one per listed j of a block.
+  // Prepass lanes, one per kept j of a block.
+  int kj[kChunk];
   double px[kChunk], py[kChunk], pz[kChunk], pr2[kChunk];
   // Physics lanes, one per kept in-cutoff pair.
   int j[kLanes];
@@ -116,6 +119,12 @@ SimdScratch& simd_scratch() {
       std::make_unique<SimdScratch>();
   return *s;
 }
+
+// The Keep of every slice rule but pair blocks: the row's listed pairs
+// are all the slice's.
+struct KeepAll {
+  bool operator()(int) const { return true; }
+};
 
 // Per-call constants for the simd row kernel.
 class SimdRowKernel {
@@ -143,8 +152,8 @@ class SimdRowKernel {
   // Evaluates atom i against the Keep-filtered neighbors, accumulating
   // forces on both sides and energies/counters into work.
   template <class Keep>
-  void row(int i, const int* neigh, std::size_t count, Keep keep,
-           NonbondedWork& work) {
+  void row(int i, const int* neigh, std::size_t count,
+           [[maybe_unused]] Keep keep, NonbondedWork& work) {
     SimdScratch& s = s_;
     const std::size_t si = static_cast<std::size_t>(i);
     const Vec3 xi = pos_[si];
@@ -160,7 +169,19 @@ class SimdRowKernel {
     int m = 0;
     for (std::size_t b = 0; b < count; b += kChunk) {
       const int* js = neigh + b;
-      const int n = static_cast<int>(std::min<std::size_t>(count - b, kChunk));
+      int n = static_cast<int>(std::min<std::size_t>(count - b, kChunk));
+      if constexpr (!std::is_same_v<Keep, KeepAll>) {
+        // Filtered before the prepass: a pair-block slice keeps about
+        // 1/nowners of each row, so this spares the rest its min-image.
+        int kept = 0;
+        for (int k = 0; k < n; ++k) {
+          s.kj[kept] = js[k];
+          kept += keep(js[k]);
+        }
+        js = s.kj;
+        n = kept;
+      }
+      listed += static_cast<std::size_t>(n);
       // Box::min_image and util::norm2 on pos[i] - pos[j], operation for
       // operation, so the cutoff test and the lanes match them bit for bit.
 #pragma omp simd
@@ -178,15 +199,12 @@ class SimdRowKernel {
         s.pr2[k] = dx * dx + dy * dy + dz * dz;
       }
       for (int k = 0; k < n; ++k) {
-        const int j = js[k];
-        const bool kept = keep(j);
-        s.j[m] = j;
+        s.j[m] = js[k];
         s.dx[m] = s.px[k];
         s.dy[m] = s.py[k];
         s.dz[m] = s.pz[k];
         s.r2[m] = s.pr2[k];
-        listed += kept;
-        m += kept & !(s.pr2[k] >= rc2);
+        m += !(s.pr2[k] >= rc2);
       }
       if (m >= kChunk) {
         flush(m, ri, fi, work);
@@ -338,10 +356,6 @@ class SimdRowKernel {
   const bool ewald_;
   const double rc2_, inv_rc2_, ron_, A_, B_, beta_, bspi_;
   double inv_d_ = 0.0;
-};
-
-struct KeepAll {
-  bool operator()(int) const { return true; }
 };
 
 // The one pair-row driver: runs kernel.row over the rows and pairs of

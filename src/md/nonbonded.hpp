@@ -11,7 +11,8 @@
 //
 // There is one pair kernel, and one pair-row driver for every
 // decomposition: a WorkSlice (md/work_slice.hpp) says which rows or pairs a
-// call takes, and the rule is resolved outside the pair loop. Each row runs
+// call takes, and the rule is resolved outside the pair loop (a pair-block
+// slice filters each row's partners before any geometry). Each row runs
 // a vectorized minimum-image/r^2 prepass, a branch-free compaction into SoA
 // lanes and a vectorized physics pass (#pragma omp simd) with Hermite-table
 // erfc/exp, and its forces and energies are summed in a fixed lane order,
