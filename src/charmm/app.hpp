@@ -20,6 +20,7 @@
 
 #include "charmm/cost_model.hpp"
 #include "charmm/decomp_spec.hpp"
+#include "charmm/simulation.hpp"
 #include "charmm/spatial.hpp"
 #include "md/energy.hpp"
 #include "md/neighbor.hpp"
@@ -31,16 +32,10 @@
 
 namespace repro::charmm {
 
-struct CharmmConfig {
-  bool use_pme = true;
+// The physics (SimulationConfig) plus the parallel run's settings.
+struct CharmmConfig : SimulationConfig {
   int nsteps = 10;          // the paper's reduced-step measurement runs
-  double dt_ps = 0.0005;
   double temperature_k = 300.0;
-  double cutoff = 10.0;     // Å, both vdW and real-space electrostatics
-  double switch_on = 8.0;
-  double skin = 2.0;
-  int list_rebuild_interval = 5;  // CHARMM INBFRQ-style fixed interval
-  pme::PmeParams pme{80, 36, 48, 4, 0.34};
   std::uint64_t seed = 2002;
   CostModel cost = CostModel::pentium3_1ghz();
 

@@ -777,13 +777,9 @@ class SpatialDecomposition final : public Decomposition {
         config.use_pme && spec_.pme_mode == PmeMode::kPencil;
     std::optional<pme::ParallelPme> ppme;
     std::optional<pme::PencilPme> pencil_pme;
-    int pencil_py = 0;
-    int pencil_pz = 0;
     if (pencil) {
       const auto [py, pz] =
           resolved_pencil_grid(spec_, p, config.pme.ny, config.pme.nz);
-      pencil_py = py;
-      pencil_pz = pz;
       pencil_pme.emplace(config.pme, box, comm, py, pz,
                          make_pme_regions(layout, config.pme, config.skin),
                          charge_flops);
@@ -1144,9 +1140,8 @@ class SpatialDecomposition final : public Decomposition {
       send_ids.assign(nn, {});
       recv_ids.assign(nn, {});
       if (pencil) {
-        pencil_pme.emplace(config.pme, box, comm, pencil_py, pencil_pz,
-                           make_pme_regions(layout, config.pme, config.skin),
-                           charge_flops);
+        pencil_pme->set_regions(
+            make_pme_regions(layout, config.pme, config.skin));
       }
     };
 

@@ -1,7 +1,6 @@
 #include "charmm/simulation.hpp"
 
 #include "md/bonded.hpp"
-#include "util/units.hpp"
 
 namespace repro::charmm {
 
@@ -10,6 +9,18 @@ md::MinimizeOptions relax_options(int max_steps) {
   opts.max_steps = max_steps;
   opts.force_tolerance = 25.0;
   return opts;
+}
+
+md::NonbondedOptions nonbonded_options(const SimulationConfig& config,
+                                       const md::Topology& topo) {
+  md::NonbondedOptions nb;
+  nb.cutoff = config.cutoff;
+  nb.switch_on = config.switch_on;
+  nb.elec = config.use_pme ? md::NonbondedOptions::Elec::kEwaldDirect
+                           : md::NonbondedOptions::Elec::kShift;
+  nb.beta = config.pme.beta;
+  nb.table = md::build_pair_table(topo);
+  return nb;
 }
 
 md::MinimizeResult relax_system(sysbuild::BuiltSystem& sys, int max_steps) {
@@ -31,24 +42,6 @@ Simulation::Simulation(const sysbuild::BuiltSystem& sys,
       forces_(sys.positions.size()) {
   validate_config(config);
   nb_ = nonbonded_options(config, sys.topo);
-  if (config.rigid_waters) {
-    shake_.emplace(md::Shake::rigid_waters(sys.topo));
-  } else if (config.shake_hydrogens) {
-    shake_.emplace(md::Shake::hydrogen_bonds(sys.topo));
-  }
-  switch (config.thermostat) {
-    case SimulationConfig::Thermostat::kNone:
-      break;
-    case SimulationConfig::Thermostat::kBerendsen:
-      berendsen_.emplace(config.thermostat_target_k,
-                         config.berendsen_tau_ps);
-      break;
-    case SimulationConfig::Thermostat::kLangevin:
-      langevin_.emplace(config.thermostat_target_k,
-                        config.langevin_friction_per_ps,
-                        config.thermostat_seed);
-      break;
-  }
 }
 
 void Simulation::ensure_list() {
@@ -83,23 +76,11 @@ const md::EnergyTerms& Simulation::evaluate() {
 
 void Simulation::step(int nsteps) {
   compute_forces();
-  std::vector<util::Vec3> ref;
   for (int s = 0; s < nsteps; ++s) {
-    if (shake_) ref = pos_;
     integrator_.begin_step(sys_.topo, forces_, pos_, vel_);
-    if (shake_) {
-      shake_->apply_positions(sys_.topo, sys_.box, ref, pos_, &vel_,
-                              config_.dt_ps);
-    }
     ++steps_since_rebuild_;
     compute_forces();
     integrator_.end_step(sys_.topo, forces_, vel_);
-    if (shake_) shake_->apply_velocities(sys_.topo, sys_.box, pos_, vel_);
-    if (berendsen_) {
-      berendsen_->apply(sys_.topo, config_.dt_ps, degrees_of_freedom(),
-                        vel_);
-    }
-    if (langevin_) langevin_->apply(sys_.topo, config_.dt_ps, vel_);
   }
 }
 
@@ -135,17 +116,6 @@ double Simulation::kinetic_energy() const {
 
 double Simulation::total_energy() const {
   return energy_.potential() + kinetic_energy();
-}
-
-int Simulation::degrees_of_freedom() const {
-  int dof = 3 * sys_.topo.natoms();
-  if (shake_) dof -= shake_->removed_dof();
-  return dof;
-}
-
-double Simulation::current_temperature() const {
-  return 2.0 * kinetic_energy() /
-         (degrees_of_freedom() * units::kBoltzmann);
 }
 
 }  // namespace repro::charmm

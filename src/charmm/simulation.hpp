@@ -3,18 +3,14 @@
 // validation tests (parallel-vs-sequential) and the NVE checks.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include <memory>
-#include <optional>
-
-#include "md/constraints.hpp"
 #include "md/energy.hpp"
 #include "md/integrator.hpp"
 #include "md/minimize.hpp"
 #include "md/neighbor.hpp"
 #include "md/nonbonded.hpp"
-#include "md/thermostat.hpp"
 #include "pme/pme.hpp"
 #include "sysbuild/builder.hpp"
 
@@ -27,53 +23,32 @@ namespace repro::charmm {
 md::MinimizeResult relax_system(sysbuild::BuiltSystem& sys, int max_steps);
 md::MinimizeOptions relax_options(int max_steps);
 
+// The physics of one MD run: the pair cutoffs, the neighbor list, the
+// time step and the PME grid. Simulation runs on it alone; CharmmConfig
+// (charmm/app.hpp) extends it with the parallel run's settings.
 struct SimulationConfig {
   bool use_pme = true;
   double dt_ps = 0.0005;
-  double cutoff = 10.0;
+  double cutoff = 10.0;     // Å, both vdW and real-space electrostatics
   double switch_on = 8.0;
   double skin = 2.0;
-  int list_rebuild_interval = 5;
+  int list_rebuild_interval = 5;  // CHARMM INBFRQ-style fixed interval
   pme::PmeParams pme{80, 36, 48, 4, 0.34};
 
-  // SHAKE on hydrogen bonds (CHARMM "SHAKE BONH"): removes the fastest
-  // oscillations, enabling ~2 fs steps.
-  bool shake_hydrogens = false;
-  // Additionally make waters fully rigid (H-H constraint) — the CHARMM
-  // convention for TIP3P solvent; implies shake_hydrogens.
-  bool rigid_waters = false;
-
-  // Optional temperature control.
-  enum class Thermostat { kNone, kBerendsen, kLangevin };
-  Thermostat thermostat = Thermostat::kNone;
-  double thermostat_target_k = 300.0;
-  double berendsen_tau_ps = 0.1;
-  double langevin_friction_per_ps = 5.0;
-  std::uint64_t thermostat_seed = 11;
+  bool operator==(const SimulationConfig&) const = default;
 };
 
 // Rejects configurations the engine cannot meaningfully run (throws
 // util::Error): non-positive dt/skin, switch_on >= cutoff, degenerate PME
 // grid or spline order. Called by the Simulation constructor; the
-// CharmmConfig overload lives in charmm/app.hpp.
+// CharmmConfig overload lives in charmm/app.hpp and runs this one too.
 void validate_config(const SimulationConfig& config);
 
 // The pair-kernel options every CHARMM program runs with, Simulation and
 // each decomposition's ranks alike: Ewald-direct electrostatics under PME,
-// SHIFT otherwise, and a mixing table built once for `topo`. Config is a
-// SimulationConfig or a CharmmConfig.
-template <class Config>
-md::NonbondedOptions nonbonded_options(const Config& config,
-                                       const md::Topology& topo) {
-  md::NonbondedOptions nb;
-  nb.cutoff = config.cutoff;
-  nb.switch_on = config.switch_on;
-  nb.elec = config.use_pme ? md::NonbondedOptions::Elec::kEwaldDirect
-                           : md::NonbondedOptions::Elec::kShift;
-  nb.beta = config.pme.beta;
-  nb.table = md::build_pair_table(topo);
-  return nb;
-}
+// SHIFT otherwise, and a mixing table built once for `topo`.
+md::NonbondedOptions nonbonded_options(const SimulationConfig& config,
+                                       const md::Topology& topo);
 
 class Simulation {
  public:
@@ -98,14 +73,9 @@ class Simulation {
   const md::EnergyTerms& energy() const { return energy_; }
   double kinetic_energy() const;
   double total_energy() const;
-  // Instantaneous temperature with the constrained degrees of freedom
-  // removed.
-  double current_temperature() const;
-  int degrees_of_freedom() const;
   std::size_t pairs_in_list() const { return nbl_.npairs(); }
   // Neighbor-list builds so far.
   int list_builds() const { return list_builds_; }
-  const md::Shake* shake() const { return shake_ ? &*shake_ : nullptr; }
 
  private:
   void ensure_list();
@@ -117,9 +87,6 @@ class Simulation {
   md::NeighborList nbl_;
   pme::SerialPme pme_;
   md::VelocityVerlet integrator_;
-  std::optional<md::Shake> shake_;
-  std::optional<md::BerendsenThermostat> berendsen_;
-  std::optional<md::LangevinThermostat> langevin_;
   std::vector<util::Vec3> pos_;
   std::vector<util::Vec3> vel_;
   std::vector<util::Vec3> forces_;

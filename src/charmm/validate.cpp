@@ -15,11 +15,7 @@
 
 namespace repro::charmm {
 
-namespace {
-
-// Fields shared by CharmmConfig and SimulationConfig.
-template <typename Config>
-void validate_common(const Config& config) {
+void validate_config(const SimulationConfig& config) {
   REPRO_REQUIRE(config.dt_ps > 0.0, "time step must be positive");
   REPRO_REQUIRE(config.cutoff > 0.0, "cutoff must be positive");
   REPRO_REQUIRE(config.switch_on > 0.0, "switch_on must be positive");
@@ -39,13 +35,11 @@ void validate_common(const Config& config) {
   }
 }
 
-}  // namespace
-
 void validate_config(const CharmmConfig& config) {
   REPRO_REQUIRE(config.nsteps > 0, "nsteps must be positive");
   REPRO_REQUIRE(config.temperature_k >= 0.0,
                 "temperature must be non-negative");
-  validate_common(config);
+  validate_config(static_cast<const SimulationConfig&>(config));
   REPRO_REQUIRE(config.decomp.kind != DecompKind::kTaskPme ||
                     config.use_pme,
                 "task decoupling dedicates ranks to PME; enable use_pme or "
@@ -83,10 +77,6 @@ void validate_config(const CharmmConfig& config) {
     REPRO_REQUIRE(static_cast<std::size_t>(d.pencil_z) <= config.pme.nz,
                   "pencil grid dimension Pz exceeds the PME grid's z planes");
   }
-}
-
-void validate_config(const SimulationConfig& config) {
-  validate_common(config);
 }
 
 }  // namespace repro::charmm

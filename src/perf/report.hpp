@@ -28,7 +28,6 @@ struct RunBreakdown {
   Breakdown pme_mean;
 
   Breakdown total_wall() const { return classic_wall + pme_wall; }
-  Breakdown total_mean() const { return classic_mean + pme_mean; }
 
   CommSpeedStats comm_speed;
   double total_bytes = 0.0;

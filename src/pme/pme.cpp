@@ -497,32 +497,13 @@ PencilPme::PencilPme(const PmeParams& params, const Box& box, mpi::Comm& comm,
       charge_(std::move(charge_compute)),
       pfft_(fft::PencilGrid(params.nx, params.ny, params.nz, py, pz), comm,
             charge_),
-      regions_(std::move(regions)),
       modx_(bspline_moduli(params.nx, params.order)),
       mody_(bspline_moduli(params.ny, params.order)),
       modz_(bspline_moduli(params.nz, params.order)) {
-  REPRO_REQUIRE(regions_.size() == static_cast<std::size_t>(comm_.size()),
-                "pencil PME needs one grid region per rank");
   REPRO_REQUIRE(py * pz <= comm_.size(),
                 "pencil process grid needs more ranks than the run has");
-  const std::size_t dims[3] = {params.nx, params.ny, params.nz};
-  for (std::size_t r = 0; r < regions_.size(); ++r) {
-    const GridRegion& rr = regions_[r];
-    if (rr.empty()) continue;
-    const std::size_t starts[3] = {rr.x0, rr.y0, rr.z0};
-    const std::size_t counts[3] = {rr.cx, rr.cy, rr.cz};
-    for (int d = 0; d < 3; ++d) {
-      REPRO_REQUIRE(starts[d] < dims[d] && counts[d] <= dims[d],
-                    "pencil PME: rank " + std::to_string(r) +
-                        "'s grid region leaves the grid in " +
-                        "xyz"[d] + " (start " + std::to_string(starts[d]) +
-                        ", count " + std::to_string(counts[d]) +
-                        ", planes " + std::to_string(dims[d]) + ")");
-    }
-  }
+  set_regions(std::move(regions));
   const int me = comm_.rank();
-  const GridRegion& reg = my_region();
-  region_.resize(reg.cx * reg.cy * reg.cz);
   stage1_.resize(pfft_.grid().stage1_size(me));
   stage3_.resize(pfft_.grid().stage3_size(me));
   // Influence factors of my stage-3 pencils (x in Xp(yc), y in Y2p(zc),
@@ -535,6 +516,29 @@ PencilPme::PencilPme(const PmeParams& params, const Box& box, mpi::Comm& comm,
                      .z_lines(g.xpart.begin(yc), g.xpart.count(yc),
                               g.y2part.begin(zc), g.y2part.count(zc));
   }
+}
+
+void PencilPme::set_regions(std::vector<GridRegion> regions) {
+  REPRO_REQUIRE(regions.size() == static_cast<std::size_t>(comm_.size()),
+                "pencil PME needs one grid region per rank");
+  const std::size_t dims[3] = {params_.nx, params_.ny, params_.nz};
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    const GridRegion& rr = regions[r];
+    if (rr.empty()) continue;
+    const std::size_t starts[3] = {rr.x0, rr.y0, rr.z0};
+    const std::size_t counts[3] = {rr.cx, rr.cy, rr.cz};
+    for (int d = 0; d < 3; ++d) {
+      REPRO_REQUIRE(starts[d] < dims[d] && counts[d] <= dims[d],
+                    "pencil PME: rank " + std::to_string(r) +
+                        "'s grid region leaves the grid in " +
+                        "xyz"[d] + " (start " + std::to_string(starts[d]) +
+                        ", count " + std::to_string(counts[d]) +
+                        ", planes " + std::to_string(dims[d]) + ")");
+    }
+  }
+  regions_ = std::move(regions);
+  const GridRegion& reg = my_region();
+  region_.resize(reg.cx * reg.cy * reg.cz);
 }
 
 namespace {

@@ -162,9 +162,9 @@ std::size_t wrapped_overlap(std::size_t start, std::size_t count,
 //   == potential plane exchange: stage-1 owners -> region blocks ==
 //   interpolate forces for owned atoms (whole stencil is in-region)
 //
-// Regions are static for a run (the cell -> rank map never changes), so
-// the message schedule is a fixed function of the layout and the
-// predictor can pin it exactly. Runs over the raw Comm with a
+// Regions change only when a load balancer adopts a new cell -> rank map
+// (set_regions), so between rebalances the message schedule is a fixed
+// function of the layout and the predictor can pin it exactly. Runs over the raw Comm with a
 // caller-owned tag base, like the decomposition's other schedules.
 class PencilPme {
  public:
@@ -190,6 +190,11 @@ class PencilPme {
                     const std::vector<int>& owned,
                     std::vector<util::Vec3>& forces, int tag_base,
                     PmeWork* work = nullptr);
+
+  // Adopts new regions (same rules and errors as the constructor's). The
+  // FFT plans and influence factors depend only on (params, box, pencil
+  // grid), so they are kept.
+  void set_regions(std::vector<GridRegion> regions);
 
   const PmeParams& params() const { return params_; }
   const fft::PencilGrid& grid() const { return pfft_.grid(); }

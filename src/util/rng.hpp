@@ -12,9 +12,7 @@ namespace repro::util {
 
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) { reseed(seed); }
-
-  void reseed(std::uint64_t seed) {
+  explicit Rng(std::uint64_t seed) {
     // SplitMix64 expansion of the seed into the four state words; this is
     // the initialization recommended by the xoshiro authors.
     std::uint64_t x = seed;

@@ -20,23 +20,6 @@ class RunningStats {
     m2_ += delta * (x - mean_);
   }
 
-  void merge(const RunningStats& o) {
-    if (o.n_ == 0) return;
-    if (n_ == 0) {
-      *this = o;
-      return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(o.n_);
-    const double delta = o.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += o.m2_ + delta * delta * na * nb / total;
-    n_ += o.n_;
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
-  }
-
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   double min() const { return n_ ? min_ : 0.0; }

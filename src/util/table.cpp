@@ -56,17 +56,4 @@ std::string Table::to_string() const {
   return os.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c == 0 ? "" : ",") << row[c];
-    }
-    os << "\n";
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 }  // namespace repro::util

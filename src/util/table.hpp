@@ -23,9 +23,6 @@ class Table {
   // Renders with aligned columns and a separator under the header.
   std::string to_string() const;
 
-  // Renders as CSV (for plotting).
-  std::string to_csv() const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

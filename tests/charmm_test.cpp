@@ -147,6 +147,28 @@ TEST(SequentialTest, MinimizerReducesEnergy) {
   EXPECT_LE(res.final_energy, res.initial_energy);
 }
 
+// Pins Simulation::step bit for bit: the positions, velocities and total
+// energy after 20 velocity-Verlet steps (the NVE check above holds step()
+// only to a tolerance).
+TEST(SequentialTest, StepBitsPinned) {
+  static const sysbuild::BuiltSystem water = sysbuild::build_water_box(3);
+  SimulationConfig config;
+  config.pme = pme::PmeParams{12, 12, 12, 4, 0.7};
+  config.cutoff = 4.2;
+  config.switch_on = 3.5;
+  Simulation sim(water, config);
+  sim.set_velocities_from_temperature(300.0, 21);
+  sim.step(20);
+  const double total = sim.total_energy();
+  std::uint64_t h = util::fnv1a_bytes(
+      sim.positions().data(), sim.positions().size() * sizeof(util::Vec3));
+  h = util::hash_combine(
+      h, util::fnv1a_bytes(sim.velocities().data(),
+                           sim.velocities().size() * sizeof(util::Vec3)));
+  h = util::hash_combine(h, util::fnv1a_bytes(&total, sizeof total));
+  EXPECT_EQ(h, 0xc6e62979e0819bd7ULL);
+}
+
 // --- prepared system ----------------------------------------------------------
 
 std::uint64_t positions_digest(const std::vector<util::Vec3>& pos) {

@@ -42,6 +42,15 @@ fi
 echo "regenerating extension_load_balance.txt..."
 "$bin" --smoke --steps=4 > "$here/extension_load_balance.txt" 2>/dev/null
 
+# The quickstart example (sequential engine: evaluate, minimize, step).
+bin="$build/examples/quickstart"
+if [ ! -x "$bin" ]; then
+  echo "error: $bin not built (cmake --build $build first)" >&2
+  exit 1
+fi
+echo "regenerating quickstart.txt..."
+"$bin" > "$here/quickstart.txt" 2>/dev/null
+
 # DES scalability record (wall-clock, so not a byte-compared golden):
 # re-measures events/sec up to p=4096 and rewrites BENCH_des_scale.json
 # at the repo root. Skipped unless the bench binary is built.

@@ -13,7 +13,10 @@
 // idle-extra-rank combinations, plus randomized cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "fft/fft.hpp"
@@ -25,6 +28,7 @@
 #include "pme/pme.hpp"
 #include "sim/engine.hpp"
 #include "sysbuild/builder.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace repro::fft {
@@ -433,6 +437,115 @@ TEST(PencilPmePropertyTest, WrappedPartialRegionsMatchSerial) {
   params.nz = 14;
   params.beta = 0.45;
   run_corner_case(params, 3, 2, 7, 1.0, true, 85);
+}
+
+// Each rank's partial energy and force bytes from one reciprocal call on
+// a PencilPme built with regions `built` and, when `used` differs, warmed
+// with one call and then switched to `used` by set_regions.
+struct PencilBytes {
+  std::vector<double> energy;
+  std::vector<Vec3> forces;  // rank-major
+};
+
+PencilBytes pencil_bytes(const pme::PmeParams& params,
+                         const sysbuild::BuiltSystem& sys, int py, int pz,
+                         int nranks, const std::vector<int>& owner,
+                         const std::vector<pme::GridRegion>& built,
+                         const std::vector<pme::GridRegion>& used) {
+  const auto n = static_cast<std::size_t>(sys.topo.natoms());
+  net::ClusterConfig config;
+  config.nranks = nranks;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(static_cast<std::size_t>(nranks));
+  PencilBytes out;
+  out.energy.resize(static_cast<std::size_t>(nranks));
+  out.forces.resize(static_cast<std::size_t>(nranks) * n);
+  sim::Engine engine(nranks);
+  engine.run([&](sim::RankCtx& ctx) {
+    const int me = ctx.rank();
+    mpi::Comm comm(ctx, cluster, recs[static_cast<std::size_t>(me)]);
+    pme::PencilPme pencil(params, sys.box, comm, py, pz, built);
+    std::vector<int> owned;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (owner[i] == me) owned.push_back(static_cast<int>(i));
+    }
+    std::vector<Vec3> forces(n);
+    if (used != built) {
+      pencil.reciprocal(sys.topo, sys.positions, owned, forces, 500);
+      pencil.set_regions(used);
+      std::fill(forces.begin(), forces.end(), Vec3{});
+    }
+    out.energy[static_cast<std::size_t>(me)] =
+        pencil.reciprocal(sys.topo, sys.positions, owned, forces, 600);
+    std::copy(forces.begin(), forces.end(),
+              out.forces.begin() + static_cast<std::ptrdiff_t>(
+                                       static_cast<std::size_t>(me) * n));
+  });
+  return out;
+}
+
+// A rebalance swaps regions on a live PencilPme (set_regions) instead of
+// rebuilding it; the result must be the bytes a fresh PencilPme on the new
+// regions gives, and the new regions must pass the constructor's check.
+TEST(PencilPmePropertyTest, SetRegionsMatchesFreshConstruction) {
+  pme::PmeParams params;
+  params.nx = 15;
+  params.ny = 12;
+  params.nz = 16;
+  params.order = 4;
+  params.beta = 0.4;
+  const int nranks = 5;
+  const int py = 2;
+  const int pz = 2;
+  auto sys = sysbuild::build_random_charges(36, md::Box(13, 11, 9), 91);
+  // The last rank owns no atoms: whole-grid regions start unwrapped, then
+  // switch to whole-grid regions that wrap from a nonzero start, and to an
+  // empty region on the idle rank.
+  std::vector<int> owner(static_cast<std::size_t>(sys.topo.natoms()));
+  for (std::size_t i = 0; i < owner.size(); ++i) {
+    owner[i] = static_cast<int>(i % static_cast<std::size_t>(nranks - 1));
+  }
+  const std::vector<pme::GridRegion> whole(
+      static_cast<std::size_t>(nranks),
+      pme::GridRegion{0, params.nx, 0, params.ny, 0, params.nz});
+  std::vector<pme::GridRegion> shifted(
+      static_cast<std::size_t>(nranks),
+      pme::GridRegion{4, params.nx, 7, params.ny, 3, params.nz});
+  shifted.back() = pme::GridRegion{};
+
+  const PencilBytes fresh =
+      pencil_bytes(params, sys, py, pz, nranks, owner, shifted, shifted);
+  const PencilBytes swapped =
+      pencil_bytes(params, sys, py, pz, nranks, owner, whole, shifted);
+  ASSERT_EQ(fresh.energy.size(), swapped.energy.size());
+  ASSERT_EQ(fresh.forces.size(), swapped.forces.size());
+  EXPECT_EQ(std::memcmp(fresh.energy.data(), swapped.energy.data(),
+                        fresh.energy.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(fresh.forces.data(), swapped.forces.data(),
+                        fresh.forces.size() * sizeof(Vec3)),
+            0);
+
+  // An off-grid region fails set_regions as it fails the constructor.
+  std::vector<pme::GridRegion> bad = whole;
+  bad[1] = pme::GridRegion{0, params.nx, params.ny, 1, 0, params.nz};
+  net::ClusterConfig config;
+  config.nranks = nranks;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(static_cast<std::size_t>(nranks));
+  sim::Engine engine(nranks);
+  try {
+    engine.run([&](sim::RankCtx& ctx) {
+      mpi::Comm comm(ctx, cluster,
+                     recs[static_cast<std::size_t>(ctx.rank())]);
+      pme::PencilPme pencil(params, sys.box, comm, py, pz, whole);
+      pencil.set_regions(bad);
+    });
+    FAIL() << "set_regions accepted a region off the grid";
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

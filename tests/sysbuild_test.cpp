@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
 #include <numbers>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "charmm/simulation.hpp"
 #include "md/neighbor.hpp"
 #include "sysbuild/builder.hpp"
 #include "sysbuild/io.hpp"
+#include "util/error.hpp"
 
 namespace repro::sysbuild {
 namespace {
@@ -198,6 +202,145 @@ TEST(PdbExportTest, WellFormedRecords) {
   EXPECT_EQ(atom_lines, 24u);
   EXPECT_EQ(conect_lines, sys.topo.bonds().size());
   EXPECT_NE(pdb.find("END"), std::string::npos);
+}
+
+// --- system text I/O ---------------------------------------------------------
+
+TEST(SystemIoTest, RoundTripPreservesEverything) {
+  const auto sys = build_test_chain(20, 6);
+  std::stringstream buffer;
+  write_system(buffer, sys);
+  const BuiltSystem back = read_system(buffer);
+
+  ASSERT_EQ(back.topo.natoms(), sys.topo.natoms());
+  EXPECT_EQ(back.name, sys.name);
+  EXPECT_DOUBLE_EQ(back.box.lx(), sys.box.lx());
+  for (int i = 0; i < sys.topo.natoms(); ++i) {
+    EXPECT_DOUBLE_EQ(back.topo.atom(i).mass, sys.topo.atom(i).mass);
+    EXPECT_DOUBLE_EQ(back.topo.atom(i).charge, sys.topo.atom(i).charge);
+    EXPECT_EQ(back.positions[static_cast<std::size_t>(i)],
+              sys.positions[static_cast<std::size_t>(i)]);
+  }
+  ASSERT_EQ(back.topo.bonds().size(), sys.topo.bonds().size());
+  for (std::size_t t = 0; t < sys.topo.bonds().size(); ++t) {
+    EXPECT_EQ(back.topo.bonds()[t].i, sys.topo.bonds()[t].i);
+    EXPECT_DOUBLE_EQ(back.topo.bonds()[t].b0, sys.topo.bonds()[t].b0);
+  }
+  ASSERT_EQ(back.topo.angles().size(), sys.topo.angles().size());
+  ASSERT_EQ(back.topo.dihedrals().size(), sys.topo.dihedrals().size());
+  ASSERT_EQ(back.topo.impropers().size(), sys.topo.impropers().size());
+  // Exclusions were rebuilt and must agree.
+  EXPECT_EQ(back.topo.excluded_pairs(), sys.topo.excluded_pairs());
+}
+
+TEST(SystemIoTest, RoundTripEnergyIdentical) {
+  auto sys = build_water_box(3);
+  std::stringstream buffer;
+  write_system(buffer, sys);
+  BuiltSystem back = read_system(buffer);
+
+  charmm::SimulationConfig config;
+  config.pme = pme::PmeParams{12, 12, 12, 4, 0.7};
+  config.cutoff = 4.2;
+  config.switch_on = 3.5;
+  charmm::Simulation a(sys, config);
+  charmm::Simulation b(back, config);
+  EXPECT_EQ(a.evaluate().potential(), b.evaluate().potential());
+}
+
+TEST(SystemIoTest, FileRoundTrip) {
+  const auto sys = build_test_chain(8, 1);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "repro_sys_test.rsys")
+          .string();
+  save_system(path, sys);
+  const BuiltSystem back = load_system(path);
+  EXPECT_EQ(back.topo.natoms(), sys.topo.natoms());
+  std::filesystem::remove(path);
+}
+
+TEST(SystemIoTest, RejectsGarbage) {
+  std::stringstream buffer("RSYS 2 whatever");
+  EXPECT_THROW(read_system(buffer), util::Error);
+  std::stringstream buffer2("not even close");
+  EXPECT_THROW(read_system(buffer2), util::Error);
+}
+
+// Hostile input: a valid file with one line replaced (or cut short) must
+// fail loudly with util::Error, never allocate by a declared count, loop,
+// or hand an out-of-range index to the exclusion builder.
+class HostileSystemFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto sys = build_test_chain(8, 1);
+    std::stringstream out;
+    write_system(out, sys);
+    std::string line;
+    while (std::getline(out, line)) lines_.push_back(line);
+    natoms_ = sys.topo.natoms();
+  }
+
+  // Index of the first line starting with `prefix`.
+  std::size_t find(const std::string& prefix) const {
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+      if (lines_[i].rfind(prefix, 0) == 0) return i;
+    }
+    ADD_FAILURE() << "no line starts with " << prefix;
+    return 0;
+  }
+
+  void expect_rejected(std::size_t keep_lines = SIZE_MAX) const {
+    std::stringstream in;
+    for (std::size_t i = 0; i < lines_.size() && i < keep_lines; ++i) {
+      in << lines_[i] << "\n";
+    }
+    EXPECT_THROW(read_system(in), util::Error);
+  }
+
+  std::vector<std::string> lines_;
+  int natoms_ = 0;
+};
+
+TEST_F(HostileSystemFileTest, ValidFileStillLoads) {
+  std::stringstream in;
+  for (const auto& l : lines_) in << l << "\n";
+  EXPECT_EQ(read_system(in).topo.natoms(), natoms_);
+}
+
+TEST_F(HostileSystemFileTest, HugeCountsFailAtTheFirstMissingRecord) {
+  lines_[find("bonds ")] = "bonds 1000000000000";
+  expect_rejected();
+  lines_.clear();
+  SetUp();
+  lines_[find("atoms ")] = "atoms 2000000000";
+  expect_rejected();
+}
+
+TEST_F(HostileSystemFileTest, IndexAtOrPastNatomsIsRejected) {
+  lines_[find("bonds ") + 1] = "0 " + std::to_string(natoms_) + " 300 1.5";
+  expect_rejected();
+}
+
+TEST_F(HostileSystemFileTest, NegativeIndexIsRejected) {
+  lines_[find("angles ") + 1] = "0 -1 2 50 1.9 0 0";
+  expect_rejected();
+}
+
+TEST_F(HostileSystemFileTest, NonFiniteCoordinateIsRejected) {
+  lines_[find("atoms ") + 1] = "12 0 0.1 1.9 nan 0 0";
+  expect_rejected();
+  lines_[find("atoms ") + 1] = "12 0 0.1 1.9 1e999 0 0";
+  expect_rejected();
+}
+
+TEST_F(HostileSystemFileTest, ZeroBoxIsRejected) {
+  lines_[find("box ")] = "box 0 10 10";
+  expect_rejected();
+}
+
+TEST_F(HostileSystemFileTest, TruncatedFileIsRejected) {
+  expect_rejected(find("dihedrals ") + 1);
+  expect_rejected(find("atoms ") + 3);
 }
 
 }  // namespace

@@ -135,24 +135,6 @@ TEST(RunningStatsTest, Empty) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStatsTest, MergeMatchesCombinedStream) {
-  Rng rng(5);
-  RunningStats all;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal();
-    all.add(x);
-    (i % 3 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
 TEST(TableTest, AlignedOutput) {
   Table t({"p", "time"});
   t.add_row({"1", "6.5"});
@@ -161,12 +143,6 @@ TEST(TableTest, AlignedOutput) {
   EXPECT_NE(s.find("p"), std::string::npos);
   EXPECT_NE(s.find("0.81"), std::string::npos);
   EXPECT_NE(s.find("----"), std::string::npos);
-}
-
-TEST(TableTest, CsvOutput) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
 }
 
 TEST(TableTest, RejectsMismatchedRow) {
