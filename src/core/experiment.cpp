@@ -52,30 +52,23 @@ perf::RunMetrics collect_metrics(
       }
     }
   }
-  for (const sim::Resource* res : network.resources()) {
+  auto add_resource = [&m](const sim::Resource& res) {
     perf::ResourceMetrics rm;
-    rm.name = res->name();
-    rm.busy_time = res->busy_time();
-    rm.queue_wait = res->queue_wait_time();
-    rm.max_queue_wait = res->max_queue_wait();
-    rm.acquisitions = res->acquisitions();
-    rm.utilization = res->utilization(m.makespan);
+    rm.name = res.name();
+    rm.busy_time = res.busy_time();
+    rm.queue_wait = res.queue_wait_time();
+    rm.max_queue_wait = res.max_queue_wait();
+    rm.acquisitions = res.acquisitions();
+    rm.utilization = res.utilization(m.makespan);
     m.resources.push_back(std::move(rm));
-  }
+  };
+  for (const sim::Resource* res : network.resources()) add_resource(*res);
   // Fabric hop links (fat-tree uplinks/downlinks, torus links). Only links
   // that carried traffic are reported: a torus allocates 6 links per grid
   // slot and most stay idle. Empty on the single switch, so its metrics
   // JSON is byte-identical to the pre-topology model.
   for (const sim::Resource* res : network.fabric_links()) {
-    if (res->acquisitions() == 0) continue;
-    perf::ResourceMetrics rm;
-    rm.name = res->name();
-    rm.busy_time = res->busy_time();
-    rm.queue_wait = res->queue_wait_time();
-    rm.max_queue_wait = res->max_queue_wait();
-    rm.acquisitions = res->acquisitions();
-    rm.utilization = res->utilization(m.makespan);
-    m.resources.push_back(std::move(rm));
+    if (res->acquisitions() > 0) add_resource(*res);
   }
   // Sparse channel iteration: only pairs that exchanged messages exist,
   // visited in deterministic (src, dst) order.

@@ -242,11 +242,40 @@ PencilFft3D::PencilFft3D(const PencilGrid& grid, mpi::Comm& comm,
   recvbuf_.resize(cap);
 }
 
+// The round schedule shared by the four transposes, over a process-grid
+// group of `size` members in which I am member `me` and member m is rank
+// peer(m). My own block moves locally; then round k = 1 .. size-1 sends
+// my block for member me + k (when non-empty) and receives member me - k's
+// block of incoming(me - k) elements (when non-empty). pack_to(m) fills
+// sendbuf_ with the block for member m and returns its length;
+// unpack_from(m, in) stores member m's block.
+template <class Peer, class Pack, class Incoming, class Unpack>
+void PencilFft3D::pairwise_rounds(int size, int me, int tag, Peer peer,
+                                  Pack pack_to, Incoming incoming,
+                                  Unpack unpack_from) {
+  if (pack_to(me) > 0) unpack_from(me, sendbuf_.data());
+  for (int k = 1; k < size; ++k) {
+    const int b = (me + k) % size;
+    const int a = (me - k + size) % size;
+    const std::size_t sn = pack_to(b);
+    if (sn > 0) {
+      comm_.send(peer(b), tag, sendbuf_.data(), sn * sizeof(Complex),
+                 /*exchange=*/true);
+    }
+    const std::size_t rn = incoming(a);
+    if (rn > 0) {
+      comm_.recv(peer(a), tag, recvbuf_.data(), rn * sizeof(Complex));
+      unpack_from(a, recvbuf_.data());
+    }
+  }
+}
+
 // X<->Y transpose, forward direction: stage-1 x-pencils -> stage-2
 // y-pencils within the Py-rank group sharing my z coordinate. Pairwise
-// rounds k = 1..Py-1 send to row (yc+k) mod Py while receiving from row
-// (yc-k) mod Py; the diagonal block is a local copy. All sends are eager
-// (buffered), so send-then-recv per round cannot deadlock.
+// rounds (pairwise_rounds) k = 1..Py-1 send to row (yc+k) mod Py while
+// receiving from row (yc-k) mod Py; the diagonal block is a local copy.
+// All sends are eager (buffered), so send-then-recv per round cannot
+// deadlock.
 void PencilFft3D::transpose_xy(const Complex* stage1, Complex* stage2,
                                int tag) {
   const int me = comm_.rank();
@@ -286,22 +315,9 @@ void PencilFft3D::transpose_xy(const Complex* stage1, Complex* stage2,
     return i;
   };
 
-  if (const std::size_t n = pack_to(yc)) unpack_from(yc, sendbuf_.data());
-  for (int k = 1; k < grid_.py; ++k) {
-    const int b = (yc + k) % grid_.py;
-    const int a = (yc - k + grid_.py) % grid_.py;
-    const std::size_t sn = pack_to(b);
-    if (sn > 0) {
-      comm_.send(grid_.rank_of(b, zc), tag, sendbuf_.data(),
-                 sn * sizeof(Complex), /*exchange=*/true);
-    }
-    const std::size_t rn = lx2 * grid_.ypart.count(a) * lz;
-    if (rn > 0) {
-      comm_.recv(grid_.rank_of(a, zc), tag, recvbuf_.data(),
-                 rn * sizeof(Complex));
-      unpack_from(a, recvbuf_.data());
-    }
-  }
+  pairwise_rounds(
+      grid_.py, yc, tag, [&](int b) { return grid_.rank_of(b, zc); }, pack_to,
+      [&](int a) { return lx2 * grid_.ypart.count(a) * lz; }, unpack_from);
   charge(static_cast<double>(ly1 * lz * grid_.nx + lx2 * lz * grid_.ny));
 }
 
@@ -344,22 +360,9 @@ void PencilFft3D::transpose_yx(const Complex* stage2, Complex* stage1,
     return i;
   };
 
-  if (const std::size_t n = pack_to(yc)) unpack_from(yc, sendbuf_.data());
-  for (int k = 1; k < grid_.py; ++k) {
-    const int b = (yc + k) % grid_.py;
-    const int a = (yc - k + grid_.py) % grid_.py;
-    const std::size_t sn = pack_to(b);
-    if (sn > 0) {
-      comm_.send(grid_.rank_of(b, zc), tag, sendbuf_.data(),
-                 sn * sizeof(Complex), /*exchange=*/true);
-    }
-    const std::size_t rn = ly1 * grid_.xpart.count(a) * lz;
-    if (rn > 0) {
-      comm_.recv(grid_.rank_of(a, zc), tag, recvbuf_.data(),
-                 rn * sizeof(Complex));
-      unpack_from(a, recvbuf_.data());
-    }
-  }
+  pairwise_rounds(
+      grid_.py, yc, tag, [&](int b) { return grid_.rank_of(b, zc); }, pack_to,
+      [&](int a) { return ly1 * grid_.xpart.count(a) * lz; }, unpack_from);
   charge(static_cast<double>(lx2 * lz * grid_.ny + ly1 * lz * grid_.nx));
 }
 
@@ -404,22 +407,9 @@ void PencilFft3D::transpose_yz(const Complex* stage2, Complex* stage3,
     return i;
   };
 
-  if (const std::size_t n = pack_to(zc)) unpack_from(zc, sendbuf_.data());
-  for (int k = 1; k < grid_.pz; ++k) {
-    const int d = (zc + k) % grid_.pz;
-    const int c = (zc - k + grid_.pz) % grid_.pz;
-    const std::size_t sn = pack_to(d);
-    if (sn > 0) {
-      comm_.send(grid_.rank_of(yc, d), tag, sendbuf_.data(),
-                 sn * sizeof(Complex), /*exchange=*/true);
-    }
-    const std::size_t rn = lx2 * ly3 * grid_.zpart.count(c);
-    if (rn > 0) {
-      comm_.recv(grid_.rank_of(yc, c), tag, recvbuf_.data(),
-                 rn * sizeof(Complex));
-      unpack_from(c, recvbuf_.data());
-    }
-  }
+  pairwise_rounds(
+      grid_.pz, zc, tag, [&](int d) { return grid_.rank_of(yc, d); }, pack_to,
+      [&](int c) { return lx2 * ly3 * grid_.zpart.count(c); }, unpack_from);
   charge(static_cast<double>(lx2 * lz * grid_.ny + lx2 * ly3 * grid_.nz));
 }
 
@@ -462,22 +452,9 @@ void PencilFft3D::transpose_zy(const Complex* stage3, Complex* stage2,
     return i;
   };
 
-  if (const std::size_t n = pack_to(zc)) unpack_from(zc, sendbuf_.data());
-  for (int k = 1; k < grid_.pz; ++k) {
-    const int d = (zc + k) % grid_.pz;
-    const int c = (zc - k + grid_.pz) % grid_.pz;
-    const std::size_t sn = pack_to(d);
-    if (sn > 0) {
-      comm_.send(grid_.rank_of(yc, d), tag, sendbuf_.data(),
-                 sn * sizeof(Complex), /*exchange=*/true);
-    }
-    const std::size_t rn = lx2 * grid_.y2part.count(c) * lz;
-    if (rn > 0) {
-      comm_.recv(grid_.rank_of(yc, c), tag, recvbuf_.data(),
-                 rn * sizeof(Complex));
-      unpack_from(c, recvbuf_.data());
-    }
-  }
+  pairwise_rounds(
+      grid_.pz, zc, tag, [&](int d) { return grid_.rank_of(yc, d); }, pack_to,
+      [&](int c) { return lx2 * grid_.y2part.count(c) * lz; }, unpack_from);
   charge(static_cast<double>(lx2 * ly3 * grid_.nz + lx2 * lz * grid_.ny));
 }
 

@@ -163,6 +163,9 @@ class PencilFft3D {
   void charge(double flops) const {
     if (charge_) charge_(flops);
   }
+  template <class Peer, class Pack, class Incoming, class Unpack>
+  void pairwise_rounds(int size, int me, int tag, Peer peer, Pack pack_to,
+                       Incoming incoming, Unpack unpack_from);
 
   PencilGrid grid_;
   mpi::Comm& comm_;

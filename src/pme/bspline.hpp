@@ -18,9 +18,9 @@ inline constexpr int kMaxOrder = 8;
 // (k0 - j) mod N with weight vals[j].
 void bspline_weights(int order, double w, double* vals, double* derivs);
 
-// Batched variant for SerialPme's staged path: computes the same weights for nw
-// fractional offsets at once, vectorizing the order-raising recurrence
-// across atoms. vals/derivs use an SoA [kMaxOrder][nw] layout:
+// Batched variant for the PME stencil (SplineStencil::load in pme.hpp):
+// computes the same weights for nw fractional offsets at once, vectorizing the order-raising recurrence
+// across atoms. vals/derivs use an SoA [order][nw] layout:
 // vals[j * nw + a] = M_order(w[a] + j). Each lane runs the identical
 // floating-point sequence as bspline_weights, so results are bit-identical
 // to the scalar call per atom.

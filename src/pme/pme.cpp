@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <numeric>
 #include <string>
 
 #include "pme/bspline.hpp"
@@ -17,40 +18,20 @@ using md::Box;
 using md::Topology;
 using util::Vec3;
 
-// Per-atom spline data in the three dimensions.
-struct AtomSpline {
-  int k0[3];                      // floor of the fractional grid coordinate
-  double w[3][kMaxOrder];         // weights per dimension
-  double dw[3][kMaxOrder];        // derivatives per dimension
-};
-
-// Fractional grid coordinate in [0, n).
-double frac_coord(double x, double box_len, std::size_t n) {
-  double u = x / box_len * static_cast<double>(n);
-  u -= std::floor(u / static_cast<double>(n)) * static_cast<double>(n);
-  if (u >= static_cast<double>(n)) u -= static_cast<double>(n);
+// Fractional grid coordinate in [0, n) of coordinate x of `atom` along
+// `axis`. Checked before the caller casts its floor to a grid line: a NaN
+// or infinite x wraps to NaN, whose cast is undefined.
+double grid_coord(double x, double box_len, std::size_t n, int atom,
+                  int axis) {
+  const auto fn = static_cast<double>(n);
+  double u = x / box_len * fn;
+  u -= std::floor(u / fn) * fn;
+  if (u >= fn) u -= fn;
+  REPRO_REQUIRE(u >= 0.0 && u < fn,
+                "PME: atom " + std::to_string(atom) + "'s " + "xyz"[axis] +
+                    " coordinate (" + std::to_string(x) +
+                    ") does not map onto the charge grid");
   return u;
-}
-
-AtomSpline make_spline(const PmeParams& p, const Box& box, const Vec3& r) {
-  AtomSpline s;
-  const double lens[3] = {box.lx(), box.ly(), box.lz()};
-  const std::size_t dims[3] = {p.nx, p.ny, p.nz};
-  const double coords[3] = {r.x, r.y, r.z};
-  for (int d = 0; d < 3; ++d) {
-    const double u = frac_coord(coords[d], lens[d], dims[d]);
-    const double k0 = std::floor(u);
-    s.k0[d] = static_cast<int>(k0);
-    bspline_weights(p.order, u - k0, s.w[d], s.dw[d]);
-  }
-  return s;
-}
-
-// Grid line index of stencil point j in dimension d.
-inline std::size_t line(const AtomSpline& s, int d, int j, std::size_t n) {
-  int k = s.k0[d] - j;
-  if (k < 0) k += static_cast<int>(n);
-  return static_cast<std::size_t>(k);
 }
 
 // Influence factor for wavevector (mx, my, mz):
@@ -164,6 +145,152 @@ double ewald_exclusion_correction(const Topology& topo, const Box& box,
   return energy;
 }
 
+// --- SplineStencil ----------------------------------------------------------
+
+SplineStencil::SplineStencil(const PmeParams& params, const Box& box)
+    : order_(params.order),
+      dims_{params.nx, params.ny, params.nz},
+      lens_{box.lx(), box.ly(), box.lz()} {}
+
+void SplineStencil::load(const Topology& topo, const std::vector<Vec3>& pos,
+                         const std::vector<int>& atoms) {
+  atom_.clear();
+  q_.clear();
+  for (const int i : atoms) {
+    const double q = topo.atom(i).charge;
+    if (q == 0.0) continue;
+    atom_.push_back(i);
+    q_.push_back(q);
+  }
+  const std::size_t n = size();
+  frac_.resize(n);
+  for (int d = 0; d < 3; ++d) {
+    k0_[d].resize(n);
+    w_[d].resize(static_cast<std::size_t>(order_) * n);
+    dw_[d].resize(static_cast<std::size_t>(order_) * n);
+    for (std::size_t a = 0; a < n; ++a) {
+      const double u =
+          grid_coord(pos[static_cast<std::size_t>(atom_[a])][d], lens_[d],
+                     dims_[d], atom_[a], d);
+      const double k0 = std::floor(u);
+      k0_[d][a] = static_cast<int>(k0);
+      frac_[a] = u - k0;
+    }
+    bspline_weights_batch(order_, frac_.data(), n, w_[d].data(),
+                          dw_[d].data());
+  }
+}
+
+// The taps of loaded atom a inside a region, per dimension d: count[d]
+// taps, the k-th on spline row row[d][k] (ascending) at region-local
+// offset off[d][k] — line (k0 - row) mod n less the region's start, mod n.
+// z_run: all `order` z taps are in the region and descend from off[2][0]
+// without wrapping there, so they are one contiguous run.
+struct SplineStencil::Taps {
+  int count[3] = {};
+  int row[3][kMaxOrder];             // entries [0, count[d]) are set
+  std::size_t off[3][kMaxOrder];
+  bool z_run = false;
+};
+
+SplineStencil::Taps SplineStencil::taps(std::size_t a,
+                                        const GridRegion& region) const {
+  const std::size_t starts[3] = {region.x0, region.y0, region.z0};
+  const std::size_t counts[3] = {region.cx, region.cy, region.cz};
+  Taps t;
+  for (int d = 0; d < 3; ++d) {
+    const auto n = static_cast<int>(dims_[d]);
+    int o = k0_[d][a] - static_cast<int>(starts[d]);
+    if (o < 0) o += n;
+    int c = 0;
+    for (int j = 0; j < order_; ++j) {
+      if (static_cast<std::size_t>(o) < counts[d]) {
+        t.row[d][c] = j;
+        t.off[d][c++] = static_cast<std::size_t>(o);
+      }
+      o = (o == 0 ? n : o) - 1;
+    }
+    t.count[d] = c;
+  }
+  t.z_run = t.count[2] == order_ &&
+            t.off[2][0] >= static_cast<std::size_t>(order_ - 1);
+  return t;
+}
+
+template <class Cell>
+std::size_t SplineStencil::spread(const GridRegion& region,
+                                  Cell* grid) const {
+  if (region.empty()) return 0;
+  const int order = order_;
+  std::size_t applied = 0;
+  for (std::size_t a = 0; a < size(); ++a) {
+    const Taps t = taps(a, region);
+    const double q = q_[a];
+    double wz[kMaxOrder];
+    for (int k = 0; k < t.count[2]; ++k) wz[k] = w(2, t.row[2][k], a);
+    for (int kx = 0; kx < t.count[0]; ++kx) {
+      const double wxv = w(0, t.row[0][kx], a);
+      for (int ky = 0; ky < t.count[1]; ++ky) {
+        const double wxy = q * wxv * w(1, t.row[1][ky], a);
+        Cell* line =
+            grid + (t.off[0][kx] * region.cy + t.off[1][ky]) * region.cz;
+        if (t.z_run) {
+          Cell* tap = line + t.off[2][0];
+#pragma omp simd
+          for (int jz = 0; jz < order; ++jz) tap[-jz] += wxy * wz[jz];
+        } else {
+          for (int k = 0; k < t.count[2]; ++k) line[t.off[2][k]] += wxy * wz[k];
+        }
+      }
+    }
+    applied += static_cast<std::size_t>(t.count[0] * t.count[1] * t.count[2]);
+  }
+  return applied;
+}
+
+// The z accumulation stays a plain loop (no reduction pragma) so the
+// three force sums add in exactly the scalar order.
+template <class Cell>
+std::size_t SplineStencil::interpolate(const GridRegion& region,
+                                       const Cell* grid,
+                                       std::vector<Vec3>& forces) const {
+  if (region.empty()) return 0;
+  const double sx = static_cast<double>(dims_[0]) / lens_[0];
+  const double sy = static_cast<double>(dims_[1]) / lens_[1];
+  const double sz = static_cast<double>(dims_[2]) / lens_[2];
+  std::size_t applied = 0;
+  for (std::size_t a = 0; a < size(); ++a) {
+    const Taps t = taps(a, region);
+    double wz[kMaxOrder];
+    double dwz[kMaxOrder];
+    for (int k = 0; k < t.count[2]; ++k) {
+      wz[k] = w(2, t.row[2][k], a);
+      dwz[k] = dw(2, t.row[2][k], a);
+    }
+    Vec3 f{};
+    for (int kx = 0; kx < t.count[0]; ++kx) {
+      const double wxv = w(0, t.row[0][kx], a);
+      const double dwxv = dw(0, t.row[0][kx], a);
+      for (int ky = 0; ky < t.count[1]; ++ky) {
+        const double wyv = w(1, t.row[1][ky], a);
+        const double dwyv = dw(1, t.row[1][ky], a);
+        const Cell* line =
+            grid + (t.off[0][kx] * region.cy + t.off[1][ky]) * region.cz;
+        for (int k = 0; k < t.count[2]; ++k) {
+          const double phi = std::real(line[t.off[2][k]]);
+          f.x += dwxv * wyv * wz[k] * phi;
+          f.y += wxv * dwyv * wz[k] * phi;
+          f.z += wxv * wyv * dwz[k] * phi;
+        }
+      }
+    }
+    forces[static_cast<std::size_t>(atom_[a])] -=
+        Vec3{f.x * sx, f.y * sy, f.z * sz} * q_[a];
+    applied += static_cast<std::size_t>(t.count[0] * t.count[1] * t.count[2]);
+  }
+  return applied;
+}
+
 // --- SerialPme --------------------------------------------------------------
 
 SerialPme::SerialPme(const PmeParams& params, const Box& box,
@@ -174,86 +301,26 @@ SerialPme::SerialPme(const PmeParams& params, const Box& box,
       modx_(bspline_moduli(params.nx, params.order)),
       mody_(bspline_moduli(params.ny, params.order)),
       modz_(bspline_moduli(params.nz, params.order)),
-      grid_(params.nx * params.ny * params.nz) {
+      grid_(params.nx * params.ny * params.nz),
+      stencil_(params, box) {
   influence_ = Influence(params_, box_, modx_, mody_, modz_)
                    .z_lines(0, params_.nx, 0, params_.ny);
 }
 
-// Spline construction is batched across atoms (bspline_weights_batch, SoA
-// lanes), and spreading/interpolation go through a real staging grid with
-// contiguous descending z-tap inner loops when the stencil does not wrap.
-// Per atom, the arithmetic is that of a plain stencil loop term for term
-// (q * wx * wy * wz when spreading; interpolation sums in jx, jy, jz
-// order), which is what the digests in tests/pme_test.cpp pin.
+// Spreading and interpolation run the shared stencil over a real staging
+// grid, the whole-grid region; the digests in tests/pme_test.cpp pin it.
 double SerialPme::reciprocal(const Topology& topo,
                              const std::vector<Vec3>& pos,
                              std::vector<Vec3>& forces, PmeWork* work) {
   const auto n = static_cast<std::size_t>(topo.natoms());
   REPRO_REQUIRE(pos.size() == n, "position array size mismatch");
-  const int order = params_.order;
-  const std::size_t dims[3] = {params_.nx, params_.ny, params_.nz};
-  const double lens[3] = {box_.lx(), box_.ly(), box_.lz()};
-  const std::size_t ny = params_.ny;
-  const std::size_t nz = params_.nz;
+  const GridRegion whole{0, params_.nx, 0, params_.ny, 0, params_.nz};
+  atoms_.resize(n);
+  std::iota(atoms_.begin(), atoms_.end(), 0);
+  stencil_.load(topo, pos, atoms_);
 
-  for (int d = 0; d < 3; ++d) {
-    sfrac_[d].resize(n);
-    sk0_[d].resize(n);
-    sw_[d].resize(static_cast<std::size_t>(kMaxOrder) * n);
-    sdw_[d].resize(static_cast<std::size_t>(kMaxOrder) * n);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const double coords[3] = {pos[i].x, pos[i].y, pos[i].z};
-    for (int d = 0; d < 3; ++d) {
-      const double u = frac_coord(coords[d], lens[d], dims[d]);
-      const double k0 = std::floor(u);
-      sk0_[d][i] = static_cast<int>(k0);
-      sfrac_[d][i] = u - k0;
-    }
-  }
-  for (int d = 0; d < 3; ++d) {
-    bspline_weights_batch(order, sfrac_[d].data(), n, sw_[d].data(),
-                          sdw_[d].data());
-  }
-
-  // Charge spreading through the real staging grid.
   rgrid_.assign(grid_.size(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double q = topo.atom(static_cast<int>(i)).charge;
-    if (q == 0.0) continue;
-    const int k0z = sk0_[2][i];
-    double wz[kMaxOrder];
-    for (int jz = 0; jz < order; ++jz) {
-      wz[jz] = sw_[2][static_cast<std::size_t>(jz) * n + i];
-    }
-    for (int jx = 0; jx < order; ++jx) {
-      int kx = sk0_[0][i] - jx;
-      if (kx < 0) kx += static_cast<int>(dims[0]);
-      const double wxv = sw_[0][static_cast<std::size_t>(jx) * n + i];
-      for (int jy = 0; jy < order; ++jy) {
-        int ky = sk0_[1][i] - jy;
-        if (ky < 0) ky += static_cast<int>(dims[1]);
-        const double wxy =
-            q * wxv * sw_[1][static_cast<std::size_t>(jy) * n + i];
-        double* row =
-            rgrid_.data() +
-            (static_cast<std::size_t>(kx) * ny + static_cast<std::size_t>(ky)) *
-                nz;
-        if (k0z >= order - 1) {
-          // Non-wrapping stencil: taps k0z, k0z-1, ... are contiguous.
-          double* tap = row + k0z;
-#pragma omp simd
-          for (int jz = 0; jz < order; ++jz) tap[-jz] += wxy * wz[jz];
-        } else {
-          for (int jz = 0; jz < order; ++jz) {
-            int kz = k0z - jz;
-            if (kz < 0) kz += static_cast<int>(nz);
-            row[kz] += wxy * wz[jz];
-          }
-        }
-      }
-    }
-  }
+  stencil_.spread(whole, rgrid_.data());
 #pragma omp simd
   for (std::size_t i = 0; i < grid_.size(); ++i) {
     grid_[i] = fft::Complex(rgrid_[i], 0.0);
@@ -275,62 +342,10 @@ double SerialPme::reciprocal(const Topology& topo,
 
 #pragma omp simd
   for (std::size_t i = 0; i < grid_.size(); ++i) rgrid_[i] = grid_[i].real();
-
-  // Force interpolation from the real potential grid. The jz accumulation
-  // stays a plain loop (no reduction pragma) so the three force sums add
-  // in exactly the scalar order.
-  const double sx = static_cast<double>(params_.nx) / box_.lx();
-  const double sy = static_cast<double>(params_.ny) / box_.ly();
-  const double sz = static_cast<double>(params_.nz) / box_.lz();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double q = topo.atom(static_cast<int>(i)).charge;
-    if (q == 0.0) continue;
-    const int k0z = sk0_[2][i];
-    double wz[kMaxOrder];
-    double dwz[kMaxOrder];
-    for (int jz = 0; jz < order; ++jz) {
-      wz[jz] = sw_[2][static_cast<std::size_t>(jz) * n + i];
-      dwz[jz] = sdw_[2][static_cast<std::size_t>(jz) * n + i];
-    }
-    Vec3 f{};
-    for (int jx = 0; jx < order; ++jx) {
-      int kx = sk0_[0][i] - jx;
-      if (kx < 0) kx += static_cast<int>(dims[0]);
-      const double wxv = sw_[0][static_cast<std::size_t>(jx) * n + i];
-      const double dwxv = sdw_[0][static_cast<std::size_t>(jx) * n + i];
-      for (int jy = 0; jy < order; ++jy) {
-        int ky = sk0_[1][i] - jy;
-        if (ky < 0) ky += static_cast<int>(dims[1]);
-        const double wyv = sw_[1][static_cast<std::size_t>(jy) * n + i];
-        const double dwyv = sdw_[1][static_cast<std::size_t>(jy) * n + i];
-        const double* row =
-            rgrid_.data() +
-            (static_cast<std::size_t>(kx) * ny + static_cast<std::size_t>(ky)) *
-                nz;
-        if (k0z >= order - 1) {
-          const double* tap = row + k0z;
-          for (int jz = 0; jz < order; ++jz) {
-            const double phi = tap[-jz];
-            f.x += dwxv * wyv * wz[jz] * phi;
-            f.y += wxv * dwyv * wz[jz] * phi;
-            f.z += wxv * wyv * dwz[jz] * phi;
-          }
-        } else {
-          for (int jz = 0; jz < order; ++jz) {
-            int kz = k0z - jz;
-            if (kz < 0) kz += static_cast<int>(nz);
-            const double phi = row[kz];
-            f.x += dwxv * wyv * wz[jz] * phi;
-            f.y += wxv * dwyv * wz[jz] * phi;
-            f.z += wxv * wyv * dwz[jz] * phi;
-          }
-        }
-      }
-    }
-    forces[i] -= Vec3{f.x * sx, f.y * sy, f.z * sz} * q;
-  }
+  stencil_.interpolate(whole, rgrid_.data(), forces);
 
   if (work != nullptr) {
+    const int order = params_.order;
     work->atoms_spread += n;
     work->stencil_points +=
         2 * n * static_cast<std::size_t>(order * order * order);
@@ -350,6 +365,9 @@ ParallelPme::ParallelPme(const PmeParams& params, const Box& box,
       mw_(mw),
       charge_(std::move(charge_compute)),
       pfft_(params.nx, params.ny, params.nz, mw, charge_),
+      slab_{pfft_.x_slabs().begin(mw.rank()), pfft_.local_x_count(), 0,
+            params.ny, 0, params.nz},
+      stencil_(params, box),
       modx_(bspline_moduli(params.nx, params.order)),
       mody_(bspline_moduli(params.ny, params.order)),
       modz_(bspline_moduli(params.nz, params.order)),
@@ -375,16 +393,16 @@ double ParallelPme::reciprocal(const Topology& topo,
   const auto n = static_cast<std::size_t>(topo.natoms());
   REPRO_REQUIRE(pos.size() == n, "position array size mismatch");
   const int order = params_.order;
-  const int me = mw_.rank();
-  const std::size_t xb = pfft_.x_slabs().begin(me);
-  const std::size_t xe = pfft_.x_slabs().end(me);
+  const std::size_t xb = slab_.x0;
+  const std::size_t xe = slab_.x0 + slab_.cx;
   const auto K =
       static_cast<double>(params_.nx * params_.ny * params_.nz);
 
   // Whether atom i's x-stencil intersects my slab: a cheap rejection on
   // the x coordinate before computing full splines.
   auto touches_slab = [&](std::size_t i) {
-    const double ux = frac_coord(pos[i].x, box_.lx(), params_.nx);
+    const double ux = grid_coord(pos[i].x, box_.lx(), params_.nx,
+                                 static_cast<int>(i), 0);
     const int k0x = static_cast<int>(std::floor(ux));
     for (int jx = 0; jx < order; ++jx) {
       int kx = k0x - jx;
@@ -396,41 +414,20 @@ double ParallelPme::reciprocal(const Topology& topo,
     }
     return false;
   };
-  // Calls visit(slab index, jx, jy, jz) for the stencil points of s on my
-  // x-planes, in (jx, jy, jz) order.
-  auto for_each_slab_tap = [&](const AtomSpline& s, auto visit) {
-    for (int jx = 0; jx < order; ++jx) {
-      const std::size_t kx = line(s, 0, jx, params_.nx);
-      if (kx < xb || kx >= xe) continue;
-      const std::size_t lx = kx - xb;
-      for (int jy = 0; jy < order; ++jy) {
-        const std::size_t ky = line(s, 1, jy, params_.ny);
-        for (int jz = 0; jz < order; ++jz) {
-          const std::size_t kz = line(s, 2, jz, params_.nz);
-          visit((lx * params_.ny + ky) * params_.nz + kz, jx, jy, jz);
-        }
-      }
-    }
-  };
 
   // Spread the charges of every atom whose x-stencil intersects my slab,
-  // onto the owned x-planes only. Positions are replicated, so no
-  // communication is needed here; boundary atoms are handled by the slabs
-  // on both sides, each accumulating its own planes.
-  std::fill(xslab_.begin(), xslab_.end(), fft::Complex(0, 0));
-  std::size_t atoms_touched = 0;
-  std::size_t stencil = 0;
+  // onto the owned x-planes only (the stencil clips the rest). Positions
+  // are replicated, so no communication is needed here; boundary atoms
+  // are handled by the slabs on both sides, each accumulating its own
+  // planes.
+  atoms_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    const double q = topo.atom(static_cast<int>(i)).charge;
-    if (q == 0.0) continue;
-    if (!touches_slab(i)) continue;
-    ++atoms_touched;
-    const AtomSpline s = make_spline(params_, box_, pos[i]);
-    for_each_slab_tap(s, [&](std::size_t at, int jx, int jy, int jz) {
-      xslab_[at] += q * s.w[0][jx] * s.w[1][jy] * s.w[2][jz];
-      ++stencil;
-    });
+    if (topo.atom(static_cast<int>(i)).charge == 0.0) continue;
+    if (touches_slab(i)) atoms_.push_back(static_cast<int>(i));
   }
+  stencil_.load(topo, pos, atoms_);
+  std::fill(xslab_.begin(), xslab_.end(), fft::Complex(0, 0));
+  const std::size_t stencil = stencil_.spread(slab_, xslab_.data());
   if (charge_) {
     // ~6 flops per atom for the rejection test, ~20 per stencil update.
     charge_(6.0 * static_cast<double>(n) + 20.0 * static_cast<double>(stencil));
@@ -454,32 +451,15 @@ double ParallelPme::reciprocal(const Topology& topo,
 
   // Force interpolation over owned x-planes; partial sums are completed by
   // the global force reduction.
-  const double sx = static_cast<double>(params_.nx) / box_.lx();
-  const double sy = static_cast<double>(params_.ny) / box_.ly();
-  const double sz = static_cast<double>(params_.nz) / box_.lz();
-  std::size_t interp_stencil = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double q = topo.atom(static_cast<int>(i)).charge;
-    if (q == 0.0) continue;
-    if (!touches_slab(i)) continue;
-    const AtomSpline s = make_spline(params_, box_, pos[i]);
-    Vec3 f{};
-    for_each_slab_tap(s, [&](std::size_t at, int jx, int jy, int jz) {
-      const double phi = xslab_[at].real();
-      f.x += s.dw[0][jx] * s.w[1][jy] * s.w[2][jz] * phi;
-      f.y += s.w[0][jx] * s.dw[1][jy] * s.w[2][jz] * phi;
-      f.z += s.w[0][jx] * s.w[1][jy] * s.dw[2][jz] * phi;
-      ++interp_stencil;
-    });
-    forces[i] -= Vec3{f.x * sx, f.y * sy, f.z * sz} * q;
-  }
+  const std::size_t interp_stencil =
+      stencil_.interpolate(slab_, xslab_.data(), forces);
   if (charge_) {
     charge_(6.0 * static_cast<double>(n) +
             22.0 * static_cast<double>(interp_stencil));
   }
 
   if (work != nullptr) {
-    work->atoms_spread += atoms_touched;
+    work->atoms_spread += stencil_.size();
     work->stencil_points += stencil + interp_stencil;
     work->mesh_points += lz * params_.ny * params_.nx;
   }
@@ -497,6 +477,7 @@ PencilPme::PencilPme(const PmeParams& params, const Box& box, mpi::Comm& comm,
       charge_(std::move(charge_compute)),
       pfft_(fft::PencilGrid(params.nx, params.ny, params.nz, py, pz), comm,
             charge_),
+      stencil_(params, box),
       modx_(bspline_moduli(params.nx, params.order)),
       mody_(bspline_moduli(params.ny, params.order)),
       modz_(bspline_moduli(params.nz, params.order)) {
@@ -724,48 +705,18 @@ double PencilPme::reciprocal(const Topology& topo,
   const int me = comm_.rank();
   const GridRegion& reg = my_region();
   const auto K = static_cast<double>(params_.nx * params_.ny * params_.nz);
-  const std::size_t dims[3] = {params_.nx, params_.ny, params_.nz};
-  const std::size_t starts[3] = {reg.x0, reg.y0, reg.z0};
-  const std::size_t counts[3] = {reg.cx, reg.cy, reg.cz};
 
   // Spread the owned atoms onto my region planes. The region was sized so
   // an owned atom's whole stencil fits (cell extent + spline support +
-  // skin drift pad); the REQUIRE turns a violated pad into a loud failure
-  // instead of silently wrong physics.
+  // skin drift pad); the REQUIRE turns a violated pad (a clipped tap)
+  // into a loud failure instead of silently wrong physics.
+  stencil_.load(topo, pos, owned);
   std::fill(region_.begin(), region_.end(), 0.0);
-  std::vector<AtomSpline> splines(owned.size());
-  std::size_t atoms_touched = 0;
-  std::size_t stencil = 0;
-  for (std::size_t oi = 0; oi < owned.size(); ++oi) {
-    const int i = owned[oi];
-    const double q = topo.atom(i).charge;
-    if (q == 0.0) continue;
-    ++atoms_touched;
-    const AtomSpline s =
-        make_spline(params_, box_, pos[static_cast<std::size_t>(i)]);
-    splines[oi] = s;
-    std::size_t off[3][kMaxOrder];
-    for (int d = 0; d < 3; ++d) {
-      for (int j = 0; j < order; ++j) {
-        const std::size_t k = line(s, d, j, dims[d]);
-        const std::size_t o = (k + dims[d] - starts[d]) % dims[d];
-        REPRO_REQUIRE(o < counts[d],
-                      "owned atom's PME stencil left its rank's grid region "
-                      "(stencil pad too small for this drift)");
-        off[d][j] = o;
-      }
-    }
-    for (int jx = 0; jx < order; ++jx) {
-      for (int jy = 0; jy < order; ++jy) {
-        const double wxy = q * s.w[0][jx] * s.w[1][jy];
-        const std::size_t base = (off[0][jx] * reg.cy + off[1][jy]) * reg.cz;
-        for (int jz = 0; jz < order; ++jz) {
-          region_[base + off[2][jz]] += wxy * s.w[2][jz];
-          ++stencil;
-        }
-      }
-    }
-  }
+  const std::size_t stencil = stencil_.spread(reg, region_.data());
+  REPRO_REQUIRE(stencil == stencil_.size() *
+                               static_cast<std::size_t>(order * order * order),
+                "owned atom's PME stencil left its rank's grid region "
+                "(stencil pad too small for this drift)");
   charge(6.0 * static_cast<double>(owned.size()) +
          20.0 * static_cast<double>(stencil));
 
@@ -792,42 +743,13 @@ double PencilPme::reciprocal(const Topology& topo,
   // Force interpolation for owned atoms only: the whole stencil is inside
   // the region, so the force on an owned atom is complete right here — no
   // reciprocal-force reduction follows.
-  const double sx = static_cast<double>(params_.nx) / box_.lx();
-  const double sy = static_cast<double>(params_.ny) / box_.ly();
-  const double sz = static_cast<double>(params_.nz) / box_.lz();
-  std::size_t interp_stencil = 0;
-  for (std::size_t oi = 0; oi < owned.size(); ++oi) {
-    const int i = owned[oi];
-    const double q = topo.atom(i).charge;
-    if (q == 0.0) continue;
-    const AtomSpline& s = splines[oi];
-    Vec3 f{};
-    for (int jx = 0; jx < order; ++jx) {
-      const std::size_t ox =
-          (line(s, 0, jx, params_.nx) + params_.nx - reg.x0) % params_.nx;
-      for (int jy = 0; jy < order; ++jy) {
-        const std::size_t oy =
-            (line(s, 1, jy, params_.ny) + params_.ny - reg.y0) % params_.ny;
-        const std::size_t base = (ox * reg.cy + oy) * reg.cz;
-        for (int jz = 0; jz < order; ++jz) {
-          const std::size_t oz =
-              (line(s, 2, jz, params_.nz) + params_.nz - reg.z0) % params_.nz;
-          const double phi = region_[base + oz];
-          f.x += s.dw[0][jx] * s.w[1][jy] * s.w[2][jz] * phi;
-          f.y += s.w[0][jx] * s.dw[1][jy] * s.w[2][jz] * phi;
-          f.z += s.w[0][jx] * s.w[1][jy] * s.dw[2][jz] * phi;
-          ++interp_stencil;
-        }
-      }
-    }
-    forces[static_cast<std::size_t>(i)] -=
-        Vec3{f.x * sx, f.y * sy, f.z * sz} * q;
-  }
+  const std::size_t interp_stencil =
+      stencil_.interpolate(reg, region_.data(), forces);
   charge(6.0 * static_cast<double>(owned.size()) +
          22.0 * static_cast<double>(interp_stencil));
 
   if (work != nullptr) {
-    work->atoms_spread += atoms_touched;
+    work->atoms_spread += stencil_.size();
     work->stencil_points += stencil + interp_stencil;
     work->mesh_points += mesh;
     work->fft_flops += 2.0 * pfft_.local_fft_flops();

@@ -7,7 +7,9 @@
 // The exclusion correction is a classic-routine term like the md kernels
 // and takes the same WorkSlice, so every decomposition runs one copy.
 //
-// Three implementations share the spline/influence machinery:
+// Three implementations share one B-spline stencil (SplineStencil: charge
+// spreading and force interpolation over a GridRegion) and the influence
+// machinery; they differ in the region they spread into and the FFT:
 //  - SerialPme: full grid + sequential 3-D FFT (reference, examples).
 //  - ParallelPme: x-slab decomposition on top of ParallelFft3D; the only
 //    communication is the two all-to-all personalized transposes inside
@@ -32,6 +34,7 @@
 #include "md/box.hpp"
 #include "md/topology.hpp"
 #include "md/work_slice.hpp"
+#include "pme/bspline.hpp"
 #include "util/vec3.hpp"
 
 namespace repro::pme {
@@ -68,10 +71,83 @@ double ewald_exclusion_correction(const md::Topology& topo,
                                   std::vector<util::Vec3>& forces,
                                   const md::WorkSlice& slice = {});
 
+// A wrapped box of grid planes: the axis-aligned region of the charge
+// grid a PME spreads into, stored as a [cx][cy][cz] buffer — the whole
+// grid (SerialPme), an x-slab (ParallelPme) or the planes one spatial
+// rank's atoms can touch (PencilPme). Each dimension is an interval
+// [start, start+count) taken modulo n (count == n means the whole
+// dimension). Empty when any count is zero (a rank that owns no cells).
+struct GridRegion {
+  std::size_t x0 = 0, cx = 0;
+  std::size_t y0 = 0, cy = 0;
+  std::size_t z0 = 0, cz = 0;
+
+  bool empty() const { return cx == 0 || cy == 0 || cz == 0; }
+  bool operator==(const GridRegion&) const = default;
+};
+
+// The charge-spreading / force-interpolation kernel of all three PMEs.
+// load() takes a list of atoms and computes, for each charged one, its
+// grid lines k0 = floor(u) and its B-spline weights and derivatives in
+// the three dimensions (bspline_weights_batch into SoA scratch that is
+// reused from call to call). spread() and interpolate() then walk the
+// order^3 taps on lines (k0 - j) mod n, j = 0 .. order-1, over a region's
+// buffer, skipping the taps outside the region (the slab's x clipping);
+// each returns the number of taps it applied. Per tap the charge is
+// ((q wx) wy) wz and the force sums run in jx, jy, jz order, so every
+// decomposition gives the bits of one plain stencil loop. A stencil whose
+// z taps are all in the region and do not wrap there spreads through a
+// contiguous, descending omp simd run.
+class SplineStencil {
+ public:
+  SplineStencil(const PmeParams& params, const md::Box& box);
+
+  // Loads the charged atoms of `atoms` (indices into pos), in list order.
+  // A coordinate whose fractional grid coordinate is not in [0, n) — NaN
+  // or infinite — is a util::Error naming the atom.
+  void load(const md::Topology& topo, const std::vector<util::Vec3>& pos,
+            const std::vector<int>& atoms);
+
+  // The number of loaded (charged) atoms.
+  std::size_t size() const { return q_.size(); }
+
+  // Accumulates q * wx * wy * wz into `grid`, the region's buffer. A
+  // Cell is double or fft::Complex; a complex cell holds the value in its
+  // real part.
+  template <class Cell>
+  std::size_t spread(const GridRegion& region, Cell* grid) const;
+
+  // Subtracts q * grad(phi) from forces[atom], phi being the potential in
+  // (the real part of) the region's buffer `grid`.
+  template <class Cell>
+  std::size_t interpolate(const GridRegion& region, const Cell* grid,
+                          std::vector<util::Vec3>& forces) const;
+
+ private:
+  struct Taps;
+  Taps taps(std::size_t a, const GridRegion& region) const;
+  // Spline weight / derivative of row j for loaded atom a in dimension d.
+  double w(int d, int j, std::size_t a) const {
+    return w_[d][static_cast<std::size_t>(j) * size() + a];
+  }
+  double dw(int d, int j, std::size_t a) const {
+    return dw_[d][static_cast<std::size_t>(j) * size() + a];
+  }
+
+  int order_;
+  std::size_t dims_[3];
+  double lens_[3];
+  std::vector<int> atom_;
+  std::vector<double> q_;
+  std::vector<int> k0_[3];
+  std::vector<double> frac_;          // one dimension's offsets u - k0
+  std::vector<double> w_[3], dw_[3];  // SoA [order][size()]
+};
+
 class SerialPme {
  public:
-  // `kind` is ignored: there is one spread/interpolate path (batched
-  // B-spline weights, a real staging grid) and one FFT kernel. It stays
+  // `kind` is ignored: there is one spread/interpolate path (the shared
+  // SplineStencil over a real staging grid) and one FFT kernel. It stays
   // only for the perfbench driver (util/kernel.hpp). The influence
   // function is a constant of (params, box) and is tabulated
   // here, once per plan.
@@ -93,26 +169,12 @@ class SerialPme {
   std::vector<double> modx_, mody_, modz_;
   std::vector<double> influence_;  // per k-space point, grid_ order
   std::vector<fft::Complex> grid_;
-  // Real staging grid and SoA spline data per dimension.
-  std::vector<double> rgrid_;
-  std::vector<double> sw_[3], sdw_[3], sfrac_[3];
-  std::vector<int> sk0_[3];
+  SplineStencil stencil_;
+  std::vector<int> atoms_;     // 0 .. natoms-1
+  std::vector<double> rgrid_;  // real staging grid, the whole-grid region
 };
 
 // --- Pencil-decomposed PME --------------------------------------------------
-
-// A wrapped box of grid planes: the axis-aligned region of the charge
-// grid one spatial rank's atoms can touch. Each dimension is an interval
-// [start, start+count) taken modulo n (count == n means the whole
-// dimension). Empty when any count is zero (a rank that owns no cells).
-struct GridRegion {
-  std::size_t x0 = 0, cx = 0;
-  std::size_t y0 = 0, cy = 0;
-  std::size_t z0 = 0, cz = 0;
-
-  bool empty() const { return cx == 0 || cy == 0 || cz == 0; }
-  bool operator==(const GridRegion&) const = default;
-};
 
 // Consecutive region-local indices [local, local + len) whose wrapped
 // planes are plane, plane + 1, ..., plane + len - 1.
@@ -217,6 +279,7 @@ class PencilPme {
   std::function<void(double)> charge_;
   fft::PencilFft3D pfft_;
   std::vector<GridRegion> regions_;
+  SplineStencil stencil_;
   std::vector<double> modx_, mody_, modz_;
   std::vector<double> influence_;      // per stage-3 point, stage3_ order
   std::vector<double> region_;         // [cx][cy][cz] charges / potentials
@@ -250,9 +313,12 @@ class ParallelPme {
   middleware::Middleware& mw_;
   std::function<void(double)> charge_;
   fft::ParallelFft3D pfft_;
+  GridRegion slab_;  // my x-planes, all y and z
+  SplineStencil stencil_;
+  std::vector<int> atoms_;  // charged atoms whose x-stencil meets my slab
   std::vector<double> modx_, mody_, modz_;
   std::vector<double> influence_;  // per z-slab point, zslab_ order
-  std::vector<fft::Complex> xslab_;
+  std::vector<fft::Complex> xslab_;  // the slab region's buffer
   std::vector<fft::Complex> zslab_;
 };
 

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -343,28 +344,34 @@ void run_pencil_pme_case(const pme::PmeParams& params, int py, int pz,
 // a side; rank 0's x extent is widened to the whole dimension from a
 // nonzero start. The last rank owns no atoms and has an empty region when
 // `idle_last` is set.
-void run_corner_case(const pme::PmeParams& params, int py, int pz,
-                     int nranks, double half, bool idle_last,
-                     std::uint64_t seed) {
-  SCOPED_TRACE(::testing::Message()
-               << "corner pme grid " << params.nx << "x" << params.ny
-               << "x" << params.nz << " pencils " << py << "x" << pz
-               << " ranks " << nranks << " half-width " << half);
-  auto sys = sysbuild::build_random_charges(36, md::Box(13, 11, 9), seed);
+struct CornerLayout {
+  explicit CornerLayout(std::uint64_t seed)
+      : sys(sysbuild::build_random_charges(36, md::Box(13, 11, 9), seed)) {}
+
+  sysbuild::BuiltSystem sys;
+  std::vector<int> owner;
+  std::vector<pme::GridRegion> regions;
+};
+
+void corner_layout(const pme::PmeParams& params, int nranks, double half,
+                   bool idle_last, std::uint64_t seed, CornerLayout& out) {
+  sysbuild::BuiltSystem& sys = out.sys;
   util::Rng rng(seed);
   for (auto& r : sys.positions) {
     r = Vec3{rng.uniform(-half, half), rng.uniform(-half, half),
              rng.uniform(-half, half)};
   }
   const int owners = idle_last ? nranks - 1 : nranks;
-  std::vector<int> owner(sys.positions.size());
+  std::vector<int>& owner = out.owner;
+  owner.assign(sys.positions.size(), 0);
   for (std::size_t i = 0; i < owner.size(); ++i) {
     owner[i] = static_cast<int>(i % static_cast<std::size_t>(owners));
   }
 
   const std::size_t dims[3] = {params.nx, params.ny, params.nz};
   const double lens[3] = {sys.box.lx(), sys.box.ly(), sys.box.lz()};
-  std::vector<pme::GridRegion> regions(static_cast<std::size_t>(nranks));
+  std::vector<pme::GridRegion>& regions = out.regions;
+  regions.assign(static_cast<std::size_t>(nranks), pme::GridRegion{});
   int wrapping[3] = {0, 0, 0};  // ranks whose region wraps, per dimension
   for (int r = 0; r < owners; ++r) {
     std::size_t start[3];
@@ -394,7 +401,19 @@ void run_corner_case(const pme::PmeParams& params, int py, int pz,
   }
   ASSERT_GT(wrapping[1], 0) << "no region wraps in y";
   ASSERT_GT(wrapping[2], 0) << "no region wraps in z";
-  check_pencil_pme(params, sys, py, pz, nranks, owner, regions);
+}
+
+void run_corner_case(const pme::PmeParams& params, int py, int pz,
+                     int nranks, double half, bool idle_last,
+                     std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "corner pme grid " << params.nx << "x" << params.ny
+               << "x" << params.nz << " pencils " << py << "x" << pz
+               << " ranks " << nranks << " half-width " << half);
+  CornerLayout c(seed);
+  corner_layout(params, nranks, half, idle_last, seed, c);
+  if (::testing::Test::HasFatalFailure()) return;
+  check_pencil_pme(params, c.sys, py, pz, nranks, c.owner, c.regions);
 }
 
 TEST(PencilPmePropertyTest, MatchesSerialAcrossShapes) {
@@ -546,6 +565,41 @@ TEST(PencilPmePropertyTest, SetRegionsMatchesFreshConstruction) {
     const std::string what = e.what();
     EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
   }
+}
+
+// --- bit-identity pin -----------------------------------------------------
+
+// PencilPme's per-rank partial energies, then its rank-major forces, on a
+// 2 x 2 pencil grid whose partial regions wrap in y and z, pinned by a
+// 64-bit FNV-1a digest: the region spread, the plane exchanges and the
+// pencil FFT's rounding all show up here. The pin holds for the default
+// build (no -march flags, hence no FMA contraction).
+std::uint64_t fnv1a(const void* data, std::size_t nbytes,
+                    std::uint64_t h = 1469598103934665603ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(PencilPmeBitIdentityTest, WrappedPartialRegionsMatchPinnedDigest) {
+  pme::PmeParams params;
+  params.nx = 20;
+  params.ny = 12;
+  params.nz = 16;
+  params.order = 4;
+  params.beta = 0.4;
+  CornerLayout c(82);
+  corner_layout(params, 4, 1.5, false, 82, c);
+  ASSERT_FALSE(HasFatalFailure());
+  const PencilBytes b =
+      pencil_bytes(params, c.sys, 2, 2, 4, c.owner, c.regions, c.regions);
+  const std::uint64_t h = fnv1a(b.energy.data(),
+                                b.energy.size() * sizeof(double));
+  EXPECT_EQ(fnv1a(b.forces.data(), b.forces.size() * sizeof(Vec3), h),
+            0x44b0d697dce9bfe3ULL);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <numbers>
 #include <string>
 #include <vector>
@@ -626,6 +628,41 @@ TEST(PencilPmeTest, RejectsRegionsOffTheGrid) {
   }));
 }
 
+// An owned atom whose stencil reaches past its rank's region would lose
+// the clipped taps' charge; the spread counts its taps and fails loudly.
+TEST(PencilPmeTest, StencilOutsideRegionFailsLoudly) {
+  const PmeParams params{16, 16, 16, 4, 0.34};
+  const sysbuild::BuiltSystem water = sysbuild::build_water_box(3);
+  const auto n = static_cast<std::size_t>(water.topo.natoms());
+  const GridRegion whole{0, 16, 0, 16, 0, 16};
+  const GridRegion sliver{0, 16, 0, 16, 3, 2};  // two z planes
+  net::ClusterConfig config;
+  config.nranks = 2;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(2);
+  sim::Engine engine(2);
+  try {
+    engine.run([&](sim::RankCtx& ctx) {
+      mpi::Comm comm(ctx, cluster,
+                     recs[static_cast<std::size_t>(ctx.rank())]);
+      PencilPme pme(params, water.box, comm, 1, 2, {whole, sliver});
+      std::vector<int> owned;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (static_cast<int>(i % 2) == ctx.rank()) {
+          owned.push_back(static_cast<int>(i));
+        }
+      }
+      std::vector<Vec3> forces(n);
+      pme.reciprocal(water.topo, water.positions, owned, forces, 100);
+    });
+    FAIL() << "a clipped pencil stencil was accepted";
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("left its rank's grid region"), std::string::npos)
+        << what;
+  }
+}
+
 // --- bit-identity pins -------------------------------------------------------
 
 // SerialPme has one spread/interpolate path. Its energy and force bytes
@@ -663,6 +700,128 @@ TEST(SerialPmeBitIdentityTest, OrderSixMatchesPinnedDigest) {
   // grid the paper never used.
   const PmeParams params{20, 24, 20, 6, 0.30};
   EXPECT_EQ(serial_pme_digest(params), 0xd6ee419b02d28b81ULL);
+}
+
+// ParallelPme's per-rank partial energies, then its per-rank partial
+// forces, in rank order: the slab spread and interpolation clip the shared
+// stencil to each rank's x-planes, so these bytes pin the clipping too.
+std::uint64_t parallel_pme_digest(const PmeParams& params, int p) {
+  static const sysbuild::BuiltSystem water = sysbuild::build_water_box(6);
+  const auto n = static_cast<std::size_t>(water.topo.natoms());
+  const auto np = static_cast<std::size_t>(p);
+  net::ClusterConfig config;
+  config.nranks = p;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(np);
+  std::vector<double> energies(np);
+  std::vector<std::vector<Vec3>> forces(np, std::vector<Vec3>(n));
+  sim::Engine engine(p);
+  engine.run([&](sim::RankCtx& ctx) {
+    const auto r = static_cast<std::size_t>(ctx.rank());
+    mpi::Comm comm(ctx, cluster, recs[r]);
+    middleware::MpiMiddleware mw(comm);
+    ParallelPme pme(params, water.box, mw);
+    energies[r] = pme.reciprocal(water.topo, water.positions, forces[r]);
+  });
+  std::uint64_t h = fnv1a(energies.data(), energies.size() * sizeof(double));
+  for (const std::vector<Vec3>& f : forces) {
+    h = fnv1a(f.data(), f.size() * sizeof(Vec3), h);
+  }
+  return h;
+}
+
+TEST(ParallelPmeBitIdentityTest, OneRankMatchesPinnedDigest) {
+  const PmeParams params{32, 32, 32, 4, 0.34};
+  EXPECT_EQ(parallel_pme_digest(params, 1), 0x21d7265097355847ULL);
+}
+
+TEST(ParallelPmeBitIdentityTest, ThreeRanksMatchPinnedDigest) {
+  // 32 planes over 3 ranks: uneven slabs, and stencils clipped at both
+  // slab faces.
+  const PmeParams params{32, 32, 32, 4, 0.34};
+  EXPECT_EQ(parallel_pme_digest(params, 3), 0x44343d32af3253afULL);
+}
+
+TEST(ParallelPmeBitIdentityTest, OrderSixThreeRanksMatchPinnedDigest) {
+  const PmeParams params{20, 24, 20, 6, 0.30};
+  EXPECT_EQ(parallel_pme_digest(params, 3), 0x48943b9dd3d76ab9ULL);
+}
+
+// --- non-finite coordinates ----------------------------------------------------
+
+// A NaN coordinate has no grid line: the spline setup rejects it, naming
+// the atom, before the floor is cast to an index.
+void expect_names_bad_atom(const std::function<void()>& run) {
+  try {
+    run();
+    FAIL() << "a NaN coordinate reached the charge grid";
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("atom 5"), std::string::npos) << what;
+  }
+}
+
+sysbuild::BuiltSystem water_with_nan_atom() {
+  sysbuild::BuiltSystem water = sysbuild::build_water_box(3);
+  water.positions[5].y = std::numeric_limits<double>::quiet_NaN();
+  return water;
+}
+
+TEST(NonFiniteCoordinateTest, SerialPmeRejects) {
+  const sysbuild::BuiltSystem water = water_with_nan_atom();
+  ASSERT_NE(water.topo.atom(5).charge, 0.0);
+  SerialPme pme(PmeParams{16, 16, 16, 4, 0.34}, water.box);
+  std::vector<Vec3> forces(static_cast<std::size_t>(water.topo.natoms()));
+  expect_names_bad_atom(
+      [&] { pme.reciprocal(water.topo, water.positions, forces); });
+}
+
+TEST(NonFiniteCoordinateTest, ParallelPmeRejects) {
+  const sysbuild::BuiltSystem water = water_with_nan_atom();
+  const auto n = static_cast<std::size_t>(water.topo.natoms());
+  net::ClusterConfig config;
+  config.nranks = 2;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(2);
+  sim::Engine engine(2);
+  expect_names_bad_atom([&] {
+    engine.run([&](sim::RankCtx& ctx) {
+      mpi::Comm comm(ctx, cluster,
+                     recs[static_cast<std::size_t>(ctx.rank())]);
+      middleware::MpiMiddleware mw(comm);
+      ParallelPme pme(PmeParams{16, 16, 16, 4, 0.34}, water.box, mw);
+      std::vector<Vec3> forces(n);
+      pme.reciprocal(water.topo, water.positions, forces);
+    });
+  });
+}
+
+TEST(NonFiniteCoordinateTest, PencilPmeRejects) {
+  const sysbuild::BuiltSystem water = water_with_nan_atom();
+  const auto n = static_cast<std::size_t>(water.topo.natoms());
+  const PmeParams params{16, 16, 16, 4, 0.34};
+  const GridRegion whole{0, 16, 0, 16, 0, 16};
+  net::ClusterConfig config;
+  config.nranks = 2;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(2);
+  sim::Engine engine(2);
+  expect_names_bad_atom([&] {
+    engine.run([&](sim::RankCtx& ctx) {
+      mpi::Comm comm(ctx, cluster,
+                     recs[static_cast<std::size_t>(ctx.rank())]);
+      PencilPme pme(params, water.box, comm, 1, 2, {whole, whole});
+      // Rank 0 owns the even atoms, rank 1 the odd ones (atom 5 too).
+      std::vector<int> owned;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (static_cast<int>(i % 2) == ctx.rank()) {
+          owned.push_back(static_cast<int>(i));
+        }
+      }
+      std::vector<Vec3> forces(n);
+      pme.reciprocal(water.topo, water.positions, owned, forces, 100);
+    });
+  });
 }
 
 }  // namespace
