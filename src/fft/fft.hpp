@@ -4,7 +4,8 @@
 // radix for smooth sizes (the PME grid 80 x 36 x 48 factors into 2/3/5),
 // Bluestein's chirp-z algorithm for sizes with large prime factors.
 // Fft3D applies 1-D plans along the three axes of a row-major
-// [nx][ny][nz] grid.
+// [nx][ny][nz] grid; RealFft3D does the same for a real grid and its half
+// spectrum (the serial PME's charge grid), with about half the work.
 //
 // There is one mixed-radix kernel, and it is batched: forward_many() and
 // inverse_many() gather up to kBatch lines into lane-contiguous real and
@@ -107,6 +108,35 @@ class Fft3D {
  private:
   std::size_t nx_, ny_, nz_;
   Fft1D fx_, fy_, fz_;
+};
+
+// Real-to-complex 3-D transform: a real row-major [nx][ny][nz] grid to its
+// half spectrum [nx][ny][nz/2+1] (kz = 0 .. nz/2; the other kz follow by
+// conjugate symmetry), and the complex-to-real inverse. Built on the same
+// batched Fft1D plans as Fft3D: the z pass transforms two real lines as
+// one complex line and separates their spectra; the y and x passes run on
+// the half grid, so the whole transform does about half of Fft3D's work.
+// Any nz works, even or odd. inverse() includes the 1/(nx ny nz) scaling,
+// so inverse(forward(x)) == x up to rounding. Not thread-safe: a plan owns
+// its z-pass scratch.
+class RealFft3D {
+ public:
+  RealFft3D(std::size_t nx, std::size_t ny, std::size_t nz);
+
+  std::size_t half_nz() const { return nzh_; }
+  std::size_t spectrum_size() const { return nx_ * ny_ * nzh_; }
+
+  // `in` holds nx*ny*nz reals, `out` spectrum_size() values.
+  void forward(const double* in, Complex* out);
+  // Overwrites `in` (the half spectrum) on the way. The imaginary parts at
+  // kz = 0 (and kz = nz/2 for even nz) are taken as zero, as they are in
+  // the spectrum of a real grid.
+  void inverse(Complex* in, double* out);
+
+ private:
+  std::size_t nx_, ny_, nz_, nzh_;
+  Fft1D fx_, fy_, fz_;
+  std::vector<Complex> lines_;  // kBatch packed z-lines
 };
 
 }  // namespace repro::fft

@@ -59,14 +59,15 @@ struct Influence {
   }
 
   // Factors of the wavevector block x in [x0, x0 + cx), y in [y0, y0 + cy),
-  // all z, laid out [x][y][z] (the serial grid and stage-3 pencil order).
+  // z in [0, cz), laid out [x][y][z] (the serial half spectrum's order with
+  // cz = nz/2 + 1, the stage-3 pencils' with cz = nz).
   std::vector<double> z_lines(std::size_t x0, std::size_t cx, std::size_t y0,
-                              std::size_t cy) const {
-    std::vector<double> table(cx * cy * p_.nz);
+                              std::size_t cy, std::size_t cz) const {
+    std::vector<double> table(cx * cy * cz);
     for (std::size_t xl = 0; xl < cx; ++xl) {
       for (std::size_t yl = 0; yl < cy; ++yl) {
-        for (std::size_t mz = 0; mz < p_.nz; ++mz) {
-          table[(xl * cy + yl) * p_.nz + mz] = (*this)(x0 + xl, y0 + yl, mz);
+        for (std::size_t mz = 0; mz < cz; ++mz) {
+          table[(xl * cy + yl) * cz + mz] = (*this)(x0 + xl, y0 + yl, mz);
         }
       }
     }
@@ -298,17 +299,19 @@ SerialPme::SerialPme(const PmeParams& params, const Box& box,
     : params_(params),
       box_(box),
       fft_(params.nx, params.ny, params.nz),
+      fft_flops_(fft::Fft3D(params.nx, params.ny, params.nz).flops()),
       modx_(bspline_moduli(params.nx, params.order)),
       mody_(bspline_moduli(params.ny, params.order)),
       modz_(bspline_moduli(params.nz, params.order)),
-      grid_(params.nx * params.ny * params.nz),
+      spectrum_(fft_.spectrum_size()),
       stencil_(params, box) {
   influence_ = Influence(params_, box_, modx_, mody_, modz_)
-                   .z_lines(0, params_.nx, 0, params_.ny);
+                   .z_lines(0, params_.nx, 0, params_.ny, fft_.half_nz());
 }
 
 // Spreading and interpolation run the shared stencil over a real staging
-// grid, the whole-grid region; the digests in tests/pme_test.cpp pin it.
+// grid, the whole-grid region, which the real-to-complex FFT transforms
+// directly; the digests in tests/pme_test.cpp pin the result.
 double SerialPme::reciprocal(const Topology& topo,
                              const std::vector<Vec3>& pos,
                              std::vector<Vec3>& forces, PmeWork* work) {
@@ -319,29 +322,32 @@ double SerialPme::reciprocal(const Topology& topo,
   std::iota(atoms_.begin(), atoms_.end(), 0);
   stencil_.load(topo, pos, atoms_);
 
-  rgrid_.assign(grid_.size(), 0.0);
+  const std::size_t volume = params_.nx * params_.ny * params_.nz;
+  rgrid_.assign(volume, 0.0);
   stencil_.spread(whole, rgrid_.data());
-#pragma omp simd
-  for (std::size_t i = 0; i < grid_.size(); ++i) {
-    grid_[i] = fft::Complex(rgrid_[i], 0.0);
-  }
 
-  fft_.forward(grid_.data());
+  fft_.forward(rgrid_.data(), spectrum_.data());
 
-  // Convolution + energy. K compensates the normalized inverse so the
-  // real-space grid is the unnormalized convolution (the potential phi).
-  const auto K = static_cast<double>(grid_.size());
+  // Convolution + energy on the half spectrum. The influence factor is
+  // even in m, so the kz in (nz/2, nz) the half spectrum leaves out
+  // repeat the energy of kz in (0, nz/2): those planes count twice, the
+  // self-conjugate kz = 0 (and nz/2, nz even) once. K compensates the
+  // normalized inverse so the real-space grid is the unnormalized
+  // convolution (the potential phi).
+  const auto K = static_cast<double>(volume);
+  const std::size_t nzh = fft_.half_nz();
   double energy = 0.0;
-  for (std::size_t i = 0; i < grid_.size(); ++i) {
-    const double f = influence_[i];
-    energy += 0.5 * f * std::norm(grid_[i]);
-    grid_[i] *= f * K;
+  for (std::size_t line = 0; line < params_.nx * params_.ny; ++line) {
+    fft::Complex* q = spectrum_.data() + line * nzh;
+    const double* f = influence_.data() + line * nzh;
+    for (std::size_t kz = 0; kz < nzh; ++kz) {
+      const double half = kz == 0 || 2 * kz == params_.nz ? 0.5 : 1.0;
+      energy += half * f[kz] * std::norm(q[kz]);
+      q[kz] *= f[kz] * K;
+    }
   }
 
-  fft_.inverse(grid_.data());
-
-#pragma omp simd
-  for (std::size_t i = 0; i < grid_.size(); ++i) rgrid_[i] = grid_[i].real();
+  fft_.inverse(spectrum_.data(), rgrid_.data());
   stencil_.interpolate(whole, rgrid_.data(), forces);
 
   if (work != nullptr) {
@@ -349,8 +355,9 @@ double SerialPme::reciprocal(const Topology& topo,
     work->atoms_spread += n;
     work->stencil_points +=
         2 * n * static_cast<std::size_t>(order * order * order);
-    work->mesh_points += grid_.size();
-    work->fft_flops += 2.0 * fft_.flops();
+    // The charge model counts the full complex transform and mesh.
+    work->mesh_points += volume;
+    work->fft_flops += 2.0 * fft_flops_;
   }
   return energy;
 }
@@ -495,7 +502,8 @@ PencilPme::PencilPme(const PmeParams& params, const Box& box, mpi::Comm& comm,
     const int zc = g.zcoord(me);
     influence_ = Influence(params_, box_, modx_, mody_, modz_)
                      .z_lines(g.xpart.begin(yc), g.xpart.count(yc),
-                              g.y2part.begin(zc), g.y2part.count(zc));
+                              g.y2part.begin(zc), g.y2part.count(zc),
+                              params_.nz);
   }
 }
 

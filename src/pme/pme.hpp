@@ -10,7 +10,8 @@
 // Three implementations share one B-spline stencil (SplineStencil: charge
 // spreading and force interpolation over a GridRegion) and the influence
 // machinery; they differ in the region they spread into and the FFT:
-//  - SerialPme: full grid + sequential 3-D FFT (reference, examples).
+//  - SerialPme: full grid + sequential real-to-complex 3-D FFT; it
+//    convolves the half spectrum (reference, examples, system relax).
 //  - ParallelPme: x-slab decomposition on top of ParallelFft3D; the only
 //    communication is the two all-to-all personalized transposes inside
 //    the forward/backward FFTs, matching the structure in the paper's
@@ -18,9 +19,9 @@
 //    caller's global reduction (the classic part's collective).
 //  - PencilPme: the charge grid distributed over a 2-D pencil grid (below).
 // The Ewald influence function depends only on (params, box), so each
-// plan tabulates it once for the k-space points it convolves (the full
-// grid, its z-slab, or its stage-3 pencils) with the same expression the
-// per-call evaluation used; the values, and every result, are unchanged.
+// plan tabulates it once for the k-space points it convolves (the half
+// spectrum, its z-slab, or its stage-3 pencils). The parallel PMEs keep
+// complex grids: their payload bytes are the simulated message bytes.
 #pragma once
 
 #include <array>
@@ -148,9 +149,11 @@ class SerialPme {
  public:
   // `kind` is ignored: there is one spread/interpolate path (the shared
   // SplineStencil over a real staging grid) and one FFT kernel. It stays
-  // only for the perfbench driver (util/kernel.hpp). The influence
-  // function is a constant of (params, box) and is tabulated
-  // here, once per plan.
+  // only for the perfbench driver (util/kernel.hpp). The staging grid goes
+  // through fft::RealFft3D, and the convolution and energy run on its
+  // half spectrum [nx][ny][nz/2+1], the influence function (a constant of
+  // (params, box), tabulated here once per plan) being even in m. The
+  // work counters still charge the full complex transform and mesh.
   SerialPme(const PmeParams& params, const md::Box& box,
             util::KernelKind kind = util::default_kernel_kind());
 
@@ -165,10 +168,11 @@ class SerialPme {
  private:
   PmeParams params_;
   md::Box box_;
-  fft::Fft3D fft_;
+  fft::RealFft3D fft_;
+  double fft_flops_;  // one complex 3-D transform, for PmeWork
   std::vector<double> modx_, mody_, modz_;
-  std::vector<double> influence_;  // per k-space point, grid_ order
-  std::vector<fft::Complex> grid_;
+  std::vector<double> influence_;  // per half-spectrum point
+  std::vector<fft::Complex> spectrum_;  // [nx][ny][nz/2+1]
   SplineStencil stencil_;
   std::vector<int> atoms_;     // 0 .. natoms-1
   std::vector<double> rgrid_;  // real staging grid, the whole-grid region

@@ -283,6 +283,110 @@ TEST(Fft3DTest, SingleModeTransformsToDelta) {
   }
 }
 
+// --- real-to-complex 3-D ----------------------------------------------------
+
+std::vector<double> random_real_grid(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.uniform(-1, 1);
+  return v;
+}
+
+// The half spectrum [nx][ny][nz/2+1] of a real [nx][ny][nz] grid by the
+// O(N^2) 3-D DFT summed in long double.
+std::vector<std::complex<long double>> naive_half_spectrum(
+    const std::vector<double>& grid, std::size_t nx, std::size_t ny,
+    std::size_t nz) {
+  const std::size_t nzh = nz / 2 + 1;
+  const long double two_pi = 2.0L * std::numbers::pi_v<long double>;
+  std::vector<std::complex<long double>> out(nx * ny * nzh);
+  for (std::size_t kx = 0; kx < nx; ++kx) {
+    for (std::size_t ky = 0; ky < ny; ++ky) {
+      for (std::size_t kz = 0; kz < nzh; ++kz) {
+        std::complex<long double> acc(0, 0);
+        for (std::size_t x = 0; x < nx; ++x) {
+          for (std::size_t y = 0; y < ny; ++y) {
+            for (std::size_t z = 0; z < nz; ++z) {
+              const long double turns =
+                  static_cast<long double>(kx * x % nx) / nx +
+                  static_cast<long double>(ky * y % ny) / ny +
+                  static_cast<long double>(kz * z % nz) / nz;
+              acc += static_cast<long double>(grid[(x * ny + y) * nz + z]) *
+                     std::polar(1.0L, -two_pi * turns);
+            }
+          }
+        }
+        out[(kx * ny + ky) * nzh + kz] = acc;
+      }
+    }
+  }
+  return out;
+}
+
+// Grids with even and odd nz, an odd line count (the lone last z-line is
+// packed with zero) and more lines than one batch of pairs.
+class RealFft3DTest : public ::testing::TestWithParam<GridCase> {};
+
+TEST_P(RealFft3DTest, ForwardMatchesLongDoubleDft) {
+  const auto [nx, ny, nz] = GetParam();
+  RealFft3D plan(nx, ny, nz);
+  ASSERT_EQ(plan.half_nz(), nz / 2 + 1);
+  const auto grid = random_real_grid(nx * ny * nz, 7 * nx + 3 * ny + nz);
+  std::vector<Complex> spec(plan.spectrum_size());
+  plan.forward(grid.data(), spec.data());
+  const auto want = naive_half_spectrum(grid, nx, ny, nz);
+  long double max_err = 0, max_mag = 0;
+  for (std::size_t i = 0; i < spec.size(); ++i) {
+    const std::complex<long double> g(spec[i].real(), spec[i].imag());
+    max_err = std::max(max_err, std::abs(g - want[i]));
+    max_mag = std::max(max_mag, std::abs(want[i]));
+  }
+  EXPECT_LE(max_err, 1e-15L * max_mag)
+      << "relative error " << static_cast<double>(max_err / max_mag);
+}
+
+// The inverse of the oracle's half spectrum (rounded to double) is the
+// grid it came from: the c2r transform against the long-double DFT.
+TEST_P(RealFft3DTest, InverseMatchesLongDoubleDft) {
+  const auto [nx, ny, nz] = GetParam();
+  RealFft3D plan(nx, ny, nz);
+  const auto grid = random_real_grid(nx * ny * nz, 11 * nx + ny + 5 * nz);
+  const auto half = naive_half_spectrum(grid, nx, ny, nz);
+  std::vector<Complex> spec(half.size());
+  for (std::size_t i = 0; i < half.size(); ++i) {
+    spec[i] = Complex(static_cast<double>(half[i].real()),
+                      static_cast<double>(half[i].imag()));
+  }
+  std::vector<double> got(grid.size());
+  plan.inverse(spec.data(), got.data());
+  double max_err = 0, max_mag = 0;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    max_err = std::max(max_err, std::abs(got[i] - grid[i]));
+    max_mag = std::max(max_mag, std::abs(grid[i]));
+  }
+  EXPECT_LE(max_err, 1e-15 * max_mag) << "relative error "
+                                      << max_err / max_mag;
+}
+
+TEST_P(RealFft3DTest, RoundTrip) {
+  const auto [nx, ny, nz] = GetParam();
+  RealFft3D plan(nx, ny, nz);
+  const auto grid = random_real_grid(nx * ny * nz, nx + 13 * ny + 17 * nz);
+  std::vector<Complex> spec(plan.spectrum_size());
+  std::vector<double> back(grid.size());
+  plan.forward(grid.data(), spec.data());
+  plan.inverse(spec.data(), back.data());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_NEAR(back[i], grid[i], 1e-13) << "i=" << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, RealFft3DTest,
+    ::testing::Values(GridCase{4, 3, 6}, GridCase{3, 5, 7},
+                      GridCase{6, 5, 8}, GridCase{7, 5, 9},
+                      GridCase{5, 3, 1}, GridCase{2, 2, 2}));
+
 // --- slab partition ---------------------------------------------------------
 
 TEST(SlabPartitionTest, CoversAllPlanes) {
@@ -492,9 +596,9 @@ TEST(ParallelFftTest2, ChargesComputeTime) {
 // Bluestein for large primes), so any change to its rounding shows up
 // here and must be re-pinned on purpose. Accuracy is Fft1DAccuracyTest's
 // job; the goldens print simulated time and modelled energy, which do not
-// depend on FFT rounding. The pins hold for the default build (no -march
-// flags, hence no FMA contraction); the -march=native CI leg filters them
-// out.
+// depend on FFT rounding. The pins hold for the baseline x86-64 and the
+// AVX2 build alike, since neither contracts to FMA (no_fused_multiply_add
+// guards that); the -march=native CI leg filters them out.
 
 // Canonical byte-wise 64-bit FNV-1a, kept local so the pins do not move
 // with util::fnv1a_bytes.

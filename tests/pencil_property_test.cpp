@@ -572,8 +572,8 @@ TEST(PencilPmePropertyTest, SetRegionsMatchesFreshConstruction) {
 // PencilPme's per-rank partial energies, then its rank-major forces, on a
 // 2 x 2 pencil grid whose partial regions wrap in y and z, pinned by a
 // 64-bit FNV-1a digest: the region spread, the plane exchanges and the
-// pencil FFT's rounding all show up here. The pin holds for the default
-// build (no -march flags, hence no FMA contraction).
+// pencil FFT's rounding all show up here. The pin holds for the baseline
+// x86-64 and the AVX2 build alike, since neither contracts to FMA.
 std::uint64_t fnv1a(const void* data, std::size_t nbytes,
                     std::uint64_t h = 1469598103934665603ULL) {
   const auto* p = static_cast<const unsigned char*>(data);
