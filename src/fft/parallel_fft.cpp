@@ -240,6 +240,8 @@ PencilFft3D::PencilFft3D(const PencilGrid& grid, mpi::Comm& comm,
                 grid_.stage3_size(me)});
   sendbuf_.resize(cap);
   recvbuf_.resize(cap);
+  work_ends_.resize(std::max(grid_.stage1_size(me), grid_.stage3_size(me)));
+  work_mid_.resize(grid_.stage2_size(me));
 }
 
 // The round schedule shared by the four transposes, over a process-grid
@@ -481,16 +483,17 @@ void PencilFft3D::forward(const Complex* stage1, Complex* stage3, int tag_xy,
   const std::size_t lx2 = grid_.xpart.count(yc);
   const std::size_t ly3 = grid_.y2part.count(zc);
 
-  std::vector<Complex> work1(stage1, stage1 + grid_.stage1_size(me));
-  fx_.forward_many(work1.data(), ly1 * lz, 1, grid_.nx);
+  Complex* work1 = work_ends_.data();
+  std::copy(stage1, stage1 + grid_.stage1_size(me), work1);
+  fx_.forward_many(work1, ly1 * lz, 1, grid_.nx);
   charge(static_cast<double>(ly1 * lz) * fx_.flops());
 
-  std::vector<Complex> work2(grid_.stage2_size(me));
-  transpose_xy(work1.data(), work2.data(), tag_xy);
-  fy_.forward_many(work2.data(), lx2 * lz, 1, grid_.ny);
+  Complex* work2 = work_mid_.data();
+  transpose_xy(work1, work2, tag_xy);
+  fy_.forward_many(work2, lx2 * lz, 1, grid_.ny);
   charge(static_cast<double>(lx2 * lz) * fy_.flops());
 
-  transpose_yz(work2.data(), stage3, tag_yz);
+  transpose_yz(work2, stage3, tag_yz);
   fz_.forward_many(stage3, lx2 * ly3, 1, grid_.nz);
   charge(static_cast<double>(lx2 * ly3) * fz_.flops());
 }
@@ -506,16 +509,17 @@ void PencilFft3D::backward(const Complex* stage3, Complex* stage1, int tag_zy,
   const std::size_t lx2 = grid_.xpart.count(yc);
   const std::size_t ly3 = grid_.y2part.count(zc);
 
-  std::vector<Complex> work3(stage3, stage3 + grid_.stage3_size(me));
-  fz_.inverse_many(work3.data(), lx2 * ly3, 1, grid_.nz);
+  Complex* work3 = work_ends_.data();
+  std::copy(stage3, stage3 + grid_.stage3_size(me), work3);
+  fz_.inverse_many(work3, lx2 * ly3, 1, grid_.nz);
   charge(static_cast<double>(lx2 * ly3) * fz_.flops());
 
-  std::vector<Complex> work2(grid_.stage2_size(me));
-  transpose_zy(work3.data(), work2.data(), tag_zy);
-  fy_.inverse_many(work2.data(), lx2 * lz, 1, grid_.ny);
+  Complex* work2 = work_mid_.data();
+  transpose_zy(work3, work2, tag_zy);
+  fy_.inverse_many(work2, lx2 * lz, 1, grid_.ny);
   charge(static_cast<double>(lx2 * lz) * fy_.flops());
 
-  transpose_yx(work2.data(), stage1, tag_yx);
+  transpose_yx(work2, stage1, tag_yx);
   fx_.inverse_many(stage1, ly1 * lz, 1, grid_.nx);
   charge(static_cast<double>(ly1 * lz) * fx_.flops());
 }

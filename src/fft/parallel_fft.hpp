@@ -173,6 +173,10 @@ class PencilFft3D {
   Fft1D fx_, fy_, fz_;
   std::vector<Complex> sendbuf_;
   std::vector<Complex> recvbuf_;
+  // The local stages' work buffers, sized at construction: the copy of the
+  // const stage-1 (forward) or stage-3 (backward) input, and stage 2.
+  std::vector<Complex> work_ends_;
+  std::vector<Complex> work_mid_;
 };
 
 }  // namespace repro::fft
