@@ -1,11 +1,10 @@
 // Host timings of the three physics hot paths: the LJ/Ewald pair kernel,
-// the serial PME reciprocal solve (B-spline spread + interpolate + FFT) and
-// the 3-D FFT on the paper's 80 x 36 x 48 grid.
+// the serial PME reciprocal solve (B-spline spread + interpolate + a
+// real-to-complex 3-D FFT) and the 3-D FFTs on the paper's 80 x 36 x 48
+// grid, complex (the parallel PMEs' transform) and real-to-complex.
 //
-// This is a hand-timed binary rather than a google-benchmark one so it
-// can take --json=FILE and write BENCH_kernels.json directly (the
-// BENCHMARK_MAIN driver rejects unknown flags). Each kernel is timed
-// best-of-N to shave scheduler noise. The pair kernel's accuracy is the
+// It writes BENCH_kernels.json directly with --json=FILE. Each kernel is
+// timed best-of-N to shave scheduler noise. The pair kernel's accuracy is the
 // tests' job: kernel_variant_test holds it to the libm oracle in
 // tests/pair_oracle.hpp, and fft_test holds the FFT to a long-double DFT.
 //
@@ -29,6 +28,13 @@
 using namespace repro;
 
 namespace {
+
+// The vector ISA src/ was compiled for (src/CMakeLists.txt).
+#if REPRO_KERNELS_AVX2
+constexpr const char* kKernelIsa = "AVX2 without FMA (-mavx2 -ffp-contract=off)";
+#else
+constexpr const char* kKernelIsa = "the baseline x86-64 ISA";
+#endif
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -129,6 +135,24 @@ KernelResult run_fft(int reps, int iters) {
   return pr;
 }
 
+KernelResult run_rfft(int reps, int iters) {
+  constexpr int nx = 80, ny = 36, nz = 48;
+  constexpr std::size_t n = static_cast<std::size_t>(nx) * ny * nz;
+  util::Rng rng(1138);
+  std::vector<double> grid(n);
+  for (auto& x : grid) x = rng.uniform(-1, 1);
+  fft::RealFft3D plan(nx, ny, nz);
+  std::vector<fft::Complex> spectrum(plan.spectrum_size());
+
+  KernelResult pr;
+  pr.name = "rfft3d_80x36x48";
+  pr.unit = "grid points";
+  pr.items = static_cast<double>(n);
+  pr.seconds = best_of(reps, iters,
+                       [&] { plan.forward(grid.data(), spectrum.data()); });
+  return pr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -153,7 +177,8 @@ int main(int argc, char** argv) {
 
   std::printf("kernel timings (best of %d x %d calls)\n", reps, iters);
   const std::vector<KernelResult> kernels = {
-      run_pair(reps, iters), run_pme(reps, iters), run_fft(reps, iters)};
+      run_pair(reps, iters), run_pme(reps, iters), run_fft(reps, iters),
+      run_rfft(reps, iters)};
   std::printf("%-16s %12s %14s\n", "kernel", "ms", "items/s");
   for (const auto& kr : kernels) {
     std::printf("%-16s %12.3f %14.3e\n", kr.name.c_str(), kr.seconds * 1e3,
@@ -174,13 +199,16 @@ int main(int argc, char** argv) {
         "kernel (#pragma omp simd minimum-image prepass, branch-free "
         "compaction and omp simd physics with tabulated erfc/exp, "
         "vectorized by -fno-math-errno -fno-trapping-math), the serial PME "
-        "reciprocal solve and the 3-D FFT (batched multi-line FFT with "
-        "radix-2/3/4/5 butterflies, per-plan influence table)\",\n");
+        "reciprocal solve (real-to-complex 3-D FFT, convolution on the half "
+        "spectrum, per-plan influence table) and the complex and "
+        "real-to-complex 3-D FFTs (batched multi-line FFT with "
+        "radix-2/3/4/5 butterflies)\",\n");
     std::fprintf(f,
                  "  \"machine\": { \"hardware_threads\": %u, \"note\": "
-                 "\"-O3, no -march flags; best-of-%d timing over %d calls "
-                 "per rep\" },\n",
-                 std::thread::hardware_concurrency(), reps, iters);
+                 "\"-O3, src/ built for %s; best-of-%d timing over %d "
+                 "calls per rep\" },\n",
+                 std::thread::hardware_concurrency(), kKernelIsa, reps,
+                 iters);
     std::fprintf(f,
                  "  \"accuracy_note\": \"tests/kernel_variant_test.cpp "
                  "holds the pair kernel to the libm oracle in "
@@ -190,9 +218,11 @@ int main(int argc, char** argv) {
                  "holds the FFT to a long-double naive DFT (max error <= "
                  "1e-15 of the largest output for n = 36, 48, 80, 97); the "
                  "butterflies measure 1.5e-16 to 5.8e-16 there, the generic "
-                 "combine they replaced 4.0e-16 to 8.1e-16. The PME and FFT "
-                 "output bytes are pinned by digests in tests/fft_test.cpp "
-                 "and tests/pme_test.cpp.\",\n");
+                 "combine they replaced 4.0e-16 to 8.1e-16. It holds the "
+                 "real-to-complex transform and its inverse to a long-double "
+                 "3-D DFT within 1e-15 of the largest value, for even and odd "
+                 "nz. The PME and FFT output bytes are pinned by digests in "
+                 "tests/fft_test.cpp and tests/pme_test.cpp.\",\n");
     std::fprintf(f, "  \"kernels\": [");
     for (std::size_t k = 0; k < kernels.size(); ++k) {
       const KernelResult& kr = kernels[k];
