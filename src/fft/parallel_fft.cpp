@@ -235,11 +235,25 @@ PencilFft3D::PencilFft3D(const PencilGrid& grid, mpi::Comm& comm,
       fy_(grid.ny),
       fz_(grid.nz) {
   const int me = comm_.rank();
-  const std::size_t cap =
-      std::max({grid_.stage1_size(me), grid_.stage2_size(me),
-                grid_.stage3_size(me)});
-  sendbuf_.resize(cap);
-  recvbuf_.resize(cap);
+  if (!grid_.participates(me)) return;
+  // A transpose round holds one block. Each transpose's blocks are its
+  // inverse's in reverse, so the blocks I receive in the four (their
+  // `incoming` sizes) are every block I send or receive.
+  const std::size_t lz = grid_.zpart.count(grid_.zcoord(me));
+  const std::size_t ly1 = grid_.ypart.count(grid_.ycoord(me));
+  const std::size_t lx2 = grid_.xpart.count(grid_.ycoord(me));
+  const std::size_t ly3 = grid_.y2part.count(grid_.zcoord(me));
+  std::size_t block = 0;
+  for (int m = 0; m < grid_.py; ++m) {
+    block = std::max({block, lx2 * grid_.ypart.count(m) * lz,
+                      ly1 * grid_.xpart.count(m) * lz});
+  }
+  for (int m = 0; m < grid_.pz; ++m) {
+    block = std::max({block, lx2 * ly3 * grid_.zpart.count(m),
+                      lx2 * grid_.y2part.count(m) * lz});
+  }
+  sendbuf_.resize(block);
+  recvbuf_.resize(block);
   work_ends_.resize(std::max(grid_.stage1_size(me), grid_.stage3_size(me)));
   work_mid_.resize(grid_.stage2_size(me));
 }

@@ -171,7 +171,7 @@ class PencilFft3D {
   mpi::Comm& comm_;
   std::function<void(double)> charge_;
   Fft1D fx_, fy_, fz_;
-  std::vector<Complex> sendbuf_;
+  std::vector<Complex> sendbuf_;  // one transpose block, the largest
   std::vector<Complex> recvbuf_;
   // The local stages' work buffers, sized at construction: the copy of the
   // const stage-1 (forward) or stage-3 (backward) input, and stage 2.
