@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <cstring>
 #include <numbers>
+#include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fft/fft.hpp"
@@ -569,11 +571,121 @@ TEST(ParallelFftTest2, WorksWithEmptySlabs) {
   });
 }
 
+// The element type of the slab transform's x-slab, read off forward(), so
+// the traffic and charge pins below hold whatever the real-space input is.
+template <class Plan, class X, class Z>
+X x_cell_of(void (Plan::*)(X*, Z*));
+using XCell = std::remove_const_t<decltype(x_cell_of(&ParallelFft3D::forward))>;
+
+// Hands every call to the raw-MPI personality, recording the byte counts
+// and displacements of each transpose on the way.
+class RecordingMiddleware final : public middleware::Middleware {
+ public:
+  struct Layout {
+    std::vector<std::size_t> send_counts, send_displs, recv_counts,
+        recv_displs;
+  };
+
+  explicit RecordingMiddleware(mpi::Comm& comm)
+      : Middleware(comm), inner_(comm) {}
+
+  void global_sum(double* data, std::size_t n) override {
+    inner_.global_sum(data, n);
+  }
+  void synchronize() override { inner_.synchronize(); }
+  void transpose(const void* send, const std::vector<std::size_t>& sc,
+                 const std::vector<std::size_t>& sd, void* recv,
+                 const std::vector<std::size_t>& rc,
+                 const std::vector<std::size_t>& rd) override {
+    layouts.push_back({sc, sd, rc, rd});
+    inner_.transpose(send, sc, sd, recv, rc, rd);
+  }
+  void broadcast(void* data, std::size_t bytes, int root) override {
+    inner_.broadcast(data, bytes, root);
+  }
+
+  std::vector<Layout> layouts;
+
+ private:
+  middleware::MpiMiddleware inner_;
+};
+
+// Byte counts block(0 .. p-1) with displacements packed in rank order.
+RecordingMiddleware::Layout complex_blocks(
+    int p, const std::function<std::size_t(int)>& block,
+    const std::function<std::size_t(int)>& incoming) {
+  RecordingMiddleware::Layout l;
+  std::size_t at = 0, rat = 0;
+  for (int r = 0; r < p; ++r) {
+    l.send_counts.push_back(block(r));
+    l.send_displs.push_back(at);
+    at += block(r);
+    l.recv_counts.push_back(incoming(r));
+    l.recv_displs.push_back(rat);
+    rat += incoming(r);
+  }
+  return l;
+}
+
+// The simulated traffic of the slab transform is the complex model's: the
+// forward transpose ships lx(me) * ny * lz(d) complex values (16 bytes)
+// to every rank d and receives lx(s) * ny * lz(me) from every rank s; the
+// backward transpose ships and receives the mirror blocks.
+TEST(ParallelFftTest2, TransposesShipTheComplexModelsBlocks) {
+  const std::size_t nx = 20, ny = 9, nz = 12;
+  const int p = 3;
+  const SlabPartition xs(nx, p), zs(nz, p);
+  constexpr std::size_t kComplexBytes = 16;
+  net::ClusterConfig config;
+  config.nranks = p;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(static_cast<std::size_t>(p));
+  std::vector<std::vector<RecordingMiddleware::Layout>> got(
+      static_cast<std::size_t>(p));
+  sim::Engine engine(p);
+  engine.run([&](sim::RankCtx& ctx) {
+    mpi::Comm comm(ctx, cluster, recs[static_cast<std::size_t>(ctx.rank())]);
+    RecordingMiddleware mw(comm);
+    ParallelFft3D pfft(nx, ny, nz, mw);
+    std::vector<XCell> x(pfft.x_slab_size());
+    std::vector<Complex> z(pfft.z_slab_size());
+    pfft.forward(x.data(), z.data());
+    pfft.backward(z.data(), x.data());
+    got[static_cast<std::size_t>(ctx.rank())] = mw.layouts;
+  });
+  for (int me = 0; me < p; ++me) {
+    SCOPED_TRACE(::testing::Message() << "rank " << me);
+    const auto& layouts = got[static_cast<std::size_t>(me)];
+    ASSERT_EQ(layouts.size(), 2u);
+    // Planes x of rank a times planes z of rank b, as complex bytes.
+    auto block = [&](int a, int b) {
+      return xs.count(a) * ny * zs.count(b) * kComplexBytes;
+    };
+    const auto forward = complex_blocks(
+        p, [&](int d) { return block(me, d); },
+        [&](int s) { return block(s, me); });
+    const auto backward = complex_blocks(
+        p, [&](int d) { return block(d, me); },
+        [&](int s) { return block(me, s); });
+    const RecordingMiddleware::Layout* want[2] = {&forward, &backward};
+    for (int t = 0; t < 2; ++t) {
+      EXPECT_EQ(layouts[t].send_counts, want[t]->send_counts) << "t=" << t;
+      EXPECT_EQ(layouts[t].send_displs, want[t]->send_displs) << "t=" << t;
+      EXPECT_EQ(layouts[t].recv_counts, want[t]->recv_counts) << "t=" << t;
+      EXPECT_EQ(layouts[t].recv_displs, want[t]->recv_displs) << "t=" << t;
+    }
+  }
+}
+
+// The flops a rank charges for one forward and one backward transform are
+// the complex model's (the 1-D stages' Fft1D::flops() and one flop per
+// packed element), pinned exactly: simulated time follows from them.
 TEST(ParallelFftTest2, ChargesComputeTime) {
   net::ClusterConfig config;
   config.nranks = 2;
   net::ClusterNetwork cluster(config);
   std::vector<perf::RankRecorder> recs(2);
+  std::vector<double> forward(2), total(2);
   sim::Engine engine(2);
   engine.run([&](sim::RankCtx& ctx) {
     mpi::Comm comm(ctx, cluster,
@@ -582,11 +694,19 @@ TEST(ParallelFftTest2, ChargesComputeTime) {
     double charged = 0.0;
     ParallelFft3D pfft(12, 6, 8, mw,
                        [&](double flops) { charged += flops; });
-    std::vector<Complex> x(pfft.x_slab_size());
+    std::vector<XCell> x(pfft.x_slab_size());
     std::vector<Complex> z(pfft.z_slab_size());
     pfft.forward(x.data(), z.data());
-    EXPECT_GT(charged, 0.0);
+    forward[static_cast<std::size_t>(ctx.rank())] = charged;
+    pfft.backward(z.data(), x.data());
+    total[static_cast<std::size_t>(ctx.rank())] = charged;
   });
+  // 6 x-planes and 4 z-planes a rank: 6 (6 fz + 8 fy) + 576 packed + 24 fx
+  // a direction.
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(forward[r], 13780.692002076928) << "rank " << r;
+    EXPECT_EQ(total[r], 27561.384004153857) << "rank " << r;
+  }
 }
 
 // --- bit-identity pins -------------------------------------------------------
