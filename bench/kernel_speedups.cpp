@@ -1,7 +1,8 @@
 // Host timings of the three physics hot paths: the LJ/Ewald pair kernel,
-// the serial PME reciprocal solve (B-spline spread + interpolate + a
-// real-to-complex 3-D FFT) and the 3-D FFTs on the paper's 80 x 36 x 48
-// grid, complex (the parallel PMEs' transform) and real-to-complex.
+// the PME reciprocal solve (B-spline spread + interpolate + a 3-D FFT),
+// serial and as the slab PME on a one-rank engine (the p = 1 cell of every
+// replicated-data run), and the 3-D FFTs on the paper's 80 x 36 x 48 grid,
+// complex and real-to-complex.
 //
 // It writes BENCH_kernels.json directly with --json=FILE. Each kernel is
 // timed best-of-N to shave scheduler noise. The pair kernel's accuracy is the
@@ -21,7 +22,11 @@
 #include "fft/fft.hpp"
 #include "md/neighbor.hpp"
 #include "md/nonbonded.hpp"
+#include "middleware/middleware.hpp"
+#include "net/cluster.hpp"
+#include "perf/recorder.hpp"
 #include "pme/pme.hpp"
+#include "sim/engine.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/rng.hpp"
 
@@ -113,6 +118,34 @@ KernelResult run_pme(int reps, int iters) {
   return pr;
 }
 
+// The slab PME's reciprocal solve on a one-rank engine: spread, slab FFT
+// (its transposes are local copies at p = 1), convolution, interpolation.
+KernelResult run_pme_slab_p1(int reps, int iters) {
+  const sysbuild::BuiltSystem sys = sysbuild::build_myoglobin_like();
+  const pme::PmeParams params{80, 36, 48, 4, 0.34};
+  std::vector<util::Vec3> forces(static_cast<std::size_t>(sys.topo.natoms()));
+  net::ClusterConfig config;
+  config.nranks = 1;
+  net::ClusterNetwork cluster(config);
+  perf::RankRecorder rec;
+  sim::Engine engine(1);
+
+  KernelResult pr;
+  pr.name = "pme_slab_p1";
+  pr.unit = "atoms";
+  pr.items = static_cast<double>(sys.topo.natoms());
+  engine.run([&](sim::RankCtx& ctx) {
+    mpi::Comm comm(ctx, cluster, rec);
+    middleware::MpiMiddleware mw(comm);
+    pme::ParallelPme pme(params, sys.box, mw);
+    pr.seconds = best_of(reps, iters, [&] {
+      std::fill(forces.begin(), forces.end(), util::Vec3{});
+      pme.reciprocal(sys.topo, sys.positions, forces);
+    });
+  });
+  return pr;
+}
+
 // --- 3-D FFT on the paper's PME grid -------------------------------------
 
 KernelResult run_fft(int reps, int iters) {
@@ -177,7 +210,8 @@ int main(int argc, char** argv) {
 
   std::printf("kernel timings (best of %d x %d calls)\n", reps, iters);
   const std::vector<KernelResult> kernels = {
-      run_pair(reps, iters), run_pme(reps, iters), run_fft(reps, iters),
+      run_pair(reps, iters), run_pme(reps, iters),
+      run_pme_slab_p1(reps, iters), run_fft(reps, iters),
       run_rfft(reps, iters)};
   std::printf("%-16s %12s %14s\n", "kernel", "ms", "items/s");
   for (const auto& kr : kernels) {
@@ -200,7 +234,8 @@ int main(int argc, char** argv) {
         "compaction and omp simd physics with tabulated erfc/exp, "
         "vectorized by -fno-math-errno -fno-trapping-math), the serial PME "
         "reciprocal solve (real-to-complex 3-D FFT, convolution on the half "
-        "spectrum, per-plan influence table) and the complex and "
+        "spectrum, per-plan influence table), the one-rank slab PME, and "
+        "the complex and "
         "real-to-complex 3-D FFTs (batched multi-line FFT with "
         "radix-2/3/4/5 butterflies)\",\n");
     std::fprintf(f,

@@ -38,6 +38,8 @@ ParallelFft3D::ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
       charge_(std::move(charge)),
       xpart_(nx, mw.size()),
       zpart_(nz, mw.size()),
+      xz_(layout(true)),
+      zx_(layout(false)),
       fx_(nx),
       fy_(ny),
       fz_(nz) {
@@ -47,6 +49,29 @@ ParallelFft3D::ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
   work_.resize(cap);
 }
 
+// The forward transpose ships my x-planes of rank d's z-planes to every d
+// and receives rank s's x-planes of mine; the backward one is its mirror.
+ParallelFft3D::TransposeLayout ParallelFft3D::layout(bool forward) const {
+  const int p = mw_.size();
+  const int me = mw_.rank();
+  TransposeLayout l;
+  std::size_t at = 0, rat = 0;
+  for (int r = 0; r < p; ++r) {
+    const std::size_t out = forward ? xpart_.count(me) * ny_ * zpart_.count(r)
+                                    : xpart_.count(r) * ny_ * zpart_.count(me);
+    const std::size_t in = forward ? xpart_.count(r) * ny_ * zpart_.count(me)
+                                   : xpart_.count(me) * ny_ * zpart_.count(r);
+    l.send_displs.push_back(at * sizeof(Complex));
+    l.send_counts.push_back(out * sizeof(Complex));
+    l.recv_displs.push_back(rat * sizeof(Complex));
+    l.recv_counts.push_back(in * sizeof(Complex));
+    at += out;
+    rat += in;
+  }
+  l.elements = at + rat;
+  return l;
+}
+
 void ParallelFft3D::transpose_xz(const Complex* xslab, Complex* zslab) {
   const int p = mw_.size();
   const int me = mw_.rank();
@@ -54,16 +79,8 @@ void ParallelFft3D::transpose_xz(const Complex* xslab, Complex* zslab) {
 
   // Pack per-destination blocks, ordered (z, y, x) with x innermost over my
   // x-range, so the receiver can place runs contiguously in [lz][ny][nx].
-  std::vector<std::size_t> send_counts(static_cast<std::size_t>(p));
-  std::vector<std::size_t> send_displs(static_cast<std::size_t>(p));
-  std::vector<std::size_t> recv_counts(static_cast<std::size_t>(p));
-  std::vector<std::size_t> recv_displs(static_cast<std::size_t>(p));
   std::size_t at = 0;
   for (int d = 0; d < p; ++d) {
-    send_displs[static_cast<std::size_t>(d)] = at * sizeof(Complex);
-    const std::size_t lz = zpart_.count(d);
-    send_counts[static_cast<std::size_t>(d)] =
-        lx * ny_ * lz * sizeof(Complex);
     for (std::size_t z = zpart_.begin(d); z < zpart_.end(d); ++z) {
       for (std::size_t y = 0; y < ny_; ++y) {
         for (std::size_t x = 0; x < lx; ++x) {
@@ -72,22 +89,15 @@ void ParallelFft3D::transpose_xz(const Complex* xslab, Complex* zslab) {
       }
     }
   }
-  std::size_t rat = 0;
-  for (int s = 0; s < p; ++s) {
-    recv_displs[static_cast<std::size_t>(s)] = rat * sizeof(Complex);
-    const std::size_t c = xpart_.count(s) * ny_ * zpart_.count(me);
-    recv_counts[static_cast<std::size_t>(s)] = c * sizeof(Complex);
-    rat += c;
-  }
-  charge(static_cast<double>(at + rat));  // ~1 flop per packed element
-  mw_.transpose(sendbuf_.data(), send_counts, send_displs, recvbuf_.data(),
-                recv_counts, recv_displs);
+  charge(static_cast<double>(xz_.elements));  // ~1 flop per packed element
+  mw_.transpose(sendbuf_.data(), xz_.send_counts, xz_.send_displs,
+                recvbuf_.data(), xz_.recv_counts, xz_.recv_displs);
 
   // Unpack: block from src s covers x in [s.x0, s.x1), all y, z in my
   // z-range, ordered (z, y, x).
   for (int s = 0; s < p; ++s) {
     const Complex* in =
-        recvbuf_.data() + recv_displs[static_cast<std::size_t>(s)] /
+        recvbuf_.data() + xz_.recv_displs[static_cast<std::size_t>(s)] /
                               sizeof(Complex);
     const std::size_t sx0 = xpart_.begin(s);
     const std::size_t slx = xpart_.count(s);
@@ -106,17 +116,10 @@ void ParallelFft3D::transpose_zx(const Complex* zslab, Complex* xslab) {
   const int me = mw_.rank();
   const std::size_t lz = zpart_.count(me);
 
-  std::vector<std::size_t> send_counts(static_cast<std::size_t>(p));
-  std::vector<std::size_t> send_displs(static_cast<std::size_t>(p));
-  std::vector<std::size_t> recv_counts(static_cast<std::size_t>(p));
-  std::vector<std::size_t> recv_displs(static_cast<std::size_t>(p));
   // Pack for dst d: x in d's range, all y, z in my range; ordered
   // (x, y, z) with z innermost so the receiver writes contiguous z-runs.
   std::size_t at = 0;
   for (int d = 0; d < p; ++d) {
-    send_displs[static_cast<std::size_t>(d)] = at * sizeof(Complex);
-    send_counts[static_cast<std::size_t>(d)] =
-        xpart_.count(d) * ny_ * lz * sizeof(Complex);
     for (std::size_t x = xpart_.begin(d); x < xpart_.end(d); ++x) {
       for (std::size_t y = 0; y < ny_; ++y) {
         for (std::size_t zl = 0; zl < lz; ++zl) {
@@ -125,20 +128,13 @@ void ParallelFft3D::transpose_zx(const Complex* zslab, Complex* xslab) {
       }
     }
   }
-  std::size_t rat = 0;
-  for (int s = 0; s < p; ++s) {
-    recv_displs[static_cast<std::size_t>(s)] = rat * sizeof(Complex);
-    const std::size_t c = xpart_.count(me) * ny_ * zpart_.count(s);
-    recv_counts[static_cast<std::size_t>(s)] = c * sizeof(Complex);
-    rat += c;
-  }
-  charge(static_cast<double>(at + rat));
-  mw_.transpose(sendbuf_.data(), send_counts, send_displs, recvbuf_.data(),
-                recv_counts, recv_displs);
+  charge(static_cast<double>(zx_.elements));
+  mw_.transpose(sendbuf_.data(), zx_.send_counts, zx_.send_displs,
+                recvbuf_.data(), zx_.recv_counts, zx_.recv_displs);
 
   for (int s = 0; s < p; ++s) {
     const Complex* in =
-        recvbuf_.data() + recv_displs[static_cast<std::size_t>(s)] /
+        recvbuf_.data() + zx_.recv_displs[static_cast<std::size_t>(s)] /
                               sizeof(Complex);
     std::size_t i = 0;
     for (std::size_t x = 0; x < xpart_.count(me); ++x) {

@@ -72,11 +72,22 @@ class ParallelFft3D {
   void transpose_xz(const Complex* xslab, Complex* zslab);
   void transpose_zx(const Complex* zslab, Complex* xslab);
 
+  // One transpose's per-peer byte counts and displacements, fixed by the
+  // two partitions and so built once; `elements` is the number of values
+  // packed plus unpacked, the transpose's charge.
+  struct TransposeLayout {
+    std::vector<std::size_t> send_counts, send_displs;
+    std::vector<std::size_t> recv_counts, recv_displs;
+    std::size_t elements = 0;
+  };
+  TransposeLayout layout(bool forward) const;
+
   std::size_t nx_, ny_, nz_;
   middleware::Middleware& mw_;
   std::function<void(double)> charge_;
   SlabPartition xpart_;
   SlabPartition zpart_;
+  TransposeLayout xz_, zx_;
   Fft1D fx_, fy_, fz_;
   std::vector<Complex> sendbuf_;
   std::vector<Complex> recvbuf_;
