@@ -433,47 +433,40 @@ void Fft3D::inverse(Complex* grid) const {
   fz_.inverse_many(grid, nx_ * ny_, 1, nz_);
 }
 
-// --- 3-D real-to-complex ---------------------------------------------------
+// --- real-to-complex lines -------------------------------------------------
 
-RealFft3D::RealFft3D(std::size_t nx, std::size_t ny, std::size_t nz)
-    : nx_(nx),
-      ny_(ny),
-      nz_(nz),
-      nzh_(nz / 2 + 1),
-      fx_(nx),
-      fy_(ny),
-      fz_(nz),
-      lines_(Fft1D::kBatch * nz) {}
+RealFft1D::RealFft1D(std::size_t n)
+    : n_(n), nh_(n / 2 + 1), f_(n), lines_(Fft1D::kBatch * n) {}
 
-// z pass: real lines 2p and 2p+1 of the block become one complex line
-// z = a + i b, so one complex transform Z serves both; with m = (n - k) mod
-// n, A[k] = (Z[k] + conj Z[m]) / 2 and B[k] = (Z[k] - conj Z[m]) / 2i.
-void RealFft3D::forward(const double* in, Complex* out) {
-  const std::size_t lines = nx_ * ny_;
-  const std::size_t n = nz_;
-  for (std::size_t l0 = 0; l0 < lines; l0 += 2 * Fft1D::kBatch) {
-    const std::size_t pairs = std::min(Fft1D::kBatch, (lines - l0 + 1) / 2);
+// Real lines 2p and 2p+1 of a block become one complex line z = a + i b,
+// so one complex transform Z serves both; with m = (n - k) mod n,
+// A[k] = (Z[k] + conj Z[m]) / 2 and B[k] = (Z[k] - conj Z[m]) / 2i.
+void RealFft1D::forward_many(const double* in, std::size_t count,
+                             Complex* out) {
+  const std::size_t n = n_;
+  for (std::size_t l0 = 0; l0 < count; l0 += 2 * Fft1D::kBatch) {
+    const std::size_t pairs = std::min(Fft1D::kBatch, (count - l0 + 1) / 2);
     for (std::size_t p = 0; p < pairs; ++p) {
       const double* a = in + (l0 + 2 * p) * n;
       Complex* z = lines_.data() + p * n;
-      if (l0 + 2 * p + 1 < lines) {
+      if (l0 + 2 * p + 1 < count) {
         const double* b = a + n;
         for (std::size_t j = 0; j < n; ++j) z[j] = Complex(a[j], b[j]);
       } else {
         for (std::size_t j = 0; j < n; ++j) z[j] = Complex(a[j], 0.0);
       }
     }
-    fz_.forward_many(lines_.data(), pairs, 1, n);
+    f_.forward_many(lines_.data(), pairs, 1, n);
     for (std::size_t p = 0; p < pairs; ++p) {
       const Complex* z = lines_.data() + p * n;
-      Complex* a = out + (l0 + 2 * p) * nzh_;
-      const bool has_b = l0 + 2 * p + 1 < lines;
-      Complex* b = a + nzh_;
+      Complex* a = out + (l0 + 2 * p) * nh_;
+      const bool has_b = l0 + 2 * p + 1 < count;
+      Complex* b = a + nh_;
       // k = 0 is its own mirror (as is k = n/2 for even n, which the loop
       // gets right with m = k): A = Re Z, B = Im Z.
       a[0] = Complex(z[0].real(), 0.0);
       if (has_b) b[0] = Complex(z[0].imag(), 0.0);
-      for (std::size_t k = 1; k < nzh_; ++k) {
+      for (std::size_t k = 1; k < nh_; ++k) {
         const double zr = z[k].real(), zi = z[k].imag();
         const double mr = z[n - k].real(), mi = z[n - k].imag();
         a[k] = Complex(0.5 * (zr + mr), 0.5 * (zi - mi));
@@ -481,33 +474,22 @@ void RealFft3D::forward(const double* in, Complex* out) {
       }
     }
   }
-  const std::size_t plane = ny_ * nzh_;
-  for (std::size_t x = 0; x < nx_; ++x) {
-    fy_.forward_many(out + x * plane, nzh_, nzh_, 1);
-  }
-  fx_.forward_many(out, plane, plane, 1);
 }
 
-// The mirror of forward(): x and y passes on the half grid, then each pair
-// of half-spectrum lines A, B is rebuilt into the full spectrum of
-// z = a + i b, Z[k] = A[k] + i B[k] and Z[n - k] = conj A[k] + i conj B[k],
-// whose inverse holds a in its real and b in its imaginary part. The
-// imaginary parts of A and B at k = 0 (and k = n/2 for even n) are
-// dropped: a real line's spectrum has none there.
-void RealFft3D::inverse(Complex* in, double* out) {
-  const std::size_t plane = ny_ * nzh_;
-  fx_.inverse_many(in, plane, plane, 1);
-  for (std::size_t x = 0; x < nx_; ++x) {
-    fy_.inverse_many(in + x * plane, nzh_, nzh_, 1);
-  }
-  const std::size_t lines = nx_ * ny_;
-  const std::size_t n = nz_;
-  for (std::size_t l0 = 0; l0 < lines; l0 += 2 * Fft1D::kBatch) {
-    const std::size_t pairs = std::min(Fft1D::kBatch, (lines - l0 + 1) / 2);
+// The mirror of forward_many(): each pair of half spectra A, B is rebuilt
+// into the full spectrum of z = a + i b, Z[k] = A[k] + i B[k] and
+// Z[n - k] = conj A[k] + i conj B[k], whose inverse holds a in its real
+// and b in its imaginary part. The imaginary parts of A and B at k = 0
+// (and k = n/2 for even n) are dropped.
+void RealFft1D::inverse_many(const Complex* in, std::size_t count,
+                             double* out) {
+  const std::size_t n = n_;
+  for (std::size_t l0 = 0; l0 < count; l0 += 2 * Fft1D::kBatch) {
+    const std::size_t pairs = std::min(Fft1D::kBatch, (count - l0 + 1) / 2);
     for (std::size_t p = 0; p < pairs; ++p) {
-      const Complex* a = in + (l0 + 2 * p) * nzh_;
-      const bool has_b = l0 + 2 * p + 1 < lines;
-      const Complex* b = a + nzh_;
+      const Complex* a = in + (l0 + 2 * p) * nh_;
+      const bool has_b = l0 + 2 * p + 1 < count;
+      const Complex* b = a + nh_;
       Complex* z = lines_.data() + p * n;
       z[0] = Complex(a[0].real(), has_b ? b[0].real() : 0.0);
       for (std::size_t k = 1; 2 * k < n; ++k) {
@@ -522,17 +504,40 @@ void RealFft3D::inverse(Complex* in, double* out) {
         z[h] = Complex(a[h].real(), has_b ? b[h].real() : 0.0);
       }
     }
-    fz_.inverse_many(lines_.data(), pairs, 1, n);
+    f_.inverse_many(lines_.data(), pairs, 1, n);
     for (std::size_t p = 0; p < pairs; ++p) {
       const Complex* z = lines_.data() + p * n;
       double* a = out + (l0 + 2 * p) * n;
       for (std::size_t j = 0; j < n; ++j) a[j] = z[j].real();
-      if (l0 + 2 * p + 1 < lines) {
+      if (l0 + 2 * p + 1 < count) {
         double* b = a + n;
         for (std::size_t j = 0; j < n; ++j) b[j] = z[j].imag();
       }
     }
   }
+}
+
+// --- 3-D real-to-complex ---------------------------------------------------
+
+RealFft3D::RealFft3D(std::size_t nx, std::size_t ny, std::size_t nz)
+    : nx_(nx), ny_(ny), nzh_(nz / 2 + 1), fx_(nx), fy_(ny), fz_(nz) {}
+
+void RealFft3D::forward(const double* in, Complex* out) {
+  fz_.forward_many(in, nx_ * ny_, out);
+  const std::size_t plane = ny_ * nzh_;
+  for (std::size_t x = 0; x < nx_; ++x) {
+    fy_.forward_many(out + x * plane, nzh_, nzh_, 1);
+  }
+  fx_.forward_many(out, plane, plane, 1);
+}
+
+void RealFft3D::inverse(Complex* in, double* out) {
+  const std::size_t plane = ny_ * nzh_;
+  fx_.inverse_many(in, plane, plane, 1);
+  for (std::size_t x = 0; x < nx_; ++x) {
+    fy_.inverse_many(in + x * plane, nzh_, nzh_, 1);
+  }
+  fz_.inverse_many(in, nx_ * ny_, out);
 }
 
 }  // namespace repro::fft

@@ -110,15 +110,42 @@ class Fft3D {
   Fft1D fx_, fy_, fz_;
 };
 
+// Real-to-complex transforms of contiguous real lines of length n to their
+// half spectra (k = 0 .. n/2, n/2+1 contiguous values a line) and the
+// complex-to-real inverse: the z pass of RealFft3D and of the slab
+// transform (parallel_fft.hpp). Two real lines a, b go through one complex
+// transform of z = a + i b and their spectra are separated; a lone last
+// line is packed with zero. Any n works, even or odd. Not thread-safe: a
+// plan owns its packed-line scratch.
+class RealFft1D {
+ public:
+  explicit RealFft1D(std::size_t n);
+
+  std::size_t half_size() const { return nh_; }
+  // The complex plan of size n; the cost model charges its flops() a line.
+  const Fft1D& complex_plan() const { return f_; }
+
+  // `count` real lines at in[l * n] to half spectra at out[l * half_size()].
+  void forward_many(const double* in, std::size_t count, Complex* out);
+  // The inverse, including the 1/n scaling. The imaginary parts at k = 0
+  // (and k = n/2 for even n) are taken as zero, as they are in the
+  // spectrum of a real line.
+  void inverse_many(const Complex* in, std::size_t count, double* out);
+
+ private:
+  std::size_t n_, nh_;
+  Fft1D f_;
+  std::vector<Complex> lines_;  // kBatch packed lines
+};
+
 // Real-to-complex 3-D transform: a real row-major [nx][ny][nz] grid to its
 // half spectrum [nx][ny][nz/2+1] (kz = 0 .. nz/2; the other kz follow by
 // conjugate symmetry), and the complex-to-real inverse. Built on the same
-// batched Fft1D plans as Fft3D: the z pass transforms two real lines as
-// one complex line and separates their spectra; the y and x passes run on
-// the half grid, so the whole transform does about half of Fft3D's work.
-// Any nz works, even or odd. inverse() includes the 1/(nx ny nz) scaling,
-// so inverse(forward(x)) == x up to rounding. Not thread-safe: a plan owns
-// its z-pass scratch.
+// batched Fft1D plans as Fft3D: the z pass is a RealFft1D; the y and x
+// passes run on the half grid, so the whole transform does about half of
+// Fft3D's work. Any nz works, even or odd. inverse() includes the
+// 1/(nx ny nz) scaling, so inverse(forward(x)) == x up to rounding. Not
+// thread-safe: a plan owns its z-pass scratch.
 class RealFft3D {
  public:
   RealFft3D(std::size_t nx, std::size_t ny, std::size_t nz);
@@ -134,9 +161,9 @@ class RealFft3D {
   void inverse(Complex* in, double* out);
 
  private:
-  std::size_t nx_, ny_, nz_, nzh_;
-  Fft1D fx_, fy_, fz_;
-  std::vector<Complex> lines_;  // kBatch packed z-lines
+  std::size_t nx_, ny_, nzh_;
+  Fft1D fx_, fy_;
+  RealFft1D fz_;
 };
 
 }  // namespace repro::fft

@@ -34,6 +34,7 @@ ParallelFft3D::ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
     : nx_(nx),
       ny_(ny),
       nz_(nz),
+      nzh_(nz / 2 + 1),
       mw_(mw),
       charge_(std::move(charge)),
       xpart_(nx, mw.size()),
@@ -42,12 +43,10 @@ ParallelFft3D::ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
       zx_(layout(false)),
       fx_(nx),
       fy_(ny),
-      fz_(nz) {
-  const std::size_t cap = std::max(x_slab_size(), z_slab_size());
-  sendbuf_.resize(cap);
-  recvbuf_.resize(cap);
-  work_.resize(cap);
-}
+      fz_(nz),
+      xblocks_(local_x_count() * ny * nz),
+      zblocks_(nx * ny * local_z_count()),
+      half_(local_x_count() * ny * nzh_) {}
 
 // The forward transpose ships my x-planes of rank d's z-planes to every d
 // and receives rank s's x-planes of mine; the backward one is its mirror.
@@ -72,118 +71,119 @@ ParallelFft3D::TransposeLayout ParallelFft3D::layout(bool forward) const {
   return l;
 }
 
-void ParallelFft3D::transpose_xz(const Complex* xslab, Complex* zslab) {
+void ParallelFft3D::transpose_xz(Complex* zslab) {
   const int p = mw_.size();
   const int me = mw_.rank();
   const std::size_t lx = xpart_.count(me);
 
-  // Pack per-destination blocks, ordered (z, y, x) with x innermost over my
-  // x-range, so the receiver can place runs contiguously in [lz][ny][nx].
-  std::size_t at = 0;
+  // Pack the front of each destination's block, ordered (kz, y, x) with x
+  // innermost over my x-range, so the receiver can place runs
+  // contiguously in [lkz][ny][nx].
   for (int d = 0; d < p; ++d) {
-    for (std::size_t z = zpart_.begin(d); z < zpart_.end(d); ++z) {
+    Complex* out = xblocks_.data() +
+                   xz_.send_displs[static_cast<std::size_t>(d)] /
+                       sizeof(Complex);
+    for (std::size_t kz = kz_begin(d); kz < kz_begin(d) + kz_count(d); ++kz) {
       for (std::size_t y = 0; y < ny_; ++y) {
         for (std::size_t x = 0; x < lx; ++x) {
-          sendbuf_[at++] = xslab[(x * ny_ + y) * nz_ + z];
+          *out++ = half_[(x * ny_ + y) * nzh_ + kz];
         }
       }
     }
   }
   charge(static_cast<double>(xz_.elements));  // ~1 flop per packed element
-  mw_.transpose(sendbuf_.data(), xz_.send_counts, xz_.send_displs,
-                recvbuf_.data(), xz_.recv_counts, xz_.recv_displs);
+  mw_.transpose(xblocks_.data(), xz_.send_counts, xz_.send_displs,
+                zblocks_.data(), xz_.recv_counts, xz_.recv_displs);
 
-  // Unpack: block from src s covers x in [s.x0, s.x1), all y, z in my
-  // z-range, ordered (z, y, x).
+  // Unpack: block from src s covers x in [s.x0, s.x1), all y, kz in my
+  // half-spectrum range, ordered (kz, y, x).
   for (int s = 0; s < p; ++s) {
     const Complex* in =
-        recvbuf_.data() + xz_.recv_displs[static_cast<std::size_t>(s)] /
+        zblocks_.data() + xz_.recv_displs[static_cast<std::size_t>(s)] /
                               sizeof(Complex);
     const std::size_t sx0 = xpart_.begin(s);
     const std::size_t slx = xpart_.count(s);
-    std::size_t i = 0;
-    for (std::size_t zl = 0; zl < zpart_.count(me); ++zl) {
+    for (std::size_t kl = 0; kl < local_kz_count(); ++kl) {
       for (std::size_t y = 0; y < ny_; ++y) {
-        Complex* out = zslab + (zl * ny_ + y) * nx_ + sx0;
-        for (std::size_t x = 0; x < slx; ++x) out[x] = in[i++];
+        Complex* out = zslab + (kl * ny_ + y) * nx_ + sx0;
+        for (std::size_t x = 0; x < slx; ++x) out[x] = *in++;
       }
     }
   }
 }
 
-void ParallelFft3D::transpose_zx(const Complex* zslab, Complex* xslab) {
+void ParallelFft3D::transpose_zx(const Complex* zslab) {
   const int p = mw_.size();
   const int me = mw_.rank();
-  const std::size_t lz = zpart_.count(me);
+  const std::size_t lkz = local_kz_count();
 
-  // Pack for dst d: x in d's range, all y, z in my range; ordered
-  // (x, y, z) with z innermost so the receiver writes contiguous z-runs.
-  std::size_t at = 0;
+  // Pack for dst d: x in d's range, all y, kz in my range; ordered
+  // (x, y, kz) with kz innermost so the receiver writes contiguous runs.
   for (int d = 0; d < p; ++d) {
+    Complex* out = zblocks_.data() +
+                   zx_.send_displs[static_cast<std::size_t>(d)] /
+                       sizeof(Complex);
     for (std::size_t x = xpart_.begin(d); x < xpart_.end(d); ++x) {
       for (std::size_t y = 0; y < ny_; ++y) {
-        for (std::size_t zl = 0; zl < lz; ++zl) {
-          sendbuf_[at++] = zslab[(zl * ny_ + y) * nx_ + x];
+        for (std::size_t kl = 0; kl < lkz; ++kl) {
+          *out++ = zslab[(kl * ny_ + y) * nx_ + x];
         }
       }
     }
   }
   charge(static_cast<double>(zx_.elements));
-  mw_.transpose(sendbuf_.data(), zx_.send_counts, zx_.send_displs,
-                recvbuf_.data(), zx_.recv_counts, zx_.recv_displs);
+  mw_.transpose(zblocks_.data(), zx_.send_counts, zx_.send_displs,
+                xblocks_.data(), zx_.recv_counts, zx_.recv_displs);
 
   for (int s = 0; s < p; ++s) {
     const Complex* in =
-        recvbuf_.data() + zx_.recv_displs[static_cast<std::size_t>(s)] /
+        xblocks_.data() + zx_.recv_displs[static_cast<std::size_t>(s)] /
                               sizeof(Complex);
-    std::size_t i = 0;
     for (std::size_t x = 0; x < xpart_.count(me); ++x) {
       for (std::size_t y = 0; y < ny_; ++y) {
-        Complex* out = xslab + (x * ny_ + y) * nz_ + zpart_.begin(s);
-        for (std::size_t z = 0; z < zpart_.count(s); ++z) out[z] = in[i++];
+        Complex* out = half_.data() + (x * ny_ + y) * nzh_ + kz_begin(s);
+        for (std::size_t k = 0; k < kz_count(s); ++k) out[k] = *in++;
       }
     }
   }
 }
 
-void ParallelFft3D::forward(const Complex* xslab, Complex* zslab) {
-  // Local 2-D transforms over (y, z) for each owned x-plane, on a copy so
-  // the caller's real-space slab stays intact.
+void ParallelFft3D::forward(const double* xslab, Complex* zslab) {
+  // Local 2-D transforms over (y, z) for each owned x-plane: real z-lines
+  // to their half spectra, then y.
   const std::size_t lx = local_x_count();
-  Complex* w = work_.data();
-  std::copy_n(xslab, x_slab_size(), w);
-  fz_.forward_many(w, lx * ny_, 1, nz_);
+  const std::size_t plane = ny_ * nzh_;
+  fz_.forward_many(xslab, lx * ny_, half_.data());
   for (std::size_t x = 0; x < lx; ++x) {
-    fy_.forward_many(w + x * ny_ * nz_, nz_, nz_, 1);
+    fy_.forward_many(half_.data() + x * plane, nzh_, nzh_, 1);
   }
   charge(static_cast<double>(lx) *
-         (static_cast<double>(ny_) * fz_.flops() +
+         (static_cast<double>(ny_) * fz_.complex_plan().flops() +
           static_cast<double>(nz_) * fy_.flops()));
 
-  transpose_xz(w, zslab);
+  transpose_xz(zslab);
 
   // Finish with x-direction transforms (x is contiguous in the z-slab).
   const std::size_t lz = local_z_count();
-  fx_.forward_many(zslab, lz * ny_, 1, nx_);
+  fx_.forward_many(zslab, local_kz_count() * ny_, 1, nx_);
   charge(static_cast<double>(lz * ny_) * fx_.flops());
 }
 
-void ParallelFft3D::backward(const Complex* zslab, Complex* xslab) {
+void ParallelFft3D::backward(Complex* zslab, double* xslab) {
   const std::size_t lz = local_z_count();
-  Complex* w = work_.data();
-  std::copy_n(zslab, z_slab_size(), w);
-  fx_.inverse_many(w, lz * ny_, 1, nx_);
+  fx_.inverse_many(zslab, local_kz_count() * ny_, 1, nx_);
   charge(static_cast<double>(lz * ny_) * fx_.flops());
 
-  transpose_zx(w, xslab);
+  transpose_zx(zslab);
 
   const std::size_t lx = local_x_count();
+  const std::size_t plane = ny_ * nzh_;
   for (std::size_t x = 0; x < lx; ++x) {
-    fy_.inverse_many(xslab + x * ny_ * nz_, nz_, nz_, 1);
+    fy_.inverse_many(half_.data() + x * plane, nzh_, nzh_, 1);
   }
-  fz_.inverse_many(xslab, lx * ny_, 1, nz_);
+  fz_.inverse_many(half_.data(), lx * ny_, xslab);
   charge(static_cast<double>(lx) *
-         (static_cast<double>(ny_) * fz_.flops() +
+         (static_cast<double>(ny_) * fz_.complex_plan().flops() +
           static_cast<double>(nz_) * fy_.flops()));
 }
 

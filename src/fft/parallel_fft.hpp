@@ -1,18 +1,32 @@
-// Slab-decomposed parallel 3-D FFT (the PME communication kernel).
+// Slab-decomposed parallel real-to-complex 3-D FFT (the PME communication
+// kernel).
 //
-// The grid is distributed in x-slabs: rank r owns x-planes
-// [x_begin(r), x_end(r)) of a row-major [nx][ny][nz] grid. A forward
-// transform does the (y,z) 2-D FFTs locally per owned plane, then performs
-// an all-to-all personalized transpose into z-slabs (layout [lz][ny][nx])
-// and finishes with the x-direction FFTs. This is exactly the structure
-// the paper attributes to PME: "a FFT adds a communication step with an
-// all-to-all personalized communication pattern."
+// The real grid is distributed in x-slabs: rank r owns x-planes
+// [x_begin(r), x_end(r)) of a row-major real [nx][ny][nz] grid. A forward
+// transform runs the real-to-complex z pass (RealFft1D) and the y FFTs
+// locally per owned plane, giving each plane's half spectrum
+// [ny][nz/2+1], then performs an all-to-all personalized transpose into
+// z-slabs of the half spectrum (layout [lkz][ny][nx]) and finishes with
+// the x-direction FFTs. This is exactly the structure the paper
+// attributes to PME: "a FFT adds a communication step with an all-to-all
+// personalized communication pattern."
+//
+// Rank r owns the half-spectrum planes kz in zpart(r) ∩ [0, nz/2+1): the
+// z-planes of the complex transform less those conjugate symmetry leaves
+// out, so the ranks past the middle own none.
+//
+// The simulator times the complex transform: each transpose block from
+// rank s to rank d holds lx(s) * ny * lz(d) complex values, with the
+// half-spectrum values at its front and zeros behind them, and the local
+// stages charge the complex 1-D transforms' Fft1D::flops(). So simulated
+// time and message bytes are those of the complex slab FFT.
 //
 // Computation is charged through a caller-provided hook (flops -> virtual
 // time); communication goes through the Middleware so the middleware factor
 // of the experiment shapes the transpose.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -50,48 +64,62 @@ class ParallelFft3D {
   const SlabPartition& x_slabs() const { return xpart_; }
   const SlabPartition& z_slabs() const { return zpart_; }
   std::size_t local_x_count() const { return xpart_.count(mw_.rank()); }
+  // My z-planes of the complex transform (what the charges count).
   std::size_t local_z_count() const { return zpart_.count(mw_.rank()); }
+  // Rank r's half-spectrum planes [kz_begin(r), kz_begin(r) + kz_count(r)).
+  std::size_t kz_begin(int rank) const {
+    return std::min(zpart_.begin(rank), nzh_);
+  }
+  std::size_t kz_count(int rank) const {
+    return std::min(zpart_.end(rank), nzh_) - kz_begin(rank);
+  }
+  std::size_t local_kz_count() const { return kz_count(mw_.rank()); }
 
-  // x-slab buffer: [local_x][ny][nz]; z-slab buffer: [local_z][ny][nx].
+  // x-slab: [local_x][ny][nz] reals; z-slab: [local_kz][ny][nx] values.
   std::size_t x_slab_size() const { return local_x_count() * ny_ * nz_; }
-  std::size_t z_slab_size() const { return local_z_count() * ny_ * nx_; }
+  std::size_t z_slab_size() const { return local_kz_count() * ny_ * nx_; }
 
-  // Forward: x-slab (real-space) -> z-slab (k-space). In-place semantics on
-  // separate buffers; `zslab` must hold z_slab_size() elements.
-  void forward(const Complex* xslab, Complex* zslab);
-  // Backward: z-slab (k-space) -> x-slab (real-space), including the 1/N
-  // normalization so backward(forward(x)) == x.
-  void backward(const Complex* zslab, Complex* xslab);
+  // Forward: real x-slab -> my half-spectrum z-slab, which must hold
+  // z_slab_size() values.
+  void forward(const double* xslab, Complex* zslab);
+  // Backward: z-slab -> real x-slab, including the 1/N normalization so
+  // backward(forward(x)) == x. Overwrites `zslab` on the way.
+  void backward(Complex* zslab, double* xslab);
 
  private:
   void charge(double flops) const {
     if (charge_) charge_(flops);
   }
-  // Packs my x-slab into per-destination blocks ordered (z, y, x) and
-  // exchanges; unpacks into the z-slab layout. `forward` direction.
-  void transpose_xz(const Complex* xslab, Complex* zslab);
-  void transpose_zx(const Complex* zslab, Complex* xslab);
-
-  // One transpose's per-peer byte counts and displacements, fixed by the
-  // two partitions and so built once; `elements` is the number of values
-  // packed plus unpacked, the transpose's charge.
+  // One transpose's per-peer byte counts and displacements (the complex
+  // model's blocks), fixed by the two partitions and so built once;
+  // `elements` is the number of values packed plus unpacked, the
+  // transpose's charge.
   struct TransposeLayout {
     std::vector<std::size_t> send_counts, send_displs;
     std::vector<std::size_t> recv_counts, recv_displs;
     std::size_t elements = 0;
   };
   TransposeLayout layout(bool forward) const;
+  // Ships half_ to every rank's z-slab (`forward` direction) and back.
+  void transpose_xz(Complex* zslab);
+  void transpose_zx(const Complex* zslab);
 
-  std::size_t nx_, ny_, nz_;
+  std::size_t nx_, ny_, nz_, nzh_;
   middleware::Middleware& mw_;
   std::function<void(double)> charge_;
   SlabPartition xpart_;
   SlabPartition zpart_;
   TransposeLayout xz_, zx_;
-  Fft1D fx_, fy_, fz_;
-  std::vector<Complex> sendbuf_;
-  std::vector<Complex> recvbuf_;
-  std::vector<Complex> work_;  // the local stages' copy of a const input
+  Fft1D fx_, fy_;
+  RealFft1D fz_;
+  // The transpose buffers, zero-initialized. The forward transpose sends
+  // from xblocks_ (block d: my x-planes of d's z-planes) into zblocks_
+  // (block s: s's x-planes of mine), the backward one the other way, so
+  // each buffer keeps one block layout. Blocks carry values only at their
+  // front, and the zeros behind them are only ever copied onto zeros.
+  std::vector<Complex> xblocks_;
+  std::vector<Complex> zblocks_;
+  std::vector<Complex> half_;  // my planes' half spectra, [lx][ny][nz/2+1]
 };
 
 // --- 2-D pencil decomposition -----------------------------------------------

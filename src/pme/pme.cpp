@@ -218,9 +218,8 @@ SplineStencil::Taps SplineStencil::taps(std::size_t a,
   return t;
 }
 
-template <class Cell>
 std::size_t SplineStencil::spread(const GridRegion& region,
-                                  Cell* grid) const {
+                                  double* grid) const {
   if (region.empty()) return 0;
   const int order = order_;
   std::size_t applied = 0;
@@ -233,10 +232,10 @@ std::size_t SplineStencil::spread(const GridRegion& region,
       const double wxv = w(0, t.row[0][kx], a);
       for (int ky = 0; ky < t.count[1]; ++ky) {
         const double wxy = q * wxv * w(1, t.row[1][ky], a);
-        Cell* line =
+        double* line =
             grid + (t.off[0][kx] * region.cy + t.off[1][ky]) * region.cz;
         if (t.z_run) {
-          Cell* tap = line + t.off[2][0];
+          double* tap = line + t.off[2][0];
 #pragma omp simd
           for (int jz = 0; jz < order; ++jz) tap[-jz] += wxy * wz[jz];
         } else {
@@ -251,9 +250,8 @@ std::size_t SplineStencil::spread(const GridRegion& region,
 
 // The z accumulation stays a plain loop (no reduction pragma) so the
 // three force sums add in exactly the scalar order.
-template <class Cell>
 std::size_t SplineStencil::interpolate(const GridRegion& region,
-                                       const Cell* grid,
+                                       const double* grid,
                                        std::vector<Vec3>& forces) const {
   if (region.empty()) return 0;
   const double sx = static_cast<double>(dims_[0]) / lens_[0];
@@ -275,10 +273,10 @@ std::size_t SplineStencil::interpolate(const GridRegion& region,
       for (int ky = 0; ky < t.count[1]; ++ky) {
         const double wyv = w(1, t.row[1][ky], a);
         const double dwyv = dw(1, t.row[1][ky], a);
-        const Cell* line =
+        const double* line =
             grid + (t.off[0][kx] * region.cy + t.off[1][ky]) * region.cz;
         for (int k = 0; k < t.count[2]; ++k) {
-          const double phi = std::real(line[t.off[2][k]]);
+          const double phi = line[t.off[2][k]];
           f.x += dwxv * wyv * wz[k] * phi;
           f.y += wxv * dwyv * wz[k] * phi;
           f.z += wxv * wyv * dwz[k] * phi;
@@ -380,15 +378,15 @@ ParallelPme::ParallelPme(const PmeParams& params, const Box& box,
       modz_(bspline_moduli(params.nz, params.order)),
       xslab_(pfft_.x_slab_size()),
       zslab_(pfft_.z_slab_size()) {
-  // Influence factors of my z-planes of k-space, in z-slab order.
+  // Influence factors of my half-spectrum planes, in z-slab order.
   const Influence fac(params_, box_, modx_, mody_, modz_);
-  const std::size_t zb = pfft_.z_slabs().begin(mw_.rank());
+  const std::size_t kz0 = pfft_.kz_begin(mw_.rank());
   influence_.resize(zslab_.size());
-  for (std::size_t zl = 0; zl < pfft_.local_z_count(); ++zl) {
+  for (std::size_t kl = 0; kl < pfft_.local_kz_count(); ++kl) {
     for (std::size_t my = 0; my < params_.ny; ++my) {
       for (std::size_t mx = 0; mx < params_.nx; ++mx) {
-        influence_[(zl * params_.ny + my) * params_.nx + mx] =
-            fac(mx, my, zb + zl);
+        influence_[(kl * params_.ny + my) * params_.nx + mx] =
+            fac(mx, my, kz0 + kl);
       }
     }
   }
@@ -433,7 +431,7 @@ double ParallelPme::reciprocal(const Topology& topo,
     if (touches_slab(i)) atoms_.push_back(static_cast<int>(i));
   }
   stencil_.load(topo, pos, atoms_);
-  std::fill(xslab_.begin(), xslab_.end(), fft::Complex(0, 0));
+  std::fill(xslab_.begin(), xslab_.end(), 0.0);
   const std::size_t stencil = stencil_.spread(slab_, xslab_.data());
   if (charge_) {
     // ~6 flops per atom for the rejection test, ~20 per stencil update.
@@ -442,13 +440,22 @@ double ParallelPme::reciprocal(const Topology& topo,
 
   pfft_.forward(xslab_.data(), zslab_.data());
 
-  // Convolution over my z-planes of k-space; z-slab layout is [lz][ny][nx].
+  // Convolution over my half-spectrum planes, z-slab layout [lkz][ny][nx],
+  // with SerialPme's energy weights: the self-conjugate kz = 0 (and nz/2,
+  // nz even) count once, every other plane twice, for its mirror
+  // nz - kz. The charge model counts my complex z-planes.
   const std::size_t lz = pfft_.local_z_count();
+  const std::size_t kz0 = pfft_.kz_begin(mw_.rank());
+  const std::size_t plane = params_.ny * params_.nx;
   double energy = 0.0;
-  for (std::size_t i = 0; i < zslab_.size(); ++i) {
-    const double f = influence_[i];
-    energy += 0.5 * f * std::norm(zslab_[i]);
-    zslab_[i] *= f * K;
+  for (std::size_t kl = 0; kl < pfft_.local_kz_count(); ++kl) {
+    const std::size_t kz = kz0 + kl;
+    const double half = kz == 0 || 2 * kz == params_.nz ? 0.5 : 1.0;
+    for (std::size_t i = kl * plane; i < (kl + 1) * plane; ++i) {
+      const double f = influence_[i];
+      energy += half * f * std::norm(zslab_[i]);
+      zslab_[i] *= f * K;
+    }
   }
   if (charge_) {
     charge_(12.0 * static_cast<double>(lz * params_.ny * params_.nx));

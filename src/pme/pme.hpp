@@ -12,16 +12,20 @@
 // machinery; they differ in the region they spread into and the FFT:
 //  - SerialPme: full grid + sequential real-to-complex 3-D FFT; it
 //    convolves the half spectrum (reference, examples, system relax).
-//  - ParallelPme: x-slab decomposition on top of ParallelFft3D; the only
-//    communication is the two all-to-all personalized transposes inside
-//    the forward/backward FFTs, matching the structure in the paper's
-//    Figure 2. Per-rank partial energies/forces are combined by the
-//    caller's global reduction (the classic part's collective).
+//  - ParallelPme: real x-slab decomposition on top of ParallelFft3D, the
+//    slab real-to-complex transform; each rank convolves its planes of
+//    the half spectrum. The only communication is the two all-to-all
+//    personalized transposes inside the forward/backward FFTs, matching
+//    the structure in the paper's Figure 2. Per-rank partial
+//    energies/forces are combined by the caller's global reduction (the
+//    classic part's collective).
 //  - PencilPme: the charge grid distributed over a 2-D pencil grid (below).
 // The Ewald influence function depends only on (params, box), so each
 // plan tabulates it once for the k-space points it convolves (the half
-// spectrum, its z-slab, or its stage-3 pencils). The parallel PMEs keep
-// complex grids: their payload bytes are the simulated message bytes.
+// spectrum, its half-spectrum z-slab, or its stage-3 pencils). The slab
+// transform ships the complex transform's block sizes; the pencil PME
+// keeps complex grids, because its payload bytes are the simulated
+// message bytes.
 #pragma once
 
 #include <array>
@@ -112,16 +116,12 @@ class SplineStencil {
   // The number of loaded (charged) atoms.
   std::size_t size() const { return q_.size(); }
 
-  // Accumulates q * wx * wy * wz into `grid`, the region's buffer. A
-  // Cell is double or fft::Complex; a complex cell holds the value in its
-  // real part.
-  template <class Cell>
-  std::size_t spread(const GridRegion& region, Cell* grid) const;
+  // Accumulates q * wx * wy * wz into `grid`, the region's buffer.
+  std::size_t spread(const GridRegion& region, double* grid) const;
 
   // Subtracts q * grad(phi) from forces[atom], phi being the potential in
-  // (the real part of) the region's buffer `grid`.
-  template <class Cell>
-  std::size_t interpolate(const GridRegion& region, const Cell* grid,
+  // the region's buffer `grid`.
+  std::size_t interpolate(const GridRegion& region, const double* grid,
                           std::vector<util::Vec3>& forces) const;
 
  private:
@@ -295,8 +295,8 @@ class PencilPme {
 class ParallelPme {
  public:
   // `charge_compute` converts flops to simulated time (may be empty).
-  // The influence factors of this rank's z-slab are tabulated at
-  // construction.
+  // The influence factors of this rank's half-spectrum planes are
+  // tabulated at construction.
   ParallelPme(const PmeParams& params, const md::Box& box,
               middleware::Middleware& mw,
               std::function<void(double flops)> charge_compute = {});
@@ -322,8 +322,8 @@ class ParallelPme {
   std::vector<int> atoms_;  // charged atoms whose x-stencil meets my slab
   std::vector<double> modx_, mody_, modz_;
   std::vector<double> influence_;  // per z-slab point, zslab_ order
-  std::vector<fft::Complex> xslab_;  // the slab region's buffer
-  std::vector<fft::Complex> zslab_;
+  std::vector<double> xslab_;        // the slab region's buffer
+  std::vector<fft::Complex> zslab_;  // my half-spectrum planes
 };
 
 }  // namespace repro::pme

@@ -423,27 +423,24 @@ TEST(SlabPartitionTest, BalancedWithinOne) {
 
 // --- parallel FFT -----------------------------------------------------------
 
-class ParallelFftTest : public ::testing::TestWithParam<int> {};
+// Runs the slab transform of a random real nx x ny x nz grid on p ranks
+// and holds every rank's half-spectrum z-slab (layout [lkz][ny][nx]) to
+// RealFft3D's half spectrum within 1e-8, and the round trip back to its
+// x-slab within 1e-10. Returns each rank's half-spectrum plane count.
+std::vector<std::size_t> check_slab_transform(std::size_t nx, std::size_t ny,
+                                              std::size_t nz, int p,
+                                              std::uint64_t seed) {
+  const auto full = random_real_grid(nx * ny * nz, seed);
+  RealFft3D serial(nx, ny, nz);
+  std::vector<Complex> reference(serial.spectrum_size());
+  serial.forward(full.data(), reference.data());
+  const std::size_t nzh = serial.half_nz();
 
-TEST_P(ParallelFftTest, MatchesSerial3D) {
-  const int p = GetParam();
-  const std::size_t nx = 20;
-  const std::size_t ny = 9;
-  const std::size_t nz = 12;
-  auto full = random_signal(nx * ny * nz, 123);
-
-  // Serial reference.
-  auto reference = full;
-  Fft3D serial(nx, ny, nz);
-  serial.forward(reference.data());
-
-  // Distributed run: forward then backward, checking both against the
-  // reference and the round trip.
   net::ClusterConfig config;
   config.nranks = p;
-  config.network = net::Network::kMyrinetGM;
   net::ClusterNetwork cluster(config);
   std::vector<perf::RankRecorder> recs(static_cast<std::size_t>(p));
+  std::vector<std::size_t> planes(static_cast<std::size_t>(p));
   sim::Engine engine(p);
   engine.run([&](sim::RankCtx& ctx) {
     mpi::Comm comm(ctx, cluster,
@@ -452,123 +449,62 @@ TEST_P(ParallelFftTest, MatchesSerial3D) {
     ParallelFft3D pfft(nx, ny, nz, mw);
     const int me = comm.rank();
     const std::size_t x0 = pfft.x_slabs().begin(me);
-    const std::size_t lx = pfft.x_slabs().count(me);
-
-    std::vector<Complex> xslab(full.begin() + static_cast<long>(x0 * ny * nz),
-                               full.begin() +
-                                   static_cast<long>((x0 + lx) * ny * nz));
+    const std::vector<double> xslab(
+        full.begin() + static_cast<long>(x0 * ny * nz),
+        full.begin() + static_cast<long>(x0 * ny * nz + pfft.x_slab_size()));
     std::vector<Complex> zslab(pfft.z_slab_size());
     pfft.forward(xslab.data(), zslab.data());
 
-    // Check my z-slab of k-space against the serial transform:
-    // z-slab layout is [lz][ny][nx].
-    const std::size_t z0 = pfft.z_slabs().begin(me);
-    for (std::size_t zl = 0; zl < pfft.local_z_count(); ++zl) {
+    const std::size_t kz0 = pfft.kz_begin(me);
+    planes[static_cast<std::size_t>(me)] = pfft.local_kz_count();
+    for (std::size_t kl = 0; kl < pfft.local_kz_count(); ++kl) {
       for (std::size_t y = 0; y < ny; ++y) {
         for (std::size_t x = 0; x < nx; ++x) {
-          const Complex got = zslab[(zl * ny + y) * nx + x];
-          const Complex want = reference[(x * ny + y) * nz + (z0 + zl)];
+          const Complex got = zslab[(kl * ny + y) * nx + x];
+          const Complex want = reference[(x * ny + y) * nzh + kz0 + kl];
           EXPECT_NEAR(std::abs(got - want), 0.0, 1e-8)
-              << "p=" << p << " x=" << x << " y=" << y << " z=" << z0 + zl;
+              << "p=" << p << " x=" << x << " y=" << y << " kz=" << kz0 + kl;
         }
       }
     }
 
-    // Round trip back to the x-slab.
-    std::vector<Complex> back(pfft.x_slab_size());
+    std::vector<double> back(pfft.x_slab_size());
     pfft.backward(zslab.data(), back.data());
     for (std::size_t i = 0; i < back.size(); ++i) {
-      EXPECT_NEAR(std::abs(back[i] - full[x0 * ny * nz + i]), 0.0, 1e-10);
+      EXPECT_NEAR(back[i], xslab[i], 1e-10) << "p=" << p << " i=" << i;
     }
   });
+  return planes;
+}
+
+class ParallelFftTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelFftTest, MatchesSerial3D) {
+  const int p = GetParam();
+  const auto planes = check_slab_transform(20, 9, 12, p, 123);
+  // The ranks own the half spectrum's 7 planes between them.
+  std::size_t total = 0;
+  for (const std::size_t n : planes) total += n;
+  EXPECT_EQ(total, 7u) << "p=" << p;
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, ParallelFftTest,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 16));
 
 TEST(ParallelFftTest2, OddMixedRadixGridMatchesSerial) {
-  // Fully odd/mixed-radix extents: every axis hits the Bluestein/odd
-  // factor paths and the slab partition is uneven on both transposed
-  // dimensions.
-  const std::size_t nx = 15;
-  const std::size_t ny = 9;
-  const std::size_t nz = 7;
-  const int p = 4;
-  auto full = random_signal(nx * ny * nz, 77);
-  auto reference = full;
-  Fft3D serial(nx, ny, nz);
-  serial.forward(reference.data());
-
-  net::ClusterConfig config;
-  config.nranks = p;
-  net::ClusterNetwork cluster(config);
-  std::vector<perf::RankRecorder> recs(static_cast<std::size_t>(p));
-  sim::Engine engine(p);
-  engine.run([&](sim::RankCtx& ctx) {
-    mpi::Comm comm(ctx, cluster,
-                   recs[static_cast<std::size_t>(ctx.rank())]);
-    middleware::MpiMiddleware mw(comm);
-    ParallelFft3D pfft(nx, ny, nz, mw);
-    const int me = comm.rank();
-    const std::size_t x0 = pfft.x_slabs().begin(me);
-    std::vector<Complex> xslab(
-        full.begin() + static_cast<long>(x0 * ny * nz),
-        full.begin() + static_cast<long>(pfft.x_slabs().end(me) * ny * nz));
-    std::vector<Complex> zslab(pfft.z_slab_size());
-    pfft.forward(xslab.data(), zslab.data());
-    const std::size_t z0 = pfft.z_slabs().begin(me);
-    for (std::size_t zl = 0; zl < pfft.local_z_count(); ++zl) {
-      for (std::size_t y = 0; y < ny; ++y) {
-        for (std::size_t x = 0; x < nx; ++x) {
-          const Complex got = zslab[(zl * ny + y) * nx + x];
-          const Complex want = reference[(x * ny + y) * nz + (z0 + zl)];
-          EXPECT_NEAR(std::abs(got - want), 0.0, 1e-8);
-        }
-      }
-    }
-    std::vector<Complex> back(pfft.x_slab_size());
-    pfft.backward(zslab.data(), back.data());
-    for (std::size_t i = 0; i < back.size(); ++i) {
-      EXPECT_NEAR(std::abs(back[i] - xslab[i]), 0.0, 1e-10);
-    }
-  });
+  // Fully odd/mixed-radix extents: every axis hits the odd factor paths,
+  // the slab partition is uneven on both transposed dimensions, odd nz
+  // leaves no kz = nz/2 plane and the 4 half-spectrum planes fall to
+  // ranks 0 and 1.
+  const auto planes = check_slab_transform(15, 9, 7, 4, 77);
+  EXPECT_EQ(planes, (std::vector<std::size_t>{2, 2, 0, 0}));
 }
 
 TEST(ParallelFftTest2, WorksWithEmptySlabs) {
-  // More ranks than z-planes: some ranks own zero planes in k-space.
-  const std::size_t nx = 16;
-  const std::size_t ny = 4;
-  const std::size_t nz = 4;
-  const int p = 8;
-  auto full = random_signal(nx * ny * nz, 9);
-  auto reference = full;
-  Fft3D serial(nx, ny, nz);
-  serial.forward(reference.data());
-
-  net::ClusterConfig config;
-  config.nranks = p;
-  net::ClusterNetwork cluster(config);
-  std::vector<perf::RankRecorder> recs(static_cast<std::size_t>(p));
-  sim::Engine engine(p);
-  engine.run([&](sim::RankCtx& ctx) {
-    mpi::Comm comm(ctx, cluster,
-                   recs[static_cast<std::size_t>(ctx.rank())]);
-    middleware::MpiMiddleware mw(comm);
-    ParallelFft3D pfft(nx, ny, nz, mw);
-    const int me = comm.rank();
-    const std::size_t x0 = pfft.x_slabs().begin(me);
-    std::vector<Complex> xslab(
-        full.begin() + static_cast<long>(x0 * ny * nz),
-        full.begin() +
-            static_cast<long>(pfft.x_slabs().end(me) * ny * nz));
-    std::vector<Complex> zslab(pfft.z_slab_size());
-    std::vector<Complex> back(pfft.x_slab_size());
-    pfft.forward(xslab.data(), zslab.data());
-    pfft.backward(zslab.data(), back.data());
-    for (std::size_t i = 0; i < back.size(); ++i) {
-      EXPECT_NEAR(std::abs(back[i] - xslab[i]), 0.0, 1e-10);
-    }
-  });
+  // More ranks than z-planes, and past the middle of the spectrum: ranks
+  // 3-7 own no half-spectrum plane.
+  const auto planes = check_slab_transform(16, 4, 4, 8, 9);
+  EXPECT_EQ(planes, (std::vector<std::size_t>{1, 1, 1, 0, 0, 0, 0, 0}));
 }
 
 // The element type of the slab transform's x-slab, read off forward(), so
@@ -722,10 +658,11 @@ TEST(ParallelFftTest2, ChargesComputeTime) {
 
 // Canonical byte-wise 64-bit FNV-1a, kept local so the pins do not move
 // with util::fnv1a_bytes.
-std::uint64_t digest(const std::vector<Complex>& v) {
+template <class T>
+std::uint64_t digest(const std::vector<T>& v) {
   const auto* p = reinterpret_cast<const unsigned char*>(v.data());
   std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < v.size() * sizeof(Complex); ++i) {
+  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
     h ^= p[i];
     h *= 1099511628211ULL;
   }
@@ -876,18 +813,20 @@ TEST(BatchShapeTest2, ZeroCountTouchesNothing) {
   plan.inverse_many(nullptr, 0, 1, 48);
 }
 
-// Slab transform on a 20 x 9 x 12 grid: the concatenated z-slabs after
-// forward() and the concatenated x-slabs after backward() of that result.
+// Slab transform of a real 20 x 9 x 12 grid: the concatenated half-spectrum
+// z-slabs after forward() and the concatenated x-slabs after backward()
+// of that result. The z pass pairs the real lines of each rank's slab, so
+// the bits depend on p.
 void run_parallel_pin(int p, std::uint64_t want_forward,
                       std::uint64_t want_backward) {
   const std::size_t nx = 20, ny = 9, nz = 12;
-  const auto full = random_signal(nx * ny * nz, 2024);
+  const auto full = random_real_grid(nx * ny * nz, 2024);
   net::ClusterConfig config;
   config.nranks = p;
   net::ClusterNetwork cluster(config);
   std::vector<perf::RankRecorder> recs(static_cast<std::size_t>(p));
   std::vector<std::vector<Complex>> zslabs(static_cast<std::size_t>(p));
-  std::vector<std::vector<Complex>> xslabs(static_cast<std::size_t>(p));
+  std::vector<std::vector<double>> xslabs(static_cast<std::size_t>(p));
   sim::Engine engine(p);
   engine.run([&](sim::RankCtx& ctx) {
     mpi::Comm comm(ctx, cluster, recs[static_cast<std::size_t>(ctx.rank())]);
@@ -895,15 +834,17 @@ void run_parallel_pin(int p, std::uint64_t want_forward,
     ParallelFft3D pfft(nx, ny, nz, mw);
     const auto me = static_cast<std::size_t>(comm.rank());
     const std::size_t x0 = pfft.x_slabs().begin(comm.rank());
-    const std::vector<Complex> xslab(
+    const std::vector<double> xslab(
         full.begin() + static_cast<long>(x0 * ny * nz),
         full.begin() + static_cast<long>(x0 * ny * nz + pfft.x_slab_size()));
     zslabs[me].resize(pfft.z_slab_size());
     pfft.forward(xslab.data(), zslabs[me].data());
     xslabs[me].resize(pfft.x_slab_size());
-    pfft.backward(zslabs[me].data(), xslabs[me].data());
+    auto kspace = zslabs[me];  // backward() overwrites its input
+    pfft.backward(kspace.data(), xslabs[me].data());
   });
-  std::vector<Complex> kspace, back;
+  std::vector<Complex> kspace;
+  std::vector<double> back;
   for (int r = 0; r < p; ++r) {
     const auto& z = zslabs[static_cast<std::size_t>(r)];
     const auto& x = xslabs[static_cast<std::size_t>(r)];
@@ -915,11 +856,11 @@ void run_parallel_pin(int p, std::uint64_t want_forward,
 }
 
 TEST(ParallelFftBitIdentityTest, OneRankMatchesPinnedDigests) {
-  run_parallel_pin(1, 0x091fd10a6070b565ULL, 0xc73836eccf7d7aa1ULL);
+  run_parallel_pin(1, 0xa60443f17a2c586eULL, 0x89a24ca092894abfULL);
 }
 
 TEST(ParallelFftBitIdentityTest, ThreeRanksMatchPinnedDigests) {
-  run_parallel_pin(3, 0x091fd10a6070b565ULL, 0xc73836eccf7d7aa1ULL);
+  run_parallel_pin(3, 0x96931683bdd90844ULL, 0x585fadf2c2695194ULL);
 }
 
 // Pencil transform on a 20 x 9 x 12 grid over a 2 x 3 process grid: the
