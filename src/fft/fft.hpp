@@ -5,7 +5,8 @@
 // Bluestein's chirp-z algorithm for sizes with large prime factors.
 // Fft3D applies 1-D plans along the three axes of a row-major
 // [nx][ny][nz] grid; RealFft3D does the same for a real grid and its half
-// spectrum (the serial PME's charge grid), with about half the work.
+// spectrum (the serial PME's charge grid), with about half the work. Its
+// z pass, RealFft1D, is also the slab transform's (parallel_fft.hpp).
 //
 // There is one mixed-radix kernel, and it is batched: forward_many() and
 // inverse_many() gather up to kBatch lines into lane-contiguous real and
@@ -121,11 +122,10 @@ class RealFft1D {
  public:
   explicit RealFft1D(std::size_t n);
 
-  std::size_t half_size() const { return nh_; }
   // The complex plan of size n; the cost model charges its flops() a line.
   const Fft1D& complex_plan() const { return f_; }
 
-  // `count` real lines at in[l * n] to half spectra at out[l * half_size()].
+  // `count` real lines at in[l * n] to half spectra at out[l * (n/2+1)].
   void forward_many(const double* in, std::size_t count, Complex* out);
   // The inverse, including the 1/n scaling. The imaginary parts at k = 0
   // (and k = n/2 for even n) are taken as zero, as they are in the

@@ -5,8 +5,7 @@
 //     exactly (the transposes only move values, never do arithmetic);
 //   - content: the distributed stages are a permutation of the global
 //     grid — assembling every rank's pencils reconstructs each point
-//     exactly once, and forward k-space matches both the serial Fft3D
-//     and the slab ParallelFft3D layouts;
+//     exactly once, and forward k-space matches the serial Fft3D;
 //   - round trip: backward(forward(x)) == x to 1e-12.
 // Grid sizes, pencil shapes, and rank counts are swept over divisible,
 // non-divisible, odd/mixed-radix, degenerate (1 x Pz), and
