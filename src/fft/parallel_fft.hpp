@@ -62,7 +62,6 @@ class ParallelFft3D {
                 std::function<void(double flops)> charge = {});
 
   const SlabPartition& x_slabs() const { return xpart_; }
-  const SlabPartition& z_slabs() const { return zpart_; }
   std::size_t local_x_count() const { return xpart_.count(mw_.rank()); }
   // My z-planes of the complex transform (what the charges count).
   std::size_t local_z_count() const { return zpart_.count(mw_.rank()); }

@@ -6,8 +6,8 @@
 #include <complex>
 #include <cstdio>
 #include <cstring>
-#include <numbers>
 #include <functional>
+#include <numbers>
 #include <string>
 #include <type_traits>
 #include <vector>
