@@ -802,7 +802,8 @@ std::uint64_t op_stream_digest(const core::CellTrace& trace) {
 
 // Every strategy's op stream on a small water box at p=4, over 6 steps so
 // the rebuild at step 5 puts migration, ghost renegotiation and the
-// balancer's unit handoff in the stream. The digests were recorded before
+// balancer's unit handoff in the stream (and, under pencil PME, the
+// regions the rebalance re-derives). The digests were recorded before
 // the strategies shared one force-evaluation path and pin that refactor:
 // any change to a rank's operations, phase names or compute charges moves
 // them.
@@ -818,6 +819,7 @@ TEST(DecompositionOpStreamTest, DigestsArePinned) {
       {"spatial", 0xbd2c18eeb20c37f4ULL},
       {"spatial:pme=pencil", 0x3b3753e5a1bbbc29ULL},
       {"spatial:ldb=greedy", 0x45b86ddd3598c993ULL},
+      {"spatial:pme=pencil:ldb=greedy", 0x1276a568b27a6df3ULL},
   };
   for (const auto& c : cases) {
     core::ExperimentSpec spec;
