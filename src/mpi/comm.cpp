@@ -450,40 +450,6 @@ void Comm::allreduce_ring(double* data, std::size_t n) {
   }
 }
 
-void Comm::allgatherv(const void* send_buf, std::size_t send_bytes,
-                      void* recv_buf,
-                      const std::vector<std::size_t>& counts,
-                      const std::vector<std::size_t>& displs) {
-  const int p = size();
-  const int r = rank();
-  REPRO_REQUIRE(counts.size() == static_cast<std::size_t>(p) &&
-                    displs.size() == static_cast<std::size_t>(p),
-                "allgatherv: counts/displs must have one entry per rank");
-  REPRO_REQUIRE(send_bytes == counts[static_cast<std::size_t>(r)],
-                "allgatherv: my block size disagrees with counts[rank]");
-  auto* out = static_cast<unsigned char*>(recv_buf);
-  // Zero-length blocks are legal (and exercised by the property tests);
-  // memcpy with a null source is UB even at n == 0.
-  if (send_bytes > 0) {
-    std::memcpy(out + displs[static_cast<std::size_t>(r)], send_buf,
-                send_bytes);
-  }
-  if (p == 1) return;
-
-  const int tag = next_collective_tag();
-  const int right = (r + 1) % p;
-  const int left = (r - 1 + p) % p;
-  // Ring: in step s, forward the block that arrived in step s-1 (starting
-  // with our own); after p-1 steps every rank holds every block.
-  for (int s = 1; s < p; ++s) {
-    const auto send_block = static_cast<std::size_t>((r - s + 1 + p) % p);
-    const auto recv_block = static_cast<std::size_t>((r - s + p) % p);
-    send(right, tag, out + displs[send_block], counts[send_block],
-         /*exchange=*/true);
-    recv(left, tag, out + displs[recv_block], counts[recv_block]);
-  }
-}
-
 void Comm::alltoallv(const void* send_buf,
                      const std::vector<std::size_t>& send_counts,
                      const std::vector<std::size_t>& send_displs,

@@ -5,9 +5,9 @@
 // never waits for a matching receive, but pays host costs and NIC
 // back-pressure per the network model. Collectives are built from
 // point-to-point using the algorithms of MPICH-1-era implementations
-// (binomial trees, dissemination barrier, ring allgather, pairwise
-// all-to-all), so their cost structure emerges from the network model
-// rather than being modeled directly.
+// (binomial trees, dissemination barrier, ring reduce-scatter +
+// allgather allreduce, pairwise all-to-all), so their cost structure
+// emerges from the network model rather than being modeled directly.
 //
 // Time accounting: time inside data-transfer calls (host protocol work,
 // copies, blocked receive waits) is recorded as communication; control
@@ -178,11 +178,6 @@ class Comm {
   // Algorithm chosen by the CollectiveConfig (MPICH-1 reduce+bcast by
   // default); all variants produce identical results on every rank.
   void allreduce_sum(double* data, std::size_t n);
-  // Gathers variable-size byte blocks from all ranks into recv (ring
-  // algorithm). counts[r] is rank r's block size; displs[r] its offset.
-  void allgatherv(const void* send_buf, std::size_t send_bytes,
-                  void* recv_buf, const std::vector<std::size_t>& counts,
-                  const std::vector<std::size_t>& displs);
   // Personalized all-to-all over byte blocks (pairwise exchange).
   // send_counts/send_displs index into `send`; recv sides likewise.
   void alltoallv(const void* send, const std::vector<std::size_t>& send_counts,

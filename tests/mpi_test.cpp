@@ -212,33 +212,6 @@ TEST_P(CollectiveTest, AllreduceSum) {
   });
 }
 
-TEST_P(CollectiveTest, AllgathervVariableBlocks) {
-  const int p = GetParam();
-  run_cluster(p, [p](Comm& comm) {
-    // Rank r contributes r+1 doubles of value r.
-    std::vector<std::size_t> counts(static_cast<std::size_t>(p));
-    std::vector<std::size_t> displs(static_cast<std::size_t>(p));
-    std::size_t total = 0;
-    for (int r = 0; r < p; ++r) {
-      displs[static_cast<std::size_t>(r)] = total;
-      counts[static_cast<std::size_t>(r)] =
-          static_cast<std::size_t>(r + 1) * sizeof(double);
-      total += counts[static_cast<std::size_t>(r)];
-    }
-    std::vector<double> mine(static_cast<std::size_t>(comm.rank() + 1),
-                             static_cast<double>(comm.rank()));
-    std::vector<double> all(total / sizeof(double), -1.0);
-    comm.allgatherv(mine.data(), mine.size() * sizeof(double), all.data(),
-                    counts, displs);
-    std::size_t idx = 0;
-    for (int r = 0; r < p; ++r) {
-      for (int k = 0; k <= r; ++k) {
-        EXPECT_DOUBLE_EQ(all[idx++], static_cast<double>(r));
-      }
-    }
-  });
-}
-
 TEST_P(CollectiveTest, AlltoallvPersonalized) {
   const int p = GetParam();
   run_cluster(p, [p](Comm& comm) {
