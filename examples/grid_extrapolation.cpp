@@ -36,7 +36,7 @@ perf::RunBreakdown run_on(const sysbuild::BuiltSystem& sys,
   std::vector<perf::RankRecorder> recorders(
       static_cast<std::size_t>(nprocs));
   const charmm::CharmmConfig charmm_config;
-  charmm::SharedRunState shared(sys, charmm_config);
+  charmm::SharedRunState shared(sys, charmm_config, nprocs);
   sim::Engine engine(nprocs);
   engine.run([&](sim::RankCtx& ctx) {
     mpi::Comm comm(ctx, network,

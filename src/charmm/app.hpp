@@ -13,7 +13,6 @@
 // classic CHARMM parallelization this class of clusters ran.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -71,17 +70,17 @@ struct RankRunResult {
 
 // The run-start state every rank of one run shares, built once per run
 // and passed to each rank's step program. Ranks run as fibers on one
-// thread, so a piece built on first use is built by the first rank that
-// needs it; every later rank borrows it only after checking, byte for
-// byte, that it would have built the same thing, and a mismatch fails
-// loudly naming the rank. Ranks copy what they mutate. The state lives as
-// long as its run and is never kept across runs.
+// thread. Everything but the neighbor lists is built eagerly from the
+// run's own inputs, so the constructor's errors fail before any rank
+// starts; ranks copy what they mutate. The state lives as long as its run
+// and is never kept across runs.
 class SharedRunState {
  public:
   // Draws the initial velocities and builds the pair-kernel options (and
-  // their mixing table) of `sys` under `config`.
-  SharedRunState(const sysbuild::BuiltSystem& sys,
-                 const CharmmConfig& config);
+  // their mixing table) of `sys` under `config`; for a spatial run on
+  // `nprocs` >= 2 ranks, also its cold start (make_spatial_start).
+  SharedRunState(const sysbuild::BuiltSystem& sys, const CharmmConfig& config,
+                 int nprocs);
 
   // The replicated-data ranks' neighbor lists: one build per rebuild
   // step (md::SharedNeighborList).
@@ -91,24 +90,17 @@ class SharedRunState {
   // The replicated initial velocities (md::assign_velocities at
   // config.temperature_k and config.seed).
   const std::vector<util::Vec3>& velocities() const { return vel_; }
-
-  // The spatial decomposition's step-0 epoch, make_global_epoch(layout,
-  // pos). The first caller computes it; a later caller whose layout's
-  // cell grid and cell_rank or whose positions differ byte for byte from
-  // the first caller's fails with a util::Error naming `rank`.
-  const SpatialEpoch& spatial_epoch(const SpatialLayout& layout,
-                                    const std::vector<util::Vec3>& pos,
-                                    int rank);
+  // The spatial decomposition's cold start; empty for other
+  // decompositions and for p = 1.
+  const std::optional<SpatialStart>& spatial_start() const {
+    return spatial_;
+  }
 
  private:
   md::SharedNeighborList lists_;
   md::NonbondedOptions nb_;
   std::vector<util::Vec3> vel_;
-  // The step-0 epoch and the inputs it was built from.
-  std::optional<SpatialEpoch> epoch_;
-  std::array<int, 3> epoch_grid_{};
-  std::vector<int> epoch_cell_rank_;
-  std::vector<util::Vec3> epoch_pos_;
+  std::optional<SpatialStart> spatial_;
 };
 
 // Runs the energy-calculation workload on one simulated rank under the

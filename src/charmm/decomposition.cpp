@@ -580,10 +580,11 @@ class TaskPmeDecomposition final : public Decomposition {
   }
 
   // Middleware over the contiguous rank group [base, base + size): rank()
-  // and size() report group coordinates; the operations mirror the MPI
-  // personality's algorithms but draw point-to-point tags from a private
+  // and size() report group coordinates, and transpose() is the MPI
+  // personality's pairwise exchange on point-to-point tags from a private
   // sequence (kGroupTagBase..) instead of the comm-wide collective
   // counter, so the other group's program never has to participate.
+  // ParallelPme and its slab FFT call nothing else.
   class GroupMiddleware final : public middleware::Middleware {
    public:
     GroupMiddleware(mpi::Comm& comm, int base, int size)
@@ -592,24 +593,14 @@ class TaskPmeDecomposition final : public Decomposition {
     int rank() const override { return comm_.rank() - base_; }
     int size() const override { return size_; }
 
-    void global_sum(double* data, std::size_t n) override {
-      if (size_ == 1) return;
-      std::vector<double> scratch;
-      std::vector<double> vec(data, data + n);
-      group_reduce_sum(comm_, base_, size_, vec, scratch, next_tag());
-      std::memcpy(data, vec.data(), n * sizeof(double));
-      broadcast(data, n * sizeof(double), 0);
+    void global_sum(double*, std::size_t) override {
+      REPRO_UNREACHABLE("the PME group's slab FFT never sums");
     }
-
     void synchronize() override {
-      if (size_ == 1) return;
-      mpi::Comm::SyncScope sync(comm_);
-      const int tag = next_tag();
-      const int gr = rank();
-      for (int k = 1; k < size_; k <<= 1) {
-        comm_.send(base_ + (gr + k) % size_, tag, nullptr, 0);
-        comm_.recv(base_ + (gr - k + size_) % size_, tag, nullptr, 0);
-      }
+      REPRO_UNREACHABLE("the PME group's slab FFT never synchronizes");
+    }
+    void broadcast(void*, std::size_t, int) override {
+      REPRO_UNREACHABLE("the PME group's slab FFT never broadcasts");
     }
 
     void transpose(const void* send,
@@ -638,29 +629,6 @@ class TaskPmeDecomposition final : public Decomposition {
                    /*exchange=*/true);
         comm_.recv(base_ + static_cast<int>(src), tag,
                    out + recv_displs[src], recv_counts[src]);
-      }
-    }
-
-    void broadcast(void* data, std::size_t bytes, int root) override {
-      if (size_ == 1) return;
-      const int tag = next_tag();
-      const int vrank = (rank() - root + size_) % size_;
-      int mask = 1;
-      while (mask < size_) {
-        if (vrank & mask) {
-          comm_.recv(base_ + (vrank - mask + root) % size_, tag, data,
-                     bytes);
-          break;
-        }
-        mask <<= 1;
-      }
-      mask >>= 1;
-      while (mask > 0) {
-        if (vrank + mask < size_) {
-          comm_.send(base_ + (vrank + mask + root) % size_, tag, data,
-                     bytes);
-        }
-        mask >>= 1;
       }
     }
 
@@ -734,16 +702,20 @@ class SpatialDecomposition final : public Decomposition {
     const md::Box& box = sys.box;
     const auto natoms = static_cast<std::size_t>(topo.natoms());
 
-    SpatialLayout layout = make_spatial_layout(
-        spec_, box, config.cutoff + config.skin, p, &sys.positions);
+    // The run's cold start, built once before any rank started. Ranks
+    // copy only what they mutate: the layout and the unit→rank map.
+    REPRO_REQUIRE(shared.spatial_start().has_value(),
+                  "shared run state was built for another decomposition "
+                  "or rank count");
+    const SpatialStart& start = *shared.spatial_start();
+    SpatialLayout layout = start.layout;
 
     // Work-unit overdecomposition (ldb != off). The cell→unit grid is
-    // frozen for the run; only the unit→rank map migrates. The cold-start
-    // map replaces the packer's cell→rank assignment with a pair-cost
-    // weighted one; every later epoch's layout is derived from the map.
+    // frozen for the run; only the unit→rank map migrates, and every
+    // later epoch's layout is derived from the map.
     const bool ldb_on = spec_.ldb != LdbPolicy::kOff;
-    std::optional<UnitGrid> units;
-    std::vector<int> unit_rank;
+    const std::optional<UnitGrid>& units = start.units;
+    std::vector<int> unit_rank = start.unit_rank;
     std::uint64_t unit_map_hash = 0;
     std::size_t units_moved = 0;
     auto hash_unit_map = [&]() {
@@ -751,13 +723,7 @@ class SpatialDecomposition final : public Decomposition {
           unit_map_hash, util::fnv1a_bytes(unit_rank.data(),
                                            unit_rank.size() * sizeof(int)));
     };
-    if (ldb_on) {
-      units.emplace(make_unit_grid(
-          layout, resolved_units(spec_, p, layout.ncells()), sys.positions));
-      unit_rank = initial_unit_map(*units, p);
-      layout = layout_from_units(layout, *units, unit_rank);
-      hash_unit_map();
-    }
+    if (ldb_on) hash_unit_map();
     std::vector<int> nbrs =
         layout.rank_neighbors[static_cast<std::size_t>(me)];
     std::size_t nn = nbrs.size();
@@ -778,10 +744,8 @@ class SpatialDecomposition final : public Decomposition {
     std::optional<pme::ParallelPme> ppme;
     std::optional<pme::PencilPme> pencil_pme;
     if (pencil) {
-      const auto [py, pz] =
-          resolved_pencil_grid(spec_, p, config.pme.ny, config.pme.nz);
-      pencil_pme.emplace(config.pme, box, comm, py, pz,
-                         make_pme_regions(layout, config.pme, config.skin),
+      pencil_pme.emplace(config.pme, box, comm, start.pencil_grid.first,
+                         start.pencil_grid.second, start.pme_regions,
                          charge_flops);
     } else {
       ppme.emplace(config.pme, box, mw, charge_flops);
@@ -833,12 +797,10 @@ class SpatialDecomposition final : public Decomposition {
       model_snap = model_cum;
     };
 
-    // Step 0: the identical global epoch of the replicated initial
-    // positions, computed once per run by the first spatial rank and
-    // checked against every later rank's layout and positions — no
-    // communication.
+    // Step 0: the global epoch of the replicated initial positions,
+    // taken from the cold start — no communication.
     auto adopt_global_epoch = [&]() {
-      const SpatialEpoch& epoch = shared.spatial_epoch(layout, pos, me);
+      const SpatialEpoch& epoch = start.epoch;
       owned = epoch.owned[static_cast<std::size_t>(me)];
       send_ids = epoch.send[static_cast<std::size_t>(me)];
       for (std::size_t k = 0; k < nn; ++k) {

@@ -152,14 +152,16 @@ std::vector<int> rebalance_units(LdbPolicy policy,
 }
 
 std::vector<std::vector<int>> replay_unit_maps(
-    const SpatialLayout& base, const UnitGrid& grid,
-    const md::Topology& topo, const md::NeighborList& nbl,
-    const std::vector<util::Vec3>& pos, const CostModel& cost, bool use_pme,
-    LdbPolicy policy, int nprocs, int nrebalances) {
+    const SpatialStart& start, const md::Topology& topo,
+    const md::NeighborList& nbl, const std::vector<util::Vec3>& pos,
+    const CostModel& cost, bool use_pme, LdbPolicy policy, int nrebalances) {
+  REPRO_REQUIRE(start.units.has_value(),
+                "balancer replay needs a start with a work-unit grid");
+  const UnitGrid& grid = *start.units;
   std::vector<int> unit_of_row(pos.size());
   for (std::size_t i = 0; i < pos.size(); ++i) {
     unit_of_row[i] = grid.cell_unit[static_cast<std::size_t>(
-        base.cell_of(pos[i]))];
+        start.layout.cell_of(pos[i]))];
   }
   const UnitWork work = count_unit_work(grid.nunits, topo, nbl, unit_of_row);
   std::vector<double> unit_cost(static_cast<std::size_t>(grid.nunits));
@@ -169,9 +171,10 @@ std::vector<std::vector<int>> replay_unit_maps(
         work.bonded[static_cast<std::size_t>(u)],
         work.excl[static_cast<std::size_t>(u)], use_pme);
   }
-  const std::vector<double> speed(static_cast<std::size_t>(nprocs), 1.0);
+  const std::vector<double> speed(
+      static_cast<std::size_t>(start.layout.nprocs), 1.0);
   std::vector<std::vector<int>> maps;
-  maps.push_back(initial_unit_map(grid, nprocs));
+  maps.push_back(start.unit_rank);
   for (int k = 0; k < nrebalances; ++k) {
     maps.push_back(rebalance_units(policy, unit_cost, speed, maps.back()));
   }

@@ -70,15 +70,15 @@ std::vector<int> rebalance_units(LdbPolicy policy,
                                  const std::vector<double>& rank_speed,
                                  const std::vector<int>& current);
 
-// Zero-drift, fault-free replay of the whole balancer trajectory: the
-// maps a run adopts at the cold start and at each of `nrebalances`
-// rebuild-time rebalances, computed from a full neighbor list over the
-// initial positions with every rank speed 1.0. result[0] is the
-// cold-start map; result[k] the map adopted at the k-th rebalance.
+// Zero-drift, fault-free replay of the whole balancer trajectory from
+// `start` (which must have a unit grid): the maps a run adopts at the
+// cold start and at each of `nrebalances` rebuild-time rebalances,
+// computed from a full neighbor list over the initial positions with
+// every rank speed 1.0. result[0] is start.unit_rank; result[k] the map
+// adopted at the k-th rebalance.
 std::vector<std::vector<int>> replay_unit_maps(
-    const SpatialLayout& base, const UnitGrid& grid,
-    const md::Topology& topo, const md::NeighborList& nbl,
-    const std::vector<util::Vec3>& pos, const CostModel& cost, bool use_pme,
-    LdbPolicy policy, int nprocs, int nrebalances);
+    const SpatialStart& start, const md::Topology& topo,
+    const md::NeighborList& nbl, const std::vector<util::Vec3>& pos,
+    const CostModel& cost, bool use_pme, LdbPolicy policy, int nrebalances);
 
 }  // namespace repro::charmm

@@ -395,7 +395,6 @@ SpatialEpoch make_global_epoch(const SpatialLayout& layout,
   SpatialEpoch epoch;
   const std::size_t n = pos.size();
   const std::size_t p = static_cast<std::size_t>(layout.nprocs);
-  epoch.owner.resize(n);
   epoch.owned.assign(p, {});
   epoch.send.assign(p, {});
   for (std::size_t r = 0; r < p; ++r) {
@@ -404,7 +403,6 @@ SpatialEpoch make_global_epoch(const SpatialLayout& layout,
   for (std::size_t i = 0; i < n; ++i) {
     const int c = layout.cell_of(pos[i]);
     const int r = layout.cell_rank[static_cast<std::size_t>(c)];
-    epoch.owner[i] = r;
     epoch.owned[static_cast<std::size_t>(r)].push_back(static_cast<int>(i));
     const auto& nbrs = layout.rank_neighbors[static_cast<std::size_t>(r)];
     for (int s : layout.cell_border_ranks[static_cast<std::size_t>(c)]) {
@@ -467,6 +465,32 @@ std::vector<pme::GridRegion> make_pme_regions(const SpatialLayout& layout,
                                  count[1],  start[2], count[2]};
   }
   return regions;
+}
+
+SpatialStart make_spatial_start(const DecompSpec& spec, const md::Box& box,
+                                const std::vector<util::Vec3>& pos,
+                                const SimulationConfig& physics, int nprocs) {
+  SpatialStart start;
+  start.layout = make_spatial_layout(spec, box, physics.cutoff + physics.skin,
+                                     nprocs, &pos);
+  if (spec.ldb != LdbPolicy::kOff) {
+    // The cold-start map replaces the packer's cell→rank assignment with
+    // a pair-cost weighted one.
+    start.units.emplace(make_unit_grid(
+        start.layout, resolved_units(spec, nprocs, start.layout.ncells()),
+        pos));
+    start.unit_rank = initial_unit_map(*start.units, nprocs);
+    start.layout = layout_from_units(start.layout, *start.units,
+                                     start.unit_rank);
+  }
+  if (physics.use_pme && spec.pme_mode == PmeMode::kPencil) {
+    start.pencil_grid = resolved_pencil_grid(spec, nprocs, physics.pme.ny,
+                                             physics.pme.nz);
+    start.pme_regions =
+        make_pme_regions(start.layout, physics.pme, physics.skin);
+  }
+  start.epoch = make_global_epoch(start.layout, pos);
+  return start;
 }
 
 }  // namespace repro::charmm

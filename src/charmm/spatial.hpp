@@ -1,5 +1,6 @@
 // Spatial-domain layout for DecompKind::kSpatial: the 3-D cell grid, the
-// cell→rank assignment, and the frozen halo epoch.
+// cell→rank assignment, the frozen halo epoch, and the run's cold start
+// that composes them.
 //
 // The layout is pure geometry — no communication — so the decomposition
 // strategy (charmm/decomposition.cpp) and the analytic overhead predictor
@@ -16,9 +17,12 @@
 //     identical map with no communication.
 #pragma once
 
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "charmm/decomp_spec.hpp"
+#include "charmm/simulation.hpp"
 #include "md/box.hpp"
 #include "pme/pme.hpp"
 #include "util/vec3.hpp"
@@ -72,7 +76,6 @@ SpatialLayout make_spatial_layout(const DecompSpec& spec, const md::Box& box,
 // step. Computable from a full position set (the replicated step-0 state,
 // or the predictor's view of the built system).
 struct SpatialEpoch {
-  std::vector<int> owner;                // atom -> rank
   std::vector<std::vector<int>> owned;   // rank -> sorted atom ids
   // send[r][k]: sorted ids of r's atoms in cells bordering
   // rank_neighbors[r][k] — the position halo r sends (and the force halo
@@ -132,5 +135,30 @@ SpatialLayout layout_from_units(const SpatialLayout& base,
 std::vector<pme::GridRegion> make_pme_regions(const SpatialLayout& layout,
                                               const pme::PmeParams& params,
                                               double skin);
+
+// A spatial run's cold start: every run constant the ranks begin from,
+// computed once from the run's inputs.
+struct SpatialStart {
+  // The step-0 layout: make_spatial_layout's population-weighted packing
+  // or, with ldb != off, layout_from_units over the cold-start map.
+  SpatialLayout layout;
+  // ldb != off only: the frozen work-unit grid and the cold-start
+  // unit→rank map (initial_unit_map).
+  std::optional<UnitGrid> units;
+  std::vector<int> unit_rank;
+  // Pencil PME only: the resolved Py x Pz grid and the layout's regions.
+  std::pair<int, int> pencil_grid{0, 0};
+  std::vector<pme::GridRegion> pme_regions;
+  // The step-0 halo epoch of `pos` under `layout`.
+  SpatialEpoch epoch;
+};
+
+// Composes the cold start for `nprocs` >= 2 ranks under `spec`, with
+// cells at least physics.cutoff + physics.skin wide. Throws util::Error
+// on a grid that is too fine, a unit count the grid cannot honor, or an
+// infeasible pencil grid.
+SpatialStart make_spatial_start(const DecompSpec& spec, const md::Box& box,
+                                const std::vector<util::Vec3>& pos,
+                                const SimulationConfig& physics, int nprocs);
 
 }  // namespace repro::charmm

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "charmm/spatial.hpp"
 #include "core/replay.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
@@ -167,37 +166,15 @@ std::vector<Platform> full_factorial() {
 namespace {
 
 // Fails fast on configurations the workload cannot run, before any rank
-// is spun up.
-void validate_spec(const sysbuild::BuiltSystem& sys,
-                   const ExperimentSpec& spec) {
+// is spun up. A spatial run's layout errors come from building its
+// SharedRunState, which also precedes the ranks.
+void validate_spec(const ExperimentSpec& spec) {
   REPRO_REQUIRE(spec.nprocs >= 1, "experiment needs at least one process");
   charmm::validate_config(spec.charmm);
   if (spec.charmm.decomp.kind == charmm::DecompKind::kTaskPme &&
       spec.nprocs >= 2) {
     // Fails fast on a pme_ranks/nprocs mismatch before spinning up ranks.
     charmm::resolved_pme_ranks(spec.charmm.decomp, spec.nprocs);
-  }
-  if (spec.charmm.decomp.kind == charmm::DecompKind::kSpatial &&
-      spec.nprocs >= 2) {
-    // Fails fast on an infeasible cell grid (cells thinner than
-    // cutoff + skin) before spinning up ranks.
-    const charmm::SpatialLayout probe = charmm::make_spatial_layout(
-        spec.charmm.decomp, sys.box,
-        spec.charmm.cutoff + spec.charmm.skin, spec.nprocs);
-    if (spec.charmm.decomp.ldb != charmm::LdbPolicy::kOff) {
-      // Fails fast on a unit count the grid cannot honor (units < ranks
-      // or units > cells) before spinning up ranks.
-      charmm::resolved_units(spec.charmm.decomp, spec.nprocs,
-                             probe.ncells());
-    }
-    if (spec.charmm.decomp.pme_mode == charmm::PmeMode::kPencil &&
-        spec.nprocs > 1) {
-      // (p == 1 runs the sequential reference program; no pencil grid.)
-      // Fails fast on a pencil grid that needs more ranks than the run
-      // has or more planes than the FFT grid holds.
-      charmm::resolved_pencil_grid(spec.charmm.decomp, spec.nprocs,
-                                   spec.charmm.pme.ny, spec.charmm.pme.nz);
-    }
   }
 }
 
@@ -264,15 +241,15 @@ ExperimentResult run_platform(const ExperimentSpec& spec,
 // rank's operations into `trace` when it is non-null.
 ExperimentResult run_physics(const sysbuild::BuiltSystem& sys,
                              const ExperimentSpec& spec, CellTrace* trace) {
-  validate_spec(sys, spec);
+  validate_spec(spec);
   if (trace != nullptr) {
     trace->assign(static_cast<std::size_t>(spec.nprocs), {});
   }
   std::vector<charmm::RankRunResult> rank_results(
       static_cast<std::size_t>(spec.nprocs));
-  // Run-start state (lists, velocities, pair options, the spatial step-0
-  // epoch) is built once for the run's ranks and dropped with the run.
-  charmm::SharedRunState shared(sys, spec.charmm);
+  // Run-start state (lists, velocities, pair options, the spatial cold
+  // start) is built once for the run's ranks and dropped with the run.
+  charmm::SharedRunState shared(sys, spec.charmm, spec.nprocs);
   ExperimentResult result =
       run_platform(spec, [&](mpi::Comm& comm, middleware::Middleware& mw) {
         const auto r = static_cast<std::size_t>(comm.rank());

@@ -339,13 +339,11 @@ void predict_spatial(const net::NetworkParams& params, int p,
                      const sysbuild::BuiltSystem& sys,
                      const charmm::CharmmConfig& config,
                      OverheadPrediction& out) {
-  const charmm::SpatialLayout base = charmm::make_spatial_layout(
-      config.decomp, sys.box, config.cutoff + config.skin, p,
-      &sys.positions);
-  if (config.decomp.ldb == charmm::LdbPolicy::kOff) {
-    const charmm::SpatialEpoch epoch =
-        charmm::make_global_epoch(base, sys.positions);
-    predict_spatial_epoch(params, p, sys, config, base, epoch, out);
+  const charmm::SpatialStart start = charmm::make_spatial_start(
+      config.decomp, sys.box, sys.positions, config, p);
+  if (!start.units) {
+    predict_spatial_epoch(params, p, sys, config, start.layout, start.epoch,
+                          out);
     return;
   }
 
@@ -353,17 +351,17 @@ void predict_spatial(const net::NetworkParams& params, int p,
   // map plus one rebalance per rebuild after step 0 — and sum the whole
   // run's schedule epoch by epoch. Zero drift keeps atoms in their
   // startup cells, so every epoch's halo schedule and every rebuild
-  // event is fully determined by the replayed maps.
-  const charmm::UnitGrid grid = charmm::make_unit_grid(
-      base, charmm::resolved_units(config.decomp, p, base.ncells()),
-      sys.positions);
+  // event is fully determined by the replayed maps. The replay and
+  // layout_from_units read only the start layout's grid geometry.
+  const charmm::SpatialLayout& base = start.layout;
+  const charmm::UnitGrid& grid = *start.units;
   md::NeighborList nbl(config.cutoff, config.skin);
   nbl.build(sys.topo, sys.box, sys.positions);
   const int nrebalances =
       (config.nsteps - 1) / config.list_rebuild_interval;
   const std::vector<std::vector<int>> maps = charmm::replay_unit_maps(
-      base, grid, sys.topo, nbl, sys.positions, config.cost,
-      config.use_pme, config.decomp.ldb, p, nrebalances);
+      start, sys.topo, nbl, sys.positions, config.cost, config.use_pme,
+      config.decomp.ldb, nrebalances);
 
   std::vector<double> unit_atoms(static_cast<std::size_t>(grid.nunits),
                                  0.0);

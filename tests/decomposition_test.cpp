@@ -368,7 +368,14 @@ TEST(SpatialDecompositionTest, RejectsGridsFinerThanTheCutoff) {
   // non-adjacent cells, so the layout must refuse to run.
   CharmmConfig config = short_config(DecompKind::kSpatial);
   config.decomp = parse_decomp_spec("spatial:grid=7x3x4");
-  EXPECT_THROW(run(core::reference_platform(), 8, config), util::Error);
+  try {
+    run(core::reference_platform(), 8, config);
+    FAIL() << "a grid finer than cutoff + skin ran";
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("spatial grid too fine in x"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(SpatialDecompositionTest, IdleRanksBeyondTheCellCount) {
@@ -406,17 +413,22 @@ TEST(SpatialDecompositionTest, MigratesAtomsAcrossARebuild) {
 
 // --- shared run-start state ------------------------------------------------
 
-// A small water box (12.4 Å) cut into 3x3x3 cells of 4 Å over 4 ranks.
-SpatialLayout small_layout(const sysbuild::BuiltSystem& sys) {
-  DecompSpec spec;
-  spec.kind = DecompKind::kSpatial;
-  return make_spatial_layout(spec, sys.box, 4.0, 4, &sys.positions);
+// A small water box (12.4 Å) cut into 3x3x3 cells of 4 Å (cutoff 3 +
+// skin 1) over a 16^3 PME mesh.
+CharmmConfig small_box_config(const char* decomp) {
+  CharmmConfig config;
+  config.cutoff = 3.0;
+  config.switch_on = 2.5;
+  config.skin = 1.0;
+  config.pme = pme::PmeParams{16, 16, 16, 4, 0.4};
+  config.decomp = parse_decomp_spec(decomp);
+  return config;
 }
 
-TEST(SharedRunStateTest, RanksShareOneEpochAndVelocities) {
+TEST(SharedRunStateTest, SharesVelocitiesAndBuildsOnlySpatialStarts) {
   const auto sys = sysbuild::build_water_box(4);
   const CharmmConfig config;
-  SharedRunState shared(sys, config);
+  const SharedRunState shared(sys, config, 4);
 
   // The velocities are the replicated draw every rank used to make.
   std::vector<util::Vec3> vel;
@@ -427,48 +439,55 @@ TEST(SharedRunStateTest, RanksShareOneEpochAndVelocities) {
             0);
   EXPECT_NE(shared.nonbonded().table, nullptr);
 
-  // The first rank computes the step-0 epoch; the next borrows it.
-  const SpatialLayout layout = small_layout(sys);
-  const SpatialEpoch& first = shared.spatial_epoch(layout, sys.positions, 0);
-  const SpatialEpoch& second = shared.spatial_epoch(layout, sys.positions, 1);
-  EXPECT_EQ(&first, &second);
-  const SpatialEpoch fresh = make_global_epoch(layout, sys.positions);
-  EXPECT_EQ(first.owner, fresh.owner);
-  EXPECT_EQ(first.owned, fresh.owned);
-  EXPECT_EQ(first.send, fresh.send);
-}
-
-TEST(SharedRunStateTest, DifferentLayoutFailsNamingTheRank) {
-  const auto sys = sysbuild::build_water_box(4);
-  SharedRunState shared(sys, CharmmConfig{});
-  const SpatialLayout layout = small_layout(sys);
-  shared.spatial_epoch(layout, sys.positions, 0);
-  SpatialLayout other = layout;
-  other.cell_rank[5] = (other.cell_rank[5] + 1) % other.nprocs;
-  try {
-    shared.spatial_epoch(other, sys.positions, 3);
-    FAIL() << "a rank with another cell layout borrowed the epoch";
-  } catch (const util::Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("rank 3"), std::string::npos) << what;
-    EXPECT_NE(what.find("cell layout"), std::string::npos) << what;
+  // Only a parallel spatial run has a layout to start from.
+  for (const char* decomp : {"atom", "force", "task"}) {
+    const SharedRunState other(sys, small_box_config(decomp), 4);
+    EXPECT_FALSE(other.spatial_start().has_value()) << decomp;
   }
+  const CharmmConfig spatial = small_box_config("spatial");
+  EXPECT_FALSE(SharedRunState(sys, spatial, 1).spatial_start().has_value());
+  EXPECT_TRUE(SharedRunState(sys, spatial, 4).spatial_start().has_value());
 }
 
-TEST(SharedRunStateTest, DifferentStepZeroPositionsFailNamingTheRank) {
+// The cold start equals the composition each spatial rank used to run on
+// its own, field for field.
+TEST(SharedRunStateTest, SpatialStartMatchesThePerFunctionComposition) {
   const auto sys = sysbuild::build_water_box(4);
-  SharedRunState shared(sys, CharmmConfig{});
-  const SpatialLayout layout = small_layout(sys);
-  shared.spatial_epoch(layout, sys.positions, 0);
-  auto diverged = sys.positions;
-  diverged[7].y = std::nextafter(diverged[7].y, 1e9);
-  try {
-    shared.spatial_epoch(layout, diverged, 2);
-    FAIL() << "a rank with other step-0 positions borrowed the epoch";
-  } catch (const util::Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("rank 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("step-0 positions"), std::string::npos) << what;
+  constexpr int p = 4;
+  for (const char* decomp : {"spatial", "spatial:pme=pencil:ldb=greedy"}) {
+    SCOPED_TRACE(decomp);
+    const CharmmConfig config = small_box_config(decomp);
+    const DecompSpec& spec = config.decomp;
+    SpatialLayout layout = make_spatial_layout(
+        spec, sys.box, config.cutoff + config.skin, p, &sys.positions);
+    std::vector<int> unit_rank;
+    if (spec.ldb != LdbPolicy::kOff) {
+      const UnitGrid units = make_unit_grid(
+          layout, resolved_units(spec, p, layout.ncells()), sys.positions);
+      unit_rank = initial_unit_map(units, p);
+      layout = layout_from_units(layout, units, unit_rank);
+    }
+    const SpatialEpoch epoch = make_global_epoch(layout, sys.positions);
+
+    const SharedRunState shared(sys, config, p);
+    ASSERT_TRUE(shared.spatial_start().has_value());
+    const SpatialStart& start = *shared.spatial_start();
+    ASSERT_EQ(start.layout.ncells(), 27);
+    EXPECT_EQ(start.layout.cell_rank, layout.cell_rank);
+    EXPECT_EQ(start.layout.rank_neighbors, layout.rank_neighbors);
+    EXPECT_EQ(start.layout.cell_border_ranks, layout.cell_border_ranks);
+    EXPECT_EQ(start.unit_rank, unit_rank);
+    EXPECT_EQ(start.units.has_value(), spec.ldb != LdbPolicy::kOff);
+    EXPECT_EQ(start.epoch.owned, epoch.owned);
+    EXPECT_EQ(start.epoch.send, epoch.send);
+    if (spec.pme_mode == PmeMode::kPencil) {
+      EXPECT_EQ(start.pencil_grid,
+                resolved_pencil_grid(spec, p, config.pme.ny, config.pme.nz));
+      EXPECT_EQ(start.pme_regions,
+                make_pme_regions(layout, config.pme, config.skin));
+    } else {
+      EXPECT_TRUE(start.pme_regions.empty());
+    }
   }
 }
 
