@@ -449,8 +449,8 @@ TEST(SharedRunStateTest, SharesVelocitiesAndBuildsOnlySpatialStarts) {
   EXPECT_TRUE(SharedRunState(sys, spatial, 4).spatial_start().has_value());
 }
 
-// The cold start equals the composition each spatial rank used to run on
-// its own, field for field.
+// The cold start equals the per-function composition of its parts, field
+// for field.
 TEST(SharedRunStateTest, SpatialStartMatchesThePerFunctionComposition) {
   const auto sys = sysbuild::build_water_box(4);
   constexpr int p = 4;
