@@ -51,6 +51,28 @@ fi
 echo "regenerating quickstart.txt..."
 "$bin" > "$here/quickstart.txt" 2>/dev/null
 
+# The ablation and extension binaries at their default arguments.
+for b in ablation_network_mechanisms ablation_collectives \
+         extension_decoupling extension_fault_tolerance \
+         extension_problem_size; do
+  bin="$build/bench/$b"
+  if [ ! -x "$bin" ]; then
+    echo "error: $bin not built (cmake --build $build first)" >&2
+    exit 1
+  fi
+  echo "regenerating $b.txt..."
+  "$bin" > "$here/$b.txt" 2>/dev/null
+done
+
+# The full factorial, trimmed to two steps and p=2,4,8.
+bin="$build/bench/full_factorial"
+if [ ! -x "$bin" ]; then
+  echo "error: $bin not built (cmake --build $build first)" >&2
+  exit 1
+fi
+echo "regenerating full_factorial.txt..."
+"$bin" --steps=2 --procs=2,4,8 > "$here/full_factorial.txt" 2>/dev/null
+
 # DES scalability record (wall-clock, so not a byte-compared golden):
 # re-measures events/sec up to p=4096 and rewrites BENCH_des_scale.json
 # at the repo root. Skipped unless the bench binary is built.
