@@ -178,7 +178,7 @@ void validate_spec(const ExperimentSpec& spec) {
   }
 }
 
-// Runs `rank_main(comm, mw)` on every rank of a fresh simulated cluster
+// Runs `rank_main(comm)` on every rank of a fresh simulated cluster
 // built from the spec's platform factors, and fills in the result's
 // timing fields: breakdown, metrics, timelines and engine counters.
 template <typename RankMain>
@@ -213,8 +213,7 @@ ExperimentResult run_platform(const ExperimentSpec& spec,
     mpi::Comm comm(ctx, network,
                    recorders[static_cast<std::size_t>(ctx.rank())],
                    spec.collectives);
-    auto mw = middleware::make_middleware(spec.platform.middleware, comm);
-    rank_main(comm, *mw);
+    rank_main(comm);
   });
   // Every message a rank sends must be consumed by the end of the run; a
   // leftover means the schedule sent more than it received.
@@ -250,20 +249,12 @@ ExperimentResult run_physics(const sysbuild::BuiltSystem& sys,
   // Run-start state (lists, velocities, pair options, the spatial cold
   // start) is built once for the run's ranks and dropped with the run.
   charmm::SharedRunState shared(sys, spec.charmm, spec.nprocs);
-  ExperimentResult result =
-      run_platform(spec, [&](mpi::Comm& comm, middleware::Middleware& mw) {
-        const auto r = static_cast<std::size_t>(comm.rank());
-        if (trace == nullptr) {
-          rank_results[r] =
-              charmm::run_charmm_rank(sys, spec.charmm, mw, shared);
-          return;
-        }
-        comm.recorder().attach_trace(&(*trace)[r]);
-        TracingMiddleware tracing(mw);
-        rank_results[r] =
-            charmm::run_charmm_rank(sys, spec.charmm, tracing, shared);
-        comm.recorder().attach_trace(nullptr);
-      });
+  ExperimentResult result = run_platform(spec, [&](mpi::Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    if (trace != nullptr) comm.recorder().attach_trace(&(*trace)[r]);
+    auto mw = middleware::make_middleware(spec.platform.middleware, comm);
+    rank_results[r] = charmm::run_charmm_rank(sys, spec.charmm, *mw, shared);
+  });
 
   const charmm::RankRunResult& first = rank_results.front();
   result.energy = first.last_energy;
@@ -304,10 +295,9 @@ ExperimentResult replay_experiment(const ExperimentSpec& spec,
   REPRO_REQUIRE(trace.size() == static_cast<std::size_t>(spec.nprocs),
                 "replay: the trace has " + std::to_string(trace.size()) +
                     " ranks, the cell " + std::to_string(spec.nprocs));
-  ExperimentResult result =
-      run_platform(spec, [&](mpi::Comm& comm, middleware::Middleware& mw) {
-        replay_rank(trace[static_cast<std::size_t>(comm.rank())], mw);
-      });
+  ExperimentResult result = run_platform(spec, [&](mpi::Comm& comm) {
+    replay_rank(trace[static_cast<std::size_t>(comm.rank())], comm);
+  });
   result.energy = recorded.energy;
   result.position_checksum = recorded.position_checksum;
   result.pairs_in_list = recorded.pairs_in_list;

@@ -1,21 +1,22 @@
 // Physics once, timing many: trace-driven replay of a recorded run.
 //
 // Every rank program charges simulated time only through its operations
-// at the Middleware/Comm boundary — computation seconds, point-to-point
-// messages and the four platform-middleware calls — and none of those
-// depend on the platform unless the program reads its own timing. So two
-// experiments that agree on everything reaching the trajectory (the
-// physics class, same_physics below) issue identical operation sequences:
-// one run records them per rank (perf::RankTrace), and its class-mates
-// replay the traces through their own network, middleware and engine with
-// zero-filled payloads, skipping the physics. core::SweepRunner applies
-// this to sweeps; docs/ARCHITECTURE.md §6 states the contract.
+// at the mpi::Comm boundary — computation seconds and point-to-point
+// messages, the messages inside the platform middleware's and SimMPI's
+// collectives included — and none of those depend on the platform unless
+// the program reads its own timing. So two experiments that agree on
+// everything reaching the trajectory and the message stream (the physics
+// class, same_physics below) issue identical operation sequences: one run
+// records them per rank (perf::RankTrace), and its class-mates replay the
+// traces through their own network and engine with zero-filled payloads,
+// skipping the physics. core::SweepRunner applies this to sweeps;
+// docs/ARCHITECTURE.md §6 states the contract.
 #pragma once
 
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "middleware/middleware.hpp"
+#include "mpi/comm.hpp"
 #include "perf/recorder.hpp"
 
 namespace repro::core {
@@ -25,9 +26,11 @@ using CellTrace = std::vector<perf::RankTrace>;
 
 // True when a and b share one trajectory and one operation sequence per
 // rank: they agree on the whole CharmmConfig, nprocs, the middleware
-// (MPI and CMPI sum in different orders) and the collective algorithms.
-// Everything else in a spec (network, CPUs per node, network params,
-// faults, topology, seed, power, record_timelines) only times the run.
+// (MPI and CMPI sum in different orders) and the collective algorithms
+// (the middleware and the collectives also fix the messages recorded
+// inside them). Everything else in a spec (network, CPUs per node,
+// network params, faults, topology, seed, power, record_timelines) only
+// times the run.
 bool same_physics(const ExperimentSpec& a, const ExperimentSpec& b);
 
 // True unless the rank program reads its own simulated timing
@@ -54,33 +57,7 @@ ExperimentResult replay_experiment(const ExperimentSpec& spec,
                                    const CellTrace& trace,
                                    const ExperimentResult& recorded);
 
-// Middleware decorator for a recording run: appends each platform-
-// middleware call to the rank's trace and mutes the trace while the
-// platform's own algorithm runs, so its internal messages are not
-// recorded (the replay calls the platform middleware again).
-class TracingMiddleware final : public middleware::Middleware {
- public:
-  explicit TracingMiddleware(middleware::Middleware& platform)
-      : Middleware(platform.comm()), platform_(platform) {}
-
-  int rank() const override { return platform_.rank(); }
-  int size() const override { return platform_.size(); }
-
-  void global_sum(double* data, std::size_t n) override;
-  void synchronize() override;
-  void transpose(const void* send,
-                 const std::vector<std::size_t>& send_counts,
-                 const std::vector<std::size_t>& send_displs, void* recv,
-                 const std::vector<std::size_t>& recv_counts,
-                 const std::vector<std::size_t>& recv_displs) override;
-  void broadcast(void* data, std::size_t bytes, int root) override;
-
- private:
-  middleware::Middleware& platform_;
-};
-
-// Issues one rank's recorded operations, in order, through `mw` (the
-// platform middleware) and its Comm.
-void replay_rank(const perf::RankTrace& trace, middleware::Middleware& mw);
+// Issues one rank's recorded operations, in order, through `comm`.
+void replay_rank(const perf::RankTrace& trace, mpi::Comm& comm);
 
 }  // namespace repro::core

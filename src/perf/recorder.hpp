@@ -71,21 +71,17 @@ struct StepComm {
 
 class Timeline;
 
-// One operation of a rank program at the Middleware/Comm boundary,
-// stamped with the component and phase active when it was issued. A
-// rank's RankTrace is everything the platform needs to time the program
-// again without its physics (core/replay.hpp): computation by its raw
-// seconds, messages by their sizes, and the four platform-middleware
-// calls by their shapes.
+// One operation of a rank program at the mpi::Comm boundary, stamped with
+// the component and phase active when it was issued. A rank's RankTrace
+// is everything the platform needs to time the program again without its
+// physics (core/replay.hpp): computation by its raw seconds and every
+// message by its size, the messages inside the middleware's and SimMPI's
+// collectives included.
 struct TraceOp {
   enum class Kind : std::uint8_t {
-    kCompute,      // seconds (before the node's compute factor)
-    kSend,         // peer, tag, size in bytes, exchange, sync
-    kRecv,         // peer, tag, size = buffer bytes, received, sync
-    kGlobalSum,    // size = element count
-    kSynchronize,
-    kTranspose,    // shape = index into RankTrace::transposes
-    kBroadcast,    // size in bytes, peer = root
+    kCompute,  // seconds (before the node's compute factor)
+    kSend,     // peer, tag, size in bytes, exchange, sync
+    kRecv,     // peer, tag, size = buffer bytes, received, sync
     kEndStep,
   };
   Kind kind = Kind::kCompute;
@@ -97,21 +93,11 @@ struct TraceOp {
   int tag = 0;
   std::size_t size = 0;
   std::size_t received = 0;
-  std::size_t shape = 0;
   double seconds = 0.0;
-};
-
-// The block layout of one recorded transpose (Middleware::transpose).
-struct TransposeShape {
-  std::vector<std::size_t> send_counts;
-  std::vector<std::size_t> send_displs;
-  std::vector<std::size_t> recv_counts;
-  std::vector<std::size_t> recv_displs;
 };
 
 struct RankTrace {
   std::vector<TraceOp> ops;
-  std::vector<TransposeShape> transposes;
 };
 
 class RankRecorder {

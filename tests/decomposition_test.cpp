@@ -778,18 +778,13 @@ TEST(DecompositionModelTest, SequentialHasNoScheduleTraffic) {
 
 // FNV digest over every rank's recorded operations: kind, component,
 // phase, peer, tag, size, received, the sync/exchange flags and the bits
-// of the charged seconds, plus each transpose's block layout. Two runs
-// agree on it only if every rank issued the same operations with the same
-// compute charges under the same phase names.
+// of the charged seconds. Two runs agree on it only if every rank issued
+// the same operations and messages (those inside the collectives too)
+// with the same compute charges under the same phase names.
 std::uint64_t op_stream_digest(const core::CellTrace& trace) {
   std::uint64_t h = 0;
   auto mix = [&h](const void* data, std::size_t n) {
     h = util::hash_combine(h, util::fnv1a_bytes(data, n));
-  };
-  auto mix_sizes = [&mix](const std::vector<std::size_t>& v) {
-    const std::size_t n = v.size();
-    mix(&n, sizeof n);
-    mix(v.data(), n * sizeof(std::size_t));
   };
   for (const perf::RankTrace& rank : trace) {
     for (const perf::TraceOp& op : rank.ops) {
@@ -801,18 +796,11 @@ std::uint64_t op_stream_digest(const core::CellTrace& trace) {
           static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.peer)),
           static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.tag)),
           op.size,
-          op.received,
-          op.shape};
+          op.received};
       mix(fields, sizeof fields);
       mix(&op.seconds, sizeof op.seconds);
       const std::string phase = op.phase == nullptr ? "" : op.phase;
       mix(phase.data(), phase.size() + 1);
-    }
-    for (const perf::TransposeShape& t : rank.transposes) {
-      mix_sizes(t.send_counts);
-      mix_sizes(t.send_displs);
-      mix_sizes(t.recv_counts);
-      mix_sizes(t.recv_displs);
     }
     h = util::hash_combine(h, rank.ops.size());
   }
@@ -822,23 +810,23 @@ std::uint64_t op_stream_digest(const core::CellTrace& trace) {
 // Every strategy's op stream on a small water box at p=4, over 6 steps so
 // the rebuild at step 5 puts migration, ghost renegotiation and the
 // balancer's unit handoff in the stream (and, under pencil PME, the
-// regions the rebalance re-derives). The digests were recorded before
-// the strategies shared one force-evaluation path and pin that refactor:
-// any change to a rank's operations, phase names or compute charges moves
-// them.
+// regions the rebalance re-derives). The digests cover every message,
+// the collectives' included, and equal the stream the run issued before
+// recording moved to the Comm boundary alone: any change to a rank's
+// operations, messages, phase names or compute charges moves them.
 TEST(DecompositionOpStreamTest, DigestsArePinned) {
   static const sysbuild::BuiltSystem water = sysbuild::build_water_box(8);
   const struct {
     const char* spec;
     std::uint64_t digest;
   } cases[] = {
-      {"atom", 0xb2aaa09bb132b6b4ULL},
-      {"force", 0x44cea0bdf60b4ec0ULL},
-      {"task", 0xec9bdcc0498c3087ULL},
-      {"spatial", 0xbd2c18eeb20c37f4ULL},
-      {"spatial:pme=pencil", 0x3b3753e5a1bbbc29ULL},
-      {"spatial:ldb=greedy", 0x45b86ddd3598c993ULL},
-      {"spatial:pme=pencil:ldb=greedy", 0x1276a568b27a6df3ULL},
+      {"atom", 0xf64f2a69413c3bceULL},
+      {"force", 0x727a80f3d2e5aad8ULL},
+      {"task", 0x491c8e1f9c1c5f4bULL},
+      {"spatial", 0x3e5aecf825ffe241ULL},
+      {"spatial:pme=pencil", 0xcdea625751868149ULL},
+      {"spatial:ldb=greedy", 0xe30934a09ecf31e8ULL},
+      {"spatial:pme=pencil:ldb=greedy", 0x87eaf698a22b27a7ULL},
   };
   for (const auto& c : cases) {
     core::ExperimentSpec spec;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -446,8 +447,9 @@ TEST(SweepReplayTest, RecorderFailureRunsClassMatesInFull) {
 }
 
 TEST(SweepReplayTest, BrokenTracesFailLoudly) {
-  // Force decomposition: its fold/expand messages are the rank program's
-  // own sends and receives, so they appear in the trace.
+  // Every message of a run is in its trace, the collectives' included;
+  // the force decomposition's fold/expand exchanges give every rank
+  // point-to-point sends and receives of several sizes to break.
   ExperimentSpec spec = replay_spec(net::Network::kTcpGigE, 4);
   spec.charmm.decomp = charmm::parse_decomp_spec("force");
   CellTrace trace;
@@ -495,6 +497,54 @@ TEST(SweepReplayTest, BrokenTracesFailLoudly) {
   EXPECT_THROW(replay_experiment(spec, short_trace, recorded), util::Error);
 }
 
+TEST(SweepReplayTest, TraceHoldsEveryNetworkMessage) {
+  // A recorded trace is the run's whole message stream, the messages
+  // inside the middleware's collectives (allreduce, barrier, CMPI's
+  // neighbor sync, the FFT transposes) included: on every src != dst
+  // channel, the sender's traced sends and the receiver's traced receives
+  // both equal the network's own message and byte counters. A run's
+  // critical path is built from these matched send/receive pairs.
+  using Kind = perf::TraceOp::Kind;
+  using Counts = std::map<std::pair<int, int>, std::pair<std::uint64_t, double>>;
+  const ExperimentSpec mpi = replay_spec(net::Network::kTcpGigE, 4);
+  ExperimentSpec cmpi = mpi;
+  cmpi.platform.middleware = middleware::Kind::kCmpi;
+  ExperimentSpec task = mpi;
+  task.charmm.decomp = charmm::parse_decomp_spec("task");
+  for (const ExperimentSpec& spec : {mpi, cmpi, task}) {
+    CellTrace trace;
+    const ExperimentResult r = record_experiment(small_system(), spec, trace);
+    ASSERT_EQ(trace.size(), static_cast<std::size_t>(spec.nprocs));
+    Counts sent;
+    Counts received;
+    for (int rank = 0; rank < spec.nprocs; ++rank) {
+      for (const perf::TraceOp& op :
+           trace[static_cast<std::size_t>(rank)].ops) {
+        ASSERT_TRUE(op.kind == Kind::kCompute || op.kind == Kind::kSend ||
+                    op.kind == Kind::kRecv || op.kind == Kind::kEndStep)
+            << spec_label(spec);
+        if (op.peer == rank) continue;
+        if (op.kind == Kind::kSend) {
+          auto& [n, bytes] = sent[{rank, op.peer}];
+          ++n;
+          bytes += static_cast<double>(op.size);
+        } else if (op.kind == Kind::kRecv) {
+          auto& [n, bytes] = received[{op.peer, rank}];
+          ++n;
+          bytes += static_cast<double>(op.received);
+        }
+      }
+    }
+    Counts network;
+    for (const perf::ChannelMetrics& ch : r.metrics.channels) {
+      if (ch.src != ch.dst) network[{ch.src, ch.dst}] = {ch.messages, ch.bytes};
+    }
+    EXPECT_FALSE(network.empty()) << spec_label(spec);
+    EXPECT_EQ(sent, network) << spec_label(spec);
+    EXPECT_EQ(received, network) << spec_label(spec);
+  }
+}
+
 TEST(SweepReplayTest, SyncScopedMessagesReplayAsSynchronization) {
   // Messages a rank program sends inside an mpi::Comm::SyncScope (as the
   // task decomposition's group middleware may) are synchronization, and
@@ -509,13 +559,12 @@ TEST(SweepReplayTest, SyncScopedMessagesReplayAsSynchronization) {
     engine.run([&](sim::RankCtx& ctx) {
       mpi::Comm comm(ctx, network,
                      recs[static_cast<std::size_t>(ctx.rank())]);
-      middleware::MpiMiddleware mw(comm);
-      rank_main(comm, mw);
+      rank_main(comm);
     });
     return recs;
   };
   std::vector<perf::RankTrace> traces(p);
-  const auto recorded = run([&](mpi::Comm& comm, middleware::Middleware&) {
+  const auto recorded = run([&](mpi::Comm& comm) {
     comm.recorder().attach_trace(
         &traces[static_cast<std::size_t>(comm.rank())]);
     const int peer = 1 - comm.rank();
@@ -529,8 +578,8 @@ TEST(SweepReplayTest, SyncScopedMessagesReplayAsSynchronization) {
     comm.recv(peer, 8, &x, sizeof x);
     comm.recorder().end_step();
   });
-  const auto replayed = run([&](mpi::Comm& comm, middleware::Middleware& mw) {
-    replay_rank(traces[static_cast<std::size_t>(comm.rank())], mw);
+  const auto replayed = run([&](mpi::Comm& comm) {
+    replay_rank(traces[static_cast<std::size_t>(comm.rank())], comm);
   });
   for (std::size_t r = 0; r < recorded.size(); ++r) {
     EXPECT_GT(recorded[r].time(perf::Component::kOther, perf::Kind::kSync),
