@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <numeric>
 #include <vector>
@@ -93,6 +94,51 @@ TEST(P2PTest, ChannelFifoOrder) {
         int got = -1;
         comm.recv(0, 3, &got, sizeof(got));
         EXPECT_EQ(got, i);
+      }
+    }
+  });
+}
+
+TEST(P2PTest, MessagesEitherSideOfInlineBoundaryArriveIntact) {
+  // A message keeps up to MsgBuf::kInline (16) bytes inline and puts
+  // larger ones on the heap. Ranks 0 and 1 send every size to rank 2, in
+  // opposite orders, so some messages posted later arrive earlier and the
+  // event heap reorders them. Each byte pattern depends on (src, size).
+  const std::vector<std::size_t> sizes{0, 1, 16, 17, 4096};
+  auto pattern = [](int src, std::size_t n) {
+    std::vector<unsigned char> bytes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      bytes[i] = static_cast<unsigned char>(src * 97 + n * 13 + i * 7 + 1);
+    }
+    return bytes;
+  };
+  run_cluster(3, [&](Comm& comm) {
+    const int me = comm.rank();
+    if (me < 2) {
+      for (std::size_t k = 0; k < sizes.size(); ++k) {
+        const std::size_t i = me == 0 ? sizes.size() - 1 - k : k;
+        const std::vector<unsigned char> bytes = pattern(me, sizes[i]);
+        comm.send(2, static_cast<int>(i), bytes.data(), bytes.size());
+      }
+      return;
+    }
+    comm.compute(1.0);  // long after every message has arrived
+    comm.ctx().checkpoint();
+    // The inbox is in arrival order and posts happen in send-time order,
+    // so a send time that goes down means the heap reordered two posts.
+    std::vector<double> sent_at;
+    for (const sim::Delivery& d : comm.ctx().inbox()) {
+      sent_at.push_back(d.payload.get_if<Packet>()->sent_at);
+    }
+    ASSERT_EQ(sent_at.size(), 2 * sizes.size());
+    EXPECT_FALSE(std::is_sorted(sent_at.begin(), sent_at.end()));
+    // Receive in a third order: rank 1 first, largest size first.
+    for (const int src : {1, 0}) {
+      for (std::size_t i = sizes.size(); i-- > 0;) {
+        std::vector<unsigned char> got(sizes.back() + 1, 0xee);
+        got.resize(comm.recv(src, static_cast<int>(i), got.data(), got.size()));
+        EXPECT_EQ(got, pattern(src, sizes[i]))
+            << "src " << src << ", " << sizes[i] << " bytes";
       }
     }
   });

@@ -147,6 +147,36 @@ TEST(EngineTest, DeliveriesArriveInTimeOrder) {
   EXPECT_DOUBLE_EQ(times[0], 2.0);
 }
 
+TEST(EngineTest, EqualTimeDeliveriesKeepPostOrder) {
+  // Ranks 0 and 1 take turns posting to rank 2 (post k at virtual time
+  // k + 1), all for the same arrival time. Equal-time deliveries must
+  // reach the inbox in global post order: the (time, seq) tie-break.
+  constexpr int kPosts = 6;
+  constexpr double kArrival = 10.0;
+  Engine engine(3);
+  std::vector<int> order;
+  std::vector<double> times;
+  engine.run([&](RankCtx& ctx) {
+    if (ctx.rank() < 2) {
+      for (int k = ctx.rank(); k < kPosts; k += 2) {
+        ctx.advance(k + 1.0 - ctx.now());
+        ctx.checkpoint();
+        ctx.post(kArrival, 2, k);
+      }
+    } else {
+      ctx.checkpoint();
+      while (order.size() < kPosts) {
+        while (ctx.inbox().empty()) ctx.block();
+        order.push_back(*ctx.inbox().front().payload.get_if<int>());
+        times.push_back(ctx.inbox().front().time);
+        ctx.inbox().pop_front();
+      }
+    }
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(times, std::vector<double>(kPosts, kArrival));
+}
+
 TEST(EngineTest, WokenRankClockAdvancesToArrival) {
   Engine engine(2);
   double woken_clock = -1.0;
