@@ -1,6 +1,7 @@
 #include "mpi/comm.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/error.hpp"
 
@@ -33,10 +34,8 @@ bool Comm::try_match(int src, int tag, Packet& out, double& arrival) {
   // Deliveries sit in (time, seq) order, so the first match is the
   // earliest-arriving one — the MPI matching rule for a given (src, tag).
   for (auto it = inbox.begin(); it != inbox.end(); ++it) {
-    auto* pkt = it->payload.get_if<Packet>();
-    REPRO_REQUIRE(pkt != nullptr, "foreign payload in MPI inbox");
-    if (matches(*pkt, src, tag)) {
-      out = std::move(*pkt);
+    if (matches(it->packet, src, tag)) {
+      out = std::move(it->packet);
       arrival = it->time;
       inbox.erase(it);
       return true;
@@ -85,15 +84,15 @@ void Comm::await_clear_to_send(int dst, unsigned token) {
     auto& inbox = ctx_.inbox();
     bool found = false;
     for (auto it = inbox.begin(); it != inbox.end(); ++it) {
-      const auto* pkt = it->payload.get_if<Packet>();
-      if (pkt == nullptr || pkt->src != dst || pkt->tag != kCtsTag) continue;
+      const Packet& pkt = it->packet;
+      if (pkt.src != dst || pkt.tag != kCtsTag) continue;
       // A CTS carries exactly one RendezvousToken; anything else on the
       // control tag is a protocol violation — reject it before reading
       // (the payload may be short).
-      REPRO_REQUIRE(pkt->data.size() == sizeof(RendezvousToken),
+      REPRO_REQUIRE(pkt.data.size() == sizeof(RendezvousToken),
                     "malformed clear-to-send packet");
       RendezvousToken body;
-      std::memcpy(&body, pkt->data.data(), sizeof(body));
+      std::memcpy(&body, pkt.data.data(), sizeof(body));
       if (body.token != token) continue;
       inbox.erase(it);
       found = true;

@@ -18,8 +18,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstring>
-#include <memory>
 #include <vector>
 
 #include "net/cluster.hpp"
@@ -58,51 +56,9 @@ struct CollectiveConfig {
   bool operator==(const CollectiveConfig&) const = default;
 };
 
-// Message bytes with small-buffer storage. The high-frequency messages of
-// the CHARMM workload are tiny — zero-byte barrier signals and 8-byte
-// rendezvous control tokens — so they live inline and a send allocates
-// nothing; larger messages fall back to a shared heap buffer.
-class MsgBuf {
- public:
-  static constexpr std::size_t kInline = 16;
-
-  MsgBuf() = default;
-  MsgBuf(const void* src, std::size_t n) : size_(n) {
-    if (n <= kInline) {
-      if (n > 0) std::memcpy(inline_, src, n);
-    } else {
-      heap_ = std::make_shared<std::vector<unsigned char>>(
-          static_cast<const unsigned char*>(src),
-          static_cast<const unsigned char*>(src) + n);
-    }
-  }
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  const unsigned char* data() const {
-    return size_ <= kInline ? inline_ : heap_->data();
-  }
-
- private:
-  std::size_t size_ = 0;
-  unsigned char inline_[kInline] = {};
-  std::shared_ptr<std::vector<unsigned char>> heap_;
-};
-
-// Payload stored in the engine inbox.
-struct Packet {
-  int src = 0;
-  int tag = 0;
-  MsgBuf data;
-  double recv_copy = 0.0;  // receiver CPU cost on consume
-  double sent_at = 0.0;    // sender virtual time at the send call
-};
-
-// The whole point of sim::Payload's buffer size: a Packet (the payload of
-// every simulated message) must travel through the event heap and inboxes
-// without heap allocation.
-static_assert(sim::Payload::fits_inline<Packet>(),
-              "Packet must fit Payload's inline buffer");
+// The engine's message types (sim/packet.hpp), used here by name.
+using sim::MsgBuf;
+using sim::Packet;
 
 struct Request {
   enum class Op { kSend, kRecv } op = Op::kSend;

@@ -101,7 +101,7 @@ FaultInjector::LinkEffect FaultInjector::perturb_link(
   for (const PacketLossFault& loss : spec_.packet_loss) {
     if (loss.loss_prob <= 0.0) continue;
     for (std::size_t k = 0; k < packets; ++k) {
-      // Payload of this packet (the tail packet may be short).
+      // Bytes in this packet (the tail packet may be short).
       const std::size_t pkt_bytes =
           std::min(mtu, bytes > k * mtu ? bytes - k * mtu : std::size_t{0});
       double rto = loss.rto;

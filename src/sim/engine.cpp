@@ -287,8 +287,8 @@ double RankCtx::now() const { return engine_->now(rank_); }
 void RankCtx::advance(double dt) { engine_->advance(rank_, dt); }
 void RankCtx::checkpoint() { engine_->checkpoint(rank_); }
 void RankCtx::block() { engine_->block(rank_); }
-void RankCtx::post(double time, int dst, Payload payload) {
-  engine_->post(time, dst, std::move(payload));
+void RankCtx::post(double time, int dst, Packet packet) {
+  engine_->post(time, dst, std::move(packet));
 }
 std::deque<Delivery>& RankCtx::inbox() { return engine_->inbox(rank_); }
 
@@ -310,9 +310,9 @@ void Engine::block(int rank) {
   yield_to_scheduler(rank);
 }
 
-void Engine::post(double time, int dst, Payload payload) {
+void Engine::post(double time, int dst, Packet packet) {
   REPRO_REQUIRE(dst >= 0 && dst < size(), "post: bad destination rank");
-  event_heap_.push_back(Event{time, next_seq_++, dst, std::move(payload)});
+  event_heap_.push_back(Event{time, next_seq_++, dst, std::move(packet)});
   std::push_heap(event_heap_.begin(), event_heap_.end(), std::greater<>{});
 }
 
@@ -330,7 +330,7 @@ void Engine::deliver_front_event() {
   event_heap_.pop_back();
   ++events_processed_;
   Rank& dst = *ranks_[ev.dst];
-  dst.inbox.push_back(Delivery{ev.time, ev.seq, std::move(ev.payload)});
+  dst.inbox.push_back(Delivery{ev.time, std::move(ev.packet)});
   if (dst.state == State::Blocked) {
     dst.state = State::Ready;
     // A woken rank resumes no earlier than the arrival that woke it.

@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/payload.hpp"
+#include "sim/packet.hpp"
 
 namespace repro::sim {
 
@@ -44,11 +44,10 @@ enum class EngineBackend { kFiber };
 inline const char* to_string(EngineBackend) { return "fiber"; }
 inline EngineBackend default_engine_backend() { return EngineBackend::kFiber; }
 
-// A message (or any payload) delivered to a rank at a virtual time.
+// A packet delivered to a rank at a virtual time.
 struct Delivery {
   double time = 0.0;
-  std::uint64_t seq = 0;  // global order among equal-time deliveries
-  Payload payload;
+  Packet packet;
 };
 
 // Per-rank handle passed to the rank main function. All methods must be
@@ -77,9 +76,9 @@ class RankCtx {
   // delivery's time.
   void block();
 
-  // Schedules a payload for delivery to rank dst at virtual time `time`
+  // Schedules a packet for delivery to rank dst at virtual time `time`
   // (must be >= now()).
-  void post(double time, int dst, Payload payload);
+  void post(double time, int dst, Packet packet);
 
   // Deliveries for this rank in arrival order. The consumer (e.g. the
   // simulated MPI layer) owns matching/removal semantics.
@@ -132,7 +131,7 @@ class Engine {
   void advance(int rank, double dt);
   void checkpoint(int rank);
   void block(int rank);
-  void post(double time, int dst, Payload payload);
+  void post(double time, int dst, Packet packet);
   std::deque<Delivery>& inbox(int rank);
 
   // Scheduler internals (run on the scheduler context).
@@ -152,7 +151,7 @@ class Engine {
     double time;
     std::uint64_t seq;
     int dst;
-    Payload payload;
+    Packet packet;
     bool operator>(const Event& o) const {
       if (time != o.time) return time > o.time;
       return seq > o.seq;

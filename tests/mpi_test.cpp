@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "mpi/comm.hpp"
@@ -99,6 +100,13 @@ TEST(P2PTest, ChannelFifoOrder) {
   });
 }
 
+// A message has one owner from send to receive: copying one is a compile
+// error, and moving one through the event heap cannot throw.
+static_assert(!std::is_copy_constructible_v<Packet> &&
+              !std::is_copy_assignable_v<Packet>);
+static_assert(std::is_nothrow_move_constructible_v<Packet> &&
+              std::is_nothrow_move_assignable_v<Packet>);
+
 TEST(P2PTest, MessagesEitherSideOfInlineBoundaryArriveIntact) {
   // A message keeps up to MsgBuf::kInline (16) bytes inline and puts
   // larger ones on the heap. Ranks 0 and 1 send every size to rank 2, in
@@ -128,7 +136,7 @@ TEST(P2PTest, MessagesEitherSideOfInlineBoundaryArriveIntact) {
     // so a send time that goes down means the heap reordered two posts.
     std::vector<double> sent_at;
     for (const sim::Delivery& d : comm.ctx().inbox()) {
-      sent_at.push_back(d.payload.get_if<Packet>()->sent_at);
+      sent_at.push_back(d.packet.sent_at);
     }
     ASSERT_EQ(sent_at.size(), 2 * sizes.size());
     EXPECT_FALSE(std::is_sorted(sent_at.begin(), sent_at.end()));

@@ -11,6 +11,13 @@
 namespace repro::sim {
 namespace {
 
+// The engine tests carry their integer in the packet's tag.
+Packet tagged(int tag) {
+  Packet packet;
+  packet.tag = tag;
+  return packet;
+}
+
 TEST(ResourceTest, FifoQueueing) {
   Resource r("nic");
   const Interval a = r.acquire(0.0, 2.0);
@@ -75,22 +82,22 @@ TEST(EngineTest, SingleRankRunsToCompletion) {
 TEST(EngineTest, MessageDeliveryWakesBlockedRank) {
   Engine engine(2);
   double received_at = -1.0;
-  int payload_value = 0;
+  int received_tag = 0;
   engine.run([&](RankCtx& ctx) {
     if (ctx.rank() == 0) {
       ctx.advance(1.0);
       ctx.checkpoint();
-      ctx.post(3.0, 1, 42);
+      ctx.post(3.0, 1, tagged(42));
     } else {
       ctx.checkpoint();
       while (ctx.inbox().empty()) ctx.block();
       received_at = ctx.now();
-      payload_value = *ctx.inbox().front().payload.get_if<int>();
+      received_tag = ctx.inbox().front().packet.tag;
       ctx.inbox().pop_front();
     }
   });
   EXPECT_DOUBLE_EQ(received_at, 3.0);
-  EXPECT_EQ(payload_value, 42);
+  EXPECT_EQ(received_tag, 42);
 }
 
 TEST(EngineTest, MinClockRankRunsFirst) {
@@ -103,16 +110,16 @@ TEST(EngineTest, MinClockRankRunsFirst) {
     if (ctx.rank() == 0) {
       ctx.advance(5.0);
       ctx.checkpoint();
-      ctx.post(ctx.now(), 2, 100);
+      ctx.post(ctx.now(), 2, tagged(100));
     } else if (ctx.rank() == 1) {
       ctx.advance(1.0);
       ctx.checkpoint();
-      ctx.post(ctx.now(), 2, 200);
+      ctx.post(ctx.now(), 2, tagged(200));
     } else {
       ctx.checkpoint();
       while (order.size() < 2) {
         while (ctx.inbox().empty()) ctx.block();
-        order.push_back(*ctx.inbox().front().payload.get_if<int>());
+        order.push_back(ctx.inbox().front().packet.tag);
         ctx.inbox().pop_front();
       }
     }
@@ -129,9 +136,9 @@ TEST(EngineTest, DeliveriesArriveInTimeOrder) {
     if (ctx.rank() == 0) {
       ctx.checkpoint();
       // Post out of order; the engine must deliver in time order.
-      ctx.post(5.0, 1, 1);
-      ctx.post(2.0, 1, 2);
-      ctx.post(9.0, 1, 3);
+      ctx.post(5.0, 1, tagged(1));
+      ctx.post(2.0, 1, tagged(2));
+      ctx.post(9.0, 1, tagged(3));
     } else {
       ctx.advance(0.5);
       ctx.checkpoint();
@@ -161,13 +168,13 @@ TEST(EngineTest, EqualTimeDeliveriesKeepPostOrder) {
       for (int k = ctx.rank(); k < kPosts; k += 2) {
         ctx.advance(k + 1.0 - ctx.now());
         ctx.checkpoint();
-        ctx.post(kArrival, 2, k);
+        ctx.post(kArrival, 2, tagged(k));
       }
     } else {
       ctx.checkpoint();
       while (order.size() < kPosts) {
         while (ctx.inbox().empty()) ctx.block();
-        order.push_back(*ctx.inbox().front().payload.get_if<int>());
+        order.push_back(ctx.inbox().front().packet.tag);
         times.push_back(ctx.inbox().front().time);
         ctx.inbox().pop_front();
       }
@@ -184,7 +191,7 @@ TEST(EngineTest, WokenRankClockAdvancesToArrival) {
     if (ctx.rank() == 0) {
       ctx.advance(1.0);
       ctx.checkpoint();
-      ctx.post(7.5, 1, 0);
+      ctx.post(7.5, 1, tagged(0));
     } else {
       ctx.checkpoint();
       while (ctx.inbox().empty()) ctx.block();
@@ -202,7 +209,9 @@ TEST(EngineTest, DeterministicAcrossRuns) {
       // Ping-pong chain: rank r sends to r+1 after computing.
       ctx.advance(0.1 * (ctx.rank() + 1));
       ctx.checkpoint();
-      if (ctx.rank() < 3) ctx.post(ctx.now() + 0.05, ctx.rank() + 1, 0);
+      if (ctx.rank() < 3) {
+        ctx.post(ctx.now() + 0.05, ctx.rank() + 1, tagged(0));
+      }
       if (ctx.rank() > 0) {
         while (ctx.inbox().empty()) ctx.block();
       }
@@ -264,7 +273,7 @@ TEST(EngineTest, ManyRanksStress) {
     ctx.checkpoint();
     // Everyone sends to everyone (including a ring of dependencies).
     for (int d = 0; d < kRanks; ++d) {
-      if (d != r) ctx.post(ctx.now() + 0.001 * (d + 1), d, r);
+      if (d != r) ctx.post(ctx.now() + 0.001 * (d + 1), d, tagged(r));
     }
     while (received[static_cast<std::size_t>(r)] < kRanks - 1) {
       while (ctx.inbox().empty()) ctx.block();
@@ -296,13 +305,13 @@ TEST_P(EngineFuzzTest, RandomWorkloadIsDeterministic) {
         ctx.advance(rng.uniform(0.0, 0.5));
         ctx.checkpoint();
         ctx.post(ctx.now() + rng.uniform(0.01, 0.3), (r + k) % nranks,
-                 r * 100 + k);
+                 tagged(r * 100 + k));
       }
       for (int k = 0; k < kMessages; ++k) {
         ctx.checkpoint();
         while (ctx.inbox().empty()) ctx.block();
         orders[static_cast<std::size_t>(r)].push_back(
-            *ctx.inbox().front().payload.get_if<int>());
+            ctx.inbox().front().packet.tag);
         ctx.inbox().pop_front();
       }
       finish[static_cast<std::size_t>(r)] = ctx.now();
@@ -351,7 +360,7 @@ TEST(EngineTest, RerunAfterAbortStartsClean) {
                  ctx.advance(1.0);
                  ctx.checkpoint();
                  if (ctx.rank() == 1) {
-                   ctx.post(ctx.now() + 100.0, 2, 42);
+                   ctx.post(ctx.now() + 100.0, 2, tagged(42));
                    throw util::Error("boom");
                  }
                }),
@@ -377,7 +386,7 @@ TEST(EngineTest, RerunAfterAbortStartsClean) {
 TEST(EngineTest, RerunResetsStatistics) {
   Engine engine(2);
   engine.run([&](RankCtx& ctx) {
-    if (ctx.rank() == 0) ctx.post(ctx.now(), 1, 1);
+    if (ctx.rank() == 0) ctx.post(ctx.now(), 1, tagged(1));
     ctx.checkpoint();
   });
   const std::uint64_t events_first = engine.events_processed();
@@ -394,13 +403,13 @@ TEST(EngineTest, UndeliveredCountsLeftoverMessages) {
   Engine engine(2);
   // Delivered to rank 1's inbox, which rank 1 never reads.
   engine.run([&](RankCtx& ctx) {
-    if (ctx.rank() == 0) ctx.post(ctx.now(), 1, 7);
+    if (ctx.rank() == 0) ctx.post(ctx.now(), 1, tagged(7));
   });
   EXPECT_EQ(engine.undelivered(), 1u);
 
   // Due after every rank has finished, so it never leaves the event heap.
   engine.run([&](RankCtx& ctx) {
-    if (ctx.rank() == 0) ctx.post(ctx.now() + 10.0, 1, 7);
+    if (ctx.rank() == 0) ctx.post(ctx.now() + 10.0, 1, tagged(7));
   });
   EXPECT_EQ(engine.undelivered(), 1u);
 
