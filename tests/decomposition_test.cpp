@@ -20,6 +20,7 @@
 #include "core/replay.hpp"
 #include "core/sweep.hpp"
 #include "md/integrator.hpp"
+#include "middleware/middleware.hpp"
 #include "net/topology.hpp"
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
@@ -819,10 +820,15 @@ TEST(DecompositionOpStreamTest, DigestsArePinned) {
   const struct {
     const char* spec;
     std::uint64_t digest;
+    middleware::Kind middleware = middleware::Kind::kMpi;
   } cases[] = {
       {"atom", 0xf64f2a69413c3bceULL},
       {"force", 0x727a80f3d2e5aad8ULL},
       {"task", 0x491c8e1f9c1c5f4bULL},
+      // Two PME ranks, so the PME group's transposes and reduce send
+      // messages (one PME rank copies locally and sends nothing).
+      {"task:pme=2", 0xedc46fbddde0dcdfULL},
+      {"task:pme=2", 0x7efd48cc65c5d406ULL, middleware::Kind::kCmpi},
       {"spatial", 0x3e5aecf825ffe241ULL},
       {"spatial:pme=pencil", 0xcdea625751868149ULL},
       {"spatial:ldb=greedy", 0xe30934a09ecf31e8ULL},
@@ -830,6 +836,7 @@ TEST(DecompositionOpStreamTest, DigestsArePinned) {
   };
   for (const auto& c : cases) {
     core::ExperimentSpec spec;
+    spec.platform.middleware = c.middleware;
     spec.nprocs = 4;
     spec.charmm.nsteps = 6;
     spec.charmm.pme = pme::PmeParams{24, 24, 24, 4, 0.4};
@@ -848,8 +855,13 @@ TEST(DecompositionOpStreamTest, DigestsArePinned) {
     if (spec.charmm.decomp.ldb != LdbPolicy::kOff) {
       EXPECT_GT(r.units_moved, 0u) << c.spec;
     }
+    if (spec.charmm.decomp.pme_ranks == 2) {
+      EXPECT_GT(r.metrics.phase_seconds.count("pme_transpose"), 0u);
+      EXPECT_GT(r.metrics.phase_seconds.count("pme_group_reduce"), 0u);
+    }
     EXPECT_EQ(op_stream_digest(trace), c.digest)
-        << c.spec << ": 0x" << std::hex << op_stream_digest(trace);
+        << c.spec << " " << middleware::to_string(c.middleware) << ": 0x"
+        << std::hex << op_stream_digest(trace);
   }
 }
 
