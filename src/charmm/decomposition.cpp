@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <functional>
 #include <optional>
 #include <ranges>
@@ -35,7 +34,7 @@ constexpr int kScheduleTagBase = 1 << 18;
 // Y->X backward transposes, potential plane exchange); op 11 is the
 // work-unit handoff of the measurement-driven load balancer.
 constexpr int kScheduleTagsPerStep = 12;
-// The PME group middleware draws its own fresh tag per operation from
+// The PME group's transport draws its own fresh tag per transpose from
 // here up to the collective base.
 constexpr int kGroupTagBase = 1 << 19;
 
@@ -427,13 +426,13 @@ class ForceDecomposition final : public Decomposition {
 // Task decoupling: dedicated PME ranks.
 //
 // The last m ranks run only the reciprocal-space PME work (over their own
-// m-slab FFT decomposition, presented through a group-restricted
-// middleware); the first q = p - m ranks run only the classic routine,
-// sharded q ways. The two components — which the default schedule
-// serializes through coherency barriers — overlap in virtual time within
-// each step. A combine joins the halves: each group binomial-reduces its
-// packed forces+energies to its group root, the PME root ships its total
-// to rank 0, and a comm-wide broadcast replicates the sum so every rank
+// m-slab FFT decomposition, through a group-restricted transport); the
+// first q = p - m ranks run only the classic routine, sharded q ways. The
+// two components — which the default schedule serializes through
+// coherency barriers — overlap in virtual time within each step. A
+// combine joins the halves: each group binomial-reduces its packed
+// forces+energies to its group root, the PME root ships its total to
+// rank 0, and a comm-wide broadcast replicates the sum so every rank
 // integrates identical forces.
 // --------------------------------------------------------------------------
 class TaskPmeDecomposition final : public Decomposition {
@@ -465,16 +464,16 @@ class TaskPmeDecomposition final : public Decomposition {
     std::vector<double> combined;
     std::vector<double> scratch;
 
-    // The PME group's middleware presents ranks [q, p) as a communicator
-    // of size m; the slab FFT and spreading inside ParallelPme see only
-    // group coordinates. Classic ranks never construct PME machinery, and
-    // share the classic terms q ways.
-    std::optional<GroupMiddleware> gmw;
+    // The PME group's transport presents ranks [q, p) as a group of size
+    // m; the slab FFT and spreading inside ParallelPme see only group
+    // coordinates. Classic ranks never construct PME machinery, and share
+    // the classic terms q ways.
+    std::optional<GroupTransport> group;
     std::optional<pme::ParallelPme> ppme;
     ClassicShare share;
     if (is_pme) {
-      gmw.emplace(comm, q, m);
-      ppme.emplace(config.pme, sys.box, *gmw, rp.charge_flops());
+      group.emplace(comm, mpi::RankRange{q, m});
+      ppme.emplace(config.pme, sys.box, *group, rp.charge_flops());
     } else {
       share = rp.interleaved_share(me, q);
     }
@@ -507,17 +506,17 @@ class TaskPmeDecomposition final : public Decomposition {
       combined.insert(combined.end(), earr.begin(), earr.end());
 
       // Group-internal binomial reduce to the group root (rank 0 for the
-      // classic group, rank q for the PME group) — point-to-point only,
-      // so the groups' different programs cannot misalign the comm-wide
+      // classic group, rank q for the PME group) on a schedule tag, so
+      // the groups' different programs cannot misalign the comm-wide
       // collective tag counters.
       if (is_pme) {
         perf::PhaseScope phase(rec, "pme_group_reduce");
-        group_reduce_sum(comm, q, m, combined, scratch,
-                         schedule_tag(step, 1));
+        comm.reduce_sum(combined.data(), combined.size(), {q, m},
+                        schedule_tag(step, 1));
       } else {
         perf::PhaseScope phase(rec, "classic_group_reduce");
-        group_reduce_sum(comm, 0, q, combined, scratch,
-                         schedule_tag(step, 0));
+        comm.reduce_sum(combined.data(), combined.size(), {0, q},
+                        schedule_tag(step, 0));
       }
 
       // The PME root ships its group's total to rank 0, which owns the
@@ -552,84 +551,26 @@ class TaskPmeDecomposition final : public Decomposition {
   }
 
  private:
-  // Binomial-tree sum over the rank group [base, base + gsize) to the
-  // group root `base` (the same tree Comm::reduce_sum builds), using an
-  // explicit tag instead of the comm-wide collective counter.
-  static void group_reduce_sum(mpi::Comm& comm, int base, int gsize,
-                               std::vector<double>& data,
-                               std::vector<double>& scratch, int tag) {
-    if (gsize == 1) return;
-    const int gr = comm.rank() - base;
-    const std::size_t n = data.size();
-    scratch.resize(n);
-    int mask = 1;
-    while (mask < gsize) {
-      if ((gr & mask) == 0) {
-        const int peer = gr | mask;
-        if (peer < gsize) {
-          comm.recv(base + peer, tag, scratch.data(), n * sizeof(double));
-          for (std::size_t i = 0; i < n; ++i) data[i] += scratch[i];
-        }
-      } else {
-        comm.send(base + (gr & ~mask), tag, data.data(),
-                  n * sizeof(double));
-        break;
-      }
-      mask <<= 1;
-    }
-  }
-
-  // Middleware over the contiguous rank group [base, base + size): rank()
-  // and size() report group coordinates, and transpose() is the MPI
-  // personality's pairwise exchange on point-to-point tags from a private
-  // sequence (kGroupTagBase..) instead of the comm-wide collective
-  // counter, so the other group's program never has to participate.
-  // ParallelPme and its slab FFT call nothing else.
-  class GroupMiddleware final : public middleware::Middleware {
+  // The PME group's transport: ranks `range` as a group of their own.
+  // transpose() is Comm's all-to-all over the range on tags from a
+  // private sequence (kGroupTagBase..) instead of the comm-wide
+  // collective counter, so the classic group never takes part.
+  class GroupTransport final : public middleware::Transport {
    public:
-    GroupMiddleware(mpi::Comm& comm, int base, int size)
-        : Middleware(comm), base_(base), size_(size) {}
+    GroupTransport(mpi::Comm& comm, mpi::RankRange range)
+        : comm_(comm), range_(range) {}
 
-    int rank() const override { return comm_.rank() - base_; }
-    int size() const override { return size_; }
-
-    void global_sum(double*, std::size_t) override {
-      REPRO_UNREACHABLE("the PME group's slab FFT never sums");
-    }
-    void synchronize() override {
-      REPRO_UNREACHABLE("the PME group's slab FFT never synchronizes");
-    }
-    void broadcast(void*, std::size_t, int) override {
-      REPRO_UNREACHABLE("the PME group's slab FFT never broadcasts");
-    }
+    int rank() const override { return comm_.rank() - range_.base; }
+    int size() const override { return range_.size; }
 
     void transpose(const void* send,
                    const std::vector<std::size_t>& send_counts,
                    const std::vector<std::size_t>& send_displs, void* recv,
                    const std::vector<std::size_t>& recv_counts,
                    const std::vector<std::size_t>& recv_displs) override {
-      const int gp = size_;
-      const int gr = rank();
-      REPRO_REQUIRE(send_counts.size() == static_cast<std::size_t>(gp) &&
-                        recv_counts.size() == static_cast<std::size_t>(gp),
-                    "group transpose: counts must have one entry per rank");
-      const auto* in = static_cast<const unsigned char*>(send);
-      auto* out = static_cast<unsigned char*>(recv);
-      std::memcpy(out + recv_displs[static_cast<std::size_t>(gr)],
-                  in + send_displs[static_cast<std::size_t>(gr)],
-                  send_counts[static_cast<std::size_t>(gr)]);
-      if (gp == 1) return;
       perf::PhaseScope phase(comm_.recorder(), "pme_transpose");
-      const int tag = next_tag();
-      for (int k = 1; k < gp; ++k) {
-        const auto dst = static_cast<std::size_t>((gr + k) % gp);
-        const auto src = static_cast<std::size_t>((gr - k + gp) % gp);
-        comm_.send(base_ + static_cast<int>(dst), tag,
-                   in + send_displs[dst], send_counts[dst],
-                   /*exchange=*/true);
-        comm_.recv(base_ + static_cast<int>(src), tag,
-                   out + recv_displs[src], recv_counts[src]);
-      }
+      comm_.alltoallv(send, send_counts, send_displs, recv, recv_counts,
+                      recv_displs, range_, next_tag());
     }
 
    private:
@@ -640,8 +581,8 @@ class TaskPmeDecomposition final : public Decomposition {
       return kGroupTagBase + static_cast<int>(seq_++);
     }
 
-    int base_;
-    int size_;
+    mpi::Comm& comm_;
+    mpi::RankRange range_;
     unsigned seq_ = 0;
   };
 

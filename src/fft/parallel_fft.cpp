@@ -29,16 +29,16 @@ int SlabPartition::owner(std::size_t plane) const {
 }
 
 ParallelFft3D::ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
-                             middleware::Middleware& mw,
+                             middleware::Transport& transport,
                              std::function<void(double)> charge)
     : nx_(nx),
       ny_(ny),
       nz_(nz),
       nzh_(nz / 2 + 1),
-      mw_(mw),
+      transport_(transport),
       charge_(std::move(charge)),
-      xpart_(nx, mw.size()),
-      zpart_(nz, mw.size()),
+      xpart_(nx, transport.size()),
+      zpart_(nz, transport.size()),
       xz_(layout(true)),
       zx_(layout(false)),
       fx_(nx),
@@ -51,8 +51,8 @@ ParallelFft3D::ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
 // The forward transpose ships my x-planes of rank d's z-planes to every d
 // and receives rank s's x-planes of mine; the backward one is its mirror.
 ParallelFft3D::TransposeLayout ParallelFft3D::layout(bool forward) const {
-  const int p = mw_.size();
-  const int me = mw_.rank();
+  const int p = transport_.size();
+  const int me = transport_.rank();
   TransposeLayout l;
   std::size_t at = 0, rat = 0;
   for (int r = 0; r < p; ++r) {
@@ -72,8 +72,8 @@ ParallelFft3D::TransposeLayout ParallelFft3D::layout(bool forward) const {
 }
 
 void ParallelFft3D::transpose_xz(Complex* zslab) {
-  const int p = mw_.size();
-  const int me = mw_.rank();
+  const int p = transport_.size();
+  const int me = transport_.rank();
   const std::size_t lx = xpart_.count(me);
 
   // Pack the front of each destination's block, ordered (kz, y, x) with x
@@ -92,7 +92,7 @@ void ParallelFft3D::transpose_xz(Complex* zslab) {
     }
   }
   charge(static_cast<double>(xz_.elements));  // ~1 flop per packed element
-  mw_.transpose(xblocks_.data(), xz_.send_counts, xz_.send_displs,
+  transport_.transpose(xblocks_.data(), xz_.send_counts, xz_.send_displs,
                 zblocks_.data(), xz_.recv_counts, xz_.recv_displs);
 
   // Unpack: block from src s covers x in [s.x0, s.x1), all y, kz in my
@@ -113,8 +113,8 @@ void ParallelFft3D::transpose_xz(Complex* zslab) {
 }
 
 void ParallelFft3D::transpose_zx(const Complex* zslab) {
-  const int p = mw_.size();
-  const int me = mw_.rank();
+  const int p = transport_.size();
+  const int me = transport_.rank();
   const std::size_t lkz = local_kz_count();
 
   // Pack for dst d: x in d's range, all y, kz in my range; ordered
@@ -132,7 +132,7 @@ void ParallelFft3D::transpose_zx(const Complex* zslab) {
     }
   }
   charge(static_cast<double>(zx_.elements));
-  mw_.transpose(zblocks_.data(), zx_.send_counts, zx_.send_displs,
+  transport_.transpose(zblocks_.data(), zx_.send_counts, zx_.send_displs,
                 xblocks_.data(), zx_.recv_counts, zx_.recv_displs);
 
   for (int s = 0; s < p; ++s) {

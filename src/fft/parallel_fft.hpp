@@ -22,8 +22,9 @@
 // time and message bytes are those of the complex slab FFT.
 //
 // Computation is charged through a caller-provided hook (flops -> virtual
-// time); communication goes through the Middleware so the middleware factor
-// of the experiment shapes the transpose.
+// time); communication goes through a middleware::Transport (rank, size
+// and transpose alone), so the middleware factor of the experiment shapes
+// the transpose.
 #pragma once
 
 #include <algorithm>
@@ -58,13 +59,13 @@ class ParallelFft3D {
   // `charge` converts kernel flops into simulated compute time; it may be
   // empty (tests that only check numerics).
   ParallelFft3D(std::size_t nx, std::size_t ny, std::size_t nz,
-                middleware::Middleware& mw,
+                middleware::Transport& transport,
                 std::function<void(double flops)> charge = {});
 
   const SlabPartition& x_slabs() const { return xpart_; }
-  std::size_t local_x_count() const { return xpart_.count(mw_.rank()); }
+  std::size_t local_x_count() const { return xpart_.count(transport_.rank()); }
   // My z-planes of the complex transform (what the charges count).
-  std::size_t local_z_count() const { return zpart_.count(mw_.rank()); }
+  std::size_t local_z_count() const { return zpart_.count(transport_.rank()); }
   // Rank r's half-spectrum planes [kz_begin(r), kz_begin(r) + kz_count(r)).
   std::size_t kz_begin(int rank) const {
     return std::min(zpart_.begin(rank), nzh_);
@@ -72,7 +73,7 @@ class ParallelFft3D {
   std::size_t kz_count(int rank) const {
     return std::min(zpart_.end(rank), nzh_) - kz_begin(rank);
   }
-  std::size_t local_kz_count() const { return kz_count(mw_.rank()); }
+  std::size_t local_kz_count() const { return kz_count(transport_.rank()); }
 
   // x-slab: [local_x][ny][nz] reals; z-slab: [local_kz][ny][nx] values.
   std::size_t x_slab_size() const { return local_x_count() * ny_ * nz_; }
@@ -104,7 +105,7 @@ class ParallelFft3D {
   void transpose_zx(const Complex* zslab);
 
   std::size_t nx_, ny_, nz_, nzh_;
-  middleware::Middleware& mw_;
+  middleware::Transport& transport_;
   std::function<void(double)> charge_;
   SlabPartition xpart_;
   SlabPartition zpart_;

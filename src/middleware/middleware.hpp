@@ -27,24 +27,15 @@ enum class Kind { kMpi, kCmpi };
 
 const char* to_string(Kind kind);
 
-class Middleware {
+// The three calls the slab FFT and the slab PME make (fft/parallel_fft.hpp,
+// pme/pme.hpp): this rank's place in the group of ranks that shares the
+// grid, and the personalized all-to-all that transposes it. A Middleware
+// is the transport over the whole communicator; the task decomposition's
+// PME ranks have one over their own group (charmm/decomposition.cpp).
+class Transport {
  public:
-  explicit Middleware(mpi::Comm& comm) : comm_(comm) {}
-  virtual ~Middleware() = default;
-
-  // Virtual so group-restricted middlewares (e.g. the PME group of the
-  // task decomposition, see charmm/decomposition.cpp) can present a
-  // subset of the communicator to rank-oblivious code like the slab FFT.
-  virtual int rank() const { return comm_.rank(); }
-  virtual int size() const { return comm_.size(); }
-  mpi::Comm& comm() { return comm_; }
-
-  // Global sum of a double vector on every rank (the all-to-all collective
-  // that ends the classic energy calculation).
-  virtual void global_sum(double* data, std::size_t n) = 0;
-
-  // Global barrier ("coherency maintenance" between phases).
-  virtual void synchronize() = 0;
+  virtual int rank() const = 0;
+  virtual int size() const = 0;
 
   // Personalized all-to-all over byte blocks (the FFT transpose).
   virtual void transpose(const void* send,
@@ -53,6 +44,26 @@ class Middleware {
                          void* recv,
                          const std::vector<std::size_t>& recv_counts,
                          const std::vector<std::size_t>& recv_displs) = 0;
+
+ protected:
+  ~Transport() = default;
+};
+
+class Middleware : public Transport {
+ public:
+  explicit Middleware(mpi::Comm& comm) : comm_(comm) {}
+  virtual ~Middleware() = default;
+
+  int rank() const final { return comm_.rank(); }
+  int size() const final { return comm_.size(); }
+  mpi::Comm& comm() { return comm_; }
+
+  // Global sum of a double vector on every rank (the all-to-all collective
+  // that ends the classic energy calculation).
+  virtual void global_sum(double* data, std::size_t n) = 0;
+
+  // Global barrier ("coherency maintenance" between phases).
+  virtual void synchronize() = 0;
 
   virtual void broadcast(void* data, std::size_t bytes, int root) = 0;
 

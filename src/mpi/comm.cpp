@@ -320,11 +320,15 @@ void Comm::bcast_ring(void* data, std::size_t bytes, int root, int tag) {
   }
 }
 
-void Comm::reduce_sum(double* data, std::size_t n, int root) {
-  if (size() == 1) return;
-  const int tag = next_collective_tag();
-  const int p = size();
-  const int vrank = (rank() - root + p) % p;
+void Comm::reduce_sum(double* data, std::size_t n) {
+  reduce_sum(data, n, {0, size()}, next_collective_tag());
+}
+
+void Comm::reduce_sum(double* data, std::size_t n, RankRange range, int tag) {
+  const int p = range.size;
+  const int vrank = rank() - range.base;
+  REPRO_REQUIRE(vrank >= 0 && vrank < p, "reduce_sum: rank outside its range");
+  if (p == 1) return;
   std::vector<double> tmp(n);
   // Binomial tree, leaves to root, full vector per hop (as MPICH-1 did).
   int mask = 1;
@@ -332,12 +336,11 @@ void Comm::reduce_sum(double* data, std::size_t n, int root) {
     if ((vrank & mask) == 0) {
       const int peer = vrank | mask;
       if (peer < p) {
-        recv((peer + root) % p, tag, tmp.data(), n * sizeof(double));
+        recv(range.base + peer, tag, tmp.data(), n * sizeof(double));
         for (std::size_t i = 0; i < n; ++i) data[i] += tmp[i];
       }
     } else {
-      const int peer = ((vrank & ~mask) + root) % p;
-      send(peer, tag, data, n * sizeof(double));
+      send(range.base + (vrank & ~mask), tag, data, n * sizeof(double));
       break;
     }
     mask <<= 1;
@@ -349,7 +352,7 @@ void Comm::allreduce_sum(double* data, std::size_t n) {
   switch (collectives_.allreduce) {
     case AllreduceAlgorithm::kReduceBcast:
       // MPICH-1 allreduce: reduce to rank 0, then broadcast the result.
-      reduce_sum(data, n, 0);
+      reduce_sum(data, n);
       bcast(data, n * sizeof(double), 0);
       return;
     case AllreduceAlgorithm::kRecursiveDoubling:
@@ -408,7 +411,7 @@ void Comm::allreduce_ring(double* data, std::size_t n) {
   const int r = rank();
   if (n < static_cast<std::size_t>(p)) {
     // Too small to segment; fall back to the tree scheme.
-    reduce_sum(data, n, 0);
+    reduce_sum(data, n);
     bcast(data, n * sizeof(double), 0);
     return;
   }
@@ -455,8 +458,20 @@ void Comm::alltoallv(const void* send_buf,
                      void* recv_buf,
                      const std::vector<std::size_t>& recv_counts,
                      const std::vector<std::size_t>& recv_displs) {
-  const int p = size();
-  const int r = rank();
+  alltoallv(send_buf, send_counts, send_displs, recv_buf, recv_counts,
+            recv_displs, {0, size()}, next_collective_tag());
+}
+
+void Comm::alltoallv(const void* send_buf,
+                     const std::vector<std::size_t>& send_counts,
+                     const std::vector<std::size_t>& send_displs,
+                     void* recv_buf,
+                     const std::vector<std::size_t>& recv_counts,
+                     const std::vector<std::size_t>& recv_displs,
+                     RankRange range, int tag) {
+  const int p = range.size;
+  const int r = rank() - range.base;
+  REPRO_REQUIRE(r >= 0 && r < p, "alltoallv: rank outside its range");
   REPRO_REQUIRE(send_counts.size() == static_cast<std::size_t>(p) &&
                     recv_counts.size() == static_cast<std::size_t>(p),
                 "alltoallv: counts must have one entry per rank");
@@ -469,16 +484,13 @@ void Comm::alltoallv(const void* send_buf,
                 in + send_displs[static_cast<std::size_t>(r)],
                 send_counts[static_cast<std::size_t>(r)]);
   }
-  if (p == 1) return;
-
-  const int tag = next_collective_tag();
   // Pairwise exchange: in step k, talk to ranks at distance k.
   for (int k = 1; k < p; ++k) {
     const auto dst = static_cast<std::size_t>((r + k) % p);
     const auto src = static_cast<std::size_t>((r - k + p) % p);
-    send(static_cast<int>(dst), tag, in + send_displs[dst],
+    send(range.base + static_cast<int>(dst), tag, in + send_displs[dst],
          send_counts[dst], /*exchange=*/true);
-    recv(static_cast<int>(src), tag, out + recv_displs[src],
+    recv(range.base + static_cast<int>(src), tag, out + recv_displs[src],
          recv_counts[src]);
   }
 }

@@ -15,6 +15,14 @@
 // — as synchronization. This matches the paper's split of "general
 // communication overhead" into data transfer and control transfer (see
 // perf/recorder.hpp for the full taxonomy).
+//
+// reduce_sum and alltoallv also come in a form over a contiguous rank
+// range on a caller-given tag. A program that splits the communicator
+// into groups (charmm's task decomposition) runs them inside one group:
+// only the range's ranks call them, so they cannot draw from the
+// comm-wide collective counter, and ranks outside the range take no part.
+// The whole-communicator forms are the range forms over every rank on
+// the next collective tag.
 #pragma once
 
 #include <cstddef>
@@ -54,6 +62,12 @@ struct CollectiveConfig {
   BcastAlgorithm bcast = BcastAlgorithm::kBinomialTree;
 
   bool operator==(const CollectiveConfig&) const = default;
+};
+
+// The contiguous ranks [base, base + size) of a communicator.
+struct RankRange {
+  int base = 0;
+  int size = 0;
 };
 
 // The engine's message types (sim/packet.hpp), used here by name.
@@ -130,7 +144,8 @@ class Comm {
   // --- collectives (MPICH-1-era algorithms) ----------------------------
   void barrier();  // dissemination; time counted as synchronization
   void bcast(void* data, std::size_t bytes, int root);
-  void reduce_sum(double* data, std::size_t n, int root);
+  // Binomial-tree sum to rank 0; only rank 0's `data` holds the total.
+  void reduce_sum(double* data, std::size_t n);
   // Algorithm chosen by the CollectiveConfig (MPICH-1 reduce+bcast by
   // default); all variants produce identical results on every rank.
   void allreduce_sum(double* data, std::size_t n);
@@ -140,6 +155,17 @@ class Comm {
                  const std::vector<std::size_t>& send_displs, void* recv_buf,
                  const std::vector<std::size_t>& recv_counts,
                  const std::vector<std::size_t>& recv_displs);
+
+  // The range forms (see the header note): the same algorithms over the
+  // ranks of `range` only, on `tag`. The sum goes to range.base, and the
+  // counts and displacements have one entry per range rank, in range
+  // order. Only the range's ranks may call them.
+  void reduce_sum(double* data, std::size_t n, RankRange range, int tag);
+  void alltoallv(const void* send, const std::vector<std::size_t>& send_counts,
+                 const std::vector<std::size_t>& send_displs, void* recv_buf,
+                 const std::vector<std::size_t>& recv_counts,
+                 const std::vector<std::size_t>& recv_displs, RankRange range,
+                 int tag);
 
   // While a SyncScope is active, all point-to-point time (and the bytes) of
   // this rank is recorded as synchronization — used for barriers and for

@@ -363,14 +363,14 @@ double SerialPme::reciprocal(const Topology& topo,
 // --- ParallelPme -------------------------------------------------------------
 
 ParallelPme::ParallelPme(const PmeParams& params, const Box& box,
-                         middleware::Middleware& mw,
+                         middleware::Transport& transport,
                          std::function<void(double)> charge_compute)
     : params_(params),
       box_(box),
-      mw_(mw),
+      transport_(transport),
       charge_(std::move(charge_compute)),
-      pfft_(params.nx, params.ny, params.nz, mw, charge_),
-      slab_{pfft_.x_slabs().begin(mw.rank()), pfft_.local_x_count(), 0,
+      pfft_(params.nx, params.ny, params.nz, transport, charge_),
+      slab_{pfft_.x_slabs().begin(transport.rank()), pfft_.local_x_count(), 0,
             params.ny, 0, params.nz},
       stencil_(params, box),
       modx_(bspline_moduli(params.nx, params.order)),
@@ -380,7 +380,7 @@ ParallelPme::ParallelPme(const PmeParams& params, const Box& box,
       zslab_(pfft_.z_slab_size()) {
   // Influence factors of my half-spectrum planes, in z-slab order.
   const Influence fac(params_, box_, modx_, mody_, modz_);
-  const std::size_t kz0 = pfft_.kz_begin(mw_.rank());
+  const std::size_t kz0 = pfft_.kz_begin(transport_.rank());
   influence_.resize(zslab_.size());
   for (std::size_t kl = 0; kl < pfft_.local_kz_count(); ++kl) {
     for (std::size_t my = 0; my < params_.ny; ++my) {
@@ -445,7 +445,7 @@ double ParallelPme::reciprocal(const Topology& topo,
   // nz even) count once, every other plane twice, for its mirror
   // nz - kz. The charge model counts my complex z-planes.
   const std::size_t lz = pfft_.local_z_count();
-  const std::size_t kz0 = pfft_.kz_begin(mw_.rank());
+  const std::size_t kz0 = pfft_.kz_begin(transport_.rank());
   const std::size_t plane = params_.ny * params_.nx;
   double energy = 0.0;
   for (std::size_t kl = 0; kl < pfft_.local_kz_count(); ++kl) {

@@ -298,7 +298,7 @@ class ParallelPme {
   // The influence factors of this rank's half-spectrum planes are
   // tabulated at construction.
   ParallelPme(const PmeParams& params, const md::Box& box,
-              middleware::Middleware& mw,
+              middleware::Transport& transport,
               std::function<void(double flops)> charge_compute = {});
 
   // Slab-parallel reciprocal sum. Returns this rank's *partial* energy;
@@ -314,7 +314,7 @@ class ParallelPme {
  private:
   PmeParams params_;
   md::Box box_;
-  middleware::Middleware& mw_;
+  middleware::Transport& transport_;
   std::function<void(double)> charge_;
   fft::ParallelFft3D pfft_;
   GridRegion slab_;  // my x-planes, all y and z

@@ -43,8 +43,11 @@ net::FaultSpec test_faults(int nranks) {
 
 // Runs `body` on every rank of a simulated cluster with faults optionally
 // armed. Two ranks per node so both the intra- and cross-node paths run.
-void run_cluster(net::Network network, int nranks, bool with_faults,
-                 const std::function<void(Comm&)>& body) {
+// `after`, when given, inspects the network once every rank has finished.
+void run_cluster(
+    net::Network network, int nranks, bool with_faults,
+    const std::function<void(Comm&)>& body,
+    const std::function<void(const net::ClusterNetwork&)>& after = {}) {
   net::ClusterConfig config;
   config.nranks = nranks;
   config.cpus_per_node = 2;
@@ -62,6 +65,35 @@ void run_cluster(net::Network network, int nranks, bool with_faults,
   });
   if (with_faults) {
     ASSERT_TRUE(cluster.faults_enabled());
+  }
+  if (after) after(cluster);
+}
+
+// The ranks a case runs its collective over: the whole communicator,
+// through the comm-wide form, and, where one exists, a range strictly
+// inside it, through the range form on an explicit tag.
+constexpr int kRangeTag = 42;
+
+std::vector<RankRange> ranges_of(int nranks) {
+  std::vector<RankRange> ranges{{0, nranks}};
+  if (nranks >= 3) ranges.push_back({1, nranks - 2});
+  return ranges;
+}
+
+bool in_range(int rank, RankRange range) {
+  return rank >= range.base && rank < range.base + range.size;
+}
+
+// Ranks outside `range` took no part: no message left or reached them.
+void expect_outside_untouched(const net::ClusterNetwork& cluster, int nranks,
+                              RankRange range) {
+  for (int r = 0; r < nranks; ++r) {
+    if (in_range(r, range)) continue;
+    for (int s = 0; s < nranks; ++s) {
+      if (s == r) continue;
+      EXPECT_EQ(cluster.channel(s, r).messages, 0u) << s << " -> " << r;
+      EXPECT_EQ(cluster.channel(r, s).messages, 0u) << r << " -> " << s;
+    }
   }
 }
 
@@ -95,31 +127,47 @@ TEST_P(CollectivePropertyTest, BcastDeliversRootPayloadEverywhere) {
 }
 
 TEST_P(CollectivePropertyTest, ReduceAndAllreduceSumExactly) {
-  run_cluster(network(), nranks(), faults(), [&](Comm& comm) {
-    const int p = comm.size();
-    constexpr std::size_t kN = 257;
-    // Integer-valued doubles: any summation order is exact, so every
-    // allreduce algorithm must produce the same bits.
-    std::vector<double> expected(kN);
-    for (std::size_t i = 0; i < kN; ++i) {
-      double sum = 0.0;
-      for (int r = 0; r < p; ++r) {
-        sum += static_cast<double>((r + 1) * (static_cast<int>(i) % 11 + 1));
-      }
-      expected[i] = sum;
-    }
-    auto mine = [&](std::size_t i) {
-      return static_cast<double>((comm.rank() + 1) *
-                                 (static_cast<int>(i) % 11 + 1));
-    };
+  for (const RankRange range : ranges_of(nranks())) {
+    SCOPED_TRACE(::testing::Message()
+                 << "ranks [" << range.base << ", "
+                 << range.base + range.size << ")");
+    run_cluster(
+        network(), nranks(), faults(),
+        [&](Comm& comm) {
+          if (!in_range(comm.rank(), range)) return;
+          constexpr std::size_t kN = 257;
+          // Integer-valued doubles: any summation order is exact, so
+          // every allreduce algorithm must produce the same bits.
+          auto value = [](int rank, std::size_t i) {
+            return static_cast<double>((rank + 1) *
+                                       (static_cast<int>(i) % 11 + 1));
+          };
+          std::vector<double> expected(kN);
+          for (std::size_t i = 0; i < kN; ++i) {
+            double sum = 0.0;
+            for (int r = range.base; r < range.base + range.size; ++r) {
+              sum += value(r, i);
+            }
+            expected[i] = sum;
+          }
 
-    std::vector<double> reduced(kN);
-    for (std::size_t i = 0; i < kN; ++i) reduced[i] = mine(i);
-    comm.reduce_sum(reduced.data(), kN, 0);
-    if (comm.rank() == 0) {
-      EXPECT_EQ(reduced, expected);
-    }
-  });
+          std::vector<double> reduced(kN);
+          for (std::size_t i = 0; i < kN; ++i) {
+            reduced[i] = value(comm.rank(), i);
+          }
+          if (range.size == comm.size()) {
+            comm.reduce_sum(reduced.data(), kN);
+          } else {
+            comm.reduce_sum(reduced.data(), kN, range, kRangeTag);
+          }
+          if (comm.rank() == range.base) {
+            EXPECT_EQ(reduced, expected);
+          }
+        },
+        [&](const net::ClusterNetwork& cluster) {
+          expect_outside_untouched(cluster, nranks(), range);
+        });
+  }
 }
 
 TEST_P(CollectivePropertyTest, AllreduceAllAlgorithmsAgree) {
@@ -162,53 +210,70 @@ TEST_P(CollectivePropertyTest, AllreduceAllAlgorithmsAgree) {
 }
 
 TEST_P(CollectivePropertyTest, AlltoallvRoutesEveryBlockIntact) {
-  run_cluster(network(), nranks(), faults(), [&](Comm& comm) {
-    const int p = comm.size();
-    const int me = comm.rank();
-    // Block from r to d has a size and contents depending on both ends.
-    auto block_size = [](int src, int dst) {
-      return static_cast<std::size_t>(64 + 17 * src + 5 * dst);
-    };
-    auto block_bytes = [&](int src, int dst) {
-      std::vector<unsigned char> data(block_size(src, dst));
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        data[i] =
-            static_cast<unsigned char>((src * 251 + dst * 83 + i) & 0xff);
-      }
-      return data;
-    };
-    std::vector<std::size_t> send_counts(static_cast<std::size_t>(p));
-    std::vector<std::size_t> send_displs(static_cast<std::size_t>(p));
-    std::vector<std::size_t> recv_counts(static_cast<std::size_t>(p));
-    std::vector<std::size_t> recv_displs(static_cast<std::size_t>(p));
-    std::size_t send_total = 0;
-    std::size_t recv_total = 0;
-    for (int r = 0; r < p; ++r) {
-      send_counts[static_cast<std::size_t>(r)] = block_size(me, r);
-      send_displs[static_cast<std::size_t>(r)] = send_total;
-      send_total += block_size(me, r);
-      recv_counts[static_cast<std::size_t>(r)] = block_size(r, me);
-      recv_displs[static_cast<std::size_t>(r)] = recv_total;
-      recv_total += block_size(r, me);
+  // Block from r to d has a size and contents depending on both ends.
+  auto block_size = [](int src, int dst) {
+    return static_cast<std::size_t>(64 + 17 * src + 5 * dst);
+  };
+  auto block_bytes = [&](int src, int dst) {
+    std::vector<unsigned char> data(block_size(src, dst));
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<unsigned char>((src * 251 + dst * 83 + i) & 0xff);
     }
-    std::vector<unsigned char> send_buf(send_total);
-    for (int r = 0; r < p; ++r) {
-      const auto blk = block_bytes(me, r);
-      std::memcpy(send_buf.data() + send_displs[static_cast<std::size_t>(r)],
-                  blk.data(), blk.size());
-    }
-    std::vector<unsigned char> recv_buf(recv_total, 0xee);
-    comm.alltoallv(send_buf.data(), send_counts, send_displs, recv_buf.data(),
-                   recv_counts, recv_displs);
-    for (int r = 0; r < p; ++r) {
-      const auto expected = block_bytes(r, me);
-      EXPECT_EQ(std::memcmp(
-                    recv_buf.data() + recv_displs[static_cast<std::size_t>(r)],
-                    expected.data(), expected.size()),
-                0)
-          << "rank " << me << " block from " << r;
-    }
-  });
+    return data;
+  };
+  for (const RankRange range : ranges_of(nranks())) {
+    SCOPED_TRACE(::testing::Message()
+                 << "ranks [" << range.base << ", "
+                 << range.base + range.size << ")");
+    run_cluster(
+        network(), nranks(), faults(),
+        [&](Comm& comm) {
+          const int me = comm.rank();
+          if (!in_range(me, range)) return;
+          // Entry j of the counts and displacements is range rank j, that
+          // is comm rank range.base + j.
+          const auto n = static_cast<std::size_t>(range.size);
+          std::vector<std::size_t> send_counts(n), send_displs(n);
+          std::vector<std::size_t> recv_counts(n), recv_displs(n);
+          std::size_t send_total = 0;
+          std::size_t recv_total = 0;
+          for (std::size_t j = 0; j < n; ++j) {
+            const int r = range.base + static_cast<int>(j);
+            send_counts[j] = block_size(me, r);
+            send_displs[j] = send_total;
+            send_total += block_size(me, r);
+            recv_counts[j] = block_size(r, me);
+            recv_displs[j] = recv_total;
+            recv_total += block_size(r, me);
+          }
+          std::vector<unsigned char> send_buf(send_total);
+          for (std::size_t j = 0; j < n; ++j) {
+            const auto blk = block_bytes(me, range.base + static_cast<int>(j));
+            std::memcpy(send_buf.data() + send_displs[j], blk.data(),
+                        blk.size());
+          }
+          std::vector<unsigned char> recv_buf(recv_total, 0xee);
+          if (range.size == comm.size()) {
+            comm.alltoallv(send_buf.data(), send_counts, send_displs,
+                           recv_buf.data(), recv_counts, recv_displs);
+          } else {
+            comm.alltoallv(send_buf.data(), send_counts, send_displs,
+                           recv_buf.data(), recv_counts, recv_displs, range,
+                           kRangeTag);
+          }
+          for (std::size_t j = 0; j < n; ++j) {
+            const int r = range.base + static_cast<int>(j);
+            const auto expected = block_bytes(r, me);
+            EXPECT_EQ(std::memcmp(recv_buf.data() + recv_displs[j],
+                                  expected.data(), expected.size()),
+                      0)
+                << "rank " << me << " block from " << r;
+          }
+        },
+        [&](const net::ClusterNetwork& cluster) {
+          expect_outside_untouched(cluster, nranks(), range);
+        });
+  }
 }
 
 TEST_P(CollectivePropertyTest, BarrierCompletesUnderFaults) {

@@ -19,6 +19,7 @@
 #include "core/model.hpp"
 #include "core/replay.hpp"
 #include "core/sweep.hpp"
+#include "fft/parallel_fft.hpp"
 #include "md/integrator.hpp"
 #include "middleware/middleware.hpp"
 #include "net/topology.hpp"
@@ -260,6 +261,25 @@ TEST(DecompositionPhysicsTest, ExplicitPmeRanksMatchSequential) {
               std::abs(ref.energy.potential()) * 1e-6 + 1e-4);
   EXPECT_NEAR(par.position_checksum, ref.position_checksum,
               std::abs(ref.position_checksum) * 1e-9);
+}
+
+// Six PME ranks on a 4 x 6 x 4 grid: the last two own no x-planes, and
+// the last three none of the three half-spectrum planes, so their slabs
+// and transpose blocks are empty. The task run must still match the atom
+// decomposition on the same grid.
+TEST(DecompositionPhysicsTest, EmptyPmeGroupSlabsMatchAtom) {
+  CharmmConfig config = short_config();
+  config.pme = pme::PmeParams{4, 6, 4, 4, 0.34};
+  const fft::SlabPartition xs(config.pme.nx, 6);
+  ASSERT_EQ(xs.count(4), 0u);
+  ASSERT_EQ(xs.count(5), 0u);
+  const auto atom = run(core::reference_platform(), 1, config);
+  config.decomp = parse_decomp_spec("task:pme=6");
+  const auto task = run(core::reference_platform(), 8, config);
+  EXPECT_NEAR(task.energy.potential(), atom.energy.potential(),
+              std::abs(atom.energy.potential()) * 1e-6 + 1e-4);
+  EXPECT_NEAR(task.position_checksum, atom.position_checksum,
+              std::abs(atom.position_checksum) * 1e-9);
 }
 
 // The network factor only times a run, which is what lets a sweep replay

@@ -513,31 +513,25 @@ template <class Plan, class X, class Z>
 X x_cell_of(void (Plan::*)(X*, Z*));
 using XCell = std::remove_const_t<decltype(x_cell_of(&ParallelFft3D::forward))>;
 
-// Hands every call to the raw-MPI personality, recording the byte counts
-// and displacements of each transpose on the way.
-class RecordingMiddleware final : public middleware::Middleware {
+// Hands every transpose to the raw-MPI personality, recording its byte
+// counts and displacements on the way.
+class RecordingTransport final : public middleware::Transport {
  public:
   struct Layout {
     std::vector<std::size_t> send_counts, send_displs, recv_counts,
         recv_displs;
   };
 
-  explicit RecordingMiddleware(mpi::Comm& comm)
-      : Middleware(comm), inner_(comm) {}
+  explicit RecordingTransport(mpi::Comm& comm) : inner_(comm) {}
 
-  void global_sum(double* data, std::size_t n) override {
-    inner_.global_sum(data, n);
-  }
-  void synchronize() override { inner_.synchronize(); }
+  int rank() const override { return inner_.rank(); }
+  int size() const override { return inner_.size(); }
   void transpose(const void* send, const std::vector<std::size_t>& sc,
                  const std::vector<std::size_t>& sd, void* recv,
                  const std::vector<std::size_t>& rc,
                  const std::vector<std::size_t>& rd) override {
     layouts.push_back({sc, sd, rc, rd});
     inner_.transpose(send, sc, sd, recv, rc, rd);
-  }
-  void broadcast(void* data, std::size_t bytes, int root) override {
-    inner_.broadcast(data, bytes, root);
   }
 
   std::vector<Layout> layouts;
@@ -547,10 +541,10 @@ class RecordingMiddleware final : public middleware::Middleware {
 };
 
 // Byte counts block(0 .. p-1) with displacements packed in rank order.
-RecordingMiddleware::Layout complex_blocks(
+RecordingTransport::Layout complex_blocks(
     int p, const std::function<std::size_t(int)>& block,
     const std::function<std::size_t(int)>& incoming) {
-  RecordingMiddleware::Layout l;
+  RecordingTransport::Layout l;
   std::size_t at = 0, rat = 0;
   for (int r = 0; r < p; ++r) {
     l.send_counts.push_back(block(r));
@@ -576,18 +570,18 @@ TEST(ParallelFftTest2, TransposesShipTheComplexModelsBlocks) {
   config.nranks = p;
   net::ClusterNetwork cluster(config);
   std::vector<perf::RankRecorder> recs(static_cast<std::size_t>(p));
-  std::vector<std::vector<RecordingMiddleware::Layout>> got(
+  std::vector<std::vector<RecordingTransport::Layout>> got(
       static_cast<std::size_t>(p));
   sim::Engine engine(p);
   engine.run([&](sim::RankCtx& ctx) {
     mpi::Comm comm(ctx, cluster, recs[static_cast<std::size_t>(ctx.rank())]);
-    RecordingMiddleware mw(comm);
-    ParallelFft3D pfft(nx, ny, nz, mw);
+    RecordingTransport transport(comm);
+    ParallelFft3D pfft(nx, ny, nz, transport);
     std::vector<XCell> x(pfft.x_slab_size());
     std::vector<Complex> z(pfft.z_slab_size());
     pfft.forward(x.data(), z.data());
     pfft.backward(z.data(), x.data());
-    got[static_cast<std::size_t>(ctx.rank())] = mw.layouts;
+    got[static_cast<std::size_t>(ctx.rank())] = transport.layouts;
   });
   for (int me = 0; me < p; ++me) {
     SCOPED_TRACE(::testing::Message() << "rank " << me);
@@ -603,7 +597,7 @@ TEST(ParallelFftTest2, TransposesShipTheComplexModelsBlocks) {
     const auto backward = complex_blocks(
         p, [&](int d) { return block(d, me); },
         [&](int s) { return block(me, s); });
-    const RecordingMiddleware::Layout* want[2] = {&forward, &backward};
+    const RecordingTransport::Layout* want[2] = {&forward, &backward};
     for (int t = 0; t < 2; ++t) {
       EXPECT_EQ(layouts[t].send_counts, want[t]->send_counts) << "t=" << t;
       EXPECT_EQ(layouts[t].send_displs, want[t]->send_displs) << "t=" << t;

@@ -246,7 +246,7 @@ TEST_P(CollectiveTest, ReduceSumToRoot) {
     for (std::size_t i = 0; i < data.size(); ++i) {
       data[i] = comm.rank() + static_cast<double>(i) * 10.0;
     }
-    comm.reduce_sum(data.data(), data.size(), 0);
+    comm.reduce_sum(data.data(), data.size());
     if (comm.rank() == 0) {
       const double rank_sum = p * (p - 1) / 2.0;
       for (std::size_t i = 0; i < data.size(); ++i) {
