@@ -183,8 +183,6 @@ MessageTiming ClusterNetwork::message(int src, int dst, std::size_t bytes,
   REPRO_REQUIRE(src >= 0 && src < config_.nranks, "message: bad src rank");
   REPRO_REQUIRE(dst >= 0 && dst < config_.nranks, "message: bad dst rank");
   REPRO_REQUIRE(src != dst, "message: src == dst (self-sends are local)");
-  ++messages_;
-  bytes_ += static_cast<double>(bytes);
   // A stalled sender cannot issue the send until its node unfreezes; the
   // wait is back-pressure-like from the caller's point of view.
   double t_start = t_send;

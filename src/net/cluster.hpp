@@ -120,10 +120,6 @@ class ClusterNetwork {
     if (faults_ && delay > 0.0) faults_->attribute(component_class, delay);
   }
 
-  // Diagnostics.
-  std::uint64_t messages_sent() const { return messages_; }
-  double bytes_sent() const { return bytes_; }
-
   // Registry of the shared per-node resources ("nodeN/nic_tx",
   // "nodeN/nic_rx", "nodeN/irq_cpu"), for utilization reporting. Pointers
   // stay valid for the network's lifetime.
@@ -201,8 +197,6 @@ class ClusterNetwork {
            static_cast<std::uint32_t>(dst);
   }
   std::unordered_map<std::uint64_t, ChannelState> channels_;
-  std::uint64_t messages_ = 0;
-  double bytes_ = 0.0;
 };
 
 }  // namespace repro::net

@@ -217,20 +217,4 @@ class PhaseScope {
   const char* saved_;
 };
 
-// RAII helper to scope a component region.
-class ComponentScope {
- public:
-  ComponentScope(RankRecorder& rec, Component c)
-      : rec_(rec), saved_(rec.component()) {
-    rec_.set_component(c);
-  }
-  ~ComponentScope() { rec_.set_component(saved_); }
-  ComponentScope(const ComponentScope&) = delete;
-  ComponentScope& operator=(const ComponentScope&) = delete;
-
- private:
-  RankRecorder& rec_;
-  Component saved_;
-};
-
 }  // namespace repro::perf

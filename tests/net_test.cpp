@@ -135,8 +135,8 @@ TEST(ClusterTest, MessageTimingBasics) {
   EXPECT_GT(t.sender_busy, 0.0);
   EXPECT_GT(t.arrival, 1.0 + 100000 / params_for(Network::kScoreGigE).bandwidth);
   EXPECT_GT(t.recv_copy, 0.0);
-  EXPECT_EQ(net.messages_sent(), 1u);
-  EXPECT_DOUBLE_EQ(net.bytes_sent(), 100000.0);
+  EXPECT_EQ(net.channel(0, 1).messages, 1u);
+  EXPECT_DOUBLE_EQ(net.channel(0, 1).bytes, 100000.0);
 }
 
 TEST(ClusterTest, SelfSendRejected) {

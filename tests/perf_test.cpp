@@ -72,16 +72,6 @@ TEST(RecorderTest, SyncTimeDoesNotCountAsTransfer) {
   EXPECT_DOUBLE_EQ(rec.steps()[0].comm_time, 0.0);
 }
 
-TEST(ComponentScopeTest, RestoresPrevious) {
-  RankRecorder rec;
-  rec.set_component(Component::kClassic);
-  {
-    ComponentScope scope(rec, Component::kPme);
-    EXPECT_EQ(rec.component(), Component::kPme);
-  }
-  EXPECT_EQ(rec.component(), Component::kClassic);
-}
-
 TEST(AggregateTest, WallTakesSlowestRankPerComponent) {
   std::vector<RankRecorder> recs(2);
   recs[0].set_component(Component::kClassic);
