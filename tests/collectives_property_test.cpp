@@ -69,11 +69,12 @@ void run_cluster(
   if (after) after(cluster);
 }
 
-// The ranks a case runs its collective over: the whole communicator,
-// through the comm-wide form, and, where one exists, a range strictly
-// inside it, through the range form on an explicit tag.
+// The range form's tag: any tag below Comm::kCollectiveTagBase.
 constexpr int kRangeTag = 42;
 
+// The ranks a case runs its collective over: the whole communicator,
+// through the comm-wide form, and, where one exists, a range strictly
+// inside it, through the range form on kRangeTag.
 std::vector<RankRange> ranges_of(int nranks) {
   std::vector<RankRange> ranges{{0, nranks}};
   if (nranks >= 3) ranges.push_back({1, nranks - 2});
