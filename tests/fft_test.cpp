@@ -905,5 +905,57 @@ TEST(PencilFftBitIdentityTest, MatchesPinnedDigests) {
   EXPECT_DIGEST(digest(back), 0xdbd107de3344ac94ULL);
 }
 
+// The same grid and process grid with one idle extra rank (p = 7): each
+// rank's flops charged for one forward and one backward transform, and a
+// digest of its send and receive ops (kind, peer, tag, bytes) in issue
+// order. Simulated time and message bytes follow from these.
+TEST(PencilFftBitIdentityTest, ChargesAndMessagesMatchPins) {
+  const PencilGrid grid(20, 9, 12, 2, 3);
+  const int p = 7;
+  net::ClusterConfig config;
+  config.nranks = p;
+  net::ClusterNetwork cluster(config);
+  std::vector<perf::RankRecorder> recs(static_cast<std::size_t>(p));
+  std::vector<perf::RankTrace> traces(static_cast<std::size_t>(p));
+  std::vector<double> flops(static_cast<std::size_t>(p));
+  sim::Engine engine(p);
+  engine.run([&](sim::RankCtx& ctx) {
+    const int me = ctx.rank();
+    const auto slot = static_cast<std::size_t>(me);
+    mpi::Comm comm(ctx, cluster, recs[slot]);
+    comm.recorder().attach_trace(&traces[slot]);
+    PencilFft3D pfft(grid, comm, [&](double f) { flops[slot] += f; });
+    const auto in = random_signal(grid.stage1_size(me), 7 + slot);
+    std::vector<Complex> stage3(grid.stage3_size(me));
+    std::vector<Complex> stage1(grid.stage1_size(me));
+    pfft.forward(in.data(), stage3.data(), 1, 2);
+    pfft.backward(stage3.data(), stage1.data(), 3, 4);
+  });
+  std::vector<std::string> ops;
+  for (const perf::RankTrace& trace : traces) {
+    std::vector<std::uint64_t> fields;
+    for (const perf::TraceOp& op : trace.ops) {
+      if (op.kind != perf::TraceOp::Kind::kSend &&
+          op.kind != perf::TraceOp::Kind::kRecv) {
+        continue;
+      }
+      fields.insert(fields.end(), {static_cast<std::uint64_t>(op.kind),
+                                   static_cast<std::uint64_t>(op.peer),
+                                   static_cast<std::uint64_t>(op.tag),
+                                   op.size});
+    }
+    ops.push_back(hex(digest(fields)));
+  }
+  EXPECT_EQ(flops, (std::vector<double>{
+                       44565.307387337933, 44565.307387337933,
+                       44565.307387337933, 40947.764911428043,
+                       40947.764911428043, 40947.764911428043, 0.0}));
+  EXPECT_EQ(ops, (std::vector<std::string>{
+                     "0xf6e92acca0f0df8b", "0x693ab3c476679cff",
+                     "0x3f463793acd79f7b", "0x083c4b4613a0d01b",
+                     "0x3e91c68d5fc024ef", "0xaf3548e9efc47b73",
+                     "0x14650fb0739d0383"}));
+}
+
 }  // namespace
 }  // namespace repro::fft
