@@ -62,14 +62,11 @@ void CmpiMiddleware::neighbor_sync() {
   // "A single synchronization call is built upon repeated send and receive
   // calls transmitting a single byte with the neighbor-nodes and this
   // operation is repeated p-1 times" (§4.2). Each repetition is a ring
-  // shift; p-1 shifts give barrier semantics transitively.
+  // shift; p-1 shifts give barrier semantics transitively. Each split
+  // receive/send pair runs as an eager send and a blocking receive.
   for (int step = 1; step < p; ++step) {
-    // Split non-blocking calls, as CMPI does for portability.
-    mpi::Request rr = comm_.irecv(left, 9990 + step, &in, 1);
-    mpi::Request sr =
-        comm_.isend(right, 9990 + step, &token, 1, /*exchange=*/true);
-    comm_.wait(rr);
-    comm_.wait(sr);
+    comm_.send(right, 9990 + step, &token, 1, /*exchange=*/true);
+    comm_.recv(left, 9990 + step, &in, 1);
   }
 }
 
@@ -79,7 +76,8 @@ void CmpiMiddleware::global_sum(double* data, std::size_t n) {
   const int p = size();
   if (p == 1) return;
   // Portable ring "global combine": circulate every rank's original vector
-  // around the ring with split send/receive calls, accumulating locally.
+  // around the ring with split send/receive calls (an eager send and a
+  // blocking receive a hop), accumulating locally.
   // (p-1) full-vector hops per rank — far more traffic than a tree — and a
   // neighbor synchronization after every round ("coherency maintenance" in
   // the portable layer), which is exactly the pattern §4.2 blames for the
@@ -91,11 +89,8 @@ void CmpiMiddleware::global_sum(double* data, std::size_t n) {
   std::vector<double> circulating(data, data + n);
   std::vector<double> incoming(n);
   for (int step = 1; step < p; ++step) {
-    mpi::Request rr = comm_.irecv(left, 9900, incoming.data(), bytes);
-    mpi::Request sr = comm_.isend(right, 9900, circulating.data(), bytes,
-                                  /*exchange=*/true);
-    comm_.wait(rr);
-    comm_.wait(sr);
+    comm_.send(right, 9900, circulating.data(), bytes, /*exchange=*/true);
+    comm_.recv(left, 9900, incoming.data(), bytes);
     for (std::size_t i = 0; i < n; ++i) data[i] += incoming[i];
     circulating.swap(incoming);
     neighbor_sync();
@@ -115,27 +110,29 @@ void CmpiMiddleware::transpose(const void* send,
   const int r = rank();
   const auto* in = static_cast<const unsigned char*>(send);
   auto* out = static_cast<unsigned char*>(recv);
-  std::memcpy(out + recv_displs[static_cast<std::size_t>(r)],
-              in + send_displs[static_cast<std::size_t>(r)],
-              send_counts[static_cast<std::size_t>(r)]);
-  if (p == 1) return;
-  // CMPI posts all split receives, then all sends, then waits — and brackets
-  // the exchange with its neighbor synchronization.
-  neighbor_sync();
-  std::vector<mpi::Request> reqs;
-  reqs.reserve(static_cast<std::size_t>(2 * (p - 1)));
-  for (int k = 1; k < p; ++k) {
-    const auto src = static_cast<std::size_t>((r - k + p) % p);
-    reqs.push_back(comm_.irecv(static_cast<int>(src), 9901,
-                               out + recv_displs[src], recv_counts[src]));
+  // Local block (skipped when empty: memcpy on a null buffer is UB even
+  // for zero bytes).
+  if (send_counts[static_cast<std::size_t>(r)] > 0) {
+    std::memcpy(out + recv_displs[static_cast<std::size_t>(r)],
+                in + send_displs[static_cast<std::size_t>(r)],
+                send_counts[static_cast<std::size_t>(r)]);
   }
+  if (p == 1) return;
+  // CMPI posts all split receives, then all sends, then waits on the
+  // receives, and brackets the exchange with its neighbor synchronization.
+  // Simulated, the posts are free, the sends go out eagerly and the waits
+  // are the blocking receives.
+  neighbor_sync();
   for (int k = 1; k < p; ++k) {
     const auto dst = static_cast<std::size_t>((r + k) % p);
-    reqs.push_back(comm_.isend(static_cast<int>(dst), 9901,
-                               in + send_displs[dst], send_counts[dst],
-                               /*exchange=*/true));
+    comm_.send(static_cast<int>(dst), 9901, in + send_displs[dst],
+               send_counts[dst], /*exchange=*/true);
   }
-  comm_.wait_all(reqs);
+  for (int k = 1; k < p; ++k) {
+    const auto src = static_cast<std::size_t>((r - k + p) % p);
+    comm_.recv(static_cast<int>(src), 9901, out + recv_displs[src],
+               recv_counts[src]);
+  }
   neighbor_sync();
 }
 
@@ -147,14 +144,8 @@ void CmpiMiddleware::broadcast(void* data, std::size_t bytes, int root) {
   const int r = rank();
   const int right = (r + 1) % p;
   const int left = (r - 1 + p) % p;
-  if (r != root) {
-    mpi::Request rr = comm_.irecv(left, 9902, data, bytes);
-    comm_.wait(rr);
-  }
-  if (right != root) {
-    mpi::Request sr = comm_.isend(right, 9902, data, bytes);
-    comm_.wait(sr);
-  }
+  if (r != root) comm_.recv(left, 9902, data, bytes);
+  if (right != root) comm_.send(right, 9902, data, bytes);
 }
 
 }  // namespace repro::middleware

@@ -13,6 +13,8 @@
 //    implements synchronization "by repeated exchanges of empty messages
 //    (or one byte) among nearest neighbor-processes", repeated p-1 times —
 //    the style §4.2 shows to be disastrous on per-packet-overhead stacks.
+//    The simulated split calls are eager sends and blocking receives, issued
+//    in the order CMPI completes them.
 #pragma once
 
 #include <cstddef>

@@ -210,40 +210,6 @@ std::size_t Comm::recv(int src, int tag, void* data, std::size_t max_bytes) {
   return n;
 }
 
-Request Comm::isend(int dst, int tag, const void* data, std::size_t bytes,
-                    bool exchange) {
-  // Eager send: the transfer is initiated (and paid for) immediately; the
-  // request completes at once. Matches MPICH eager-protocol behaviour for
-  // the message sizes CHARMM uses with buffered sends.
-  send(dst, tag, data, bytes, exchange);
-  Request req;
-  req.op = Request::Op::kSend;
-  req.done = true;
-  return req;
-}
-
-Request Comm::irecv(int src, int tag, void* data, std::size_t max_bytes) {
-  Request req;
-  req.op = Request::Op::kRecv;
-  req.src = src;
-  req.tag = tag;
-  req.buf = data;
-  req.max_bytes = max_bytes;
-  return req;
-}
-
-void Comm::wait(Request& req) {
-  if (req.done) return;
-  if (req.op == Request::Op::kRecv) {
-    req.received = recv(req.src, req.tag, req.buf, req.max_bytes);
-  }
-  req.done = true;
-}
-
-void Comm::wait_all(std::vector<Request>& reqs) {
-  for (auto& r : reqs) wait(r);
-}
-
 void Comm::sendrecv(int dst, int send_tag, const void* send_data,
                     std::size_t send_bytes, int src, int recv_tag,
                     void* recv_data, std::size_t recv_bytes) {

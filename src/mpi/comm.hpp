@@ -74,17 +74,6 @@ struct RankRange {
 using sim::MsgBuf;
 using sim::Packet;
 
-struct Request {
-  enum class Op { kSend, kRecv } op = Op::kSend;
-  bool done = false;
-  // receive parameters (kRecv only)
-  int src = kAnySource;
-  int tag = 0;
-  void* buf = nullptr;
-  std::size_t max_bytes = 0;
-  std::size_t received = 0;
-};
-
 class Comm {
  public:
   Comm(sim::RankCtx& ctx, net::ClusterNetwork& net, perf::RankRecorder& rec,
@@ -130,12 +119,6 @@ class Comm {
             bool exchange = false);
   // Returns the number of bytes received (<= max_bytes).
   std::size_t recv(int src, int tag, void* data, std::size_t max_bytes);
-
-  Request isend(int dst, int tag, const void* data, std::size_t bytes,
-                bool exchange = false);
-  Request irecv(int src, int tag, void* data, std::size_t max_bytes);
-  void wait(Request& req);
-  void wait_all(std::vector<Request>& reqs);
 
   void sendrecv(int dst, int send_tag, const void* send_data,
                 std::size_t send_bytes, int src, int recv_tag,

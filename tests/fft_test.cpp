@@ -424,12 +424,13 @@ TEST(SlabPartitionTest, BalancedWithinOne) {
 // --- parallel FFT -----------------------------------------------------------
 
 // Runs the slab transform of a random real nx x ny x nz grid on p ranks
-// and holds every rank's half-spectrum z-slab (layout [lkz][ny][nx]) to
-// RealFft3D's half spectrum within 1e-8, and the round trip back to its
-// x-slab within 1e-10. Returns each rank's half-spectrum plane count.
-std::vector<std::size_t> check_slab_transform(std::size_t nx, std::size_t ny,
-                                              std::size_t nz, int p,
-                                              std::uint64_t seed) {
+// over the `kind` middleware and holds every rank's half-spectrum z-slab
+// (layout [lkz][ny][nx]) to RealFft3D's half spectrum within 1e-8, and
+// the round trip back to its x-slab within 1e-10. Returns each rank's
+// half-spectrum plane count.
+std::vector<std::size_t> check_slab_transform(
+    std::size_t nx, std::size_t ny, std::size_t nz, int p, std::uint64_t seed,
+    middleware::Kind kind = middleware::Kind::kMpi) {
   const auto full = random_real_grid(nx * ny * nz, seed);
   RealFft3D serial(nx, ny, nz);
   std::vector<Complex> reference(serial.spectrum_size());
@@ -445,8 +446,8 @@ std::vector<std::size_t> check_slab_transform(std::size_t nx, std::size_t ny,
   engine.run([&](sim::RankCtx& ctx) {
     mpi::Comm comm(ctx, cluster,
                    recs[static_cast<std::size_t>(ctx.rank())]);
-    middleware::MpiMiddleware mw(comm);
-    ParallelFft3D pfft(nx, ny, nz, mw);
+    const auto mw = middleware::make_middleware(kind, comm);
+    ParallelFft3D pfft(nx, ny, nz, *mw);
     const int me = comm.rank();
     const std::size_t x0 = pfft.x_slabs().begin(me);
     const std::vector<double> xslab(
@@ -502,9 +503,13 @@ TEST(ParallelFftTest2, OddMixedRadixGridMatchesSerial) {
 
 TEST(ParallelFftTest2, WorksWithEmptySlabs) {
   // More ranks than z-planes, and past the middle of the spectrum: ranks
-  // 3-7 own no half-spectrum plane.
-  const auto planes = check_slab_transform(16, 4, 4, 8, 9);
-  EXPECT_EQ(planes, (std::vector<std::size_t>{1, 1, 1, 0, 0, 0, 0, 0}));
+  // 3-7 own no half-spectrum plane, and ranks 4-7 no z-plane at all, so
+  // their transpose blocks are empty. Both middlewares' transposes run.
+  for (const auto kind : {middleware::Kind::kMpi, middleware::Kind::kCmpi}) {
+    SCOPED_TRACE(middleware::to_string(kind));
+    const auto planes = check_slab_transform(16, 4, 4, 8, 9, kind);
+    EXPECT_EQ(planes, (std::vector<std::size_t>{1, 1, 1, 0, 0, 0, 0, 0}));
+  }
 }
 
 // The element type of the slab transform's x-slab, read off forward(), so

@@ -162,23 +162,6 @@ TEST(P2PTest, SelfSend) {
   });
 }
 
-TEST(P2PTest, IsendIrecvWait) {
-  run_cluster(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      const int v = 77;
-      Request s = comm.isend(1, 4, &v, sizeof(v));
-      comm.wait(s);
-      EXPECT_TRUE(s.done);
-    } else {
-      int got = 0;
-      Request r = comm.irecv(0, 4, &got, sizeof(got));
-      comm.wait(r);
-      EXPECT_EQ(got, 77);
-      EXPECT_EQ(r.received, sizeof(int));
-    }
-  });
-}
-
 TEST(P2PTest, RecvWaitIsCommunicationTime) {
   auto recs = run_cluster(2, [](Comm& comm) {
     if (comm.rank() == 0) {
