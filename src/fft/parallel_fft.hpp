@@ -48,7 +48,10 @@ struct SlabPartition {
     return begins_[static_cast<std::size_t>(rank) + 1];
   }
   std::size_t count(int rank) const { return end(rank) - begin(rank); }
+  std::size_t total() const { return begins_.back(); }
   int owner(std::size_t plane) const;
+  // The same ranges with every plane from n on cut off.
+  SlabPartition clipped(std::size_t n) const;
 
  private:
   std::vector<std::size_t> begins_;
@@ -67,12 +70,8 @@ class ParallelFft3D {
   // My z-planes of the complex transform (what the charges count).
   std::size_t local_z_count() const { return zpart_.count(transport_.rank()); }
   // Rank r's half-spectrum planes [kz_begin(r), kz_begin(r) + kz_count(r)).
-  std::size_t kz_begin(int rank) const {
-    return std::min(zpart_.begin(rank), nzh_);
-  }
-  std::size_t kz_count(int rank) const {
-    return std::min(zpart_.end(rank), nzh_) - kz_begin(rank);
-  }
+  std::size_t kz_begin(int rank) const { return kzpart_.begin(rank); }
+  std::size_t kz_count(int rank) const { return kzpart_.count(rank); }
   std::size_t local_kz_count() const { return kz_count(transport_.rank()); }
 
   // x-slab: [local_x][ny][nz] reals; z-slab: [local_kz][ny][nx] values.
@@ -90,26 +89,23 @@ class ParallelFft3D {
   void charge(double flops) const {
     if (charge_) charge_(flops);
   }
-  // One transpose's per-peer byte counts and displacements (the complex
-  // model's blocks), fixed by the two partitions and so built once;
-  // `elements` is the number of values packed plus unpacked, the
-  // transpose's charge.
-  struct TransposeLayout {
-    std::vector<std::size_t> send_counts, send_displs;
-    std::vector<std::size_t> recv_counts, recv_displs;
-    std::size_t elements = 0;
+  // One transpose buffer's per-rank byte counts and displacements (the
+  // complex model's blocks, in rank order), fixed by the two partitions
+  // and so built once.
+  struct Blocks {
+    std::vector<std::size_t> counts, displs;
+    void push(std::size_t values);
   };
-  TransposeLayout layout(bool forward) const;
-  // Ships half_ to every rank's z-slab (`forward` direction) and back.
-  void transpose_xz(Complex* zslab);
-  void transpose_zx(const Complex* zslab);
+  // Moves half_ to the z-slab `dst` (`forward`), or the z-slab `src` back
+  // to half_, through the blocks; both ways are one block copy.
+  void transpose(bool forward, const Complex* src, Complex* dst);
 
   std::size_t nx_, ny_, nz_, nzh_;
   middleware::Transport& transport_;
   std::function<void(double)> charge_;
   SlabPartition xpart_;
   SlabPartition zpart_;
-  TransposeLayout xz_, zx_;
+  SlabPartition kzpart_;  // zpart_ clipped to the half spectrum
   Fft1D fx_, fy_;
   RealFft1D fz_;
   // The transpose buffers, zero-initialized. The forward transpose sends
@@ -119,6 +115,7 @@ class ParallelFft3D {
   // front, and the zeros behind them are only ever copied onto zeros.
   std::vector<Complex> xblocks_;
   std::vector<Complex> zblocks_;
+  Blocks xside_, zside_;  // the layouts of xblocks_ and zblocks_
   std::vector<Complex> half_;  // my planes' half spectra, [lx][ny][nz/2+1]
 };
 
@@ -187,24 +184,18 @@ class PencilFft3D {
   void backward(const Complex* stage3, Complex* stage1, int tag_zy,
                 int tag_yx);
 
-  // The four grouped pairwise transposes, public for the property-test
-  // harness. Buffers use the stage layouts documented on PencilGrid.
-  void transpose_xy(const Complex* stage1, Complex* stage2, int tag);
-  void transpose_yx(const Complex* stage2, Complex* stage1, int tag);
-  void transpose_yz(const Complex* stage2, Complex* stage3, int tag);
-  void transpose_zy(const Complex* stage3, Complex* stage2, int tag);
-
-  // Total 1-D FFT flops this rank charges for one forward (== one
-  // backward) pass; the predictor's compute model uses the same value.
-  double local_fft_flops() const;
+  // The four grouped pairwise transposes, named by their source and
+  // destination stages' contiguous axes: X->Y takes stage 1 to stage 2,
+  // Y->Z stage 2 to stage 3, and Y->X and Z->Y go back. Public for the
+  // property-test harness. Buffers use the stage layouts documented on
+  // PencilGrid.
+  enum class Transpose { kXY, kYX, kYZ, kZY };
+  void transpose(Transpose which, const Complex* src, Complex* dst, int tag);
 
  private:
   void charge(double flops) const {
     if (charge_) charge_(flops);
   }
-  template <class Peer, class Pack, class Incoming, class Unpack>
-  void pairwise_rounds(int size, int me, int tag, Peer peer, Pack pack_to,
-                       Incoming incoming, Unpack unpack_from);
 
   PencilGrid grid_;
   mpi::Comm& comm_;

@@ -297,7 +297,6 @@ SerialPme::SerialPme(const PmeParams& params, const Box& box,
     : params_(params),
       box_(box),
       fft_(params.nx, params.ny, params.nz),
-      fft_flops_(fft::Fft3D(params.nx, params.ny, params.nz).flops()),
       modx_(bspline_moduli(params.nx, params.order)),
       mody_(bspline_moduli(params.ny, params.order)),
       modz_(bspline_moduli(params.nz, params.order)),
@@ -312,7 +311,7 @@ SerialPme::SerialPme(const PmeParams& params, const Box& box,
 // directly; the digests in tests/pme_test.cpp pin the result.
 double SerialPme::reciprocal(const Topology& topo,
                              const std::vector<Vec3>& pos,
-                             std::vector<Vec3>& forces, PmeWork* work) {
+                             std::vector<Vec3>& forces) {
   const auto n = static_cast<std::size_t>(topo.natoms());
   REPRO_REQUIRE(pos.size() == n, "position array size mismatch");
   const GridRegion whole{0, params_.nx, 0, params_.ny, 0, params_.nz};
@@ -347,16 +346,6 @@ double SerialPme::reciprocal(const Topology& topo,
 
   fft_.inverse(spectrum_.data(), rgrid_.data());
   stencil_.interpolate(whole, rgrid_.data(), forces);
-
-  if (work != nullptr) {
-    const int order = params_.order;
-    work->atoms_spread += n;
-    work->stencil_points +=
-        2 * n * static_cast<std::size_t>(order * order * order);
-    // The charge model counts the full complex transform and mesh.
-    work->mesh_points += volume;
-    work->fft_flops += 2.0 * fft_flops_;
-  }
   return energy;
 }
 
@@ -394,7 +383,7 @@ ParallelPme::ParallelPme(const PmeParams& params, const Box& box,
 
 double ParallelPme::reciprocal(const Topology& topo,
                                const std::vector<Vec3>& pos,
-                               std::vector<Vec3>& forces, PmeWork* work) {
+                               std::vector<Vec3>& forces) {
   const auto n = static_cast<std::size_t>(topo.natoms());
   REPRO_REQUIRE(pos.size() == n, "position array size mismatch");
   const int order = params_.order;
@@ -470,12 +459,6 @@ double ParallelPme::reciprocal(const Topology& topo,
   if (charge_) {
     charge_(6.0 * static_cast<double>(n) +
             22.0 * static_cast<double>(interp_stencil));
-  }
-
-  if (work != nullptr) {
-    work->atoms_spread += stencil_.size();
-    work->stencil_points += stencil + interp_stencil;
-    work->mesh_points += lz * params_.ny * params_.nx;
   }
   return energy;
 }
@@ -711,8 +694,7 @@ void PencilPme::return_potential(int tag) {
 double PencilPme::reciprocal(const Topology& topo,
                              const std::vector<Vec3>& pos,
                              const std::vector<int>& owned,
-                             std::vector<Vec3>& forces, int tag_base,
-                             PmeWork* work) {
+                             std::vector<Vec3>& forces, int tag_base) {
   REPRO_REQUIRE(pos.size() == static_cast<std::size_t>(topo.natoms()),
                 "position array size mismatch");
   const int order = params_.order;
@@ -741,15 +723,13 @@ double PencilPme::reciprocal(const Topology& topo,
   // Convolution + partial energy over my stage-3 pencils: x in Xp(yc),
   // y in Y2p(zc), all z — each wavevector on exactly one rank.
   double energy = 0.0;
-  std::size_t mesh = 0;
   if (g.participates(me)) {
     for (std::size_t i = 0; i < stage3_.size(); ++i) {
       const double f = influence_[i];
       energy += 0.5 * f * std::norm(stage3_[i]);
       stage3_[i] *= f * K;
     }
-    mesh = stage3_.size();
-    charge(12.0 * static_cast<double>(mesh));
+    charge(12.0 * static_cast<double>(stage3_.size()));
   }
 
   pfft_.backward(stage3_.data(), stage1_.data(), tag_base + 3, tag_base + 4);
@@ -762,13 +742,6 @@ double PencilPme::reciprocal(const Topology& topo,
       stencil_.interpolate(reg, region_.data(), forces);
   charge(6.0 * static_cast<double>(owned.size()) +
          22.0 * static_cast<double>(interp_stencil));
-
-  if (work != nullptr) {
-    work->atoms_spread += stencil_.size();
-    work->stencil_points += stencil + interp_stencil;
-    work->mesh_points += mesh;
-    work->fft_flops += 2.0 * pfft_.local_fft_flops();
-  }
   return energy;
 }
 

@@ -52,14 +52,6 @@ struct PmeParams {
   bool operator==(const PmeParams&) const = default;
 };
 
-// Work counters for the simulator's compute-cost model.
-struct PmeWork {
-  std::size_t atoms_spread = 0;       // atoms this rank spread/interpolated
-  std::size_t stencil_points = 0;     // grid points touched (spread+interp)
-  std::size_t mesh_points = 0;        // k-space points convolved
-  double fft_flops = 0.0;
-};
-
 // E_self = -kCoulomb * beta/sqrt(pi) * sum q_i^2.
 double ewald_self_energy(const md::Topology& topo, double beta);
 
@@ -152,8 +144,7 @@ class SerialPme {
   // only for the perfbench driver (util/kernel.hpp). The staging grid goes
   // through fft::RealFft3D, and the convolution and energy run on its
   // half spectrum [nx][ny][nz/2+1], the influence function (a constant of
-  // (params, box), tabulated here once per plan) being even in m. The
-  // work counters still charge the full complex transform and mesh.
+  // (params, box), tabulated here once per plan) being even in m.
   SerialPme(const PmeParams& params, const md::Box& box,
             util::KernelKind kind = util::default_kernel_kind());
 
@@ -161,7 +152,7 @@ class SerialPme {
   // atoms. Positions may lie outside the box (wrapped internally).
   double reciprocal(const md::Topology& topo,
                     const std::vector<util::Vec3>& pos,
-                    std::vector<util::Vec3>& forces, PmeWork* work = nullptr);
+                    std::vector<util::Vec3>& forces);
 
   const PmeParams& params() const { return params_; }
 
@@ -169,7 +160,6 @@ class SerialPme {
   PmeParams params_;
   md::Box box_;
   fft::RealFft3D fft_;
-  double fft_flops_;  // one complex 3-D transform, for PmeWork
   std::vector<double> modx_, mody_, modz_;
   std::vector<double> influence_;  // per half-spectrum point
   std::vector<fft::Complex> spectrum_;  // [nx][ny][nz/2+1]
@@ -254,8 +244,7 @@ class PencilPme {
   double reciprocal(const md::Topology& topo,
                     const std::vector<util::Vec3>& pos,
                     const std::vector<int>& owned,
-                    std::vector<util::Vec3>& forces, int tag_base,
-                    PmeWork* work = nullptr);
+                    std::vector<util::Vec3>& forces, int tag_base);
 
   // Adopts new regions (same rules and errors as the constructor's). The
   // FFT plans and influence factors depend only on (params, box, pencil
@@ -303,11 +292,11 @@ class ParallelPme {
 
   // Slab-parallel reciprocal sum. Returns this rank's *partial* energy;
   // forces accumulated are partial too — both become total after the
-  // caller's global sum. Work counters let the caller charge spread/
-  // interpolation cost (FFT cost is charged internally via the hook).
+  // caller's global sum. Spreading, the FFTs, the convolution and
+  // interpolation are charged through the hook.
   double reciprocal(const md::Topology& topo,
                     const std::vector<util::Vec3>& pos,
-                    std::vector<util::Vec3>& forces, PmeWork* work = nullptr);
+                    std::vector<util::Vec3>& forces);
 
   const PmeParams& params() const { return params_; }
 

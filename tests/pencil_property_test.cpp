@@ -127,15 +127,16 @@ void run_pencil_case(const PencilCase& c) {
     // only, no arithmetic) --------------------------------------------
     std::vector<Complex> stage2(grid.stage2_size(me));
     std::vector<Complex> stage3(grid.stage3_size(me));
-    pfft.transpose_xy(stage1.data(), stage2.data(), 911);
+    using T = PencilFft3D::Transpose;
+    pfft.transpose(T::kXY, stage1.data(), stage2.data(), 911);
     std::vector<Complex> back1(stage1.size());
-    pfft.transpose_yx(stage2.data(), back1.data(), 912);
+    pfft.transpose(T::kYX, stage2.data(), back1.data(), 912);
     for (std::size_t i = 0; i < stage1.size(); ++i) {
       ASSERT_EQ(back1[i], stage1[i]) << "X<->Y identity at " << i;
     }
-    pfft.transpose_yz(stage2.data(), stage3.data(), 913);
+    pfft.transpose(T::kYZ, stage2.data(), stage3.data(), 913);
     std::vector<Complex> back2(stage2.size());
-    pfft.transpose_zy(stage3.data(), back2.data(), 914);
+    pfft.transpose(T::kZY, stage3.data(), back2.data(), 914);
     for (std::size_t i = 0; i < stage2.size(); ++i) {
       ASSERT_EQ(back2[i], stage2[i]) << "Y<->Z identity at " << i;
     }
@@ -295,11 +296,9 @@ void check_pencil_pme(const pme::PmeParams& params,
     for (std::size_t i = 0; i < n; ++i) {
       if (owner[i] == me) owned.push_back(static_cast<int>(i));
     }
-    pme::PmeWork work;
     energies[static_cast<std::size_t>(me)] = pencil.reciprocal(
         sys.topo, sys.positions, owned,
-        forces[static_cast<std::size_t>(me)], 500, &work);
-    EXPECT_EQ(work.atoms_spread, owned.size());
+        forces[static_cast<std::size_t>(me)], 500);
   });
 
   double energy = 0.0;

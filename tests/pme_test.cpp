@@ -505,34 +505,6 @@ TEST(ParallelPmeTest2, OddMixedRadixGridMatchesSerial) {
   }
 }
 
-TEST(ParallelPmeTest2, WorkCountersPopulated) {
-  auto sys = sysbuild::build_random_charges(20, md::Box(10, 10, 10), 30);
-  PmeParams params;
-  params.nx = 16;
-  params.ny = 16;
-  params.nz = 16;
-  net::ClusterConfig config;
-  config.nranks = 2;
-  net::ClusterNetwork cluster(config);
-  std::vector<perf::RankRecorder> recs(2);
-  sim::Engine engine(2);
-  engine.run([&](sim::RankCtx& ctx) {
-    mpi::Comm comm(ctx, cluster,
-                   recs[static_cast<std::size_t>(ctx.rank())]);
-    middleware::MpiMiddleware mw(comm);
-    double charged = 0.0;
-    ParallelPme pme(params, sys.box, mw,
-                    [&](double flops) { charged += flops; });
-    PmeWork work;
-    std::vector<Vec3> f(static_cast<std::size_t>(sys.topo.natoms()));
-    pme.reciprocal(sys.topo, sys.positions, f, &work);
-    EXPECT_GT(work.atoms_spread, 0u);
-    EXPECT_GT(work.stencil_points, 0u);
-    EXPECT_GT(work.mesh_points, 0u);
-    EXPECT_GT(charged, 0.0);
-  });
-}
-
 // --- wrapped plane runs -------------------------------------------------------
 
 // Every interval on every small dimension: the runs are disjoint and
