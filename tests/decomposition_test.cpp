@@ -27,6 +27,8 @@
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
+#include "spec_verdicts.hpp"
+
 namespace repro::charmm {
 namespace {
 
@@ -199,6 +201,46 @@ TEST(DecompSpecTest, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_decomp_spec("spatial:grid=axbxc"), util::Error);
   EXPECT_THROW(parse_decomp_spec("spatial:grid=99999999999999999999x2x2"),
                util::Error);
+}
+
+// Every accepted input with its canonical form, every refused one as
+// refused. An empty option is refused like any other unknown option.
+TEST(DecompSpecTest, VerdictTable) {
+  expect_verdicts(
+      {
+          {"", "atom"},
+          {"atom", "atom"},
+          {"replicated", "atom"},
+          {"force", "force"},
+          {"task", "task"},
+          {"task:pme=3", "task:pme=3"},
+          {"spatial", "spatial"},
+          {"spatial:grid=6x3x4", "spatial:grid=6x3x4"},
+          {"spatial:pme=pencil:grid=4x8", "spatial:pme=pencil:grid=4x8"},
+          {"spatial:grid=6x3x4:pme=pencil:grid=2x4:ldb=greedy,units=16",
+           "spatial:grid=6x3x4:pme=pencil:grid=2x4:ldb=greedy,units=16"},
+          {"spatial:ldb=refine,units=32", "spatial:ldb=refine,units=32"},
+          {"spatial:ldb=off", "spatial"},
+          {"spatial:ldb=greedy:pme=pencil", "spatial:pme=pencil:ldb=greedy"},
+          {"spatial:grid=1000000000x1x1", "spatial:grid=1000000000x1x1"},
+          {"spatial:", nullptr},
+          {"task:", nullptr},
+          {"spatial::pme=pencil", nullptr},
+          {"spatial:grid=6x3x4:", nullptr},
+          {"spatial:ldb=greedy,", nullptr},
+          {"spatial:ldb=greedy,,units=8", nullptr},
+          {"spatial:grid=6xx3", nullptr},
+          {"spatial:grid=1000000001x1x1", nullptr},
+          {"task:pme", nullptr},
+          {"task:pme=+2", nullptr},
+          {"task:pme=3:pme=2", nullptr},
+          {"atom:", nullptr},
+          {"force:", nullptr},
+          {"atom:ldb=greedy", nullptr},
+          {":", nullptr},
+          {"Spatial", nullptr},
+      },
+      [](const char* text) { return to_string(parse_decomp_spec(text)); });
 }
 
 TEST(DecompSpecTest, ResolvesPmeRankCount) {

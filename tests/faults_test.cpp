@@ -16,6 +16,8 @@
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
 
+#include "spec_verdicts.hpp"
+
 namespace repro::net {
 namespace {
 
@@ -133,6 +135,40 @@ TEST(FaultSpecParseTest, RealFieldsAreFiniteDecimals) {
           << e.what();
     }
   }
+}
+
+// Every accepted input with its canonical form, every refused one as
+// refused.
+TEST(FaultSpecParseTest, VerdictTable) {
+  expect_verdicts(
+      {
+          {"", ""},
+          {";", ""},
+          {"loss=0.1;",
+           "loss=0.1,rto=0.2,backoff=2,retries=16,recovery=timeout"},
+          {";;loss=0.1",
+           "loss=0.1,rto=0.2,backoff=2,retries=16,recovery=timeout"},
+          {"loss=0.005,recovery=timeout;straggler=3,x=1.5",
+           "loss=0.005,rto=0.2,backoff=2,retries=16,recovery=timeout;"
+           "straggler=3,x=1.5,period=0,dur=0"},
+          {"degrade=0-2,bw=0.5,lat=0.001", "degrade=0-2,bw=0.5,lat=0.001"},
+          {"straggler=1,x=1.5,period=0.05,dur=0.005",
+           "straggler=1,x=1.5,period=0.05,dur=0.005"},
+          {"stall=3,at=0.5,dur=0.2", "stall=3,at=0.5,dur=0.2"},
+          {"straggler=0,x=2;loss=0.1",
+           "loss=0.1,rto=0.2,backoff=2,retries=16,recovery=timeout;"
+           "straggler=0,x=2,period=0,dur=0"},
+          {"loss=0.1,", nullptr},
+          {"loss=0.1,,rto=0.1", nullptr},
+          {"loss", nullptr},
+          {"loss=", nullptr},
+          {"loss=0.1,rto", nullptr},
+          {"degrade=0-", nullptr},
+          {"degrade=0--1", nullptr},
+          {"stall=1", nullptr},
+          {"frobnicate=1", nullptr},
+      },
+      [](const char* text) { return to_string(parse_fault_spec(text)); });
 }
 
 // --- validation -------------------------------------------------------

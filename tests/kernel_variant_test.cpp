@@ -31,6 +31,7 @@
 #include "util/rng.hpp"
 
 #include "pair_oracle.hpp"
+#include "spec_verdicts.hpp"
 
 namespace repro {
 namespace {
@@ -68,6 +69,33 @@ TEST(PowerSpecTest, RejectsGarbage) {
   EXPECT_THROW(perf::parse_power_spec("static=5,dynamic=2,phase:a=1,phase:a=2"),
                util::Error);
   EXPECT_THROW(perf::parse_power_spec("static=1e3,dynamic=2"), util::Error);
+}
+
+// Every accepted input with its canonical form, every refused one as
+// refused.
+TEST(PowerSpecTest, VerdictTable) {
+  expect_verdicts(
+      {
+          {"static=55,dynamic=25,phase:pme_recip=18",
+           "static=55,dynamic=25,phase:pme_recip=18"},
+          {"dynamic=25.5,static=55", "static=55,dynamic=25.5"},
+          {"static=0,dynamic=0", "static=0,dynamic=0"},
+          {"static=.5,dynamic=5.", "static=0.5,dynamic=5"},
+          {"static=1,dynamic=2,phase:b=1,phase:a=2",
+           "static=1,dynamic=2,phase:a=2,phase:b=1"},
+          {"static=1,dynamic=2,", nullptr},
+          {"static=1,,dynamic=2", nullptr},
+          {",static=1,dynamic=2", nullptr},
+          {"", nullptr},
+          {"static,dynamic=2", nullptr},
+          {"static=1e3,dynamic=2", nullptr},
+          {"static=1,dynamic=2,phase:=3", nullptr},
+          {"static=1,dynamic=2,phase:a", nullptr},
+          {"static=1,dynamic=2,phase:a=b=1", nullptr},
+      },
+      [](const char* text) {
+        return perf::to_string(perf::parse_power_spec(text));
+      });
 }
 
 // The parse layer rejects bad flag strings; this backstop guards specs

@@ -11,6 +11,8 @@
 #include "net/topology.hpp"
 #include "util/error.hpp"
 
+#include "spec_verdicts.hpp"
+
 namespace repro::net {
 namespace {
 
@@ -470,6 +472,31 @@ TEST(TopologyTest, SpecParseErrors) {
   EXPECT_THROW(parse_topology_spec("fattree:radix=abc"), util::Error);
   EXPECT_THROW(parse_topology_spec("fattree:x=4"), util::Error);
   EXPECT_THROW(parse_topology_spec("torus:over=2"), util::Error);
+}
+
+// Every accepted input with its canonical form, every refused one as
+// refused.
+TEST(TopologyTest, SpecVerdictTable) {
+  expect_verdicts(
+      {
+          {"single", "single"},
+          {"fattree", "fattree:radix=16,over=1"},
+          {"fattree:", "fattree:radix=16,over=1"},
+          {"torus:", "torus"},
+          {"fattree:radix=4,", "fattree:radix=4,over=1"},
+          {"fattree:radix=16,over=4", "fattree:radix=16,over=4"},
+          {"fattree:over=2.5,radix=8", "fattree:radix=8,over=2.5"},
+          {"torus:x=4,y=4,z=2", "torus:x=4,y=4,z=2"},
+          {"torus:x=4", "torus:x=4,y=0,z=0"},
+          {"fattree:radix=4,,over=2", nullptr},
+          {"fattree:,radix=4", nullptr},
+          {"fattree:radix=4:over=2", nullptr},
+          {"fattree:radix", nullptr},
+          {"single:", nullptr},
+          {"", nullptr},
+          {"mesh", nullptr},
+      },
+      [](const char* text) { return to_string(parse_topology_spec(text)); });
 }
 
 // Integer fields go through util::parse_int: a value beyond int fails
