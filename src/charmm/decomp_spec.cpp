@@ -1,7 +1,9 @@
 #include "charmm/decomp_spec.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/parse.hpp"
@@ -10,13 +12,11 @@ namespace repro::charmm {
 
 namespace {
 
-int parse_positive_int(const std::string& value, const std::string& what,
-                       const std::string& text) {
-  const std::optional<int> v = util::parse_int(value, 1, 1000000000);
-  REPRO_REQUIRE(v.has_value(),
-                "bad " + what + " in decomposition spec (expected an "
-                "integer in [1, 1000000000]): " + text);
-  return *v;
+// Rank, unit and grid counts: at least one, at most a billion.
+constexpr int kMaxCount = 1000000000;
+
+[[noreturn]] void refuse(const std::string& why, const std::string& text) {
+  throw util::Error("decomposition spec: " + why + ": " + text);
 }
 
 }  // namespace
@@ -77,127 +77,109 @@ std::string to_string(const DecompSpec& spec) {
 
 DecompSpec parse_decomp_spec(const std::string& text) {
   DecompSpec spec;
-  if (text.empty() || text == "atom" || text == "replicated") {
-    return spec;
-  }
-  if (text == "force") {
+  if (text.empty() || text == "replicated") return spec;
+  const std::vector<std::string_view> fields = util::split(text, ':');
+  const std::string_view kind = fields[0];
+  const std::span<const std::string_view> options =
+      std::span(fields).subspan(1);
+  if (kind == "atom" && options.empty()) return spec;
+  if (kind == "force" && options.empty()) {
     spec.kind = DecompKind::kForce;
     return spec;
   }
-  if (text == "task" || text.rfind("task:", 0) == 0) {
+  if (kind == "task") {
     spec.kind = DecompKind::kTaskPme;
-    if (text == "task") return spec;
-    const std::string opt = text.substr(5);
-    REPRO_REQUIRE(opt.rfind("pme=", 0) == 0,
-                  "bad decomposition option '" + opt +
-                      "' (expected task:pme=N): " + text);
-    spec.pme_ranks = parse_positive_int(opt.substr(4), "PME rank count", text);
-    return spec;
-  }
-  if (text == "spatial" || text.rfind("spatial:", 0) == 0) {
-    spec.kind = DecompKind::kSpatial;
-    // Colon-separated options after "spatial". "grid=" means the cell
-    // grid until "pme=pencil" has been seen, after which it means the
-    // pencil process grid — mirroring how to_string prints them.
-    bool after_pencil = false;
-    bool seen_ldb = false;
-    std::size_t pos = 7;  // strlen("spatial")
-    while (pos < text.size()) {
-      REPRO_REQUIRE(text[pos] == ':',
-                    "bad decomposition spec (expected ':' before option): " +
-                        text);
-      const std::size_t next = text.find(':', pos + 1);
-      const std::string opt =
-          text.substr(pos + 1, next == std::string::npos ? std::string::npos
-                                                         : next - pos - 1);
-      pos = next == std::string::npos ? text.size() : next;
-      if (opt == "pme=pencil") {
-        REPRO_REQUIRE(!after_pencil,
-                      "duplicate pme=pencil option in decomposition spec: " +
-                          text);
-        spec.pme_mode = PmeMode::kPencil;
-        after_pencil = true;
-        continue;
-      }
-      REPRO_REQUIRE(opt.rfind("pme=", 0) != 0,
-                    "bad PME mode '" + opt +
-                        "' in decomposition spec (only pme=pencil is "
-                        "accepted; slab is the default): " + text);
-      if (opt.rfind("ldb=", 0) == 0) {
-        REPRO_REQUIRE(!seen_ldb,
-                      "duplicate ldb option in decomposition spec: " + text);
-        seen_ldb = true;
-        std::string value = opt.substr(4);
-        const std::size_t comma = value.find(',');
-        const std::string policy = value.substr(0, comma);
-        if (policy == "off") {
-          spec.ldb = LdbPolicy::kOff;
-        } else if (policy == "greedy") {
-          spec.ldb = LdbPolicy::kGreedy;
-        } else if (policy == "refine") {
-          spec.ldb = LdbPolicy::kRefine;
-        } else {
-          util::fail("bad load-balance policy '" + policy +
-                         "' (expected ldb=greedy|refine|off): " + text,
-                     __FILE__, __LINE__);
-        }
-        if (comma != std::string::npos) {
-          const std::string rest = value.substr(comma + 1);
-          REPRO_REQUIRE(rest.rfind("units=", 0) == 0 &&
-                            rest.find(',') == std::string::npos,
-                        "bad ldb option '" + rest +
-                            "' (expected ldb=POLICY[,units=K]): " + text);
-          REPRO_REQUIRE(spec.ldb != LdbPolicy::kOff,
-                        "units= is meaningless with ldb=off: " + text);
-          spec.units =
-              parse_positive_int(rest.substr(6), "work-unit count", text);
-        }
-        continue;
-      }
-      REPRO_REQUIRE(opt.rfind("grid=", 0) == 0,
-                    "bad decomposition option '" + opt +
-                        "' (expected grid=..., pme=pencil, or ldb=...): " +
-                        text);
-      const std::string dims = opt.substr(5);
-      const std::size_t x1 = dims.find('x');
-      if (after_pencil) {
-        REPRO_REQUIRE(spec.pencil_y == 0,
-                      "duplicate pencil grid in decomposition spec: " + text);
-        REPRO_REQUIRE(x1 != std::string::npos &&
-                          dims.find('x', x1 + 1) == std::string::npos,
-                      "bad pencil grid (expected pme=pencil:grid=PyxPz): " +
-                          text);
-        spec.pencil_y = parse_positive_int(dims.substr(0, x1),
-                                           "pencil grid dimension", text);
-        spec.pencil_z = parse_positive_int(dims.substr(x1 + 1),
-                                           "pencil grid dimension", text);
-      } else {
-        REPRO_REQUIRE(spec.grid_x == 0,
-                      "duplicate cell grid in decomposition spec: " + text);
-        const std::size_t x2 = x1 == std::string::npos ? std::string::npos
-                                                       : dims.find('x', x1 + 1);
-        REPRO_REQUIRE(x1 != std::string::npos && x2 != std::string::npos &&
-                          dims.find('x', x2 + 1) == std::string::npos,
-                      "bad spatial grid (expected spatial:grid=AxBxC): " +
-                          text);
-        spec.grid_x = parse_positive_int(dims.substr(0, x1),
-                                         "spatial grid dimension", text);
-        spec.grid_y = parse_positive_int(dims.substr(x1 + 1, x2 - x1 - 1),
-                                         "spatial grid dimension", text);
-        spec.grid_z = parse_positive_int(dims.substr(x2 + 1),
-                                         "spatial grid dimension", text);
-      }
+    if (options.empty()) return spec;
+    const util::KeyValue pme = util::key_value(options[0]);
+    if (options.size() > 1 || pme.key != "pme" || !pme.has_value) {
+      refuse("bad task option (expected task:pme=N)", text);
     }
+    spec.pme_ranks =
+        util::int_field("decomposition", "PME rank count", pme.value, 1,
+                        kMaxCount);
     return spec;
   }
-  REPRO_REQUIRE(text.find(":ldb=") == std::string::npos,
-                "ldb= only applies to the spatial decomposition (the "
-                "replicated strategies have no migratable units): " + text);
-  util::fail("unknown decomposition '" + text +
-                 "' (expected atom, force, task[:pme=N], or "
-                 "spatial[:grid=AxBxC][:pme=pencil[:grid=PyxPz]]"
-                 "[:ldb=greedy|refine|off[,units=K]])",
-             __FILE__, __LINE__);
+  if (kind != "spatial") {
+    if (text.find(":ldb=") != std::string::npos) {
+      refuse("ldb= only applies to the spatial decomposition (the "
+             "replicated strategies have no migratable units)",
+             text);
+    }
+    refuse("unknown decomposition (expected atom, force, task[:pme=N], or "
+           "spatial[:grid=AxBxC][:pme=pencil[:grid=PyxPz]]"
+           "[:ldb=greedy|refine|off[,units=K]])",
+           text);
+  }
+  spec.kind = DecompKind::kSpatial;
+  // "grid=" means the cell grid until "pme=pencil" has been seen, after
+  // which it means the pencil process grid — mirroring how to_string
+  // prints them.
+  bool after_pencil = false;
+  bool seen_ldb = false;
+  for (const std::string_view option : options) {
+    const util::KeyValue opt = util::key_value(option);
+    if (option == "pme=pencil") {
+      if (after_pencil) refuse("duplicate pme=pencil option", text);
+      spec.pme_mode = PmeMode::kPencil;
+      after_pencil = true;
+    } else if (opt.key == "pme") {
+      refuse("bad PME mode '" + std::string(option) +
+                 "' (only pme=pencil is accepted; slab is the default)",
+             text);
+    } else if (opt.key == "ldb" && opt.has_value) {
+      if (seen_ldb) refuse("duplicate ldb option", text);
+      seen_ldb = true;
+      const std::vector<std::string_view> ldb = util::split(opt.value, ',');
+      if (ldb[0] == "off") {
+        spec.ldb = LdbPolicy::kOff;
+      } else if (ldb[0] == "greedy") {
+        spec.ldb = LdbPolicy::kGreedy;
+      } else if (ldb[0] == "refine") {
+        spec.ldb = LdbPolicy::kRefine;
+      } else {
+        refuse("bad load-balance policy '" + std::string(ldb[0]) +
+                   "' (expected ldb=greedy|refine|off)",
+               text);
+      }
+      if (ldb.size() == 1) continue;
+      const util::KeyValue units = util::key_value(ldb[1]);
+      if (ldb.size() > 2 || units.key != "units" || !units.has_value) {
+        refuse("bad ldb option (expected ldb=POLICY[,units=K])", text);
+      }
+      if (spec.ldb == LdbPolicy::kOff) {
+        refuse("units= is meaningless with ldb=off", text);
+      }
+      spec.units = util::int_field("decomposition", "work-unit count",
+                                   units.value, 1, kMaxCount);
+    } else if (opt.key == "grid" && opt.has_value) {
+      const std::vector<std::string_view> dims = util::split(opt.value, 'x');
+      auto dim = [&](std::size_t i) {
+        return util::int_field("decomposition", "grid dimension", dims[i], 1,
+                               kMaxCount);
+      };
+      if (after_pencil) {
+        if (spec.pencil_y != 0) refuse("duplicate pencil grid", text);
+        if (dims.size() != 2) {
+          refuse("bad pencil grid (expected pme=pencil:grid=PyxPz)", text);
+        }
+        spec.pencil_y = dim(0);
+        spec.pencil_z = dim(1);
+      } else {
+        if (spec.grid_x != 0) refuse("duplicate cell grid", text);
+        if (dims.size() != 3) {
+          refuse("bad spatial grid (expected spatial:grid=AxBxC)", text);
+        }
+        spec.grid_x = dim(0);
+        spec.grid_y = dim(1);
+        spec.grid_z = dim(2);
+      }
+    } else {
+      refuse("bad option '" + std::string(option) +
+                 "' (expected grid=..., pme=pencil, or ldb=...)",
+             text);
+    }
+  }
+  return spec;
 }
 
 int resolved_pme_ranks(const DecompSpec& spec, int nprocs) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
-#include <optional>
 
 #include "util/error.hpp"
 #include "util/parse.hpp"
@@ -210,146 +208,83 @@ void FaultInjector::attribute(int component_class, double delay) {
 
 // --- spec parsing ----------------------------------------------------------
 
-namespace {
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    std::size_t next = s.find(sep, pos);
-    if (next == std::string::npos) next = s.size();
-    out.push_back(s.substr(pos, next - pos));
-    pos = next + 1;
-  }
-  return out;
-}
-
-// Ranges are FaultSpec::validate's job; this only insists on a finite
-// decimal number.
-double parse_double(const std::string& text, const std::string& what) {
-  const std::optional<double> v = util::parse_double(text);
-  if (!v) {
-    throw util::Error("fault spec: " + what +
-                      " must be a finite decimal number: '" + text + "'");
-  }
-  return *v;
-}
-
-// Ranges are FaultSpec::validate's job; this only insists on an int.
-int parse_int(const std::string& text, const std::string& what) {
-  const std::optional<int> v =
-      util::parse_int(text, std::numeric_limits<int>::min(),
-                      std::numeric_limits<int>::max());
-  if (!v) {
-    throw util::Error("fault spec: " + what + " must be an integer: '" +
-                      text + "'");
-  }
-  return *v;
-}
-
-// "key=value" -> {key, value}; a bare word parses as {word, ""}.
-std::pair<std::string, std::string> key_value(const std::string& token) {
-  const std::size_t eq = token.find('=');
-  if (eq == std::string::npos) return {token, ""};
-  return {token.substr(0, eq), token.substr(eq + 1)};
-}
-
-}  // namespace
-
+// Ranges are FaultSpec::validate's job; the field parsers only insist on
+// an int or a finite decimal number.
 FaultSpec parse_fault_spec(const std::string& text) {
   FaultSpec spec;
-  for (const std::string& clause : split(text, ';')) {
-    if (clause.empty()) continue;
-    const std::vector<std::string> tokens = split(clause, ',');
-    const auto [head, head_value] = key_value(tokens[0]);
-
-    auto modifiers = [&](auto&& handle) {
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const auto [key, value] = key_value(tokens[i]);
-        REPRO_REQUIRE(handle(key, value),
-                      "fault spec: unknown modifier '" + key + "' in '" +
-                          clause + "'");
+  if (text.empty()) return spec;
+  for (const std::string_view clause : util::split(text, ';')) {
+    const std::vector<std::string_view> tokens = util::split(clause, ',');
+    const util::KeyValue head = util::key_value(tokens[0]);
+    const std::string_view kind = head.key;
+    PacketLossFault loss;
+    LinkDegradation link;
+    Straggler straggler;
+    NodeStall stall;
+    if (kind == "loss") {
+      loss.loss_prob =
+          util::real_field("fault", "loss probability", head.value);
+    } else if (kind == "degrade") {
+      const std::size_t dash = head.value.find('-');
+      if (dash == std::string_view::npos) {
+        throw util::Error("fault spec: degrade needs a node pair A-B, got '" +
+                          std::string(head.value) + "'");
       }
-    };
-
-    if (head == "loss") {
-      PacketLossFault f;
-      f.loss_prob = parse_double(head_value, "loss probability");
-      modifiers([&](const std::string& key, const std::string& value) {
-        if (key == "rto") {
-          f.rto = parse_double(value, "rto");
-        } else if (key == "backoff") {
-          f.rto_backoff = parse_double(value, "backoff");
-        } else if (key == "retries") {
-          f.max_retries = parse_int(value, "retries");
-        } else if (key == "recovery") {
-          if (value == "timeout") {
-            f.recovery = PacketLossFault::Recovery::kTimeoutRetransmit;
-          } else if (value == "linklevel") {
-            f.recovery = PacketLossFault::Recovery::kLinkLevel;
-          } else {
-            throw util::Error("fault spec: recovery must be 'timeout' or "
-                              "'linklevel', got '" + value + "'");
-          }
-        } else {
-          return false;
-        }
-        return true;
-      });
-      spec.packet_loss.push_back(f);
-    } else if (head == "degrade") {
-      LinkDegradation d;
-      const std::size_t dash = head_value.find('-');
-      REPRO_REQUIRE(dash != std::string::npos,
-                    "fault spec: degrade needs a node pair A-B, got '" +
-                        head_value + "'");
-      d.node_a = parse_int(head_value.substr(0, dash), "degrade node");
-      d.node_b = parse_int(head_value.substr(dash + 1), "degrade node");
-      modifiers([&](const std::string& key, const std::string& value) {
-        if (key == "bw") {
-          d.bandwidth_factor = parse_double(value, "bw");
-        } else if (key == "lat") {
-          d.extra_latency = parse_double(value, "lat");
-        } else {
-          return false;
-        }
-        return true;
-      });
-      spec.degraded_links.push_back(d);
-    } else if (head == "straggler") {
-      Straggler s;
-      s.node = parse_int(head_value, "straggler node");
-      modifiers([&](const std::string& key, const std::string& value) {
-        if (key == "x") {
-          s.compute_factor = parse_double(value, "straggler factor");
-        } else if (key == "period") {
-          s.noise_period = parse_double(value, "noise period");
-        } else if (key == "dur") {
-          s.noise_duration = parse_double(value, "noise duration");
-        } else {
-          return false;
-        }
-        return true;
-      });
-      spec.stragglers.push_back(s);
-    } else if (head == "stall") {
-      NodeStall s;
-      s.node = parse_int(head_value, "stall node");
-      modifiers([&](const std::string& key, const std::string& value) {
-        if (key == "at") {
-          s.at = parse_double(value, "stall start");
-        } else if (key == "dur") {
-          s.duration = parse_double(value, "stall duration");
-        } else {
-          return false;
-        }
-        return true;
-      });
-      spec.stalls.push_back(s);
+      link.node_a = util::int_field("fault", "degrade node",
+                                    head.value.substr(0, dash));
+      link.node_b = util::int_field("fault", "degrade node",
+                                    head.value.substr(dash + 1));
+    } else if (kind == "straggler") {
+      straggler.node = util::int_field("fault", "straggler node", head.value);
+    } else if (kind == "stall") {
+      stall.node = util::int_field("fault", "stall node", head.value);
     } else {
-      throw util::Error("fault spec: unknown clause '" + head +
+      throw util::Error("fault spec: unknown clause '" + std::string(kind) +
                         "' (expected loss/degrade/straggler/stall)");
     }
+    for (std::size_t i = 1; i < tokens.size(); ++i) {
+      const auto [key, value, has_value] = util::key_value(tokens[i]);
+      if (kind == "loss" && key == "rto") {
+        loss.rto = util::real_field("fault", "rto", value);
+      } else if (kind == "loss" && key == "backoff") {
+        loss.rto_backoff = util::real_field("fault", "backoff", value);
+      } else if (kind == "loss" && key == "retries") {
+        loss.max_retries = util::int_field("fault", "retries", value);
+      } else if (kind == "loss" && key == "recovery" && value == "timeout") {
+        loss.recovery = PacketLossFault::Recovery::kTimeoutRetransmit;
+      } else if (kind == "loss" && key == "recovery" &&
+                 value == "linklevel") {
+        loss.recovery = PacketLossFault::Recovery::kLinkLevel;
+      } else if (kind == "loss" && key == "recovery") {
+        throw util::Error("fault spec: recovery must be 'timeout' or "
+                          "'linklevel', got '" + std::string(value) + "'");
+      } else if (kind == "degrade" && key == "bw") {
+        link.bandwidth_factor = util::real_field("fault", "bw", value);
+      } else if (kind == "degrade" && key == "lat") {
+        link.extra_latency = util::real_field("fault", "lat", value);
+      } else if (kind == "straggler" && key == "x") {
+        straggler.compute_factor =
+            util::real_field("fault", "straggler factor", value);
+      } else if (kind == "straggler" && key == "period") {
+        straggler.noise_period =
+            util::real_field("fault", "noise period", value);
+      } else if (kind == "straggler" && key == "dur") {
+        straggler.noise_duration =
+            util::real_field("fault", "noise duration", value);
+      } else if (kind == "stall" && key == "at") {
+        stall.at = util::real_field("fault", "stall start", value);
+      } else if (kind == "stall" && key == "dur") {
+        stall.duration = util::real_field("fault", "stall duration", value);
+      } else {
+        throw util::Error("fault spec: unknown modifier '" +
+                          std::string(key) + "' in '" + std::string(clause) +
+                          "'");
+      }
+    }
+    if (kind == "loss") spec.packet_loss.push_back(loss);
+    if (kind == "degrade") spec.degraded_links.push_back(link);
+    if (kind == "straggler") spec.stragglers.push_back(straggler);
+    if (kind == "stall") spec.stalls.push_back(stall);
   }
   spec.validate();
   return spec;

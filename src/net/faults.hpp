@@ -110,7 +110,9 @@ struct FaultSpec {
 //   degrade=A-B[,bw=F][,lat=S]
 //   straggler=N[,x=F][,period=S][,dur=S]
 //   stall=N[,at=S][,dur=S]
-// Clauses are separated by ';'. Throws util::Error on malformed input.
+// Clauses are separated by ';'. The empty string is the empty spec; an
+// empty clause or modifier (a stray ';' or ',') is malformed. Throws
+// util::Error on malformed input.
 FaultSpec parse_fault_spec(const std::string& text);
 
 // Canonical spec string (round-trips through parse_fault_spec).

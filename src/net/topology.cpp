@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <limits>
-#include <optional>
 
 #include "util/error.hpp"
 #include "util/parse.hpp"
@@ -22,29 +20,6 @@ const char* kind_name(TopologyKind kind) {
       return "torus";
   }
   return "?";
-}
-
-// Strict numeric field parsers, mirroring the fault-spec mini-language:
-// a typo must fail loudly, not silently pick a default. Ranges are
-// TopologySpec::validate's job; parse_int_field only insists on an int.
-int parse_int_field(const std::string& what, const std::string& text) {
-  const std::optional<int> v =
-      util::parse_int(text, std::numeric_limits<int>::min(),
-                      std::numeric_limits<int>::max());
-  if (!v) {
-    throw util::Error("topology spec: bad " + what + " value '" + text +
-                      "' (expected an integer)");
-  }
-  return *v;
-}
-
-double parse_double_field(const std::string& what, const std::string& text) {
-  const std::optional<double> v = util::parse_double(text);
-  if (!v) {
-    throw util::Error("topology spec: bad " + what + " value '" + text +
-                      "' (expected a finite decimal number)");
-  }
-  return *v;
 }
 
 }  // namespace
@@ -94,33 +69,31 @@ TopologySpec parse_topology_spec(const std::string& text) {
     spec.validate();
     return spec;
   }
-  REPRO_REQUIRE(!spec.single(), "topology spec: 'single' takes no options");
-
-  std::string rest = text.substr(colon + 1);
-  while (!rest.empty()) {
-    const std::size_t comma = rest.find(',');
-    const std::string clause = rest.substr(0, comma);
-    rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-    const std::size_t eq = clause.find('=');
-    if (eq == std::string::npos) {
-      throw util::Error("topology spec: expected key=value, got '" + clause +
-                        "'");
+  if (spec.single()) {
+    throw util::Error("topology spec: 'single' takes no options");
+  }
+  // Ranges are TopologySpec::validate's job.
+  const bool fattree = spec.kind == TopologyKind::kFatTree;
+  for (const std::string_view option :
+       util::split(std::string_view(text).substr(colon + 1), ',')) {
+    const auto [key, value, has_value] = util::key_value(option);
+    if (!has_value) {
+      throw util::Error("topology spec: expected key=value, got '" +
+                        std::string(option) + "'");
     }
-    const std::string key = clause.substr(0, eq);
-    const std::string value = clause.substr(eq + 1);
-    if (spec.kind == TopologyKind::kFatTree && key == "radix") {
-      spec.radix = parse_int_field(key, value);
-    } else if (spec.kind == TopologyKind::kFatTree && key == "over") {
-      spec.oversubscription = parse_double_field(key, value);
-    } else if (spec.kind == TopologyKind::kTorus && key == "x") {
-      spec.torus_x = parse_int_field(key, value);
-    } else if (spec.kind == TopologyKind::kTorus && key == "y") {
-      spec.torus_y = parse_int_field(key, value);
-    } else if (spec.kind == TopologyKind::kTorus && key == "z") {
-      spec.torus_z = parse_int_field(key, value);
+    if (fattree && key == "radix") {
+      spec.radix = util::int_field("topology", key, value);
+    } else if (fattree && key == "over") {
+      spec.oversubscription = util::real_field("topology", key, value);
+    } else if (!fattree && key == "x") {
+      spec.torus_x = util::int_field("topology", key, value);
+    } else if (!fattree && key == "y") {
+      spec.torus_y = util::int_field("topology", key, value);
+    } else if (!fattree && key == "z") {
+      spec.torus_z = util::int_field("topology", key, value);
     } else {
-      throw util::Error("topology spec: unknown option '" + key + "' for " +
-                        kind_name(spec.kind));
+      throw util::Error("topology spec: unknown option '" + std::string(key) +
+                        "' for " + kind_name(spec.kind));
     }
   }
   spec.validate();

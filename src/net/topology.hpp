@@ -60,7 +60,8 @@ struct TopologySpec {
 //   single
 //   fattree[:radix=N][,over=F]
 //   torus[:x=N][,y=N][,z=N]
-// Throws util::Error on malformed input.
+// An empty option ("fattree:", a stray ',') is malformed. Throws
+// util::Error on malformed input.
 TopologySpec parse_topology_spec(const std::string& text);
 
 // Canonical spec string (round-trips through parse_topology_spec).

@@ -1,7 +1,7 @@
 #include "perf/power.hpp"
 
 #include <cstdio>
-#include <optional>
+#include <string_view>
 
 #include "util/error.hpp"
 #include "util/parse.hpp"
@@ -9,20 +9,6 @@
 namespace repro::perf {
 
 namespace {
-
-// Strict watts parse: util::parse_double, further limited to digits and
-// a point (no sign, no exponent).
-double parse_watts(const std::string& value, const std::string& what,
-                   const std::string& text) {
-  const std::optional<double> v =
-      value.find_first_not_of("0123456789.") == std::string::npos
-          ? util::parse_double(value)
-          : std::nullopt;
-  REPRO_REQUIRE(v.has_value(),
-                "bad " + what + " in power spec (expected a non-negative "
-                "decimal watt value): " + text);
-  return *v;
-}
 
 std::string format_watts(double w) {
   char buf[64];
@@ -45,44 +31,39 @@ PowerModel parse_power_spec(const std::string& text) {
   PowerModel model;
   bool seen_static = false;
   bool seen_dynamic = false;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t next = text.find(',', pos);
-    const std::string opt = text.substr(
-        pos, next == std::string::npos ? std::string::npos : next - pos);
-    pos = next == std::string::npos ? text.size() + 1 : next + 1;
-    if (opt.rfind("static=", 0) == 0) {
-      REPRO_REQUIRE(!seen_static, "duplicate static= in power spec: " + text);
+  // Watt values are plain decimals: digits and a point, no sign or
+  // exponent.
+  auto watts = [](std::string_view key, std::string_view value) {
+    if (value.find_first_not_of("0123456789.") != std::string_view::npos) {
+      util::bad_field("power", key, value, "digits and a point");
+    }
+    return util::real_field("power", key, value);
+  };
+  for (const std::string_view option : util::split(text, ',')) {
+    const auto [key, value, has_value] = util::key_value(option);
+    if (key == "static" && has_value) {
+      if (seen_static) throw util::Error("power spec: duplicate static=");
       seen_static = true;
-      model.static_watts_per_node =
-          parse_watts(opt.substr(7), "static node power", text);
-    } else if (opt.rfind("dynamic=", 0) == 0) {
-      REPRO_REQUIRE(!seen_dynamic,
-                    "duplicate dynamic= in power spec: " + text);
+      model.static_watts_per_node = watts(key, value);
+    } else if (key == "dynamic" && has_value) {
+      if (seen_dynamic) throw util::Error("power spec: duplicate dynamic=");
       seen_dynamic = true;
-      model.dynamic_watts =
-          parse_watts(opt.substr(8), "dynamic power", text);
-    } else if (opt.rfind("phase:", 0) == 0) {
-      const std::size_t eq = opt.find('=');
-      const std::string name =
-          eq == std::string::npos ? "" : opt.substr(6, eq - 6);
-      REPRO_REQUIRE(eq != std::string::npos && !name.empty(),
-                    "bad phase override '" + opt +
-                        "' in power spec (expected phase:NAME=W): " + text);
-      REPRO_REQUIRE(model.phase_watts.find(name) == model.phase_watts.end(),
-                    "duplicate phase override '" + name +
-                        "' in power spec: " + text);
-      model.phase_watts[name] =
-          parse_watts(opt.substr(eq + 1), "phase power", text);
+      model.dynamic_watts = watts(key, value);
+    } else if (key.starts_with("phase:") && key.size() > 6 && has_value) {
+      const std::string name(key.substr(6));
+      if (model.phase_watts.count(name) != 0) {
+        throw util::Error("power spec: duplicate phase override '" + name +
+                          "'");
+      }
+      model.phase_watts[name] = watts(key, value);
     } else {
-      util::fail("bad power option '" + opt +
-                     "' (expected static=S,dynamic=D[,phase:NAME=W]...): " +
-                     text,
-                 __FILE__, __LINE__);
+      throw util::Error("power spec: bad option '" + std::string(option) +
+                        "' (expected static=S,dynamic=D[,phase:NAME=W]...)");
     }
   }
-  REPRO_REQUIRE(seen_static && seen_dynamic,
-                "power spec must set both static= and dynamic=: " + text);
+  if (!seen_static || !seen_dynamic) {
+    throw util::Error("power spec: must set both static= and dynamic=");
+  }
   return model;
 }
 

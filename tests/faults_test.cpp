@@ -138,16 +138,14 @@ TEST(FaultSpecParseTest, RealFieldsAreFiniteDecimals) {
 }
 
 // Every accepted input with its canonical form, every refused one as
-// refused.
+// refused. An empty field is refused, as in every spec grammar.
 TEST(FaultSpecParseTest, VerdictTable) {
   expect_verdicts(
       {
           {"", ""},
-          {";", ""},
-          {"loss=0.1;",
-           "loss=0.1,rto=0.2,backoff=2,retries=16,recovery=timeout"},
-          {";;loss=0.1",
-           "loss=0.1,rto=0.2,backoff=2,retries=16,recovery=timeout"},
+          {";", nullptr},
+          {"loss=0.1;", nullptr},
+          {";;loss=0.1", nullptr},
           {"loss=0.005,recovery=timeout;straggler=3,x=1.5",
            "loss=0.005,rto=0.2,backoff=2,retries=16,recovery=timeout;"
            "straggler=3,x=1.5,period=0,dur=0"},

@@ -475,15 +475,15 @@ TEST(TopologyTest, SpecParseErrors) {
 }
 
 // Every accepted input with its canonical form, every refused one as
-// refused.
+// refused. An empty field is refused, as in every spec grammar.
 TEST(TopologyTest, SpecVerdictTable) {
   expect_verdicts(
       {
           {"single", "single"},
           {"fattree", "fattree:radix=16,over=1"},
-          {"fattree:", "fattree:radix=16,over=1"},
-          {"torus:", "torus"},
-          {"fattree:radix=4,", "fattree:radix=4,over=1"},
+          {"fattree:", nullptr},
+          {"torus:", nullptr},
+          {"fattree:radix=4,", nullptr},
           {"fattree:radix=16,over=4", "fattree:radix=16,over=4"},
           {"fattree:over=2.5,radix=8", "fattree:radix=8,over=2.5"},
           {"torus:x=4,y=4,z=2", "torus:x=4,y=4,z=2"},
