@@ -1,7 +1,7 @@
 // Tests for the pair kernel against its libm oracle (tests/pair_oracle.hpp),
-// the per-phase energy model (--power=SPEC) and the batched B-spline and
-// FFT kernels:
-//  - power-spec parsing round-trips and error paths;
+// run_experiment's check on the energy model's watts, and the batched
+// B-spline and FFT kernels:
+//  - negative watts built in code are refused;
 //  - the precomputed LJ mixing table is bit-identical to per-pair mixing;
 //  - the pair kernel matches the oracle to 1e-10 relative under every
 //    work-selection rule, reports exactly the oracle's work counters, and
@@ -31,72 +31,13 @@
 #include "util/rng.hpp"
 
 #include "pair_oracle.hpp"
-#include "spec_verdicts.hpp"
 
 namespace repro {
 namespace {
 
 using util::Vec3;
 
-// --- spec parsing ----------------------------------------------------------
-
-TEST(PowerSpecTest, ParsesAndRoundTrips) {
-  const perf::PowerModel m =
-      perf::parse_power_spec("static=55,dynamic=25.5,phase:pme_fft=18");
-  EXPECT_DOUBLE_EQ(m.static_watts_per_node, 55.0);
-  EXPECT_DOUBLE_EQ(m.dynamic_watts, 25.5);
-  ASSERT_EQ(m.phase_watts.size(), 1u);
-  EXPECT_DOUBLE_EQ(m.phase_watts.at("pme_fft"), 18.0);
-  EXPECT_EQ(perf::to_string(m), "static=55,dynamic=25.5,phase:pme_fft=18");
-  EXPECT_EQ(perf::to_string(perf::parse_power_spec(perf::to_string(m))),
-            perf::to_string(m));
-}
-
-TEST(PowerSpecTest, RejectsGarbage) {
-  EXPECT_THROW(perf::parse_power_spec(""), util::Error);
-  EXPECT_THROW(perf::parse_power_spec("static=55"), util::Error);
-  EXPECT_THROW(perf::parse_power_spec("dynamic=25"), util::Error);
-  EXPECT_THROW(perf::parse_power_spec("static=55,dynamic=25,"), util::Error);
-  EXPECT_THROW(perf::parse_power_spec("static=55,dynamic=25,junk"),
-               util::Error);
-  EXPECT_THROW(perf::parse_power_spec("static=55,static=1,dynamic=2"),
-               util::Error);
-  EXPECT_THROW(perf::parse_power_spec("static=-5,dynamic=25"), util::Error);
-  EXPECT_THROW(perf::parse_power_spec("static=5x,dynamic=25"), util::Error);
-  EXPECT_THROW(perf::parse_power_spec("static=5,dynamic=2.5.1"), util::Error);
-  EXPECT_THROW(perf::parse_power_spec("static=5,dynamic=2,phase:=3"),
-               util::Error);
-  EXPECT_THROW(perf::parse_power_spec("static=5,dynamic=2,phase:a=1,phase:a=2"),
-               util::Error);
-  EXPECT_THROW(perf::parse_power_spec("static=1e3,dynamic=2"), util::Error);
-}
-
-// Every accepted input with its canonical form, every refused one as
-// refused.
-TEST(PowerSpecTest, VerdictTable) {
-  expect_verdicts(
-      {
-          {"static=55,dynamic=25,phase:pme_recip=18",
-           "static=55,dynamic=25,phase:pme_recip=18"},
-          {"dynamic=25.5,static=55", "static=55,dynamic=25.5"},
-          {"static=0,dynamic=0", "static=0,dynamic=0"},
-          {"static=.5,dynamic=5.", "static=0.5,dynamic=5"},
-          {"static=1,dynamic=2,phase:b=1,phase:a=2",
-           "static=1,dynamic=2,phase:a=2,phase:b=1"},
-          {"static=1,dynamic=2,", nullptr},
-          {"static=1,,dynamic=2", nullptr},
-          {",static=1,dynamic=2", nullptr},
-          {"", nullptr},
-          {"static,dynamic=2", nullptr},
-          {"static=1e3,dynamic=2", nullptr},
-          {"static=1,dynamic=2,phase:=3", nullptr},
-          {"static=1,dynamic=2,phase:a", nullptr},
-          {"static=1,dynamic=2,phase:a=b=1", nullptr},
-      },
-      [](const char* text) {
-        return perf::to_string(perf::parse_power_spec(text));
-      });
-}
+// --- power backstop --------------------------------------------------------
 
 // The parse layer rejects bad flag strings; this backstop guards specs
 // built in code (sweep drivers, tests) against skipping the parsers.

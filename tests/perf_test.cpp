@@ -6,10 +6,14 @@
 #include <vector>
 
 #include "perf/metrics.hpp"
+#include "perf/power.hpp"
 #include "perf/recorder.hpp"
 #include "perf/report.hpp"
 #include "perf/timeline.hpp"
 #include "perf/trace_export.hpp"
+#include "util/error.hpp"
+
+#include "spec_verdicts.hpp"
 
 namespace repro::perf {
 namespace {
@@ -365,6 +369,66 @@ TEST(BreakdownTest, Addition) {
   EXPECT_DOUBLE_EQ(c.comp, 11);
   EXPECT_DOUBLE_EQ(c.comm, 22);
   EXPECT_DOUBLE_EQ(c.sync, 33);
+}
+
+// --- power spec -----------------------------------------------------------
+
+TEST(PowerSpecTest, ParsesAndRoundTrips) {
+  const perf::PowerModel m =
+      perf::parse_power_spec("static=55,dynamic=25.5,phase:pme_fft=18");
+  EXPECT_DOUBLE_EQ(m.static_watts_per_node, 55.0);
+  EXPECT_DOUBLE_EQ(m.dynamic_watts, 25.5);
+  ASSERT_EQ(m.phase_watts.size(), 1u);
+  EXPECT_DOUBLE_EQ(m.phase_watts.at("pme_fft"), 18.0);
+  EXPECT_EQ(perf::to_string(m), "static=55,dynamic=25.5,phase:pme_fft=18");
+  EXPECT_EQ(perf::to_string(perf::parse_power_spec(perf::to_string(m))),
+            perf::to_string(m));
+}
+
+TEST(PowerSpecTest, RejectsGarbage) {
+  EXPECT_THROW(perf::parse_power_spec(""), util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=55"), util::Error);
+  EXPECT_THROW(perf::parse_power_spec("dynamic=25"), util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=55,dynamic=25,"), util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=55,dynamic=25,junk"),
+               util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=55,static=1,dynamic=2"),
+               util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=-5,dynamic=25"), util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=5x,dynamic=25"), util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=5,dynamic=2.5.1"), util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=5,dynamic=2,phase:=3"),
+               util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=5,dynamic=2,phase:a=1,phase:a=2"),
+               util::Error);
+  EXPECT_THROW(perf::parse_power_spec("static=1e3,dynamic=2"), util::Error);
+}
+
+// Every accepted input with its canonical form, every refused one as
+// refused.
+TEST(PowerSpecTest, VerdictTable) {
+  expect_verdicts(
+      {
+          {"static=55,dynamic=25,phase:pme_recip=18",
+           "static=55,dynamic=25,phase:pme_recip=18"},
+          {"dynamic=25.5,static=55", "static=55,dynamic=25.5"},
+          {"static=0,dynamic=0", "static=0,dynamic=0"},
+          {"static=.5,dynamic=5.", "static=0.5,dynamic=5"},
+          {"static=1,dynamic=2,phase:b=1,phase:a=2",
+           "static=1,dynamic=2,phase:a=2,phase:b=1"},
+          {"static=1,dynamic=2,", nullptr},
+          {"static=1,,dynamic=2", nullptr},
+          {",static=1,dynamic=2", nullptr},
+          {"", nullptr},
+          {"static,dynamic=2", nullptr},
+          {"static=1e3,dynamic=2", nullptr},
+          {"static=1,dynamic=2,phase:=3", nullptr},
+          {"static=1,dynamic=2,phase:a", nullptr},
+          {"static=1,dynamic=2,phase:a=b=1", nullptr},
+      },
+      [](const char* text) {
+        return perf::to_string(perf::parse_power_spec(text));
+      });
 }
 
 }  // namespace
