@@ -11,9 +11,14 @@ namespace repro::net {
 
 namespace {
 
+// %g, with more digits only where six would not parse back to `v`: a
+// rounded value can leave validate's range (loss=0.9999999 as loss=1).
 std::string num(double v) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
+  for (int digits = 6; digits <= 17; ++digits) {
+    std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
+    if (util::parse_double(buf) == v) break;
+  }
   return buf;
 }
 

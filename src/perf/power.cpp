@@ -1,6 +1,9 @@
 #include "perf/power.hpp"
 
+#include <charconv>
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <string_view>
 
 #include "util/error.hpp"
@@ -10,10 +13,14 @@ namespace repro::perf {
 
 namespace {
 
+// %g, or where %g would print an exponent, which the watt syntax
+// refuses, the shortest fixed form that parses back to `w`.
 std::string format_watts(double w) {
-  char buf[64];
+  char buf[400];  // any double's fixed form fits (at most 326 characters)
   std::snprintf(buf, sizeof buf, "%g", w);
-  return buf;
+  if (std::strchr(buf, 'e') == nullptr) return buf;
+  return {buf, std::to_chars(buf, std::end(buf), w,
+                             std::chars_format::fixed).ptr};
 }
 
 }  // namespace

@@ -153,6 +153,8 @@ TEST(FaultSpecParseTest, VerdictTable) {
           {"straggler=1,x=1.5,period=0.05,dur=0.005",
            "straggler=1,x=1.5,period=0.05,dur=0.005"},
           {"stall=3,at=0.5,dur=0.2", "stall=3,at=0.5,dur=0.2"},
+          {"loss=0.9999999",
+           "loss=0.9999999,rto=0.2,backoff=2,retries=16,recovery=timeout"},
           {"straggler=0,x=2;loss=0.1",
            "loss=0.1,rto=0.2,backoff=2,retries=16,recovery=timeout;"
            "straggler=0,x=2,period=0,dur=0"},

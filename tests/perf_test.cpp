@@ -416,6 +416,8 @@ TEST(PowerSpecTest, VerdictTable) {
           {"static=.5,dynamic=5.", "static=0.5,dynamic=5"},
           {"static=1,dynamic=2,phase:b=1,phase:a=2",
            "static=1,dynamic=2,phase:a=2,phase:b=1"},
+          {"static=0.00005,dynamic=9999999",
+           "static=0.00005,dynamic=9999999"},
           {"static=1,dynamic=2,", nullptr},
           {"static=1,,dynamic=2", nullptr},
           {",static=1,dynamic=2", nullptr},
