@@ -90,14 +90,6 @@ integer_flags() {
   return ranges;
 }
 
-std::optional<net::Network> parse_network(const std::string& name) {
-  if (name == "tcp") return net::Network::kTcpGigE;
-  if (name == "score") return net::Network::kScoreGigE;
-  if (name == "myrinet") return net::Network::kMyrinetGM;
-  if (name == "faste") return net::Network::kTcpFastEthernet;
-  return std::nullopt;
-}
-
 // Parses argv into `args`. Returns what is wrong with the command line
 // (an unknown flag, a stray argument, an unknown network or middleware),
 // or "" when a known command's arguments are well formed.
@@ -131,19 +123,23 @@ std::string parse(int argc, char** argv, Args& args) {
     }
     args.options[key] = value;
   }
-  if (args.has("network") && !parse_network(args.get("network", ""))) {
+  if (args.has("network") && !net::parse_network(args.get("network", ""))) {
     return "unknown network '" + args.get("network", "") +
            "' (tcp, score, myrinet, faste)";
   }
   const std::string mw = args.get("middleware", "mpi");
-  if (mw != "mpi" && mw != "cmpi") {
+  if (!middleware::parse_middleware(mw)) {
     return "unknown middleware '" + mw + "' (mpi, cmpi)";
   }
   return "";
 }
 
 net::Network network_of(const Args& args) {
-  return *parse_network(args.get("network", "tcp"));
+  return *net::parse_network(args.get("network", "tcp"));
+}
+
+middleware::Kind middleware_of(const Args& args) {
+  return *middleware::parse_middleware(args.get("middleware", "mpi"));
 }
 
 sysbuild::BuiltSystem obtain_system(const Args& args) {
@@ -227,9 +223,7 @@ int cmd_run(const Args& args) {
   const sysbuild::BuiltSystem sys = obtain_system(args);
   core::ExperimentSpec spec;
   spec.platform.network = network_of(args);
-  spec.platform.middleware = args.get("middleware", "mpi") == "cmpi"
-                                 ? middleware::Kind::kCmpi
-                                 : middleware::Kind::kMpi;
+  spec.platform.middleware = middleware_of(args);
   spec.platform.cpus_per_node = args.get_int("cpus", 1);
   spec.nprocs = args.get_int("procs", 8);
   spec.charmm.nsteps = args.get_int("steps", 10);
@@ -316,9 +310,7 @@ int cmd_sweep(const Args& args) {
   const sysbuild::BuiltSystem sys = obtain_system(args);
   core::ExperimentSpec base;
   base.platform.network = network_of(args);
-  base.platform.middleware = args.get("middleware", "mpi") == "cmpi"
-                                 ? middleware::Kind::kCmpi
-                                 : middleware::Kind::kMpi;
+  base.platform.middleware = middleware_of(args);
   base.platform.cpus_per_node = args.get_int("cpus", 1);
   base.charmm.decomp = charmm::parse_decomp_spec(args.get("decomp", "atom"));
   if (args.has("power")) {

@@ -51,8 +51,8 @@ void report(const core::ExperimentResult& r, const core::ExperimentSpec& spec) {
 }
 
 constexpr const char* kUsage =
-    "usage: workload_characterization [procs [tcp|score|myrinet [mpi|cmpi "
-    "[uni|dual]]]]\n";
+    "usage: workload_characterization [procs [tcp|score|myrinet|faste "
+    "[mpi|cmpi [uni|dual]]]]\n";
 
 // The platform cell named on the command line (defaults: 8 procs, TCP,
 // MPI, uniprocessor nodes), or nullopt for anything else.
@@ -66,22 +66,15 @@ std::optional<core::ExperimentSpec> parse_args(int argc, char** argv) {
     spec.nprocs = *procs;
   }
   if (argc > 2) {
-    const std::string_view network = argv[2];
-    if (network == "score") {
-      spec.platform.network = net::Network::kScoreGigE;
-    } else if (network == "myrinet") {
-      spec.platform.network = net::Network::kMyrinetGM;
-    } else if (network != "tcp") {
-      return std::nullopt;
-    }
+    const std::optional<net::Network> network = net::parse_network(argv[2]);
+    if (!network) return std::nullopt;
+    spec.platform.network = *network;
   }
   if (argc > 3) {
-    const std::string_view mw = argv[3];
-    if (mw == "cmpi") {
-      spec.platform.middleware = middleware::Kind::kCmpi;
-    } else if (mw != "mpi") {
-      return std::nullopt;
-    }
+    const std::optional<middleware::Kind> mw =
+        middleware::parse_middleware(argv[3]);
+    if (!mw) return std::nullopt;
+    spec.platform.middleware = *mw;
   }
   if (argc > 4) {
     const std::string_view cpus = argv[4];

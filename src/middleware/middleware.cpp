@@ -16,6 +16,12 @@ const char* to_string(Kind kind) {
   return "?";
 }
 
+std::optional<Kind> parse_middleware(std::string_view name) {
+  if (name == "mpi") return Kind::kMpi;
+  if (name == "cmpi") return Kind::kCmpi;
+  return std::nullopt;
+}
+
 std::unique_ptr<Middleware> make_middleware(Kind kind, mpi::Comm& comm) {
   switch (kind) {
     case Kind::kMpi:

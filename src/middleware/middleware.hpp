@@ -19,6 +19,8 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "mpi/comm.hpp"
@@ -28,6 +30,8 @@ namespace repro::middleware {
 enum class Kind { kMpi, kCmpi };
 
 const char* to_string(Kind kind);
+// The middleware by its command-line name (mpi, cmpi), or nullopt.
+std::optional<Kind> parse_middleware(std::string_view name);
 
 // The three calls the slab FFT and the slab PME make (fft/parallel_fft.hpp,
 // pme/pme.hpp): this rank's place in the group of ranks that shares the

@@ -37,6 +37,14 @@ std::string to_string(Network net) {
   REPRO_UNREACHABLE("bad Network enum value");
 }
 
+std::optional<Network> parse_network(std::string_view name) {
+  if (name == "tcp") return Network::kTcpGigE;
+  if (name == "score") return Network::kScoreGigE;
+  if (name == "myrinet") return Network::kMyrinetGM;
+  if (name == "faste") return Network::kTcpFastEthernet;
+  return std::nullopt;
+}
+
 namespace {
 
 NetworkParams tcp_gige() {

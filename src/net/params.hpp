@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace repro::net {
 
@@ -26,6 +28,9 @@ enum class Network {
 };
 
 std::string to_string(Network net);
+// The network by its command-line name (tcp, score, myrinet, faste), or
+// nullopt.
+std::optional<Network> parse_network(std::string_view name);
 
 struct NetworkParams {
   std::string name;
