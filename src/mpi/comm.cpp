@@ -60,6 +60,7 @@ void Comm::send_control(int dst, int tag, const RendezvousToken& body) {
   // other stall (see perf/recorder.hpp's taxonomy).
   rec_.record_stall(t.sender_stall);
   ctx_.advance(t.sender_busy + t.sender_stall);
+  timeline_send(sent_at, t.sender_busy, transfer_kind(), "handshake");
   ctx_.post(t.arrival, dst,
             Packet{rank(), tag, std::move(payload), t.recv_copy, sent_at});
 }
@@ -103,6 +104,19 @@ void Comm::await_clear_to_send(int dst, unsigned token) {
   }
   // The handshake wait happens inside the send call: data-transfer time.
   rec_.record(transfer_kind(), ctx_.now() - t0);
+  if (rec_.timeline() != nullptr) {
+    rec_.timeline()->add(t0, ctx_.now(), rec_.component(), transfer_kind(),
+                         event_label("handshake"), rec_.step_index());
+  }
+}
+
+void Comm::timeline_send(double sent_at, double busy, perf::Kind kind,
+                         const char* label) {
+  if (rec_.timeline() == nullptr) return;
+  rec_.timeline()->add(sent_at, sent_at + busy, rec_.component(), kind,
+                       event_label(label), rec_.step_index());
+  rec_.timeline()->add(sent_at + busy, ctx_.now(), rec_.component(),
+                       perf::Kind::kSync, "stall", rec_.step_index());
 }
 
 void Comm::send(int dst, int tag, const void* data, std::size_t bytes,
@@ -154,13 +168,7 @@ void Comm::send(int dst, int tag, const void* data, std::size_t bytes,
   rec_.record_stall(t.sender_stall);
   if (!sync_mode_) rec_.record_bytes(static_cast<double>(bytes));
   ctx_.advance(t.sender_busy + t.sender_stall);
-  if (rec_.timeline() != nullptr) {
-    const double busy_end = sent_at + t.sender_busy;
-    rec_.timeline()->add(sent_at, busy_end, rec_.component(), kind,
-                         event_label("send"), rec_.step_index());
-    rec_.timeline()->add(busy_end, ctx_.now(), rec_.component(),
-                         perf::Kind::kSync, "stall", rec_.step_index());
-  }
+  timeline_send(sent_at, t.sender_busy, kind, "send");
   ctx_.post(t.arrival, dst,
             Packet{rank(), tag, std::move(payload), t.recv_copy, sent_at});
 }

@@ -236,6 +236,11 @@ class Comm {
   void service_rendezvous_requests();
   // Blocks until the CTS for `token` arrives from dst.
   void await_clear_to_send(int dst, unsigned token);
+  // Adds a network send's timeline events, when a timeline is attached:
+  // the sender's busy interval from `sent_at`, then its back-pressure
+  // stall up to now.
+  void timeline_send(double sent_at, double busy, perf::Kind kind,
+                     const char* label);
 
   sim::RankCtx& ctx_;
   net::ClusterNetwork& net_;

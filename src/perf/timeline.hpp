@@ -23,7 +23,8 @@ struct TimelineEvent {
   Kind kind = Kind::kComp;
   // Metadata for structured export (see perf/trace_export.hpp): the MD
   // step the interval belongs to (-1 when unknown) and a short static
-  // label naming the operation ("compute", "send", "stall", "recv").
+  // label naming the operation ("compute", "send", "stall", "recv",
+  // "handshake").
   int step = -1;
   const char* label = "";
 };

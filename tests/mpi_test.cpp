@@ -9,6 +9,7 @@
 #include "mpi/comm.hpp"
 #include "net/cluster.hpp"
 #include "perf/recorder.hpp"
+#include "perf/timeline.hpp"
 #include "sim/engine.hpp"
 
 namespace repro::mpi {
@@ -367,7 +368,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 std::vector<perf::RankRecorder> run_rendezvous_cluster(
     int nranks, std::size_t threshold,
-    const std::function<void(Comm&)>& body) {
+    const std::function<void(Comm&)>& body,
+    std::vector<perf::Timeline>* timelines = nullptr) {
   net::ClusterConfig config;
   config.nranks = nranks;
   config.network = net::Network::kScoreGigE;
@@ -376,6 +378,12 @@ std::vector<perf::RankRecorder> run_rendezvous_cluster(
   net::ClusterNetwork cluster(config, params);
   std::vector<perf::RankRecorder> recorders(
       static_cast<std::size_t>(nranks));
+  if (timelines != nullptr) {
+    timelines->assign(static_cast<std::size_t>(nranks), perf::Timeline{});
+    for (std::size_t r = 0; r < recorders.size(); ++r) {
+      recorders[r].attach_timeline(&(*timelines)[r]);
+    }
+  }
   sim::Engine engine(nranks);
   engine.run([&](sim::RankCtx& ctx) {
     Comm comm(ctx, cluster,
@@ -450,6 +458,43 @@ TEST(RendezvousTest, CollectivesStillCorrect) {
     comm.bcast(b.data(), b.size() * sizeof(double), 2);
     EXPECT_DOUBLE_EQ(b[511], 7.0);
   });
+}
+
+// Every interval Comm books on the recorder also lands on an attached
+// timeline, the rendezvous handshake included: per rank, the summed event
+// durations equal the recorder's total, with and without rendezvous.
+TEST(RendezvousTest, TimelinesCoverEveryBooking) {
+  for (const std::size_t threshold : {std::size_t{0}, std::size_t{64}}) {
+    SCOPED_TRACE(threshold);
+    std::vector<perf::Timeline> timelines;
+    const auto recs = run_rendezvous_cluster(
+        4, threshold,
+        [](Comm& comm) {
+          const int p = comm.size();
+          std::vector<double> data(500, 1.0);
+          std::vector<double> got(500);
+          comm.compute(1e-3 * comm.rank());
+          for (int k = 1; k < p; ++k) {
+            comm.send((comm.rank() + k) % p, 9, data.data(),
+                      data.size() * sizeof(double));
+          }
+          for (int k = 1; k < p; ++k) {
+            comm.recv((comm.rank() - k + p) % p, 9, got.data(),
+                      got.size() * sizeof(double));
+          }
+          comm.allreduce_sum(data.data(), data.size());
+          comm.barrier();
+        },
+        &timelines);
+    for (std::size_t r = 0; r < recs.size(); ++r) {
+      double summed = 0.0;
+      for (const perf::TimelineEvent& e : timelines[r].events()) {
+        summed += e.end - e.begin;
+      }
+      const double total = recs[r].total_breakdown().total();
+      EXPECT_NEAR(summed, total, 1e-9 * total) << "rank " << r;
+    }
+  }
 }
 
 TEST(RendezvousTest, SmallMessagesStayEager) {
