@@ -1,38 +1,13 @@
 #include "perf/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
-#include "util/error.hpp"
+#include "perf/json.hpp"
 
 namespace repro::perf {
 
 namespace {
-
-std::string num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 void emit_breakdown(std::ostringstream& os, const char* key,
                     const Breakdown& b) {
@@ -208,10 +183,7 @@ std::string metrics_json(const RunMetrics& metrics) {
 }
 
 void write_metrics(const std::string& path, const RunMetrics& metrics) {
-  std::ofstream out(path);
-  REPRO_REQUIRE(out.good(), "cannot open metrics output file: " + path);
-  out << metrics_json(metrics);
-  REPRO_REQUIRE(out.good(), "failed writing metrics output file: " + path);
+  write_json_file(path, metrics_json(metrics), "metrics");
 }
 
 }  // namespace repro::perf

@@ -1,55 +1,12 @@
 #include "perf/trace_export.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
-#include "util/error.hpp"
+#include "perf/json.hpp"
 
 namespace repro::perf {
 
 namespace {
-
-// Escapes a string for inclusion in a JSON string literal. Labels are
-// static identifiers today, but the exporter must stay valid JSON for any
-// input.
-std::string json_escape(const char* s) {
-  std::string out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    const char c = *p;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// Numeric JSON field (%.9g keeps full useful precision and stays a valid
-// JSON number).
-std::string num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 // chrome://tracing reserved color names; Perfetto ignores them but still
 // loads the file. Chosen so overheads stand out: computation green,
@@ -136,10 +93,7 @@ std::string chrome_trace_json(const std::vector<Timeline>& timelines,
 void write_chrome_trace(const std::string& path,
                         const std::vector<Timeline>& timelines,
                         const FaultMetrics* faults) {
-  std::ofstream out(path);
-  REPRO_REQUIRE(out.good(), "cannot open trace output file: " + path);
-  out << chrome_trace_json(timelines, faults);
-  REPRO_REQUIRE(out.good(), "failed writing trace output file: " + path);
+  write_json_file(path, chrome_trace_json(timelines, faults), "trace");
 }
 
 }  // namespace repro::perf
