@@ -10,7 +10,10 @@ namespace repro::util {
 
 // FNV-1a processed 8 bytes at a time (tail bytes folded one at a time).
 // Not the canonical byte-wise FNV stream — a fixed, process-local variant
-// chosen for speed on multi-megabyte buffers.
+// chosen for speed on multi-megabyte buffers. Its offset basis is this
+// repo's 1469598103934665603, one digit short of FNV-1a's
+// 14695981039346656037; it is kept because the digest pins and the
+// spatial decomposition's unit_map_hash depend on it.
 inline std::uint64_t fnv1a_bytes(const void* data, std::size_t nbytes) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t h = 1469598103934665603ULL;

@@ -655,8 +655,10 @@ TEST(ParallelFftTest2, ChargesComputeTime) {
 // AVX2 build alike, since neither contracts to FMA (no_fused_multiply_add
 // guards that); the -march=native CI leg filters them out.
 
-// Canonical byte-wise 64-bit FNV-1a, kept local so the pins do not move
-// with util::fnv1a_bytes.
+// Byte-wise 64-bit FNV-1a, kept local so the pins do not move with
+// util::fnv1a_bytes. Its offset basis is this repo's 1469598103934665603,
+// one digit short of FNV-1a's 14695981039346656037; it is kept because
+// every digest pin depends on it.
 template <class T>
 std::uint64_t digest(const std::vector<T>& v) {
   const auto* p = reinterpret_cast<const unsigned char*>(v.data());

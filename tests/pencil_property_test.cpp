@@ -571,7 +571,10 @@ TEST(PencilPmePropertyTest, SetRegionsMatchesFreshConstruction) {
 // 2 x 2 pencil grid whose partial regions wrap in y and z, pinned by a
 // 64-bit FNV-1a digest: the region spread, the plane exchanges and the
 // pencil FFT's rounding all show up here. The pin holds for the baseline
-// x86-64 and the AVX2 build alike, since neither contracts to FMA.
+// x86-64 and the AVX2 build alike, since neither contracts to FMA. The
+// offset basis is this repo's 1469598103934665603, one digit short of
+// FNV-1a's 14695981039346656037; it is kept because every digest pin
+// depends on it.
 std::uint64_t fnv1a(const void* data, std::size_t nbytes,
                     std::uint64_t h = 1469598103934665603ULL) {
   const auto* p = static_cast<const unsigned char*>(data);
