@@ -20,6 +20,8 @@
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
+#include "byte_digest.hpp"
+
 namespace repro::fft {
 namespace {
 
@@ -655,20 +657,8 @@ TEST(ParallelFftTest2, ChargesComputeTime) {
 // AVX2 build alike, since neither contracts to FMA (no_fused_multiply_add
 // guards that); the -march=native CI leg filters them out.
 
-// Byte-wise 64-bit FNV-1a, kept local so the pins do not move with
-// util::fnv1a_bytes. Its offset basis is this repo's 1469598103934665603,
-// one digit short of FNV-1a's 14695981039346656037; it is kept because
-// every digest pin depends on it.
-template <class T>
-std::uint64_t digest(const std::vector<T>& v) {
-  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+// The pins digest with the shared byte-wise FNV-1a (byte_digest.hpp).
+using testutil::fnv1a;
 
 std::string hex(std::uint64_t h) {
   char buf[32];
@@ -693,8 +683,8 @@ TEST_P(Fft1DBitIdentityTest, MatchesPinnedDigests) {
   plan.forward(fwd.data());
   auto inv = input;
   plan.inverse(inv.data());
-  EXPECT_DIGEST(digest(fwd), pin.forward) << "forward n=" << pin.n;
-  EXPECT_DIGEST(digest(inv), pin.inverse) << "inverse n=" << pin.n;
+  EXPECT_DIGEST(fnv1a(fwd), pin.forward) << "forward n=" << pin.n;
+  EXPECT_DIGEST(fnv1a(inv), pin.inverse) << "inverse n=" << pin.n;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -735,8 +725,8 @@ TEST_P(Fft3DBitIdentityTest, MatchesPinnedDigests) {
   plan.forward(fwd.data());
   auto inv = input;
   plan.inverse(inv.data());
-  EXPECT_DIGEST(digest(fwd), pin.forward);
-  EXPECT_DIGEST(digest(inv), pin.inverse);
+  EXPECT_DIGEST(fnv1a(fwd), pin.forward);
+  EXPECT_DIGEST(fnv1a(inv), pin.inverse);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -852,8 +842,8 @@ void run_parallel_pin(int p, std::uint64_t want_forward,
     kspace.insert(kspace.end(), z.begin(), z.end());
     back.insert(back.end(), x.begin(), x.end());
   }
-  EXPECT_DIGEST(digest(kspace), want_forward) << "p=" << p;
-  EXPECT_DIGEST(digest(back), want_backward) << "p=" << p;
+  EXPECT_DIGEST(fnv1a(kspace), want_forward) << "p=" << p;
+  EXPECT_DIGEST(fnv1a(back), want_backward) << "p=" << p;
 }
 
 TEST(ParallelFftBitIdentityTest, OneRankMatchesPinnedDigests) {
@@ -908,8 +898,8 @@ TEST(PencilFftBitIdentityTest, MatchesPinnedDigests) {
     kspace.insert(kspace.end(), s3.begin(), s3.end());
     back.insert(back.end(), s1.begin(), s1.end());
   }
-  EXPECT_DIGEST(digest(kspace), 0xafce7f50e7fb657aULL);
-  EXPECT_DIGEST(digest(back), 0xdbd107de3344ac94ULL);
+  EXPECT_DIGEST(fnv1a(kspace), 0xafce7f50e7fb657aULL);
+  EXPECT_DIGEST(fnv1a(back), 0xdbd107de3344ac94ULL);
 }
 
 // The same grid and process grid with one idle extra rank (p = 7): each
@@ -951,7 +941,7 @@ TEST(PencilFftBitIdentityTest, ChargesAndMessagesMatchPins) {
                                    static_cast<std::uint64_t>(op.tag),
                                    op.size});
     }
-    ops.push_back(hex(digest(fields)));
+    ops.push_back(hex(fnv1a(fields)));
   }
   EXPECT_EQ(flops, (std::vector<double>{
                        44565.307387337933, 44565.307387337933,

@@ -19,6 +19,7 @@
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
+#include "byte_digest.hpp"
 #include "ewald_oracle.hpp"
 #include "pair_oracle.hpp"
 
@@ -644,15 +645,7 @@ TEST(PencilPmeTest, StencilOutsideRegionFailsLoudly) {
 // accuracy. The pins hold for the baseline x86-64 and the AVX2 build
 // alike, since neither contracts to FMA; the -march=native CI leg filters
 // them out.
-std::uint64_t fnv1a(const void* data, std::size_t nbytes,
-                    std::uint64_t h = 1469598103934665603ULL) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+using testutil::fnv1a;
 
 std::uint64_t serial_pme_digest(const PmeParams& params) {
   static const sysbuild::BuiltSystem water = sysbuild::build_water_box(6);
