@@ -42,14 +42,18 @@ fi
 echo "regenerating extension_load_balance.txt..."
 "$bin" --smoke --steps=4 > "$here/extension_load_balance.txt" 2>/dev/null
 
-# The quickstart example (sequential engine: evaluate, minimize, step).
-bin="$build/examples/quickstart"
-if [ ! -x "$bin" ]; then
-  echo "error: $bin not built (cmake --build $build first)" >&2
-  exit 1
-fi
-echo "regenerating quickstart.txt..."
-"$bin" > "$here/quickstart.txt" 2>/dev/null
+# The examples at their default arguments: quickstart (sequential engine:
+# evaluate, minimize, step), cluster_scaling (core::run_experiment) and
+# grid_extrapolation (runs assembled by hand on mpi::Comm).
+for ex in quickstart cluster_scaling grid_extrapolation; do
+  bin="$build/examples/$ex"
+  if [ ! -x "$bin" ]; then
+    echo "error: $bin not built (cmake --build $build first)" >&2
+    exit 1
+  fi
+  echo "regenerating $ex.txt..."
+  "$bin" > "$here/$ex.txt" 2>/dev/null
+done
 
 # The ablation and extension binaries at their default arguments.
 for b in ablation_network_mechanisms ablation_collectives \
