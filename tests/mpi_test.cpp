@@ -1,16 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
 #include <functional>
 #include <numeric>
+#include <set>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "mpi/comm.hpp"
 #include "net/cluster.hpp"
+#include "net/faults.hpp"
 #include "perf/recorder.hpp"
 #include "perf/timeline.hpp"
 #include "sim/engine.hpp"
+
+#include "byte_digest.hpp"
 
 namespace repro::mpi {
 namespace {
@@ -607,6 +615,149 @@ TEST(AccountingTest, ComputeChargesActiveComponent) {
                    2.5);
   EXPECT_DOUBLE_EQ(
       recs[0].time(perf::Component::kClassic, perf::Kind::kComp), 1.0);
+}
+
+// --- booked time -------------------------------------------------------------
+
+// One run with a timeline on every rank, and each rank's clock when its
+// program returned.
+struct BookedRun {
+  std::vector<perf::RankRecorder> recs;
+  std::vector<perf::Timeline> timelines;
+  std::vector<double> clocks;
+};
+
+BookedRun run_booked(int nranks, std::size_t rendezvous_threshold,
+                     const std::string& faults,
+                     const std::function<void(Comm&)>& body) {
+  net::ClusterConfig config;
+  config.nranks = nranks;
+  config.network = net::Network::kScoreGigE;
+  net::NetworkParams params = net::params_for(config.network);
+  params.rendezvous_threshold = rendezvous_threshold;
+  net::ClusterNetwork cluster(config, params, net::parse_fault_spec(faults));
+  const auto n = static_cast<std::size_t>(nranks);
+  BookedRun run{std::vector<perf::RankRecorder>(n),
+                std::vector<perf::Timeline>(n), std::vector<double>(n)};
+  for (std::size_t r = 0; r < n; ++r) {
+    run.recs[r].attach_timeline(&run.timelines[r]);
+  }
+  sim::Engine engine(nranks);
+  engine.run([&](sim::RankCtx& ctx) {
+    const auto r = static_cast<std::size_t>(ctx.rank());
+    Comm comm(ctx, cluster, run.recs[r]);
+    body(comm);
+    run.clocks[r] = comm.now();
+  });
+  return run;
+}
+
+// A rank program that reaches every booking site over two steps: compute
+// under two components, an exchange under a phase label, a self-send,
+// back-pressured sends, SyncScope traffic, a barrier and an allreduce.
+void booked_program(Comm& comm) {
+  perf::RankRecorder& rec = comm.recorder();
+  const int p = comm.size();
+  const int r = comm.rank();
+  std::vector<double> data(300, 1.0 + r);
+  std::vector<double> got(300);
+  std::vector<char> big(1 << 20);
+  const std::size_t bytes = data.size() * sizeof(double);
+  for (int step = 0; step < 2; ++step) {
+    rec.set_component(perf::Component::kClassic);
+    comm.compute(1e-4 * (r + 1));
+    {
+      perf::PhaseScope phase(rec, "halo");
+      comm.sendrecv((r + 1) % p, 3, data.data(), bytes, (r - 1 + p) % p, 3,
+                    got.data(), bytes);
+    }
+    comm.send(r, 4, data.data(), bytes);
+    comm.recv(r, 4, got.data(), bytes);
+    // Back-to-back 1 MB sends overrun the socket window: sender stalls.
+    for (int i = 0; i < 4; ++i) {
+      comm.send((r + 1) % p, 6, big.data(), big.size());
+    }
+    for (int i = 0; i < 4; ++i) {
+      comm.recv((r - 1 + p) % p, 6, big.data(), big.size());
+    }
+    rec.set_component(perf::Component::kPme);
+    comm.compute(2e-4);
+    {
+      Comm::SyncScope sync(comm);
+      comm.send((r + 2) % p, 5, data.data(), bytes);
+      comm.recv((r - 2 + p) % p, 5, got.data(), bytes);
+    }
+    comm.barrier();
+    comm.allreduce_sum(data.data(), data.size());
+    rec.end_step();
+  }
+}
+
+// One rank's booked time as a digest: its final clock, every timeline
+// event (bounds, component, kind, step, label) and every recorder sum
+// (the breakdown, the per-step transfer samples, the phase times).
+std::string booked_digest(const BookedRun& run, std::size_t r) {
+  using testutil::fnv1a;
+  std::uint64_t h = fnv1a(&run.clocks[r], sizeof(double));
+  for (const perf::TimelineEvent& e : run.timelines[r].events()) {
+    const int fields[] = {static_cast<int>(e.component),
+                          static_cast<int>(e.kind), e.step};
+    h = fnv1a(&e.begin, sizeof e.begin, h);
+    h = fnv1a(&e.end, sizeof e.end, h);
+    h = fnv1a(fields, sizeof fields, h);
+    h = fnv1a(e.label, std::strlen(e.label) + 1, h);
+  }
+  const perf::RankRecorder& rec = run.recs[r];
+  for (int c = 0; c < perf::kNumComponents; ++c) {
+    for (int k = 0; k < perf::kNumKinds; ++k) {
+      const double t =
+          rec.time(static_cast<perf::Component>(c), static_cast<perf::Kind>(k));
+      h = fnv1a(&t, sizeof t, h);
+    }
+  }
+  for (const perf::StepComm& s : rec.steps()) {
+    h = fnv1a(&s, sizeof s, h);
+  }
+  for (const auto& [name, t] : rec.phase_times()) {
+    h = fnv1a(name.c_str(), name.size() + 1, h);
+    h = fnv1a(&t, sizeof t, h);
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, h);
+  return buf;
+}
+
+// Eager runs book their time bit for bit as pinned here: each rank's
+// events, recorder sums and clock, plain and with perturbed compute (a
+// noisy straggler and a node stall).
+TEST(BookedTimeTest, EagerBookingBitsPinned) {
+  const struct {
+    const char* faults;
+    std::vector<std::string> digests;
+  } cases[] = {
+      {"", {"0xbaa698ab979d281a", "0x752289c69d6bc357", "0x59c7822d9a66e519",
+            "0x46931a0987f2e8c9"}},
+      {"straggler=1,x=1.5,period=2e-4,dur=3e-5;stall=2,at=1e-4,dur=2e-4",
+       {"0x9b9c79b6fa279685", "0xbbbee9b52efee4fe", "0xb766fe73c985abef",
+        "0xa2623a9a4b64bd04"}},
+  };
+  std::set<std::string> labels;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.faults);
+    const BookedRun run = run_booked(4, 0, c.faults, booked_program);
+    std::vector<std::string> got;
+    for (std::size_t r = 0; r < run.recs.size(); ++r) {
+      got.push_back(booked_digest(run, r));
+      for (const perf::TimelineEvent& e : run.timelines[r].events()) {
+        labels.insert(e.label);
+      }
+    }
+    EXPECT_EQ(got, c.digests);
+  }
+  // The pins cover every eager booking site.
+  EXPECT_EQ(labels, (std::set<std::string>{"compute", "copy", "halo",
+                                           "os_noise", "recv", "send",
+                                           "stall"}));
 }
 
 }  // namespace
