@@ -44,28 +44,43 @@ bool Comm::try_match(int src, int tag, Packet& out, double& arrival) {
   return false;
 }
 
-void Comm::send_control(int dst, int tag, const RendezvousToken& body) {
-  // Control messages are tiny eager sends on the reserved tags; their cost
-  // flows through the normal network model.
-  MsgBuf payload(&body, sizeof(body));
+void Comm::book(perf::Kind kind, const char* label, double busy,
+                double noise, double stall) {
+  const double start = ctx_.now();
+  if (start > booked_) rec_.record(kind, start - booked_);
+  rec_.record(kind, busy + noise);
+  if (stall > 0.0) rec_.record_stall(stall);
+  ctx_.advance(busy + noise + stall);
+  if (perf::Timeline* timeline = rec_.timeline()) {
+    const int step = rec_.step_index();
+    timeline->add(booked_, start + busy, rec_.component(), kind, label, step);
+    timeline->add(start + busy, ctx_.now(), rec_.component(),
+                  noise > 0.0 ? kind : perf::Kind::kSync,
+                  noise > 0.0 ? "os_noise" : "stall", step);
+  }
+  booked_ = ctx_.now();
+}
+
+void Comm::transmit(int dst, int tag, MsgBuf payload, bool exchange,
+                    const char* label) {
   const double sent_at = ctx_.now();
   const net::MessageTiming t =
-      net_.message(rank(), dst, sizeof(body), ctx_.now(), false);
+      net_.message(rank(), dst, payload.size(), sent_at, exchange);
+  // Injected-fault delay is attributed to the component issuing the send:
+  // that is the code path stretched by the perturbation.
   if (t.fault_delay > 0.0) {
     net_.attribute_fault_delay(static_cast<int>(rec_.component()),
                                t.fault_delay);
   }
-  rec_.record(transfer_kind(), t.sender_busy);
-  // Back-pressure on the control channel is control transfer, like any
-  // other stall (see perf/recorder.hpp's taxonomy).
-  rec_.record_stall(t.sender_stall);
-  ctx_.advance(t.sender_busy + t.sender_stall);
-  timeline_send(sent_at, t.sender_busy, transfer_kind(), "handshake");
+  // Back-pressure stalls are control transfer (the sender blocks until the
+  // NIC queue drains): synchronization, per perf/recorder.hpp's taxonomy.
+  book(transfer_kind(), event_label(label), t.sender_busy, 0.0,
+       t.sender_stall);
   ctx_.post(t.arrival, dst,
             Packet{rank(), tag, std::move(payload), t.recv_copy, sent_at});
 }
 
-void Comm::service_rendezvous_requests() {
+void Comm::service_rendezvous_requests(const char* wait_label) {
   for (;;) {
     Packet rts;
     double arrival = 0.0;
@@ -74,14 +89,19 @@ void Comm::service_rendezvous_requests() {
     REPRO_REQUIRE(rts.data.size() == sizeof(body),
                   "malformed rendezvous request");
     std::memcpy(&body, rts.data.data(), sizeof(body));
-    send_control(rts.src, kCtsTag, body);
+    // Book the wait so far as the blocked call's own, so that the CTS is
+    // booked once, on an interval of its own.
+    book(transfer_kind(), wait_label, 0.0);
+    transmit(rts.src, kCtsTag, MsgBuf(&body, sizeof(body)), false,
+             "handshake");
   }
 }
 
 void Comm::await_clear_to_send(int dst, unsigned token) {
-  const double t0 = ctx_.now();
+  // The handshake wait happens inside the send call: data-transfer time.
+  const char* label = event_label("handshake");
   for (;;) {
-    service_rendezvous_requests();  // avoid exchange deadlocks
+    service_rendezvous_requests(label);  // avoid exchange deadlocks
     auto& inbox = ctx_.inbox();
     bool found = false;
     for (auto it = inbox.begin(); it != inbox.end(); ++it) {
@@ -102,26 +122,13 @@ void Comm::await_clear_to_send(int dst, unsigned token) {
     if (found) break;
     ctx_.block();
   }
-  // The handshake wait happens inside the send call: data-transfer time.
-  rec_.record(transfer_kind(), ctx_.now() - t0);
-  if (rec_.timeline() != nullptr) {
-    rec_.timeline()->add(t0, ctx_.now(), rec_.component(), transfer_kind(),
-                         event_label("handshake"), rec_.step_index());
-  }
-}
-
-void Comm::timeline_send(double sent_at, double busy, perf::Kind kind,
-                         const char* label) {
-  if (rec_.timeline() == nullptr) return;
-  rec_.timeline()->add(sent_at, sent_at + busy, rec_.component(), kind,
-                       event_label(label), rec_.step_index());
-  rec_.timeline()->add(sent_at + busy, ctx_.now(), rec_.component(),
-                       perf::Kind::kSync, "stall", rec_.step_index());
+  book(transfer_kind(), label, 0.0);
 }
 
 void Comm::send(int dst, int tag, const void* data, std::size_t bytes,
                 bool exchange) {
   REPRO_REQUIRE(dst >= 0 && dst < size(), "send: bad destination");
+  REPRO_REQUIRE(booked_ == ctx_.now(), "send: time left unbooked");
   rec_.trace_op({.kind = perf::TraceOp::Kind::kSend,
                  .exchange = exchange,
                  .sync = sync_mode_,
@@ -132,55 +139,32 @@ void Comm::send(int dst, int tag, const void* data, std::size_t bytes,
   const std::size_t rndv = net_.params().rendezvous_threshold;
   if (rndv > 0 && bytes >= rndv && dst != rank()) {
     const RendezvousToken body{tag, rendezvous_seq_++};
-    send_control(dst, kRtsTag, body);
+    transmit(dst, kRtsTag, MsgBuf(&body, sizeof(body)), false, "handshake");
     await_clear_to_send(dst, body.token);
   }
   MsgBuf payload(data, bytes);
-
-  const perf::Kind kind = transfer_kind();
-  const double sent_at = ctx_.now();
   if (dst == rank()) {
     // Self-send: a local copy, available immediately.
+    const double sent_at = ctx_.now();
     const double copy =
         static_cast<double>(bytes) / net_.params().copy_bandwidth;
-    rec_.record(kind, copy);
-    ctx_.advance(copy);
-    if (rec_.timeline() != nullptr) {
-      rec_.timeline()->add(sent_at, ctx_.now(), rec_.component(), kind,
-                           event_label("copy"), rec_.step_index());
-    }
+    book(transfer_kind(), event_label("copy"), copy);
     ctx_.post(ctx_.now(), dst,
               Packet{rank(), tag, std::move(payload), copy, sent_at});
     return;
   }
-
-  const net::MessageTiming t =
-      net_.message(rank(), dst, bytes, ctx_.now(), exchange);
-  // Injected-fault delay is attributed to the component issuing the send:
-  // that is the code path stretched by the perturbation.
-  if (t.fault_delay > 0.0) {
-    net_.attribute_fault_delay(static_cast<int>(rec_.component()),
-                               t.fault_delay);
-  }
-  rec_.record(kind, t.sender_busy);
-  // Back-pressure stalls are control transfer (the sender blocks until the
-  // NIC queue drains): synchronization, per perf/recorder.hpp's taxonomy.
-  rec_.record_stall(t.sender_stall);
   if (!sync_mode_) rec_.record_bytes(static_cast<double>(bytes));
-  ctx_.advance(t.sender_busy + t.sender_stall);
-  timeline_send(sent_at, t.sender_busy, kind, "send");
-  ctx_.post(t.arrival, dst,
-            Packet{rank(), tag, std::move(payload), t.recv_copy, sent_at});
+  transmit(dst, tag, std::move(payload), exchange, "send");
 }
 
 std::size_t Comm::recv(int src, int tag, void* data, std::size_t max_bytes) {
   ctx_.checkpoint();
-  const double t0 = ctx_.now();
+  const char* label = event_label("recv");
   Packet pkt;
   double arrival = 0.0;
   for (;;) {
     if (net_.params().rendezvous_threshold > 0) {
-      service_rendezvous_requests();
+      service_rendezvous_requests(label);
     }
     if (try_match(src, tag, pkt, arrival)) break;
     ctx_.block();
@@ -191,19 +175,11 @@ std::size_t Comm::recv(int src, int tag, void* data, std::size_t max_bytes) {
   // synchronization operations (barriers, CMPI's one-byte exchanges),
   // which is where load imbalance is absorbed because CHARMM synchronizes
   // before its global operations.
-  const double waited = ctx_.now() - t0;
-  const perf::Kind kind = transfer_kind();
-  rec_.record(kind, waited);
-  rec_.record(kind, pkt.recv_copy);
+  book(transfer_kind(), label, pkt.recv_copy);
   // Byte accounting must mirror the send side: self-sends are local copies,
   // not network traffic, so they book no Figure-7 bytes on either end.
   if (!sync_mode_ && pkt.src != rank()) {
     rec_.record_bytes(static_cast<double>(pkt.data.size()));
-  }
-  ctx_.advance(pkt.recv_copy);
-  if (rec_.timeline() != nullptr) {
-    rec_.timeline()->add(t0, ctx_.now(), rec_.component(), kind,
-                         event_label("recv"), rec_.step_index());
   }
 
   const std::size_t n = pkt.data.size();

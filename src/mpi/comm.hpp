@@ -14,7 +14,9 @@
 // transfer — everything inside barrier() and sender back-pressure stalls
 // — as synchronization. This matches the paper's split of "general
 // communication overhead" into data transfer and control transfer (see
-// perf/recorder.hpp for the full taxonomy).
+// perf/recorder.hpp for the full taxonomy). Each interval of a rank's
+// clock is booked once, by one private primitive (book), so the clock,
+// the recorder and an attached timeline agree by construction.
 //
 // reduce_sum and alltoallv also come in a form over a contiguous rank
 // range on a caller-given tag. A program that splits the communicator
@@ -78,7 +80,11 @@ class Comm {
  public:
   Comm(sim::RankCtx& ctx, net::ClusterNetwork& net, perf::RankRecorder& rec,
        const CollectiveConfig& collectives = {})
-      : ctx_(ctx), net_(net), rec_(rec), collectives_(collectives) {}
+      : ctx_(ctx),
+        net_(net),
+        rec_(rec),
+        collectives_(collectives),
+        booked_(ctx.now()) {}
 
   const CollectiveConfig& collectives() const { return collectives_; }
 
@@ -92,24 +98,14 @@ class Comm {
   // the node's SMP contention factor on dual-CPU nodes; stretched further
   // by injected stragglers / OS noise / stalls when faults are armed).
   void compute(double seconds) {
+    REPRO_REQUIRE(booked_ == ctx_.now(), "compute: time left unbooked");
     rec_.trace_op({.kind = perf::TraceOp::Kind::kCompute, .seconds = seconds});
     const double t = seconds * net_.compute_factor(rank());
-    const double t0 = ctx_.now();
-    const double perturb = net_.compute_perturbation(rank(), t0, t);
+    const double perturb = net_.compute_perturbation(rank(), ctx_.now(), t);
     if (perturb > 0.0) {
       net_.attribute_fault_delay(static_cast<int>(rec_.component()), perturb);
     }
-    rec_.record(perf::Kind::kComp, t + perturb);
-    ctx_.advance(t + perturb);
-    if (rec_.timeline() != nullptr) {
-      rec_.timeline()->add(t0, t0 + t, rec_.component(), perf::Kind::kComp,
-                           event_label("compute"), rec_.step_index());
-      if (perturb > 0.0) {
-        rec_.timeline()->add(t0 + t, ctx_.now(), rec_.component(),
-                             perf::Kind::kComp, "os_noise",
-                             rec_.step_index());
-      }
-    }
+    book(perf::Kind::kComp, event_label("compute"), t, perturb);
   }
 
   // --- point to point --------------------------------------------------
@@ -230,17 +226,24 @@ class Comm {
     unsigned token = 0;
   };
 
-  void send_control(int dst, int tag, const RendezvousToken& body);
+  // The one place that books this rank's time (ARCHITECTURE §2, "One
+  // booking per interval"): the unbooked wait [booked_, now) of a call
+  // that blocked, then `busy` (with injected compute `noise` in the same
+  // record), both as `kind`, then a back-pressure `stall` as
+  // synchronization. It advances the clock once by the three amounts and
+  // adds the timeline events: wait and busy as one `label` event, then
+  // the noise ("os_noise") or the stall ("stall").
+  void book(perf::Kind kind, const char* label, double busy,
+            double noise = 0.0, double stall = 0.0);
+  // Sends `payload` through the network model and books the sender's side.
+  void transmit(int dst, int tag, MsgBuf payload, bool exchange,
+                const char* label);
   // Replies CTS to every pending RTS in the inbox (progress while blocked
-  // inside a wait, mirroring MPI's inside-the-library progress rule).
-  void service_rendezvous_requests();
+  // inside a wait, mirroring MPI's inside-the-library progress rule). The
+  // wait so far is booked first, as `wait_label`.
+  void service_rendezvous_requests(const char* wait_label);
   // Blocks until the CTS for `token` arrives from dst.
   void await_clear_to_send(int dst, unsigned token);
-  // Adds a network send's timeline events, when a timeline is attached:
-  // the sender's busy interval from `sent_at`, then its back-pressure
-  // stall up to now.
-  void timeline_send(double sent_at, double busy, perf::Kind kind,
-                     const char* label);
 
   sim::RankCtx& ctx_;
   net::ClusterNetwork& net_;
@@ -249,6 +252,9 @@ class Comm {
   bool sync_mode_ = false;
   unsigned coll_seq_ = 0;
   unsigned rendezvous_seq_ = 0;
+  // The clock up to which this rank's time is booked; only a blocked wait
+  // leaves it behind now().
+  double booked_;
 };
 
 }  // namespace repro::mpi

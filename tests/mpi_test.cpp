@@ -18,6 +18,7 @@
 #include "perf/timeline.hpp"
 #include "sim/engine.hpp"
 
+#include "booked_time.hpp"
 #include "byte_digest.hpp"
 
 namespace repro::mpi {
@@ -376,8 +377,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 std::vector<perf::RankRecorder> run_rendezvous_cluster(
     int nranks, std::size_t threshold,
-    const std::function<void(Comm&)>& body,
-    std::vector<perf::Timeline>* timelines = nullptr) {
+    const std::function<void(Comm&)>& body) {
   net::ClusterConfig config;
   config.nranks = nranks;
   config.network = net::Network::kScoreGigE;
@@ -386,12 +386,6 @@ std::vector<perf::RankRecorder> run_rendezvous_cluster(
   net::ClusterNetwork cluster(config, params);
   std::vector<perf::RankRecorder> recorders(
       static_cast<std::size_t>(nranks));
-  if (timelines != nullptr) {
-    timelines->assign(static_cast<std::size_t>(nranks), perf::Timeline{});
-    for (std::size_t r = 0; r < recorders.size(); ++r) {
-      recorders[r].attach_timeline(&(*timelines)[r]);
-    }
-  }
   sim::Engine engine(nranks);
   engine.run([&](sim::RankCtx& ctx) {
     Comm comm(ctx, cluster,
@@ -466,43 +460,6 @@ TEST(RendezvousTest, CollectivesStillCorrect) {
     comm.bcast(b.data(), b.size() * sizeof(double), 2);
     EXPECT_DOUBLE_EQ(b[511], 7.0);
   });
-}
-
-// Every interval Comm books on the recorder also lands on an attached
-// timeline, the rendezvous handshake included: per rank, the summed event
-// durations equal the recorder's total, with and without rendezvous.
-TEST(RendezvousTest, TimelinesCoverEveryBooking) {
-  for (const std::size_t threshold : {std::size_t{0}, std::size_t{64}}) {
-    SCOPED_TRACE(threshold);
-    std::vector<perf::Timeline> timelines;
-    const auto recs = run_rendezvous_cluster(
-        4, threshold,
-        [](Comm& comm) {
-          const int p = comm.size();
-          std::vector<double> data(500, 1.0);
-          std::vector<double> got(500);
-          comm.compute(1e-3 * comm.rank());
-          for (int k = 1; k < p; ++k) {
-            comm.send((comm.rank() + k) % p, 9, data.data(),
-                      data.size() * sizeof(double));
-          }
-          for (int k = 1; k < p; ++k) {
-            comm.recv((comm.rank() - k + p) % p, 9, got.data(),
-                      got.size() * sizeof(double));
-          }
-          comm.allreduce_sum(data.data(), data.size());
-          comm.barrier();
-        },
-        &timelines);
-    for (std::size_t r = 0; r < recs.size(); ++r) {
-      double summed = 0.0;
-      for (const perf::TimelineEvent& e : timelines[r].events()) {
-        summed += e.end - e.begin;
-      }
-      const double total = recs[r].total_breakdown().total();
-      EXPECT_NEAR(summed, total, 1e-9 * total) << "rank " << r;
-    }
-  }
 }
 
 TEST(RendezvousTest, SmallMessagesStayEager) {
@@ -758,6 +715,68 @@ TEST(BookedTimeTest, EagerBookingBitsPinned) {
   EXPECT_EQ(labels, (std::set<std::string>{"compute", "copy", "halo",
                                            "os_noise", "recv", "send",
                                            "stall"}));
+}
+
+// Booked time partitions each rank's clock: the recorder total equals the
+// final clock, and the timeline's events are disjoint and sum to it. A
+// rendezvous handshake serviced inside a wait is booked once, as its own
+// interval.
+TEST(RendezvousTest, TimelinesCoverEveryBooking) {
+  const auto all_to_all = [](Comm& comm) {
+    const int p = comm.size();
+    std::vector<double> data(500, 1.0);
+    std::vector<double> got(500);
+    comm.compute(1e-3 * comm.rank());
+    for (int k = 1; k < p; ++k) {
+      comm.send((comm.rank() + k) % p, 9, data.data(),
+                data.size() * sizeof(double));
+    }
+    for (int k = 1; k < p; ++k) {
+      comm.recv((comm.rank() - k + p) % p, 9, got.data(),
+                got.size() * sizeof(double));
+    }
+    comm.allreduce_sum(data.data(), data.size());
+    comm.barrier();
+  };
+  const auto sync_traffic = [](Comm& comm) {
+    const int peer = comm.rank() ^ 1;
+    std::vector<double> data(500, 1.0);
+    comm.compute(1e-4 * comm.rank());
+    Comm::SyncScope sync(comm);
+    comm.send(peer, 2, data.data(), data.size() * sizeof(double));
+    comm.recv(peer, 2, data.data(), data.size() * sizeof(double));
+  };
+  const auto self_send = [](Comm& comm) {
+    std::vector<double> data(500, 1.0);
+    comm.send(comm.rank(), 1, data.data(), data.size() * sizeof(double));
+    comm.recv(comm.rank(), 1, data.data(), data.size() * sizeof(double));
+  };
+  const struct {
+    const char* name;
+    std::size_t threshold;
+    std::function<void(Comm&)> body;
+  } cases[] = {
+      {"eager", 0, booked_program},
+      {"eager all-to-all", 0, all_to_all},
+      {"rendezvous", 64, booked_program},
+      {"rendezvous all-to-all", 64, all_to_all},
+      {"rendezvous SyncScope", 64, sync_traffic},
+      {"self-send", 64, self_send},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const BookedRun run = run_booked(4, c.threshold, "", c.body);
+    for (std::size_t r = 0; r < run.recs.size(); ++r) {
+      const double clock = run.clocks[r];
+      EXPECT_GT(clock, 0.0) << "rank " << r;
+      EXPECT_NEAR(run.recs[r].total_breakdown().total(), clock,
+                  1e-12 * clock)
+          << "rank " << r;
+      EXPECT_NEAR(testutil::booked_span(run.timelines[r]), clock,
+                  1e-12 * clock)
+          << "rank " << r;
+    }
+  }
 }
 
 }  // namespace

@@ -28,6 +28,8 @@
 #include "sysbuild/builder.hpp"
 #include "util/error.hpp"
 
+#include "booked_time.hpp"
+
 namespace repro::core {
 namespace {
 
@@ -318,6 +320,44 @@ TEST(SweepReplayTest, GoldenFigureCellsMatchRunExperiment) {
   }
   // Most cells share a class-mate's trajectory.
   EXPECT_GT(replayed, specs.size() / 2);
+}
+
+// A replayed cell books every interval of a rank's clock once, as a
+// recorded one does: each rank's timeline events are disjoint, and the
+// longest rank's summed events equal the makespan (the slowest rank's
+// recorder total). Faulted cells, eager and with rendezvous.
+TEST(SweepReplayTest, ReplayedTimelinesPartitionTheClock) {
+  std::vector<ExperimentSpec> specs;
+  for (const std::size_t threshold : {std::size_t{0}, std::size_t{1024}}) {
+    for (net::Network network :
+         {net::Network::kTcpGigE, net::Network::kScoreGigE}) {
+      ExperimentSpec spec = replay_spec(network, 4);
+      spec.record_timelines = true;
+      spec.faults = net::parse_fault_spec(
+          "loss=0.02,recovery=timeout;straggler=0,x=1.5,period=1e-3,"
+          "dur=1e-4;stall=1,at=0.01,dur=0.005");
+      net::NetworkParams params = net::params_for(network);
+      params.rendezvous_threshold = threshold;
+      spec.network_params = params;
+      specs.push_back(spec);
+    }
+  }
+  const auto outcomes = SweepRunner(1).run(small_system(), specs);
+  ASSERT_EQ(outcomes.size(), specs.size());
+  std::size_t replayed = 0;
+  for (const SweepOutcome& cell : outcomes) {
+    ASSERT_TRUE(cell.ok()) << cell.error;
+    SCOPED_TRACE(spec_label(cell.spec));
+    replayed += cell.replayed ? 1 : 0;
+    ASSERT_EQ(cell.result.timelines.size(), 4u);
+    double longest = 0.0;
+    for (const perf::Timeline& timeline : cell.result.timelines) {
+      longest = std::max(longest, testutil::booked_span(timeline));
+    }
+    const double makespan = cell.result.metrics.makespan;
+    EXPECT_NEAR(longest, makespan, 1e-12 * makespan);
+  }
+  EXPECT_EQ(replayed, specs.size() - 1);
 }
 
 TEST(SweepReplayTest, LdbCellsAndSingletonClassesNeverReplay) {
