@@ -236,6 +236,8 @@ class Comm {
   void book(perf::Kind kind, const char* label, double busy,
             double noise = 0.0, double stall = 0.0);
   // Sends `payload` through the network model and books the sender's side.
+  // The rendezvous control messages take this path too, as tiny eager
+  // sends on the reserved tags.
   void transmit(int dst, int tag, MsgBuf payload, bool exchange,
                 const char* label);
   // Replies CTS to every pending RTS in the inbox (progress while blocked

@@ -23,8 +23,8 @@ struct TimelineEvent {
   Kind kind = Kind::kComp;
   // Metadata for structured export (see perf/trace_export.hpp): the MD
   // step the interval belongs to (-1 when unknown) and a short static
-  // label naming the operation ("compute", "send", "stall", "recv",
-  // "handshake").
+  // label naming the operation ("compute", "os_noise", "send", "stall",
+  // "copy", "recv", "handshake").
   int step = -1;
   const char* label = "";
 };

@@ -375,28 +375,43 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- rendezvous protocol ----------------------------------------------------
 
-std::vector<perf::RankRecorder> run_rendezvous_cluster(
-    int nranks, std::size_t threshold,
-    const std::function<void(Comm&)>& body) {
+// One run's booked time: each rank's recorder, its timeline and its clock
+// when its program returned.
+struct BookedRun {
+  std::vector<perf::RankRecorder> recs;
+  std::vector<perf::Timeline> timelines;
+  std::vector<double> clocks;
+};
+
+// Runs `body` on a SCore/GigE cluster with the given rendezvous threshold
+// (0: eager only) and faults, with a timeline on every rank.
+BookedRun run_booked(int nranks, std::size_t rendezvous_threshold,
+                     const std::function<void(Comm&)>& body,
+                     const std::string& faults = "") {
   net::ClusterConfig config;
   config.nranks = nranks;
   config.network = net::Network::kScoreGigE;
   net::NetworkParams params = net::params_for(config.network);
-  params.rendezvous_threshold = threshold;
-  net::ClusterNetwork cluster(config, params);
-  std::vector<perf::RankRecorder> recorders(
-      static_cast<std::size_t>(nranks));
+  params.rendezvous_threshold = rendezvous_threshold;
+  net::ClusterNetwork cluster(config, params, net::parse_fault_spec(faults));
+  const auto n = static_cast<std::size_t>(nranks);
+  BookedRun run{std::vector<perf::RankRecorder>(n),
+                std::vector<perf::Timeline>(n), std::vector<double>(n)};
+  for (std::size_t r = 0; r < n; ++r) {
+    run.recs[r].attach_timeline(&run.timelines[r]);
+  }
   sim::Engine engine(nranks);
   engine.run([&](sim::RankCtx& ctx) {
-    Comm comm(ctx, cluster,
-              recorders[static_cast<std::size_t>(ctx.rank())]);
+    const auto r = static_cast<std::size_t>(ctx.rank());
+    Comm comm(ctx, cluster, run.recs[r]);
     body(comm);
+    run.clocks[r] = comm.now();
   });
-  return recorders;
+  return run;
 }
 
 TEST(RendezvousTest, LargeMessageDeliveredCorrectly) {
-  run_rendezvous_cluster(2, 1024, [](Comm& comm) {
+  run_booked(2, 1024, [](Comm& comm) {
     std::vector<double> data(1000, 1.5);  // 8000 bytes > threshold
     if (comm.rank() == 0) {
       comm.send(1, 5, data.data(), data.size() * sizeof(double));
@@ -411,7 +426,7 @@ TEST(RendezvousTest, LargeMessageDeliveredCorrectly) {
 TEST(RendezvousTest, HandshakeAddsRoundTrip) {
   auto elapsed_with = [](std::size_t threshold) {
     double sender_end = 0.0;
-    run_rendezvous_cluster(2, threshold, [&](Comm& comm) {
+    run_booked(2, threshold, [&](Comm& comm) {
       std::vector<double> data(10000);
       if (comm.rank() == 0) {
         comm.send(1, 5, data.data(), data.size() * sizeof(double));
@@ -433,7 +448,7 @@ TEST(RendezvousTest, HandshakeAddsRoundTrip) {
 }
 
 TEST(RendezvousTest, SymmetricExchangeDoesNotDeadlock) {
-  run_rendezvous_cluster(4, 64, [](Comm& comm) {
+  run_booked(4, 64, [](Comm& comm) {
     // Everyone sends a large message to everyone else simultaneously.
     const int p = comm.size();
     std::vector<double> data(500, static_cast<double>(comm.rank()));
@@ -451,7 +466,7 @@ TEST(RendezvousTest, SymmetricExchangeDoesNotDeadlock) {
 }
 
 TEST(RendezvousTest, CollectivesStillCorrect) {
-  run_rendezvous_cluster(8, 128, [](Comm& comm) {
+  run_booked(8, 128, [](Comm& comm) {
     std::vector<double> v(200, 1.0);
     comm.allreduce_sum(v.data(), v.size());
     for (double x : v) ASSERT_DOUBLE_EQ(x, 8.0);
@@ -463,7 +478,7 @@ TEST(RendezvousTest, CollectivesStillCorrect) {
 }
 
 TEST(RendezvousTest, SmallMessagesStayEager) {
-  auto recs = run_rendezvous_cluster(2, 1 << 20, [](Comm& comm) {
+  run_booked(2, 1 << 20, [](Comm& comm) {
     // Below threshold: no handshake, sender returns immediately.
     double x = 1.0;
     if (comm.rank() == 0) {
@@ -474,14 +489,13 @@ TEST(RendezvousTest, SmallMessagesStayEager) {
       comm.recv(0, 3, &x, sizeof(x));
     }
   });
-  (void)recs;
 }
 
 TEST(RendezvousTest, MalformedClearToSendRejected) {
   // Regression: a corrupt packet on the CTS control tag (null payload)
   // used to be memcpy'd without validation. The protocol layer must
   // reject it instead of dereferencing it.
-  run_rendezvous_cluster(2, 1024, [](Comm& comm) {
+  run_booked(2, 1024, [](Comm& comm) {
     if (comm.rank() == 0) {
       comm.ctx().checkpoint();
       // Forge a corrupt CTS from rank 1 into our own inbox; the
@@ -503,7 +517,7 @@ TEST(AccountingTest, SenderBackPressureStallIsSynchronization) {
   // time is control transfer and must land in the sync column — but it
   // elapses inside the send call, so it still counts toward the step's
   // transfer time (the denominator of Figure 7's per-node speed).
-  auto recs = run_rendezvous_cluster(2, /*eager=*/0, [](Comm& comm) {
+  const BookedRun run = run_booked(2, /*eager=*/0, [](Comm& comm) {
     std::vector<char> big(1 << 20);
     if (comm.rank() == 0) {
       for (int i = 0; i < 6; ++i) comm.send(1, 1, big.data(), big.size());
@@ -513,12 +527,12 @@ TEST(AccountingTest, SenderBackPressureStallIsSynchronization) {
     }
   });
   const double sync =
-      recs[0].time(perf::Component::kOther, perf::Kind::kSync);
+      run.recs[0].time(perf::Component::kOther, perf::Kind::kSync);
   const double comm_t =
-      recs[0].time(perf::Component::kOther, perf::Kind::kComm);
+      run.recs[0].time(perf::Component::kOther, perf::Kind::kComm);
   EXPECT_GT(sync, 0.0);  // pre-fix, stalls were booked as communication
-  ASSERT_EQ(recs[0].steps().size(), 1u);
-  EXPECT_NEAR(recs[0].steps()[0].comm_time, comm_t + sync, 1e-12);
+  ASSERT_EQ(run.recs[0].steps().size(), 1u);
+  EXPECT_NEAR(run.recs[0].steps()[0].comm_time, comm_t + sync, 1e-12);
 }
 
 TEST(AccountingTest, BytesCountedOnDataOpsOnly) {
@@ -575,39 +589,6 @@ TEST(AccountingTest, ComputeChargesActiveComponent) {
 }
 
 // --- booked time -------------------------------------------------------------
-
-// One run with a timeline on every rank, and each rank's clock when its
-// program returned.
-struct BookedRun {
-  std::vector<perf::RankRecorder> recs;
-  std::vector<perf::Timeline> timelines;
-  std::vector<double> clocks;
-};
-
-BookedRun run_booked(int nranks, std::size_t rendezvous_threshold,
-                     const std::string& faults,
-                     const std::function<void(Comm&)>& body) {
-  net::ClusterConfig config;
-  config.nranks = nranks;
-  config.network = net::Network::kScoreGigE;
-  net::NetworkParams params = net::params_for(config.network);
-  params.rendezvous_threshold = rendezvous_threshold;
-  net::ClusterNetwork cluster(config, params, net::parse_fault_spec(faults));
-  const auto n = static_cast<std::size_t>(nranks);
-  BookedRun run{std::vector<perf::RankRecorder>(n),
-                std::vector<perf::Timeline>(n), std::vector<double>(n)};
-  for (std::size_t r = 0; r < n; ++r) {
-    run.recs[r].attach_timeline(&run.timelines[r]);
-  }
-  sim::Engine engine(nranks);
-  engine.run([&](sim::RankCtx& ctx) {
-    const auto r = static_cast<std::size_t>(ctx.rank());
-    Comm comm(ctx, cluster, run.recs[r]);
-    body(comm);
-    run.clocks[r] = comm.now();
-  });
-  return run;
-}
 
 // A rank program that reaches every booking site over two steps: compute
 // under two components, an exchange under a phase label, a self-send,
@@ -701,7 +682,7 @@ TEST(BookedTimeTest, EagerBookingBitsPinned) {
   std::set<std::string> labels;
   for (const auto& c : cases) {
     SCOPED_TRACE(c.faults);
-    const BookedRun run = run_booked(4, 0, c.faults, booked_program);
+    const BookedRun run = run_booked(4, 0, booked_program, c.faults);
     std::vector<std::string> got;
     for (std::size_t r = 0; r < run.recs.size(); ++r) {
       got.push_back(booked_digest(run, r));
@@ -765,7 +746,7 @@ TEST(RendezvousTest, TimelinesCoverEveryBooking) {
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
-    const BookedRun run = run_booked(4, c.threshold, "", c.body);
+    const BookedRun run = run_booked(4, c.threshold, c.body);
     for (std::size_t r = 0; r < run.recs.size(); ++r) {
       const double clock = run.clocks[r];
       EXPECT_GT(clock, 0.0) << "rank " << r;
